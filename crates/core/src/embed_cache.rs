@@ -16,14 +16,9 @@
 //! architectures (GraphSAGE ↔ transformer) can never resolve a stale
 //! cross-architecture embedding, even if stamps were ever to collide.
 //!
-//! Structure mirrors serve's hot cache: an intrusive LRU list over a slab
-//! per shard, O(1) promote/evict, per-shard mutexes to keep contention
-//! local.
+//! Storage is the workspace's generic [`ShardedLru`].
 
-use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use crate::lru::ShardedLru;
 use std::sync::Arc;
 
 /// Identity of a cached embedding.
@@ -46,155 +41,39 @@ pub struct EmbedKey {
 /// shared rather than copied between the cache and in-flight predictions.
 pub type SharedEmbedding = Arc<Vec<f32>>;
 
-const NIL: usize = usize::MAX;
-
-struct Entry {
-    key: EmbedKey,
-    value: SharedEmbedding,
-    prev: usize,
-    next: usize,
-}
-
-struct Shard {
-    map: HashMap<EmbedKey, usize>,
-    slab: Vec<Entry>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-    capacity: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slab[i].prev, self.slab[i].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slab[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slab[n].prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slab[i].prev = NIL;
-        self.slab[i].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn get(&mut self, key: &EmbedKey) -> Option<SharedEmbedding> {
-        let &i = self.map.get(key)?;
-        self.detach(i);
-        self.push_front(i);
-        Some(Arc::clone(&self.slab[i].value))
-    }
-
-    fn insert(&mut self, key: EmbedKey, value: SharedEmbedding) {
-        if let Some(&i) = self.map.get(&key) {
-            self.slab[i].value = value;
-            self.detach(i);
-            self.push_front(i);
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            self.detach(victim);
-            self.map.remove(&self.slab[victim].key);
-            self.free.push(victim);
-        }
-        let entry = Entry {
-            key: key.clone(),
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = entry;
-                i
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
-        };
-        self.push_front(slot);
-        self.map.insert(key, slot);
-    }
-}
-
 /// Thread-safe sharded LRU of `EmbedKey → SharedEmbedding`. A capacity of
 /// zero disables the cache entirely (every `get` misses, `insert` is a
 /// no-op) — the knob the benchmark baseline uses.
-pub struct EmbedCache {
-    shards: Vec<Mutex<Shard>>,
-}
+pub struct EmbedCache(Option<ShardedLru<EmbedKey, SharedEmbedding>>);
 
 impl EmbedCache {
     /// `capacity` total entries spread over `shards` independent LRUs
     /// (shard count is rounded up to a power of two). `capacity == 0`
     /// disables caching.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        if capacity == 0 {
-            return EmbedCache { shards: Vec::new() };
-        }
-        let shards = shards.max(1).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards).max(1);
-        EmbedCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
-                .collect(),
-        }
+        EmbedCache((capacity > 0).then(|| ShardedLru::new(capacity, shards)))
     }
 
     /// Whether caching is disabled (capacity 0).
     pub fn is_disabled(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    fn shard_of(&self, key: &EmbedKey) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
+        self.0.is_none()
     }
 
     /// Look up and promote to most-recently-used.
     pub fn get(&self, key: &EmbedKey) -> Option<SharedEmbedding> {
-        if self.shards.is_empty() {
-            return None;
-        }
-        self.shard_of(key).lock().get(key)
+        self.0.as_ref()?.get(key)
     }
 
     /// Insert or refresh; evicts the shard's LRU entry when full.
     pub fn insert(&self, key: EmbedKey, value: SharedEmbedding) {
-        if self.shards.is_empty() {
-            return;
+        if let Some(lru) = &self.0 {
+            lru.insert(key, value);
         }
-        self.shard_of(&key).lock().insert(key, value);
     }
 
-    /// Entries currently cached (sums shard sizes; racy under writes).
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.0.as_ref().map_or(0, ShardedLru::len)
     }
 
     /// True when nothing is cached.
@@ -218,19 +97,6 @@ mod tests {
 
     fn emb(v: f32) -> SharedEmbedding {
         Arc::new(vec![v; 4])
-    }
-
-    #[test]
-    fn get_promotes_and_insert_evicts_lru() {
-        let cache = EmbedCache::new(2, 1);
-        cache.insert(key(1, 0), emb(1.0));
-        cache.insert(key(2, 0), emb(2.0));
-        assert_eq!(cache.get(&key(1, 0)).unwrap()[0], 1.0); // 1 is now MRU
-        cache.insert(key(3, 0), emb(3.0)); // evicts 2, the LRU
-        assert!(cache.get(&key(2, 0)).is_none());
-        assert_eq!(cache.get(&key(1, 0)).unwrap()[0], 1.0);
-        assert_eq!(cache.get(&key(3, 0)).unwrap()[0], 3.0);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -274,31 +140,5 @@ mod tests {
         cache.insert(key(1, 0), emb(1.0));
         assert!(cache.get(&key(1, 0)).is_none());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn shards_stay_consistent_under_concurrency() {
-        // Capacity 2048 over 8 shards = 256 per shard: even a worst-case
-        // skew of the 200 distinct keys cannot overflow one shard.
-        let cache = Arc::new(EmbedCache::new(2048, 8));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        let k = key(t * 1000 + i % 50, 0);
-                        cache.insert(k.clone(), emb(i as f32));
-                        let _ = cache.get(&k);
-                    }
-                });
-            }
-        });
-        // 4 threads x 50 distinct hashes: nothing evicted.
-        assert_eq!(cache.len(), 200);
-        for t in 0..4u64 {
-            for i in 0..50u64 {
-                assert!(cache.get(&key(t * 1000 + i, 0)).is_some());
-            }
-        }
     }
 }

@@ -10,6 +10,7 @@ use nnlqp_obs::{
 };
 use nnlqp_sim::{DeviceFarm, FarmError, Platform, PlatformSpec, QueryJob};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -551,14 +552,16 @@ impl Nnlqp {
         Ok(())
     }
 
-    /// Resolve the effective graph at the requested batch size.
-    fn effective_graph(&self, params: &QueryParams) -> Result<Graph, QueryError> {
+    /// Resolve the effective graph at the requested batch size: the
+    /// caller's own graph, borrowed, unless it has to be rebatched.
+    fn effective_graph<'a>(&self, params: &'a QueryParams) -> Result<Cow<'a, Graph>, QueryError> {
         if params.model.input_shape.batch() == params.batch_size as usize {
-            Ok(params.model.clone())
+            Ok(Cow::Borrowed(&params.model))
         } else {
             params
                 .model
                 .rebatch(params.batch_size as usize)
+                .map(Cow::Owned)
                 .map_err(|e| QueryError::BadBatch(e.to_string()))
         }
     }
@@ -610,10 +613,11 @@ impl Nnlqp {
             });
         }
 
-        // Miss: deploy + measure on the farm, then record. The graph moves
-        // into an `Arc` shared with the farm job — no per-miss deep copy.
+        // Miss: deploy + measure on the farm, then record. Only here does
+        // the graph move (or, when borrowed, get copied once) into an
+        // `Arc` shared with the farm job; a hit never copies it.
         self.measure_and_record(
-            &Arc::new(graph),
+            &Arc::new(graph.into_owned()),
             spec,
             platform_id,
             hash,
@@ -641,41 +645,50 @@ impl Nnlqp {
         batch_size: u32,
         farm_wait: Option<Duration>,
     ) -> Result<QueryResult, QueryError> {
-        let spec = platform.spec();
-        let hash = graph_hash(graph);
-        self.admit(graph, hash, spec)?;
-        let platform_id =
-            self.db
-                .get_or_create_platform(&spec.hardware, &spec.software, spec.dtype.name());
-        self.measure_and_record(
+        self.measure_admitted(
             graph,
-            spec,
-            platform_id,
-            hash,
+            graph_hash(graph),
+            platform,
             batch_size,
             farm_wait,
-            &Recorder::disabled(),
-            &mut SimClock::new(),
             None,
         )
         .map(|(qr, _)| qr)
     }
 
-    /// [`Self::query_measured`] with wall-clock stage boundaries: the
-    /// returned [`MeasureTicks`] are nanosecond ticks on `clock` taken
-    /// right after the farm measurement and right after the db/WAL write,
-    /// so a serving-layer trace can tile the miss path into
-    /// `measure` / `db_write` stages exactly.
+    /// [`Self::query_measured`] for the serving layer, which already
+    /// holds `hash = graph_hash(graph)` from its front door (so the miss
+    /// path hashes once; checked in debug builds only), with wall-clock
+    /// stage boundaries: the returned [`MeasureTicks`] are nanosecond
+    /// ticks on `clock` taken right after the farm measurement and right
+    /// after the db/WAL write, so a serving-layer trace can tile the miss
+    /// path into `measure` / `db_write` stages exactly.
     pub fn query_measured_traced(
         &self,
         graph: &Arc<Graph>,
+        hash: u64,
         platform: &Platform,
         batch_size: u32,
         farm_wait: Option<Duration>,
         clock: &TraceClock,
     ) -> Result<(QueryResult, MeasureTicks), QueryError> {
+        debug_assert_eq!(hash, graph_hash(graph), "hash must be graph_hash(graph)");
+        self.measure_admitted(graph, hash, platform, batch_size, farm_wait, Some(clock))
+            .map(|(qr, ticks)| (qr, ticks.expect("ticks present when clock passed")))
+    }
+
+    /// The shared body of the two `query_measured*` entry points: admit,
+    /// bind the platform row, measure and record.
+    fn measure_admitted(
+        &self,
+        graph: &Arc<Graph>,
+        hash: u64,
+        platform: &Platform,
+        batch_size: u32,
+        farm_wait: Option<Duration>,
+        wall: Option<&TraceClock>,
+    ) -> Result<(QueryResult, Option<MeasureTicks>), QueryError> {
         let spec = platform.spec();
-        let hash = graph_hash(graph);
         self.admit(graph, hash, spec)?;
         let platform_id =
             self.db
@@ -689,9 +702,8 @@ impl Nnlqp {
             farm_wait,
             &Recorder::disabled(),
             &mut SimClock::new(),
-            Some(clock),
+            wall,
         )
-        .map(|(qr, ticks)| (qr, ticks.expect("ticks present when clock passed")))
     }
 
     #[allow(clippy::too_many_arguments)] // private plumbing behind query/query_measured
@@ -750,7 +762,7 @@ impl Nnlqp {
                 at += stage_ms;
             }
         }
-        let (model_id, _) = self.db.insert_model(graph);
+        let (model_id, _) = self.db.insert_model_hashed(graph, hash);
         let mem = cost::graph_cost(graph, spec.dtype).mem_bytes;
         // Atomic check-then-insert: when two threads miss on the same key
         // concurrently, both return the first writer's measurement — the

@@ -28,6 +28,7 @@
 
 pub mod embed_cache;
 pub mod interface;
+pub mod lru;
 pub mod predictor;
 
 pub use embed_cache::{EmbedCache, EmbedKey, SharedEmbedding};
@@ -35,6 +36,7 @@ pub use interface::{
     metric_names, CountersSnapshot, MeasureTicks, Nnlqp, NnlqpBuilder, QueryError, QueryParams,
     QueryResult,
 };
+pub use lru::ShardedLru;
 pub use nnlqp_obs::{
     to_prometheus, DriftAlert, EventLog, MonitorConfig, QualityMonitor, QualityReport,
 };

@@ -159,7 +159,16 @@ impl Database {
     /// Insert a model (deduplicated by graph hash). Returns the id and
     /// whether the row was newly created.
     pub fn insert_model(&self, g: &Graph) -> (ModelId, bool) {
-        let hash = graph_hash(g);
+        self.insert_model_hashed(g, graph_hash(g))
+    }
+
+    /// [`Database::insert_model`] for a caller that already holds
+    /// `hash = graph_hash(g)` (the query miss path hashed the graph at
+    /// its front door): same row, same dedup, one Merkle pass fewer.
+    /// Checked in debug builds only — a wrong hash files the model under
+    /// a key no lookup of that graph will ever probe.
+    pub fn insert_model_hashed(&self, g: &Graph, hash: u64) -> (ModelId, bool) {
+        debug_assert_eq!(hash, graph_hash(g), "hash must be graph_hash(g)");
         let mut inner = self.inner.write();
         if let Some(&id) = inner.by_hash.get(&hash) {
             return (id, false);

@@ -4,19 +4,9 @@
 //! to nothing and a read under the store's `RwLock` plus (in the paper's
 //! deployment) a network round trip. Hot keys — the same model queried by
 //! many clients — are instead pinned in a small sharded LRU keyed by
-//! `(graph_hash, platform, batch)`. Shards keep lock contention local:
-//! two requests for different keys almost never serialize on the same
-//! mutex.
-//!
-//! The LRU list is intrusive over a slab (`Vec` of entries linked by
-//! index), so promotion on hit and eviction on insert are O(1) with no
-//! per-entry allocation.
+//! `(graph_hash, platform, batch)`: the workspace's generic
+//! [`nnlqp::ShardedLru`] (O(1) promote/evict, per-shard mutexes).
 
-use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache identity of a served latency: graph structure (by hash), target
@@ -31,203 +21,21 @@ pub struct CacheKey {
     pub batch: u32,
 }
 
-const NIL: usize = usize::MAX;
-
-struct Entry {
-    key: CacheKey,
-    value: f64,
-    prev: usize,
-    next: usize,
-}
-
-struct Shard {
-    map: HashMap<CacheKey, usize>,
-    slab: Vec<Entry>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-    capacity: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            map: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slab[i].prev, self.slab[i].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slab[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slab[n].prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slab[i].prev = NIL;
-        self.slab[i].next = self.head;
-        if self.head != NIL {
-            self.slab[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn get(&mut self, key: &CacheKey) -> Option<f64> {
-        let &i = self.map.get(key)?;
-        self.detach(i);
-        self.push_front(i);
-        Some(self.slab[i].value)
-    }
-
-    /// Returns true when an entry was evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: f64) -> bool {
-        if let Some(&i) = self.map.get(&key) {
-            self.slab[i].value = value;
-            self.detach(i);
-            self.push_front(i);
-            return false;
-        }
-        let mut evicted = false;
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            self.detach(victim);
-            self.map.remove(&self.slab[victim].key);
-            self.free.push(victim);
-            evicted = true;
-        }
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = Entry {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slab.push(Entry {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.push_front(slot);
-        self.map.insert(key, slot);
-        evicted
-    }
-}
-
 /// Thread-safe sharded LRU of `CacheKey → latency_ms`.
-pub struct ShardedLru {
-    shards: Vec<Mutex<Shard>>,
-    evictions: AtomicU64,
-}
-
-impl ShardedLru {
-    /// `capacity` total entries spread over `shards` independent LRUs
-    /// (shard count is rounded up to a power of two).
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards).max(1);
-        ShardedLru {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
-                .collect(),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Look up and promote to most-recently-used.
-    pub fn get(&self, key: &CacheKey) -> Option<f64> {
-        self.shard_of(key).lock().get(key)
-    }
-
-    /// Insert or refresh; evicts the shard's LRU entry when full.
-    pub fn insert(&self, key: CacheKey, value: f64) {
-        if self.shard_of(&key).lock().insert(key, value) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Entries currently cached (sums shard sizes; racy under writes).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime evictions across all shards.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
+pub type ShardedLru = nnlqp::ShardedLru<CacheKey, f64>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(hash: u64) -> CacheKey {
-        CacheKey {
-            graph_hash: hash,
-            platform: Arc::from("gpu-T4-trt7.1-fp32"),
-            batch: 1,
-        }
-    }
-
-    #[test]
-    fn get_promotes_and_insert_evicts_lru() {
-        // Single shard of capacity 2 makes the eviction order observable.
-        let cache = ShardedLru::new(2, 1);
-        cache.insert(key(1), 10.0);
-        cache.insert(key(2), 20.0);
-        assert_eq!(cache.get(&key(1)), Some(10.0)); // 1 is now MRU
-        cache.insert(key(3), 30.0); // evicts 2, the LRU
-        assert_eq!(cache.get(&key(2)), None);
-        assert_eq!(cache.get(&key(1)), Some(10.0));
-        assert_eq!(cache.get(&key(3)), Some(30.0));
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn reinsert_refreshes_value_without_eviction() {
-        let cache = ShardedLru::new(2, 1);
-        cache.insert(key(1), 10.0);
-        cache.insert(key(1), 11.0);
-        assert_eq!(cache.get(&key(1)), Some(11.0));
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.len(), 1);
-    }
-
     #[test]
     fn distinct_platform_or_batch_is_a_distinct_key() {
         let cache = ShardedLru::new(8, 2);
-        let base = key(7);
+        let base = CacheKey {
+            graph_hash: 7,
+            platform: Arc::from("gpu-T4-trt7.1-fp32"),
+            batch: 1,
+        };
         let other_platform = CacheKey {
             platform: Arc::from("cpu-openppl-fp32"),
             ..base.clone()
@@ -242,24 +50,5 @@ mod tests {
         assert_eq!(cache.get(&base), Some(1.0));
         assert_eq!(cache.get(&other_platform), Some(2.0));
         assert_eq!(cache.get(&other_batch), Some(3.0));
-    }
-
-    #[test]
-    fn shards_stay_consistent_under_concurrency() {
-        let cache = Arc::new(ShardedLru::new(256, 8));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = cache.clone();
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let k = key(t * 1000 + i % 50);
-                        cache.insert(k.clone(), i as f64);
-                        let _ = cache.get(&k);
-                    }
-                });
-            }
-        });
-        // 4 threads × 50 distinct hashes, capacity 256: nothing evicted.
-        assert_eq!(cache.len(), 200);
     }
 }

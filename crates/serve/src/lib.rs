@@ -38,6 +38,7 @@
 pub mod cache;
 pub mod metrics;
 pub mod openloop;
+mod resolve;
 pub mod service;
 pub mod singleflight;
 

@@ -87,6 +87,13 @@ pub mod metric_names {
     /// Counter: quantized candidates rejected by the parity gate (the f32
     /// champion kept serving).
     pub const QUANT_REJECTED: &str = "serve.quant_rejected";
+    /// Counter: requests whose graph hash came from the identity memo —
+    /// no rebatch, no Merkle pass (see `crate::resolve`).
+    pub const RESOLVE_MEMO_HITS: &str = "serve.resolve_memo_hits";
+    /// Counter: requests that rebatched and hashed their graph at the
+    /// front door (including the ones that failed to). Hits over
+    /// hits + misses is the share of requests that skipped O(graph) work.
+    pub const RESOLVE_MEMO_MISSES: &str = "serve.resolve_memo_misses";
     /// Gauge (per platform/arch label set): windowed MAPE of the A/B
     /// challenger, percent (the champion's lives in the quality monitor).
     pub const AB_CHALLENGER_MAPE: &str = "serve.ab_challenger_mape";
@@ -128,6 +135,8 @@ pub struct ServeMetrics {
     predictor_promotions: Arc<Counter>,
     quant_publishes: Arc<Counter>,
     quant_rejected: Arc<Counter>,
+    resolve_memo_hits: Arc<Counter>,
+    resolve_memo_misses: Arc<Counter>,
     latency: Arc<Histogram>,
     request_wall: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -174,6 +183,8 @@ impl ServeMetrics {
             predictor_promotions: registry.counter(metric_names::PREDICTOR_PROMOTIONS),
             quant_publishes: registry.counter(metric_names::QUANT_PUBLISHES),
             quant_rejected: registry.counter(metric_names::QUANT_REJECTED),
+            resolve_memo_hits: registry.counter(metric_names::RESOLVE_MEMO_HITS),
+            resolve_memo_misses: registry.counter(metric_names::RESOLVE_MEMO_MISSES),
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
             request_wall: registry.histogram(metric_names::REQUEST_WALL_MS, &wall),
             queue_wait: registry.histogram(metric_names::QUEUE_WAIT_MS, &wall),
@@ -221,6 +232,8 @@ impl ServeMetrics {
         predictor_promotions,
         quant_publishes,
         quant_rejected,
+        resolve_memo_hits,
+        resolve_memo_misses,
     );
 
     pub(crate) fn retrained(&self, samples: u64) {

@@ -4,9 +4,13 @@
 //!
 //! Request flow (fast to slow):
 //!
-//! 1. resolve the platform once (cached binding: canonical name + db id);
+//! 1. resolve the platform once (cached binding: canonical name + db id)
+//!    and the key's graph hash — from the identity memo when this very
+//!    `Arc<Graph>` was seen at this batch before (see `resolve.rs`),
+//!    otherwise by rebatching and hashing, once;
 //! 2. sharded-LRU hot cache — O(1), no db lock;
-//! 3. evolving database — hit fills the LRU;
+//! 3. evolving database — hit fills the LRU; only past this point is the
+//!    effective (rebatched) graph itself needed, so only here is it built;
 //! 4. strict-mode admission — the analyzer (memoized per graph hash +
 //!    platform in the facade) rejects error-severity graphs *here*,
 //!    before any farm measurement or database write;
@@ -58,6 +62,7 @@
 
 use crate::cache::{CacheKey, ShardedLru};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::resolve::{effective_graph, ResolveMemo};
 use crate::singleflight::{Role, SingleFlight};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use nnlqp::{
@@ -637,6 +642,7 @@ struct WriterShared {
 pub struct LatencyService {
     system: Arc<Nnlqp>,
     cfg: ServeConfig,
+    memo: ResolveMemo,
     cache: Arc<ShardedLru>,
     flights: Arc<SingleFlight<CacheKey, Result<FlightOutcome, ServeError>>>,
     metrics: Arc<ServeMetrics>,
@@ -742,6 +748,7 @@ impl LatencyService {
         LatencyService {
             system,
             cfg,
+            memo: ResolveMemo::new(),
             cache,
             flights,
             metrics,
@@ -846,16 +853,32 @@ impl LatencyService {
                 return Err(e);
             }
         };
-        let graph = match effective_graph(model, batch) {
-            Ok(g) => g,
-            Err(e) => {
-                ctx.stage("resolve", &self.clock);
-                self.metrics.errors();
-                return Err(e);
+        // A repeat submitter's hash comes from the identity memo; anyone
+        // else pays for one rebatch + Merkle pass here and keeps the graph
+        // it built in case the request falls through both tiers.
+        let (hash, built) = match self.memo.get(model, batch) {
+            Some(hash) => {
+                self.metrics.resolve_memo_hits();
+                (hash, None)
+            }
+            None => {
+                self.metrics.resolve_memo_misses();
+                match effective_graph(model, batch) {
+                    Ok(graph) => {
+                        let hash = graph_hash(&graph);
+                        self.memo.insert(model, batch, hash);
+                        (hash, Some(graph))
+                    }
+                    Err(e) => {
+                        ctx.stage("resolve", &self.clock);
+                        self.metrics.errors();
+                        return Err(e);
+                    }
+                }
             }
         };
         let key = CacheKey {
-            graph_hash: graph_hash(&graph),
+            graph_hash: hash,
             platform: Arc::clone(&binding.canonical),
             batch,
         };
@@ -889,6 +912,7 @@ impl LatencyService {
             // Database answers are measurement-backed: shadow-evaluate
             // them on the sampling cadence.
             if let Some(shadow) = &self.shadow {
+                let graph = self.materialise(built, model, batch, ctx);
                 shadow.observe(
                     &self.system,
                     self.events.as_deref(),
@@ -908,10 +932,13 @@ impl LatencyService {
             });
         }
 
-        // Strict-mode admission gate: neither tier 1 nor tier 2 answered,
-        // so serving this request means touching the farm (or the
-        // predictor). Run the analyzer first — through the facade's
-        // memoized per-(graph hash, platform) report cache, so repeat
+        // Neither tier answered: from here on the request needs the graph
+        // itself, not just its hash.
+        let graph = self.materialise(built, model, batch, ctx);
+
+        // Strict-mode admission gate: serving this request means touching
+        // the farm (or the predictor). Run the analyzer first — through the
+        // facade's memoized per-(graph hash, platform) report cache, so repeat
         // queries of a rejected graph pay nothing — and turn error-severity
         // findings away before any measurement or database write. Cached
         // entries can never cover a rejected graph: strict is fixed at
@@ -1013,6 +1040,25 @@ impl LatencyService {
                 self.settle(flight.wait(), false, ctx)
             }
         }
+    }
+
+    /// The effective graph of a request past the point where its hash
+    /// alone would do: the one the front door built on a memo miss, else
+    /// built now — the rebatch a memo hit skipped, charged to `resolve`.
+    fn materialise(
+        &self,
+        built: Option<Arc<Graph>>,
+        model: &Arc<Graph>,
+        batch: u32,
+        ctx: &mut TraceContext,
+    ) -> Arc<Graph> {
+        built.unwrap_or_else(|| {
+            // Only successes are memoised and a memoised graph cannot
+            // change, so what rebatched before rebatches again.
+            let graph = effective_graph(model, batch).expect("memoised (model, batch) resolves");
+            ctx.stage("resolve", &self.clock);
+            graph
+        })
     }
 
     fn settle(
@@ -1214,20 +1260,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn effective_graph(model: &Arc<Graph>, batch: u32) -> Result<Arc<Graph>, ServeError> {
-    if batch == 0 {
-        return Err(ServeError::BadBatch("batch must be at least 1".to_string()));
-    }
-    if model.input_shape.batch() == batch as usize {
-        Ok(Arc::clone(model))
-    } else {
-        model
-            .rebatch(batch as usize)
-            .map(Arc::new)
-            .map_err(|e| ServeError::BadBatch(e.to_string()))
-    }
-}
-
 fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
     move || {
         while let Ok(job) = rx.recv() {
@@ -1237,6 +1269,7 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
             ctx.metrics.set_queue_depth(rx.len() as f64);
             let outcome = match ctx.system.query_measured_traced(
                 &job.graph,
+                job.key.graph_hash,
                 &job.platform,
                 job.key.batch,
                 ctx.farm_wait,
