@@ -1,8 +1,9 @@
 //! `gemm-bench` — micro-benchmark of the matrix kernels the inference
-//! engine actually runs: portable scalar f32, AVX2+FMA f32, and the int8
-//! quantized path, timed at the exact shapes the encoder backbones hit
-//! (node-feature projections, SAGE layers, attention projections, head
-//! MLPs).
+//! engine actually runs: portable scalar f32, the AVX2 and AVX-512
+//! instantiations of the f32 register tile, and the int8 quantized path,
+//! timed at the exact shapes the encoder backbones hit (node-feature
+//! projections, SAGE layers, attention projections, head MLPs) plus the
+//! transposed-A weight-gradient product of a training step.
 //!
 //! Unlike `predict-bench` (end-to-end: features + backbone + heads), this
 //! isolates the GEMMs so kernel-level speedups are visible even when the
@@ -12,11 +13,13 @@
 //! gemm-bench [--quick] [--out PATH]
 //! ```
 //!
-//! Output JSON: one entry per (shape, backend) with GFLOP/s and the
-//! speedup of each backend over scalar at that shape.
+//! Output JSON: one entry per shape with the GFLOP/s of every backend
+//! (a backend the CPU lacks reports the next narrower one's number, and
+//! `backends` lists what actually ran) and speedups over scalar.
 
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{simd_available, Activation, Kernel, Matrix, QuantLinear, QuantRow};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// A GEMM shape `[m x k] * [k x n]` with a label tying it back to the
@@ -31,7 +34,7 @@ struct GemmShape {
 /// The shapes the deployed predictors actually execute: `m` is the node
 /// count of a mid-sized corpus graph (or 1 for the pooled head), `k`/`n`
 /// the layer widths of the benched configurations.
-const SHAPES: [GemmShape; 5] = [
+const SHAPES: [GemmShape; 8] = [
     GemmShape {
         label: "sage-layer (64 nodes, 32->32)",
         m: 64,
@@ -62,7 +65,32 @@ const SHAPES: [GemmShape; 5] = [
         k: 64,
         n: 64,
     },
+    // The served model (`TrainPredictorConfig::default`, hidden 48) on the
+    // corpus' mean graph of 106 nodes.
+    GemmShape {
+        label: "served sage-in (106 nodes, feat 29 -> 48)",
+        m: 106,
+        k: 29,
+        n: 48,
+    },
+    GemmShape {
+        label: "served sage-layer (106 nodes, 48->48)",
+        m: 106,
+        k: 48,
+        n: 48,
+    },
+    GemmShape {
+        label: "served head-mlp (1 row, 52->48)",
+        m: 1,
+        k: 52,
+        n: 48,
+    },
 ];
+
+/// The weight gradient of the served SAGE layer: `x^T @ dy` with both
+/// operands `[nodes, hidden]`.
+const T_MATMUL_NODES: usize = 106;
+const T_MATMUL_HIDDEN: usize = 48;
 
 fn usage() -> ! {
     eprintln!("usage: gemm-bench [--quick] [--out PATH]");
@@ -118,6 +146,30 @@ fn main() {
         iters,
         inner
     );
+    let backends: Vec<&str> = Kernel::ALL
+        .iter()
+        .filter(|k| k.is_available())
+        .map(|k| k.as_str())
+        .collect();
+    let gflops = |flops: f64, s: f64| flops / s.max(1e-12) / 1e9;
+    // One timing per backend, narrowest first; a backend this CPU lacks
+    // repeats the previous (narrower) one's number.
+    let per_backend = |run: &mut dyn FnMut(Kernel)| -> Vec<f64> {
+        let mut secs: Vec<f64> = Vec::new();
+        for kern in Kernel::ALL {
+            let s = if kern.is_available() {
+                time_it(iters, || {
+                    for _ in 0..inner {
+                        run(kern);
+                    }
+                })
+            } else {
+                *secs.last().expect("scalar is always available")
+            };
+            secs.push(s);
+        }
+        secs
+    };
     for shape in &SHAPES {
         let (m, k, n) = (shape.m, shape.k, shape.n);
         let a = rand_matrix(m, k, &mut rng);
@@ -130,22 +182,10 @@ fn main() {
         let mut pack = Vec::new();
         let mut qrow = QuantRow::new();
 
-        let scalar_s = time_it(iters, || {
-            for _ in 0..inner {
-                a.matmul_into_with(Kernel::Scalar, &b, &mut out_m, &mut pack);
-                out_m.bias_act_with(Kernel::Scalar, &bias, Activation::Relu);
-            }
+        let secs = per_backend(&mut |kern| {
+            black_box(&a).matmul_into_with(kern, black_box(&b), &mut out_m, &mut pack);
+            out_m.bias_act_with(kern, &bias, Activation::Relu);
         });
-        let simd_s = if simd_available() {
-            time_it(iters, || {
-                for _ in 0..inner {
-                    a.matmul_into_with(Kernel::Avx2Fma, &b, &mut out_m, &mut pack);
-                    out_m.bias_act_with(Kernel::Avx2Fma, &bias, Activation::Relu);
-                }
-            })
-        } else {
-            scalar_s
-        };
         // The int8 path runs on the dispatched backend, like deployment.
         let int8_s = time_it(iters, || {
             for _ in 0..inner {
@@ -153,32 +193,57 @@ fn main() {
             }
         });
 
-        let gflops = |s: f64| flops / s.max(1e-12) / 1e9;
         eprintln!(
-            "[gemm-bench] {:<38} scalar {:6.2} GF/s  avx2 {:6.2} GF/s ({:4.2}x)  int8 {:6.2} GF/s ({:4.2}x)",
+            "[gemm-bench] {:<42} scalar {:6.2}  avx2 {:6.2} ({:4.2}x)  avx512 {:6.2} ({:4.2}x)  int8 {:6.2} ({:4.2}x) GF/s",
             shape.label,
-            gflops(scalar_s),
-            gflops(simd_s),
-            scalar_s / simd_s,
-            gflops(int8_s),
-            scalar_s / int8_s,
+            gflops(flops, secs[0]),
+            gflops(flops, secs[1]),
+            secs[0] / secs[1],
+            gflops(flops, secs[2]),
+            secs[0] / secs[2],
+            gflops(flops, int8_s),
+            secs[0] / int8_s,
         );
         rows.push(serde_json::json!({
             "label": shape.label,
             "m": m, "k": k, "n": n,
-            "scalar_gflops": gflops(scalar_s),
-            "avx2_gflops": gflops(simd_s),
-            "int8_gflops": gflops(int8_s),
-            "avx2_speedup": scalar_s / simd_s,
-            "int8_speedup": scalar_s / int8_s,
+            "scalar_gflops": gflops(flops, secs[0]),
+            "avx2_gflops": gflops(flops, secs[1]),
+            "avx512_gflops": gflops(flops, secs[2]),
+            "int8_gflops": gflops(flops, int8_s),
+            "avx2_speedup": secs[0] / secs[1],
+            "avx512_speedup": secs[0] / secs[2],
+            "int8_speedup": secs[0] / int8_s,
         }));
     }
+
+    let (k, m) = (T_MATMUL_NODES, T_MATMUL_HIDDEN);
+    let x = rand_matrix(k, m, &mut rng);
+    let dy = rand_matrix(k, m, &mut rng);
+    let flops = 2.0 * (m * k * m) as f64 * inner as f64;
+    let secs = per_backend(&mut |kern| {
+        black_box(black_box(&x).t_matmul_with(kern, black_box(&dy)));
+    });
+    eprintln!(
+        "[gemm-bench] t_matmul ({k}x{m})^T . ({k}x{m}): scalar {:6.2}  avx2 {:6.2}  avx512 {:6.2} GF/s",
+        gflops(flops, secs[0]),
+        gflops(flops, secs[1]),
+        gflops(flops, secs[2]),
+    );
+    let t_matmul = serde_json::json!({
+        "k": k, "m": m, "n": m,
+        "scalar_gflops": gflops(flops, secs[0]),
+        "avx2_gflops": gflops(flops, secs[1]),
+        "avx512_gflops": gflops(flops, secs[2]),
+    });
 
     let report = serde_json::json!({
         "bench": "gemm",
         "quick": quick,
         "simd_available": simd_available(),
+        "backends": backends,
         "shapes": rows,
+        "t_matmul": t_matmul,
     });
     let text = serde_json::to_string_pretty(&report).expect("serialize");
     match out {

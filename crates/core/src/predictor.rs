@@ -20,7 +20,6 @@ use nnlqp_predict::{
     TransformerModel,
 };
 use nnlqp_sim::PlatformSpec;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -455,17 +454,18 @@ impl Nnlqp {
         let hits = embeddings.iter().flatten().count() as u64;
         self.m_embed_hits.add(hits);
 
-        // Backbone pass over the misses only, embarrassingly parallel —
-        // the per-graph scratch arena keeps each worker allocation-light.
+        // Backbone pass over the misses only, all on one scratch arena:
+        // from the second graph on it allocates nothing but the embedding.
         let missing: Vec<usize> = (0..graphs.len())
             .filter(|&i| embeddings[i].is_none())
             .collect();
         self.m_embed_misses.add(missing.len() as u64);
+        let mut scratch = nnlqp_predict::Scratch::new();
         let fresh: Vec<crate::embed_cache::SharedEmbedding> = missing
-            .par_iter()
+            .iter()
             .map(|&i| {
                 let feats = extract_features(&graphs[i]);
-                Arc::new(handle.model.embed(&feats))
+                Arc::new(handle.model.embed_with(&feats, &mut scratch))
             })
             .collect();
         for (&i, emb) in missing.iter().zip(&fresh) {
@@ -476,10 +476,9 @@ impl Nnlqp {
 
         // Head fan-out: every embedding against every requested platform.
         let latencies_ms: Vec<Vec<f64>> = embeddings
-            .par_iter()
+            .iter()
             .map(|emb| {
                 let emb = emb.as_ref().expect("all embeddings resolved");
-                let mut scratch = nnlqp_predict::Scratch::new();
                 heads
                     .iter()
                     .map(|&h| handle.model.head_eval_with(emb, h, &mut scratch))

@@ -99,13 +99,25 @@ impl Linear {
         out.bias_act(&self.b, act);
     }
 
+    /// The parameter half of the backward pass: gradients of `W` and `b`
+    /// from the forward input `x` and the upstream gradient `dy`.
+    pub fn param_grad(x: &Matrix, dy: &Matrix) -> LinearGrad {
+        LinearGrad {
+            dw: x.t_matmul(dy), // [in, out]
+            db: dy.col_sums(),
+        }
+    }
+
+    /// The input half of the backward pass: `dx = dy W^T`, `[rows, in]`.
+    /// A layer whose input is data (nothing upstream to train) skips it.
+    pub fn input_grad(&self, dy: &Matrix) -> Matrix {
+        dy.matmul_t(&self.w)
+    }
+
     /// Backward. `x` is the forward input, `dy` the upstream gradient.
     /// Returns `(dx, grads)`.
     pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, LinearGrad) {
-        let dw = x.t_matmul(dy); // [in, out]
-        let db = dy.col_sums();
-        let dx = dy.matmul_t(&self.w); // [rows, in]
-        (dx, LinearGrad { dw, db })
+        (self.input_grad(dy), Linear::param_grad(x, dy))
     }
 }
 

@@ -4,9 +4,10 @@
 //! replaces PyTorch for the NNLP predictor (the Rust ecosystem offers no
 //! GNN training stack, so it is built here from scratch):
 //!
-//! * dense f32 [`Matrix`] math with rayon-parallel, packed-panel
-//!   multiplication, plus fused GEMM+bias+activation entry points and a
-//!   [`Scratch`] arena for the allocation-free inference path,
+//! * dense f32 [`Matrix`] math on one register-tile GEMM micro-kernel
+//!   (scalar, AVX2 and AVX-512 instantiations, see [`simd`]), plus fused
+//!   GEMM+bias+activation entry points and a [`Scratch`] arena for the
+//!   allocation-free inference path,
 //! * purely-functional layers with hand-derived backward passes
 //!   ([`Linear`], [`relu`], [`Dropout`], [`l2_normalize_rows`]) so batches
 //!   can be differentiated in parallel and gradients summed,

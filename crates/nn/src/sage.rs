@@ -147,23 +147,37 @@ impl SageLayer {
         out
     }
 
-    /// Backward; returns `(dx, grads)`.
-    pub fn backward(&self, cache: &SageCache, dy: &Matrix, adj: &Csr) -> (Matrix, SageGrad) {
-        // Through the normalization.
+    /// The parameter half of the backward pass: back through the
+    /// normalization and the ReLU to the pre-activation gradient `d_pre`,
+    /// and from there to both weight gradients. Returns `(d_pre, grads)`;
+    /// [`SageLayer::input_grad`] continues from `d_pre`.
+    pub fn param_grads(&self, cache: &SageCache, dy: &Matrix) -> (Matrix, SageGrad) {
         let d_act = l2_normalize_rows_backward(&cache.y_norm, &cache.norms, dy);
-        // Through the optional ReLU.
         let d_pre = if self.relu {
             crate::layers::relu_backward(&cache.pre_act, &d_act)
         } else {
             d_act
         };
-        // Through the two linear paths.
-        let (dx_self, d_w1) = self.w1.backward(&cache.x, &d_pre);
-        let (d_agg, d_w2) = self.w2.backward(&cache.agg, &d_pre);
-        // Through the aggregation.
-        let mut dx = adj.mean_agg_backward(&d_agg);
-        dx.add_assign(&dx_self);
-        (dx, SageGrad { d_w1, d_w2 })
+        let grads = SageGrad {
+            d_w1: Linear::param_grad(&cache.x, &d_pre),
+            d_w2: Linear::param_grad(&cache.agg, &d_pre),
+        };
+        (d_pre, grads)
+    }
+
+    /// The input half of the backward pass: `d_pre` back through the two
+    /// linear paths and the aggregation. The first layer of a stack, whose
+    /// input is data, skips it.
+    pub fn input_grad(&self, d_pre: &Matrix, adj: &Csr) -> Matrix {
+        let mut dx = adj.mean_agg_backward(&self.w2.input_grad(d_pre));
+        dx.add_assign(&self.w1.input_grad(d_pre));
+        dx
+    }
+
+    /// Backward; returns `(dx, grads)`.
+    pub fn backward(&self, cache: &SageCache, dy: &Matrix, adj: &Csr) -> (Matrix, SageGrad) {
+        let (d_pre, grads) = self.param_grads(cache, dy);
+        (self.input_grad(&d_pre, adj), grads)
     }
 }
 

@@ -1,14 +1,13 @@
 //! Dense row-major f32 matrices.
 //!
 //! Sized for this workload — node-feature matrices of a few hundred rows
-//! and a few dozen columns — so the multiply kernels favour simplicity and
-//! cache-friendly access (`a[i,k] * b[k,j]` with the k-loop outermost per
-//! row) over BLAS-grade tiling. Rayon parallelizes over rows when the
-//! matrix is large enough to amortize the fork.
+//! and a few dozen columns, whose operands sit in L1 — so `matmul` and
+//! `t_matmul` are one register-tile micro-kernel (`simd::gemm`) run over
+//! the whole product on the calling thread, with no cache blocking beyond
+//! the packed panels of very wide outputs.
 
-use crate::simd::{self, Kernel};
+use crate::simd::{self, Kernel, Strided};
 use nnlqp_ir::Rng64;
-use rayon::prelude::*;
 
 /// Row-major 2-D f32 matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,9 +41,6 @@ impl<'de> serde::Deserialize<'de> for Matrix {
         Some(Matrix::from_value(&v))
     }
 }
-
-/// Row count below which matmul stays single-threaded.
-const PAR_THRESHOLD: usize = 64;
 
 /// Column-panel width of the packed-B matmul kernel. Panels keep the B
 /// operand cache-resident across the k-loop once outputs grow wider than
@@ -94,6 +90,13 @@ impl Scratch {
     /// only the buffer is kept).
     pub fn put(&mut self, m: Matrix) {
         self.free.push(m.data);
+    }
+
+    /// Buffers at rest in the arena. A forward pass that `put`s back
+    /// exactly what it `take`s leaves this constant from the second pass
+    /// on — the property that lets one arena serve a whole batch.
+    pub fn idle_buffers(&self) -> usize {
+        self.free.len()
     }
 
     /// The panel-packing buffer for [`Matrix::matmul_into`].
@@ -199,13 +202,23 @@ impl Matrix {
         out
     }
 
-    /// `self @ b` written into `out` (zeroed first), the allocation-free
-    /// core of [`Matrix::matmul`]. The inner loops are axpy sweeps on the
-    /// process-wide kernel backend — per output element the k-terms
-    /// accumulate in ascending order, so results are bit-identical
-    /// whichever path runs *within* a backend. Wide outputs go through a
-    /// packed-B panel kernel (`pack` holds the panels, reused across
-    /// calls); narrow or single-row products read B in place.
+    /// Panics unless `data` holds exactly `rows * cols` elements — the
+    /// fields are public, and the kernels index by the dimensions.
+    fn assert_dense(&self, what: &str) {
+        assert_eq!(
+            self.rows.checked_mul(self.cols),
+            Some(self.data.len()),
+            "{what}: data length is not rows * cols"
+        );
+    }
+
+    /// `self @ b` written into `out` (every element overwritten), the
+    /// allocation-free core of [`Matrix::matmul`], on the process-wide
+    /// kernel backend. Per output element the k-terms accumulate in
+    /// ascending order from `+0.0`, so results are bit-identical whichever
+    /// path runs *within* a backend, and across the SIMD backends. Wide
+    /// outputs go through packed B panels (`pack` holds them, reused
+    /// across calls); narrow or few-row products read B in place.
     pub fn matmul_into(&self, b: &Matrix, out: &mut Matrix, pack: &mut Vec<f32>) {
         self.matmul_into_with(simd::kernel(), b, out, pack);
     }
@@ -225,34 +238,22 @@ impl Matrix {
             (self.rows, b.cols),
             "matmul out shape mismatch"
         );
+        self.assert_dense("matmul lhs");
+        b.assert_dense("matmul rhs");
+        out.assert_dense("matmul out");
         let (m, k, n) = (self.rows, self.cols, b.cols);
-        out.data.fill(0.0);
-        if n == 0 {
-            return;
-        }
+        let a = Strided {
+            data: &self.data,
+            row_stride: k,
+            k_stride: 1,
+        };
         if n <= PANEL || m < PACK_MIN_ROWS {
-            // Row pairs share each B sweep (`gemm_two_rows`); an odd
-            // trailing row runs the single-row kernel. Identical
-            // arithmetic either way — pairing only changes load traffic.
-            let body = |(c, rows_chunk): (usize, &mut [f32])| {
-                let i = 2 * c;
-                if rows_chunk.len() == 2 * n {
-                    let (r0, r1) = rows_chunk.split_at_mut(n);
-                    simd::gemm_two_rows(kern, self.row(i), self.row(i + 1), &b.data, r0, r1);
-                } else {
-                    simd::gemm_row(kern, self.row(i), &b.data, rows_chunk);
-                }
-            };
-            if m >= PAR_THRESHOLD {
-                out.data.par_chunks_mut(2 * n).enumerate().for_each(body);
-            } else {
-                out.data.chunks_mut(2 * n).enumerate().for_each(body);
-            }
+            simd::gemm(kern, (m, k, n), a, (&b.data, n), (&mut out.data, n));
             return;
         }
         // Panel-pack B once (panel `j0` starts at `j0 * k`, rows of width
-        // `jw` contiguous), then stream every output row through the
-        // packed panels.
+        // `jw` contiguous), then run every panel into its column block of
+        // `out`.
         pack.clear();
         pack.resize(k * n, 0.0);
         for j0 in (0..n).step_by(PANEL) {
@@ -262,20 +263,8 @@ impl Matrix {
                 pack[base + kk * jw..base + kk * jw + jw]
                     .copy_from_slice(&b.data[kk * n + j0..kk * n + j0 + jw]);
             }
-        }
-        let pack = &pack[..];
-        let body = |(i, out_row): (usize, &mut [f32])| {
-            let a_row = self.row(i);
-            for j0 in (0..n).step_by(PANEL) {
-                let jw = PANEL.min(n - j0);
-                let panel = &pack[j0 * k..j0 * k + k * jw];
-                simd::gemm_row(kern, a_row, panel, &mut out_row[j0..j0 + jw]);
-            }
-        };
-        if m >= PAR_THRESHOLD {
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
+            let panel = &pack[base..base + k * jw];
+            simd::gemm(kern, (m, k, jw), a, (panel, jw), (&mut out.data[j0..], n));
         }
     }
 
@@ -285,21 +274,21 @@ impl Matrix {
         self.t_matmul_with(simd::kernel(), b)
     }
 
-    /// [`Matrix::t_matmul`] on an explicit kernel backend.
+    /// [`Matrix::t_matmul`] on an explicit kernel backend: the same
+    /// kernel as [`Matrix::matmul_into_with`], reading `self` through
+    /// swapped strides.
     pub fn t_matmul_with(&self, kern: Kernel, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, b.rows, "t_matmul shape mismatch");
+        self.assert_dense("t_matmul lhs");
+        b.assert_dense("t_matmul rhs");
         let (k, m, n) = (self.rows, self.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
-        for kk in 0..k {
-            let a_row = self.row(kk);
-            let b_row = b.row(kk);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                simd::axpy(kern, out.row_mut(i), a, b_row);
-            }
-        }
+        let a = Strided {
+            data: &self.data,
+            row_stride: 1,
+            k_stride: m,
+        };
+        simd::gemm(kern, (m, k, n), a, (&b.data, n), (&mut out.data, n));
         out
     }
 
@@ -324,14 +313,11 @@ impl Matrix {
             (self.rows, b.rows),
             "matmul_t out shape mismatch"
         );
-        let (m, n) = (self.rows, b.rows);
-        let body = |(i, out_row): (usize, &mut [f32])| {
-            simd::matmul_t_row(kern, self.row(i), &b.data, out_row);
-        };
-        if m >= PAR_THRESHOLD {
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
+        self.assert_dense("matmul_t lhs");
+        b.assert_dense("matmul_t rhs");
+        out.assert_dense("matmul_t out");
+        for i in 0..self.rows {
+            simd::matmul_t_row(kern, self.row(i), &b.data, out.row_mut(i));
         }
     }
 
@@ -444,9 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial() {
+    fn many_row_product_matches_reference() {
         let mut r = Rng64::new(3);
-        // rows >= PAR_THRESHOLD triggers the parallel path.
+        // Twenty full row tiles.
         let a = Matrix::from_fn(80, 32, |_, _| r.range_f64(-1.0, 1.0) as f32);
         let b = Matrix::from_fn(32, 16, |_, _| r.range_f64(-1.0, 1.0) as f32);
         let c = a.matmul(&b);

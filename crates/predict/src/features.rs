@@ -208,13 +208,20 @@ impl Normalizer {
 
     /// Standardized node-feature matrix.
     pub fn normalize_nodes(&self, nodes: &Matrix) -> Matrix {
-        let mut out = nodes.clone();
-        for i in 0..out.rows {
-            for (j, v) in out.row_mut(i).iter_mut().enumerate() {
-                *v = (*v - self.node_mu[j]) / self.node_sd[j];
+        let mut out = Matrix::zeros(nodes.rows, nodes.cols);
+        self.normalize_nodes_into(nodes, &mut out);
+        out
+    }
+
+    /// [`Normalizer::normalize_nodes`] into a caller-provided matrix of
+    /// the same shape (the inference path hands in a scratch buffer).
+    pub fn normalize_nodes_into(&self, nodes: &Matrix, out: &mut Matrix) {
+        assert_eq!((out.rows, out.cols), (nodes.rows, nodes.cols));
+        for i in 0..nodes.rows {
+            for (j, (o, &v)) in out.row_mut(i).iter_mut().zip(nodes.row(i)).enumerate() {
+                *o = (v - self.node_mu[j]) / self.node_sd[j];
             }
         }
-        out
     }
 
     /// Standardized static-feature vector.

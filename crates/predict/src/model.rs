@@ -15,7 +15,6 @@ use nnlqp_nn::{
     layers::mse_loss, relu, relu_backward, Activation, Adam, Csr, Dropout, Linear, LinearGrad,
     Matrix, SageGrad, SageLayer, Scratch,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Conditioning factor applied to the sum-pooled graph embedding; see the
@@ -518,11 +517,14 @@ impl NnlpModel {
                 SUM_POOL_SCALE
             };
             let mut d_h = Matrix::from_fn(n, graph_dim, |_, j| d_emb.get(0, j) * scale);
-            // Walk the SAGE stack backwards.
-            for (layer, c) in self.sage.iter().zip(&cache.sage).rev() {
-                let (dx, g) = layer.backward(c, &d_h, adj);
+            // Walk the SAGE stack backwards. The first layer's input is
+            // the node features: nothing upstream wants its gradient.
+            for (i, (layer, c)) in self.sage.iter().zip(&cache.sage).enumerate().rev() {
+                let (d_pre, g) = layer.param_grads(c, &d_h);
                 sage_grads.push(g);
-                d_h = dx;
+                if i > 0 {
+                    d_h = layer.input_grad(&d_pre, adj);
+                }
             }
             sage_grads.reverse();
         }
@@ -544,7 +546,8 @@ impl NnlpModel {
         let mut emb: Vec<f32> = if !self.cfg.use_node_feats {
             Vec::new()
         } else {
-            let mut h = self.norm.normalize_nodes(&feats.nodes);
+            let mut h = scratch.take(feats.nodes.rows, feats.nodes.cols);
+            self.norm.normalize_nodes_into(&feats.nodes, &mut h);
             if self.cfg.use_gnn {
                 for layer in &self.sage {
                     let next = layer.forward_eval(&h, &feats.adj, scratch);
@@ -610,25 +613,6 @@ impl NnlpModel {
             .collect()
     }
 
-    /// Batched prediction: embeddings run rayon-parallel (one backbone
-    /// pass per graph, each worker on its own scratch arena), then each
-    /// embedding fans out across `head_idxs`. Returns latencies in
-    /// milliseconds indexed `[graph][requested head]`, bit-identical to
-    /// calling [`NnlpModel::predict_ms`] per (graph, head) pair.
-    pub fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
-        feats
-            .par_iter()
-            .map(|f| {
-                let mut scratch = Scratch::new();
-                let emb = self.embed_with(f, &mut scratch);
-                head_idxs
-                    .iter()
-                    .map(|&h| self.head_eval_with(&emb, h, &mut scratch))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// One training loss evaluation (log-space MSE) with gradients.
     pub fn loss_and_grads(
         &self,
@@ -681,6 +665,7 @@ impl NnlpModel {
 mod tests {
     use super::*;
     use crate::features::extract_features;
+    use crate::predictor::Predictor;
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -813,6 +798,29 @@ mod tests {
         let target = 1.0f32;
         let mut rng = Rng64::new(83);
         let (_, grads) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+
+        // `backward` never computes the first layer's input gradient. The
+        // parameter gradients must not notice: walk the stack again with
+        // the full per-layer backward and compare bit for bit.
+        let (pred, cache) = m.forward(&nodes, &feats.adj, &stat, 0, None);
+        let d_pred = mse_loss(&[pred], &[target]).1[0];
+        let (d_emb, _) = m.heads[0].backward(&cache.head, d_pred, 0.0);
+        let mut d_h = Matrix::from_fn(nodes.rows, m.cfg.hidden, |_, j| {
+            d_emb.get(0, j) * SUM_POOL_SCALE
+        });
+        for (i, (layer, c)) in m.sage.iter().zip(&cache.sage).enumerate().rev() {
+            let (dx, full) = layer.backward(c, &d_h, &feats.adj);
+            assert_eq!(dx.rows, nodes.rows);
+            for (got, want) in [
+                (&grads.sage[i].d_w1, &full.d_w1),
+                (&grads.sage[i].d_w2, &full.d_w2),
+            ] {
+                assert_eq!(got.dw, want.dw, "sage{i} dw");
+                assert_eq!(got.db, want.db, "sage{i} db");
+            }
+            d_h = dx;
+        }
+
         let h = 1e-2f32;
         let loss_of = |mm: &NnlpModel| {
             let (p, _) = mm.forward(&nodes, &feats.adj, &stat, 0, None);

@@ -21,7 +21,6 @@ use crate::model::NnlpModel;
 use crate::train::{train, Sample, TrainConfig, TrainReport};
 use crate::transformer::TransformerModel;
 use nnlqp_nn::Scratch;
-use rayon::prelude::*;
 use std::fmt;
 use std::str::FromStr;
 
@@ -130,15 +129,15 @@ pub trait Predictor: Send + Sync {
         self.head_eval_with(&emb, head_idx, &mut scratch)
     }
 
-    /// Batched prediction: one backbone pass per graph (rayon-parallel,
-    /// each worker on its own scratch arena), fanned out across
-    /// `head_idxs`. Bit-identical to per-(graph, head)
+    /// Batched prediction: one backbone pass per graph, fanned out across
+    /// `head_idxs`, every graph on the one scratch arena (warm from the
+    /// second graph on). Bit-identical to per-(graph, head)
     /// [`Predictor::predict_ms`] calls.
     fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
+        let mut scratch = Scratch::new();
         feats
-            .par_iter()
+            .iter()
             .map(|f| {
-                let mut scratch = Scratch::new();
                 let emb = self.embed_with(f, &mut scratch);
                 head_idxs
                     .iter()
@@ -175,10 +174,6 @@ impl Predictor for NnlpModel {
 
     fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
         NnlpModel::head_eval_with(self, emb, head_idx, scratch)
-    }
-
-    fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
-        NnlpModel::predict_batch(self, feats, head_idxs)
     }
 
     fn train_in_place(&mut self, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(dynref.head_eval(&emb, 0), m.head_eval(&emb, 0));
         assert_eq!(
             dynref.predict_batch(std::slice::from_ref(&feats), &[0]),
-            NnlpModel::predict_batch(&m, std::slice::from_ref(&feats), &[0])
+            vec![vec![m.predict_ms(&feats, 0)]]
         );
     }
 

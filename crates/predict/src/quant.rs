@@ -204,7 +204,8 @@ impl QuantSageModel {
         let mut emb: Vec<f32> = if !self.cfg.use_node_feats {
             Vec::new()
         } else {
-            let mut h = self.norm.normalize_nodes(&feats.nodes);
+            let mut h = scratch.take(feats.nodes.rows, feats.nodes.cols);
+            self.norm.normalize_nodes_into(&feats.nodes, &mut h);
             if self.cfg.use_gnn {
                 for layer in &self.sage {
                     let next = layer.forward_eval(&h, &feats.adj, scratch, qrow);
@@ -260,11 +261,13 @@ impl QuantTransformerModel {
         qrow: &mut QuantRow,
     ) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
-        let nodes = self.norm.normalize_nodes(&feats.nodes);
+        let mut nodes = scratch.take(feats.nodes.rows, feats.nodes.cols);
+        self.norm.normalize_nodes_into(&feats.nodes, &mut nodes);
         let bias = attention_bias(&feats.adj);
         let mut h = scratch.take(nodes.rows, self.embed_in.out_dim());
         self.embed_in
             .forward_quant(&nodes, &mut h, Activation::Identity, qrow);
+        scratch.put(nodes);
         for block in &self.blocks {
             let next = block.forward_eval(&h, &bias, scratch, qrow);
             scratch.put(h);
@@ -437,6 +440,38 @@ mod tests {
             TransformerModel::new(TransformerConfig::default(), norm, &mut rng),
             feats,
         )
+    }
+
+    /// One arena serves a whole batch only if a pass returns exactly the
+    /// buffers it drew: from the second graph on the arena must not grow,
+    /// on any architecture, f32 or int8.
+    #[test]
+    fn a_reused_arena_stops_growing_after_the_first_graph() {
+        let small = {
+            let mut b = GraphBuilder::new("s", Shape::nchw(1, 3, 8, 8));
+            let c = b.conv(None, 4, 3, 1, 1, 1).unwrap();
+            b.relu(c).unwrap();
+            extract_features(&b.finish().unwrap())
+        };
+        let (sage, big) = sage_model();
+        let (tf, _) = transformer_model();
+        let predictors: [Box<dyn Predictor>; 4] = [
+            Box::new(quantize_predictor(&sage).unwrap()),
+            Box::new(quantize_predictor(&tf).unwrap()),
+            Box::new(sage),
+            Box::new(tf),
+        ];
+        for p in &predictors {
+            let mut scratch = Scratch::new();
+            let mut warm = None;
+            for feats in [&big, &small, &big, &big, &small] {
+                let emb = p.embed_with(feats, &mut scratch);
+                p.head_eval_with(&emb, 0, &mut scratch);
+                let idle = scratch.idle_buffers();
+                assert!(idle > 0, "{}: arena unused", p.kind());
+                assert_eq!(*warm.get_or_insert(idle), idle, "{}: arena grew", p.kind());
+            }
+        }
     }
 
     #[test]

@@ -205,9 +205,8 @@ impl TransformerModel {
             d_h = dx;
         }
         block_grads.reverse();
-        let (_, d_embed_in) = self.embed_in.backward(&cache.x0, &d_h);
         TfGrads {
-            embed_in: d_embed_in,
+            embed_in: Linear::param_grad(&cache.x0, &d_h),
             blocks: block_grads,
             head: head_grad,
             head_idx: cache.head_idx,
@@ -218,11 +217,13 @@ impl TransformerModel {
     /// bit-identical to [`TransformerModel::forward`]'s embedding.
     pub fn embed_with(&self, feats: &GraphFeatures, scratch: &mut Scratch) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
-        let nodes = self.norm.normalize_nodes(&feats.nodes);
+        let mut nodes = scratch.take(feats.nodes.rows, feats.nodes.cols);
+        self.norm.normalize_nodes_into(&feats.nodes, &mut nodes);
         let bias = attention_bias(&feats.adj);
         let mut h = scratch.take(nodes.rows, self.embed_in.w.cols);
         self.embed_in
             .forward_into(&nodes, Activation::Identity, &mut h, scratch.pack_buf());
+        scratch.put(nodes);
         for block in &self.blocks {
             let next = block.forward_eval(&h, &bias, scratch);
             scratch.put(h);

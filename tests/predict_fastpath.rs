@@ -7,8 +7,9 @@
 //! `assert_eq!` on `f64` — no tolerances.
 
 use nnlqp::{Nnlqp, QueryParams, TrainPredictorConfig, CACHED_PREDICT_COST_S, PREDICT_COST_S};
-use nnlqp_ir::Graph;
+use nnlqp_ir::{Graph, Rng64};
 use nnlqp_models::ModelFamily;
+use nnlqp_predict::{train, Dataset, NnlpConfig, NnlpModel, TrainConfig};
 use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 
 const PLATFORMS: [&str; 2] = ["gpu-T4-trt7.1-fp32", "cpu-openppl-fp32"];
@@ -162,4 +163,56 @@ fn quantized_swap_never_serves_a_stale_f32_embedding() {
     // budget (log-space, same bound the unit parity tests pin).
     let dev = (first.latency_ms.ln_1p() - f32_pred.latency_ms.ln_1p()).abs();
     assert!(dev < 0.25, "int8 drifted from f32: {dev}");
+}
+
+/// FNV-1a digests of the checkpoint one epoch of `train` produces from a
+/// fixed seed, recorded before the GEMM register tile replaced the
+/// hand-unrolled kernels: on the FMA (SIMD) backends and on the non-FMA
+/// scalar backend that `NNLQP_SIMD=off` selects.
+const EPOCH_DIGEST_SIMD: u64 = 0x8956_1837_8f92_c1cb;
+const EPOCH_DIGEST_SCALAR: u64 = 0xee99_f25f_df4b_b4f5;
+
+/// The guard that training numerics did not move: forward, backward
+/// (`t_matmul`, `matmul_t`), dropout streams and Adam must reproduce the
+/// recorded weights to the last bit, whatever the register width.
+#[test]
+fn one_training_epoch_reproduces_the_recorded_checkpoint() {
+    let graphs: Vec<Graph> = [ModelFamily::SqueezeNet, ModelFamily::ResNet]
+        .into_iter()
+        .flat_map(|f| nnlqp_models::generate_family(f, 6, 5))
+        .map(|m| m.graph)
+        .collect();
+    let entries: Vec<(&Graph, f64, usize)> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g, 0.8 + 0.37 * i as f64, i % 2))
+        .collect();
+    let ds = Dataset::build(&entries);
+    let cfg = NnlpConfig {
+        hidden: 48,
+        head_hidden: 48,
+        n_heads: 2,
+        ..Default::default()
+    };
+    let mut model = NnlpModel::new(cfg, ds.norm.clone(), &mut Rng64::new(7));
+    let report = train(
+        &mut model,
+        &ds.samples,
+        TrainConfig {
+            epochs: 1,
+            batch_size: 4,
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    assert!(report.epoch_loss[0].is_finite());
+    let digest = (model.to_json().bytes()).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let want = if nnlqp_nn::kernel() == nnlqp_nn::Kernel::Scalar {
+        EPOCH_DIGEST_SCALAR
+    } else {
+        EPOCH_DIGEST_SIMD
+    };
+    assert_eq!(digest, want, "training numerics moved: {digest:#018x}");
 }
