@@ -13,7 +13,6 @@
 //! nnlqp db stats   --path DIR
 //! nnlqp db verify  --path DIR
 //! nnlqp db compact --path DIR
-//! nnlqp tail-report [--input BENCH_serve.json]
 //! ```
 //!
 //! Model files are the JSON graph format of `nnlqp_ir::serialize`.
@@ -44,11 +43,6 @@
 //! manifest, segments and WAL tails and exits 0 only for a clean store
 //! (1 = damage or corruption, detailed on stderr), `compact` folds the
 //! WAL tail into fresh snapshot segments and prints what it folded.
-//!
-//! `tail-report` renders the open-loop `serve-bench` artifact
-//! (`BENCH_serve.json`) as a per-rate p99 budget breakdown: for each
-//! swept arrival rate, the latency quantiles and which pipeline stages
-//! the p99 tail's time went to, with the knee rate marked.
 
 use nnlqp::{Nnlqp, Platform, QueryParams, TrainPredictorConfig};
 use nnlqp_ir::serialize;
@@ -75,7 +69,6 @@ fn usage() -> ! {
     eprintln!("                [--batch N] [--reps R] [--seed S] [--output FILE]");
     eprintln!("  nnlqp db (stats | verify | compact) --path DIR");
     eprintln!("                exit (verify): 0 clean, 1 damaged or corrupt");
-    eprintln!("  nnlqp tail-report [--input BENCH_serve.json]");
     std::process::exit(2);
 }
 
@@ -535,78 +528,6 @@ fn main() {
                 result.latency_ms, result.cost_s
             );
         }
-        "tail-report" => tail_report(&flags),
         _ => usage(),
     }
-}
-
-/// `nnlqp tail-report --input BENCH_serve.json` — render the open-loop
-/// serve-bench artifact as a per-rate p99 budget breakdown.
-fn tail_report(flags: &HashMap<String, String>) -> ! {
-    let default_input = "BENCH_serve.json".to_string();
-    let path = flags.get("input").unwrap_or(&default_input);
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc: serde_json::Value = text.parse().unwrap_or_else(|e| {
-        eprintln!("error: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    if doc["schema_version"].as_u64() != Some(1) {
-        eprintln!("error: {path}: unsupported schema_version (want 1)");
-        std::process::exit(1);
-    }
-    let cfg = &doc["config"];
-    let knee = doc["knee_rps"].as_f64();
-    println!(
-        "open-loop tail report: platform {}, family {}, {} clients x {} workers",
-        cfg["platform"].as_str().unwrap_or("?"),
-        cfg["family"].as_str().unwrap_or("?"),
-        cfg["clients"].as_u64().unwrap_or(0),
-        cfg["workers"].as_u64().unwrap_or(0),
-    );
-    match knee {
-        Some(k) => println!("knee: p99 blows up at {k} rps"),
-        None => println!("knee: none within the swept rates"),
-    }
-    let Some(rates) = doc["rates"].as_array() else {
-        eprintln!("error: {path}: missing rates array");
-        std::process::exit(1);
-    };
-    for rate in rates {
-        let offered = rate["offered_rps"].as_f64().unwrap_or(0.0);
-        let lat = &rate["latency_ms"];
-        let marker = match knee {
-            Some(k) if offered >= k => "  <- knee",
-            _ => "",
-        };
-        println!(
-            "\nrate {offered} rps (achieved {:.1}, {}/{} ok): \
-             p50 {:.3} ms  p99 {:.3} ms  p999 {:.3} ms{marker}",
-            rate["achieved_rps"].as_f64().unwrap_or(0.0),
-            rate["completed"].as_u64().unwrap_or(0),
-            rate["scheduled"].as_u64().unwrap_or(0),
-            lat["p50"].as_f64().unwrap_or(0.0),
-            lat["p99"].as_f64().unwrap_or(0.0),
-            lat["p999"].as_f64().unwrap_or(0.0),
-        );
-        let Some(shares) = rate["tail_attribution_p99"].as_array() else {
-            continue;
-        };
-        println!(
-            "  {:<14} {:>7} {:>10} {:>10}",
-            "stage", "share", "mean ms", "total ms"
-        );
-        for s in shares {
-            println!(
-                "  {:<14} {:>6.1}% {:>10.3} {:>10.3}",
-                s["stage"].as_str().unwrap_or("?"),
-                s["share_pct"].as_f64().unwrap_or(0.0),
-                s["mean_ms"].as_f64().unwrap_or(0.0),
-                s["total_ms"].as_f64().unwrap_or(0.0),
-            );
-        }
-    }
-    std::process::exit(0);
 }

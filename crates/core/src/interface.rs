@@ -254,7 +254,6 @@ pub struct NnlqpBuilder {
     embed_cache_capacity: Option<usize>,
     durable: Option<DurableOptions>,
     predictor_kind: Option<nnlqp_predict::PredictorKind>,
-    simd: Option<bool>,
 }
 
 /// Background compaction triggers when this many WAL bytes are pending.
@@ -329,18 +328,6 @@ impl NnlqpBuilder {
         self
     }
 
-    /// Select the math-kernel backend process-wide: `true` uses the SIMD
-    /// (AVX2+FMA) kernels when the CPU supports them, `false` pins the
-    /// scalar reference kernels. Unset leaves the default resolution
-    /// (SIMD when available, overridable via the `NNLQP_SIMD` environment
-    /// variable). The kernel choice is global — it configures the
-    /// process, not just this system instance.
-    #[must_use]
-    pub fn simd(mut self, enabled: bool) -> Self {
-        self.simd = Some(enabled);
-        self
-    }
-
     /// Mount the evolving database on the sharded durable storage engine
     /// at `opts.dir` (WAL + snapshot segments) instead of keeping it
     /// purely in memory. Opening replays and, if needed, repairs the
@@ -363,9 +350,6 @@ impl NnlqpBuilder {
 
     /// Build the system, surfacing durable-store open errors.
     pub fn try_build(self) -> std::io::Result<Nnlqp> {
-        if let Some(on) = self.simd {
-            nnlqp_nn::set_simd_enabled(on);
-        }
         let farm = self.farm.unwrap_or_else(DeviceFarm::full_registry);
         let seed = self.seed.unwrap_or(DEFAULT_SEED);
         let registry = self
@@ -433,33 +417,6 @@ impl Nnlqp {
     /// Start configuring a system.
     pub fn builder() -> NnlqpBuilder {
         NnlqpBuilder::default()
-    }
-
-    /// System over a given farm.
-    #[deprecated(since = "0.1.0", note = "use `Nnlqp::builder().farm(farm).build()`")]
-    pub fn new(farm: DeviceFarm) -> Self {
-        Self::builder().farm(farm).build()
-    }
-
-    /// System over the full platform registry, one device each.
-    #[deprecated(since = "0.1.0", note = "use `Nnlqp::builder().build()`")]
-    pub fn with_default_farm() -> Self {
-        Self::builder().build()
-    }
-
-    /// Builder-style toggle for strict (analyze-before-measure) mode.
-    #[deprecated(since = "0.1.0", note = "use `NnlqpBuilder::strict`")]
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Reseed the measurement/jitter stream.
-    #[deprecated(since = "0.1.0", note = "use `NnlqpBuilder::seed`")]
-    pub fn set_seed(&mut self, seed: u64) {
-        self.base_seed = seed;
-        *self.seed.lock() = Rng64::new(seed);
     }
 
     /// Measurement repetitions per query (paper: 50).
@@ -926,16 +883,6 @@ mod tests {
             .build();
         s.query(&params("gpu-T4-trt7.1-fp32")).unwrap();
         assert_eq!(shared.snapshot().counter(metric_names::QUERIES), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        let s = Nnlqp::new(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1)).with_strict(true);
-        assert!(s.strict());
-        let mut s = Nnlqp::with_default_farm();
-        s.set_seed(5);
-        assert!(s.query(&params("gpu-T4-trt7.1-fp32")).unwrap().latency_ms > 0.0);
     }
 
     #[test]

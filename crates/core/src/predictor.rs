@@ -62,15 +62,6 @@ impl PredictorHandle {
         }
     }
 
-    /// Legacy constructor for callers holding a concrete [`NnlpModel`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PredictorHandle::new(Arc::new(model), head_of)` — the facade is architecture-agnostic now"
-    )]
-    pub fn from_nnlp(model: NnlpModel, head_of: HashMap<String, usize>) -> Self {
-        PredictorHandle::new(Arc::new(model), head_of)
-    }
-
     /// Architecture of the wrapped model.
     pub fn kind(&self) -> PredictorKind {
         self.model.kind()
@@ -791,25 +782,6 @@ mod tests {
                 .cost_s,
             CACHED_PREDICT_COST_S
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_nnlp_handle_shim_still_works() {
-        let (s, probe) = trained_system();
-        // Rewrap the installed model as a concrete NnlpModel checkpoint
-        // and re-install through the legacy shim.
-        let installed = s.predictor_handle().unwrap();
-        let model = NnlpModel::from_json(&installed.model.to_json()).unwrap();
-        let shim = PredictorHandle::from_nnlp(model, installed.head_of.clone());
-        assert_eq!(shim.kind(), PredictorKind::Sage);
-        s.set_predictor(shim);
-        let p = QueryParams::by_name(probe, 1, "gpu-T4-trt7.1-fp32").unwrap();
-        let via_shim = s.predict(&p).unwrap();
-        let direct = s
-            .predict_effective_with(&installed, &p.model, "gpu-T4-trt7.1-fp32")
-            .unwrap();
-        assert_eq!(via_shim.latency_ms, direct.latency_ms);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compaction: folding sealed WAL generations into immutable snapshot
 //! segments, coordinated by a checksummed manifest that is swapped
-//! atomically (write-temp + rename, the `persist::save` pattern).
+//! atomically (write-temp + rename).
 //!
 //! The manifest is the single source of truth for what a durable store
 //! consists of: per shard, the current WAL generation and (optionally)

@@ -1,11 +1,12 @@
-//! Snapshot persistence: the database serializes to a single binary blob
-//! (and to JSON for inspection) and reloads with all indices rebuilt.
+//! Snapshot codec: the database serializes to a single binary blob (and
+//! to JSON for inspection) and decodes with all indices rebuilt. It is
+//! the byte/JSON oracle the durability tests compare stores with; the
+//! durable engine is the only way a store reaches disk.
 
 use crate::database::Database;
 use crate::records::*;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io;
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"NQDB";
 const VERSION: u8 = 1;
@@ -197,39 +198,6 @@ pub fn export_json(db: &Database) -> serde_json::Value {
     })
 }
 
-/// Save a snapshot to disk atomically: bytes go to a temporary file in
-/// the same directory (so the rename cannot cross filesystems), are
-/// flushed, and the temp file is renamed over `path`. A crash mid-write
-/// leaves any existing snapshot at `path` untouched.
-pub fn save(db: &Database, path: &Path) -> io::Result<()> {
-    use std::io::Write;
-    let bytes = to_bytes(db);
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("snapshot");
-    let tmp = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    }
-    .join(format!(".{file_name}.tmp-{}", std::process::id()));
-    let write_tmp = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()
-    })();
-    let result = write_tmp.and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Load a snapshot from disk.
-pub fn load(path: &Path) -> io::Result<Database> {
-    from_bytes(Bytes::from(std::fs::read(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,58 +237,6 @@ mod tests {
         // Graphs decode.
         let m = db2.model_by_hash(hash).unwrap();
         assert_eq!(db2.load_graph(m.id).unwrap(), graph(16));
-    }
-
-    #[test]
-    fn disk_roundtrip() {
-        let db = populated();
-        let dir = std::env::temp_dir().join("nnlqp-db-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.nqdb");
-        save(&db, &path).unwrap();
-        let db2 = load(&path).unwrap();
-        assert_eq!(db.stats(), db2.stats());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_leaves_no_temp_files_and_overwrites_atomically() {
-        let db = populated();
-        let dir = std::env::temp_dir().join("nnlqp-db-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.nqdb");
-        save(&db, &path).unwrap();
-        // Overwriting an existing snapshot also succeeds and cleans up.
-        save(&db, &path).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(std::result::Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        assert_eq!(load(&path).unwrap().stats(), db.stats());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truncated_file_on_disk_fails_load_cleanly() {
-        // A crash that managed to truncate the target (e.g. a pre-atomic
-        // snapshot) must surface as an error from load, not a panic or a
-        // silently empty database.
-        let db = populated();
-        let dir = std::env::temp_dir().join("nnlqp-db-truncated-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.nqdb");
-        save(&db, &path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        for cut in [3usize, full.len() / 2, full.len() - 1] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            assert!(load(&path).is_err(), "cut {cut} loaded");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

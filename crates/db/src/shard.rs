@@ -86,8 +86,8 @@ pub fn encode_segment(frames: &[Frame]) -> Bytes {
 }
 
 /// Write a segment atomically: temp file in the same directory, flushed
-/// and fsynced, then renamed over `path` (the `persist::save` pattern —
-/// a crash mid-write leaves no visible segment).
+/// and fsynced, then renamed over `path` — a crash mid-write leaves no
+/// visible segment.
 pub fn write_segment(path: &Path, frames: &[Frame]) -> io::Result<()> {
     let bytes = encode_segment(frames);
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));

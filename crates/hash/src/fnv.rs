@@ -1,8 +1,7 @@
 //! 64-bit streaming hash cores.
 //!
-//! Two interchangeable `f_hash` implementations back the graph hash; the
-//! ablation bench (`bench/hash`) compares their throughput and collision
-//! behaviour over the model corpus.
+//! Two interchangeable `f_hash` implementations back the graph hash;
+//! `tests/hash_pinning.rs` pins the values of both.
 
 /// Which mixing function `f_hash` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

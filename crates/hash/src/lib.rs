@@ -21,8 +21,8 @@
 //!   the node's output shape; the graph input shape is folded into `H_G`.
 //!   Output shapes must participate: two models that differ only in input
 //!   resolution have different latencies and must be distinct cache keys.
-//! * Two `f_hash` choices are provided for the ablation bench: FNV-1a
-//!   (default) and a multiply-xor mixer.
+//! * Two `f_hash` choices are provided: FNV-1a (default) and a
+//!   multiply-xor mixer.
 
 pub mod fingerprint;
 pub mod fnv;

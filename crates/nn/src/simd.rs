@@ -13,8 +13,8 @@
 //! still runs (and non-x86 targets still build) without the features.
 //! Dispatch happens once per process (cached in an atomic): the widest
 //! backend the CPU has, unless the `NNLQP_SIMD` environment variable
-//! (`off`/`0`/`scalar`/`false`/`no`) or [`set_simd_enabled`] — the facade
-//! builder's `simd(bool)` knob and the bench `--no-simd` flag call that —
+//! (`off`/`0`/`scalar`/`false`/`no`) or [`set_simd_enabled`] (a test
+//! hook: the parity suites flip it to compare backends in one process)
 //! pins the scalar backend.
 //!
 //! `gemm` — `matmul` and `t_matmul` — runs a 3x3 ymm register tile on
@@ -62,7 +62,7 @@ impl Kernel {
     /// Every backend, narrowest first.
     pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2Fma, Kernel::Avx512];
 
-    /// Short name for logs and bench output.
+    /// Short name for logs.
     pub fn as_str(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",

@@ -224,7 +224,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_into`] on an explicit kernel backend (parity
-    /// tests and benches compare backends without touching the global).
+    /// tests compare backends without touching the global).
     pub fn matmul_into_with(
         &self,
         kern: Kernel,

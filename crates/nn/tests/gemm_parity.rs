@@ -133,6 +133,32 @@ fn dense_t_matmul_equals_the_zero_skipping_formulation() {
     }
 }
 
+/// Dispatch resolves to the widest backend the CPU advertises — read from
+/// `/proc/cpuinfo`, independently of `is_x86_feature_detected!` — and to
+/// `scalar` under `NNLQP_SIMD=off`: a silent fall-back to a narrower
+/// kernel halves GEMM throughput and fails nothing else. Nothing in this
+/// test binary calls `set_simd_enabled`, so `kernel()` is what the
+/// environment resolved; CI runs the crate both ways.
+#[test]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn dispatch_picks_the_widest_kernel_cpuinfo_lists() {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap();
+    let flags: Vec<&str> = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("flags"))
+        .and_then(|l| l.split_once(':'))
+        .map(|(_, f)| f.split_whitespace().collect())
+        .unwrap_or_default();
+    let has = |f: &str| flags.contains(&f);
+    let want = match std::env::var("NNLQP_SIMD").as_deref() {
+        Err(_) if has("avx2") && has("fma") && has("avx512f") => "avx512f",
+        Err(_) if has("avx2") && has("fma") => "avx2+fma",
+        Err(_) | Ok("off") => "scalar",
+        Ok(_) => return, // only the two settings CI runs are pinned
+    };
+    assert_eq!(nnlqp_nn::kernel().as_str(), want);
+}
+
 /// `Matrix`'s fields are public; the kernels index by `rows` and `cols`,
 /// so a matrix whose `data` disagrees with them must be refused before any
 /// pointer is formed.

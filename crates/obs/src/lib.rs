@@ -17,7 +17,7 @@
 //!   [`render_flamegraph`] draws a compact per-track text timeline.
 //! * **Metrics** ([`MetricsRegistry`]) — named counters, gauges and
 //!   histograms shared across the facade, farm and serving layer,
-//!   snapshotted by `serve-bench` and the CLI, and rendered in the
+//!   snapshotted by the service and the CLI, and rendered in the
 //!   Prometheus text format by [`to_prometheus`].
 //! * **Quality monitoring** ([`QualityMonitor`]) — per-platform rolling
 //!   windows over `(predicted, measured)` latency pairs maintaining the

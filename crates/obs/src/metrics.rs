@@ -2,13 +2,12 @@
 //! every layer of the stack.
 //!
 //! The facade, the device farm and the serving layer all publish into one
-//! [`MetricsRegistry`]; `serve-bench` and the CLI snapshot it to report
+//! [`MetricsRegistry`]; the service and the CLI snapshot it to report
 //! where requests went *and* how long each stage took — replacing the
 //! per-crate private counter structs. Handles are `Arc`s: register once,
 //! bump lock-free forever.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -147,8 +146,8 @@ impl HistogramSnapshot {
     /// containing bucket (the Prometheus `histogram_quantile` rule): the
     /// target rank `q * count` is located in the cumulative distribution
     /// and positioned proportionally between the bucket's lower and upper
-    /// bound. The old bucket-upper-bound estimate was biased upward by up
-    /// to a full bucket width at every bucket edge — with the log-spaced
+    /// bound. A bucket-upper-bound estimate is biased upward by up to a
+    /// full bucket width at every bucket edge — with the log-spaced
     /// bounds used for tail latencies that bias doubles the reported
     /// value; the interpolated estimate is exact for uniform in-bucket
     /// mass. Ranks landing in the overflow bucket return the largest
@@ -184,24 +183,6 @@ impl HistogramSnapshot {
             return lower + (upper - lower) * frac.clamp(0.0, 1.0);
         }
         self.bounds.last().copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (0..=1) — the
-    /// conservative `le`-style estimate ("the quantile is at most this").
-    /// `+inf` when it lands in the overflow bucket.
-    pub fn quantile_le(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
     }
 }
 
@@ -326,66 +307,6 @@ impl RegistrySnapshot {
     pub fn gauge(&self, name: &str) -> f64 {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
-
-    /// Render as a JSON object: counters verbatim, histograms as
-    /// `{count, mean, p50, p99}` plus non-empty buckets.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\": {v}");
-        }
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\": {}", json_num(*v));
-        }
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{k}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50_le\": {}, \"p99_le\": {}, \"buckets\": [",
-                h.count,
-                h.sum,
-                h.mean(),
-                json_num(h.quantile_le(0.5)),
-                json_num(h.quantile_le(0.99)),
-            );
-            let mut first_b = true;
-            for (i, c) in h.buckets.iter().enumerate() {
-                if *c == 0 {
-                    continue;
-                }
-                if !first_b {
-                    out.push_str(", ");
-                }
-                first_b = false;
-                let le = h.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                let _ = write!(out, "{{\"le\": {}, \"count\": {c}}}", json_num(le));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// JSON has no infinity; render it as a string, finite values as numbers.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "\"+inf\"".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +336,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("depth"), 3.5);
         assert_eq!(snap.gauge("absent"), 0.0);
-        assert!(snap.to_json_string().contains("\"depth\": 3.5"));
     }
 
     #[test]
@@ -430,8 +350,6 @@ mod tests {
         assert_eq!(s.count, 5);
         assert!((s.sum - 106.6).abs() < 1e-9);
         assert!((s.mean() - 21.32).abs() < 1e-9);
-        assert_eq!(s.quantile_le(0.5), 2.0);
-        assert!(s.quantile_le(0.99).is_infinite());
         // Interpolated: rank 2.5 of 5 sits halfway through the (1, 2]
         // bucket (cumulative 1 below it, 2 inside): 1 + 1 * 1.5/2 = 1.75.
         assert!((s.quantile(0.5) - 1.75).abs() < 1e-12);
@@ -458,15 +376,6 @@ mod tests {
         // p25 / p75 interpolate the same way.
         assert!((s.quantile(0.25) - 25.0).abs() < 1e-9);
         assert!((s.quantile(0.75) - 75.0).abs() < 1e-9);
-        // The le-estimate rounds each of those up to its bucket bound.
-        assert_eq!(s.quantile_le(0.99), 100.0);
-        // The old estimator returned the bucket UPPER bound for p50 (60.0
-        // would be the answer with rank ceil(50.5)=51 → bucket (50,60]);
-        // pin that the bias is gone: interpolation never exceeds the
-        // le-estimate and reaches it only at exact bucket edges.
-        for q in [0.1, 0.33, 0.5, 0.9, 0.99, 0.999] {
-            assert!(s.quantile(q) <= s.quantile_le(q), "q={q}");
-        }
     }
 
     #[test]
@@ -480,7 +389,6 @@ mod tests {
         // All mass in the first bucket: p50 = 0 + 8 * (2/4) = 4.
         assert!((s.quantile(0.5) - 4.0).abs() < 1e-12);
         assert!((s.quantile(1.0) - 8.0).abs() < 1e-12);
-        assert_eq!(s.quantile_le(0.5), 8.0);
     }
 
     #[test]
@@ -491,7 +399,6 @@ mod tests {
         h.observe(100.0); // overflow only
         let s = h.snapshot();
         assert_eq!(s.quantile(0.5), 1.0); // clamped to largest finite bound
-        assert!(s.quantile_le(0.5).is_infinite());
     }
 
     #[test]
@@ -526,17 +433,6 @@ mod tests {
         b.observe(0.6);
         assert_eq!(reg.histogram("h", &[]).snapshot().count, 2);
         assert_eq!(b.snapshot().bounds, vec![1.0]);
-    }
-
-    #[test]
-    fn snapshot_json_well_formed() {
-        let reg = MetricsRegistry::new();
-        reg.counter("serve.requests").add(7);
-        reg.histogram("stage:s", &[1.0, 2.0]).observe(1.5);
-        let json = reg.snapshot().to_json_string();
-        assert!(json.contains("\"serve.requests\": 7"), "{json}");
-        assert!(json.contains("\"count\": 1"), "{json}");
-        assert!(json.contains("\"le\": 2, \"count\": 1"), "{json}");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::metrics::{Counter, MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Mean Absolute Percentage Error (Eq. 6), in percent. Lower is better.
@@ -371,33 +370,11 @@ pub struct PlatformQuality {
     pub drifting: bool,
 }
 
-/// Per-platform quality, as rendered into `serve-bench`'s final snapshot.
+/// Per-platform quality, as returned by the service's `quality()` call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QualityReport {
     /// Canonical platform name → quality.
     pub platforms: BTreeMap<String, PlatformQuality>,
-}
-
-impl QualityReport {
-    /// Render as a JSON object keyed by platform.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, q) in &self.platforms {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{name}\": {{\"samples\": {}, \"windowed_mape_pct\": {}, \
-                 \"acc10_pct\": {}, \"acc5_pct\": {}, \"drifting\": {}}}",
-                q.samples, q.windowed_mape_pct, q.acc10_pct, q.acc5_pct, q.drifting
-            );
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ impl PredictorKind {
         }
     }
 
-    /// Every kind, for "run all architectures" loops (benches, CI).
+    /// Every kind, for "run all architectures" loops (`repro encoders`).
     pub fn all() -> &'static [PredictorKind] {
         &[PredictorKind::Sage, PredictorKind::Transformer]
     }

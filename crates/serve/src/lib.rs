@@ -32,12 +32,27 @@
 //!   champion (`predictor_promoted` event, `serve.predictor_promotions`
 //!   counter) and serves that platform's degrade path from then on.
 //!
-//! The `serve-bench` binary drives the service with a configurable load
-//! generator and prints the metrics snapshot as JSON.
+//! A service in one screen — a miss is measured once, its repeat is
+//! served from memory, and the terminal counters always add up:
+//!
+//! ```
+//! use nnlqp_serve::{LatencyService, ServeConfig, Source};
+//! use std::sync::Arc;
+//!
+//! let system = Arc::new(nnlqp::Nnlqp::builder().reps(3).build());
+//! let svc = LatencyService::start(system, ServeConfig::default());
+//! let model = Arc::new(nnlqp_models::ModelFamily::SqueezeNet.canonical().unwrap());
+//! let first = svc.query(&model, "gpu-T4-trt7.1-fp32", 1).unwrap();
+//! assert_eq!(first.source, Source::Measured);
+//! let again = svc.query(&model, "gpu-T4-trt7.1-fp32", 1).unwrap();
+//! assert_eq!(again.source, Source::HotCache);
+//! assert_eq!(again.latency_ms, first.latency_ms);
+//! assert!(svc.metrics().balanced());
+//! svc.shutdown().unwrap();
+//! ```
 
 pub mod cache;
 pub mod metrics;
-pub mod openloop;
 mod resolve;
 pub mod service;
 pub mod singleflight;
@@ -46,6 +61,5 @@ pub use cache::{CacheKey, ShardedLru};
 pub use metrics::{
     metric_names, wall_bounds_ms, MetricsSnapshot, ServeMetrics, HISTOGRAM_BOUNDS_MS, STAGE_NAMES,
 };
-pub use openloop::{find_knee, run_rate, run_sweep, OpenLoopConfig, RateReport};
 pub use service::{AbConfig, LatencyService, ServeConfig, ServeError, Served, Source};
 pub use singleflight::{Flight, Role, SingleFlight};

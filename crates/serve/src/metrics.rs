@@ -341,40 +341,6 @@ impl MetricsSnapshot {
             + self.errors
             == self.requests
     }
-
-    /// Render as a JSON object (histogram trimmed to non-empty buckets).
-    pub fn to_json(&self) -> serde_json::Value {
-        let histogram: Vec<serde_json::Value> = self
-            .latency_histogram
-            .iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(le, count)| {
-                serde_json::json!({
-                    "le_ms": if le.is_finite() { format!("{le}") } else { "+inf".to_string() },
-                    "count": *count,
-                })
-            })
-            .collect();
-        serde_json::json!({
-            "requests": self.requests,
-            "hot_hits": self.hot_hits,
-            "db_hits": self.db_hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "measured": self.measured,
-            "degraded": self.degraded,
-            "rejected": self.rejected,
-            "lint_rejected": self.lint_rejected,
-            "errors": self.errors,
-            "retrains": self.retrains,
-            "retrain_samples": self.retrain_samples,
-            "predictor_promotions": self.predictor_promotions,
-            "quant_publishes": self.quant_publishes,
-            "quant_rejected": self.quant_rejected,
-            "balanced": self.balanced(),
-            "latency_ms_histogram": histogram,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -411,18 +377,6 @@ mod tests {
         assert!(last_bound.is_infinite());
         assert_eq!(last_count, 1);
         assert_eq!(h.iter().map(|(_, c)| c).sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let m = ServeMetrics::default();
-        m.requests();
-        m.hot_hits();
-        m.observe_latency(2.0);
-        let v = m.snapshot().to_json();
-        assert_eq!(v["requests"].as_u64(), Some(1));
-        assert_eq!(v["balanced"].as_bool(), Some(true));
-        assert_eq!(v["latency_ms_histogram"].as_array().unwrap().len(), 1);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! (key-seeded, so results are order-independent), fill db + cache, then
 //! publish to the flight. A background loop retrains the predictor, hot-
 //! swapping the heads through the facade's `RwLock`. Shutdown stops
-//! intake, drains the queue, joins every thread and snapshots the
-//! database atomically.
+//! intake, drains the queue, joins every thread and, on a durable store,
+//! seals the WAL tail into segments.
 //!
 //! # Quality monitoring
 //!
@@ -126,8 +126,6 @@ pub struct ServeConfig {
     /// epsilon below −100 always rejects (Acc(δ) drops are bounded by
     /// 100 points), which exercises the rejection path deterministically.
     pub quantize_on_publish: Option<f64>,
-    /// Where shutdown snapshots the database (atomic temp-file + rename).
-    pub snapshot_path: Option<PathBuf>,
     /// Shadow-evaluation and drift-detection tuning; `None` disables
     /// quality monitoring entirely (unless [`ServeConfig::ab`] is set, in
     /// which case a default monitor is created — A/B scoring needs one).
@@ -161,7 +159,6 @@ impl Default for ServeConfig {
             retrain_platforms: Vec::new(),
             train: TrainPredictorConfig::default(),
             quantize_on_publish: None,
-            snapshot_path: None,
             monitor: None,
             ab: None,
             event_log_capacity: 4096,
@@ -1200,8 +1197,8 @@ impl LatencyService {
     }
 
     /// Stop intake, drain the queue, join every background thread and
-    /// snapshot the database when configured. Durable stores also get a
-    /// final WAL seal + compaction. Idempotent.
+    /// write the final metrics / event-log files when configured. Durable
+    /// stores also get a final WAL seal + compaction. Idempotent.
     pub fn shutdown(&self) -> std::io::Result<()> {
         if self.stopped.swap(true, Ordering::SeqCst) {
             return Ok(());
@@ -1230,9 +1227,6 @@ impl LatencyService {
         }
         if let (Some(path), Some(events)) = (&self.cfg.events_path, &self.events) {
             write_atomic(path, events.to_jsonl().as_bytes())?;
-        }
-        if let Some(path) = &self.cfg.snapshot_path {
-            nnlqp_db::persist::save(&self.system.db, path)?;
         }
         // Durable stores get a closing fold: stop the background
         // compactor first so the final pass cannot race it, then seal the
@@ -1660,15 +1654,8 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_rejects_new_work_and_snapshots() {
-        let dir = std::env::temp_dir().join(format!("nnlqp-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("snapshot.db");
-        let cfg = ServeConfig {
-            snapshot_path: Some(snap.clone()),
-            ..small_cfg()
-        };
-        let svc = LatencyService::start(quick_system(), cfg);
+    fn shutdown_is_idempotent_and_rejects_new_work() {
+        let svc = LatencyService::start(quick_system(), small_cfg());
         let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
         svc.query(&g, PLATFORM, 1).unwrap();
         svc.shutdown().unwrap();
@@ -1677,9 +1664,7 @@ mod tests {
             svc.query(&g, PLATFORM, 4),
             Err(ServeError::ShuttingDown)
         ));
-        let restored = nnlqp_db::persist::load(&snap).unwrap();
-        assert_eq!(restored.stats().latencies, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(svc.system().db.stats().latencies, 1);
     }
 
     #[test]
