@@ -16,8 +16,8 @@
 
 use crate::csr::Csr;
 use crate::layers::{
-    l2_normalize_rows, l2_normalize_rows_backward, l2_normalize_rows_inplace, relu_inplace, Linear,
-    LinearGrad,
+    l2_normalize_rows_backward_inplace, l2_normalize_rows_inplace, relu_backward_inplace,
+    relu_inplace, Linear, LinearGrad,
 };
 use crate::tensor::{Activation, Matrix, Scratch};
 use nnlqp_ir::Rng64;
@@ -311,12 +311,12 @@ impl AttnLayer {
         let mut pre = self.w1.forward(x);
         let mixed = self.wo.forward(&o);
         pre.add_assign(&mixed);
-        let act = if self.relu {
-            crate::layers::relu(&pre)
-        } else {
-            pre.clone()
-        };
-        let (y_norm, norms) = l2_normalize_rows(&act);
+        let mut y_norm = pre.clone();
+        if self.relu {
+            relu_inplace(&mut y_norm);
+        }
+        let mut norms = vec![0.0; y_norm.rows];
+        l2_normalize_rows_inplace(&mut y_norm, Some(&mut norms));
         (
             y_norm.clone(),
             AttnCache {
@@ -366,7 +366,7 @@ impl AttnLayer {
         if self.relu {
             relu_inplace(&mut out);
         }
-        l2_normalize_rows_inplace(&mut out);
+        l2_normalize_rows_inplace(&mut out, None);
         out
     }
 
@@ -377,12 +377,11 @@ impl AttnLayer {
         let dh = d / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
         // Through the normalization and the optional ReLU.
-        let d_act = l2_normalize_rows_backward(&cache.y_norm, &cache.norms, dy);
-        let d_pre = if self.relu {
-            crate::layers::relu_backward(&cache.pre_act, &d_act)
-        } else {
-            d_act
-        };
+        let mut d_pre = dy.clone();
+        l2_normalize_rows_backward_inplace(&cache.y_norm, &cache.norms, &mut d_pre);
+        if self.relu {
+            relu_backward_inplace(&cache.pre_act, &mut d_pre);
+        }
         // The two summed paths: self transform and attention output.
         let (dx_self, d_w1) = self.w1.backward(&cache.x, &d_pre);
         let (d_o, d_wo) = self.wo.backward(&cache.o, &d_pre);

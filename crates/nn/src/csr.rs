@@ -4,6 +4,7 @@
 //! operator DAG (both producers and consumers), so information flows along
 //! and against data-flow edges with each convolution layer.
 
+use crate::simd;
 use crate::tensor::Matrix;
 use nnlqp_ir::Graph;
 
@@ -96,56 +97,32 @@ impl Csr {
         Csr { row_ptr, col_idx }
     }
 
-    /// Mean aggregation: `out[i] = mean_{j in N(i)} x[j]` (zero for
-    /// isolated nodes).
-    pub fn mean_agg(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.n(), x.cols);
-        self.mean_agg_into(x, &mut out);
-        out
-    }
-
-    /// [`Csr::mean_agg`] written into a caller-provided (scratch) matrix —
-    /// zeroed first, then accumulated row-by-row in neighbor order, so the
-    /// result is bit-identical to the allocating form.
+    /// Mean aggregation into a caller-provided (scratch) matrix:
+    /// `out[i] = mean_{j in N(i)} x[j]`, zero for isolated nodes. Every
+    /// element is overwritten; each is zero plus its neighbors' values in
+    /// neighbor order, then scaled by `1 / |N(i)|`.
     pub fn mean_agg_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(
             (out.rows, out.cols),
             (self.n(), x.cols),
             "mean_agg out shape mismatch"
         );
-        out.data.fill(0.0);
-        let kern = crate::simd::kernel();
-        for i in 0..self.n() {
-            let nb = self.neighbors(i);
-            if nb.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / nb.len() as f32;
-            let orow = out.row_mut(i);
-            for &j in nb {
-                crate::simd::add_slice(kern, orow, x.row(j as usize));
-            }
-            crate::simd::scale_slice(kern, orow, inv);
-        }
+        assert_eq!(x.rows, self.n(), "mean_agg input shape mismatch");
+        let adj = (&self.row_ptr[..], &self.col_idx[..]);
+        simd::mean_agg(simd::kernel(), adj, &x.data, x.cols, &mut out.data);
     }
 
-    /// Backward of [`Csr::mean_agg`]: given `d_out`, scatter
-    /// `d_x[j] += d_out[i] / |N(i)|` for each `j in N(i)`.
-    pub fn mean_agg_backward(&self, d_out: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(self.n(), d_out.cols);
-        for i in 0..self.n() {
-            let nb = self.neighbors(i);
-            if nb.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / nb.len() as f32;
-            for &j in nb {
-                for (d, &v) in dx.row_mut(j as usize).iter_mut().zip(d_out.row(i)) {
-                    *d += v * inv;
-                }
-            }
-        }
-        dx
+    /// Backward of [`Csr::mean_agg_into`]: given `d_out`, `dx` is zeroed
+    /// and `dx[j] += d_out[i] / |N(i)|` scattered for each `j in N(i)`.
+    pub fn mean_agg_backward_into(&self, d_out: &Matrix, dx: &mut Matrix) {
+        assert_eq!(d_out.rows, self.n(), "mean_agg_backward shape mismatch");
+        assert_eq!(
+            (dx.rows, dx.cols),
+            (d_out.rows, d_out.cols),
+            "mean_agg_backward out shape mismatch"
+        );
+        let adj = (&self.row_ptr[..], &self.col_idx[..]);
+        simd::mean_agg_backward(simd::kernel(), adj, &d_out.data, d_out.cols, &mut dx.data);
     }
 }
 
@@ -170,33 +147,28 @@ mod tests {
         assert_eq!(csr.neighbors(3), &[1, 2]);
     }
 
+    fn mean_agg(csr: &Csr, x: &Matrix) -> Matrix {
+        // Dirty output: every element must be overwritten.
+        let mut out = Matrix::from_fn(csr.n(), x.cols, |_, _| f32::NAN);
+        csr.mean_agg_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn mean_agg_known_values() {
         let csr = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         let x = Matrix::from_rows(3, 2, vec![1.0, 0.0, 3.0, 2.0, 5.0, 4.0]);
-        let y = csr.mean_agg(&x);
+        let y = mean_agg(&csr, &x);
         // node0: mean(row1) = [3,2]; node1: mean(rows 0,2) = [3,2];
         // node2: mean(row1) = [3,2].
         assert_eq!(y.data, vec![3.0, 2.0, 3.0, 2.0, 3.0, 2.0]);
     }
 
     #[test]
-    fn mean_agg_into_matches_allocating_form() {
-        use nnlqp_ir::Rng64;
-        let mut r = Rng64::new(21);
-        let csr = Csr::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)]);
-        let x = Matrix::from_fn(6, 4, |_, _| r.range_f64(-1.0, 1.0) as f32);
-        let want = csr.mean_agg(&x);
-        let mut out = Matrix::from_fn(6, 4, |_, _| f32::NAN);
-        csr.mean_agg_into(&x, &mut out);
-        assert_eq!(out, want);
-    }
-
-    #[test]
     fn isolated_node_gets_zero() {
         let csr = Csr::from_edges(3, &[(0, 1)]);
         let x = Matrix::from_rows(3, 1, vec![1.0, 2.0, 3.0]);
-        let y = csr.mean_agg(&x);
+        let y = mean_agg(&csr, &x);
         assert_eq!(y.data[2], 0.0);
     }
 
@@ -208,8 +180,9 @@ mod tests {
         let csr = Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
         let x = Matrix::from_fn(5, 3, |_, _| r.range_f64(-1.0, 1.0) as f32);
         let y = Matrix::from_fn(5, 3, |_, _| r.range_f64(-1.0, 1.0) as f32);
-        let ax = csr.mean_agg(&x);
-        let aty = csr.mean_agg_backward(&y);
+        let ax = mean_agg(&csr, &x);
+        let mut aty = Matrix::from_fn(5, 3, |_, _| f32::NAN);
+        csr.mean_agg_backward_into(&y, &mut aty);
         let lhs: f64 = ax
             .data
             .iter()

@@ -1,11 +1,14 @@
 //! Purely-functional layers with hand-derived backward passes.
 //!
 //! Layers hold parameters only; activations needed by the backward pass are
-//! returned to (and passed back by) the caller. This makes data-parallel
-//! training trivial: forward/backward borrow the model immutably, per-
-//! sample gradients are summed afterwards.
+//! returned to (and passed back by) the caller, so forward/backward borrow
+//! the model immutably and per-sample gradients are summed afterwards, in
+//! sample order. The element-wise and row-wise passes work in place (or
+//! `_into` a caller's buffer) so a training step can run out of one
+//! [`Scratch`] arena.
 
-use crate::tensor::{Activation, Matrix};
+use crate::simd;
+use crate::tensor::{Activation, Matrix, Scratch};
 use nnlqp_ir::Rng64;
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +75,12 @@ impl LinearGrad {
             *a *= s;
         }
     }
+
+    /// Return both buffers to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        scratch.put(self.dw);
+        scratch.put_vec(self.db);
+    }
 }
 
 impl Linear {
@@ -100,50 +109,42 @@ impl Linear {
     }
 
     /// The parameter half of the backward pass: gradients of `W` and `b`
-    /// from the forward input `x` and the upstream gradient `dy`.
-    pub fn param_grad(x: &Matrix, dy: &Matrix) -> LinearGrad {
-        LinearGrad {
-            dw: x.t_matmul(dy), // [in, out]
-            db: dy.col_sums(),
-        }
+    /// from the forward input `x` and the upstream gradient `dy`, in
+    /// buffers drawn from `scratch` ([`LinearGrad::recycle`] returns them).
+    pub fn param_grad(x: &Matrix, dy: &Matrix, scratch: &mut Scratch) -> LinearGrad {
+        let mut dw = scratch.take(x.cols, dy.cols); // [in, out]
+        x.t_matmul_into(dy, &mut dw);
+        let mut db = scratch.take_vec(dy.cols);
+        dy.col_sums_into(&mut db);
+        LinearGrad { dw, db }
     }
 
-    /// The input half of the backward pass: `dx = dy W^T`, `[rows, in]`.
-    /// A layer whose input is data (nothing upstream to train) skips it.
-    pub fn input_grad(&self, dy: &Matrix) -> Matrix {
-        dy.matmul_t(&self.w)
+    /// The input half of the backward pass: `dx = dy W^T`, `[rows, in]`,
+    /// every element of `dx` overwritten. A layer whose input is data
+    /// (nothing upstream to train) skips it.
+    pub fn input_grad_into(&self, dy: &Matrix, dx: &mut Matrix) {
+        dy.matmul_t_into(&self.w, dx);
     }
 
     /// Backward. `x` is the forward input, `dy` the upstream gradient.
-    /// Returns `(dx, grads)`.
+    /// Returns `(dx, grads)`, freshly allocated.
     pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, LinearGrad) {
-        (self.input_grad(dy), Linear::param_grad(x, dy))
+        let dx = dy.matmul_t(&self.w);
+        (dx, Linear::param_grad(x, dy, &mut Scratch::new()))
     }
 }
 
-/// ReLU forward.
-pub fn relu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    relu_inplace(&mut y);
-    y
-}
-
-/// ReLU in place (inference path — no extra matrix). The SIMD backend
-/// masks with a `v < 0.0` compare, so `-0.0` survives exactly as in the
-/// scalar loop.
+/// ReLU in place. The SIMD backend masks with a `v < 0.0` compare, so
+/// `-0.0` survives exactly as in the scalar loop.
 pub fn relu_inplace(x: &mut Matrix) {
-    crate::simd::relu_slice(crate::simd::kernel(), &mut x.data);
+    simd::relu_slice(simd::kernel(), &mut x.data);
 }
 
-/// ReLU backward: gradient masked by the forward *input* sign.
-pub fn relu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = dy.clone();
-    for (d, &xv) in dx.data.iter_mut().zip(&x.data) {
-        if xv <= 0.0 {
-            *d = 0.0;
-        }
-    }
-    dx
+/// ReLU backward in place on the upstream gradient `d`: zeroed wherever
+/// the forward *input* `x` was `<= 0`.
+pub fn relu_backward_inplace(x: &Matrix, d: &mut Matrix) {
+    assert_eq!((x.rows, x.cols), (d.rows, d.cols));
+    simd::relu_backward(simd::kernel(), &x.data, &mut d.data);
 }
 
 /// Inverted dropout: at train time zeroes activations with probability `p`
@@ -155,19 +156,18 @@ pub struct Dropout {
 }
 
 impl Dropout {
-    /// Forward at train time; returns `(y, mask)` — pass the mask to
+    /// Forward at train time, in place; returns the keep mask — pass it to
     /// [`Dropout::backward`].
-    pub fn forward_train(&self, x: &Matrix, rng: &mut Rng64) -> (Matrix, Vec<bool>) {
+    pub fn forward_train(&self, x: &mut Matrix, rng: &mut Rng64) -> Vec<bool> {
         let keep = 1.0 - self.p;
         let scale = (1.0 / keep) as f32;
-        let mut y = x.clone();
         let mut mask = Vec::with_capacity(x.data.len());
-        for v in &mut y.data {
+        for v in &mut x.data {
             let k = rng.bernoulli(keep);
             mask.push(k);
             *v = if k { *v * scale } else { 0.0 };
         }
-        (y, mask)
+        mask
     }
 
     /// Forward at eval time (identity).
@@ -175,70 +175,30 @@ impl Dropout {
         x.clone()
     }
 
-    /// Backward through the stored mask.
-    pub fn backward(&self, mask: &[bool], dy: &Matrix) -> Matrix {
+    /// Backward through the stored mask, in place on the upstream
+    /// gradient.
+    pub fn backward(&self, mask: &[bool], d: &mut Matrix) {
         let scale = (1.0 / (1.0 - self.p)) as f32;
-        let mut dx = dy.clone();
-        for (d, &k) in dx.data.iter_mut().zip(mask) {
+        for (d, &k) in d.data.iter_mut().zip(mask) {
             *d = if k { *d * scale } else { 0.0 };
         }
-        dx
     }
 }
 
-const L2_EPS: f32 = 1e-8;
-
-/// Row-wise L2 normalization `y_i = x_i / max(||x_i||, eps)` (the `L2`
-/// of Eq. 4). Returns `(y, norms)`; pass both to the backward.
-pub fn l2_normalize_rows(x: &Matrix) -> (Matrix, Vec<f32>) {
-    let mut y = x.clone();
-    let mut norms = Vec::with_capacity(x.rows);
-    for i in 0..x.rows {
-        let n = y
-            .row(i)
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>()
-            .sqrt()
-            .max(L2_EPS);
-        for v in y.row_mut(i) {
-            *v /= n;
-        }
-        norms.push(n);
-    }
-    (y, norms)
+/// Row-wise L2 normalization in place, `x_i /= max(||x_i||, eps)` (the
+/// `L2` of Eq. 4). The training forward passes `norms` (one slot per row)
+/// and hands them, with the normalized rows, to
+/// [`l2_normalize_rows_backward_inplace`]; inference passes `None`.
+pub fn l2_normalize_rows_inplace(x: &mut Matrix, norms: Option<&mut [f32]>) {
+    assert_eq!(x.rows.checked_mul(x.cols), Some(x.data.len()));
+    simd::l2_normalize_rows(simd::kernel(), &mut x.data, x.cols, norms);
 }
 
-/// [`l2_normalize_rows`] in place, discarding the norms (inference path —
-/// the backward pass never runs, so nothing needs to be kept).
-pub fn l2_normalize_rows_inplace(x: &mut Matrix) {
-    for i in 0..x.rows {
-        let n = x
-            .row(i)
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>()
-            .sqrt()
-            .max(L2_EPS);
-        for v in x.row_mut(i) {
-            *v /= n;
-        }
-    }
-}
-
-/// Backward of row-wise L2 normalization:
-/// `dx_i = (dy_i - y_i (y_i . dy_i)) / n_i`.
-pub fn l2_normalize_rows_backward(y: &Matrix, norms: &[f32], dy: &Matrix) -> Matrix {
-    let mut dx = Matrix::zeros(y.rows, y.cols);
-    for (i, &n) in norms.iter().enumerate().take(y.rows) {
-        let yr = y.row(i);
-        let dyr = dy.row(i);
-        let dot: f32 = yr.iter().zip(dyr).map(|(a, b)| a * b).sum();
-        for ((d, &dy_j), &y_j) in dx.row_mut(i).iter_mut().zip(dyr).zip(yr) {
-            *d = (dy_j - y_j * dot) / n;
-        }
-    }
-    dx
+/// Backward of row-wise L2 normalization, in place on the upstream
+/// gradient: `d_i = (d_i - y_i (y_i . d_i)) / n_i`.
+pub fn l2_normalize_rows_backward_inplace(y: &Matrix, norms: &[f32], d: &mut Matrix) {
+    assert_eq!((y.rows, y.cols), (d.rows, d.cols));
+    simd::l2_normalize_rows_backward(simd::kernel(), &y.data, norms, &mut d.data, y.cols);
 }
 
 /// Mean-squared-error loss over a column vector of predictions; returns
@@ -329,7 +289,8 @@ mod tests {
         let mut rng = Rng64::new(17);
         let l = Linear::new(6, 5, &mut rng);
         let x = rand_mat(7, 6, 18);
-        let unfused = relu(&l.forward(&x));
+        let mut unfused = l.forward(&x);
+        relu_inplace(&mut unfused);
         let mut pack = Vec::new();
         let mut out = Matrix::zeros(7, 5);
         l.forward_into(&x, Activation::Relu, &mut out, &mut pack);
@@ -338,30 +299,41 @@ mod tests {
         assert_eq!(out, l.forward(&x));
     }
 
+    /// Normalized copy of `x` and the norms the backward pass needs.
+    fn l2_normalized(x: &Matrix) -> (Matrix, Vec<f32>) {
+        let mut y = x.clone();
+        let mut norms = vec![0.0; x.rows];
+        l2_normalize_rows_inplace(&mut y, Some(&mut norms));
+        (y, norms)
+    }
+
     #[test]
-    fn inplace_variants_match() {
+    fn recording_the_norms_does_not_change_the_rows() {
         let x = rand_mat(5, 4, 19);
-        let mut r = x.clone();
-        relu_inplace(&mut r);
-        assert_eq!(r, relu(&x));
-        let mut n = x.clone();
-        l2_normalize_rows_inplace(&mut n);
-        assert_eq!(n, l2_normalize_rows(&x).0);
+        let (with_norms, norms) = l2_normalized(&x);
+        let mut without = x.clone();
+        l2_normalize_rows_inplace(&mut without, None);
+        assert_eq!(with_norms, without);
+        for (i, n) in norms.into_iter().enumerate() {
+            assert_eq!(n, x.row(i).iter().map(|v| v * v).sum::<f32>().sqrt());
+        }
     }
 
     #[test]
     fn relu_gradcheck() {
         let x = Matrix::from_rows(1, 4, vec![-1.0, 2.0, -0.5, 3.0]);
-        let dy = ones(1, 4);
-        let dx = relu_backward(&x, &dy);
+        let mut dx = ones(1, 4);
+        relu_backward_inplace(&x, &mut dx);
         assert_eq!(dx.data, vec![0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(relu(&x).data, vec![0.0, 2.0, 0.0, 3.0]);
+        let mut y = x;
+        relu_inplace(&mut y);
+        assert_eq!(y.data, vec![0.0, 2.0, 0.0, 3.0]);
     }
 
     #[test]
     fn l2_norm_rows_unit_length() {
         let x = rand_mat(6, 5, 12);
-        let (y, _) = l2_normalize_rows(&x);
+        let (y, _) = l2_normalized(&x);
         for i in 0..y.rows {
             let n: f32 = y.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((n - 1.0).abs() < 1e-5);
@@ -371,15 +343,16 @@ mod tests {
     #[test]
     fn l2_norm_gradcheck() {
         let x = rand_mat(3, 4, 13);
-        let (y, norms) = l2_normalize_rows(&x);
+        let (y, norms) = l2_normalized(&x);
         // Loss = sum of y * coefficient matrix to make gradients asymmetric.
         let coeff = rand_mat(3, 4, 14);
-        let dx = l2_normalize_rows_backward(&y, &norms, &coeff);
+        let mut dx = coeff.clone();
+        l2_normalize_rows_backward_inplace(&y, &norms, &mut dx);
         for &(i, j) in &[(0usize, 0usize), (2, 3), (1, 2)] {
             let mut f = |v: f32| {
                 let mut x2 = x.clone();
                 x2.set(i, j, v);
-                let (y2, _) = l2_normalize_rows(&x2);
+                let (y2, _) = l2_normalized(&x2);
                 y2.data
                     .iter()
                     .zip(&coeff.data)
@@ -399,8 +372,8 @@ mod tests {
     fn dropout_train_scales_survivors() {
         let mut rng = Rng64::new(15);
         let d = Dropout { p: 0.5 };
-        let x = ones(20, 20);
-        let (y, mask) = d.forward_train(&x, &mut rng);
+        let mut y = ones(20, 20);
+        let mask = d.forward_train(&mut y, &mut rng);
         let kept = mask.iter().filter(|&&k| k).count();
         assert!(kept > 100 && kept < 300, "kept {kept}");
         for (v, &k) in y.data.iter().zip(&mask) {
@@ -411,7 +384,8 @@ mod tests {
             }
         }
         // Backward routes gradient only through kept units.
-        let dx = d.backward(&mask, &ones(20, 20));
+        let mut dx = ones(20, 20);
+        d.backward(&mask, &mut dx);
         for (v, &k) in dx.data.iter().zip(&mask) {
             assert_eq!(*v, if k { 2.0 } else { 0.0 });
         }

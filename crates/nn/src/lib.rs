@@ -6,11 +6,12 @@
 //!
 //! * dense f32 [`Matrix`] math on one register-tile GEMM micro-kernel
 //!   (scalar, AVX2 and AVX-512 instantiations, see [`simd`]), plus fused
-//!   GEMM+bias+activation entry points and a [`Scratch`] arena for the
-//!   allocation-free inference path,
+//!   GEMM+bias+activation entry points and a [`Scratch`] arena that the
+//!   inference path and the training step both run out of,
 //! * purely-functional layers with hand-derived backward passes
-//!   ([`Linear`], [`relu`], [`Dropout`], [`l2_normalize_rows`]) so batches
-//!   can be differentiated in parallel and gradients summed,
+//!   ([`Linear`], [`relu_inplace`], [`Dropout`],
+//!   [`l2_normalize_rows_inplace`]): they borrow the model immutably, and
+//!   per-sample gradients are summed afterwards in sample order,
 //! * the GraphSAGE convolution of Eq. 4 over [`Csr`] adjacency,
 //! * multi-head self-attention with an adjacency-derived bias
 //!   ([`AttnLayer`]), the transformer-encoder counterpart of the SAGE
@@ -40,7 +41,7 @@ pub use attention::{attention_bias, AttnGrad, AttnLayer, ATTN_NONEDGE_BIAS};
 pub use csr::Csr;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use layers::{
-    l2_normalize_rows, l2_normalize_rows_backward, l2_normalize_rows_inplace, relu, relu_backward,
+    l2_normalize_rows_backward_inplace, l2_normalize_rows_inplace, relu_backward_inplace,
     relu_inplace, Dropout, Linear, LinearGrad,
 };
 pub use linreg::LinearRegression;

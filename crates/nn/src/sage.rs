@@ -6,8 +6,8 @@
 
 use crate::csr::Csr;
 use crate::layers::{
-    l2_normalize_rows, l2_normalize_rows_backward, l2_normalize_rows_inplace, relu_inplace, Linear,
-    LinearGrad,
+    l2_normalize_rows_backward_inplace, l2_normalize_rows_inplace, relu_backward_inplace,
+    relu_inplace, Linear, LinearGrad,
 };
 use crate::tensor::{Activation, Matrix, Scratch};
 use nnlqp_ir::Rng64;
@@ -47,14 +47,31 @@ impl SageLayer {
     }
 }
 
-/// Activations cached by the forward pass for the backward pass.
+/// Activations cached by the forward pass for the backward pass. The
+/// layer's input is not among them: it is the caller's (the sample's node
+/// features, or the previous layer's [`SageCache::output`]) and is passed
+/// to the backward again.
 #[derive(Debug, Clone)]
 pub struct SageCache {
-    x: Matrix,
     agg: Matrix,
     pre_act: Matrix,
     y_norm: Matrix,
     norms: Vec<f32>,
+}
+
+impl SageCache {
+    /// The layer's output `[n, out]` — the next layer's input.
+    pub fn output(&self) -> &Matrix {
+        &self.y_norm
+    }
+
+    /// Return every buffer to the arena the forward drew them from.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        scratch.put(self.agg);
+        scratch.put(self.pre_act);
+        scratch.put(self.y_norm);
+        scratch.put_vec(self.norms);
+    }
 }
 
 /// Gradients of a [`SageLayer`].
@@ -86,6 +103,12 @@ impl SageGrad {
         self.d_w1.scale(s);
         self.d_w2.scale(s);
     }
+
+    /// Return every buffer to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        self.d_w1.recycle(scratch);
+        self.d_w2.recycle(scratch);
+    }
 }
 
 impl SageLayer {
@@ -98,86 +121,105 @@ impl SageLayer {
         }
     }
 
-    /// Forward over all nodes at once; `x: [n, in]` -> `[n, out]`.
-    pub fn forward(&self, x: &Matrix, adj: &Csr) -> (Matrix, SageCache) {
-        let agg = adj.mean_agg(x);
-        let mut pre = self.w1.forward(x);
-        let y2 = self.w2.forward(&agg);
-        pre.add_assign(&y2);
-        let act = if self.relu {
-            crate::layers::relu(&pre)
-        } else {
-            pre.clone()
-        };
-        let (y_norm, norms) = l2_normalize_rows(&act);
-        (
-            y_norm.clone(),
-            SageCache {
-                x: x.clone(),
-                agg,
-                pre_act: pre,
-                y_norm,
-                norms,
-            },
-        )
-    }
-
-    /// Inference-only forward: the same arithmetic as
-    /// [`SageLayer::forward`] — bit for bit — without building the
-    /// backward cache, running on the fused GEMM+bias kernels and scratch
-    /// buffers. The two linear paths are computed into separate scratch
-    /// matrices and then summed, preserving the `(x W1 + b1) + (agg W2 +
-    /// b2)` association of the training path.
-    pub fn forward_eval(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> Matrix {
+    /// The linear half both forwards share, on the fused GEMM+bias
+    /// kernels: `(agg, pre)` with `agg = mean_agg(x)` and
+    /// `pre = (x W1 + b1) + (agg W2 + b2)` — the two paths computed
+    /// separately, then summed, in that association.
+    fn pre_activation(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> (Matrix, Matrix) {
         let mut agg = scratch.take(x.rows, x.cols);
         adj.mean_agg_into(x, &mut agg);
-        let mut out = scratch.take(x.rows, self.w1.w.cols);
+        let mut pre = scratch.take(x.rows, self.w1.w.cols);
         self.w1
-            .forward_into(x, Activation::Identity, &mut out, scratch.pack_buf());
+            .forward_into(x, Activation::Identity, &mut pre, scratch.pack_buf());
         let mut y2 = scratch.take(x.rows, self.w2.w.cols);
         self.w2
             .forward_into(&agg, Activation::Identity, &mut y2, scratch.pack_buf());
-        out.add_assign(&y2);
-        scratch.put(agg);
+        pre.add_assign(&y2);
         scratch.put(y2);
+        (agg, pre)
+    }
+
+    /// Training forward over all nodes at once, `x: [n, in]` -> `[n, out]`
+    /// ([`SageCache::output`]), every intermediate drawn from `scratch`
+    /// and kept in the cache until [`SageCache::recycle`].
+    pub fn forward(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> SageCache {
+        let (agg, pre_act) = self.pre_activation(x, adj, scratch);
+        let mut y_norm = scratch.take(pre_act.rows, pre_act.cols);
+        y_norm.data.copy_from_slice(&pre_act.data);
+        if self.relu {
+            relu_inplace(&mut y_norm);
+        }
+        let mut norms = scratch.take_vec(y_norm.rows);
+        l2_normalize_rows_inplace(&mut y_norm, Some(&mut norms));
+        SageCache {
+            agg,
+            pre_act,
+            y_norm,
+            norms,
+        }
+    }
+
+    /// Inference-only forward: [`SageLayer::forward`]'s arithmetic, bit for
+    /// bit, without the backward cache.
+    pub fn forward_eval(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> Matrix {
+        let (agg, mut out) = self.pre_activation(x, adj, scratch);
+        scratch.put(agg);
         if self.relu {
             relu_inplace(&mut out);
         }
-        l2_normalize_rows_inplace(&mut out);
+        l2_normalize_rows_inplace(&mut out, None);
         out
     }
 
-    /// The parameter half of the backward pass: back through the
-    /// normalization and the ReLU to the pre-activation gradient `d_pre`,
-    /// and from there to both weight gradients. Returns `(d_pre, grads)`;
-    /// [`SageLayer::input_grad`] continues from `d_pre`.
-    pub fn param_grads(&self, cache: &SageCache, dy: &Matrix) -> (Matrix, SageGrad) {
-        let d_act = l2_normalize_rows_backward(&cache.y_norm, &cache.norms, dy);
-        let d_pre = if self.relu {
-            crate::layers::relu_backward(&cache.pre_act, &d_act)
-        } else {
-            d_act
-        };
+    /// The parameter half of the backward pass: the upstream gradient `d`
+    /// goes back, in place, through the normalization and the ReLU to the
+    /// pre-activation gradient `d_pre`, and from there to both weight
+    /// gradients. `x` is the input the forward saw. Returns
+    /// `(d_pre, grads)`; [`SageLayer::input_grad`] continues from `d_pre`.
+    pub fn param_grads(
+        &self,
+        x: &Matrix,
+        cache: &SageCache,
+        mut d: Matrix,
+        scratch: &mut Scratch,
+    ) -> (Matrix, SageGrad) {
+        l2_normalize_rows_backward_inplace(&cache.y_norm, &cache.norms, &mut d);
+        if self.relu {
+            relu_backward_inplace(&cache.pre_act, &mut d);
+        }
         let grads = SageGrad {
-            d_w1: Linear::param_grad(&cache.x, &d_pre),
-            d_w2: Linear::param_grad(&cache.agg, &d_pre),
+            d_w1: Linear::param_grad(x, &d, scratch),
+            d_w2: Linear::param_grad(&cache.agg, &d, scratch),
         };
-        (d_pre, grads)
+        (d, grads)
     }
 
     /// The input half of the backward pass: `d_pre` back through the two
     /// linear paths and the aggregation. The first layer of a stack, whose
     /// input is data, skips it.
-    pub fn input_grad(&self, d_pre: &Matrix, adj: &Csr) -> Matrix {
-        let mut dx = adj.mean_agg_backward(&self.w2.input_grad(d_pre));
-        dx.add_assign(&self.w1.input_grad(d_pre));
+    pub fn input_grad(&self, d_pre: &Matrix, adj: &Csr, scratch: &mut Scratch) -> Matrix {
+        let mut path = scratch.take(d_pre.rows, self.w2.w.rows);
+        self.w2.input_grad_into(d_pre, &mut path);
+        let mut dx = scratch.take(path.rows, path.cols);
+        adj.mean_agg_backward_into(&path, &mut dx);
+        self.w1.input_grad_into(d_pre, &mut path);
+        dx.add_assign(&path);
+        scratch.put(path);
         dx
     }
 
-    /// Backward; returns `(dx, grads)`.
-    pub fn backward(&self, cache: &SageCache, dy: &Matrix, adj: &Csr) -> (Matrix, SageGrad) {
-        let (d_pre, grads) = self.param_grads(cache, dy);
-        (self.input_grad(&d_pre, adj), grads)
+    /// The whole backward, freshly allocated: `(dx, grads)` from the input
+    /// `x` the forward saw, its cache and the upstream gradient `dy`.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        cache: &SageCache,
+        dy: &Matrix,
+        adj: &Csr,
+    ) -> (Matrix, SageGrad) {
+        let mut scratch = Scratch::new();
+        let (d_pre, grads) = self.param_grads(x, cache, dy.clone(), &mut scratch);
+        (self.input_grad(&d_pre, adj, &mut scratch), grads)
     }
 }
 
@@ -197,7 +239,8 @@ mod tests {
     fn forward_shape_and_unit_rows() {
         let (mut layer, x, adj) = setup();
         layer.relu = false; // with ReLU an all-negative row collapses to zero
-        let (y, _) = layer.forward(&x, &adj);
+        let cache = layer.forward(&x, &adj, &mut Scratch::new());
+        let y = cache.output();
         assert_eq!((y.rows, y.cols), (5, 3));
         for i in 0..y.rows {
             let n: f32 = y.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -209,7 +252,8 @@ mod tests {
     fn relu_rows_are_unit_or_zero() {
         let (layer, x, adj) = setup();
         assert!(layer.relu);
-        let (y, _) = layer.forward(&x, &adj);
+        let cache = layer.forward(&x, &adj, &mut Scratch::new());
+        let y = cache.output();
         for i in 0..y.rows {
             let n: f32 = y.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((n - 1.0).abs() < 1e-4 || n < 1e-4, "row {i} norm {n}");
@@ -220,19 +264,22 @@ mod tests {
     #[test]
     fn forward_eval_matches_forward_bitwise() {
         let (layer, x, adj) = setup();
-        let (want, _) = layer.forward(&x, &adj);
         let mut scratch = Scratch::new();
+        let want = layer.forward(&x, &adj, &mut Scratch::new());
         let got = layer.forward_eval(&x, &adj, &mut scratch);
-        assert_eq!(got, want);
+        assert_eq!(&got, want.output());
         // Second pass through the (now warm) scratch arena is identical.
         scratch.put(got);
         let again = layer.forward_eval(&x, &adj, &mut scratch);
-        assert_eq!(again, want);
+        assert_eq!(&again, want.output());
         // And without the ReLU.
         let mut no_relu = layer;
         no_relu.relu = false;
-        let (want2, _) = no_relu.forward(&x, &adj);
-        assert_eq!(no_relu.forward_eval(&x, &adj, &mut scratch), want2);
+        let want2 = no_relu.forward(&x, &adj, &mut Scratch::new());
+        assert_eq!(
+            &no_relu.forward_eval(&x, &adj, &mut scratch),
+            want2.output()
+        );
     }
 
     #[test]
@@ -242,16 +289,15 @@ mod tests {
         let mut rng = Rng64::new(31);
         let coeff = Matrix::from_fn(5, 3, |_, _| rng.range_f64(-1.0, 1.0) as f32);
         let loss = |l: &SageLayer, xx: &Matrix| -> f64 {
-            let (y, _) = l.forward(xx, &adj);
-            y.data
+            let cache = l.forward(xx, &adj, &mut Scratch::new());
+            (cache.output().data)
                 .iter()
                 .zip(&coeff.data)
                 .map(|(&a, &c)| (a * c) as f64)
                 .sum()
         };
-        let (y, cache) = layer.forward(&x, &adj);
-        let _ = y;
-        let (dx, g) = layer.backward(&cache, &coeff, &adj);
+        let cache = layer.forward(&x, &adj, &mut Scratch::new());
+        let (dx, g) = layer.backward(&x, &cache, &coeff, &adj);
 
         let h = 1e-3f32;
         // w1, w2 spot checks.
@@ -299,9 +345,9 @@ mod tests {
     #[test]
     fn grad_accumulation_api() {
         let (layer, x, adj) = setup();
-        let (_, cache) = layer.forward(&x, &adj);
+        let cache = layer.forward(&x, &adj, &mut Scratch::new());
         let dy = Matrix::from_fn(5, 3, |_, _| 1.0);
-        let (_, g1) = layer.backward(&cache, &dy, &adj);
+        let (_, g1) = layer.backward(&x, &cache, &dy, &adj);
         let mut acc = SageGrad::zeros_like(&layer);
         acc.add_assign(&g1);
         acc.add_assign(&g1);

@@ -6,8 +6,9 @@
 //!   always-available reference implementation (separate multiply and
 //!   add, bit-identical to every release before the SIMD work landed);
 //! * [`Kernel::Avx2Fma`] — 8-lane `std::arch` AVX2/FMA kernels;
-//! * [`Kernel::Avx512`] — the GEMM register tile on 16-lane AVX-512
-//!   registers; every other kernel keeps its 256-bit body (see below).
+//! * [`Kernel::Avx512`] — the GEMM register tile, and `matmul_t` from 16
+//!   rows up, on 16-lane AVX-512 registers; every other kernel keeps its
+//!   256-bit body (see below).
 //!
 //! The SIMD backends sit behind `is_x86_feature_detected!`, so the binary
 //! still runs (and non-x86 targets still build) without the features.
@@ -18,9 +19,14 @@
 //! pins the scalar backend.
 //!
 //! `gemm` — `matmul` and `t_matmul` — runs a 3x3 ymm register tile on
-//! `Avx2Fma` and a 4x4 zmm tile on `Avx512`; everything else (`matmul_t`
-//! rows, softmax exp/sum, row max, the element-wise sweeps, the int8 dot)
-//! has one 256-bit body that both SIMD backends run.
+//! `Avx2Fma` and a 4x4 zmm tile on `Avx512`. `matmul_t` computes four
+//! output columns per pass on ymm registers, or, on `Avx512` with enough
+//! rows to pay for transposing B, sixteen per zmm register. Everything
+//! else (softmax exp/sum, row max, the element-wise sweeps, the int8 dot)
+//! has one 256-bit body that both SIMD backends run, and the row kernels
+//! of the training step (`relu_backward`, `l2_normalize_rows` and its
+//! backward, `mean_agg` and its backward) are one safe loop each, compiled
+//! for the baseline target and again for AVX2.
 //!
 //! # Numerical contract
 //!
@@ -41,9 +47,15 @@
 //!
 //! The kernels that reduce *across* lanes — the `matmul_t` dot product and
 //! the softmax exp/sum — would change their summation order with the
-//! vector width, so `Avx512` runs their 256-bit bodies: a model trained on
-//! an AVX-512 host is the model an AVX2 host trains. The parity suite in
-//! `tests/` pins all of this.
+//! vector width, so the order of the 256-bit body is the contract: the
+//! softmax runs that body under `Avx512` too, and the zmm `matmul_t` keeps
+//! the ymm dot product's sixteen partial sums apart (one vector of output
+//! columns each) and adds them in the ymm order. A model trained on an
+//! AVX-512 host is the model an AVX2 host trains. The row kernels perform
+//! the scalar loop's operations in the scalar loop's order on every
+//! backend (no FMA, no reciprocal, no reordered sum), so they are
+//! bit-identical across all three. The parity suites in `tests/` pin all of
+//! this.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -144,7 +156,8 @@ macro_rules! avx2_call {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch resolves to `Kernel::Avx2Fma` / `Kernel::Avx512`
         // only after `is_x86_feature_detected!("avx2")` && `("fma")` both
-        // passed (see `widest`).
+        // passed (see `widest`), and the entry points that take a backend
+        // from outside the crate assert `is_available` first.
         let out = unsafe { avx2::$f($($arg),*) };
         #[cfg(not(target_arch = "x86_64"))]
         let out = unreachable!("AVX2 kernel selected on non-x86_64");
@@ -237,24 +250,393 @@ pub(crate) fn gemm(
     }
 }
 
-/// One `A @ B^T` output row: `out[j] = dot(a_row, b[j * kd .. (j+1) * kd])`
-/// with `kd = a_row.len()`.
-#[inline]
-pub(crate) fn matmul_t_row(kern: Kernel, a_row: &[f32], b: &[f32], out: &mut [f32]) {
-    let kd = a_row.len();
-    debug_assert_eq!(b.len(), out.len() * kd);
-    match kern {
-        Kernel::Scalar => {
-            for (j, o) in out.iter_mut().enumerate() {
-                let b_row = &b[j * kd..(j + 1) * kd];
-                let mut acc = 0.0f32;
-                for kk in 0..kd {
-                    acc += a_row[kk] * b_row[kk];
-                }
-                *o = acc;
+/// Rows of A from which the `Avx512` backend transposes B for
+/// `avx512::matmul_t` (the transposition costs about what 16 rows save).
+const TRANSPOSE_MIN_ROWS: usize = 16;
+
+/// B transposed for `avx512::matmul_t`, on its caller's stack: rows of a
+/// multiple of 16 elements from a 64-byte boundary, so that no 16-lane load
+/// of a row straddles a cache line (straddling loads cost that kernel a
+/// third of its speed). 16 KiB: a 64 x 64 weight fits, and zeroing it is
+/// a hundredth of the product it serves.
+#[cfg(target_arch = "x86_64")]
+#[repr(align(64))]
+struct Transposed([f32; Transposed::LEN]);
+
+#[cfg(target_arch = "x86_64")]
+impl Transposed {
+    const LEN: usize = 4096;
+
+    /// Row-major `b: [n, kd]` as `kd` rows of `ld >= n`, zero beyond
+    /// column `n`. The caller checks `kd * ld <= LEN`.
+    fn of(b: &[f32], kd: usize, ld: usize) -> Self {
+        let mut bt = Transposed([0.0; Self::LEN]);
+        for (j, b_row) in b.chunks_exact(kd.max(1)).enumerate() {
+            for (k, &v) in b_row.iter().enumerate() {
+                bt.0[k * ld + j] = v;
             }
         }
-        Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!(matmul_t_row(a_row, b, out)),
+        bt
+    }
+}
+
+/// `A @ B^T` for row-major `a: [m, kd]` and `b: [n, kd]`:
+/// `out[i * n + j] = dot(a[i * kd ..], b[j * kd ..])`, every element
+/// overwritten. The SIMD dot product reduces across lanes in one pinned
+/// order (see `avx2::dot`), however the outputs are blocked and whichever
+/// body runs.
+///
+/// # Panics
+/// If a slice is not exactly its shape long, or `kern` is a backend this
+/// CPU cannot run.
+pub(crate) fn matmul_t(
+    kern: Kernel,
+    (m, kd, n): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(Some(a.len()), m.checked_mul(kd), "matmul_t lhs extent");
+    assert_eq!(Some(b.len()), n.checked_mul(kd), "matmul_t rhs extent");
+    assert_eq!(Some(out.len()), m.checked_mul(n), "matmul_t out extent");
+    assert!(kern.is_available(), "{kern:?} kernel on a CPU without it");
+    #[cfg(target_arch = "x86_64")]
+    if kern == Kernel::Avx512 && m >= TRANSPOSE_MIN_ROWS {
+        let ld = n.next_multiple_of(avx512::LANES);
+        if kd.saturating_mul(ld) <= Transposed::LEN {
+            let bt = Transposed::of(b, kd, ld);
+            let (a, bt, out) = (a.as_ptr(), (bt.0.as_ptr(), ld), out.as_mut_ptr());
+            // SAFETY: `is_available` confirmed AVX-512F; `a` and `out` have
+            // the extents asserted above; `bt` holds `kd` rows of `ld`, a
+            // multiple of 16 no smaller than `n`.
+            unsafe { avx512::matmul_t((m, kd, n), a, bt, out) };
+            return;
+        }
+    }
+    match kern {
+        Kernel::Scalar => {
+            for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+                let a_row = &a[i * kd..(i + 1) * kd];
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    let b_row = &b[j * kd..(j + 1) * kd];
+                    let mut acc = 0.0f32;
+                    for kk in 0..kd {
+                        acc += a_row[kk] * b_row[kk];
+                    }
+                    *o = acc;
+                }
+            }
+        }
+        Kernel::Avx2Fma | Kernel::Avx512 => {
+            let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            avx2_call!(matmul_t((m, kd, n), a, b, out));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-matrix row kernels: one dispatch per matrix. Each is a safe loop
+// (`mod rows`) that the scalar backend runs as the baseline build compiles
+// it and the SIMD backends run compiled for AVX2 — the same operations on
+// every element in the same order, eight lanes at a time where lanes map to
+// columns, so all backends agree bit for bit. No FMA is enabled for them:
+// a multiply followed by an add stays two roundings.
+// ---------------------------------------------------------------------------
+
+/// Run `rows::$f` on the backend `$kern` names.
+macro_rules! rows_call {
+    ($kern:expr, $f:ident ( $($arg:expr),* )) => {{
+        let kern: Kernel = $kern;
+        assert!(kern.is_available(), "{kern:?} kernel on a CPU without it");
+        match kern {
+            Kernel::Scalar => rows::$f($($arg),*),
+            Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!($f($($arg),*)),
+        }
+    }};
+}
+
+/// ReLU backward in place: `d[i] = 0.0` wherever the forward *input*
+/// `x[i] <= 0.0`, as a select rather than a branch on the sign.
+pub fn relu_backward(kern: Kernel, x: &[f32], d: &mut [f32]) {
+    assert_eq!(x.len(), d.len(), "relu_backward shape mismatch");
+    rows_call!(kern, relu_backward(x, d));
+}
+
+/// Row-wise L2 normalization in place over a row-major `[rows, cols]`
+/// matrix: `x_i /= max(||x_i||, 1e-8)`, the norm summed in ascending
+/// column order. `norms`, when given, receives each row's clamped norm
+/// (the backward pass needs them).
+pub fn l2_normalize_rows(kern: Kernel, data: &mut [f32], cols: usize, norms: Option<&mut [f32]>) {
+    if let Some(norms) = &norms {
+        assert_eq!(
+            Some(data.len()),
+            norms.len().checked_mul(cols),
+            "l2_normalize_rows shape mismatch"
+        );
+    }
+    rows_call!(kern, l2_normalize_rows(data, cols, norms));
+}
+
+/// Backward of [`l2_normalize_rows`] in place on the upstream gradient:
+/// `d_i = (d_i - y_i (y_i . d_i)) / n_i`, with `y` the normalized output
+/// and `norms` the clamped norms the forward recorded.
+pub fn l2_normalize_rows_backward(
+    kern: Kernel,
+    y: &[f32],
+    norms: &[f32],
+    d: &mut [f32],
+    cols: usize,
+) {
+    assert_eq!(
+        y.len(),
+        d.len(),
+        "l2_normalize_rows_backward shape mismatch"
+    );
+    assert_eq!(
+        Some(y.len()),
+        norms.len().checked_mul(cols),
+        "l2_normalize_rows_backward norms mismatch"
+    );
+    rows_call!(kern, l2_normalize_rows_backward(y, norms, d, cols));
+}
+
+/// CSR mean aggregation over row-major `x: [n, cols]`:
+/// `out_i = (0 + x_j1 + x_j2 + ..) * (1 / |N(i)|)` in neighbor order, zero
+/// for an isolated node. Every element of `out` is overwritten.
+pub fn mean_agg(
+    kern: Kernel,
+    (row_ptr, col_idx): (&[u32], &[u32]),
+    x: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(x.len(), out.len(), "mean_agg shape mismatch");
+    assert_eq!(
+        Some(out.len()),
+        (row_ptr.len().saturating_sub(1)).checked_mul(cols),
+        "mean_agg row count mismatch"
+    );
+    rows_call!(kern, mean_agg(row_ptr, col_idx, x, cols, out));
+}
+
+/// Backward of [`mean_agg`]: `dx` is zeroed, then for each node `i` in
+/// ascending order `dx_j += d_out_i * (1 / |N(i)|)` for `j` in `N(i)` — a
+/// multiply, then an add.
+pub fn mean_agg_backward(
+    kern: Kernel,
+    (row_ptr, col_idx): (&[u32], &[u32]),
+    d_out: &[f32],
+    cols: usize,
+    dx: &mut [f32],
+) {
+    assert_eq!(d_out.len(), dx.len(), "mean_agg_backward shape mismatch");
+    assert_eq!(
+        Some(dx.len()),
+        (row_ptr.len().saturating_sub(1)).checked_mul(cols),
+        "mean_agg_backward row count mismatch"
+    );
+    rows_call!(kern, mean_agg_backward(row_ptr, col_idx, d_out, cols, dx));
+}
+
+/// The row kernels' one source, inlined into a baseline and an AVX2 caller.
+mod rows {
+    /// Lower clamp of a row norm in [`l2_normalize_rows`].
+    const L2_EPS: f32 = 1e-8;
+
+    #[inline(always)]
+    pub fn relu_backward(x: &[f32], d: &mut [f32]) {
+        for (d, &xv) in d.iter_mut().zip(x) {
+            *d = if xv <= 0.0 { 0.0 } else { *d };
+        }
+    }
+
+    /// `-0.0`, where `f32::sum` starts: the chains below replace
+    /// `iter().sum()` calls and must agree with them on a lone `-0.0` term.
+    const SUM_START: f32 = -0.0;
+
+    /// Rows whose dot products run side by side.
+    const INTERLEAVE: usize = 4;
+
+    /// Row-wise `sum_j a[j] * b[j]` of the four rows of `cols` in each
+    /// block: four independent ascending-`j` chains (a multiply, then an
+    /// add), interleaved so one chain's add latency hides behind the other
+    /// three. (Eight chains measured no faster: the scalar multiplies and
+    /// adds are then the limit, not their latency.)
+    #[inline(always)]
+    fn dots(a: &[f32], b: &[f32], cols: usize) -> [f32; INTERLEAVE] {
+        let [a0, a1, a2, a3] = rows_of(a, cols);
+        let [b0, b1, b2, b3] = rows_of(b, cols);
+        let rows01 = a0.iter().zip(b0).zip(a1.iter().zip(b1));
+        let rows23 = a2.iter().zip(b2).zip(a3.iter().zip(b3));
+        let mut s = [SUM_START; INTERLEAVE];
+        for (((x0, y0), (x1, y1)), ((x2, y2), (x3, y3))) in rows01.zip(rows23) {
+            s[0] += x0 * y0;
+            s[1] += x1 * y1;
+            s[2] += x2 * y2;
+            s[3] += x3 * y3;
+        }
+        s
+    }
+
+    #[inline(always)]
+    fn rows_of(block: &[f32], cols: usize) -> [&[f32]; INTERLEAVE] {
+        let (r0, rest) = block.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        [r0, r1, r2, r3]
+    }
+
+    #[inline(always)]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let mut s = SUM_START;
+        for (x, y) in a.iter().zip(b) {
+            s += x * y;
+        }
+        s
+    }
+
+    #[inline(always)]
+    fn clamped_norm(sum_sq: f32) -> f32 {
+        sum_sq.sqrt().max(L2_EPS)
+    }
+
+    #[inline(always)]
+    pub fn l2_normalize_rows(data: &mut [f32], cols: usize, mut norms: Option<&mut [f32]>) {
+        if cols == 0 {
+            if let Some(norms) = norms {
+                norms.fill(clamped_norm(SUM_START));
+            }
+            return;
+        }
+        let mut divide = |i: usize, row: &mut [f32], n: f32| {
+            // A division, never a multiply by the reciprocal.
+            for v in row {
+                *v /= n;
+            }
+            if let Some(norms) = norms.as_deref_mut() {
+                norms[i] = n;
+            }
+        };
+        let mut blocks = data.chunks_exact_mut(INTERLEAVE * cols);
+        let mut i = 0;
+        for block in &mut blocks {
+            let n = dots(block, block, cols).map(clamped_norm);
+            for (row, n) in block.chunks_exact_mut(cols).zip(n) {
+                divide(i, row, n);
+                i += 1;
+            }
+        }
+        for row in blocks.into_remainder().chunks_exact_mut(cols) {
+            let n = clamped_norm(dot(row, row));
+            divide(i, row, n);
+            i += 1;
+        }
+    }
+
+    #[inline(always)]
+    pub fn l2_normalize_rows_backward(y: &[f32], norms: &[f32], d: &mut [f32], cols: usize) {
+        if cols == 0 {
+            return;
+        }
+        #[inline(always)]
+        fn through(d: &mut [f32], y: &[f32], dot: f32, n: f32) {
+            for (d, &y) in d.iter_mut().zip(y) {
+                *d = (*d - y * dot) / n;
+            }
+        }
+        let mut d_blocks = d.chunks_exact_mut(INTERLEAVE * cols);
+        let y_blocks = y.chunks_exact(INTERLEAVE * cols);
+        let y_rest = y_blocks.remainder();
+        let n_blocks = norms.chunks_exact(INTERLEAVE);
+        let n_rest = n_blocks.remainder();
+        for ((d_block, y_block), n) in (&mut d_blocks).zip(y_blocks).zip(n_blocks) {
+            let dots = dots(y_block, d_block, cols);
+            let rows = d_block
+                .chunks_exact_mut(cols)
+                .zip(y_block.chunks_exact(cols));
+            for ((d_row, y_row), (dot, &n)) in rows.zip(dots.into_iter().zip(n)) {
+                through(d_row, y_row, dot, n);
+            }
+        }
+        let d_rest = d_blocks.into_remainder().chunks_exact_mut(cols);
+        for ((d_row, y_row), &n) in d_rest.zip(y_rest.chunks_exact(cols)).zip(n_rest) {
+            let dot = dot(y_row, d_row);
+            through(d_row, y_row, dot, n);
+        }
+    }
+
+    #[inline(always)]
+    fn neighbors<'a>(row_ptr: &[u32], col_idx: &'a [u32], i: usize) -> &'a [u32] {
+        &col_idx[row_ptr[i] as usize..row_ptr[i + 1] as usize]
+    }
+
+    /// Columns a [`mean_agg`] row accumulates in registers at a time.
+    const AGG_BLOCK: usize = 16;
+
+    #[inline(always)]
+    pub fn mean_agg(row_ptr: &[u32], col_idx: &[u32], x: &[f32], cols: usize, out: &mut [f32]) {
+        if cols == 0 {
+            return;
+        }
+        for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
+            let nb = neighbors(row_ptr, col_idx, i);
+            if nb.is_empty() {
+                out_row.fill(0.0);
+                continue;
+            }
+            let inv = 1.0 / nb.len() as f32;
+            // Zero, then add every neighbor (never start from the first
+            // one: `0.0 + -0.0` is `+0.0`), then scale.
+            let mut blocks = out_row.chunks_exact_mut(AGG_BLOCK);
+            let mut c = 0;
+            for block in &mut blocks {
+                let mut acc = [0.0f32; AGG_BLOCK];
+                for &j in nb {
+                    let src = &x[j as usize * cols + c..][..AGG_BLOCK];
+                    for (a, &v) in acc.iter_mut().zip(src) {
+                        *a += v;
+                    }
+                }
+                for (o, a) in block.iter_mut().zip(acc) {
+                    *o = a * inv;
+                }
+                c += AGG_BLOCK;
+            }
+            for (o, c) in blocks.into_remainder().iter_mut().zip(c..) {
+                let mut acc = 0.0f32;
+                for &j in nb {
+                    acc += x[j as usize * cols + c];
+                }
+                *o = acc * inv;
+            }
+        }
+    }
+
+    #[inline(always)]
+    pub fn mean_agg_backward(
+        row_ptr: &[u32],
+        col_idx: &[u32],
+        d_out: &[f32],
+        cols: usize,
+        dx: &mut [f32],
+    ) {
+        dx.fill(0.0);
+        if cols == 0 {
+            return;
+        }
+        for (i, src) in d_out.chunks_exact(cols).enumerate() {
+            let nb = neighbors(row_ptr, col_idx, i);
+            if nb.is_empty() {
+                continue;
+            }
+            let inv = 1.0 / nb.len() as f32;
+            for &j in nb {
+                let dst = &mut dx[j as usize * cols..][..cols];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v * inv;
+                }
+            }
+        }
     }
 }
 
@@ -730,12 +1112,12 @@ mod avx2 {
     /// the lane reduction reassociate the sum relative to the scalar
     /// kernel — this is the one helper that is tolerance-compared, like
     /// the GEMM rows that call it.
+    ///
+    /// # Safety
+    /// AVX2 and FMA; `ap` and `bp` valid for `n` reads.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
+    unsafe fn dot(ap: *const f32, bp: *const f32, n: usize) -> f32 {
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
         let mut j = 0;
@@ -760,13 +1142,102 @@ mod avx2 {
         r
     }
 
-    /// One `A @ B^T` output row (dot product against every row of B).
+    /// [`dot`] of one A row against four consecutive B rows at once: each
+    /// output keeps `dot`'s own two-accumulator chain, but every load of A
+    /// feeds four FMAs, and the four lane reductions share one `hadd` tree
+    /// — `s_c = lo(v_c) + hi(v_c)`, then `hadd(hadd(s0, s1), hadd(s2, s3))`
+    /// adds, per output, `(l0+l4 + l1+l5) + (l2+l6 + l3+l7)`, which is
+    /// exactly [`hsum`]. Bit-identical to four `dot` calls.
+    ///
+    /// # Safety
+    /// AVX2 and FMA; `a` valid for `kd` reads, `b` for `4 * kd`, `out` for
+    /// four writes.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_t_row(a_row: &[f32], b: &[f32], out: &mut [f32]) {
-        let kd = a_row.len();
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = dot(a_row, b.get_unchecked(j * kd..(j + 1) * kd));
+    unsafe fn dot4(a: *const f32, b: *const f32, kd: usize, out: *mut f32) {
+        let rows = [b, b.add(kd), b.add(2 * kd), b.add(3 * kd)];
+        let mut acc0 = [_mm256_setzero_ps(); 4];
+        let mut acc1 = [_mm256_setzero_ps(); 4];
+        let mut j = 0;
+        while j + 2 * LANES <= kd {
+            let a0 = _mm256_loadu_ps(a.add(j));
+            let a1 = _mm256_loadu_ps(a.add(j + LANES));
+            for c in 0..4 {
+                acc0[c] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(rows[c].add(j)), acc0[c]);
+                acc1[c] = _mm256_fmadd_ps(a1, _mm256_loadu_ps(rows[c].add(j + LANES)), acc1[c]);
+            }
+            j += 2 * LANES;
         }
+        if j + LANES <= kd {
+            let a0 = _mm256_loadu_ps(a.add(j));
+            for c in 0..4 {
+                acc0[c] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(rows[c].add(j)), acc0[c]);
+            }
+            j += LANES;
+        }
+        let mut s = [_mm_setzero_ps(); 4];
+        for c in 0..4 {
+            let v = _mm256_add_ps(acc0[c], acc1[c]);
+            s[c] = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+        }
+        let sums = _mm_hadd_ps(_mm_hadd_ps(s[0], s[1]), _mm_hadd_ps(s[2], s[3]));
+        let mut r = [0.0f32; 4];
+        _mm_storeu_ps(r.as_mut_ptr(), sums);
+        while j < kd {
+            let av = *a.add(j);
+            for c in 0..4 {
+                r[c] = av.mul_add(*rows[c].add(j), r[c]);
+            }
+            j += 1;
+        }
+        _mm_storeu_ps(out, _mm_loadu_ps(r.as_ptr()));
+    }
+
+    /// `A @ B^T`, four output columns per pass ([`dot4`]); leftover
+    /// columns, and products too short for one vector of `k` (nothing to
+    /// share), take one [`dot`] each.
+    ///
+    /// # Safety
+    /// AVX2 and FMA; `a`, `b` and `out` valid for `m * kd`, `n * kd` and
+    /// `m * n` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn matmul_t(
+        (m, kd, n): (usize, usize, usize),
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+    ) {
+        let blocked = if kd < LANES { 0 } else { n - n % 4 };
+        for i in 0..m {
+            let a_row = a.add(i * kd);
+            let out_row = out.add(i * n);
+            for j in (0..blocked).step_by(4) {
+                dot4(a_row, b.add(j * kd), kd, out_row.add(j));
+            }
+            for j in blocked..n {
+                *out_row.add(j) = dot(a_row, b.add(j * kd), kd);
+            }
+        }
+    }
+
+    /// The `rows` loops compiled for AVX2 (and not FMA: nothing may fuse).
+    macro_rules! rows_avx2 {
+        ($($f:ident ( $($arg:ident : $ty:ty),* );)*) => {$(
+            /// # Safety
+            /// AVX2 on the running CPU.
+            #[target_feature(enable = "avx2")]
+            pub unsafe fn $f($($arg: $ty),*) {
+                super::rows::$f($($arg),*);
+            }
+        )*};
+    }
+
+    rows_avx2! {
+        relu_backward(x: &[f32], d: &mut [f32]);
+        l2_normalize_rows(data: &mut [f32], cols: usize, norms: Option<&mut [f32]>);
+        l2_normalize_rows_backward(y: &[f32], norms: &[f32], d: &mut [f32], cols: usize);
+        mean_agg(row_ptr: &[u32], col_idx: &[u32], x: &[f32], cols: usize, out: &mut [f32]);
+        mean_agg_backward(row_ptr: &[u32], col_idx: &[u32], d_out: &[f32], cols: usize, dx: &mut [f32]);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -927,6 +1398,101 @@ mod avx2 {
     }
 }
 
+/// `matmul_t` with one output *column* per lane: what AVX-512's 32
+/// registers buy a kernel that may not widen its reduction.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    pub const LANES: usize = 16;
+
+    /// `C` vectors (`16 * C` consecutive columns) of one output row, the
+    /// last `tail` lanes wide. `avx2::dot` assigns `k` to lane `k % 8` of
+    /// accumulator `k / 8 % 2`; here each of those sixteen partial sums is
+    /// a vector over the columns, `half[k / 8 % 2][k % 8]`, fed by a
+    /// broadcast of `a[k]` and row `k` of the transposed B (one broadcast
+    /// serves all `C` vectors). The two halves are then added, and the
+    /// eight sums folded, in `dot`'s order — `acc0 + acc1`, `lo + hi`,
+    /// `hadd`, `hadd` — and the `k % 8` tail follows as FMAs on the result,
+    /// so every lane holds what `dot` returns for its column, bit for bit.
+    ///
+    /// # Safety
+    /// AVX-512F; `a_row` valid for `kd` reads, `col` for `16 * C` reads at
+    /// each of `kd` row offsets `k * ld`, `out` for `16 * (C - 1) + tail`
+    /// writes.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // `c` selects a column vector, not an element
+    unsafe fn cols<const C: usize>(
+        (a_row, kd): (*const f32, usize),
+        (col, ld): (*const f32, usize),
+        out: *mut f32,
+        tail: usize,
+    ) {
+        let k16 = kd - kd % 16;
+        let k8 = kd - kd % 8;
+        let mut half = [[[_mm512_setzero_ps(); C]; 8]; 2];
+        for (h, acc) in half.iter_mut().enumerate() {
+            // A trailing 8-block belongs to the first accumulator alone.
+            let end = if h == 0 { k8 } else { k16 };
+            let mut k = 8 * h;
+            while k < end {
+                for (l, sums) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a_row.add(k + l));
+                    let b_row = col.add((k + l) * ld);
+                    for (c, x) in sums.iter_mut().enumerate() {
+                        *x = _mm512_fmadd_ps(av, _mm512_loadu_ps(b_row.add(LANES * c)), *x);
+                    }
+                }
+                k += 16;
+            }
+        }
+        for c in 0..C {
+            let v: [__m512; 8] =
+                std::array::from_fn(|l| _mm512_add_ps(half[0][l][c], half[1][l][c]));
+            let s: [__m512; 4] = std::array::from_fn(|l| _mm512_add_ps(v[l], v[l + 4]));
+            let mut r = _mm512_add_ps(_mm512_add_ps(s[0], s[1]), _mm512_add_ps(s[2], s[3]));
+            for k in k8..kd {
+                let av = _mm512_set1_ps(*a_row.add(k));
+                r = _mm512_fmadd_ps(av, _mm512_loadu_ps(col.add(k * ld + LANES * c)), r);
+            }
+            let lanes = if c + 1 == C { tail } else { LANES };
+            let mask = ((1u32 << lanes) - 1) as __mmask16;
+            _mm512_mask_storeu_ps(out.add(LANES * c), mask, r);
+        }
+    }
+
+    /// `A @ B^T` over `bt`, B transposed: `[kd, ld]` with `ld >= n` a
+    /// multiple of 16. Columns go three vectors at a time (24 accumulators
+    /// and a broadcast in flight), then what is left.
+    ///
+    /// # Safety
+    /// AVX-512F on the running CPU; `a`, `bt` and `out` valid for `m * kd`,
+    /// `kd * ld` and `m * n` elements; `ld % 16 == 0` and `ld >= n`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matmul_t(
+        (m, kd, n): (usize, usize, usize),
+        a: *const f32,
+        (bt, ld): (*const f32, usize),
+        out: *mut f32,
+    ) {
+        const GROUP: usize = 3 * LANES;
+        for i in 0..m {
+            let a_row = (a.add(i * kd), kd);
+            for j in (0..n).step_by(GROUP) {
+                let width = (n - j).min(GROUP);
+                let vecs = width.div_ceil(LANES);
+                let tail = width - (vecs - 1) * LANES;
+                let (col, o) = ((bt.add(j), ld), out.add(i * n + j));
+                match vecs {
+                    1 => cols::<1>(a_row, col, o, tail),
+                    2 => cols::<2>(a_row, col, o, tail),
+                    _ => cols::<3>(a_row, col, o, tail),
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1055,17 +1621,17 @@ mod tests {
             let a_row = rand_vec(k, &mut rng);
             let b = rand_vec(k * w, &mut rng); // [w, k] row-major
             let mut want = vec![0.0f32; w];
-            matmul_t_row(Kernel::Scalar, &a_row, &b, &mut want);
+            matmul_t(Kernel::Scalar, (1, k, w), &a_row, &b, &mut want);
             let mut simd: Vec<Vec<f32>> = Vec::new();
             for &kern in &backends()[1..] {
                 let mut got = vec![0.0f32; w];
-                matmul_t_row(kern, &a_row, &b, &mut got);
+                matmul_t(kern, (1, k, w), &a_row, &b, &mut got);
                 for (x, y) in got.iter().zip(&want) {
                     assert!((x - y).abs() <= 1e-5 * y.abs().max(1.0), "mmt {k}x{w}");
                 }
                 simd.push(got);
             }
-            // The lane reduction is 256-bit on every SIMD backend.
+            // The lane reduction has the 256-bit order on every SIMD backend.
             assert!(simd.windows(2).all(|p| p[0] == p[1]), "mmt {k}x{w}");
         }
     }

@@ -56,15 +56,16 @@ const PACK_MIN_ROWS: usize = 4;
 pub enum Activation {
     /// No nonlinearity.
     Identity,
-    /// `max(0, x)` — bit-identical to `layers::relu` (negative zero is
+    /// `max(0, x)` — bit-identical to `layers::relu_inplace` (negative zero is
     /// preserved, matching its `v < 0.0` test).
     Relu,
 }
 
-/// A reusable buffer arena for the allocation-free inference path: layers
-/// `take` correctly-shaped zeroed matrices and `put` them back when done,
-/// so a batched forward touches the allocator only while warming up. One
-/// extra buffer backs the matmul panel packing.
+/// A reusable buffer arena for the allocation-free inference path and
+/// training step: layers `take` correctly-shaped zeroed matrices and `put`
+/// them back when done, so a batched forward — or an epoch of backprop —
+/// touches the allocator only while warming up. One extra buffer backs the
+/// matmul panel packing.
 #[derive(Debug, Default)]
 pub struct Scratch {
     free: Vec<Vec<f32>>,
@@ -90,6 +91,16 @@ impl Scratch {
     /// only the buffer is kept).
     pub fn put(&mut self, m: Matrix) {
         self.free.push(m.data);
+    }
+
+    /// [`Scratch::take`] for a plain vector (bias gradients, row norms).
+    pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
+        self.take(1, len).data
+    }
+
+    /// [`Scratch::put`] for a plain vector.
+    pub fn put_vec(&mut self, v: Vec<f32>) {
+        self.free.push(v);
     }
 
     /// Buffers at rest in the arena. A forward pass that `put`s back
@@ -274,22 +285,38 @@ impl Matrix {
         self.t_matmul_with(simd::kernel(), b)
     }
 
-    /// [`Matrix::t_matmul`] on an explicit kernel backend: the same
-    /// kernel as [`Matrix::matmul_into_with`], reading `self` through
-    /// swapped strides.
+    /// [`Matrix::t_matmul`] written into `out` (every element overwritten):
+    /// the training step's weight gradients land in arena buffers.
+    pub fn t_matmul_into(&self, b: &Matrix, out: &mut Matrix) {
+        self.t_matmul_kernel(simd::kernel(), b, out);
+    }
+
+    /// [`Matrix::t_matmul`] on an explicit kernel backend.
     pub fn t_matmul_with(&self, kern: Kernel, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, b.cols);
+        self.t_matmul_kernel(kern, b, &mut out);
+        out
+    }
+
+    /// The same kernel as [`Matrix::matmul_into_with`], reading `self`
+    /// through swapped strides.
+    fn t_matmul_kernel(&self, kern: Kernel, b: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, b.rows, "t_matmul shape mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, b.cols),
+            "t_matmul out shape mismatch"
+        );
         self.assert_dense("t_matmul lhs");
         b.assert_dense("t_matmul rhs");
+        out.assert_dense("t_matmul out");
         let (k, m, n) = (self.rows, self.cols, b.cols);
-        let mut out = Matrix::zeros(m, n);
         let a = Strided {
             data: &self.data,
             row_stride: 1,
             k_stride: m,
         };
         simd::gemm(kern, (m, k, n), a, (&b.data, n), (&mut out.data, n));
-        out
     }
 
     /// `self @ b^T` — `[m,k] x [n,k]^T -> [m,n]` (gradient of inputs).
@@ -299,8 +326,9 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul_t`] written into `out` (the attention score path
-    /// runs this over scratch buffers instead of allocating per head).
+    /// [`Matrix::matmul_t`] written into `out`, every element overwritten
+    /// (the backward pass and the attention score path run this over
+    /// scratch buffers instead of allocating).
     pub fn matmul_t_into(&self, b: &Matrix, out: &mut Matrix) {
         self.matmul_t_into_with(simd::kernel(), b, out);
     }
@@ -316,9 +344,8 @@ impl Matrix {
         self.assert_dense("matmul_t lhs");
         b.assert_dense("matmul_t rhs");
         out.assert_dense("matmul_t out");
-        for i in 0..self.rows {
-            simd::matmul_t_row(kern, self.row(i), &b.data, out.row_mut(i));
-        }
+        let dims = (self.rows, self.cols, b.rows);
+        simd::matmul_t(kern, dims, &self.data, &b.data, &mut out.data);
     }
 
     /// Element-wise in-place addition.
@@ -369,12 +396,20 @@ impl Matrix {
 
     /// Column-wise sums (bias gradient; also the sum-over-nodes pooling).
     pub fn col_sums(&self) -> Vec<f32> {
-        let kern = simd::kernel();
         let mut out = vec![0.0f32; self.cols];
-        for i in 0..self.rows {
-            simd::add_slice(kern, &mut out, self.row(i));
-        }
+        self.col_sums_into(&mut out);
         out
+    }
+
+    /// [`Matrix::col_sums`] written into `out`: zeroed, then the rows added
+    /// in order.
+    pub fn col_sums_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols);
+        let kern = simd::kernel();
+        out.fill(0.0);
+        for i in 0..self.rows {
+            simd::add_slice(kern, out, self.row(i));
+        }
     }
 
     /// Frobenius norm.
@@ -518,7 +553,8 @@ mod tests {
         let mut ident = x.clone();
         ident.bias_act(&bias, Activation::Identity);
         assert_eq!(ident, with_bias);
-        let relued = crate::layers::relu(&with_bias);
+        let mut relued = with_bias.clone();
+        crate::layers::relu_inplace(&mut relued);
         let mut fused = x.clone();
         fused.bias_act(&bias, Activation::Relu);
         assert_eq!(fused, relued);

@@ -2,7 +2,7 @@
 
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{
-    l2_normalize_rows, Adam, Csr, LinearRegression, Matrix, RegressionTree, TreeConfig,
+    l2_normalize_rows_inplace, Adam, Csr, LinearRegression, Matrix, RegressionTree, TreeConfig,
 };
 use proptest::prelude::*;
 
@@ -46,9 +46,10 @@ proptest! {
     /// L2 row normalization is idempotent.
     #[test]
     fn l2_norm_idempotent(seed in any::<u64>()) {
-        let x = rand_matrix(6, 5, seed);
-        let (y1, _) = l2_normalize_rows(&x);
-        let (y2, _) = l2_normalize_rows(&y1);
+        let mut y1 = rand_matrix(6, 5, seed);
+        l2_normalize_rows_inplace(&mut y1, None);
+        let mut y2 = y1.clone();
+        l2_normalize_rows_inplace(&mut y2, None);
         for (a, b) in y1.data.iter().zip(&y2.data) {
             prop_assert!((a - b).abs() < 1e-5);
         }
@@ -67,7 +68,8 @@ proptest! {
         }
         let csr = Csr::from_edges(n, &edges);
         let x = rand_matrix(n, 3, seed);
-        let agg = csr.mean_agg(&x);
+        let mut agg = Matrix::zeros(n, 3);
+        csr.mean_agg_into(&x, &mut agg);
         for i in 0..n {
             for c in 0..3 {
                 let want: f32 = (0..n)

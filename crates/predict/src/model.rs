@@ -12,8 +12,8 @@
 use crate::features::{GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM};
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{
-    layers::mse_loss, relu, relu_backward, Activation, Adam, Csr, Dropout, Linear, LinearGrad,
-    Matrix, SageGrad, SageLayer, Scratch,
+    layers::mse_loss, relu_backward_inplace, relu_inplace, sage::SageCache, Activation, Adam, Csr,
+    Dropout, Linear, LinearGrad, Matrix, SageGrad, SageLayer, Scratch,
 };
 use serde::{Deserialize, Serialize};
 
@@ -137,6 +137,15 @@ pub struct HeadCache {
     a2: Matrix,
 }
 
+impl HeadCache {
+    /// Return every matrix to the arena the forward drew them from.
+    pub(crate) fn recycle(self, scratch: &mut Scratch) {
+        for m in [self.x, self.z1, self.a1_drop, self.z2, self.a2] {
+            scratch.put(m);
+        }
+    }
+}
+
 /// Head gradients.
 #[derive(Debug, Clone)]
 pub struct HeadGrad {
@@ -171,6 +180,13 @@ impl HeadGrad {
         self.d2.scale(s);
         self.d3.scale(s);
     }
+
+    /// Return every buffer to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        self.d1.recycle(scratch);
+        self.d2.recycle(scratch);
+        self.d3.recycle(scratch);
+    }
 }
 
 impl Head {
@@ -182,26 +198,36 @@ impl Head {
         }
     }
 
+    /// Training forward over the embedding `x` (a `scratch` buffer the
+    /// cache takes over), every intermediate drawn from `scratch`.
     pub(crate) fn forward(
         &self,
         x: Matrix,
         dropout: f64,
         rng: Option<&mut Rng64>,
+        scratch: &mut Scratch,
     ) -> (f32, HeadCache) {
-        let z1 = self.l1.forward(&x);
-        let a1 = relu(&z1);
-        let (a1_drop, mask) = match rng {
-            Some(r) if dropout > 0.0 => {
-                let d = Dropout { p: dropout };
-                let (y, m) = d.forward_train(&a1, r);
-                (y, Some(m))
-            }
-            _ => (a1, None),
+        // A pre-activation on the fused GEMM+bias kernel, and its ReLU on
+        // a copy: the backward pass needs both.
+        let mut layer = |l: &Linear, x: &Matrix| {
+            let mut z = scratch.take(x.rows, l.w.cols);
+            l.forward_into(x, Activation::Identity, &mut z, scratch.pack_buf());
+            let mut a = scratch.take(z.rows, z.cols);
+            a.data.copy_from_slice(&z.data);
+            relu_inplace(&mut a);
+            (z, a)
         };
-        let z2 = self.l2.forward(&a1_drop);
-        let a2 = relu(&z2);
-        let out = self.l3.forward(&a2);
+        let (z1, mut a1_drop) = layer(&self.l1, &x);
+        let mask = match rng {
+            Some(r) if dropout > 0.0 => Some(Dropout { p: dropout }.forward_train(&mut a1_drop, r)),
+            _ => None,
+        };
+        let (z2, a2) = layer(&self.l2, &a1_drop);
+        let mut out = scratch.take(a2.rows, 1);
+        self.l3
+            .forward_into(&a2, Activation::Identity, &mut out, scratch.pack_buf());
         let pred = out.get(0, 0);
+        scratch.put(out);
         (
             pred,
             HeadCache {
@@ -235,22 +261,34 @@ impl Head {
         pred
     }
 
+    /// Backward from the loss gradient `d_pred`; returns the embedding
+    /// gradient and the head's parameter gradients, all in `scratch`
+    /// buffers.
     pub(crate) fn backward(
         &self,
         cache: &HeadCache,
         d_pred: f32,
         dropout: f64,
+        scratch: &mut Scratch,
     ) -> (Matrix, HeadGrad) {
-        let dy = Matrix::from_rows(1, 1, vec![d_pred]);
-        let (d_a2, d3) = self.l3.backward(&cache.a2, &dy);
-        let d_z2 = relu_backward(&cache.z2, &d_a2);
-        let (d_a1drop, d2) = self.l2.backward(&cache.a1_drop, &d_z2);
-        let d_a1 = match &cache.mask {
-            Some(m) => Dropout { p: dropout }.backward(m, &d_a1drop),
-            None => d_a1drop,
+        let mut dy = scratch.take(1, 1);
+        dy.set(0, 0, d_pred);
+        // Both halves of one linear layer's backward; `dy` is spent.
+        let mut through = |l: &Linear, x: &Matrix, dy: Matrix| {
+            let mut dx = scratch.take(dy.rows, l.w.rows);
+            l.input_grad_into(&dy, &mut dx);
+            let grad = Linear::param_grad(x, &dy, scratch);
+            scratch.put(dy);
+            (dx, grad)
         };
-        let d_z1 = relu_backward(&cache.z1, &d_a1);
-        let (d_x, d1) = self.l1.backward(&cache.x, &d_z1);
+        let (mut d_z2, d3) = through(&self.l3, &cache.a2, dy);
+        relu_backward_inplace(&cache.z2, &mut d_z2);
+        let (mut d_z1, d2) = through(&self.l2, &cache.a1_drop, d_z2);
+        if let Some(m) = &cache.mask {
+            Dropout { p: dropout }.backward(m, &mut d_z1);
+        }
+        relu_backward_inplace(&cache.z1, &mut d_z1);
+        let (d_x, d1) = through(&self.l1, &cache.x, d_z1);
         (d_x, HeadGrad { d1, d2, d3 })
     }
 }
@@ -374,9 +412,7 @@ impl<'de> Deserialize<'de> for NnlpModel {
 
 /// Per-sample caches for the backward pass.
 pub struct ForwardCache {
-    sage: Vec<nnlqp_nn::sage::SageCache>,
-    layer_inputs_rows: usize,
-    pooled_no_static: Vec<f32>,
+    sage: Vec<SageCache>,
     head: HeadCache,
     head_idx: usize,
 }
@@ -399,6 +435,14 @@ impl NnlpGrads {
             head: HeadGrad::zeros_like(&m.heads[head_idx]),
             head_idx,
         }
+    }
+
+    /// Return every buffer to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        for g in self.sage {
+            g.recycle(scratch);
+        }
+        self.head.recycle(scratch);
     }
 }
 
@@ -446,8 +490,26 @@ impl NnlpModel {
         self.heads.len() - 1
     }
 
+    /// Factor applied to the pooled node embeddings. Sum pooling (Eq. 5)
+    /// keeps graph-size information, but its magnitude grows with node
+    /// count, which mis-conditions the Kaiming-initialized head; a fixed
+    /// scale restores unit-order inputs without losing the size signal.
+    fn pool_scale(&self, n_nodes: usize) -> f32 {
+        if self.cfg.mean_pool {
+            1.0 / n_nodes.max(1) as f32
+        } else {
+            SUM_POOL_SCALE
+        }
+    }
+
+    /// Width of the graph (non-static) part of the embedding.
+    fn graph_dim(&self) -> usize {
+        self.cfg.embedding_dim() - if self.cfg.use_static { STATIC_DIM } else { 0 }
+    }
+
     /// Forward pass on *normalized* inputs. `rng` enables dropout
     /// (training mode). Returns the prediction in `ln(1+ms)` space.
+    /// [`NnlpModel::loss_and_grads`]'s forward over a private arena.
     pub fn forward(
         &self,
         nodes: &Matrix,
@@ -456,120 +518,179 @@ impl NnlpModel {
         head_idx: usize,
         rng: Option<&mut Rng64>,
     ) -> (f32, ForwardCache) {
-        let mut caches = Vec::new();
-        let pooled_no_static: Vec<f32> = if !self.cfg.use_node_feats {
-            Vec::new()
-        } else {
-            let mut h = nodes.clone();
-            if self.cfg.use_gnn {
-                for layer in &self.sage {
-                    let (out, cache) = layer.forward(&h, adj);
-                    caches.push(cache);
-                    h = out;
-                }
-            }
-            let mut pooled = h.col_sums();
-            // Sum pooling (Eq. 5) keeps graph-size information, but its
-            // magnitude grows with node count, which mis-conditions the
-            // Kaiming-initialized head; a fixed scale restores unit-order
-            // inputs without losing the size signal.
-            let inv = if self.cfg.mean_pool {
-                1.0 / h.rows.max(1) as f32
-            } else {
-                SUM_POOL_SCALE
-            };
-            for v in &mut pooled {
-                *v *= inv;
-            }
-            pooled
-        };
-        let mut emb = pooled_no_static.clone();
-        if self.cfg.use_static {
-            emb.extend_from_slice(stat);
-        }
-        let x = Matrix::from_rows(1, emb.len(), emb);
-        let (pred, head_cache) = self.heads[head_idx].forward(x, self.cfg.dropout, rng);
-        (
-            pred,
-            ForwardCache {
-                sage: caches,
-                layer_inputs_rows: nodes.rows,
-                pooled_no_static,
-                head: head_cache,
-                head_idx,
-            },
-        )
+        self.forward_in(nodes, adj, stat, head_idx, rng, &mut Scratch::new())
     }
 
-    /// Backward pass; `d_pred` is the loss gradient wrt the scalar output.
-    pub fn backward(&self, cache: &ForwardCache, d_pred: f32, adj: &Csr) -> NnlpGrads {
-        let (d_emb, head_grad) =
-            self.heads[cache.head_idx].backward(&cache.head, d_pred, self.cfg.dropout);
-        // Split off the static part (no parameters behind it).
-        let graph_dim = cache.pooled_no_static.len();
-        let mut sage_grads: Vec<SageGrad> = Vec::new();
-        if self.cfg.use_node_feats && self.cfg.use_gnn && !self.sage.is_empty() {
-            // Un-pool: sum pooling broadcasts the gradient to every node.
-            let n = cache.layer_inputs_rows;
-            let scale = if self.cfg.mean_pool {
-                1.0 / n as f32
-            } else {
-                SUM_POOL_SCALE
-            };
-            let mut d_h = Matrix::from_fn(n, graph_dim, |_, j| d_emb.get(0, j) * scale);
-            // Walk the SAGE stack backwards. The first layer's input is
-            // the node features: nothing upstream wants its gradient.
-            for (i, (layer, c)) in self.sage.iter().zip(&cache.sage).enumerate().rev() {
-                let (d_pre, g) = layer.param_grads(c, &d_h);
-                sage_grads.push(g);
-                if i > 0 {
-                    d_h = layer.input_grad(&d_pre, adj);
+    /// [`NnlpModel::forward`] with every intermediate, and the cache,
+    /// drawn from `scratch`. Layer `i`'s input is layer `i - 1`'s cached
+    /// output (or `nodes`), borrowed rather than copied.
+    fn forward_in(
+        &self,
+        nodes: &Matrix,
+        adj: &Csr,
+        stat: &[f32; STATIC_DIM],
+        head_idx: usize,
+        rng: Option<&mut Rng64>,
+        scratch: &mut Scratch,
+    ) -> (f32, ForwardCache) {
+        let mut caches: Vec<SageCache> = Vec::with_capacity(self.sage.len());
+        let graph_dim = self.graph_dim();
+        let mut x = scratch.take(1, self.cfg.embedding_dim());
+        if self.cfg.use_node_feats {
+            if self.cfg.use_gnn {
+                for layer in &self.sage {
+                    let input = caches.last().map_or(nodes, SageCache::output);
+                    let cache = layer.forward(input, adj, scratch);
+                    caches.push(cache);
                 }
             }
+            let h = caches.last().map_or(nodes, SageCache::output);
+            let pooled = &mut x.data[..graph_dim];
+            h.col_sums_into(pooled);
+            let inv = self.pool_scale(h.rows);
+            for v in pooled {
+                *v *= inv;
+            }
+        }
+        if self.cfg.use_static {
+            x.data[graph_dim..].copy_from_slice(stat);
+        }
+        let (pred, head) = self.heads[head_idx].forward(x, self.cfg.dropout, rng, scratch);
+        let cache = ForwardCache {
+            sage: caches,
+            head,
+            head_idx,
+        };
+        (pred, cache)
+    }
+
+    /// Backward pass; `d_pred` is the loss gradient wrt the scalar output,
+    /// `nodes` and `adj` what the forward saw. The cache's buffers go back
+    /// to `scratch`; the gradients' come out of it
+    /// ([`NnlpGrads::recycle`]).
+    pub fn backward(
+        &self,
+        cache: ForwardCache,
+        d_pred: f32,
+        nodes: &Matrix,
+        adj: &Csr,
+        scratch: &mut Scratch,
+    ) -> NnlpGrads {
+        let head_idx = cache.head_idx;
+        let (d_emb, head_grad) =
+            self.heads[head_idx].backward(&cache.head, d_pred, self.cfg.dropout, scratch);
+        cache.head.recycle(scratch);
+        let mut caches = cache.sage;
+        let mut sage_grads: Vec<SageGrad> = Vec::with_capacity(caches.len());
+        if !caches.is_empty() {
+            // Un-pool: sum pooling broadcasts the gradient to every node
+            // (the static part of `d_emb` has no parameters behind it).
+            let n = nodes.rows;
+            let graph_dim = self.graph_dim();
+            let scale = self.pool_scale(n);
+            let mut d_h = scratch.take(n, graph_dim);
+            for row in d_h.data.chunks_exact_mut(graph_dim.max(1)) {
+                for (d, &e) in row.iter_mut().zip(&d_emb.data) {
+                    *d = e * scale;
+                }
+            }
+            // Walk the SAGE stack backwards. The first layer's input is
+            // the node features: nothing upstream wants its gradient.
+            while let Some(c) = caches.pop() {
+                let i = caches.len();
+                let layer = &self.sage[i];
+                let input = caches.last().map_or(nodes, SageCache::output);
+                let (d_pre, g) = layer.param_grads(input, &c, d_h, scratch);
+                sage_grads.push(g);
+                c.recycle(scratch);
+                d_h = if i > 0 {
+                    let dx = layer.input_grad(&d_pre, adj, scratch);
+                    scratch.put(d_pre);
+                    dx
+                } else {
+                    d_pre
+                };
+            }
+            scratch.put(d_h);
             sage_grads.reverse();
         }
+        scratch.put(d_emb);
         NnlpGrads {
             sage: sage_grads,
             head: head_grad,
-            head_idx: cache.head_idx,
+            head_idx,
         }
     }
 
+    /// Backbone and pooling on the inference kernels over already
+    /// *normalized* inputs: the shared graph embedding (`f(;alpha)` in the
+    /// paper, static features appended), every intermediate drawn from
+    /// `scratch`.
+    fn embed_normalized(
+        &self,
+        nodes: &Matrix,
+        adj: &Csr,
+        stat: &[f32; STATIC_DIM],
+        scratch: &mut Scratch,
+    ) -> Vec<f32> {
+        let mut emb: Vec<f32> = if !self.cfg.use_node_feats {
+            Vec::new()
+        } else {
+            let mut h: Option<Matrix> = None;
+            if self.cfg.use_gnn {
+                for layer in &self.sage {
+                    let next = layer.forward_eval(h.as_ref().unwrap_or(nodes), adj, scratch);
+                    if let Some(prev) = h.replace(next) {
+                        scratch.put(prev);
+                    }
+                }
+            }
+            let last = h.as_ref().unwrap_or(nodes);
+            let mut pooled = last.col_sums();
+            let inv = self.pool_scale(last.rows);
+            for v in &mut pooled {
+                *v *= inv;
+            }
+            if let Some(h) = h {
+                scratch.put(h);
+            }
+            pooled
+        };
+        if self.cfg.use_static {
+            emb.extend_from_slice(stat);
+        }
+        emb
+    }
+
+    /// Latency in milliseconds for one already *normalized* sample, on
+    /// the inference kernels — what evaluation loops over a dataset run.
+    pub(crate) fn predict_normalized_ms(
+        &self,
+        nodes: &Matrix,
+        adj: &Csr,
+        stat: &[f32; STATIC_DIM],
+        head_idx: usize,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let emb = self.embed_normalized(nodes, adj, stat, scratch);
+        self.head_eval_with(&emb, head_idx, scratch)
+    }
+
     /// The expensive half of a prediction: normalize the raw features, run
-    /// the GNN backbone and pool into the shared graph embedding
-    /// (`f(;alpha)` in the paper, static features appended), drawing every
-    /// intermediate from `scratch`. The cheap half is
+    /// the GNN backbone and pool into the shared graph embedding, drawing
+    /// every intermediate from `scratch`. The cheap half is
     /// [`NnlpModel::head_eval_with`]; composed they reproduce the training
     /// path's forward bit for bit.
     pub fn embed_with(&self, feats: &GraphFeatures, scratch: &mut Scratch) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
-        let mut emb: Vec<f32> = if !self.cfg.use_node_feats {
-            Vec::new()
-        } else {
-            let mut h = scratch.take(feats.nodes.rows, feats.nodes.cols);
-            self.norm.normalize_nodes_into(&feats.nodes, &mut h);
-            if self.cfg.use_gnn {
-                for layer in &self.sage {
-                    let next = layer.forward_eval(&h, &feats.adj, scratch);
-                    scratch.put(h);
-                    h = next;
-                }
-            }
-            let mut pooled = h.col_sums();
-            let inv = if self.cfg.mean_pool {
-                1.0 / h.rows.max(1) as f32
-            } else {
-                SUM_POOL_SCALE
-            };
-            scratch.put(h);
-            for v in &mut pooled {
-                *v *= inv;
-            }
-            pooled
-        };
-        if self.cfg.use_static {
-            emb.extend_from_slice(&stat);
+        if !self.cfg.use_node_feats {
+            // The node features go unread: nothing to normalize.
+            return self.embed_normalized(&feats.nodes, &feats.adj, &stat, scratch);
         }
+        let mut nodes = scratch.take(feats.nodes.rows, feats.nodes.cols);
+        self.norm.normalize_nodes_into(&feats.nodes, &mut nodes);
+        let emb = self.embed_normalized(&nodes, &feats.adj, &stat, scratch);
+        scratch.put(nodes);
         emb
     }
 
@@ -613,7 +734,12 @@ impl NnlpModel {
             .collect()
     }
 
-    /// One training loss evaluation (log-space MSE) with gradients.
+    /// One training loss evaluation (log-space MSE) with gradients: a
+    /// forward and a backward whose every intermediate comes out of
+    /// `scratch` and goes back into it; so do the returned gradients'
+    /// buffers, once the caller is done with them
+    /// ([`NnlpGrads::recycle`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn loss_and_grads(
         &self,
         nodes: &Matrix,
@@ -622,10 +748,11 @@ impl NnlpModel {
         target_log: f32,
         head_idx: usize,
         rng: &mut Rng64,
+        scratch: &mut Scratch,
     ) -> (f64, NnlpGrads) {
-        let (pred, cache) = self.forward(nodes, adj, stat, head_idx, Some(rng));
+        let (pred, cache) = self.forward_in(nodes, adj, stat, head_idx, Some(rng), scratch);
         let (loss, grad) = mse_loss(&[pred], &[target_log]);
-        let grads = self.backward(&cache, grad[0], adj);
+        let grads = self.backward(cache, grad[0], nodes, adj, scratch);
         (loss, grads)
     }
 
@@ -756,7 +883,9 @@ mod tests {
             let nodes = m.norm.normalize_nodes(&feats.nodes);
             let stat = m.norm.normalize_stat(&feats.stat);
             let mut rng = Rng64::new(81);
-            let (loss, grads) = m.loss_and_grads(&nodes, &feats.adj, &stat, 1.0, 0, &mut rng);
+            let mut scratch = Scratch::new();
+            let (loss, grads) =
+                m.loss_and_grads(&nodes, &feats.adj, &stat, 1.0, 0, &mut rng, &mut scratch);
             assert!(loss.is_finite());
             assert_eq!(grads.sage.len(), m.sage.len());
         }
@@ -773,13 +902,17 @@ mod tests {
         let target = 2.5f32;
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(82);
-        let (first, _) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let mut scratch = Scratch::new();
+        let mut step = |m: &NnlpModel| {
+            m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng, &mut scratch)
+        };
+        let (first, _) = step(&m);
         for _ in 0..100 {
-            let (_, g) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+            let (_, g) = step(&m);
             opt.begin_step();
             m.apply_grads(&g, &mut opt);
         }
-        let (last, _) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let (last, _) = step(&m);
         assert!(last < first * 0.05, "loss {first} -> {last}");
     }
 
@@ -797,19 +930,27 @@ mod tests {
         let stat = m.norm.normalize_stat(&feats.stat);
         let target = 1.0f32;
         let mut rng = Rng64::new(83);
-        let (_, grads) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let mut scratch = Scratch::new();
+        let (_, grads) =
+            m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng, &mut scratch);
 
-        // `backward` never computes the first layer's input gradient. The
-        // parameter gradients must not notice: walk the stack again with
-        // the full per-layer backward and compare bit for bit.
+        // `backward` runs out of an arena and never computes the first
+        // layer's input gradient. The parameter gradients must not notice:
+        // walk the stack again with the full, allocating per-layer
+        // backward and compare bit for bit.
         let (pred, cache) = m.forward(&nodes, &feats.adj, &stat, 0, None);
         let d_pred = mse_loss(&[pred], &[target]).1[0];
-        let (d_emb, _) = m.heads[0].backward(&cache.head, d_pred, 0.0);
+        let (d_emb, _) = m.heads[0].backward(&cache.head, d_pred, 0.0, &mut Scratch::new());
         let mut d_h = Matrix::from_fn(nodes.rows, m.cfg.hidden, |_, j| {
             d_emb.get(0, j) * SUM_POOL_SCALE
         });
         for (i, (layer, c)) in m.sage.iter().zip(&cache.sage).enumerate().rev() {
-            let (dx, full) = layer.backward(c, &d_h, &feats.adj);
+            let input = if i == 0 {
+                &nodes
+            } else {
+                cache.sage[i - 1].output()
+            };
+            let (dx, full) = layer.backward(input, c, &d_h, &feats.adj);
             assert_eq!(dx.rows, nodes.rows);
             for (got, want) in [
                 (&grads.sage[i].d_w1, &full.d_w1),

@@ -107,7 +107,7 @@ impl QuantSageLayer {
         if self.relu {
             relu_inplace(&mut out);
         }
-        l2_normalize_rows_inplace(&mut out);
+        l2_normalize_rows_inplace(&mut out, None);
         out
     }
 }
@@ -169,7 +169,7 @@ impl QuantAttnLayer {
         if self.relu {
             relu_inplace(&mut out);
         }
-        l2_normalize_rows_inplace(&mut out);
+        l2_normalize_rows_inplace(&mut out, None);
         out
     }
 }

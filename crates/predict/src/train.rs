@@ -1,15 +1,15 @@
 //! Dataset assembly and the training loops (Algorithm 1).
 //!
 //! Mini-batch training per §8.1: batch size 16, Adam at lr 1e-3, average
-//! batch loss backpropagated. Per-sample gradients are computed in
-//! parallel with rayon (the model is borrowed immutably), summed, then
-//! applied in one optimizer step — numerically identical to sequential
-//! batch accumulation.
+//! batch loss backpropagated. Per-sample gradients are computed one after
+//! another on the calling thread (the model is borrowed immutably), each
+//! forward and backward out of one [`Scratch`] arena held for the whole
+//! call, summed in sample order, then applied in one optimizer step.
 
 use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
-use crate::model::{NnlpGrads, NnlpModel};
+use crate::model::{HeadGrad, NnlpModel};
 use nnlqp_ir::{Graph, Rng64};
-use nnlqp_nn::{Adam, Csr, Matrix};
+use nnlqp_nn::{Adam, Csr, Matrix, SageGrad, Scratch};
 use rayon::prelude::*;
 
 /// One training/evaluation sample with pre-normalized features.
@@ -124,52 +124,69 @@ pub fn train(model: &mut NnlpModel, samples: &[Sample], cfg: TrainConfig) -> Tra
     let mut rng = Rng64::new(cfg.seed);
     let mut epoch_loss = Vec::with_capacity(cfg.epochs);
 
+    // One arena for the whole call: after the first few samples a step
+    // allocates nothing. A parallel-for would hold one per worker; the
+    // sums below are ordered by this loop, not by who computed a sample.
+    let mut scratch = Scratch::new();
+    let mut head_acc: Vec<Option<HeadGrad>> = model.heads.iter().map(|_| None).collect();
+
     for epoch in 0..cfg.epochs {
         rng.shuffle(&mut order);
         let mut total = 0.0f64;
         for (bi, batch) in order.chunks(cfg.batch_size).enumerate() {
-            // Per-sample (loss, grads) in parallel; the model is immutable.
-            let results: Vec<(f64, NnlpGrads)> = batch
-                .par_iter()
-                .map(|&si| {
-                    let s = &samples[si];
-                    let mut srng = Rng64::new(
-                        cfg.seed ^ ((epoch as u64) << 40) ^ ((bi as u64) << 20) ^ si as u64,
-                    );
-                    model.loss_and_grads(&s.nodes, &s.adj, &s.stat, s.target_log, s.head, &mut srng)
-                })
-                .collect();
-
-            // Accumulate: shared backbone over the whole batch; heads per
-            // platform.
-            let inv = 1.0 / batch.len() as f32;
-            let mut acc: Option<NnlpGrads> = None;
-            let mut head_acc: std::collections::HashMap<usize, crate::model::HeadGrad> =
-                std::collections::HashMap::new();
-            for (loss, g) in results {
+            // Accumulate in sample order: the shared backbone over the
+            // whole batch, heads per platform. The first gradient *is* the
+            // accumulator (`acc = g0; acc += g1; ..`).
+            let mut backbone: Option<Vec<SageGrad>> = None;
+            for &si in batch {
+                let s = &samples[si];
+                let mut srng =
+                    Rng64::new(cfg.seed ^ ((epoch as u64) << 40) ^ ((bi as u64) << 20) ^ si as u64);
+                let (loss, g) = model.loss_and_grads(
+                    &s.nodes,
+                    &s.adj,
+                    &s.stat,
+                    s.target_log,
+                    s.head,
+                    &mut srng,
+                    &mut scratch,
+                );
                 total += loss;
-                head_acc
-                    .entry(g.head_idx)
-                    .and_modify(|hg| hg.add_assign(&g.head))
-                    .or_insert_with(|| g.head.clone());
-                match &mut acc {
-                    None => acc = Some(g),
-                    Some(a) => {
-                        for (sa, sg) in a.sage.iter_mut().zip(&g.sage) {
-                            sa.add_assign(sg);
+                match &mut head_acc[g.head_idx] {
+                    Some(acc) => {
+                        acc.add_assign(&g.head);
+                        g.head.recycle(&mut scratch);
+                    }
+                    slot => *slot = Some(g.head),
+                }
+                match &mut backbone {
+                    None => backbone = Some(g.sage),
+                    Some(acc) => {
+                        for (sa, sg) in acc.iter_mut().zip(g.sage) {
+                            sa.add_assign(&sg);
+                            sg.recycle(&mut scratch);
                         }
                     }
                 }
             }
-            let Some(mut a) = acc else { continue };
-            for sg in &mut a.sage {
+            let Some(mut backbone) = backbone else {
+                continue;
+            };
+            let inv = 1.0 / batch.len() as f32;
+            for sg in &mut backbone {
                 sg.scale(inv);
             }
             opt.begin_step();
-            apply_backbone(model, &a, &mut opt);
-            for (head_idx, mut hg) in head_acc {
-                hg.scale(inv);
-                apply_head(model, head_idx, &hg, &mut opt);
+            apply_backbone(model, &backbone, &mut opt);
+            for sg in backbone {
+                sg.recycle(&mut scratch);
+            }
+            for (head_idx, slot) in head_acc.iter_mut().enumerate() {
+                if let Some(mut hg) = slot.take() {
+                    hg.scale(inv);
+                    apply_head(model, head_idx, &hg, &mut opt);
+                    hg.recycle(&mut scratch);
+                }
             }
         }
         epoch_loss.push(total / samples.len() as f64);
@@ -177,8 +194,8 @@ pub fn train(model: &mut NnlpModel, samples: &[Sample], cfg: TrainConfig) -> Tra
     TrainReport { epoch_loss }
 }
 
-fn apply_backbone(model: &mut NnlpModel, grads: &NnlpGrads, opt: &mut Adam) {
-    for (i, (layer, g)) in model.sage.iter_mut().zip(&grads.sage).enumerate() {
+fn apply_backbone(model: &mut NnlpModel, grads: &[SageGrad], opt: &mut Adam) {
+    for (i, (layer, g)) in model.sage.iter_mut().zip(grads).enumerate() {
         let base = 100 + (i as u64) * 8;
         opt.update(base, &mut layer.w1.w.data, &g.d_w1.dw.data);
         opt.update(base + 1, &mut layer.w1.b, &g.d_w1.db);
@@ -187,7 +204,7 @@ fn apply_backbone(model: &mut NnlpModel, grads: &NnlpGrads, opt: &mut Adam) {
     }
 }
 
-fn apply_head(model: &mut NnlpModel, head_idx: usize, hg: &crate::model::HeadGrad, opt: &mut Adam) {
+fn apply_head(model: &mut NnlpModel, head_idx: usize, hg: &HeadGrad, opt: &mut Adam) {
     let head = &mut model.heads[head_idx];
     let base = 10_000 + (head_idx as u64) * 8;
     opt.update(base, &mut head.l1.w.data, &hg.d1.dw.data);
@@ -198,14 +215,13 @@ fn apply_head(model: &mut NnlpModel, head_idx: usize, hg: &crate::model::HeadGra
     opt.update(base + 5, &mut head.l3.b, &hg.d3.db);
 }
 
-/// Predict latencies (ms) for a slice of samples.
+/// Predict latencies (ms) for a slice of samples, on the inference
+/// kernels out of one arena.
 pub fn predict_samples(model: &NnlpModel, samples: &[Sample]) -> Vec<f64> {
+    let mut scratch = Scratch::new();
     samples
-        .par_iter()
-        .map(|s| {
-            let (p, _) = model.forward(&s.nodes, &s.adj, &s.stat, s.head, None);
-            (p as f64).exp_m1().max(1e-6)
-        })
+        .iter()
+        .map(|s| model.predict_normalized_ms(&s.nodes, &s.adj, &s.stat, s.head, &mut scratch))
         .collect()
 }
 

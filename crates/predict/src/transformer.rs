@@ -176,7 +176,8 @@ impl TransformerModel {
         let mut emb = pooled;
         emb.extend_from_slice(stat);
         let x = Matrix::from_rows(1, emb.len(), emb);
-        let (pred, head_cache) = self.heads[head_idx].forward(x, self.cfg.dropout, rng);
+        let (pred, head_cache) =
+            self.heads[head_idx].forward(x, self.cfg.dropout, rng, &mut Scratch::new());
         (
             pred,
             TfCache {
@@ -192,8 +193,15 @@ impl TransformerModel {
 
     /// Backward pass; `d_pred` is the loss gradient wrt the scalar output.
     pub fn backward(&self, cache: &TfCache, d_pred: f32) -> TfGrads {
-        let (d_emb, head_grad) =
-            self.heads[cache.head_idx].backward(&cache.head, d_pred, self.cfg.dropout);
+        // This encoder's training step allocates; only the head it shares
+        // with the SAGE predictor speaks arena.
+        let mut scratch = Scratch::new();
+        let (d_emb, head_grad) = self.heads[cache.head_idx].backward(
+            &cache.head,
+            d_pred,
+            self.cfg.dropout,
+            &mut scratch,
+        );
         // Un-pool: sum pooling broadcasts the gradient to every token; the
         // static tail has no parameters behind it.
         let n = cache.n_rows;
@@ -206,7 +214,7 @@ impl TransformerModel {
         }
         block_grads.reverse();
         TfGrads {
-            embed_in: Linear::param_grad(&cache.x0, &d_h),
+            embed_in: Linear::param_grad(&cache.x0, &d_h, &mut scratch),
             blocks: block_grads,
             head: head_grad,
             head_idx: cache.head_idx,
