@@ -80,6 +80,18 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Like the real crate: the buffer itself when this is its only view and
+/// spans all of it, a copy of the viewed range otherwise.
+impl From<Bytes> for Vec<u8> {
+    fn from(b: Bytes) -> Self {
+        if b.start == 0 && b.end == b.data.len() {
+            Arc::try_unwrap(b.data).unwrap_or_else(|shared| shared[..].to_vec())
+        } else {
+            b.as_slice().to_vec()
+        }
+    }
+}
+
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
         Bytes::from(v.to_vec())
@@ -257,6 +269,18 @@ mod tests {
         assert_eq!(b.get_f64_le(), -2.25);
         assert_eq!(b.copy_to_bytes(3).to_vec(), b"abc");
         assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    fn into_vec_moves_a_whole_unique_buffer_and_copies_a_view() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        let whole: Vec<u8> = Bytes::from(v).into();
+        assert_eq!((whole.as_ptr(), &whole[..]), (ptr, &[1u8, 2, 3, 4][..]));
+        let b = Bytes::from(whole);
+        let shared: Vec<u8> = b.clone().into();
+        let view: Vec<u8> = b.slice(1..3).into();
+        assert_eq!((shared, view), (vec![1, 2, 3, 4], vec![2, 3]));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::diagnostic::{Anchor, Code, Diagnostic};
 use crate::{AnalysisContext, Pass};
 use nnlqp_ir::Graph;
-use nnlqp_sim::fusion::{self, Kernel};
+use nnlqp_sim::fusion::{self, Kernel, KernelDeps};
 
 /// The `fusion-legality` pass over the real `fuse()` output.
 pub struct FusionLegalityPass;
@@ -95,7 +95,7 @@ pub fn verify_partition(g: &Graph, kernels: &[Kernel]) -> Vec<Diagnostic> {
 
 /// `NNL102`: the kernel dependency graph must be acyclic, or no launch
 /// order exists. `deps[i]` lists kernels that must finish before `i`.
-pub fn verify_deps_acyclic(deps: &[Vec<usize>]) -> Vec<Diagnostic> {
+pub fn verify_deps_acyclic(deps: &KernelDeps) -> Vec<Diagnostic> {
     // Kahn's algorithm; whatever survives with nonzero in-degree is on (or
     // downstream of) a cycle.
     let n = deps.len();
@@ -241,7 +241,7 @@ mod tests {
         let g = chain();
         let ks = vec![Kernel {
             family: KernelFamily::Conv,
-            nodes: vec![NodeId(42)],
+            nodes: vec![NodeId(42)].into(),
         }];
         let out = verify_partition(&g, &ks);
         assert!(out.iter().any(|d| d.message.contains("does not exist")));
@@ -256,11 +256,11 @@ mod tests {
         let ks = vec![
             Kernel {
                 family: KernelFamily::Conv,
-                nodes: vec![NodeId(0), NodeId(2)],
+                nodes: vec![NodeId(0), NodeId(2)].into(),
             },
             Kernel {
                 family: KernelFamily::Relu,
-                nodes: vec![NodeId(1)],
+                nodes: vec![NodeId(1)].into(),
             },
         ];
         let out = verify_kernels(&g, &ks);
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn direct_cycle_in_deps_detected() {
-        let deps = vec![vec![1], vec![0], vec![]];
+        let deps: KernelDeps = [vec![1], vec![0], vec![]].into_iter().collect();
         let out = verify_deps_acyclic(&deps);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|d| d.code == Code::KernelCycle));

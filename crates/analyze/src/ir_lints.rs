@@ -14,7 +14,7 @@ use crate::diagnostic::{Anchor, Code, Diagnostic};
 use crate::{AnalysisContext, Pass};
 use nnlqp_hash::{graph_hash, HashAlgo, StreamHasher};
 use nnlqp_ir::infer::infer_shape;
-use nnlqp_ir::{serialize, Graph, NodeId, OpType, Shape};
+use nnlqp_ir::{serialize, Graph, NodeId, OpType};
 use std::collections::HashMap;
 
 /// The `ir-lints` pass: runs every check in this module.
@@ -109,12 +109,15 @@ pub fn check_structure(g: &Graph) -> Vec<Diagnostic> {
         if !inputs_ok {
             continue; // cannot infer shapes over broken edges
         }
-        let in_shapes: Vec<&Shape> = n
-            .inputs
-            .iter()
-            .map(|x| &g.nodes[x.index()].out_shape)
-            .collect();
-        match infer_shape(id, n.op, &n.attrs, &in_shapes, &g.input_shape) {
+        let inferred = infer_shape(
+            id,
+            n.op,
+            &n.attrs,
+            &n.inputs,
+            |x| g.nodes[x.index()].out_shape,
+            &g.input_shape,
+        );
+        match inferred {
             Ok(expect) if expect == n.out_shape => {}
             Ok(expect) => out.push(Diagnostic::new(
                 Code::ShapeMismatch,
@@ -389,7 +392,7 @@ pub fn check_cache_canonical(g: &Graph) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nnlqp_ir::{GraphBuilder, NodeId};
+    use nnlqp_ir::{GraphBuilder, NodeId, Shape};
 
     fn chain() -> Graph {
         let mut b = GraphBuilder::new("chain", Shape::nchw(1, 3, 16, 16));
@@ -415,7 +418,7 @@ mod tests {
     #[test]
     fn orphan_input_is_nnl001() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(99)];
+        g.nodes[1].inputs = vec![NodeId(99)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::OrphanInput));
     }
@@ -423,7 +426,7 @@ mod tests {
     #[test]
     fn forward_edge_is_nnl002() {
         let mut g = chain();
-        g.nodes[0].inputs = vec![NodeId(1)];
+        g.nodes[0].inputs = vec![NodeId(1)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::NonCanonicalOrder));
     }
@@ -431,7 +434,7 @@ mod tests {
     #[test]
     fn extra_input_is_nnl003() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)];
+        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::ArityMismatch));
     }
@@ -447,8 +450,8 @@ mod tests {
     #[test]
     fn reports_every_violation_not_just_first() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(99)];
-        g.nodes[2].inputs = vec![NodeId(50)];
+        g.nodes[1].inputs = vec![NodeId(99)].into();
+        g.nodes[2].inputs = vec![NodeId(50)].into();
         let out = check_structure(&g);
         assert_eq!(
             out.iter().filter(|d| d.code == Code::OrphanInput).count(),
@@ -541,7 +544,7 @@ mod tests {
     #[test]
     fn degenerate_node_is_detected() {
         let mut g = chain();
-        g.nodes[1].out_shape = Shape(vec![1, 0, 16, 16]);
+        g.nodes[1].out_shape = Shape::nchw(1, 0, 16, 16);
         let out = check_degenerate_shapes(&g);
         assert!(out.iter().any(|d| d.code == Code::DegenerateShape));
     }

@@ -16,7 +16,7 @@
 use crate::diagnostic::{Anchor, Code, Diagnostic};
 use crate::{AnalysisContext, Pass};
 use nnlqp_sim::exec::{self, ExecutionTrace};
-use nnlqp_sim::fusion;
+use nnlqp_sim::fusion::{self, KernelDeps};
 
 /// Tolerance for floating-point schedule arithmetic (milliseconds).
 pub const EPS_MS: f64 = 1e-9;
@@ -52,11 +52,7 @@ impl Pass for ScheduleHazardPass {
 
 /// Verify one trace against the kernel dependency lists and the platform's
 /// stream count. Covers `NNL201`, `NNL202`, `NNL203` and `NNL205`.
-pub fn verify_trace(
-    trace: &ExecutionTrace,
-    deps: &[Vec<usize>],
-    streams: usize,
-) -> Vec<Diagnostic> {
+pub fn verify_trace(trace: &ExecutionTrace, deps: &KernelDeps, streams: usize) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if trace.kernels.len() != deps.len() {
         out.push(Diagnostic::new(
@@ -215,7 +211,7 @@ mod tests {
         PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap()
     }
 
-    fn traced() -> (Graph, ExecutionTrace, Vec<Vec<usize>>, PlatformSpec) {
+    fn traced() -> (Graph, ExecutionTrace, KernelDeps, PlatformSpec) {
         let p = t4();
         let g = nnlqp_models::ModelFamily::GoogleNet.canonical().unwrap();
         let kernels = fusion::fuse(&g);

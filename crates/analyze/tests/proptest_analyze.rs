@@ -102,7 +102,7 @@ proptest! {
         let mut g = family_graph(seed);
         let mut r = Rng64::new(seed);
         let v = r.below(g.len());
-        g.nodes[v].out_shape = Shape(vec![3, 5, 7, 11]);
+        g.nodes[v].out_shape = Shape::nchw(3, 5, 7, 11);
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::ShapeMismatch), "{}", report.render_text());
     }
@@ -113,7 +113,7 @@ proptest! {
         let mut g = family_graph(seed);
         let mut r = Rng64::new(seed);
         let v = r.below(g.len());
-        g.nodes[v].out_shape = Shape(vec![0; g.nodes[v].out_shape.rank()]);
+        g.nodes[v].out_shape = Shape::from_dims(&vec![0; g.nodes[v].out_shape.rank()]).unwrap();
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::DegenerateShape), "{}", report.render_text());
     }
@@ -131,14 +131,14 @@ fn dead_branch_triggers_nnl006() {
     g.nodes.push(nnlqp_ir::Node {
         op: nnlqp_ir::OpType::Sigmoid,
         attrs: nnlqp_ir::Attrs::default(),
-        inputs: vec![mid],
-        out_shape: g.node(mid).out_shape.clone(),
+        inputs: vec![mid].into(),
+        out_shape: g.node(mid).out_shape,
     });
     g.nodes.push(nnlqp_ir::Node {
         op: nnlqp_ir::OpType::Relu,
         attrs: nnlqp_ir::Attrs::default(),
-        inputs: vec![head],
-        out_shape: g.node(head).out_shape.clone(),
+        inputs: vec![head].into(),
+        out_shape: g.node(head).out_shape,
     });
     let report = analyze(&g, None);
     let dead = report.with_code(Code::DeadNode);
@@ -226,11 +226,11 @@ fn illegal_grouping_triggers_nnl102_and_nnl103() {
     let kernels = vec![
         fusion::Kernel {
             family: fusion::KernelFamily::Conv,
-            nodes: vec![NodeId(0), NodeId(2)],
+            nodes: vec![NodeId(0), NodeId(2)].into(),
         },
         fusion::Kernel {
             family: fusion::KernelFamily::Sigmoid,
-            nodes: vec![NodeId(1)],
+            nodes: vec![NodeId(1)].into(),
         },
     ];
     let out = fusion_checks::verify_kernels(&g, &kernels);

@@ -150,9 +150,9 @@ impl Database {
 
     /// Log one op to the engine, if attached. Must run under the write
     /// lock, before the matching in-memory insert is published.
-    fn log(&self, inner: &Inner, op: WalOp) {
+    fn log(&self, inner: &Inner, op: &WalOp) {
         if let Some(e) = &self.engine {
-            e.append(e.route(&op, inner), op);
+            e.append(e.route(op, inner), op);
         }
     }
 
@@ -169,6 +169,13 @@ impl Database {
     /// a key no lookup of that graph will ever probe.
     pub fn insert_model_hashed(&self, g: &Graph, hash: u64) -> (ModelId, bool) {
         debug_assert_eq!(hash, graph_hash(g), "hash must be graph_hash(g)");
+        if let Some(&id) = self.inner.read().by_hash.get(&hash) {
+            return (id, false);
+        }
+        // The graph walk runs with no lock held; a racing insert of the
+        // same hash is caught by the second probe, under the write lock.
+        let graph_bytes = Vec::from(serialize::encode(g));
+        let name = g.name.clone();
         let mut inner = self.inner.write();
         if let Some(&id) = inner.by_hash.get(&hash) {
             return (id, false);
@@ -176,14 +183,17 @@ impl Database {
         let id = ModelId(inner.models.len() as u32);
         let seq = inner.seq;
         inner.seq += 1;
-        let rec = ModelRecord {
+        let op = WalOp::Model(ModelRecord {
             id,
             graph_hash: hash,
-            name: g.name.clone(),
-            graph_bytes: serialize::encode(g).to_vec(),
+            name,
+            graph_bytes,
             created_seq: seq,
+        });
+        self.log(&inner, &op);
+        let WalOp::Model(rec) = op else {
+            unreachable!("built as a model op two statements up")
         };
-        self.log(&inner, WalOp::Model(rec.clone()));
         inner.models.push(rec);
         inner.by_hash.insert(hash, id);
         (id, true)
@@ -200,13 +210,17 @@ impl Database {
 
     /// Decode a stored model back into a graph.
     pub fn load_graph(&self, id: ModelId) -> Result<Graph, DbError> {
-        let inner = self.inner.read();
-        let rec = inner
+        // Copy the blob out and let go of the lock: decoding walks and
+        // validates the whole graph.
+        let blob = self
+            .inner
+            .read()
             .models
             .get(id.0 as usize)
-            .ok_or(DbError::ForeignKey("model"))?;
-        serialize::decode(bytes::Bytes::from(rec.graph_bytes.clone()))
-            .map_err(|e| DbError::Corrupt(e.to_string()))
+            .ok_or(DbError::ForeignKey("model"))?
+            .graph_bytes
+            .clone();
+        serialize::decode(bytes::Bytes::from(blob)).map_err(|e| DbError::Corrupt(e.to_string()))
     }
 
     /// Get or create a platform row.
@@ -216,6 +230,19 @@ impl Database {
         software: &str,
         data_type: &str,
     ) -> PlatformId {
+        // Every measurement asks and the row exists after the first: answer
+        // under the read lock, from the rows themselves (a handful; the
+        // owned-key index would cost three `String`s to probe).
+        let existing = self
+            .inner
+            .read()
+            .platforms
+            .iter()
+            .find(|p| p.hardware == hardware && p.software == software && p.data_type == data_type)
+            .map(|p| p.id);
+        if let Some(id) = existing {
+            return id;
+        }
         let key = (
             hardware.to_string(),
             software.to_string(),
@@ -232,7 +259,7 @@ impl Database {
             software: key.1.clone(),
             data_type: key.2.clone(),
         };
-        self.log(&inner, WalOp::Platform(rec.clone()));
+        self.log(&inner, &WalOp::Platform(rec.clone()));
         inner.platforms.push(rec);
         inner.by_platform_key.insert(key, id);
         id
@@ -271,7 +298,7 @@ impl Database {
             device_mem,
             created_seq: seq,
         };
-        self.log(&inner, WalOp::Latency(rec));
+        self.log(&inner, &WalOp::Latency(rec));
         inner.latencies.push(rec);
         inner
             .by_query
@@ -320,7 +347,7 @@ impl Database {
             device_mem,
             created_seq: seq,
         };
-        self.log(&inner, WalOp::Latency(rec));
+        self.log(&inner, &WalOp::Latency(rec));
         inner.latencies.push(rec);
         inner
             .by_query

@@ -264,9 +264,9 @@ impl StorageEngine {
     /// Append one op to its shard's WAL. Called with the database write
     /// lock held (appends are serialized by construction). Panics if the
     /// bytes cannot reach the disk — see the module docs.
-    pub(crate) fn append(&self, shard: usize, op: WalOp) {
+    pub(crate) fn append(&self, shard: usize, op: &WalOp) {
         let wal_seq = self.next_wal_seq.fetch_add(1, Ordering::Relaxed);
-        let encoded = wal::encode_frame(&Frame { wal_seq, op });
+        let encoded = wal::encode_op(wal_seq, op);
         let crash_after = self
             .crash_at
             .map(|limit| limit.saturating_sub(self.appended_bytes.load(Ordering::Relaxed)));
@@ -391,7 +391,7 @@ mod tests {
         for i in 0..5u32 {
             engine.append(
                 META_SHARD,
-                WalOp::Platform(PlatformRecord {
+                &WalOp::Platform(PlatformRecord {
                     id: PlatformId(i),
                     hardware: format!("hw{i}"),
                     software: "sw".into(),

@@ -93,9 +93,15 @@ fn corrupt(what: &str) -> io::Error {
 
 /// Encode one frame (length prefix + checksum + payload).
 pub fn encode_frame(frame: &Frame) -> Bytes {
+    encode_op(frame.wal_seq, &frame.op)
+}
+
+/// [`encode_frame`] over a borrowed op: the write path logs a record from
+/// where it lives instead of cloning it into a [`Frame`] first.
+pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Bytes {
     let mut payload: Vec<u8> = Vec::with_capacity(64);
-    payload.put_u64_le(frame.wal_seq);
-    match &frame.op {
+    payload.put_u64_le(wal_seq);
+    match op {
         WalOp::Model(m) => {
             payload.put_u8(TAG_MODEL);
             payload.put_u32_le(m.id.0);

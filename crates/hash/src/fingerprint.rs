@@ -91,8 +91,8 @@ fn put_shape(l: &mut Lanes, dims: &[usize]) {
 /// and input edges. Suitable only as an in-process cache key.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     let mut l = Lanes::new();
-    l.put(g.input_shape.0.len() as u64);
-    put_shape(&mut l, &g.input_shape.0);
+    l.put(g.input_shape.rank() as u64);
+    put_shape(&mut l, g.input_shape.dims());
     l.put(g.len() as u64);
     for (_, node) in g.iter() {
         // op code | input count | rank, all small, in one word.
@@ -107,7 +107,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
             let lo = pair.get(1).map(|v| v.to_bits()).unwrap_or(0);
             l.put_pair(hi, lo);
         }
-        put_shape(&mut l, &node.out_shape.0);
+        put_shape(&mut l, node.out_shape.dims());
         for pair in node.inputs.chunks(2) {
             let hi = pair[0].0;
             let lo = pair.get(1).map(|id| id.0).unwrap_or(u32::MAX);

@@ -17,6 +17,10 @@ pub enum HashAlgo {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+// A zero byte only multiplies (`(s ^ 0) * P == s * P`), so a run of k zero
+// bytes is one multiplication by `P^k`.
+const FNV_PRIME_POW4: u64 = FNV_PRIME.wrapping_pow(4);
+const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
 
 /// Incremental hasher over little-endian words.
 #[derive(Debug, Clone)]
@@ -48,10 +52,23 @@ impl StreamHasher {
     #[inline]
     pub fn write_u64(&mut self, w: u64) {
         match self.algo {
+            // Byte-at-a-time FNV-1a over the word's eight little-endian
+            // bytes, with the zero high bytes folded: most words hashed
+            // here are small integers (op codes, ranks, counts) or `f32`
+            // bit patterns and dims (below 2^32). Two fixed thresholds,
+            // not a per-word trip count, so each arm is straight-line.
             HashAlgo::Fnv1a => {
-                for b in w.to_le_bytes() {
-                    self.state ^= b as u64;
-                    self.state = self.state.wrapping_mul(FNV_PRIME);
+                if w < 1 << 8 {
+                    self.state = (self.state ^ w).wrapping_mul(FNV_PRIME_POW8);
+                } else if w < 1 << 32 {
+                    for b in (w as u32).to_le_bytes() {
+                        self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
+                    }
+                    self.state = self.state.wrapping_mul(FNV_PRIME_POW4);
+                } else {
+                    for b in w.to_le_bytes() {
+                        self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
+                    }
                 }
             }
             HashAlgo::Mix64 => {
@@ -93,6 +110,54 @@ pub fn hash_words(algo: HashAlgo, ws: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnlqp_ir::Rng64;
+
+    /// FNV-1a as specified, one byte at a time: the reference the folded
+    /// `write_u64` must equal on every word.
+    fn write_u64_bytewise(state: u64, w: u64) -> u64 {
+        w.to_le_bytes()
+            .iter()
+            .fold(state, |s, &b| (s ^ b as u64).wrapping_mul(FNV_PRIME))
+    }
+
+    #[test]
+    fn folded_fnv_equals_the_bytewise_reference() {
+        // The fold's two thresholds from both sides, every `f32` an
+        // attribute vector holds in the corpus (kernel, stride, pad,
+        // dilation, groups, channels up to 4096, axis, and the 6.0 / 0.0
+        // clip range: all integers as f32), then random words of every
+        // width. Chained through one state, so a wrong word also shows in
+        // everything hashed after it.
+        let mut words: Vec<u64> = vec![
+            0,
+            1,
+            0xff,
+            0x100,
+            0xffff,
+            0x1_0000,
+            u32::MAX as u64,
+            1 << 32,
+            (1 << 32) + 1,
+            0xff << 56,
+            u64::MAX,
+        ];
+        words.extend((0..=8192u32).map(|k| (k as f32).to_bits() as u64));
+        words.extend([0.5f32, -1.0, 6.0, f32::MAX].map(|x| x.to_bits() as u64));
+        let mut r = Rng64::new(0xF01D);
+        for _ in 0..10_000 {
+            let w = r.next_u64();
+            // Uniform words are almost all above 2^32; shift a share of
+            // them down into the two folded ranges.
+            words.push(w >> (8 * r.below(8)));
+        }
+        let mut folded = StreamHasher::new(HashAlgo::Fnv1a);
+        let mut reference = FNV_OFFSET;
+        for (i, &w) in words.iter().enumerate() {
+            folded.write_u64(w);
+            reference = write_u64_bytewise(reference, w);
+            assert_eq!(folded.finish(), reference, "word {i} = {w:#x}");
+        }
+    }
 
     #[test]
     fn deterministic() {

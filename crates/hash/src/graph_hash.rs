@@ -14,7 +14,7 @@ fn attr_hash(algo: HashAlgo, node: &nnlqp_ir::Node) -> u64 {
         h.write_f32(v);
     }
     h.write_u64(node.out_shape.rank() as u64);
-    for &d in &node.out_shape.0 {
+    for &d in node.out_shape.dims() {
         h.write_u64(d as u64);
     }
     h.finish()
@@ -48,7 +48,11 @@ pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
             *c += 1;
         }
     }
-    let mut hashes = vec![0u64; n];
+    // Attribute hashes first, in a pass of their own: each is a serial
+    // multiply chain independent of every other node's, so back to back
+    // the CPU overlaps them; folded into the Merkle pass below they would
+    // queue behind its chain through the successors' hashes.
+    let mut hashes: Vec<u64> = g.nodes.iter().map(|node| attr_hash(algo, node)).collect();
     // One record buffer reused across nodes — the hot path of every query
     // and cache key allocates nothing per node.
     let mut record: Vec<u64> = Vec::new();
@@ -62,7 +66,7 @@ pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
         );
         record.sort_unstable(); // f_sort over successor hashes
         let mut h = StreamHasher::new(algo);
-        h.write_u64(attr_hash(algo, &g.nodes[i]));
+        h.write_u64(hashes[i]);
         h.write_u64(record.len() as u64);
         h.write_all(&record);
         hashes[i] = h.finish();
@@ -82,7 +86,7 @@ pub fn graph_hash_with(g: &Graph, algo: HashAlgo) -> u64 {
     roots.sort_unstable();
     let mut h = StreamHasher::new(algo);
     h.write_u64(g.input_shape.rank() as u64);
-    for &d in &g.input_shape.0 {
+    for &d in g.input_shape.dims() {
         h.write_u64(d as u64);
     }
     h.write_u64(roots.len() as u64);

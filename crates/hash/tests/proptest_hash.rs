@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn extension_changes_hash(seed in any::<u64>()) {
         let g = random_graph(seed);
-        let mut b = GraphBuilder::new("h", g.input_shape.clone());
+        let mut b = GraphBuilder::new("h", g.input_shape);
         for n in &g.nodes {
             b.push(n.op, n.attrs.clone(), &n.inputs).unwrap();
         }

@@ -61,15 +61,18 @@ impl GraphBuilder {
                 });
             }
         }
-        let in_shapes: Vec<&Shape> = inputs
-            .iter()
-            .map(|i| &self.nodes[i.index()].out_shape)
-            .collect();
-        let out_shape = infer_shape(id.0, op, &attrs, &in_shapes, &self.input_shape)?;
+        let out_shape = infer_shape(
+            id.0,
+            op,
+            &attrs,
+            inputs,
+            |i| self.nodes[i.index()].out_shape,
+            &self.input_shape,
+        )?;
         self.nodes.push(Node {
             op,
             attrs,
-            inputs: inputs.to_vec(),
+            inputs: inputs.into(),
             out_shape,
         });
         Ok(id)
@@ -205,7 +208,7 @@ impl GraphBuilder {
     pub fn finish(&self) -> IrResult<Graph> {
         let g = Graph {
             name: self.name.clone(),
-            input_shape: self.input_shape.clone(),
+            input_shape: self.input_shape,
             nodes: self.nodes.clone(),
         };
         crate::validate::validate(&g)?;
@@ -246,7 +249,7 @@ mod tests {
         let g = b.finish().unwrap();
         assert_eq!(g.node(s).op, OpType::Mul);
         assert_eq!(g.nodes[1].op, OpType::Sigmoid);
-        assert_eq!(g.node(s).inputs, vec![c, NodeId(1)]);
+        assert_eq!(g.node(s).inputs, vec![c, NodeId(1)].into());
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub struct GraphCost {
 }
 
 /// Parameter count of a node given its input channel/feature width.
+#[inline]
 fn params_of(op: OpType, attrs: &crate::attrs::Attrs, input: &Shape) -> f64 {
     match op {
         OpType::Conv => {
@@ -76,29 +77,43 @@ fn params_of(op: OpType, attrs: &crate::attrs::Attrs, input: &Shape) -> f64 {
 }
 
 /// Cost of node `id` of graph `g` at precision `dt`.
+///
+/// `#[inline]` because the simulator's `describe` keeps only `flops` and
+/// `params` of it, per node per measurement: inlined across the crate
+/// boundary the byte sums it discards are never computed (a third of a
+/// `model_latency_ms` call otherwise).
+#[inline]
 pub fn node_cost(g: &Graph, id: NodeId, dt: DType) -> NodeCost {
     let n = g.node(id);
-    let input_shapes: Vec<&Shape> = if n.inputs.is_empty() {
-        vec![&g.input_shape]
-    } else {
-        n.inputs.iter().map(|i| &g.node(*i).out_shape).collect()
+    // The first input (the graph input for a source node) sizes the weights.
+    let first = match n.inputs.first() {
+        Some(&i) => &g.node(i).out_shape,
+        None => &g.input_shape,
     };
     let out = &n.out_shape;
     let out_elems = out.numel() as f64;
-    let in_bytes: f64 = input_shapes.iter().map(|s| s.bytes(dt) as f64).sum();
+    // Summed in input order: the f64 rounding is part of every simulated
+    // latency.
+    let in_bytes: f64 = if n.inputs.is_empty() {
+        g.input_shape.bytes(dt) as f64
+    } else {
+        n.inputs
+            .iter()
+            .map(|&i| g.node(i).out_shape.bytes(dt) as f64)
+            .sum()
+    };
     let out_bytes = out.bytes(dt) as f64;
-    let params = params_of(n.op, &n.attrs, input_shapes[0]);
+    let params = params_of(n.op, &n.attrs, first);
     let weight_bytes = params * dt.bytes() as f64;
-
     let flops = match n.op {
         OpType::Conv => {
-            let cin = input_shapes[0].channels() as f64;
+            let cin = first.channels() as f64;
             let gpr = n.attrs.groups as f64;
             let k = n.attrs.kernel[0] as f64 * n.attrs.kernel[1] as f64;
             2.0 * out_elems * (cin / gpr) * k
         }
         OpType::Gemm => {
-            let fin = crate::infer::gemm_in_features(input_shapes[0]) as f64;
+            let fin = crate::infer::gemm_in_features(first) as f64;
             2.0 * out_elems * fin
         }
         OpType::Relu | OpType::Clip | OpType::Add | OpType::Mul => out_elems,
@@ -106,7 +121,7 @@ pub fn node_cost(g: &Graph, id: NodeId, dt: DType) -> NodeCost {
         OpType::MaxPool | OpType::AveragePool => {
             out_elems * n.attrs.kernel[0] as f64 * n.attrs.kernel[1] as f64
         }
-        OpType::GlobalAveragePool | OpType::ReduceMean => input_shapes[0].numel() as f64,
+        OpType::GlobalAveragePool | OpType::ReduceMean => first.numel() as f64,
         OpType::Concat | OpType::Flatten => 0.0,
     };
 

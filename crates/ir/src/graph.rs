@@ -104,15 +104,20 @@ impl Graph {
         let input_shape = self.input_shape.with_batch(batch);
         let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len());
         for (i, n) in self.nodes.iter().enumerate() {
-            let in_shapes: Vec<&Shape> = n
-                .inputs
-                .iter()
-                .map(|id| &nodes[id.index()].out_shape)
-                .collect();
-            let out_shape = infer::infer_shape(i as u32, n.op, &n.attrs, &in_shapes, &input_shape)?;
-            let mut m = n.clone();
-            m.out_shape = out_shape;
-            nodes.push(m);
+            let out_shape = infer::infer_shape(
+                i as u32,
+                n.op,
+                &n.attrs,
+                &n.inputs,
+                |id| nodes[id.index()].out_shape,
+                &input_shape,
+            )?;
+            nodes.push(Node {
+                op: n.op,
+                attrs: n.attrs.clone(),
+                inputs: n.inputs.clone(),
+                out_shape,
+            });
         }
         Ok(Graph {
             name: self.name.clone(),

@@ -2,6 +2,7 @@
 
 use crate::attrs::Attrs;
 use crate::error::{IrError, IrResult};
+use crate::node::NodeId;
 use crate::op::OpType;
 use crate::shape::Shape;
 
@@ -20,14 +21,17 @@ fn conv_out(dim: usize, kernel: u32, stride: u32, pad: u32, dilation: u32) -> Ir
 
 /// Infer the output shape of a node.
 ///
-/// `node` is used only for error messages. `in_shapes` are the output shapes
-/// of the node's predecessors; a node with no predecessors consumes
-/// `graph_input`.
+/// `node` is used only for error messages. `inputs` are the node's
+/// predecessors and `shape_of` yields the output shape of one of them (the
+/// caller has checked the ids are in range); a node with no predecessors
+/// consumes `graph_input`. Taking the ids and a lookup, not a slice of
+/// shapes, lets every caller walk a graph without collecting anything.
 pub fn infer_shape(
     node: u32,
     op: OpType,
     attrs: &Attrs,
-    in_shapes: &[&Shape],
+    inputs: &[NodeId],
+    shape_of: impl Fn(NodeId) -> Shape,
     graph_input: &Shape,
 ) -> IrResult<Shape> {
     let err = |detail: String| IrError::ShapeMismatch { node, detail };
@@ -38,20 +42,22 @@ pub fn infer_shape(
         got,
     };
 
-    // Resolve the effective input list.
-    let owned_default = [graph_input];
-    let ins: &[&Shape] = if in_shapes.is_empty() {
-        &owned_default
-    } else {
-        in_shapes
+    // The effective input list: the predecessors, or the graph input alone.
+    let n_in = inputs.len().max(1);
+    let input = |k: usize| {
+        if inputs.is_empty() {
+            *graph_input
+        } else {
+            shape_of(inputs[k])
+        }
     };
 
     match op {
         OpType::Conv => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            let s = ins[0];
+            let s = input(0);
             if s.rank() != 4 {
                 return Err(err(format!("Conv needs rank-4 input, got {s}")));
             }
@@ -90,10 +96,10 @@ pub fn infer_shape(
             Ok(Shape::nchw(s.batch(), attrs.out_channels as usize, h, w))
         }
         OpType::MaxPool | OpType::AveragePool => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            let s = ins[0];
+            let s = input(0);
             if s.rank() != 4 {
                 return Err(err(format!("pool needs rank-4 input, got {s}")));
             }
@@ -110,29 +116,29 @@ pub fn infer_shape(
             Ok(Shape::nchw(s.batch(), s.channels(), h, w))
         }
         OpType::GlobalAveragePool | OpType::ReduceMean => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            let s = ins[0];
+            let s = input(0);
             if s.rank() != 4 {
                 return Err(err(format!("global pool needs rank-4 input, got {s}")));
             }
             Ok(Shape::nchw(s.batch(), s.channels(), 1, 1))
         }
         OpType::Relu | OpType::Clip | OpType::Sigmoid => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            Ok(ins[0].clone())
+            Ok(input(0))
         }
         OpType::Add | OpType::Mul => {
-            if ins.len() != 2 {
-                return Err(arity_err("2", ins.len()));
+            if n_in != 2 {
+                return Err(arity_err("2", n_in));
             }
             // Allow NCHW x NC11 broadcast (squeeze-excite scaling).
-            let (a, b) = (ins[0], ins[1]);
+            let (a, b) = (input(0), input(1));
             if a == b {
-                return Ok(a.clone());
+                return Ok(a);
             }
             let broadcast = |big: &Shape, small: &Shape| {
                 big.rank() == 4
@@ -142,17 +148,17 @@ pub fn infer_shape(
                     && small.height() == 1
                     && small.width() == 1
             };
-            if broadcast(a, b) {
-                Ok(a.clone())
-            } else if broadcast(b, a) {
-                Ok(b.clone())
+            if broadcast(&a, &b) {
+                Ok(a)
+            } else if broadcast(&b, &a) {
+                Ok(b)
             } else {
                 Err(err(format!("binary op shapes differ: {a} vs {b}")))
             }
         }
         OpType::Concat => {
-            if ins.len() < 2 {
-                return Err(arity_err("2+", ins.len()));
+            if n_in < 2 {
+                return Err(arity_err("2+", n_in));
             }
             if attrs.axis != 1 {
                 return Err(IrError::BadAttr {
@@ -163,12 +169,12 @@ pub fn infer_shape(
                     ),
                 });
             }
-            let first = ins[0];
+            let first = input(0);
             if first.rank() != 4 {
                 return Err(err(format!("concat needs rank-4 inputs, got {first}")));
             }
             let mut c = 0usize;
-            for s in ins {
+            for s in (0..n_in).map(&input) {
                 if s.rank() != 4
                     || s.batch() != first.batch()
                     || s.height() != first.height()
@@ -181,10 +187,10 @@ pub fn infer_shape(
             Ok(Shape::nchw(first.batch(), c, first.height(), first.width()))
         }
         OpType::Gemm => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            let s = ins[0];
+            let s = input(0);
             if attrs.out_channels == 0 {
                 return Err(IrError::BadAttr {
                     node,
@@ -201,10 +207,10 @@ pub fn infer_shape(
             }
         }
         OpType::Flatten => {
-            if ins.len() != 1 {
-                return Err(arity_err("1", ins.len()));
+            if n_in != 1 {
+                return Err(arity_err("1", n_in));
             }
-            let s = ins[0];
+            let s = input(0);
             let per_batch = s.numel() / s.batch().max(1);
             Ok(Shape::nc(s.batch(), per_batch))
         }
@@ -223,8 +229,17 @@ pub fn gemm_in_features(input: &Shape) -> usize {
 mod tests {
     use super::*;
 
+    /// Infer over literal input shapes: input `k` is "node" `k`.
     fn infer(op: OpType, attrs: &Attrs, ins: &[&Shape]) -> IrResult<Shape> {
-        infer_shape(0, op, attrs, ins, &Shape::nchw(1, 3, 224, 224))
+        let ids: Vec<NodeId> = (0..ins.len() as u32).map(NodeId).collect();
+        infer_shape(
+            0,
+            op,
+            attrs,
+            &ids,
+            |id| *ins[id.index()],
+            &Shape::nchw(1, 3, 224, 224),
+        )
     }
 
     #[test]
@@ -381,7 +396,16 @@ mod tests {
     #[test]
     fn empty_inputs_consume_graph_input() {
         let a = Attrs::conv(16, 3, 1, 1, 1);
-        let out = infer_shape(0, OpType::Conv, &a, &[], &Shape::nchw(1, 3, 32, 32)).unwrap();
+        let no_node = |_| unreachable!("no predecessors to look up");
+        let out = infer_shape(
+            0,
+            OpType::Conv,
+            &a,
+            &[],
+            no_node,
+            &Shape::nchw(1, 3, 32, 32),
+        )
+        .unwrap();
         assert_eq!(out, Shape::nchw(1, 16, 32, 32));
     }
 

@@ -9,7 +9,9 @@
 //!
 //! * the operator taxonomy ([`OpType`]) restricted to the 14 kernel families
 //!   the paper's fusion rules produce (Appendix D),
-//! * tensor [`Shape`]s and [`DType`]s,
+//! * tensor [`Shape`]s (at most [`MAX_RANK`] dims, inline and `Copy`) and
+//!   [`DType`]s; a node's input list is a [`NodeIds`] (inline up to four
+//!   ids), so a pass over a graph allocates nothing per node,
 //! * the [`Graph`] container whose node vector is always a valid topological
 //!   order (enforced by [`GraphBuilder`] and [`validate::validate`]),
 //! * shape inference ([`infer`]), FLOPs / parameter / memory-access
@@ -39,7 +41,7 @@ pub use builder::GraphBuilder;
 pub use cost::{GraphCost, NodeCost};
 pub use error::{IrError, IrResult};
 pub use graph::Graph;
-pub use node::{Node, NodeId};
+pub use node::{Node, NodeId, NodeIds};
 pub use op::OpType;
 pub use rng::Rng64;
-pub use shape::{DType, Shape};
+pub use shape::{DType, Shape, MAX_RANK};

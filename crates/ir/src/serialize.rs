@@ -8,114 +8,191 @@
 use crate::attrs::Attrs;
 use crate::error::{IrError, IrResult};
 use crate::graph::Graph;
-use crate::node::{Node, NodeId};
+use crate::node::{Node, NodeId, NodeIds};
 use crate::op::OpType;
-use crate::shape::Shape;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::shape::{Shape, MAX_RANK};
+use bytes::Bytes;
 
 const MAGIC: &[u8; 4] = b"NLQP";
 const VERSION: u8 = 1;
 
-fn put_shape(buf: &mut BytesMut, s: &Shape) {
-    buf.put_u8(s.rank() as u8);
-    for &d in &s.0 {
-        buf.put_u32_le(d as u32);
-    }
+// A node on the wire: a fixed attribute body, a fan-in byte, the input ids,
+// then the output shape (a rank byte and its dims), every integer
+// little-endian. 26 bytes at the least, 49 for the common one-input rank-4
+// node.
+const ATTR_BYTES: usize = 24;
+const NODE_FIXED_BYTES: usize = ATTR_BYTES + 1;
+const MIN_NODE_BYTES: usize = NODE_FIXED_BYTES + 1;
+const MAX_SHAPE_BYTES: usize = 1 + 4 * MAX_RANK;
+/// Fan-in up to which `encode` stages a node's whole record on the stack
+/// and appends it in one copy; a wider node appends its ids one by one.
+const STAGED_INPUTS: usize = 4;
+const STAGE_BYTES: usize = NODE_FIXED_BYTES + 4 * STAGED_INPUTS + MAX_SHAPE_BYTES;
+
+fn shape_bytes(s: &Shape) -> usize {
+    1 + 4 * s.rank()
 }
 
-fn get_shape(buf: &mut Bytes) -> IrResult<Shape> {
-    if buf.remaining() < 1 {
-        return Err(IrError::Decode("truncated shape rank".into()));
+/// Write a shape at the start of `dst`; returns the bytes written.
+fn stage_shape(dst: &mut [u8], s: &Shape) -> usize {
+    dst[0] = s.rank() as u8;
+    for (slot, &d) in dst[1..].chunks_exact_mut(4).zip(s.dims()) {
+        slot.copy_from_slice(&(d as u32).to_le_bytes());
     }
-    let rank = buf.get_u8() as usize;
-    if buf.remaining() < rank * 4 {
-        return Err(IrError::Decode("truncated shape dims".into()));
-    }
-    let dims = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
-    Ok(Shape(dims))
+    shape_bytes(s)
+}
+
+/// Write a node's attribute body and fan-in byte.
+fn stage_fixed(rec: &mut [u8; STAGE_BYTES], n: &Node) {
+    let a = &n.attrs;
+    rec[0] = n.op.code() as u8;
+    rec[1..3].copy_from_slice(&(a.kernel[0] as u16).to_le_bytes());
+    rec[3..5].copy_from_slice(&(a.kernel[1] as u16).to_le_bytes());
+    rec[5] = a.stride[0] as u8;
+    rec[6] = a.stride[1] as u8;
+    rec[7] = a.pad[0] as u8;
+    rec[8] = a.pad[1] as u8;
+    rec[9] = a.dilation[0] as u8;
+    rec[10] = a.dilation[1] as u8;
+    rec[11..13].copy_from_slice(&(a.groups as u16).to_le_bytes());
+    rec[13..15].copy_from_slice(&(a.out_channels as u16).to_le_bytes());
+    rec[15] = a.axis as u8;
+    rec[16..20].copy_from_slice(&a.clip_min.to_le_bytes());
+    rec[20..24].copy_from_slice(&a.clip_max.to_le_bytes());
+    rec[ATTR_BYTES] = n.inputs.len() as u8;
 }
 
 /// Encode a graph to its compact binary form.
 pub fn encode(g: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + g.len() * 40);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
     let name = g.name.as_bytes();
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name);
-    put_shape(&mut buf, &g.input_shape);
-    buf.put_u32_le(g.len() as u32);
+    let size = MAGIC.len()
+        + 1
+        + 2
+        + name.len()
+        + shape_bytes(&g.input_shape)
+        + 4
+        + g.nodes
+            .iter()
+            .map(|n| NODE_FIXED_BYTES + 4 * n.inputs.len() + shape_bytes(&n.out_shape))
+            .sum::<usize>();
+    let mut buf: Vec<u8> = Vec::with_capacity(size);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(name);
+    let mut rec = [0u8; STAGE_BYTES];
+    let at = stage_shape(&mut rec, &g.input_shape);
+    rec[at..at + 4].copy_from_slice(&(g.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&rec[..at + 4]);
     for n in &g.nodes {
-        buf.put_u8(n.op.code() as u8);
-        buf.put_u16_le(n.attrs.kernel[0] as u16);
-        buf.put_u16_le(n.attrs.kernel[1] as u16);
-        buf.put_u8(n.attrs.stride[0] as u8);
-        buf.put_u8(n.attrs.stride[1] as u8);
-        buf.put_u8(n.attrs.pad[0] as u8);
-        buf.put_u8(n.attrs.pad[1] as u8);
-        buf.put_u8(n.attrs.dilation[0] as u8);
-        buf.put_u8(n.attrs.dilation[1] as u8);
-        buf.put_u16_le(n.attrs.groups as u16);
-        buf.put_u16_le(n.attrs.out_channels as u16);
-        buf.put_u8(n.attrs.axis as u8);
-        buf.put_f32_le(n.attrs.clip_min);
-        buf.put_f32_le(n.attrs.clip_max);
-        buf.put_u8(n.inputs.len() as u8);
-        for &i in &n.inputs {
-            buf.put_u32_le(i.0);
+        stage_fixed(&mut rec, n);
+        let mut at = NODE_FIXED_BYTES;
+        if n.inputs.len() <= STAGED_INPUTS {
+            for &i in &n.inputs {
+                rec[at..at + 4].copy_from_slice(&i.0.to_le_bytes());
+                at += 4;
+            }
+        } else {
+            buf.extend_from_slice(&rec[..at]);
+            for &i in &n.inputs {
+                buf.extend_from_slice(&i.0.to_le_bytes());
+            }
+            at = 0;
         }
-        put_shape(&mut buf, &n.out_shape);
+        at += stage_shape(&mut rec[at..], &n.out_shape);
+        buf.extend_from_slice(&rec[..at]);
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len(), size);
+    Bytes::from(buf)
+}
+
+/// A cursor over an encoded graph: one bounds check per record, every
+/// failure an [`IrError::Decode`].
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> IrResult<&'a [u8]> {
+        if self.0.len() < n {
+            return Err(IrError::Decode(format!("truncated {what}")));
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn shape(&mut self) -> IrResult<Shape> {
+        let rank = self.take(1, "shape rank")?[0] as usize;
+        // Refuse the rank before believing it: a rank-200 shape must not
+        // read as 800 bytes of dims.
+        Shape::check_rank(rank)?;
+        let mut dims = [0usize; MAX_RANK];
+        for (d, raw) in dims
+            .iter_mut()
+            .zip(self.take(4 * rank, "shape dims")?.chunks_exact(4))
+        {
+            *d = le_u32(raw) as usize;
+        }
+        Shape::from_dims(&dims[..rank])
+    }
+}
+
+fn le_u16(raw: &[u8]) -> u32 {
+    u16::from_le_bytes([raw[0], raw[1]]) as u32
+}
+
+fn le_u32(raw: &[u8]) -> u32 {
+    u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])
 }
 
 /// Decode and validate a graph previously produced by [`encode`].
-pub fn decode(mut buf: Bytes) -> IrResult<Graph> {
-    let need = |buf: &Bytes, n: usize, what: &str| {
-        if buf.remaining() < n {
-            Err(IrError::Decode(format!("truncated {what}")))
-        } else {
-            Ok(())
-        }
-    };
-    need(&buf, 5, "header")?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode(buf: Bytes) -> IrResult<Graph> {
+    let mut r = Reader(&buf);
+    let header = r.take(MAGIC.len() + 1, "header")?;
+    if &header[..MAGIC.len()] != MAGIC {
         return Err(IrError::Decode("bad magic".into()));
     }
-    let version = buf.get_u8();
+    let version = header[MAGIC.len()];
     if version != VERSION {
         return Err(IrError::Decode(format!("unsupported version {version}")));
     }
-    need(&buf, 2, "name len")?;
-    let name_len = buf.get_u16_le() as usize;
-    need(&buf, name_len, "name")?;
-    let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
+    let name_len = le_u16(r.take(2, "name len")?) as usize;
+    let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
         .map_err(|_| IrError::Decode("name not utf-8".into()))?;
-    let input_shape = get_shape(&mut buf)?;
-    need(&buf, 4, "node count")?;
-    let count = buf.get_u32_le() as usize;
+    let input_shape = r.shape()?;
+    let count = le_u32(r.take(4, "node count")?) as usize;
+    // The count is as untrusted as the rest: reserve for it only once the
+    // remaining bytes could hold that many nodes.
+    if count > r.0.len() / MIN_NODE_BYTES {
+        return Err(IrError::Decode(format!(
+            "truncated nodes: {count} announced, {} bytes left",
+            r.0.len()
+        )));
+    }
     let mut nodes = Vec::with_capacity(count);
     for _ in 0..count {
-        need(&buf, 28, "node body")?;
-        let op = OpType::from_code(buf.get_u8())
-            .ok_or_else(|| IrError::Decode("unknown op code".into()))?;
+        let body: &[u8; NODE_FIXED_BYTES] = r
+            .take(NODE_FIXED_BYTES, "node body")?
+            .try_into()
+            .expect("took exactly the fixed node bytes");
+        let op =
+            OpType::from_code(body[0]).ok_or_else(|| IrError::Decode("unknown op code".into()))?;
         let attrs = Attrs {
-            kernel: [buf.get_u16_le() as u32, buf.get_u16_le() as u32],
-            stride: [buf.get_u8() as u32, buf.get_u8() as u32],
-            pad: [buf.get_u8() as u32, buf.get_u8() as u32],
-            dilation: [buf.get_u8() as u32, buf.get_u8() as u32],
-            groups: buf.get_u16_le() as u32,
-            out_channels: buf.get_u16_le() as u32,
-            axis: buf.get_u8() as u32,
-            clip_min: buf.get_f32_le(),
-            clip_max: buf.get_f32_le(),
+            kernel: [le_u16(&body[1..3]), le_u16(&body[3..5])],
+            stride: [body[5] as u32, body[6] as u32],
+            pad: [body[7] as u32, body[8] as u32],
+            dilation: [body[9] as u32, body[10] as u32],
+            groups: le_u16(&body[11..13]),
+            out_channels: le_u16(&body[13..15]),
+            axis: body[15] as u32,
+            clip_min: f32::from_le_bytes([body[16], body[17], body[18], body[19]]),
+            clip_max: f32::from_le_bytes([body[20], body[21], body[22], body[23]]),
         };
-        let n_in = buf.get_u8() as usize;
-        need(&buf, n_in * 4, "node inputs")?;
-        let inputs = (0..n_in).map(|_| NodeId(buf.get_u32_le())).collect();
-        let out_shape = get_shape(&mut buf)?;
+        let n_in = body[ATTR_BYTES] as usize;
+        let mut inputs = NodeIds::new();
+        for raw in r.take(4 * n_in, "node inputs")?.chunks_exact(4) {
+            inputs.push(NodeId(le_u32(raw)));
+        }
+        let out_shape = r.shape()?;
         nodes.push(Node {
             op,
             attrs,
@@ -159,13 +236,13 @@ pub fn to_json(g: &Graph) -> String {
                     "clip_max": n.attrs.clip_max,
                 },
                 "inputs": inputs,
-                "out_shape": n.out_shape.0,
+                "out_shape": n.out_shape.dims(),
             })
         })
         .collect();
     let v = serde_json::json!({
         "name": g.name,
-        "input_shape": g.input_shape.0,
+        "input_shape": g.input_shape.dims(),
         "nodes": nodes,
     });
     serde_json::to_string_pretty(&v).expect("value serializes")
@@ -186,7 +263,7 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
     let bad = |what: &str| IrError::Decode(format!("missing or malformed {what}"));
 
     let name = v["name"].as_str().ok_or_else(|| bad("name"))?.to_string();
-    let input_shape = Shape(shape_dims(&v["input_shape"]).ok_or_else(|| bad("input_shape"))?);
+    let input_shape = json_shape(&v["input_shape"], "input_shape")?;
     let raw_nodes = v["nodes"].as_array().ok_or_else(|| bad("nodes"))?;
     let mut nodes = Vec::with_capacity(raw_nodes.len());
     for (i, n) in raw_nodes.iter().enumerate() {
@@ -214,10 +291,9 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
             .iter()
             .map(|x| x.as_u64().map(|id| NodeId(id as u32)))
             .collect::<Option<Vec<NodeId>>>()
-            .ok_or_else(|| bad(&format!("nodes[{i}].inputs")))?;
-        let out_shape = Shape(
-            shape_dims(&n["out_shape"]).ok_or_else(|| bad(&format!("nodes[{i}].out_shape")))?,
-        );
+            .ok_or_else(|| bad(&format!("nodes[{i}].inputs")))?
+            .into();
+        let out_shape = json_shape(&n["out_shape"], &format!("nodes[{i}].out_shape"))?;
         nodes.push(Node {
             op,
             attrs,
@@ -232,11 +308,12 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
     })
 }
 
-fn shape_dims(v: &serde_json::Value) -> Option<Vec<usize>> {
-    v.as_array()?
-        .iter()
-        .map(|d| d.as_u64().map(|d| d as usize))
-        .collect()
+fn json_shape(v: &serde_json::Value, what: &str) -> IrResult<Shape> {
+    let dims: Vec<usize> = v
+        .as_array()
+        .and_then(|a| a.iter().map(|d| d.as_u64().map(|d| d as usize)).collect())
+        .ok_or_else(|| IrError::Decode(format!("missing or malformed {what}")))?;
+    Shape::from_dims(&dims)
 }
 
 fn u32_field(v: &serde_json::Value) -> Option<u32> {
@@ -268,6 +345,118 @@ mod tests {
         let f = b.flatten(p).unwrap();
         b.gemm(f, 10).unwrap();
         b.finish().unwrap()
+    }
+
+    /// stem -> six 1x1 branches -> one concat: fan-in past the inline and
+    /// staged limits, so the spill paths of `NodeIds`, `encode` and
+    /// `decode` all run.
+    fn wide_concat() -> Graph {
+        let mut b = GraphBuilder::new("wide", Shape::nchw(1, 3, 16, 16));
+        let stem = b.conv(None, 8, 3, 1, 1, 1).unwrap();
+        let branches: Vec<NodeId> = (0..6)
+            .map(|k| b.conv(Some(stem), 4 + k, 1, 1, 0, 1).unwrap())
+            .collect();
+        let cat = b.concat(&branches).unwrap();
+        b.relu(cat).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// The format, one field at a time: what `encode` wrote before it
+    /// staged records, kept as the oracle for the staged writer.
+    fn encode_field_by_field(g: &Graph) -> Vec<u8> {
+        fn put_shape(buf: &mut Vec<u8>, s: &Shape) {
+            buf.push(s.rank() as u8);
+            for &d in s.dims() {
+                buf.extend_from_slice(&(d as u32).to_le_bytes());
+            }
+        }
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.push(VERSION);
+        buf.extend_from_slice(&(g.name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(g.name.as_bytes());
+        put_shape(&mut buf, &g.input_shape);
+        buf.extend_from_slice(&(g.len() as u32).to_le_bytes());
+        for n in &g.nodes {
+            let a = &n.attrs;
+            buf.push(n.op.code() as u8);
+            for v in a.kernel {
+                buf.extend_from_slice(&(v as u16).to_le_bytes());
+            }
+            for v in [a.stride, a.pad, a.dilation].concat() {
+                buf.push(v as u8);
+            }
+            buf.extend_from_slice(&(a.groups as u16).to_le_bytes());
+            buf.extend_from_slice(&(a.out_channels as u16).to_le_bytes());
+            buf.push(a.axis as u8);
+            buf.extend_from_slice(&a.clip_min.to_le_bytes());
+            buf.extend_from_slice(&a.clip_max.to_le_bytes());
+            buf.push(n.inputs.len() as u8);
+            for &i in &n.inputs {
+                buf.extend_from_slice(&i.0.to_le_bytes());
+            }
+            put_shape(&mut buf, &n.out_shape);
+        }
+        buf
+    }
+
+    /// Offset of the `u32` node count in `g`'s encoding.
+    fn count_offset(g: &Graph) -> usize {
+        MAGIC.len() + 1 + 2 + g.name.len() + shape_bytes(&g.input_shape)
+    }
+
+    #[test]
+    fn staged_records_are_the_field_by_field_bytes() {
+        for g in [sample(), wide_concat()] {
+            let staged = encode(&g);
+            assert_eq!(&staged[..], &encode_field_by_field(&g)[..], "{}", g.name);
+            assert_eq!(decode(staged).unwrap(), g, "{}", g.name);
+        }
+    }
+
+    #[test]
+    fn announced_node_count_is_not_trusted_for_the_reservation() {
+        // A valid blob whose count says u32::MAX: reserving for it would
+        // abort the process in the allocator.
+        let g = sample();
+        let mut raw = encode(&g).to_vec();
+        let at = count_offset(&g);
+        assert_eq!(le_u32(&raw[at..]) as usize, g.len());
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode(Bytes::from(raw)), Err(IrError::Decode(_))));
+    }
+
+    #[test]
+    fn rank_200_shape_is_a_decode_error_naming_the_rank() {
+        let g = sample();
+        let clean = encode(&g).to_vec();
+        // The graph input shape's rank byte, then the first node's.
+        let input_rank_at = count_offset(&g) - shape_bytes(&g.input_shape);
+        let node_rank_at = count_offset(&g) + 4 + NODE_FIXED_BYTES;
+        for at in [input_rank_at, node_rank_at] {
+            assert_eq!(clean[at], 4);
+            let mut raw = clean.clone();
+            raw[at] = 200;
+            match decode(Bytes::from(raw)) {
+                Err(IrError::Decode(d)) => assert!(d.contains("rank 200"), "{d}"),
+                other => panic!("expected a decode error, got {other:?}"),
+            }
+        }
+        let json = to_json(&g).replacen("\"input_shape\": [", "\"input_shape\": [1, 1, ", 1);
+        match from_json_unchecked(&json) {
+            Err(IrError::Decode(d)) => assert!(d.contains("rank 6"), "{d}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fan_in_255_node_is_a_decode_error() {
+        let g = sample();
+        let mut raw = encode(&g).to_vec();
+        let at = count_offset(&g) + 4 + ATTR_BYTES;
+        assert_eq!(raw[at], 0, "the first node reads the graph input");
+        raw[at] = 255;
+        assert!(matches!(decode(Bytes::from(raw)), Err(IrError::Decode(_))));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::error::{IrError, IrResult};
 use crate::graph::Graph;
 use crate::infer::infer_shape;
-use crate::shape::Shape;
 
 /// Check the graph invariants:
 ///
@@ -43,12 +42,14 @@ pub fn validate(g: &Graph) -> IrResult<()> {
                 got,
             });
         }
-        let in_shapes: Vec<&Shape> = n
-            .inputs
-            .iter()
-            .map(|x| &g.nodes[x.index()].out_shape)
-            .collect();
-        let expect = infer_shape(id, n.op, &n.attrs, &in_shapes, &g.input_shape)?;
+        let expect = infer_shape(
+            id,
+            n.op,
+            &n.attrs,
+            &n.inputs,
+            |x| g.nodes[x.index()].out_shape,
+            &g.input_shape,
+        )?;
         if expect != n.out_shape {
             return Err(IrError::ShapeMismatch {
                 node: id,
@@ -64,8 +65,9 @@ mod tests {
     use super::*;
     use crate::attrs::Attrs;
     use crate::builder::GraphBuilder;
-    use crate::node::{Node, NodeId};
+    use crate::node::{Node, NodeId, NodeIds};
     use crate::op::OpType;
+    use crate::shape::Shape;
 
     fn ok_graph() -> Graph {
         let mut b = GraphBuilder::new("g", Shape::nchw(1, 3, 8, 8));
@@ -92,14 +94,14 @@ mod tests {
     #[test]
     fn forward_edge_rejected() {
         let mut g = ok_graph();
-        g.nodes[0].inputs = vec![NodeId(1)];
+        g.nodes[0].inputs = vec![NodeId(1)].into();
         assert!(matches!(validate(&g), Err(IrError::BadTopology { .. })));
     }
 
     #[test]
     fn self_loop_rejected() {
         let mut g = ok_graph();
-        g.nodes[1].inputs = vec![NodeId(1)];
+        g.nodes[1].inputs = vec![NodeId(1)].into();
         assert!(matches!(validate(&g), Err(IrError::BadTopology { .. })));
     }
 
@@ -116,7 +118,7 @@ mod tests {
         g.nodes.push(Node {
             op: OpType::Add,
             attrs: Attrs::default(),
-            inputs: vec![NodeId(1)],
+            inputs: vec![NodeId(1)].into(),
             out_shape: Shape::nchw(1, 8, 8, 8),
         });
         assert!(validate(&g).is_err());
@@ -131,7 +133,7 @@ mod tests {
             nodes: vec![Node {
                 op: OpType::Relu,
                 attrs: Attrs::default(),
-                inputs: vec![],
+                inputs: NodeIds::new(),
                 out_shape: Shape::nchw(1, 3, 8, 8),
             }],
         };
@@ -147,7 +149,7 @@ mod tests {
             nodes: vec![Node {
                 op: OpType::Add,
                 attrs: Attrs::default(),
-                inputs: vec![],
+                inputs: NodeIds::new(),
                 out_shape: Shape::nchw(1, 3, 8, 8),
             }],
         };
@@ -167,7 +169,7 @@ mod tests {
         assert!(validate(&ok_graph()).is_ok());
         let mut g = ok_graph();
         // Two inputs to a unary op is too many.
-        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)];
+        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)].into();
         assert!(matches!(validate(&g), Err(IrError::Arity { got: 2, .. })));
     }
 }

@@ -44,7 +44,7 @@ pub struct ScheduledKernel {
 /// Full execution trace of one model on one platform.
 #[derive(Debug, Clone)]
 pub struct ExecutionTrace {
-    /// Scheduled kernels in issue order.
+    /// Scheduled kernels, indexed like [`fusion::fuse`]'s kernel list.
     pub kernels: Vec<ScheduledKernel>,
     /// Model latency: the makespan.
     pub latency_ms: f64,
@@ -78,21 +78,19 @@ impl ExecutionTrace {
     }
 }
 
-/// Execute a graph on a platform and return the full trace.
-pub fn execute(g: &Graph, p: &PlatformSpec) -> ExecutionTrace {
+/// The scheduler: fuse `g`, list-schedule the kernel DAG onto `p`'s streams
+/// and return the makespan. `sink` receives each kernel's index (in
+/// [`fusion::fuse`] order) and its record as it is issued; a sink that
+/// ignores them compiles away, which is what makes a bare latency cheap.
+fn schedule(g: &Graph, p: &PlatformSpec, mut sink: impl FnMut(usize, ScheduledKernel)) -> f64 {
     let kernels: Vec<Kernel> = fusion::fuse(g);
     let deps = fusion::kernel_deps(g, &kernels);
-    let descs: Vec<KernelDesc> = kernels
-        .iter()
-        .map(|k| fusion::describe(g, k, p.dtype))
-        .collect();
 
     let mut stream_free = vec![0.0f64; p.streams.max(1)];
     // Execution time of the kernel that last ran on each stream: a launch
     // can only hide behind it if it was long enough.
     let mut stream_last_exec = vec![0.0f64; p.streams.max(1)];
     let mut finish = vec![0.0f64; kernels.len()];
-    let mut records: Vec<Option<ScheduledKernel>> = vec![None; kernels.len()];
 
     // Fusion can produce a kernel whose skip-branch producer was created
     // later; schedule in kernel-DAG topological order.
@@ -140,31 +138,39 @@ pub fn execute(g: &Graph, p: &PlatformSpec) -> ExecutionTrace {
         } else {
             p.cache_overlap
         };
-        let compute = kernel_cost::compute_ms(&descs[i], p);
-        let memory = kernel_cost::memory_ms(&descs[i], p, cached_frac);
+        let desc: KernelDesc = fusion::describe(g, &kernels[i], p.dtype);
+        let compute = kernel_cost::compute_ms(&desc, p);
+        let memory = kernel_cost::memory_ms(&desc, p, cached_frac);
         let exec = compute.max(memory);
 
         let end = start + launch_ms + exec;
         stream_free[stream] = end;
         stream_last_exec[stream] = exec;
         finish[i] = end;
-        records[i] = Some(ScheduledKernel {
-            desc: descs[i].clone(),
-            stream,
-            start_ms: start,
-            finish_ms: end,
-            launch_ms,
-            compute_ms: compute,
-            memory_ms: memory,
-        });
+        sink(
+            i,
+            ScheduledKernel {
+                desc,
+                stream,
+                start_ms: start,
+                finish_ms: end,
+                launch_ms,
+                compute_ms: compute,
+                memory_ms: memory,
+            },
+        );
     }
 
-    let latency_ms = finish.iter().copied().fold(0.0f64, f64::max);
+    finish.iter().copied().fold(0.0f64, f64::max)
+}
+
+/// Execute a graph on a platform and return the full trace.
+pub fn execute(g: &Graph, p: &PlatformSpec) -> ExecutionTrace {
+    let mut issued: Vec<(usize, ScheduledKernel)> = Vec::new();
+    let latency_ms = schedule(g, p, |i, k| issued.push((i, k)));
+    issued.sort_unstable_by_key(|&(i, _)| i);
     ExecutionTrace {
-        kernels: records
-            .into_iter()
-            .map(|r| r.expect("every kernel scheduled"))
-            .collect(),
+        kernels: issued.into_iter().map(|(_, k)| k).collect(),
         latency_ms,
     }
 }
@@ -215,9 +221,10 @@ pub fn execute_recorded(
     trace
 }
 
-/// Noise-free model latency in milliseconds.
+/// Noise-free model latency in milliseconds: the schedule of [`execute`]
+/// with nothing recorded.
 pub fn model_latency_ms(g: &Graph, p: &PlatformSpec) -> f64 {
-    execute(g, p).latency_ms
+    schedule(g, p, |_, _| {})
 }
 
 /// Sum of the *isolated* latencies of the model's kernels — the quantity

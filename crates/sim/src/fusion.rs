@@ -8,7 +8,7 @@
 //! traffic shrinks, which is one of the reasons kernel-latency additivity
 //! fails (§3.2).
 
-use nnlqp_ir::{cost, DType, Graph, NodeId, OpType};
+use nnlqp_ir::{cost, DType, Graph, NodeId, NodeIds, OpType};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -112,8 +112,8 @@ pub struct Kernel {
     /// Family after fusion.
     pub family: KernelFamily,
     /// Member nodes in topological order; the last node produces the
-    /// kernel output.
-    pub nodes: Vec<NodeId>,
+    /// kernel output. At most three by the fusion rules, so held inline.
+    pub nodes: NodeIds,
 }
 
 /// Numeric description of a kernel — everything the cost model (and the
@@ -147,24 +147,29 @@ pub struct KernelDesc {
 
 /// Fuse a graph into kernels (greedy, deterministic).
 pub fn fuse(g: &Graph) -> Vec<Kernel> {
-    let succ = g.successors();
-    let mut assigned = vec![false; g.len()];
-    let mut kernels = Vec::new();
-
-    let sole_consumer = |id: NodeId| -> Option<NodeId> {
-        let s = &succ[id.index()];
-        if s.len() == 1 {
-            Some(s[0])
-        } else {
-            None
+    // The rules only ever ask for "the sole consumer of node i, if it has
+    // exactly one": an edge count and the last consumer seen, per node. A
+    // duplicate edge counts twice, so `add(x, x)` is two consumers of `x`.
+    let mut consumers = vec![(0u32, NodeId(0)); g.len()];
+    for (id, n) in g.iter() {
+        for &inp in &n.inputs {
+            let c = &mut consumers[inp.index()];
+            *c = (c.0 + 1, id);
         }
+    }
+    let sole_consumer = |id: NodeId| -> Option<NodeId> {
+        let (count, last) = consumers[id.index()];
+        (count == 1).then_some(last)
     };
+    let mut assigned = vec![false; g.len()];
+    let mut kernels = Vec::with_capacity(g.len());
 
     for (id, n) in g.iter() {
         if assigned[id.index()] {
             continue;
         }
-        let mut nodes = vec![id];
+        let mut nodes = NodeIds::new();
+        nodes.push(id);
         let mut family = KernelFamily::single(n.op);
         // A consumer may already belong to an earlier kernel (e.g. the
         // main-path conv of a projection residual absorbed the Add before
@@ -278,9 +283,58 @@ pub fn fusion_stats<'a>(
     stats
 }
 
-/// Dependency lists between kernels: `deps[i]` holds indices of kernels
-/// that must finish before kernel `i` starts.
-pub fn kernel_deps(g: &Graph, kernels: &[Kernel]) -> Vec<Vec<usize>> {
+/// Dependency lists between kernels in CSR form (offsets into one flat
+/// buffer): `deps[i]` holds the indices of kernels that must finish before
+/// kernel `i` starts, de-duplicated and ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelDeps {
+    /// `flat[offsets[i]..offsets[i + 1]]` are kernel `i`'s producers.
+    offsets: Vec<usize>,
+    flat: Vec<usize>,
+}
+
+impl KernelDeps {
+    /// Number of kernels.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True for the dependency lists of no kernels.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every kernel's producer list, in kernel order.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.offsets.windows(2).map(|w| &self.flat[w[0]..w[1]])
+    }
+}
+
+impl std::ops::Index<usize> for KernelDeps {
+    type Output = [usize];
+
+    fn index(&self, i: usize) -> &[usize] {
+        &self.flat[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Lists taken as given (a verifier's hand-built, possibly cyclic plan).
+impl<L: AsRef<[usize]>> FromIterator<L> for KernelDeps {
+    fn from_iter<I: IntoIterator<Item = L>>(lists: I) -> Self {
+        let mut deps = KernelDeps {
+            offsets: vec![0],
+            flat: Vec::new(),
+        };
+        for l in lists {
+            deps.flat.extend_from_slice(l.as_ref());
+            deps.offsets.push(deps.flat.len());
+        }
+        deps
+    }
+}
+
+/// Dependency lists between kernels, from the data flow of `g`.
+pub fn kernel_deps(g: &Graph, kernels: &[Kernel]) -> KernelDeps {
     // Map node -> kernel index.
     let mut owner = vec![usize::MAX; g.len()];
     for (ki, k) in kernels.iter().enumerate() {
@@ -288,46 +342,63 @@ pub fn kernel_deps(g: &Graph, kernels: &[Kernel]) -> Vec<Vec<usize>> {
             owner[n.index()] = ki;
         }
     }
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); kernels.len()];
+    let mut offsets = Vec::with_capacity(kernels.len() + 1);
+    offsets.push(0);
+    // One dependency per edge at the most.
+    let mut flat: Vec<usize> = Vec::with_capacity(g.num_edges());
     for (ki, k) in kernels.iter().enumerate() {
+        let start = flat.len();
         for &nid in &k.nodes {
             for &inp in &g.node(nid).inputs {
                 let producer = owner[inp.index()];
-                if producer != ki && !deps[ki].contains(&producer) {
-                    deps[ki].push(producer);
+                if producer != ki && !flat[start..].contains(&producer) {
+                    flat.push(producer);
                 }
             }
         }
-        deps[ki].sort_unstable();
+        flat[start..].sort_unstable();
+        offsets.push(flat.len());
     }
-    deps
+    KernelDeps { offsets, flat }
 }
 
 /// Topological order of the kernel DAG (Kahn's algorithm). Needed because
 /// fusion can create a kernel (e.g. `Conv+Add`) whose skip-branch producer
 /// appears later in creation order.
-pub fn topo_order(deps: &[Vec<usize>]) -> Vec<usize> {
+pub fn topo_order(deps: &KernelDeps) -> Vec<usize> {
     let n = deps.len();
-    let mut indegree = vec![0usize; n];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut indegree: Vec<usize> = deps.iter().map(<[usize]>::len).collect();
+    // Consumer lists, CSR again: count, prefix-sum, then scatter in kernel
+    // order so each kernel's consumers come out ascending.
+    let mut offsets = vec![0usize; n + 1];
+    for &p in &deps.flat {
+        offsets[p + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut consumers = vec![0usize; deps.flat.len()];
+    let mut cursor = offsets.clone();
     for (i, d) in deps.iter().enumerate() {
-        indegree[i] = d.len();
         for &p in d {
-            consumers[p].push(i);
+            consumers[cursor[p]] = i;
+            cursor[p] += 1;
         }
     }
     // Min-index-first queue keeps the order deterministic and close to
     // creation order.
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = indegree
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d == 0)
-        .map(|(i, _)| std::cmp::Reverse(i))
-        .collect();
+    let mut ready = std::collections::BinaryHeap::with_capacity(n);
+    ready.extend(
+        indegree
+            .iter()
+            .enumerate()
+            .filter(|(_, &d)| d == 0)
+            .map(|(i, _)| std::cmp::Reverse(i)),
+    );
     let mut order = Vec::with_capacity(n);
     while let Some(std::cmp::Reverse(i)) = ready.pop() {
         order.push(i);
-        for &c in &consumers[i] {
+        for &c in &consumers[offsets[i]..offsets[i + 1]] {
             indegree[c] -= 1;
             if indegree[c] == 0 {
                 ready.push(std::cmp::Reverse(c));
@@ -429,7 +500,7 @@ mod tests {
         let ks = fuse(&g);
         let deps = kernel_deps(&g, &ks);
         assert!(deps[0].is_empty());
-        assert_eq!(deps[1], vec![0]);
+        assert_eq!(deps[1], [0]);
     }
 
     #[test]
