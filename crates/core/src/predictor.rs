@@ -85,6 +85,18 @@ impl PredictorHandle {
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
+
+    /// The head serving `platform_name` (canonical name or paper alias).
+    /// Heads are keyed by canonical name, so the name is all that is
+    /// resolved: no spec is constructed.
+    fn head_for(&self, platform_name: &str) -> Result<usize, QueryError> {
+        let name = PlatformSpec::canonical_name(platform_name)
+            .ok_or_else(|| QueryError::UnknownPlatform(platform_name.to_string()))?;
+        self.head_of
+            .get(name)
+            .copied()
+            .ok_or_else(|| QueryError::UnknownPlatform(format!("no head for {name}")))
+    }
 }
 
 /// Training options for [`Nnlqp::train_predictor`].
@@ -272,13 +284,10 @@ impl Nnlqp {
     /// True when a trained predictor is installed and has a head for the
     /// platform — i.e. the degrade-to-prediction path can serve it.
     pub fn has_predictor_for(&self, platform_name: &str) -> bool {
-        let Some(spec) = PlatformSpec::by_name(platform_name) else {
-            return false;
-        };
         self.predictor
             .read()
             .as_ref()
-            .is_some_and(|h| h.head_of.contains_key(&spec.name))
+            .is_some_and(|h| h.head_for(platform_name).is_ok())
     }
 
     /// The paper's `NNLQP.predict`: estimate latency without touching
@@ -368,12 +377,7 @@ impl Nnlqp {
         platform_name: &str,
         wall: Option<&TraceClock>,
     ) -> Result<(PredictResult, Option<PredictTicks>), QueryError> {
-        let spec = PlatformSpec::by_name(platform_name)
-            .ok_or_else(|| QueryError::UnknownPlatform(platform_name.to_string()))?;
-        let head = *handle
-            .head_of
-            .get(&spec.name)
-            .ok_or_else(|| QueryError::UnknownPlatform(format!("no head for {}", spec.name)))?;
+        let head = handle.head_for(platform_name)?;
         let key = embed_key(graph, handle);
         if let Some(emb) = self.embed_cache.get(&key) {
             self.m_embed_hits.inc();
@@ -412,9 +416,9 @@ impl Nnlqp {
     }
 
     /// Batched multi-platform prediction: hash and cache-probe every
-    /// graph, compute the missing embeddings in parallel (each runs the
-    /// backbone exactly once), then fan each embedding across all
-    /// requested platform heads. Numerically identical to calling
+    /// graph, compute the missing embeddings (each runs the backbone
+    /// exactly once), then run each requested platform's head once over
+    /// all of them. Numerically identical to calling
     /// [`Nnlqp::predict`] per `(graph, platform)` pair — see the
     /// `predict_fastpath` parity suite — while paying the backbone cost
     /// per *graph* instead of per *pair*.
@@ -423,20 +427,14 @@ impl Nnlqp {
         graphs: &[nnlqp_ir::Graph],
         platform_names: &[&str],
     ) -> Result<BatchPredictResult, QueryError> {
-        let mut heads = Vec::with_capacity(platform_names.len());
         let guard = self.predictor.read();
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
-        for name in platform_names {
-            let spec = PlatformSpec::by_name(name)
-                .ok_or_else(|| QueryError::UnknownPlatform(name.to_string()))?;
-            let head = *handle
-                .head_of
-                .get(&spec.name)
-                .ok_or_else(|| QueryError::UnknownPlatform(format!("no head for {}", spec.name)))?;
-            heads.push(head);
-        }
+        let heads = platform_names
+            .iter()
+            .map(|name| handle.head_for(name))
+            .collect::<Result<Vec<usize>, _>>()?;
 
         // Serial probe pass: hash each graph and consult the cache.
         let keys: Vec<EmbedKey> = graphs.iter().map(|g| embed_key(g, handle)).collect();
@@ -465,17 +463,14 @@ impl Nnlqp {
         }
         self.g_embed_len.set(self.embed_cache.len() as f64);
 
-        // Head fan-out: every embedding against every requested platform.
-        let latencies_ms: Vec<Vec<f64>> = embeddings
-            .iter()
-            .map(|emb| {
-                let emb = emb.as_ref().expect("all embeddings resolved");
-                heads
-                    .iter()
-                    .map(|&h| handle.model.head_eval_with(emb, h, &mut scratch))
-                    .collect()
-            })
-            .collect();
+        // Head fan-out: the embeddings stacked once, then each requested
+        // platform's head run once over the whole stack.
+        let mut stacked = scratch.take(graphs.len(), handle.model.embedding_dim());
+        for (i, emb) in embeddings.iter().enumerate() {
+            let emb = emb.as_ref().expect("all embeddings resolved");
+            stacked.row_mut(i).copy_from_slice(emb);
+        }
+        let latencies_ms = handle.model.head_eval_grid(&stacked, &heads, &mut scratch);
 
         let misses = missing.len() as u64;
         let total = (graphs.len() * platform_names.len()) as u64;
@@ -848,6 +843,9 @@ mod tests {
         assert_eq!(again.embed_hits, 2);
         assert_eq!(again.latencies_ms, batch.latencies_ms);
         assert!(again.cost_s < batch.cost_s);
+        // No graphs: no rows to stack, an empty answer.
+        let none = s.predict_batch(&[], &platforms).unwrap();
+        assert!(none.latencies_ms.is_empty());
     }
 
     #[test]

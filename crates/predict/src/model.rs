@@ -10,6 +10,7 @@
 //!   extract useful graph embedding of the entire model".
 
 use crate::features::{GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM};
+use crate::predictor::Predictor;
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{
     layers::mse_loss, relu_backward_inplace, relu_inplace, sage::SageCache, Activation, Adam, Csr,
@@ -111,6 +112,12 @@ impl NnlpConfig {
         };
         graph_part + if self.use_static { STATIC_DIM } else { 0 }
     }
+}
+
+/// A head's log-space output (`ln(1 + y)`, the training target) mapped
+/// back to output units, clamped positive.
+pub(crate) fn log_to_units(pred: f32) -> f64 {
+    (pred as f64).exp_m1().max(1e-6)
 }
 
 /// One platform head: FC -> ReLU -> Dropout -> FC -> ReLU -> FC(1)
@@ -241,24 +248,32 @@ impl Head {
         )
     }
 
-    /// Inference-only forward on the fused GEMM+bias+activation kernels:
-    /// arithmetic identical — bit for bit — to [`Head::forward`] with
-    /// dropout disabled, with every intermediate drawn from `scratch`.
-    pub(crate) fn eval(&self, x: &Matrix, scratch: &mut Scratch) -> f32 {
+    /// Inference-only forward on the fused GEMM+bias+activation kernels
+    /// over a matrix of embeddings, one per row; `out[i]` is row `i`'s
+    /// prediction in output units ([`log_to_units`]). Three GEMMs whatever
+    /// the height, every intermediate drawn from `scratch`. Each output
+    /// element accumulates its k-terms in ascending order from `+0.0`
+    /// whatever the row count and the epilogue is row-wise, so a row's
+    /// answer does not depend on which rows it is stacked with, and is
+    /// identical, bit for bit, to [`Head::forward`] with dropout
+    /// disabled.
+    pub(crate) fn eval(&self, x: &Matrix, scratch: &mut Scratch, out: &mut [f64]) {
+        assert_eq!(out.len(), x.rows, "one output per embedding row");
         let mut a1 = scratch.take(x.rows, self.l1.w.cols);
         self.l1
             .forward_into(x, Activation::Relu, &mut a1, scratch.pack_buf());
         let mut a2 = scratch.take(a1.rows, self.l2.w.cols);
         self.l2
             .forward_into(&a1, Activation::Relu, &mut a2, scratch.pack_buf());
-        let mut out = scratch.take(a2.rows, 1);
+        let mut y = scratch.take(a2.rows, 1);
         self.l3
-            .forward_into(&a2, Activation::Identity, &mut out, scratch.pack_buf());
-        let pred = out.get(0, 0);
+            .forward_into(&a2, Activation::Identity, &mut y, scratch.pack_buf());
+        for (o, &pred) in out.iter_mut().zip(&y.data) {
+            *o = log_to_units(pred);
+        }
         scratch.put(a1);
         scratch.put(a2);
-        scratch.put(out);
-        pred
+        scratch.put(y);
     }
 
     /// Backward from the loss gradient `d_pred`; returns the embedding
@@ -673,13 +688,15 @@ impl NnlpModel {
         scratch: &mut Scratch,
     ) -> f64 {
         let emb = self.embed_normalized(nodes, adj, stat, scratch);
-        self.head_eval_with(&emb, head_idx, scratch)
+        let mut ms = [0.0];
+        self.heads[head_idx].eval(&Matrix::from_rows(1, emb.len(), emb), scratch, &mut ms);
+        ms[0]
     }
 
     /// The expensive half of a prediction: normalize the raw features, run
     /// the GNN backbone and pool into the shared graph embedding, drawing
     /// every intermediate from `scratch`. The cheap half is
-    /// [`NnlpModel::head_eval_with`]; composed they reproduce the training
+    /// [`Predictor::head_eval_rows`]; composed they reproduce the training
     /// path's forward bit for bit.
     pub fn embed_with(&self, feats: &GraphFeatures, scratch: &mut Scratch) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
@@ -699,39 +716,17 @@ impl NnlpModel {
         self.embed_with(feats, &mut Scratch::new())
     }
 
-    /// The cheap half of a prediction: run one platform head (`g(;beta_P)`)
-    /// over a shared embedding and map back to milliseconds. `emb` must
-    /// come from [`NnlpModel::embed_with`] (or an embedding cache) for
-    /// this exact model.
-    pub fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
-        let mut x = scratch.take(1, emb.len());
-        x.data.copy_from_slice(emb);
-        let pred = self.heads[head_idx].eval(&x, scratch);
-        scratch.put(x);
-        (pred as f64).exp_m1().max(1e-6)
-    }
-
-    /// [`NnlpModel::head_eval_with`] over a private scratch arena.
-    pub fn head_eval(&self, emb: &[f32], head_idx: usize) -> f64 {
-        self.head_eval_with(emb, head_idx, &mut Scratch::new())
-    }
-
     /// Predict latency in milliseconds for raw (un-normalized) features.
     pub fn predict_ms(&self, feats: &GraphFeatures, head_idx: usize) -> f64 {
-        let mut scratch = Scratch::new();
-        let emb = self.embed_with(feats, &mut scratch);
-        self.head_eval_with(&emb, head_idx, &mut scratch)
+        Predictor::predict_ms(self, feats, head_idx)
     }
 
     /// Predict latency on *every* platform head from a single backbone
     /// pass — the §8.5 efficiency of the multi-head design (the shared
     /// embedding is computed once; heads are cheap).
     pub fn predict_all_heads_ms(&self, feats: &GraphFeatures) -> Vec<f64> {
-        let mut scratch = Scratch::new();
-        let emb = self.embed_with(feats, &mut scratch);
-        (0..self.heads.len())
-            .map(|h| self.head_eval_with(&emb, h, &mut scratch))
-            .collect()
+        let heads: Vec<usize> = (0..self.heads.len()).collect();
+        Predictor::predict_batch(self, std::slice::from_ref(feats), &heads).remove(0)
     }
 
     /// One training loss evaluation (log-space MSE) with gradients: a
@@ -792,7 +787,6 @@ impl NnlpModel {
 mod tests {
     use super::*;
     use crate::features::extract_features;
-    use crate::predictor::Predictor;
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {

@@ -7,8 +7,12 @@
 //!
 //! * [`Predictor::embed_with`] is the expensive half (backbone + pooling)
 //!   whose output the facade's `EmbedCache` stores;
-//! * [`Predictor::head_eval_with`] is the cheap per-platform half run on
-//!   cache hits;
+//! * [`Predictor::head_eval_rows`] is the cheap per-platform half run on
+//!   cache hits. It is a function of a *matrix* of embeddings: B rows in,
+//!   one head, B answers out, three GEMMs whatever B is, and a row's
+//!   answer never depends on the rows beside it. A batch therefore costs
+//!   one call per platform, and the one-embedding [`Predictor::head_eval`]
+//!   is the same path with B = 1;
 //! * [`Predictor::identity`] names the architecture for cache keying, so
 //!   an A/B hot-swap between architectures can never resolve a stale
 //!   cross-architecture embedding;
@@ -20,7 +24,7 @@ use crate::features::GraphFeatures;
 use crate::model::NnlpModel;
 use crate::train::{train, Sample, TrainConfig, TrainReport};
 use crate::transformer::TransformerModel;
-use nnlqp_nn::Scratch;
+use nnlqp_nn::{Matrix, Scratch};
 use std::fmt;
 use std::str::FromStr;
 
@@ -112,39 +116,67 @@ pub trait Predictor: Send + Sync {
         self.embed_with(feats, &mut Scratch::new())
     }
 
-    /// The cheap half: one platform head over a shared embedding, mapped
-    /// back to output units (ms for latency, percent for accuracy). `emb`
-    /// must come from this exact predictor's [`Predictor::embed_with`].
-    fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64;
+    /// The cheap half, over a matrix of embeddings (one per row, each from
+    /// this exact predictor's [`Predictor::embed_with`]): one platform
+    /// head evaluated on all of them at once, `out[i]` receiving row `i`'s
+    /// answer in output units (ms for latency, percent for accuracy). A
+    /// row's answer does not depend on the rows it is stacked with: a
+    /// batch is bit-identical to its rows evaluated one at a time.
+    fn head_eval_rows(
+        &self,
+        embs: &Matrix,
+        head_idx: usize,
+        scratch: &mut Scratch,
+        out: &mut [f64],
+    );
 
-    /// [`Predictor::head_eval_with`] over a private scratch arena.
+    /// [`Predictor::head_eval_rows`] on one embedding, over a private
+    /// scratch arena.
     fn head_eval(&self, emb: &[f32], head_idx: usize) -> f64 {
-        self.head_eval_with(emb, head_idx, &mut Scratch::new())
+        let x = Matrix::from_rows(1, emb.len(), emb.to_vec());
+        let mut out = [0.0];
+        self.head_eval_rows(&x, head_idx, &mut Scratch::new(), &mut out);
+        out[0]
+    }
+
+    /// Every row of `embs` against every head in `head_idxs`, one
+    /// [`Predictor::head_eval_rows`] call per head: `[row][head]`.
+    fn head_eval_grid(
+        &self,
+        embs: &Matrix,
+        head_idxs: &[usize],
+        scratch: &mut Scratch,
+    ) -> Vec<Vec<f64>> {
+        let mut grid: Vec<Vec<f64>> = (0..embs.rows)
+            .map(|_| Vec::with_capacity(head_idxs.len()))
+            .collect();
+        let mut column = vec![0.0; embs.rows];
+        for &h in head_idxs {
+            self.head_eval_rows(embs, h, scratch, &mut column);
+            for (row, &v) in grid.iter_mut().zip(&column) {
+                row.push(v);
+            }
+        }
+        grid
     }
 
     /// Embed + head in one call.
     fn predict_ms(&self, feats: &GraphFeatures, head_idx: usize) -> f64 {
-        let mut scratch = Scratch::new();
-        let emb = self.embed_with(feats, &mut scratch);
-        self.head_eval_with(&emb, head_idx, &mut scratch)
+        self.predict_batch(std::slice::from_ref(feats), &[head_idx])[0][0]
     }
 
-    /// Batched prediction: one backbone pass per graph, fanned out across
-    /// `head_idxs`, every graph on the one scratch arena (warm from the
-    /// second graph on). Bit-identical to per-(graph, head)
-    /// [`Predictor::predict_ms`] calls.
+    /// Batched prediction: one backbone pass per graph, every graph on the
+    /// one scratch arena (warm from the second graph on), the embeddings
+    /// stacked and each head in `head_idxs` run once over the stack.
+    /// Bit-identical to per-(graph, head) [`Predictor::predict_ms`] calls.
     fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
         let mut scratch = Scratch::new();
-        feats
-            .iter()
-            .map(|f| {
-                let emb = self.embed_with(f, &mut scratch);
-                head_idxs
-                    .iter()
-                    .map(|&h| self.head_eval_with(&emb, h, &mut scratch))
-                    .collect()
-            })
-            .collect()
+        let mut embs = scratch.take(feats.len(), self.embedding_dim());
+        for (i, f) in feats.iter().enumerate() {
+            embs.row_mut(i)
+                .copy_from_slice(&self.embed_with(f, &mut scratch));
+        }
+        self.head_eval_grid(&embs, head_idxs, &mut scratch)
     }
 
     /// Train on pre-normalized samples (mini-batch Adam; Algorithm 1).
@@ -172,8 +204,14 @@ impl Predictor for NnlpModel {
         NnlpModel::embed_with(self, feats, scratch)
     }
 
-    fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
-        NnlpModel::head_eval_with(self, emb, head_idx, scratch)
+    fn head_eval_rows(
+        &self,
+        embs: &Matrix,
+        head_idx: usize,
+        scratch: &mut Scratch,
+        out: &mut [f64],
+    ) {
+        self.heads[head_idx].eval(embs, scratch, out);
     }
 
     fn train_in_place(&mut self, samples: &[Sample], cfg: TrainConfig) -> TrainReport {

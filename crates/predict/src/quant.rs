@@ -18,7 +18,7 @@
 //! deterministic, so reloading re-derives bit-identical int8 tables.
 
 use crate::features::{GraphFeatures, Normalizer};
-use crate::model::{Head, NnlpConfig, NnlpModel, SUM_POOL_SCALE};
+use crate::model::{log_to_units, Head, NnlpConfig, NnlpModel, SUM_POOL_SCALE};
 use crate::predictor::{Predictor, PredictorKind};
 use crate::train::{Sample, TrainConfig, TrainReport};
 use crate::transformer::{TransformerConfig, TransformerModel};
@@ -52,19 +52,24 @@ impl QuantHead {
         }
     }
 
-    fn eval(&self, x: &Matrix, scratch: &mut Scratch, qrow: &mut QuantRow) -> f32 {
+    /// `forward_quant` quantizes its input a row at a time through the one
+    /// `qrow`, so every row keeps its own activation scales and its answer
+    /// is the one it gets alone.
+    fn eval(&self, x: &Matrix, scratch: &mut Scratch, qrow: &mut QuantRow, out: &mut [f64]) {
+        assert_eq!(out.len(), x.rows, "one output per embedding row");
         let mut a1 = scratch.take(x.rows, self.l1.out_dim());
         self.l1.forward_quant(x, &mut a1, Activation::Relu, qrow);
         let mut a2 = scratch.take(a1.rows, self.l2.out_dim());
         self.l2.forward_quant(&a1, &mut a2, Activation::Relu, qrow);
-        let mut out = scratch.take(a2.rows, 1);
+        let mut y = scratch.take(a2.rows, 1);
         self.l3
-            .forward_quant(&a2, &mut out, Activation::Identity, qrow);
-        let pred = out.get(0, 0);
+            .forward_quant(&a2, &mut y, Activation::Identity, qrow);
+        for (o, &pred) in out.iter_mut().zip(&y.data) {
+            *o = log_to_units(pred);
+        }
         scratch.put(a1);
         scratch.put(a2);
-        scratch.put(out);
-        pred
+        scratch.put(y);
     }
 }
 
@@ -378,16 +383,18 @@ impl Predictor for QuantizedPredictor {
         }
     }
 
-    fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
-        let mut qrow = QuantRow::new();
-        let mut x = scratch.take(1, emb.len());
-        x.data.copy_from_slice(emb);
-        let pred = match &self.backbone {
-            QuantBackbone::Sage(m) => m.heads[head_idx].eval(&x, scratch, &mut qrow),
-            QuantBackbone::Transformer(m) => m.heads[head_idx].eval(&x, scratch, &mut qrow),
+    fn head_eval_rows(
+        &self,
+        embs: &Matrix,
+        head_idx: usize,
+        scratch: &mut Scratch,
+        out: &mut [f64],
+    ) {
+        let heads = match &self.backbone {
+            QuantBackbone::Sage(m) => &m.heads,
+            QuantBackbone::Transformer(m) => &m.heads,
         };
-        scratch.put(x);
-        (pred as f64).exp_m1().max(1e-6)
+        heads[head_idx].eval(embs, scratch, &mut QuantRow::new(), out);
     }
 
     /// Quantized predictors are frozen deployment artifacts: retraining
@@ -466,7 +473,8 @@ mod tests {
             let mut warm = None;
             for feats in [&big, &small, &big, &big, &small] {
                 let emb = p.embed_with(feats, &mut scratch);
-                p.head_eval_with(&emb, 0, &mut scratch);
+                let x = Matrix::from_rows(1, emb.len(), emb);
+                p.head_eval_rows(&x, 0, &mut scratch, &mut [0.0]);
                 let idle = scratch.idle_buffers();
                 assert!(idle > 0, "{}: arena unused", p.kind());
                 assert_eq!(*warm.get_or_insert(idle), idle, "{}: arena grew", p.kind());

@@ -247,16 +247,6 @@ impl TransformerModel {
         emb
     }
 
-    /// The cheap half: identical contract to the SAGE predictor's
-    /// `head_eval_with` (`exp(ln(1+y)) - 1`, clamped positive).
-    pub fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
-        let mut x = scratch.take(1, emb.len());
-        x.data.copy_from_slice(emb);
-        let pred = self.heads[head_idx].eval(&x, scratch);
-        scratch.put(x);
-        (pred as f64).exp_m1().max(1e-6)
-    }
-
     /// One training loss evaluation (log-space MSE) with gradients.
     pub fn loss_and_grads(
         &self,
@@ -431,8 +421,14 @@ impl Predictor for TransformerModel {
         TransformerModel::embed_with(self, feats, scratch)
     }
 
-    fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
-        TransformerModel::head_eval_with(self, emb, head_idx, scratch)
+    fn head_eval_rows(
+        &self,
+        embs: &Matrix,
+        head_idx: usize,
+        scratch: &mut Scratch,
+        out: &mut [f64],
+    ) {
+        self.heads[head_idx].eval(embs, scratch, out);
     }
 
     fn train_in_place(&mut self, samples: &[Sample], cfg: TrainConfig) -> TrainReport {

@@ -13,7 +13,7 @@ use nnlqp_ir::{DType, OpType};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Grouped-convolution fallback multiplier by precision: the fast
 /// quantized/half kernels of vendor runtimes do not support grouping, so
@@ -215,6 +215,16 @@ impl PlatformSpec {
 
     /// All platforms the simulated NNLQ supports (superset of Table 1).
     pub fn registry() -> Vec<PlatformSpec> {
+        Self::table().to_vec()
+    }
+
+    /// The registry, built once per process; name lookups scan it in place.
+    fn table() -> &'static [PlatformSpec] {
+        static TABLE: OnceLock<Vec<PlatformSpec>> = OnceLock::new();
+        TABLE.get_or_init(Self::build_table)
+    }
+
+    fn build_table() -> Vec<PlatformSpec> {
         use DType::*;
         use HardwareClass::*;
         vec![
@@ -261,15 +271,26 @@ impl PlatformSpec {
         ]
     }
 
-    /// Look up a platform by its canonical name.
-    pub fn by_name(name: &str) -> Option<PlatformSpec> {
+    /// The registry row a canonical name or paper alias names.
+    fn find(name: &str) -> Option<&'static PlatformSpec> {
         // Accept the paper's occasional aliases.
         let canonical = match name {
             "cpu-ppl2-fp32" => "cpu-openppl-fp32",
             "mul270-neuware-int8" => "mlu270-neuware-int8",
             other => other,
         };
-        Self::registry().into_iter().find(|p| p.name == canonical)
+        Self::table().iter().find(|p| p.name == canonical)
+    }
+
+    /// Look up a platform by its canonical name or paper alias.
+    pub fn by_name(name: &str) -> Option<PlatformSpec> {
+        Self::find(name).cloned()
+    }
+
+    /// The canonical name `name` resolves to, without constructing a spec
+    /// — all a caller that keys by platform name needs.
+    pub fn canonical_name(name: &str) -> Option<&'static str> {
+        Self::find(name).map(|p| p.name.as_str())
     }
 
     /// The nine platforms of the Table 2 / Table 6 experiments, in row
@@ -441,6 +462,30 @@ mod tests {
             PlatformSpec::by_name("mul270-neuware-int8").unwrap().name,
             "mlu270-neuware-int8"
         );
+    }
+
+    #[test]
+    fn lookups_agree_with_the_registry_row_for_row() {
+        let reg = PlatformSpec::registry();
+        assert_eq!(reg.len(), 19);
+        for row in &reg {
+            assert_eq!(PlatformSpec::by_name(&row.name).as_ref(), Some(row));
+            assert_eq!(
+                PlatformSpec::canonical_name(&row.name),
+                Some(row.name.as_str())
+            );
+        }
+        for (alias, canonical) in [
+            ("cpu-ppl2-fp32", "cpu-openppl-fp32"),
+            ("mul270-neuware-int8", "mlu270-neuware-int8"),
+        ] {
+            let row = reg.iter().find(|p| p.name == canonical);
+            assert!(row.is_some());
+            assert_eq!(PlatformSpec::by_name(alias).as_ref(), row);
+            assert_eq!(PlatformSpec::canonical_name(alias), Some(canonical));
+        }
+        assert_eq!(PlatformSpec::by_name("tpu-v4-bf16"), None);
+        assert_eq!(PlatformSpec::canonical_name("tpu-v4-bf16"), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A counting allocator shared by the test binaries that assert allocation
-//! counts (`train_allocations`, `miss_allocations`). Each declares this
-//! module and installs [`Counting`] as its own `#[global_allocator]`; the
-//! count is per thread, because the harness runs tests side by side.
+//! counts (`train_allocations`, `miss_allocations`, `predict_allocations`).
+//! Each declares this module and installs [`Counting`] as its own
+//! `#[global_allocator]`; the count is per thread, because the harness runs
+//! tests side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

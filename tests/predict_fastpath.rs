@@ -14,23 +14,33 @@ use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 
 const PLATFORMS: [&str; 2] = ["gpu-T4-trt7.1-fp32", "cpu-openppl-fp32"];
 
-/// Build a system, measure a tiny SqueezeNet corpus on both platforms and
-/// train a small two-head predictor over it.
-fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
-    let s = Nnlqp::builder()
+fn system(embed_cache_capacity: usize) -> Nnlqp {
+    Nnlqp::builder()
         .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
         .reps(3)
         .embed_cache(embed_cache_capacity)
-        .build();
+        .build()
+}
+
+/// Build a system, measure a tiny SqueezeNet corpus on `platforms` and
+/// train a predictor with one head per platform over it.
+fn trained_on(platforms: &[&str], cfg: TrainPredictorConfig, embed_cache_capacity: usize) -> Nnlqp {
+    let s = system(embed_cache_capacity);
     let models: Vec<Graph> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 8, 3)
         .into_iter()
         .map(|m| m.graph)
         .collect();
-    for name in PLATFORMS {
+    for name in platforms {
         s.warm_cache(&models, &Platform::by_name(name).unwrap(), 1)
             .unwrap();
     }
-    s.train_predictor(
+    s.train_predictor(platforms, cfg).unwrap();
+    s
+}
+
+/// [`trained_on`] both of [`PLATFORMS`], with a small two-head predictor.
+fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
+    trained_on(
         &PLATFORMS,
         TrainPredictorConfig {
             epochs: 30,
@@ -38,9 +48,8 @@ fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
             gnn_layers: 2,
             ..Default::default()
         },
+        embed_cache_capacity,
     )
-    .unwrap();
-    s
 }
 
 /// Fresh graphs the trained corpus has never seen.
@@ -68,6 +77,49 @@ fn batch_matches_per_sample_predict_bitwise() {
             assert_eq!(got.cost_s, PREDICT_COST_S);
         }
     }
+}
+
+/// The serving shape: 32 graphs against four platform heads at the default
+/// width (48), where each head is one GEMM chain over all 32 embeddings.
+/// Every pair must equal its own per-sample prediction, whether the batch
+/// computed its embeddings or found all of them cached.
+#[test]
+fn a_32_by_4_batch_matches_per_sample_predict_cold_and_cached() {
+    const FOUR: [&str; 4] = [
+        "gpu-T4-trt7.1-fp32",
+        "cpu-openppl-fp32",
+        "hi3559A-nnie11-int8",
+        "atlas300-acl-fp16",
+    ];
+    let cfg = TrainPredictorConfig {
+        epochs: 20,
+        ..Default::default()
+    };
+    let cold = trained_on(&FOUR, cfg, 0); // cache off: per-sample runs the backbone
+    let warm = system(2048);
+    warm.set_predictor(cold.predictor_handle().unwrap());
+    let graphs = probes(32);
+    let first = warm.predict_batch(&graphs, &FOUR).unwrap();
+    let second = warm.predict_batch(&graphs, &FOUR).unwrap();
+    assert_eq!(first.embed_hits + first.embed_misses, 32);
+    assert_eq!((second.embed_hits, second.embed_misses), (32, 0));
+    assert_eq!(second.latencies_ms.len(), 32);
+    let mut clamped = 0;
+    for ((g, computed), cached) in graphs
+        .iter()
+        .zip(&first.latencies_ms)
+        .zip(&second.latencies_ms)
+    {
+        assert_eq!(cached.len(), FOUR.len());
+        for (i, name) in FOUR.iter().enumerate() {
+            let p = QueryParams::by_name(g.clone(), 1, name).unwrap();
+            let alone = cold.predict(&p).unwrap().latency_ms;
+            clamped += usize::from(alone <= 1e-6);
+            assert_eq!(computed[i], alone, "computed batch != per-sample on {name}");
+            assert_eq!(cached[i], alone, "cached batch != per-sample on {name}");
+        }
+    }
+    assert!(clamped <= 4, "{clamped} of 128 predictions are the clamp");
 }
 
 #[test]
