@@ -12,7 +12,7 @@
 use crate::dataflow::{self, DataflowAnalysis, Direction, ReachabilityAnalysis};
 use crate::diagnostic::{Anchor, Code, Diagnostic};
 use crate::{AnalysisContext, Pass};
-use nnlqp_hash::{graph_hash, HashAlgo, StreamHasher};
+use nnlqp_hash::{graph_hash, StreamHasher};
 use nnlqp_ir::infer::infer_shape;
 use nnlqp_ir::{serialize, Graph, NodeId, OpType};
 use std::collections::HashMap;
@@ -254,7 +254,7 @@ impl DataflowAnalysis for ValueNumbering {
 
     fn transfer(&self, g: &Graph, id: NodeId, deps: &[u64]) -> u64 {
         let n = g.node(id);
-        let mut h = StreamHasher::new(HashAlgo::Fnv1a);
+        let mut h = StreamHasher::new();
         h.write_u64(n.op.code() as u64);
         for a in n.attrs.to_vec() {
             h.write_f32(a);

@@ -11,8 +11,8 @@
 //! The predictor stamp is part of the key: `train_predictor` /
 //! `set_predictor` hot-swaps draw a fresh one, so an embedding computed
 //! by a previous model can never be served — stale entries simply stop
-//! being addressable and age out of the LRU. The architecture identity
-//! (`Predictor::identity`) is part of the key too: an A/B swap between
+//! being addressable and age out of the LRU. The architecture id
+//! (`PredictorKind::id`) is part of the key too: an A/B swap between
 //! architectures (GraphSAGE ↔ transformer) can never resolve a stale
 //! cross-architecture embedding, even if stamps were ever to collide.
 //!
@@ -31,7 +31,7 @@ pub struct EmbedKey {
     pub batch: u32,
     /// Predictor generation stamp that produced the embedding.
     pub version: u64,
-    /// Architecture identity (`Predictor::identity`) of the producing
+    /// Architecture id (`PredictorKind::id`) of the producing
     /// predictor — embeddings are never interchangeable across
     /// architectures.
     pub arch: u64,

@@ -40,10 +40,7 @@ pub use lru::ShardedLru;
 pub use nnlqp_obs::{
     to_prometheus, DriftAlert, EventLog, MonitorConfig, QualityMonitor, QualityReport,
 };
-pub use nnlqp_predict::{
-    predictor_from_json, quantize_predictor, Predictor, PredictorKind, QuantizedPredictor,
-    QUANT_IDENTITY_OFFSET,
-};
+pub use nnlqp_predict::{predictor_from_json, Predictor, PredictorKind};
 pub use nnlqp_sim::Platform;
 pub use predictor::{
     BatchPredictResult, PredictResult, PredictTicks, PredictorHandle, TrainPredictorConfig,

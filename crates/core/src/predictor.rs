@@ -6,7 +6,7 @@
 //! encoder, future variants) can be trained, installed and hot-swapped
 //! behind the same `predict` / `predict_effective` / `predict_batch`
 //! entry points. Embed-cache keys carry both the install stamp and the
-//! architecture identity, so a swap — same architecture or cross —
+//! architecture id, so a swap — same architecture or cross —
 //! can never serve a stale embedding.
 
 use crate::embed_cache::EmbedKey;
@@ -65,20 +65,6 @@ impl PredictorHandle {
     /// Architecture of the wrapped model.
     pub fn kind(&self) -> PredictorKind {
         self.model.kind()
-    }
-
-    /// Freeze the wrapped model into its int8 inference form (see
-    /// `nnlqp_predict::quantize_predictor`): same platform→head map, new
-    /// unstamped handle — installing it via [`Nnlqp::set_predictor`]
-    /// assigns a fresh stamp, and the quantized identity keys the embed
-    /// cache separately from the f32 original.
-    pub fn quantized(&self) -> Result<PredictorHandle, String> {
-        let q = nnlqp_predict::quantize_predictor(self.model.as_ref())?;
-        Ok(PredictorHandle {
-            model: Arc::new(q),
-            head_of: self.head_of.clone(),
-            stamp: 0,
-        })
     }
 
     /// Generation stamp (0 until trained-by or installed-into a system).
@@ -485,7 +471,7 @@ impl Nnlqp {
 }
 
 /// Cache key of a graph under a specific predictor handle: graph + batch
-/// + generation stamp + architecture identity.
+/// + generation stamp + architecture id.
 ///
 /// Keyed with the four-lane [`nnlqp_hash::graph_fingerprint`] rather than
 /// the Merkle graph hash: the embed cache is in-process only (never
@@ -500,7 +486,7 @@ fn embed_key(graph: &nnlqp_ir::Graph, handle: &PredictorHandle) -> EmbedKey {
         graph_hash: graph_fingerprint(graph),
         batch: graph.input_shape.batch() as u32,
         version: handle.stamp,
-        arch: handle.model.identity(),
+        arch: handle.kind().id(),
     }
 }
 
@@ -750,7 +736,7 @@ mod tests {
             )
             .unwrap()
             .unwrap();
-        assert_ne!(sage.model.identity(), transformer.model.identity());
+        assert_ne!(sage.kind().id(), transformer.kind().id());
         // Warm the cache through the sage handle, then predict through
         // the transformer handle: it must pay the full backbone cost and
         // produce its own (different) answer, never the cached sage

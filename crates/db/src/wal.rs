@@ -17,7 +17,7 @@
 
 use crate::records::{LatencyId, LatencyRecord, ModelId, ModelRecord, PlatformId, PlatformRecord};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nnlqp_hash::{HashAlgo, StreamHasher};
+use nnlqp_hash::StreamHasher;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 /// FNV-1a checksum of a byte slice: the length is folded in first so a
 /// truncated payload can never collide with its own prefix.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = StreamHasher::new(HashAlgo::Fnv1a);
+    let mut h = StreamHasher::new();
     h.write_u64(bytes.len() as u64);
     for chunk in bytes.chunks(8) {
         let mut w = [0u8; 8];

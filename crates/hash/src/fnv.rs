@@ -1,19 +1,5 @@
-//! 64-bit streaming hash cores.
-//!
-//! Two interchangeable `f_hash` implementations back the graph hash;
-//! `tests/hash_pinning.rs` pins the values of both.
-
-/// Which mixing function `f_hash` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HashAlgo {
-    /// FNV-1a, byte-at-a-time. Simple, fast for the short records hashed
-    /// here, and the default.
-    #[default]
-    Fnv1a,
-    /// A stronger multiply-xor finalizer (splitmix-style avalanche) applied
-    /// per 8-byte word.
-    Mix64,
-}
+//! The 64-bit streaming hash behind the graph hash: FNV-1a over
+//! little-endian words. `tests/hash_pinning.rs` pins its values.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -22,13 +8,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const FNV_PRIME_POW4: u64 = FNV_PRIME.wrapping_pow(4);
 const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
 
-/// Incremental hasher over little-endian words.
+/// Incremental FNV-1a hasher over little-endian words.
 #[derive(Debug, Clone)]
 pub struct StreamHasher {
-    algo: HashAlgo,
     state: u64,
 }
 
+/// The splitmix64 finalizer: `graph_fingerprint` avalanches its lanes with
+/// it.
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -37,42 +24,28 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 impl StreamHasher {
-    /// Fresh hasher for the chosen algorithm.
-    pub fn new(algo: HashAlgo) -> Self {
-        StreamHasher {
-            algo,
-            state: match algo {
-                HashAlgo::Fnv1a => FNV_OFFSET,
-                HashAlgo::Mix64 => 0x9E37_79B9_7F4A_7C15,
-            },
-        }
+    /// Fresh hasher at the FNV offset basis.
+    pub fn new() -> Self {
+        StreamHasher { state: FNV_OFFSET }
     }
 
-    /// Absorb one 64-bit word.
+    /// Absorb one 64-bit word: byte-at-a-time FNV-1a over its eight
+    /// little-endian bytes, with the zero high bytes folded. Most words
+    /// hashed here are small integers (op codes, ranks, counts) or `f32`
+    /// bit patterns and dims (below 2^32). Two fixed thresholds, not a
+    /// per-word trip count, so each arm is straight-line.
     #[inline]
     pub fn write_u64(&mut self, w: u64) {
-        match self.algo {
-            // Byte-at-a-time FNV-1a over the word's eight little-endian
-            // bytes, with the zero high bytes folded: most words hashed
-            // here are small integers (op codes, ranks, counts) or `f32`
-            // bit patterns and dims (below 2^32). Two fixed thresholds,
-            // not a per-word trip count, so each arm is straight-line.
-            HashAlgo::Fnv1a => {
-                if w < 1 << 8 {
-                    self.state = (self.state ^ w).wrapping_mul(FNV_PRIME_POW8);
-                } else if w < 1 << 32 {
-                    for b in (w as u32).to_le_bytes() {
-                        self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
-                    }
-                    self.state = self.state.wrapping_mul(FNV_PRIME_POW4);
-                } else {
-                    for b in w.to_le_bytes() {
-                        self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
-                    }
-                }
+        if w < 1 << 8 {
+            self.state = (self.state ^ w).wrapping_mul(FNV_PRIME_POW8);
+        } else if w < 1 << 32 {
+            for b in (w as u32).to_le_bytes() {
+                self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
             }
-            HashAlgo::Mix64 => {
-                self.state = mix64(self.state ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+            self.state = self.state.wrapping_mul(FNV_PRIME_POW4);
+        } else {
+            for b in w.to_le_bytes() {
+                self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
             }
         }
     }
@@ -93,16 +66,19 @@ impl StreamHasher {
     /// Final 64-bit digest.
     #[inline]
     pub fn finish(&self) -> u64 {
-        match self.algo {
-            HashAlgo::Fnv1a => self.state,
-            HashAlgo::Mix64 => mix64(self.state),
-        }
+        self.state
+    }
+}
+
+impl Default for StreamHasher {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 /// One-shot hash of a word sequence.
-pub fn hash_words(algo: HashAlgo, ws: &[u64]) -> u64 {
-    let mut h = StreamHasher::new(algo);
+pub fn hash_words(ws: &[u64]) -> u64 {
+    let mut h = StreamHasher::new();
     h.write_all(ws);
     h.finish()
 }
@@ -150,7 +126,7 @@ mod tests {
             // them down into the two folded ranges.
             words.push(w >> (8 * r.below(8)));
         }
-        let mut folded = StreamHasher::new(HashAlgo::Fnv1a);
+        let mut folded = StreamHasher::new();
         let mut reference = FNV_OFFSET;
         for (i, &w) in words.iter().enumerate() {
             folded.write_u64(w);
@@ -161,44 +137,30 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        for algo in [HashAlgo::Fnv1a, HashAlgo::Mix64] {
-            assert_eq!(hash_words(algo, &[1, 2, 3]), hash_words(algo, &[1, 2, 3]));
-        }
+        assert_eq!(hash_words(&[1, 2, 3]), hash_words(&[1, 2, 3]));
     }
 
     #[test]
     fn order_sensitive() {
-        for algo in [HashAlgo::Fnv1a, HashAlgo::Mix64] {
-            assert_ne!(hash_words(algo, &[1, 2]), hash_words(algo, &[2, 1]));
-        }
-    }
-
-    #[test]
-    fn algos_differ() {
-        assert_ne!(
-            hash_words(HashAlgo::Fnv1a, &[42]),
-            hash_words(HashAlgo::Mix64, &[42])
-        );
+        assert_ne!(hash_words(&[1, 2]), hash_words(&[2, 1]));
     }
 
     #[test]
     fn no_trivial_collisions_in_small_domain() {
         use std::collections::HashSet;
-        for algo in [HashAlgo::Fnv1a, HashAlgo::Mix64] {
-            let mut seen = HashSet::new();
-            for a in 0u64..64 {
-                for b in 0u64..64 {
-                    assert!(seen.insert(hash_words(algo, &[a, b])), "collision {a},{b}");
-                }
+        let mut seen = HashSet::new();
+        for a in 0u64..64 {
+            for b in 0u64..64 {
+                assert!(seen.insert(hash_words(&[a, b])), "collision {a},{b}");
             }
         }
     }
 
     #[test]
     fn f32_bit_pattern_hashing() {
-        let mut a = StreamHasher::new(HashAlgo::Fnv1a);
+        let mut a = StreamHasher::new();
         a.write_f32(1.5);
-        let mut b = StreamHasher::new(HashAlgo::Fnv1a);
+        let mut b = StreamHasher::new();
         b.write_f32(1.5000001);
         assert_ne!(a.finish(), b.finish());
     }

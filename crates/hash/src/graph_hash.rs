@@ -1,12 +1,12 @@
 //! The Merkle-style graph hash (Eqs. 1 and 2).
 
-use crate::fnv::{HashAlgo, StreamHasher};
+use crate::fnv::StreamHasher;
 use nnlqp_ir::Graph;
 
 /// Hash of one node's attribute set `A_v` (op code, attribute vector,
 /// output shape), before successor hashes are folded in.
-fn attr_hash(algo: HashAlgo, node: &nnlqp_ir::Node) -> u64 {
-    let mut h = StreamHasher::new(algo);
+fn attr_hash(node: &nnlqp_ir::Node) -> u64 {
+    let mut h = StreamHasher::new();
     h.write_u64(node.op.code() as u64);
     // f_sort(A_v): the attribute vector has a canonical field order, which
     // is a fixed sort — identical semantics to sorting a keyed set.
@@ -26,7 +26,7 @@ fn attr_hash(algo: HashAlgo, node: &nnlqp_ir::Node) -> u64 {
 /// Equal values at two nodes (possibly of different graphs) mean the
 /// descendant sub-graphs rooted there are identical in topology, attributes
 /// and shapes.
-pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
+pub fn node_hashes(g: &Graph) -> Vec<u64> {
     let n = g.len();
     // Successor lists in CSR form (two flat buffers) instead of one Vec
     // per node: counting pass, prefix sums, then a scatter pass.
@@ -52,7 +52,7 @@ pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
     // multiply chain independent of every other node's, so back to back
     // the CPU overlaps them; folded into the Merkle pass below they would
     // queue behind its chain through the successors' hashes.
-    let mut hashes: Vec<u64> = g.nodes.iter().map(|node| attr_hash(algo, node)).collect();
+    let mut hashes: Vec<u64> = g.nodes.iter().map(attr_hash).collect();
     // One record buffer reused across nodes — the hot path of every query
     // and cache key allocates nothing per node.
     let mut record: Vec<u64> = Vec::new();
@@ -65,7 +65,7 @@ pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
                 .map(|&s| hashes[s as usize]),
         );
         record.sort_unstable(); // f_sort over successor hashes
-        let mut h = StreamHasher::new(algo);
+        let mut h = StreamHasher::new();
         h.write_u64(hashes[i]);
         h.write_u64(record.len() as u64);
         h.write_all(&record);
@@ -76,15 +76,15 @@ pub fn node_hashes(g: &Graph, algo: HashAlgo) -> Vec<u64> {
 
 /// Whole-graph hash `H_G` (Eq. 2): fold the sorted hashes of all source
 /// nodes (`Pre(u) = ∅`), plus the graph input shape.
-pub fn graph_hash_with(g: &Graph, algo: HashAlgo) -> u64 {
-    let hashes = node_hashes(g, algo);
+pub fn graph_hash(g: &Graph) -> u64 {
+    let hashes = node_hashes(g);
     let mut roots: Vec<u64> = g
         .sources()
         .into_iter()
         .map(|id| hashes[id.index()])
         .collect();
     roots.sort_unstable();
-    let mut h = StreamHasher::new(algo);
+    let mut h = StreamHasher::new();
     h.write_u64(g.input_shape.rank() as u64);
     for &d in g.input_shape.dims() {
         h.write_u64(d as u64);
@@ -92,11 +92,6 @@ pub fn graph_hash_with(g: &Graph, algo: HashAlgo) -> u64 {
     h.write_u64(roots.len() as u64);
     h.write_all(&roots);
     h.finish()
-}
-
-/// Whole-graph hash with the default algorithm (FNV-1a).
-pub fn graph_hash(g: &Graph) -> u64 {
-    graph_hash_with(g, HashAlgo::Fnv1a)
 }
 
 #[cfg(test)]
@@ -187,8 +182,8 @@ mod tests {
         };
         let g1 = build(3);
         let g2 = build(5);
-        let h1 = node_hashes(&g1, HashAlgo::Fnv1a);
-        let h2 = node_hashes(&g2, HashAlgo::Fnv1a);
+        let h1 = node_hashes(&g1);
+        let h2 = node_hashes(&g2);
         // Tail (relu onward) identical.
         assert_eq!(h1[1..], h2[1..]);
         // Stems differ.
@@ -198,12 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn both_algorithms_discriminate() {
+    fn channel_change_changes_hash() {
         let a = diamond(false);
         let mut b = diamond(false);
         b.nodes[2].attrs.out_channels = 16;
-        for algo in [HashAlgo::Fnv1a, HashAlgo::Mix64] {
-            assert_ne!(graph_hash_with(&a, algo), graph_hash_with(&b, algo));
-        }
+        assert_ne!(graph_hash(&a), graph_hash(&b));
     }
 }

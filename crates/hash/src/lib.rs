@@ -21,13 +21,12 @@
 //!   the node's output shape; the graph input shape is folded into `H_G`.
 //!   Output shapes must participate: two models that differ only in input
 //!   resolution have different latencies and must be distinct cache keys.
-//! * Two `f_hash` choices are provided: FNV-1a (default) and a
-//!   multiply-xor mixer.
+//! * `f_hash` is FNV-1a over little-endian words (see [`fnv`]).
 
 pub mod fingerprint;
 pub mod fnv;
 pub mod graph_hash;
 
 pub use fingerprint::graph_fingerprint;
-pub use fnv::{HashAlgo, StreamHasher};
-pub use graph_hash::{graph_hash, graph_hash_with, node_hashes};
+pub use fnv::StreamHasher;
+pub use graph_hash::{graph_hash, node_hashes};

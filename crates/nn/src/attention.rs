@@ -214,8 +214,7 @@ fn attend(
 /// `[n, n]` score matrix, the mixed output) is drawn from the shared
 /// [`Scratch`] arena instead of freshly allocated, and the attention
 /// matrices are returned to the arena rather than kept for a backward
-/// pass. Public so the quantized predictor can reuse the f32 attention
-/// core around its int8 projections.
+/// pass. The attention core of [`AttnLayer::forward_eval`].
 pub fn attend_eval(
     q: &Matrix,
     k: &Matrix,

@@ -30,7 +30,6 @@ pub mod csr;
 pub mod forest;
 pub mod layers;
 pub mod linreg;
-pub mod quant;
 pub mod sage;
 pub mod simd;
 pub mod tensor;
@@ -45,7 +44,6 @@ pub use layers::{
     relu_inplace, Dropout, Linear, LinearGrad,
 };
 pub use linreg::LinearRegression;
-pub use quant::{QuantLinear, QuantRow};
 pub use sage::{SageGrad, SageLayer};
 pub use simd::{kernel, set_simd_enabled, simd_available, Kernel};
 pub use tensor::{Activation, Matrix, Scratch};

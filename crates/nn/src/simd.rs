@@ -22,7 +22,7 @@
 //! `Avx2Fma` and a 4x4 zmm tile on `Avx512`. `matmul_t` computes four
 //! output columns per pass on ymm registers, or, on `Avx512` with enough
 //! rows to pay for transposing B, sixteen per zmm register. Everything
-//! else (softmax exp/sum, row max, the element-wise sweeps, the int8 dot)
+//! else (softmax exp/sum, row max, the element-wise sweeps)
 //! has one 256-bit body that both SIMD backends run, and the row kernels
 //! of the training step (`relu_backward`, `l2_normalize_rows` and its
 //! backward, `mean_agg` and its backward) are one safe loop each, compiled
@@ -31,10 +31,9 @@
 //! # Numerical contract
 //!
 //! Element-wise sweeps (bias+activation, add, scale, scale-then-add,
-//! ReLU, row max, integer dot products) are **bit-identical** across
-//! backends: vector lanes perform exactly the operations the scalar loop
-//! performs, ReLU masks with a `v < 0.0` compare (preserving `-0.0`, like
-//! the scalar test), and integer math has no rounding at all.
+//! ReLU, row max) are **bit-identical** across backends: vector lanes
+//! perform exactly the operations the scalar loop performs, and ReLU masks
+//! with a `v < 0.0` compare (preserving `-0.0`, like the scalar test).
 //!
 //! `gemm` computes every output element as one ascending-`k` chain
 //! starting from `+0.0`. On the SIMD backends each step is a single-rounded
@@ -753,23 +752,6 @@ pub(crate) fn exp_sum_slice(kern: Kernel, xs: &mut [f32], max: f32) -> f32 {
     }
 }
 
-/// Signed-i8 dot product accumulated in i32 (the quantized GEMM inner
-/// loop). Integer math: bit-identical across backends by construction.
-#[inline]
-pub(crate) fn dot_i8(kern: Kernel, a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    match kern {
-        Kernel::Scalar => {
-            let mut acc = 0i32;
-            for (&x, &y) in a.iter().zip(b) {
-                acc += x as i32 * y as i32;
-            }
-            acc
-        }
-        Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!(dot_i8(a, b)),
-    }
-}
-
 /// The GEMM register tile, written once over [`tile::Vector`] and
 /// instantiated for 256-bit and 512-bit registers.
 #[cfg(target_arch = "x86_64")]
@@ -1366,36 +1348,6 @@ mod avx2 {
         }
         max
     }
-
-    /// i8 x i8 -> i32 dot: widen 16 lanes to i16, `madd` adjacent pairs
-    /// into i32 and accumulate. Products cap at 127*127 = 16129, so the
-    /// pairwise i16-product sums (≤ 32258) are exact in i32; whole-k sums
-    /// stay far under i32::MAX for every shape this workload has.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_setzero_si256();
-        let mut j = 0;
-        while j + 16 <= n {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(ap.add(j) as *const __m128i));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(j) as *const __m128i));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-            j += 16;
-        }
-        let hi = _mm256_extracti128_si256(acc, 1);
-        let lo = _mm256_castsi256_si128(acc);
-        let s = _mm_add_epi32(lo, hi);
-        let s = _mm_hadd_epi32(s, s);
-        let s = _mm_hadd_epi32(s, s);
-        let mut r = _mm_cvtsi128_si32(s);
-        while j < n {
-            r += *ap.add(j) as i32 * *bp.add(j) as i32;
-            j += 1;
-        }
-        r
-    }
 }
 
 /// `matmul_t` with one output *column* per lane: what AVX-512's 32
@@ -1598,19 +1550,6 @@ mod tests {
         exp_sum_slice(Kernel::Scalar, &mut got, max);
         for (g, b) in got.iter().zip(&base) {
             assert_eq!(g.to_bits(), (b - max).exp().to_bits());
-        }
-    }
-
-    #[test]
-    fn i8_dot_is_exact_on_every_backend() {
-        let mut rng = Rng64::new(91);
-        for n in [0usize, 1, 15, 16, 17, 33, 64, 129] {
-            let a: Vec<i8> = (0..n).map(|_| rng.range_f64(-127.0, 127.0) as i8).collect();
-            let b: Vec<i8> = (0..n).map(|_| rng.range_f64(-127.0, 127.0) as i8).collect();
-            let want: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
-            for kern in backends() {
-                assert_eq!(dot_i8(kern, &a, &b), want, "{kern:?} n={n}");
-            }
         }
     }
 

@@ -29,7 +29,6 @@ pub mod kernels;
 pub mod metrics;
 pub mod model;
 pub mod predictor;
-pub mod quant;
 pub mod train;
 pub mod transfer;
 pub mod transformer;
@@ -41,6 +40,5 @@ pub use metrics::{acc_at, kendall_tau, mape};
 pub use model::{Head, NnlpConfig, NnlpModel};
 pub use nnlqp_nn::Scratch;
 pub use predictor::{predictor_from_json, Predictor, PredictorKind};
-pub use quant::{quantize_predictor, QuantizedPredictor, QUANT_IDENTITY_OFFSET};
 pub use train::{train, Dataset, Sample, TrainConfig, TrainReport};
 pub use transformer::{train_transformer, TransformerConfig, TransformerModel};

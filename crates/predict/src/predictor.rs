@@ -1,7 +1,7 @@
 //! The [`Predictor`] trait: the embed/head split that has always lived
 //! inside [`NnlpModel`], formalized so every future model — transformer
-//! encoders, quantized variants, platform-transfer pools — is a drop-in
-//! behind one object-safe API.
+//! encoders, platform-transfer pools — is a drop-in behind one object-safe
+//! API.
 //!
 //! The split is the contract the whole serving stack is built on:
 //!
@@ -13,8 +13,8 @@
 //!   answer never depends on the rows beside it. A batch therefore costs
 //!   one call per platform, and the one-embedding [`Predictor::head_eval`]
 //!   is the same path with B = 1;
-//! * [`Predictor::identity`] names the architecture for cache keying, so
-//!   an A/B hot-swap between architectures can never resolve a stale
+//! * [`Predictor::kind`] names the architecture for cache keying, so an
+//!   A/B hot-swap between architectures can never resolve a stale
 //!   cross-architecture embedding;
 //! * [`Predictor::train_in_place`] / [`Predictor::to_json`] are the
 //!   serializable train/eval entry points the retrain loop and model
@@ -29,7 +29,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// The predictor architectures this workspace ships. `#[non_exhaustive]`:
-/// future PRs add variants (quantized, platform-transfer, ...) without a
+/// future PRs add variants (platform-transfer, ...) without a
 /// breaking change, so downstream `match`es need a wildcard arm.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,15 +90,10 @@ impl FromStr for PredictorKind {
 /// half and cheap per-platform heads. Object-safe: the facade stores
 /// `Arc<dyn Predictor>` and hot-swaps implementations at runtime.
 pub trait Predictor: Send + Sync {
-    /// Which architecture this is.
+    /// Which architecture this is. Its [`PredictorKind::id`] keys the
+    /// embed cache: embeddings from different kinds are never
+    /// interchangeable.
     fn kind(&self) -> PredictorKind;
-
-    /// Stable identity for embed-cache keying. Embeddings from predictors
-    /// with different identities are never interchangeable; the default is
-    /// the architecture discriminant.
-    fn identity(&self) -> u64 {
-        self.kind().id()
-    }
 
     /// Width of the pooled graph embedding entering a head.
     fn embedding_dim(&self) -> usize;
@@ -224,17 +219,13 @@ impl Predictor for NnlpModel {
 }
 
 /// Deserialize any [`Predictor`] from its [`Predictor::to_json`] form.
-/// Transformer checkpoints carry a `"kind"` tag; `"quantized"` documents
-/// wrap an inner f32 checkpoint and re-derive their int8 tables
-/// deterministically; untagged documents are the legacy GraphSAGE format,
-/// kept readable for existing checkpoints.
+/// Transformer checkpoints carry a `"kind"` tag; untagged documents are the
+/// legacy GraphSAGE format, kept readable for existing checkpoints. Any
+/// other tag is an error naming it.
 pub fn predictor_from_json(s: &str) -> Result<Box<dyn Predictor>, String> {
     let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
     match v["kind"].as_str() {
         Some("transformer") => Ok(Box::new(TransformerModel::from_json(s)?)),
-        Some("quantized") => Ok(Box::new(crate::quant::QuantizedPredictor::from_inner_json(
-            s,
-        )?)),
         Some(other) => Err(format!("unknown predictor kind '{other}'")),
         None => NnlpModel::from_json(s)
             .map(|m| Box::new(m) as Box<dyn Predictor>)
@@ -285,7 +276,6 @@ mod tests {
         let m = NnlpModel::new(NnlpConfig::default(), norm, &mut rng);
         let dynref: &dyn Predictor = &m;
         assert_eq!(dynref.kind(), PredictorKind::Sage);
-        assert_eq!(dynref.identity(), PredictorKind::Sage.id());
         assert_eq!(dynref.embedding_dim(), m.cfg.embedding_dim());
         // Single prediction, embed/head split and batch all agree with the
         // legacy direct path — bit for bit.
@@ -308,6 +298,20 @@ mod tests {
         let back = predictor_from_json(&Predictor::to_json(&sage)).unwrap();
         assert_eq!(back.kind(), PredictorKind::Sage);
         assert_eq!(back.predict_ms(&feats, 0), sage.predict_ms(&feats, 0));
-        assert!(predictor_from_json("{\"kind\": \"marsprobe\"}").is_err());
+        // Unknown tags are refused by name, including the int8 checkpoints
+        // earlier builds wrote around an f32 inner model.
+        let quantized = format!(
+            "{{\"kind\": \"quantized\", \"inner\": {}}}",
+            Predictor::to_json(&sage)
+        );
+        for (doc, kind) in [
+            ("{\"kind\": \"marsprobe\"}", "marsprobe"),
+            (&quantized[..], "quantized"),
+        ] {
+            let err = predictor_from_json(doc)
+                .err()
+                .expect("unknown kind must not load");
+            assert!(err.contains(kind), "{err}");
+        }
     }
 }

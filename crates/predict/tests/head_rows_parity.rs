@@ -11,8 +11,8 @@
 use nnlqp_ir::{GraphBuilder, Rng64, Shape};
 use nnlqp_nn::{kernel, set_simd_enabled, Activation, Kernel, Matrix, Scratch};
 use nnlqp_predict::{
-    extract_features, quantize_predictor, Head, NnlpConfig, NnlpModel, Normalizer, Predictor,
-    TransformerConfig, TransformerModel,
+    extract_features, Head, NnlpConfig, NnlpModel, Normalizer, Predictor, TransformerConfig,
+    TransformerModel,
 };
 
 const HEIGHTS: [usize; 8] = [1, 2, 3, 4, 5, 31, 32, 33];
@@ -48,8 +48,7 @@ fn models() -> (NnlpModel, TransformerModel) {
     (sage, transformer)
 }
 
-/// `rows` embeddings with entries in [-1, 1); the second row is all zeros
-/// (the quantized path's zero-scale case).
+/// `rows` embeddings with entries in [-1, 1); the second row is all zeros.
 fn embeddings(rows: usize, cols: usize, rng: &mut Rng64) -> Matrix {
     let mut m = Matrix::from_fn(rows, cols, |_, _| (rng.uniform() as f32) * 2.0 - 1.0);
     if rows > 1 {
@@ -79,12 +78,7 @@ fn head_on(kern: Kernel, head: &Head, x: &Matrix) -> Vec<f32> {
 #[test]
 fn a_stacked_head_call_answers_each_row_as_it_answers_it_alone() {
     let (sage, transformer) = models();
-    let predictors: [(&str, Box<dyn Predictor>); 4] = [
-        ("sage int8", Box::new(quantize_predictor(&sage).unwrap())),
-        (
-            "transformer int8",
-            Box::new(quantize_predictor(&transformer).unwrap()),
-        ),
+    let predictors: [(&str, Box<dyn Predictor>); 2] = [
         ("sage", Box::new(sage.clone())),
         ("transformer", Box::new(transformer.clone())),
     ];

@@ -81,12 +81,6 @@ pub mod metric_names {
     pub const DRIFT_RETRAINS: &str = "serve.drift_retrains";
     /// Counter: A/B challenger promotions to per-platform champion.
     pub const PREDICTOR_PROMOTIONS: &str = "serve.predictor_promotions";
-    /// Counter: quantized champions installed after passing the
-    /// publish-time accuracy parity gate.
-    pub const QUANT_PUBLISHES: &str = "serve.quant_publishes";
-    /// Counter: quantized candidates rejected by the parity gate (the f32
-    /// champion kept serving).
-    pub const QUANT_REJECTED: &str = "serve.quant_rejected";
     /// Counter: requests whose graph hash came from the identity memo —
     /// no rebatch, no Merkle pass (see `crate::resolve`).
     pub const RESOLVE_MEMO_HITS: &str = "serve.resolve_memo_hits";
@@ -133,8 +127,6 @@ pub struct ServeMetrics {
     retrain_samples: Arc<Counter>,
     drift_retrains: Arc<Counter>,
     predictor_promotions: Arc<Counter>,
-    quant_publishes: Arc<Counter>,
-    quant_rejected: Arc<Counter>,
     resolve_memo_hits: Arc<Counter>,
     resolve_memo_misses: Arc<Counter>,
     latency: Arc<Histogram>,
@@ -181,8 +173,6 @@ impl ServeMetrics {
             retrain_samples: registry.counter(metric_names::RETRAIN_SAMPLES),
             drift_retrains: registry.counter(metric_names::DRIFT_RETRAINS),
             predictor_promotions: registry.counter(metric_names::PREDICTOR_PROMOTIONS),
-            quant_publishes: registry.counter(metric_names::QUANT_PUBLISHES),
-            quant_rejected: registry.counter(metric_names::QUANT_REJECTED),
             resolve_memo_hits: registry.counter(metric_names::RESOLVE_MEMO_HITS),
             resolve_memo_misses: registry.counter(metric_names::RESOLVE_MEMO_MISSES),
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
@@ -230,8 +220,6 @@ impl ServeMetrics {
         errors,
         drift_retrains,
         predictor_promotions,
-        quant_publishes,
-        quant_rejected,
         resolve_memo_hits,
         resolve_memo_misses,
     );
@@ -279,8 +267,6 @@ impl ServeMetrics {
             retrains: self.retrains.get(),
             retrain_samples: self.retrain_samples.get(),
             predictor_promotions: self.predictor_promotions.get(),
-            quant_publishes: self.quant_publishes.get(),
-            quant_rejected: self.quant_rejected.get(),
             latency_histogram,
         }
     }
@@ -319,11 +305,6 @@ pub struct MetricsSnapshot {
     /// A/B challenger promotions to per-platform champion (informational
     /// overlay, like `retrains` — not a terminal request class).
     pub predictor_promotions: u64,
-    /// Quantized champions installed after passing the publish-time
-    /// accuracy parity gate.
-    pub quant_publishes: u64,
-    /// Quantized candidates rejected by the parity gate.
-    pub quant_rejected: u64,
     /// `(upper_bound_ms, count)` pairs; the last bound is `+inf`.
     pub latency_histogram: Vec<(f64, u64)>,
 }

@@ -73,7 +73,7 @@ use nnlqp_db::PlatformId;
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
-    acc_at, to_prometheus, ErrorWindow, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry,
+    to_prometheus, ErrorWindow, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry,
     MonitorConfig, QualityMonitor, QualityReport, RequestTrace, TraceClock, TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform};
@@ -115,17 +115,6 @@ pub struct ServeConfig {
     pub retrain_platforms: Vec<String>,
     /// Training hyperparameters for each retrain.
     pub train: TrainPredictorConfig,
-    /// Quantize each freshly retrained f32 champion to int8 at publish
-    /// time, gated on accuracy parity: the quantized model is installed
-    /// only when its Acc(10%) over the shadow replay buffers drops by at
-    /// most this many percentage points (per platform) versus the f32
-    /// model. On any gate failure — accuracy drop over the epsilon, no
-    /// replay data to evaluate on — serving keeps the f32 champion and a
-    /// `quant_rejected` event is emitted. Requires a monitor (the replay
-    /// buffers are the eval set). `None` disables quantization; an
-    /// epsilon below −100 always rejects (Acc(δ) drops are bounded by
-    /// 100 points), which exercises the rejection path deterministically.
-    pub quantize_on_publish: Option<f64>,
     /// Shadow-evaluation and drift-detection tuning; `None` disables
     /// quality monitoring entirely (unless [`ServeConfig::ab`] is set, in
     /// which case a default monitor is created — A/B scoring needs one).
@@ -158,7 +147,6 @@ impl Default for ServeConfig {
             retrain_after: 0,
             retrain_platforms: Vec::new(),
             train: TrainPredictorConfig::default(),
-            quantize_on_publish: None,
             monitor: None,
             ab: None,
             event_log_capacity: 4096,
@@ -719,7 +707,6 @@ impl LatencyService {
                         threshold: cfg.retrain_after,
                         platforms: cfg.retrain_platforms.clone(),
                         train: cfg.train,
-                        quantize_on_publish: cfg.quantize_on_publish,
                     }))
                     .expect("spawn retrain loop"),
             );
@@ -1278,19 +1265,6 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
                         st.fresh += 1;
                     }
                     ctx.retrain.wake.notify_one();
-                    // Fresh ground truth: shadow-evaluate it on the
-                    // sampling cadence.
-                    if let Some(shadow) = &ctx.shadow {
-                        shadow.observe(
-                            &ctx.system,
-                            ctx.events.as_deref(),
-                            &ctx.retrain,
-                            &ctx.metrics,
-                            &job.key.platform,
-                            &job.graph,
-                            qr.latency_ms,
-                        );
-                    }
                     Ok(FlightOutcome {
                         latency_ms: qr.latency_ms,
                         ticks: Some(WorkerTicks {
@@ -1303,10 +1277,26 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
                 }
                 Err(e) => Err(e.into()),
             };
+            let measured_ms = outcome.as_ref().ok().map(|o| o.latency_ms);
             // Database and cache are filled before the flight publishes:
             // anyone arriving after this resolves as a hit, so each key is
             // measured at most once per flight.
             ctx.flights.complete(&job.key, outcome);
+            // Fresh ground truth: shadow-evaluate it on the sampling
+            // cadence, after the flight published, so no caller waits on
+            // a prediction it did not ask for and a predictor panic cannot
+            // strand the flight.
+            if let (Some(shadow), Some(ms)) = (&ctx.shadow, measured_ms) {
+                shadow.observe(
+                    &ctx.system,
+                    ctx.events.as_deref(),
+                    &ctx.retrain,
+                    &ctx.metrics,
+                    &job.key.platform,
+                    &job.graph,
+                    ms,
+                );
+            }
         }
     }
 }
@@ -1322,99 +1312,6 @@ struct RetrainCtx {
     threshold: usize,
     platforms: Vec<String>,
     train: TrainPredictorConfig,
-    /// Acc(10%) epsilon for the publish-time quantization gate; `None`
-    /// keeps every champion f32.
-    quantize_on_publish: Option<f64>,
-}
-
-/// The publish-time quantization gate: freeze the freshly trained f32
-/// champion into its int8 inference form, replay the shadow buffers
-/// through both precision levels, and install the quantized model only
-/// when its Acc(10%) drops by at most `eps` percentage points versus the
-/// f32 champion on every platform with replay data. Any gate failure —
-/// quantization error, no replay data, accuracy drop over the epsilon —
-/// keeps the f32 champion serving, bumps `serve.quant_rejected` and
-/// emits a `quant_rejected` event naming the reason.
-fn quantize_gate(ctx: &RetrainCtx, canonical: &[String], eps: f64) {
-    let reject = |reason: &str, mut extra: Vec<(&str, FieldValue)>| {
-        ctx.metrics.quant_rejected();
-        if let Some(ev) = &ctx.events {
-            let mut fields: Vec<(&str, FieldValue)> =
-                vec![("reason", reason.into()), ("epsilon_pct", eps.into())];
-            fields.append(&mut extra);
-            ev.emit("quant_rejected", fields);
-        }
-    };
-    let Some(f32_handle) = ctx.system.predictor_handle() else {
-        reject("no_predictor", Vec::new());
-        return;
-    };
-    let q_handle = match f32_handle.quantized() {
-        Ok(h) => h,
-        Err(e) => {
-            reject("quantize_failed", vec![("error", e.as_str().into())]);
-            return;
-        }
-    };
-    let Some(shadow) = &ctx.shadow else {
-        reject("no_eval_data", Vec::new());
-        return;
-    };
-    let mut eval_pairs = 0usize;
-    let mut worst_drop = f64::NEG_INFINITY;
-    let mut worst_platform = String::new();
-    for platform in canonical {
-        let mut f32_preds = Vec::new();
-        let mut q_preds = Vec::new();
-        let mut targets = Vec::new();
-        for (g, measured) in shadow.replay_pairs(platform) {
-            let (Ok(pf), Ok(pq)) = (
-                ctx.system.predict_effective_with(&f32_handle, &g, platform),
-                ctx.system.predict_effective_with(&q_handle, &g, platform),
-            ) else {
-                continue;
-            };
-            f32_preds.push(pf.latency_ms);
-            q_preds.push(pq.latency_ms);
-            targets.push(measured);
-        }
-        if targets.is_empty() {
-            continue;
-        }
-        eval_pairs += targets.len();
-        let drop = acc_at(&f32_preds, &targets, 0.10) - acc_at(&q_preds, &targets, 0.10);
-        if drop > worst_drop {
-            worst_drop = drop;
-            worst_platform = platform.clone();
-        }
-    }
-    if eval_pairs == 0 {
-        reject("no_eval_data", Vec::new());
-        return;
-    }
-    if worst_drop > eps {
-        reject(
-            "acc_drop",
-            vec![
-                ("acc10_drop_pct", worst_drop.into()),
-                ("platform", worst_platform.as_str().into()),
-                ("eval_pairs", (eval_pairs as u64).into()),
-            ],
-        );
-        return;
-    }
-    ctx.system.set_predictor(q_handle);
-    ctx.metrics.quant_publishes();
-    if let Some(ev) = &ctx.events {
-        ev.emit(
-            "quantized_published",
-            vec![
-                ("epsilon_pct", eps.into()),
-                ("acc10_drop_pct", worst_drop.into()),
-                ("eval_pairs", (eval_pairs as u64).into()),
-            ],
-        );
-    }
 }
 
 fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
@@ -1460,14 +1357,6 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                     }
                     Err(_) => 0,
                 };
-                // Quantized publishing: runs before the shadow re-score
-                // below, so the refreshed windows reflect whichever
-                // precision level actually ends up serving.
-                if trained > 0 {
-                    if let Some(eps) = ctx.quantize_on_publish {
-                        quantize_gate(&ctx, &canonical, eps);
-                    }
-                }
                 // A/B: refresh the challenger from the same (grown)
                 // database so the race restarts against the new champion
                 // with a model of the challenger architecture.
@@ -1749,92 +1638,6 @@ mod tests {
         assert!(m.retrain_samples >= 4);
         assert!(system.has_predictor_for(PLATFORM));
         assert!(m.balanced());
-    }
-
-    fn quantize_cfg(epsilon: f64) -> ServeConfig {
-        ServeConfig {
-            retrain_after: 4,
-            retrain_platforms: vec![PLATFORM.to_string()],
-            train: TrainPredictorConfig {
-                epochs: 2,
-                hidden: 16,
-                gnn_layers: 2,
-                ..Default::default()
-            },
-            quantize_on_publish: Some(epsilon),
-            monitor: Some(MonitorConfig {
-                sample_every: 1, // 100% shadow sampling fills the replay eval set
-                ..Default::default()
-            }),
-            ..small_cfg()
-        }
-    }
-
-    #[test]
-    fn quantize_gate_publishes_int8_champion_within_epsilon() {
-        // A permissive epsilon (Acc(10%) drops are bounded by 100 points)
-        // must always accept once replay data exists.
-        let system = quick_system();
-        let svc = LatencyService::start(Arc::clone(&system), quantize_cfg(1000.0));
-        for m in nnlqp_models::generate_family(ModelFamily::SqueezeNet, 6, 5) {
-            svc.query(&Arc::new(m.graph), PLATFORM, 1).unwrap();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while svc.metrics().quant_publishes == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let m = svc.metrics();
-        assert!(m.quant_publishes >= 1, "gate never published: {m:?}");
-        assert_eq!(m.quant_rejected, 0, "{m:?}");
-        // The serving predictor is the int8 model: its identity lives in
-        // the quantized band, distinct from every f32 architecture.
-        let handle = system.predictor_handle().expect("predictor installed");
-        assert_eq!(
-            handle.model.identity(),
-            nnlqp::QUANT_IDENTITY_OFFSET + handle.model.kind().id()
-        );
-        let events = svc.events().unwrap().snapshot();
-        assert!(events.iter().any(|e| e.kind == "quantized_published"));
-        // Degraded predictions still serve through the quantized model.
-        assert!(system.has_predictor_for(PLATFORM));
-    }
-
-    #[test]
-    fn quantize_gate_rejects_below_impossible_epsilon() {
-        // epsilon < -100 can never be satisfied: the gate must reject and
-        // keep the f32 champion serving.
-        let system = quick_system();
-        let svc = LatencyService::start(Arc::clone(&system), quantize_cfg(-101.0));
-        for m in nnlqp_models::generate_family(ModelFamily::SqueezeNet, 6, 5) {
-            svc.query(&Arc::new(m.graph), PLATFORM, 1).unwrap();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while svc.metrics().quant_rejected == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let m = svc.metrics();
-        assert!(m.quant_rejected >= 1, "gate never rejected: {m:?}");
-        assert_eq!(m.quant_publishes, 0, "{m:?}");
-        let handle = system.predictor_handle().expect("predictor installed");
-        assert_eq!(
-            handle.model.identity(),
-            handle.model.kind().id(),
-            "f32 kept"
-        );
-        let rejected = svc
-            .events()
-            .unwrap()
-            .snapshot()
-            .into_iter()
-            .find(|e| e.kind == "quant_rejected")
-            .expect("quant_rejected event");
-        match rejected.field("reason") {
-            Some(FieldValue::Str(s)) => assert!(
-                s == "acc_drop" || s == "no_eval_data",
-                "unexpected reason {s}"
-            ),
-            other => panic!("missing reason field: {other:?}"),
-        }
     }
 
     #[test]

@@ -6,15 +6,21 @@
 //! paths: hot-cache hit, measured miss (leader), coalesced follower, and
 //! the degraded prediction tier. Plus the surrounding observability:
 //! monotone request ids, the exemplar reservoir, Chrome-trace export,
-//! and the wall-time histograms the traces feed.
+//! and the wall-time histograms the traces feed. And the order a measured
+//! flight settles in: published first, shadow-evaluated after.
 
-use nnlqp::{Nnlqp, Platform, TrainPredictorConfig};
+use nnlqp::{
+    MonitorConfig, Nnlqp, Platform, Predictor, PredictorHandle, PredictorKind, TrainPredictorConfig,
+};
 use nnlqp_ir::Graph;
 use nnlqp_models::ModelFamily;
 use nnlqp_obs::{tail_attribution, timeline_of, to_chrome_json, RequestTrace};
+use nnlqp_predict::{GraphFeatures, Sample, Scratch, TrainConfig, TrainReport};
 use nnlqp_serve::{metric_names, LatencyService, ServeConfig, Source};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
-use std::sync::{Arc, Barrier};
+use std::collections::HashMap;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const PLATFORM: &str = "gpu-T4-trt7.1-fp32";
 const SEED: u64 = 77;
@@ -233,4 +239,116 @@ fn exemplar_reservoir_retains_slowest_and_exports_chrome_json() {
     assert!(!shares.is_empty());
     let sum: f64 = shares.iter().map(|s| s.share_pct).sum();
     assert!((sum - 100.0).abs() < 1e-6, "shares sum to 100%: {sum}");
+}
+
+/// A test-only predictor with one head and a constant answer, whose
+/// `embed_with` runs `on_embed` first: the only place a shadow evaluation
+/// can be slow or fail.
+struct Probe {
+    on_embed: fn(),
+}
+
+impl Predictor for Probe {
+    fn kind(&self) -> PredictorKind {
+        PredictorKind::Sage
+    }
+
+    fn embedding_dim(&self) -> usize {
+        1
+    }
+
+    fn n_heads(&self) -> usize {
+        1
+    }
+
+    fn embed_with(&self, _: &GraphFeatures, _: &mut Scratch) -> Vec<f32> {
+        (self.on_embed)();
+        vec![0.0]
+    }
+
+    fn head_eval_rows(&self, _: &nnlqp_nn::Matrix, _: usize, _: &mut Scratch, out: &mut [f64]) {
+        out.fill(1.0);
+    }
+
+    fn train_in_place(&mut self, _: &[Sample], _: TrainConfig) -> TrainReport {
+        unreachable!("these services run no retrain loop")
+    }
+
+    fn to_json(&self) -> String {
+        unreachable!("never checkpointed")
+    }
+}
+
+/// One worker, `probe` installed as the predictor for [`PLATFORM`], and a
+/// monitor that shadow-evaluates every measurement.
+fn monitored_service(probe: Probe) -> LatencyService {
+    let sys = system();
+    sys.set_predictor(PredictorHandle::new(
+        Arc::new(probe),
+        HashMap::from([(PLATFORM.to_string(), 0)]),
+    ));
+    LatencyService::start(
+        sys,
+        ServeConfig {
+            workers: 1,
+            monitor: Some(MonitorConfig {
+                sample_every: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    )
+}
+
+#[test]
+fn a_slow_shadow_prediction_does_not_delay_the_measured_answer() {
+    const SHADOW: Duration = Duration::from_millis(300);
+    let svc = monitored_service(Probe {
+        on_embed: || std::thread::sleep(SHADOW),
+    });
+    let start = Instant::now();
+    let (res, trace) = svc.query_traced(&models(1, 41)[0], PLATFORM, 1);
+    let elapsed = start.elapsed();
+    assert_eq!(res.unwrap().source, Source::Measured);
+    assert!(trace.tiles_exactly(), "{trace:?}");
+    let publish = Duration::from_nanos(trace.stage_ns("publish").expect("leader publishes"));
+    assert!(
+        publish < SHADOW / 3,
+        "publish waited on the shadow: {publish:?}"
+    );
+    assert!(
+        elapsed < SHADOW,
+        "the caller waited on the shadow: {elapsed:?}"
+    );
+    // The shadow evaluation still ran, on the worker, after the flight.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let shadowed = || {
+        svc.quality()
+            .and_then(|r| r.platforms.get(PLATFORM).map(|q| q.samples))
+            .unwrap_or(0)
+    };
+    while shadowed() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(shadowed(), 1);
+}
+
+#[test]
+fn a_panicking_shadow_prediction_does_not_strand_the_caller() {
+    let svc = Arc::new(monitored_service(Probe {
+        on_embed: || panic!("shadow predictor failed"),
+    }));
+    let (tx, rx) = mpsc::channel();
+    let client = Arc::clone(&svc);
+    let model = Arc::clone(&models(1, 43)[0]);
+    std::thread::spawn(move || {
+        let _ = tx.send(client.query(&model, PLATFORM, 1));
+    });
+    let served = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the caller is still waiting on its flight")
+        .unwrap();
+    assert_eq!(served.source, Source::Measured);
+    // The worker thread itself dies with the panic: catching that unwind
+    // is separate work, so nothing after this first flight is asserted.
 }
