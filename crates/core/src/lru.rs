@@ -7,19 +7,25 @@
 //! almost never serialize on the same mutex. Within a shard the LRU list
 //! is intrusive over a slab (`Vec` of entries linked by index), so
 //! promotion on hit and eviction on insert are O(1) with no per-entry
-//! allocation.
+//! allocation. The slab is found through the shard's own open-addressed
+//! index, keyed by the one hash the probe computed, so a probe hashes its
+//! key once and allocates nothing.
 
+use nnlqp_hash::BuildWordHasher;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const NIL: usize = usize::MAX;
+/// An unoccupied bucket of a shard's index.
+const EMPTY: u32 = u32::MAX;
 
 struct Entry<K, V> {
     key: K,
     value: V,
+    /// The key's [`BuildWordHasher`] hash, computed once per probe by
+    /// [`ShardedLru`] and kept so that the index never hashes again.
+    hash: u64,
     prev: usize,
     next: usize,
 }
@@ -31,7 +37,11 @@ enum Inserted {
 }
 
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
+    /// Open-addressed, linearly probed index of slab slots, addressed by
+    /// the hash's low bits (the shard came from its high bits). At least
+    /// twice the capacity, so a probe is short and always meets an empty
+    /// bucket.
+    index: Box<[u32]>,
     slab: Vec<Entry<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -39,16 +49,72 @@ struct Shard<K, V> {
     capacity: usize,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
+impl<K: Eq, V: Clone> Shard<K, V> {
     fn new(capacity: usize) -> Self {
+        assert!(
+            capacity < EMPTY as usize,
+            "a shard indexes its slots in u32"
+        );
         Shard {
-            map: HashMap::with_capacity(capacity),
+            index: vec![EMPTY; (2 * capacity).next_power_of_two()].into_boxed_slice(),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & (self.index.len() - 1)
+    }
+
+    /// The bucket holding `key`, or the empty bucket that ends its probe.
+    fn find(&self, hash: u64, key: &K) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(hash);
+        loop {
+            match self.index[b] {
+                EMPTY => return Err(b),
+                slot => {
+                    let e = &self.slab[slot as usize];
+                    if e.hash == hash && e.key == *key {
+                        return Ok(b);
+                    }
+                }
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Empty the bucket holding slot `slot`, shifting later members of its
+    /// probe run back so that every lookup still reaches its entry.
+    fn unindex(&mut self, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(self.slab[slot].hash);
+        while self.index[hole] as usize != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let moved = self.index[b];
+            if moved == EMPTY {
+                break;
+            }
+            // The entry at `b` may fill the hole only if the hole lies
+            // between its home bucket and `b`.
+            let home = self.home(self.slab[moved as usize].hash);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = moved;
+                hole = b;
+            }
+        }
+        self.index[hole] = EMPTY;
     }
 
     fn detach(&mut self, i: usize) {
@@ -75,31 +141,38 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<V> {
-        let &i = self.map.get(key)?;
+    fn get(&mut self, hash: u64, key: &K) -> Option<V> {
+        let i = self.index[self.find(hash, key).ok()?] as usize;
         self.detach(i);
         self.push_front(i);
         Some(self.slab[i].value.clone())
     }
 
-    fn insert(&mut self, key: K, value: V) -> Inserted {
-        if let Some(&i) = self.map.get(&key) {
-            self.slab[i].value = value;
-            self.detach(i);
-            self.push_front(i);
-            return Inserted::Refreshed;
-        }
+    fn insert(&mut self, hash: u64, key: K, value: V) -> Inserted {
+        let mut bucket = match self.find(hash, &key) {
+            Ok(b) => {
+                let i = self.index[b] as usize;
+                self.slab[i].value = value;
+                self.detach(i);
+                self.push_front(i);
+                return Inserted::Refreshed;
+            }
+            Err(b) => b,
+        };
         let mut outcome = Inserted::Added;
-        if self.map.len() >= self.capacity {
+        if self.len() >= self.capacity {
             let victim = self.tail;
             self.detach(victim);
-            self.map.remove(&self.slab[victim].key);
+            self.unindex(victim);
             self.free.push(victim);
             outcome = Inserted::Evicted;
+            // The shift may have moved the run `bucket` ended.
+            bucket = self.find(hash, &key).unwrap_err();
         }
         let entry = Entry {
-            key: key.clone(),
+            key,
             value,
+            hash,
             prev: NIL,
             next: NIL,
         };
@@ -114,13 +187,18 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             }
         };
         self.push_front(slot);
-        self.map.insert(key, slot);
+        self.index[bucket] = slot as u32;
         outcome
     }
 }
 
 /// Thread-safe sharded LRU of `K → V`. `get` hands out a clone of the
 /// value, so `V` should be cheap to clone (a number, an `Arc`).
+///
+/// A probe hashes its key once, with [`BuildWordHasher`]: the hash's high
+/// bits pick the shard, its low bits the bucket of the shard's index. The
+/// hasher is unkeyed; keys crafted to collide lengthen a probe to at most
+/// the shard's capacity, since a shard never holds more.
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Entries across all shards, maintained on insert so `len` takes no
@@ -129,7 +207,7 @@ pub struct ShardedLru<K, V> {
     evictions: AtomicU64,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
+impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// `capacity` total entries spread over `shards` independent LRUs
     /// (shard count is rounded up to a power of two).
     pub fn new(capacity: usize, shards: usize) -> Self {
@@ -144,20 +222,24 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
+    /// The key's hash and its shard. The shard index is taken from the
+    /// upper half, which a shard's index (sized far below 2^32) never reads.
+    fn shard_of(&self, key: &K) -> (u64, &Mutex<Shard<K, V>>) {
+        let hash = BuildWordHasher.hash_one(key);
+        let shard = (hash >> 32) as usize & (self.shards.len() - 1);
+        (hash, &self.shards[shard])
     }
 
     /// Look up and promote to most-recently-used.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shard_of(key).lock().get(key)
+        let (hash, shard) = self.shard_of(key);
+        shard.lock().get(hash, key)
     }
 
     /// Insert or refresh; evicts the shard's LRU entry when full.
     pub fn insert(&self, key: K, value: V) {
-        match self.shard_of(&key).lock().insert(key, value) {
+        let (hash, shard) = self.shard_of(&key);
+        match shard.lock().insert(hash, key, value) {
             Inserted::Refreshed => {}
             Inserted::Added => {
                 self.len.fetch_add(1, Ordering::Relaxed);
@@ -182,6 +264,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Lifetime evictions across all shards.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Entries per shard, locking each in turn: how evenly the hasher
+    /// spreads a key set (a shard evicts once it holds its share of the
+    /// capacity, however empty the others are).
+    pub fn shard_lens(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.lock().len()).collect()
     }
 }
 
@@ -255,6 +344,39 @@ mod tests {
             for i in 0..50u64 {
                 assert!(cache.get(&(t * 1000 + i)).is_some());
             }
+        }
+    }
+
+    #[test]
+    fn index_agrees_with_a_reference_lru_through_every_eviction() {
+        // One shard of 16 over 40 keys: the index's probe runs collide,
+        // and every eviction shifts one. The reference is a plain list,
+        // most recently used first.
+        let cache = ShardedLru::new(16, 1);
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        let mut rng = nnlqp_ir::Rng64::new(0x1A7);
+        for step in 0..20_000u64 {
+            let k = rng.below(40) as u64;
+            let at = reference.iter().position(|&(rk, _)| rk == k);
+            if rng.below(2) == 0 {
+                let want = at.map(|i| reference.remove(i));
+                if let Some(entry) = want {
+                    reference.insert(0, entry);
+                }
+                assert_eq!(cache.get(&k), want.map(|(_, v)| v), "step {step}");
+            } else {
+                if let Some(i) = at {
+                    reference.remove(i);
+                }
+                reference.insert(0, (k, step));
+                reference.truncate(16);
+                cache.insert(k, step);
+            }
+            assert_eq!(cache.len(), reference.len());
+        }
+        for k in 0..40u64 {
+            let want = reference.iter().find(|&&(rk, _)| rk == k).map(|&(_, v)| v);
+            assert_eq!(cache.get(&k), want, "key {k}");
         }
     }
 }

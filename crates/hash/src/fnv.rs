@@ -15,7 +15,7 @@ pub struct StreamHasher {
 }
 
 /// The splitmix64 finalizer: `graph_fingerprint` avalanches its lanes with
-/// it.
+/// it, and `WordHasher` its state.
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -22,11 +22,17 @@
 //!   Output shapes must participate: two models that differ only in input
 //!   resolution have different latencies and must be distinct cache keys.
 //! * `f_hash` is FNV-1a over little-endian words (see [`fnv`]).
+//!
+//! The crate also holds the hasher of the workspace's in-memory tables
+//! ([`word`]): not a graph hash, a cheap `std::hash::Hasher` for keys that
+//! already are one.
 
 pub mod fingerprint;
 pub mod fnv;
 pub mod graph_hash;
+pub mod word;
 
 pub use fingerprint::graph_fingerprint;
 pub use fnv::StreamHasher;
 pub use graph_hash::{graph_hash, node_hashes};
+pub use word::{BuildWordHasher, WordHasher};

@@ -9,7 +9,13 @@
 //! order regardless of producer interleaving; under the deterministic sim
 //! clock a fixed single-threaded workload reproduces the log byte for
 //! byte.
+//!
+//! The ring reuses its slots: kinds and field keys are `&'static str`, a
+//! string value borrows when it can, and a full log clears the oldest
+//! event's field buffer and refills it in place, so a steady stream of
+//! events of one shape appends without the allocator.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -21,8 +27,9 @@ pub enum FieldValue {
     U64(u64),
     /// Float (non-finite values render as strings, like the metrics JSON).
     F64(f64),
-    /// String.
-    Str(String),
+    /// String: borrowed when it is `'static` (a registry name, a class),
+    /// owned otherwise.
+    Str(Cow<'static, str>),
     /// Boolean.
     Bool(bool),
 }
@@ -42,14 +49,14 @@ impl From<f64> for FieldValue {
         FieldValue::F64(v)
     }
 }
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(Cow::Borrowed(v))
     }
 }
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        FieldValue::Str(v)
+        FieldValue::Str(Cow::Owned(v))
     }
 }
 impl From<bool> for FieldValue {
@@ -65,22 +72,22 @@ pub struct Event {
     pub seq: u64,
     /// Event kind, e.g. `"query"`, `"shadow_eval"`, `"drift_alert"`,
     /// `"retrain_start"`, `"retrain_finish"`.
-    pub kind: String,
+    pub kind: &'static str,
     /// Typed payload fields, in insertion order.
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 impl Event {
     /// Value of field `key`, if present.
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Render as one JSON object (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\"seq\": {}, \"event\": ", self.seq);
-        push_json_str(&mut out, &self.kind);
+        push_json_str(&mut out, self.kind);
         for (k, v) in &self.fields {
             out.push_str(", ");
             push_json_str(&mut out, k);
@@ -148,23 +155,30 @@ impl EventLog {
     }
 
     /// Append one event; returns its sequence number. When full, the
-    /// oldest event is dropped (and counted).
-    pub fn emit(&self, kind: &str, fields: Vec<(&str, FieldValue)>) -> u64 {
+    /// oldest event is dropped (and counted) and its slot refilled.
+    pub fn emit(
+        &self,
+        kind: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, FieldValue)>,
+    ) -> u64 {
         let mut inner = self.inner.lock().expect("event log lock");
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.events.len() == self.cap {
-            inner.events.pop_front();
+            let mut slot = inner.events.pop_front().expect("a full log holds events");
             inner.dropped += 1;
+            slot.seq = seq;
+            slot.kind = kind;
+            slot.fields.clear();
+            slot.fields.extend(fields);
+            inner.events.push_back(slot);
+        } else {
+            inner.events.push_back(Event {
+                seq,
+                kind,
+                fields: fields.into_iter().collect(),
+            });
         }
-        inner.events.push_back(Event {
-            seq,
-            kind: kind.to_string(),
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
         seq
     }
 
@@ -214,7 +228,7 @@ mod tests {
     fn capacity_bound_drops_oldest_and_counts() {
         let log = EventLog::new(2);
         for i in 0..5u64 {
-            log.emit("query", vec![("i", i.into())]);
+            log.emit("query", [("i", i.into())]);
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
@@ -229,14 +243,14 @@ mod tests {
         let log = EventLog::new(16);
         log.emit(
             "shadow_eval",
-            vec![
+            [
                 ("platform", "gpu-T4-trt7.1-fp32".into()),
                 ("predicted_ms", 1.5f64.into()),
                 ("measured_ms", 2.0f64.into()),
                 ("ok", true.into()),
             ],
         );
-        log.emit("drift_alert", vec![("windowed_mape_pct", 40.25f64.into())]);
+        log.emit("drift_alert", [("windowed_mape_pct", 40.25f64.into())]);
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -251,7 +265,7 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let log = EventLog::new(4);
-        log.emit("query", vec![("msg", "a \"b\"\nc\\d".into())]);
+        log.emit("query", [("msg", "a \"b\"\nc\\d".into())]);
         let line = log.to_jsonl();
         assert!(line.contains("\"a \\\"b\\\"\\nc\\\\d\""), "{line}");
     }
@@ -264,7 +278,7 @@ mod tests {
                 let log = std::sync::Arc::clone(&log);
                 s.spawn(move || {
                     for _ in 0..100 {
-                        log.emit("e", Vec::new());
+                        log.emit("e", []);
                     }
                 });
             }
@@ -274,5 +288,62 @@ mod tests {
         for w in events.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
+    }
+
+    /// Event `i` of a deterministic stream: `i % 10` fields of every value
+    /// type, owned and borrowed strings alike.
+    fn nth_event(i: u64) -> (&'static str, Vec<(&'static str, FieldValue)>) {
+        const KEYS: [&str; 10] = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"];
+        let fields = (0..i % 10)
+            .map(|j| {
+                let v = match (i + j) % 5 {
+                    0 => FieldValue::U64(i * 100 + j),
+                    1 => FieldValue::F64(i as f64 / 8.0 + j as f64),
+                    2 => "borrowed".into(),
+                    3 => format!("owned-{i}-{j}").into(),
+                    _ => FieldValue::Bool(j % 2 == 0),
+                };
+                (KEYS[j as usize], v)
+            })
+            .collect();
+        let kind = if i.is_multiple_of(3) {
+            "query"
+        } else {
+            "shadow_eval"
+        };
+        (kind, fields)
+    }
+
+    #[test]
+    fn a_reused_slot_renders_exactly_its_new_event() {
+        // Three times around a ring of 7 with 0–9 fields per event: every
+        // slot is refilled with a different shape, so a stale field left
+        // in a reused buffer would show. The reference log only ever saw
+        // the last 7 events; lines agree past their `seq`.
+        const CAP: u64 = 7;
+        let reused = EventLog::new(CAP as usize);
+        for i in 0..3 * CAP {
+            let (kind, fields) = nth_event(i);
+            reused.emit(kind, fields);
+        }
+        let fresh = EventLog::new(CAP as usize);
+        for i in 2 * CAP..3 * CAP {
+            let (kind, fields) = nth_event(i);
+            fresh.emit(kind, fields);
+        }
+        let past_seq = |jsonl: String| -> Vec<String> {
+            jsonl
+                .lines()
+                .map(|l| {
+                    l.split_once(", \"event\"")
+                        .expect("seq first")
+                        .1
+                        .to_string()
+                })
+                .collect()
+        };
+        let (reused, fresh) = (past_seq(reused.to_jsonl()), past_seq(fresh.to_jsonl()));
+        assert_eq!(reused.len(), CAP as usize);
+        assert_eq!(reused, fresh);
     }
 }

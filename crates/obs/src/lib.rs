@@ -54,5 +54,5 @@ pub use monitor::{
 pub use span::{Recorder, SimClock, Span, Timeline, Track};
 pub use trace::{
     tail_attribution, timeline_of, ExemplarReservoir, RequestTrace, StageShare, TraceClock,
-    TraceContext, TraceStage,
+    TraceContext, TraceStage, INLINE_MARKS,
 };

@@ -7,7 +7,11 @@
 //! between the first and last boundary, so the stage durations **tile the
 //! end-to-end latency exactly** (integer arithmetic, no float drift) —
 //! the same invariant the query-pipeline spans enforce on the simulated
-//! clock, applied to real wall time.
+//! clock, applied to real wall time. The boundaries live inside the
+//! context (up to [`INLINE_MARKS`] of them), so tracing a request costs
+//! its clock reads and no allocation; a context feeds histograms and the
+//! reservoir directly, and becomes a [`RequestTrace`] only when a caller
+//! asks for one.
 //!
 //! On top of the per-request traces:
 //!
@@ -111,14 +115,23 @@ impl RequestTrace {
     }
 }
 
+/// Stage boundaries a [`TraceContext`] holds without the allocator. The
+/// deepest serve path (a measured leader after a memo hit, strict
+/// admission on) marks 11; a trace marked past this spills the rest to the
+/// heap.
+pub const INLINE_MARKS: usize = 12;
+
 /// The live side of a [`RequestTrace`]: created at request entry, marked
 /// at every stage boundary, finished with a terminal class.
 #[derive(Debug)]
 pub struct TraceContext {
     request_id: u64,
     start_ns: u64,
-    /// `(stage name, end tick)`; ticks are non-decreasing.
-    marks: Vec<(&'static str, u64)>,
+    /// `(stage name, end tick)`; ticks are non-decreasing. The first
+    /// [`INLINE_MARKS`] live here (`inline[..len]`), later ones in `spill`.
+    inline: [(&'static str, u64); INLINE_MARKS],
+    len: usize,
+    spill: Vec<(&'static str, u64)>,
 }
 
 impl TraceContext {
@@ -128,7 +141,9 @@ impl TraceContext {
         TraceContext {
             request_id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
             start_ns: clock.now_ns(),
-            marks: Vec::with_capacity(8),
+            inline: [("", 0); INLINE_MARKS],
+            len: 0,
+            spill: Vec::new(),
         }
     }
 
@@ -139,7 +154,17 @@ impl TraceContext {
 
     /// The latest boundary tick (the start tick before any stage).
     pub fn last_ns(&self) -> u64 {
-        self.marks.last().map_or(self.start_ns, |&(_, t)| t)
+        match self.spill.last() {
+            Some(&(_, t)) => t,
+            None if self.len > 0 => self.inline[self.len - 1].1,
+            None => self.start_ns,
+        }
+    }
+
+    /// End-to-end latency so far: first to last boundary, in whole
+    /// nanoseconds.
+    pub fn total_ns(&self) -> u64 {
+        self.last_ns() - self.start_ns
     }
 
     /// End the current stage now: everything since the previous boundary
@@ -154,29 +179,39 @@ impl TraceContext {
     /// Clamped to be non-decreasing so the tiling invariant survives any
     /// splice order.
     pub fn stage_at(&mut self, name: &'static str, tick_ns: u64) {
-        let tick = tick_ns.max(self.last_ns());
-        self.marks.push((name, tick));
+        let mark = (name, tick_ns.max(self.last_ns()));
+        if self.len < INLINE_MARKS {
+            self.inline[self.len] = mark;
+            self.len += 1;
+        } else {
+            self.spill.push(mark);
+        }
+    }
+
+    /// The stages marked so far, in request order; their durations sum to
+    /// [`TraceContext::total_ns`] exactly.
+    pub fn stages(&self) -> impl Iterator<Item = TraceStage> + '_ {
+        let mut prev = self.start_ns;
+        self.inline[..self.len]
+            .iter()
+            .chain(&self.spill)
+            .map(move |&(name, tick)| {
+                let dur_ns = tick - prev;
+                prev = tick;
+                TraceStage { name, dur_ns }
+            })
     }
 
     /// Freeze into a [`RequestTrace`] with terminal class `class`. The
     /// total is the span from the first to the last boundary; with no
     /// recorded stage the trace is a single zero-length point.
     pub fn finish(self, class: &'static str) -> RequestTrace {
-        let mut stages = Vec::with_capacity(self.marks.len());
-        let mut prev = self.start_ns;
-        for (name, tick) in &self.marks {
-            stages.push(TraceStage {
-                name,
-                dur_ns: tick - prev,
-            });
-            prev = *tick;
-        }
         RequestTrace {
             request_id: self.request_id,
             class,
             start_ns: self.start_ns,
-            total_ns: prev - self.start_ns,
-            stages,
+            stages: self.stages().collect(),
+            total_ns: self.total_ns(),
         }
     }
 }
@@ -201,22 +236,42 @@ impl ExemplarReservoir {
         }
     }
 
-    /// Offer one finished trace; it is retained only while it is among
-    /// the `k` slowest of its class.
-    pub fn record(&self, trace: &RequestTrace) {
+    /// Offer a trace that ended in terminal class `class`; it is retained
+    /// only while it is among the `k` slowest of its class, as what
+    /// [`TraceContext::finish`] would make of it. That form is written
+    /// only when the trace is retained, over the trace it displaces and
+    /// into its `stages` buffer, so an offer that is not kept allocates
+    /// nothing and one that is kept rarely does.
+    pub fn offer(&self, ctx: &TraceContext, class: &'static str) {
         if self.k == 0 {
             return;
         }
+        let total_ns = ctx.total_ns();
         let mut classes = self.classes.lock().expect("reservoir lock");
-        let bucket = classes.entry(trace.class).or_default();
-        if bucket.len() == self.k {
-            if bucket[0].total_ns >= trace.total_ns {
+        let bucket = classes
+            .entry(class)
+            .or_insert_with(|| Vec::with_capacity(self.k));
+        let mut slot = if bucket.len() == self.k {
+            if bucket[0].total_ns >= total_ns {
                 return; // faster than everything retained
             }
-            bucket.remove(0);
-        }
-        let at = bucket.partition_point(|t| t.total_ns < trace.total_ns);
-        bucket.insert(at, trace.clone());
+            bucket.remove(0)
+        } else {
+            RequestTrace {
+                request_id: 0,
+                class,
+                start_ns: 0,
+                stages: Vec::new(),
+                total_ns: 0,
+            }
+        };
+        slot.request_id = ctx.request_id;
+        slot.start_ns = ctx.start_ns;
+        slot.total_ns = total_ns;
+        slot.stages.clear();
+        slot.stages.extend(ctx.stages());
+        let at = bucket.partition_point(|t| t.total_ns < total_ns);
+        bucket.insert(at, slot);
     }
 
     /// Everything retained, slowest-first within each class.
@@ -335,7 +390,7 @@ pub fn tail_attribution(traces: &[RequestTrace], q: f64) -> Vec<StageShare> {
 mod tests {
     use super::*;
 
-    fn trace(class: &'static str, stages: &[(&'static str, u64)]) -> RequestTrace {
+    fn context(stages: &[(&'static str, u64)]) -> TraceContext {
         let clock = TraceClock::new();
         let mut ctx = TraceContext::begin(&clock);
         let mut tick = ctx.last_ns();
@@ -343,7 +398,11 @@ mod tests {
             tick += dur;
             ctx.stage_at(name, tick);
         }
-        ctx.finish(class)
+        ctx
+    }
+
+    fn trace(class: &'static str, stages: &[(&'static str, u64)]) -> RequestTrace {
+        context(stages).finish(class)
     }
 
     #[test]
@@ -398,9 +457,9 @@ mod tests {
     fn reservoir_keeps_k_slowest_per_class() {
         let res = ExemplarReservoir::new(2);
         for dur in [10, 50, 30, 90, 20] {
-            res.record(&trace("hot_cache", &[("s", dur)]));
+            res.offer(&context(&[("s", dur)]), "hot_cache");
         }
-        res.record(&trace("measured", &[("s", 5)]));
+        res.offer(&context(&[("s", 5)]), "measured");
         let snap = res.snapshot();
         let hot: Vec<u64> = snap["hot_cache"].iter().map(|t| t.total_ns).collect();
         assert_eq!(hot, vec![90, 50], "slowest-first, k=2");
@@ -409,9 +468,60 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_marked_past_its_inline_marks_spills_and_still_tiles() {
+        let clock = TraceClock::new();
+        let mut ctx = TraceContext::begin(&clock);
+        let base = ctx.last_ns();
+        const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+        for i in 0..40u64 {
+            ctx.stage_at(NAMES[i as usize % 4], base + i * i);
+        }
+        const { assert!(40 > INLINE_MARKS) };
+        assert_eq!(ctx.total_ns(), 39 * 39);
+        let t = ctx.finish("deep");
+        assert!(t.tiles_exactly());
+        assert_eq!(t.stages.len(), 40);
+        for (i, s) in t.stages.iter().enumerate() {
+            assert_eq!(s.name, NAMES[i % 4]);
+            let (i, prev) = (i as u64, i.saturating_sub(1) as u64);
+            assert_eq!(s.dur_ns, i * i - prev * prev);
+        }
+    }
+
+    #[test]
+    fn a_retained_offer_is_its_finished_trace_in_a_reused_slot() {
+        // Distinct totals and one to three stages per trace, so a slot is
+        // often refilled with a trace of another length: the reservoir must
+        // hold exactly the `k` slowest finished traces of each class.
+        let res = ExemplarReservoir::new(3);
+        let mut finished: Vec<RequestTrace> = Vec::new();
+        for (i, dur) in [40u64, 10, 70, 75, 20, 90, 5, 60, 80, 30, 95, 15]
+            .into_iter()
+            .enumerate()
+        {
+            let stages = [("resolve", dur / 2), ("db_lookup", 1), ("hot_cache", dur)];
+            let ctx = context(&stages[..1 + i % 3]);
+            let class = if i % 2 == 0 { "hot_cache" } else { "db_hit" };
+            res.offer(&ctx, class);
+            finished.push(ctx.finish(class));
+        }
+        let snap = res.snapshot();
+        for class in ["hot_cache", "db_hit"] {
+            let mut want: Vec<RequestTrace> = finished
+                .iter()
+                .filter(|t| t.class == class)
+                .cloned()
+                .collect();
+            want.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
+            want.truncate(3);
+            assert_eq!(snap[class], want, "{class}");
+        }
+    }
+
+    #[test]
     fn reservoir_zero_k_retains_nothing() {
         let res = ExemplarReservoir::new(0);
-        res.record(&trace("x", &[("s", 1)]));
+        res.offer(&context(&[("s", 1)]), "x");
         assert!(res.snapshot().is_empty());
         assert_eq!(res.slowest_class(), None);
     }

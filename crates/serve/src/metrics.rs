@@ -12,8 +12,7 @@
 //! `system.registry()`), so one snapshot shows the serving tiers next to
 //! the query-stage histograms.
 
-use nnlqp_obs::{log_bounds, Counter, Gauge, Histogram, MetricsRegistry, RequestTrace};
-use std::collections::HashMap;
+use nnlqp_obs::{log_bounds, Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
 use std::sync::Arc;
 
 /// Upper bucket bounds for served latencies, in milliseconds. Values above
@@ -23,7 +22,8 @@ pub const HISTOGRAM_BOUNDS_MS: [f64; 15] = [
 ];
 
 /// Every stage name the request tracer can mark (see
-/// `service.rs`): each gets its own log-bucketed duration histogram.
+/// `service.rs`): each gets its own log-bucketed duration histogram, held
+/// at the same index.
 pub const STAGE_NAMES: [&str; 14] = [
     "resolve",
     "hot_cache",
@@ -132,7 +132,8 @@ pub struct ServeMetrics {
     latency: Arc<Histogram>,
     request_wall: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
-    stage: HashMap<&'static str, Arc<Histogram>>,
+    /// `stage[i]` is the histogram of `STAGE_NAMES[i]`.
+    stage: [Arc<Histogram>; STAGE_NAMES.len()],
     queue_depth: Arc<Gauge>,
     hot_cache_len: Arc<Gauge>,
 }
@@ -178,26 +179,22 @@ impl ServeMetrics {
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
             request_wall: registry.histogram(metric_names::REQUEST_WALL_MS, &wall),
             queue_wait: registry.histogram(metric_names::QUEUE_WAIT_MS, &wall),
-            stage: STAGE_NAMES
-                .iter()
-                .map(|&name| {
-                    let series = format!("{}{name}", metric_names::STAGE_MS_PREFIX);
-                    (name, registry.histogram(&series, &wall))
-                })
-                .collect(),
+            stage: STAGE_NAMES.map(|name| {
+                registry.histogram(&format!("{}{name}", metric_names::STAGE_MS_PREFIX), &wall)
+            }),
             queue_depth: registry.gauge(metric_names::QUEUE_DEPTH),
             hot_cache_len: registry.gauge(metric_names::HOT_CACHE_LEN),
         }
     }
 
-    /// Feed a finished request trace into the wall-time and per-stage
+    /// Feed a request's trace into the wall-time and per-stage
     /// histograms. Stage names outside [`STAGE_NAMES`] are ignored (the
     /// tracer only emits known names; this keeps the series set bounded).
-    pub fn record_trace(&self, trace: &RequestTrace) {
-        self.request_wall.observe(trace.total_ms());
-        for s in &trace.stages {
-            if let Some(h) = self.stage.get(s.name) {
-                h.observe(s.dur_ns as f64 / 1.0e6);
+    pub fn record_trace(&self, ctx: &TraceContext) {
+        self.request_wall.observe(ctx.total_ns() as f64 / 1.0e6);
+        for s in ctx.stages() {
+            if let Some(i) = STAGE_NAMES.iter().position(|&name| name == s.name) {
+                self.stage[i].observe(s.dur_ns as f64 / 1.0e6);
             }
         }
     }

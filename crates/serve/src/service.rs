@@ -70,13 +70,13 @@ use nnlqp::{
     TrainPredictorConfig,
 };
 use nnlqp_db::PlatformId;
-use nnlqp_hash::graph_hash;
+use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
     to_prometheus, ErrorWindow, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry,
     MonitorConfig, QualityMonitor, QualityReport, RequestTrace, TraceClock, TraceContext,
 };
-use nnlqp_sim::{FarmError, Platform};
+use nnlqp_sim::{FarmError, Platform, PlatformSpec};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -263,10 +263,13 @@ pub struct Served {
     pub coalesced: bool,
 }
 
-#[derive(Clone)]
 struct PlatformBinding {
     platform: Platform,
+    /// The canonical name as the hot cache's key shares it.
     canonical: Arc<str>,
+    /// The same name, borrowed from the registry: what the `query` event
+    /// records, without a copy, when the caller passed it.
+    name: &'static str,
     id: PlatformId,
 }
 
@@ -454,8 +457,8 @@ impl Shadow {
         };
         let alert = self.monitor.record(platform, pred.latency_ms, measured_ms);
         if let Some(ev) = events {
-            let mut fields: Vec<(&str, FieldValue)> = vec![
-                ("platform", platform.into()),
+            let mut fields = vec![
+                ("platform", platform.to_owned().into()),
                 ("predicted_ms", pred.latency_ms.into()),
                 ("measured_ms", measured_ms.into()),
             ];
@@ -468,8 +471,8 @@ impl Shadow {
             if let Some(ev) = events {
                 ev.emit(
                     "drift_alert",
-                    vec![
-                        ("platform", alert.platform.as_str().into()),
+                    [
+                        ("platform", alert.platform.clone().into()),
                         ("windowed_mape_pct", alert.windowed_mape_pct.into()),
                         ("threshold_pct", alert.threshold_pct.into()),
                         ("samples", alert.samples.into()),
@@ -576,8 +579,8 @@ impl Shadow {
         let after = self.monitor.reset_window(platform, &pairs);
         metrics.predictor_promotions();
         if let Some(ev) = events {
-            let mut fields: Vec<(&str, FieldValue)> = vec![
-                ("platform", platform.into()),
+            let mut fields = vec![
+                ("platform", platform.to_owned().into()),
                 ("from", from.into()),
                 ("to", arch.into()),
                 ("challenger_mape_pct", chal_mape.into()),
@@ -633,7 +636,10 @@ pub struct LatencyService {
     metrics: Arc<ServeMetrics>,
     clock: Arc<TraceClock>,
     exemplars: Arc<ExemplarReservoir>,
-    platforms: RwLock<HashMap<String, PlatformBinding>>,
+    /// Caller's platform string → its binding. Only names the registry
+    /// resolves are inserted, so the map holds a few dozen fixed strings
+    /// and a keyed hasher would guard against nothing.
+    platforms: RwLock<HashMap<String, Arc<PlatformBinding>, BuildWordHasher>>,
     tx: Mutex<Option<Sender<Job>>>,
     retrain: Arc<RetrainShared>,
     shadow: Option<Arc<Shadow>>,
@@ -738,7 +744,7 @@ impl LatencyService {
             metrics,
             clock,
             exemplars,
-            platforms: RwLock::new(HashMap::new()),
+            platforms: RwLock::new(HashMap::default()),
             tx: Mutex::new(Some(tx)),
             retrain,
             shadow,
@@ -752,22 +758,27 @@ impl LatencyService {
 
     /// Serve one latency query. `model` is shared, never deep-copied
     /// (unless the batch size requires rebatching).
+    ///
+    /// Tracing is always on: the request's stage boundaries feed the
+    /// wall-time histograms, the exemplar reservoir and the event log
+    /// straight from its [`TraceContext`], which lives on the stack, so a
+    /// hot or database hit allocates nothing.
     pub fn query(
         &self,
         model: &Arc<Graph>,
         platform: &str,
         batch: u32,
     ) -> Result<Served, ServeError> {
-        self.query_traced(model, platform, batch).0
+        let mut ctx = TraceContext::begin(&self.clock);
+        self.serve(model, platform, batch, &mut ctx).0
     }
 
     /// [`LatencyService::query`] returning the request's full trace
-    /// alongside the answer. Tracing is always on — `query` itself goes
-    /// through here — so the trace costs nothing extra; this entry point
-    /// just hands it back instead of dropping it.
+    /// alongside the answer: the same bookkeeping, plus the one
+    /// allocation that freezes the trace into a [`RequestTrace`].
     ///
     /// The trace's stage durations tile its end-to-end latency exactly
-    /// (see `nnlqp_obs::trace`), and the trace has already been fed to
+    /// (see `nnlqp_obs::trace`), and the request has already been fed to
     /// the wall-time histograms and the exemplar reservoir.
     pub fn query_traced(
         &self,
@@ -776,7 +787,32 @@ impl LatencyService {
         batch: u32,
     ) -> (Result<Served, ServeError>, RequestTrace) {
         let mut ctx = TraceContext::begin(&self.clock);
-        let res = self.query_impl(model, platform, batch, &mut ctx);
+        let (res, class) = self.serve(model, platform, batch, &mut ctx);
+        (res, ctx.finish(class))
+    }
+
+    /// Answer one request into `ctx`, then record it: terminal-class
+    /// histograms, exemplar offer and `query` event. Returns the answer
+    /// and its terminal class.
+    fn serve(
+        &self,
+        model: &Arc<Graph>,
+        platform: &str,
+        batch: u32,
+        ctx: &mut TraceContext,
+    ) -> (Result<Served, ServeError>, &'static str) {
+        self.metrics.requests();
+        let (res, name) = match self.resolve(platform) {
+            Ok(binding) => (
+                self.query_impl(model, &binding, batch, ctx),
+                Some(binding.name),
+            ),
+            Err(e) => {
+                ctx.stage("resolve", &self.clock);
+                self.metrics.errors();
+                (Err(e), None)
+            }
+        };
         let class = match &res {
             Ok(s) if s.coalesced => "coalesced",
             Ok(s) => match s.source {
@@ -787,56 +823,53 @@ impl LatencyService {
             },
             Err(e) => error_str(e),
         };
-        let trace = ctx.finish(class);
-        self.metrics.record_trace(&trace);
-        self.exemplars.record(&trace);
+        self.metrics.record_trace(ctx);
+        self.exemplars.offer(ctx, class);
         if let Some(ev) = &self.events {
+            // The caller's string, borrowed from the registry when it is
+            // the canonical name; an alias or unknown name is copied.
+            let platform: FieldValue = match name {
+                Some(name) if name == platform => name.into(),
+                _ => platform.to_owned().into(),
+            };
+            let wall_ms = ctx.total_ns() as f64 / 1.0e6;
             match &res {
                 Ok(s) => ev.emit(
                     "query",
-                    vec![
-                        ("platform", platform.into()),
+                    [
+                        ("platform", platform),
                         ("batch", u64::from(batch).into()),
                         ("source", source_str(s.source).into()),
                         ("latency_ms", s.latency_ms.into()),
                         ("approximate", s.approximate.into()),
                         ("coalesced", s.coalesced.into()),
-                        ("request_id", trace.request_id.into()),
-                        ("wall_ms", trace.total_ms().into()),
+                        ("request_id", ctx.request_id().into()),
+                        ("wall_ms", wall_ms.into()),
                     ],
                 ),
                 Err(e) => ev.emit(
                     "query",
-                    vec![
-                        ("platform", platform.into()),
+                    [
+                        ("platform", platform),
                         ("batch", u64::from(batch).into()),
                         ("source", "error".into()),
                         ("error", error_str(e).into()),
-                        ("request_id", trace.request_id.into()),
-                        ("wall_ms", trace.total_ms().into()),
+                        ("request_id", ctx.request_id().into()),
+                        ("wall_ms", wall_ms.into()),
                     ],
                 ),
             };
         }
-        (res, trace)
+        (res, class)
     }
 
     fn query_impl(
         &self,
         model: &Arc<Graph>,
-        platform: &str,
+        binding: &PlatformBinding,
         batch: u32,
         ctx: &mut TraceContext,
     ) -> Result<Served, ServeError> {
-        self.metrics.requests();
-        let binding = match self.resolve(platform) {
-            Ok(b) => b,
-            Err(e) => {
-                ctx.stage("resolve", &self.clock);
-                self.metrics.errors();
-                return Err(e);
-            }
-        };
         // A repeat submitter's hash comes from the identity memo; anyone
         // else pays for one rebatch + Merkle pass here and keeps the graph
         // it built in case the request falls through both tiers.
@@ -1097,26 +1130,28 @@ impl LatencyService {
         }
     }
 
-    fn resolve(&self, platform: &str) -> Result<PlatformBinding, ServeError> {
+    fn resolve(&self, platform: &str) -> Result<Arc<PlatformBinding>, ServeError> {
         if let Some(b) = self.platforms.read().get(platform) {
-            return Ok(b.clone());
+            return Ok(Arc::clone(b));
         }
-        let handle = Platform::by_name(platform)
-            .ok_or_else(|| ServeError::UnknownPlatform(platform.to_string()))?;
+        let unknown = || ServeError::UnknownPlatform(platform.to_string());
+        let handle = Platform::by_name(platform).ok_or_else(unknown)?;
+        let name = PlatformSpec::canonical_name(platform).ok_or_else(unknown)?;
         let spec = handle.spec();
         let id = self.system.db.get_or_create_platform(
             &spec.hardware,
             &spec.software,
             spec.dtype.name(),
         );
-        let binding = PlatformBinding {
-            canonical: Arc::from(handle.name()),
+        let binding = Arc::new(PlatformBinding {
+            canonical: Arc::from(name),
+            name,
             platform: handle,
             id,
-        };
+        });
         self.platforms
             .write()
-            .insert(platform.to_string(), binding.clone());
+            .insert(platform.to_string(), Arc::clone(&binding));
         Ok(binding)
     }
 
@@ -1337,7 +1372,7 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                 if let Some(ev) = &ctx.events {
                     ev.emit(
                         "retrain_start",
-                        vec![
+                        [
                             ("trigger", trigger.into()),
                             ("pending_fresh", pending.into()),
                         ],
@@ -1386,8 +1421,8 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                             .collect();
                         let after = shadow.monitor.reset_window(platform, &pairs);
                         if let Some(ev) = &ctx.events {
-                            let mut fields: Vec<(&str, FieldValue)> = vec![
-                                ("platform", platform.as_str().into()),
+                            let mut fields = vec![
+                                ("platform", platform.clone().into()),
                                 ("trigger", trigger.into()),
                                 ("samples", (trained as u64).into()),
                             ];
@@ -1403,7 +1438,7 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                 } else if let Some(ev) = &ctx.events {
                     ev.emit(
                         "retrain_finish",
-                        vec![
+                        [
                             ("trigger", trigger.into()),
                             ("samples", (trained as u64).into()),
                         ],
@@ -1682,11 +1717,85 @@ mod tests {
             .iter()
             .filter(|e| e.kind == "query")
             .filter_map(|e| match e.field("source") {
-                Some(FieldValue::Str(s)) => Some(s.clone()),
+                Some(FieldValue::Str(s)) => Some(s.to_string()),
                 _ => None,
             })
             .collect();
         assert_eq!(sources, ["error", "measured"]);
+    }
+
+    #[test]
+    fn query_events_record_the_callers_platform_string() {
+        // A canonical name is borrowed from the registry, an alias or an
+        // unknown name copied: either way the event says what was asked.
+        let svc = LatencyService::start(quick_system(), small_cfg());
+        let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
+        svc.query(&g, "cpu-ppl2-fp32", 1).unwrap();
+        svc.query(&g, "cpu-openppl-fp32", 1).unwrap();
+        let _ = svc.query(&g, "quantum-coprocessor", 1);
+        let platforms: Vec<(String, Option<FieldValue>)> = svc
+            .events()
+            .unwrap()
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == "query")
+            .map(|e| match e.field("platform") {
+                Some(FieldValue::Str(s)) => (s.to_string(), e.field("error").cloned()),
+                other => panic!("no platform string: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            platforms,
+            [
+                ("cpu-ppl2-fp32".to_string(), None),
+                ("cpu-openppl-fp32".to_string(), None),
+                (
+                    "quantum-coprocessor".to_string(),
+                    Some("unknown_platform".into())
+                ),
+            ]
+        );
+        // The alias and its canonical name share one cache entry.
+        assert_eq!(svc.metrics().hot_hits, 1);
+    }
+
+    #[test]
+    fn the_deepest_path_tiles_and_lists_its_stages_in_order() {
+        // A measured leader after a memo hit, strict admission on: the
+        // most stage marks any request makes. Querying one `Arc` on a
+        // second platform hits the memo and misses both tiers.
+        let system = Arc::new(
+            Nnlqp::builder()
+                .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 2))
+                .reps(3)
+                .strict(true)
+                .build(),
+        );
+        let svc = LatencyService::start(system, small_cfg());
+        let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
+        svc.query(&g, PLATFORM, 1).unwrap();
+        let (res, trace) = svc.query_traced(&g, "cpu-openppl-fp32", 1);
+        assert_eq!(res.unwrap().source, Source::Measured);
+        assert_eq!(svc.metrics().measured, 2);
+        assert!(trace.tiles_exactly(), "{trace:?}");
+        let stages: Vec<&str> = trace.stages.iter().map(|s| s.name).collect();
+        assert_eq!(
+            stages,
+            [
+                "resolve",
+                "hot_cache",
+                "db_lookup",
+                "resolve",
+                "admission",
+                "enqueue",
+                "queue_wait",
+                "measure",
+                "db_write",
+                "publish",
+                "response",
+            ]
+        );
+        assert!(stages.len() <= nnlqp_obs::INLINE_MARKS);
     }
 
     #[test]

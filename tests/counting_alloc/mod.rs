@@ -1,5 +1,6 @@
 //! A counting allocator shared by the test binaries that assert allocation
-//! counts (`train_allocations`, `miss_allocations`, `predict_allocations`).
+//! counts (`train_allocations`, `miss_allocations`, `predict_allocations`,
+//! `request_budget`).
 //! Each declares this module and installs [`Counting`] as its own
 //! `#[global_allocator]`; the count is per thread, because the harness runs
 //! tests side by side.
