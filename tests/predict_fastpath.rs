@@ -12,7 +12,10 @@ use nnlqp::{
 };
 use nnlqp_ir::{Graph, Rng64};
 use nnlqp_models::ModelFamily;
-use nnlqp_predict::{train, Dataset, NnlpConfig, NnlpModel, TrainConfig};
+use nnlqp_predict::{
+    train, Dataset, NnlpConfig, NnlpModel, Predictor, TrainConfig, TransformerConfig,
+    TransformerModel,
+};
 use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 use std::sync::Arc;
 
@@ -228,6 +231,36 @@ fn reinstalling_the_same_kind_never_serves_a_stale_embedding() {
 const EPOCH_DIGEST_SIMD: u64 = 0x8956_1837_8f92_c1cb;
 const EPOCH_DIGEST_SCALAR: u64 = 0xee99_f25f_df4b_b4f5;
 
+/// The 12-graph, two-head corpus both epoch digests train on.
+fn digest_corpus() -> Dataset {
+    let graphs: Vec<Graph> = [ModelFamily::SqueezeNet, ModelFamily::ResNet]
+        .into_iter()
+        .flat_map(|f| nnlqp_models::generate_family(f, 6, 5))
+        .map(|m| m.graph)
+        .collect();
+    let entries: Vec<(&Graph, f64, usize)> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g, 0.8 + 0.37 * i as f64, i % 2))
+        .collect();
+    Dataset::build(&entries)
+}
+
+/// The digests' one epoch: batch 4, seed 7.
+const DIGEST_EPOCH: TrainConfig = TrainConfig {
+    epochs: 1,
+    batch_size: 4,
+    lr: 1e-3,
+    seed: 7,
+};
+
+/// FNV-1a over a checkpoint's JSON bytes.
+fn checkpoint_digest(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The guard that training numerics did not move: forward, backward
 /// (`t_matmul`, `matmul_t`), dropout streams and Adam must reproduce the
 /// recorded weights to the last bit, whatever the register width.
@@ -271,4 +304,37 @@ fn one_training_epoch_reproduces_the_recorded_checkpoint() {
         EPOCH_DIGEST_SIMD
     };
     assert_eq!(digest, want, "training numerics moved: {digest:#018x}");
+}
+
+/// FNV-1a digests of the checkpoint one epoch of transformer training
+/// produces from a fixed seed, on the FMA (SIMD) backends and on the
+/// scalar backend `NNLQP_SIMD=off` selects.
+const TRANSFORMER_EPOCH_DIGEST_SIMD: u64 = 0x2174_1e61_7330_b61b;
+const TRANSFORMER_EPOCH_DIGEST_SCALAR: u64 = 0x0ff1_4bee_ce52_6b61;
+
+/// The same guard for the transformer encoder: attention forward and
+/// backward, dropout streams and Adam reproduce the recorded weights to
+/// the last bit.
+#[test]
+fn one_transformer_training_epoch_reproduces_the_recorded_checkpoint() {
+    let ds = digest_corpus();
+    let cfg = TransformerConfig {
+        d_model: 48,
+        layers: 3,
+        attn_heads: 4,
+        head_hidden: 48,
+        n_heads: 2,
+        dropout: 0.05,
+        ..Default::default()
+    };
+    let mut model = TransformerModel::new(cfg, ds.norm.clone(), &mut Rng64::new(7));
+    let report = Predictor::train_in_place(&mut model, &ds.samples, DIGEST_EPOCH);
+    assert!(report.epoch_loss[0].is_finite());
+    let digest = checkpoint_digest(&model.to_json());
+    let want = if nnlqp_nn::kernel() == nnlqp_nn::Kernel::Scalar {
+        TRANSFORMER_EPOCH_DIGEST_SCALAR
+    } else {
+        TRANSFORMER_EPOCH_DIGEST_SIMD
+    };
+    assert_eq!(digest, want, "transformer numerics moved: {digest:#018x}");
 }
