@@ -12,7 +12,9 @@
 //! attention stays global but strongly prefers structural neighbors. The
 //! self path `W1 . X`, the optional ReLU and the row L2-normalization
 //! mirror the SAGE layer exactly, which keeps the two encoders
-//! interchangeable behind the same embed/head split.
+//! interchangeable behind the same embed/head split. As in the SAGE layer,
+//! both forwards and the backward draw every buffer from a [`Scratch`]
+//! arena.
 
 use crate::csr::Csr;
 use crate::layers::{
@@ -27,12 +29,15 @@ use nnlqp_ir::Rng64;
 /// post-softmax mass concentrates on the graph neighborhood.
 pub const ATTN_NONEDGE_BIAS: f32 = -8.0;
 
-/// Build the `[n, n]` attention-bias matrix from an adjacency: `0` for
-/// self-pairs and graph edges, [`ATTN_NONEDGE_BIAS`] everywhere else.
-pub fn attention_bias(adj: &Csr) -> Matrix {
+/// Build the `[n, n]` attention-bias matrix from an adjacency, in a buffer
+/// drawn from `scratch`: `0` for self-pairs and graph edges,
+/// [`ATTN_NONEDGE_BIAS`] everywhere else.
+pub fn attention_bias(adj: &Csr, scratch: &mut Scratch) -> Matrix {
     let n = adj.n();
-    let mut b = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { ATTN_NONEDGE_BIAS });
+    let mut b = scratch.take(n, n);
+    b.data.fill(ATTN_NONEDGE_BIAS);
     for i in 0..n {
+        b.set(i, i, 0.0);
         for &j in adj.neighbors(i) {
             b.set(i, j as usize, 0.0);
         }
@@ -61,10 +66,12 @@ pub struct AttnLayer {
     pub relu: bool,
 }
 
-/// Activations cached by the forward pass for the backward pass.
+/// Activations cached by the training forward for the backward pass, every
+/// buffer drawn from the arena. The layer's input is not among them: it is
+/// the caller's (the token embedding, or the previous block's
+/// [`AttnCache::output`]) and is passed to the backward again.
 #[derive(Debug, Clone)]
 pub struct AttnCache {
-    x: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
@@ -74,6 +81,22 @@ pub struct AttnCache {
     pre_act: Matrix,
     y_norm: Matrix,
     norms: Vec<f32>,
+}
+
+impl AttnCache {
+    /// The layer's output `[n, d]` — the next layer's input.
+    pub fn output(&self) -> &Matrix {
+        &self.y_norm
+    }
+
+    /// Return every buffer to the arena the forward drew them from.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        let own = [self.q, self.k, self.v, self.o, self.pre_act, self.y_norm];
+        for m in own.into_iter().chain(self.attn) {
+            scratch.put(m);
+        }
+        scratch.put_vec(self.norms);
+    }
 }
 
 /// Gradients of an [`AttnLayer`].
@@ -92,17 +115,6 @@ pub struct AttnGrad {
 }
 
 impl AttnGrad {
-    /// Zero gradients matching a layer.
-    pub fn zeros_like(l: &AttnLayer) -> Self {
-        AttnGrad {
-            d_wq: LinearGrad::zeros_like(&l.wq),
-            d_wk: LinearGrad::zeros_like(&l.wk),
-            d_wv: LinearGrad::zeros_like(&l.wv),
-            d_wo: LinearGrad::zeros_like(&l.wo),
-            d_w1: LinearGrad::zeros_like(&l.w1),
-        }
-    }
-
     /// Accumulate (batch summation).
     pub fn add_assign(&mut self, other: &AttnGrad) {
         self.d_wq.add_assign(&other.d_wq);
@@ -120,16 +132,17 @@ impl AttnGrad {
         self.d_wo.scale(s);
         self.d_w1.scale(s);
     }
+
+    /// Return every buffer to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        for g in [self.d_wq, self.d_wk, self.d_wv, self.d_wo, self.d_w1] {
+            g.recycle(scratch);
+        }
+    }
 }
 
-/// Copy columns `[start, start+width)` out of `m`.
-fn col_block(m: &Matrix, start: usize, width: usize) -> Matrix {
-    Matrix::from_fn(m.rows, width, |i, j| m.get(i, start + j))
-}
-
-/// [`col_block`] into a caller-provided (scratch) matrix — the inference
-/// path extracts every head through reused buffers instead of allocating
-/// a fresh matrix per head per layer per graph.
+/// Copy columns `[start, start + dst.cols)` of `m` into `dst`, every
+/// element overwritten.
 fn col_block_into(m: &Matrix, start: usize, dst: &mut Matrix) {
     debug_assert_eq!(dst.rows, m.rows);
     for i in 0..m.rows {
@@ -141,9 +154,7 @@ fn col_block_into(m: &Matrix, start: usize, dst: &mut Matrix) {
 /// Write `src` into `dst` at column offset `start`.
 fn set_col_block(dst: &mut Matrix, start: usize, src: &Matrix) {
     for i in 0..src.rows {
-        for j in 0..src.cols {
-            dst.set(i, start + j, src.get(i, j));
-        }
+        dst.row_mut(i)[start..start + src.cols].copy_from_slice(src.row(i));
     }
 }
 
@@ -164,91 +175,78 @@ fn softmax_rows_inplace(s: &mut Matrix) {
     }
 }
 
-/// Backward through a row softmax: `dS = A .* (dA - rowsum(A .* dA))`.
-fn softmax_rows_backward(a: &Matrix, da: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows, a.cols);
+/// Backward through a row softmax, in place on the upstream gradient:
+/// `dS = A .* (dA - rowsum(A .* dA))`.
+fn softmax_rows_backward_inplace(a: &Matrix, d: &mut Matrix) {
     for i in 0..a.rows {
         let ar = a.row(i);
-        let dr = da.row(i);
-        let dot: f32 = ar.iter().zip(dr).map(|(&av, &dv)| av * dv).sum();
-        for j in 0..a.cols {
-            out.set(i, j, ar[j] * (dr[j] - dot));
+        let dr = d.row_mut(i);
+        let dot: f32 = ar.iter().zip(dr.iter()).map(|(&av, &dv)| av * dv).sum();
+        for (dv, &av) in dr.iter_mut().zip(ar) {
+            *dv = av * (*dv - dot);
         }
     }
-    out
 }
 
-/// The attention core shared — verbatim — by [`AttnLayer::forward`] and
-/// [`AttnLayer::forward_eval`]: per-head scaled dot-product scores plus
-/// bias, row softmax, value mixing, heads concatenated. Returns the
-/// concatenated output and the per-head attention matrices.
+/// The attention core of both forwards: per head, scaled dot-product
+/// scores plus `bias`, row softmax and value mixing, the heads' outputs
+/// concatenated into the returned `[n, d]` matrix. Every intermediate is
+/// drawn from `scratch`. Each head's `[n, n]` attention matrix is pushed
+/// onto `keep` when the caller wants it for a backward pass, and goes back
+/// to the arena otherwise; that is the only difference between a training
+/// and an inference forward, so the two agree bit for bit.
 fn attend(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    bias: &Matrix,
-    n_heads: usize,
-) -> (Matrix, Vec<Matrix>) {
-    let d = q.cols;
-    let dh = d / n_heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    let mut o = Matrix::zeros(q.rows, d);
-    let mut attn = Vec::with_capacity(n_heads);
-    for h in 0..n_heads {
-        let qh = col_block(q, h * dh, dh);
-        let kh = col_block(k, h * dh, dh);
-        let vh = col_block(v, h * dh, dh);
-        let mut s = qh.matmul_t(&kh);
-        s.scale_add_assign(scale, bias);
-        softmax_rows_inplace(&mut s);
-        let oh = s.matmul(&vh);
-        set_col_block(&mut o, h * dh, &oh);
-        attn.push(s);
-    }
-    (o, attn)
-}
-
-/// [`attend`] for the inference path: the same arithmetic — score scaling,
-/// bias, softmax, value mixing, identical op order, so results are bitwise
-/// equal — but every per-head intermediate (the head column blocks, the
-/// `[n, n]` score matrix, the mixed output) is drawn from the shared
-/// [`Scratch`] arena instead of freshly allocated, and the attention
-/// matrices are returned to the arena rather than kept for a backward
-/// pass. The attention core of [`AttnLayer::forward_eval`].
-pub fn attend_eval(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
+    (q, k, v): (&Matrix, &Matrix, &Matrix),
     bias: &Matrix,
     n_heads: usize,
     scratch: &mut Scratch,
+    mut keep: Option<&mut Vec<Matrix>>,
 ) -> Matrix {
-    let d = q.cols;
-    let n = q.rows;
+    let (n, d) = (q.rows, q.cols);
     let dh = d / n_heads;
     let scale = 1.0 / (dh as f32).sqrt();
     let mut o = scratch.take(n, d);
-    let mut qh = scratch.take(n, dh);
-    let mut kh = scratch.take(n, dh);
-    let mut vh = scratch.take(n, dh);
-    let mut s = scratch.take(n, n);
-    let mut oh = scratch.take(n, dh);
+    let [mut qh, mut kh, mut vh, mut oh] = [(); 4].map(|()| scratch.take(n, dh));
     for h in 0..n_heads {
         col_block_into(q, h * dh, &mut qh);
         col_block_into(k, h * dh, &mut kh);
         col_block_into(v, h * dh, &mut vh);
+        let mut s = scratch.take(n, n);
         qh.matmul_t_into(&kh, &mut s);
         s.scale_add_assign(scale, bias);
         softmax_rows_inplace(&mut s);
         s.matmul_into(&vh, &mut oh, scratch.pack_buf());
         set_col_block(&mut o, h * dh, &oh);
+        match keep.as_deref_mut() {
+            Some(attn) => attn.push(s),
+            None => scratch.put(s),
+        }
     }
-    scratch.put(qh);
-    scratch.put(kh);
-    scratch.put(vh);
-    scratch.put(s);
-    scratch.put(oh);
+    for m in [qh, kh, vh, oh] {
+        scratch.put(m);
+    }
     o
+}
+
+/// `x W + b` on the fused GEMM+bias kernel, into an arena buffer.
+fn project(l: &Linear, x: &Matrix, scratch: &mut Scratch) -> Matrix {
+    let mut y = scratch.take(x.rows, l.w.cols);
+    l.forward_into(x, Activation::Identity, &mut y, scratch.pack_buf());
+    y
+}
+
+/// The head counts a block of width `d_model` can split into: at least
+/// one, dividing the width evenly.
+fn check_heads(d_model: usize, n_heads: usize) -> Result<(), String> {
+    if n_heads == 0 {
+        return Err("attn n_heads is 0: attention needs at least one head".to_string());
+    }
+    if !d_model.is_multiple_of(n_heads) {
+        return Err(format!(
+            "attn n_heads {n_heads} does not divide d_model {d_model}"
+        ));
+    }
+    Ok(())
 }
 
 impl AttnLayer {
@@ -265,9 +263,10 @@ impl AttnLayer {
         })
     }
 
-    /// Inverse of [`AttnLayer::to_value`].
+    /// Inverse of [`AttnLayer::to_value`]. A head count that
+    /// [`AttnLayer::new`] refuses is an error here.
     pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
-        Ok(AttnLayer {
+        let layer = AttnLayer {
             wq: Linear::from_value(&v["wq"])?,
             wk: Linear::from_value(&v["wk"])?,
             wv: Linear::from_value(&v["wv"])?,
@@ -278,17 +277,15 @@ impl AttnLayer {
                 .map(|x| x as usize)
                 .ok_or("attn n_heads missing")?,
             relu: v["relu"].as_bool().ok_or("attn relu flag missing")?,
-        })
+        };
+        check_heads(layer.wq.w.cols, layer.n_heads)?;
+        Ok(layer)
     }
 
     /// New square block `d_model -> d_model` with `n_heads` heads and
     /// ReLU enabled. `d_model` must be divisible by `n_heads`.
     pub fn new(d_model: usize, n_heads: usize, rng: &mut Rng64) -> Self {
-        assert!(n_heads > 0, "attention needs at least one head");
-        assert!(
-            d_model.is_multiple_of(n_heads),
-            "d_model {d_model} not divisible by n_heads {n_heads}"
-        );
+        check_heads(d_model, n_heads).unwrap_or_else(|e| panic!("{e}"));
         AttnLayer {
             wq: Linear::new(d_model, d_model, rng),
             wk: Linear::new(d_model, d_model, rng),
@@ -300,68 +297,61 @@ impl AttnLayer {
         }
     }
 
-    /// Forward over all node tokens at once; `x: [n, d]`, `bias: [n, n]`
-    /// (from [`attention_bias`]) -> `[n, d]`.
-    pub fn forward(&self, x: &Matrix, bias: &Matrix) -> (Matrix, AttnCache) {
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
-        let (o, attn) = attend(&q, &k, &v, bias, self.n_heads);
-        let mut pre = self.w1.forward(x);
-        let mixed = self.wo.forward(&o);
+    /// The linear half both forwards share, on the fused GEMM+bias
+    /// kernels: the projections, the attention output `o` (keeping the
+    /// attention matrices on `attn` when given) and
+    /// `pre = (x W1 + b1) + (o Wo + bo)`, returned as `[q, k, v, o, pre]`.
+    fn pre_activation(
+        &self,
+        x: &Matrix,
+        bias: &Matrix,
+        attn: Option<&mut Vec<Matrix>>,
+        scratch: &mut Scratch,
+    ) -> [Matrix; 5] {
+        let q = project(&self.wq, x, scratch);
+        let k = project(&self.wk, x, scratch);
+        let v = project(&self.wv, x, scratch);
+        let o = attend((&q, &k, &v), bias, self.n_heads, scratch, attn);
+        let mut pre = project(&self.w1, x, scratch);
+        let mixed = project(&self.wo, &o, scratch);
         pre.add_assign(&mixed);
-        let mut y_norm = pre.clone();
+        scratch.put(mixed);
+        [q, k, v, o, pre]
+    }
+
+    /// Training forward over all node tokens at once, `x: [n, d]`,
+    /// `bias: [n, n]` (from [`attention_bias`]) -> `[n, d]`
+    /// ([`AttnCache::output`]), every intermediate drawn from `scratch` and
+    /// kept in the cache until [`AttnCache::recycle`].
+    pub fn forward(&self, x: &Matrix, bias: &Matrix, scratch: &mut Scratch) -> AttnCache {
+        let mut attn = Vec::with_capacity(self.n_heads);
+        let [q, k, v, o, pre_act] = self.pre_activation(x, bias, Some(&mut attn), scratch);
+        let mut y_norm = scratch.take(pre_act.rows, pre_act.cols);
+        y_norm.data.copy_from_slice(&pre_act.data);
         if self.relu {
             relu_inplace(&mut y_norm);
         }
-        let mut norms = vec![0.0; y_norm.rows];
+        let mut norms = scratch.take_vec(y_norm.rows);
         l2_normalize_rows_inplace(&mut y_norm, Some(&mut norms));
-        (
-            y_norm.clone(),
-            AttnCache {
-                x: x.clone(),
-                q,
-                k,
-                v,
-                attn,
-                o,
-                pre_act: pre,
-                y_norm,
-                norms,
-            },
-        )
+        AttnCache {
+            q,
+            k,
+            v,
+            attn,
+            o,
+            pre_act,
+            y_norm,
+            norms,
+        }
     }
 
-    /// Inference-only forward: the same arithmetic as
-    /// [`AttnLayer::forward`] — bit for bit — without the backward cache.
-    /// The projections run on the fused GEMM+bias kernels into scratch
-    /// buffers; the attention core is [`attend_eval`], op-for-op the same
-    /// sweep as the training path's [`attend`] but with every per-head
-    /// intermediate drawn from the arena, so parity is structural, not
-    /// coincidental.
+    /// Inference-only forward: [`AttnLayer::forward`]'s arithmetic, bit for
+    /// bit, without the backward cache.
     pub fn forward_eval(&self, x: &Matrix, bias: &Matrix, scratch: &mut Scratch) -> Matrix {
-        let mut q = scratch.take(x.rows, self.wq.w.cols);
-        self.wq
-            .forward_into(x, Activation::Identity, &mut q, scratch.pack_buf());
-        let mut k = scratch.take(x.rows, self.wk.w.cols);
-        self.wk
-            .forward_into(x, Activation::Identity, &mut k, scratch.pack_buf());
-        let mut v = scratch.take(x.rows, self.wv.w.cols);
-        self.wv
-            .forward_into(x, Activation::Identity, &mut v, scratch.pack_buf());
-        let o = attend_eval(&q, &k, &v, bias, self.n_heads, scratch);
-        scratch.put(q);
-        scratch.put(k);
-        scratch.put(v);
-        let mut out = scratch.take(x.rows, self.w1.w.cols);
-        self.w1
-            .forward_into(x, Activation::Identity, &mut out, scratch.pack_buf());
-        let mut mixed = scratch.take(o.rows, self.wo.w.cols);
-        self.wo
-            .forward_into(&o, Activation::Identity, &mut mixed, scratch.pack_buf());
-        scratch.put(o);
-        out.add_assign(&mixed);
-        scratch.put(mixed);
+        let [q, k, v, o, mut out] = self.pre_activation(x, bias, None, scratch);
+        for m in [q, k, v, o] {
+            scratch.put(m);
+        }
         if self.relu {
             relu_inplace(&mut out);
         }
@@ -369,58 +359,79 @@ impl AttnLayer {
         out
     }
 
-    /// Backward; returns `(dx, grads)`.
-    pub fn backward(&self, cache: &AttnCache, dy: &Matrix, bias: &Matrix) -> (Matrix, AttnGrad) {
-        let _ = bias; // the bias is additive and constant: no gradient
-        let d = cache.q.cols;
-        let dh = d / self.n_heads;
+    /// Backward from the upstream gradient `d` (spent in place, then given
+    /// back to `scratch`), `x` being the input the forward saw. Returns
+    /// `(dx, grads)`, every buffer drawn from `scratch`. The bias is
+    /// additive and constant: it has no gradient.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        cache: &AttnCache,
+        mut d: Matrix,
+        scratch: &mut Scratch,
+    ) -> (Matrix, AttnGrad) {
+        let (n, width) = (cache.q.rows, cache.q.cols);
+        let dh = width / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        // Through the normalization and the optional ReLU.
-        let mut d_pre = dy.clone();
-        l2_normalize_rows_backward_inplace(&cache.y_norm, &cache.norms, &mut d_pre);
+        // Through the normalization and the optional ReLU, to the
+        // pre-activation gradient.
+        l2_normalize_rows_backward_inplace(&cache.y_norm, &cache.norms, &mut d);
         if self.relu {
-            relu_backward_inplace(&cache.pre_act, &mut d_pre);
+            relu_backward_inplace(&cache.pre_act, &mut d);
         }
         // The two summed paths: self transform and attention output.
-        let (dx_self, d_w1) = self.w1.backward(&cache.x, &d_pre);
-        let (d_o, d_wo) = self.wo.backward(&cache.o, &d_pre);
+        let d_w1 = Linear::param_grad(x, &d, scratch);
+        let d_wo = Linear::param_grad(&cache.o, &d, scratch);
+        let mut d_o = scratch.take(n, width);
+        self.wo.input_grad_into(&d, &mut d_o);
         // Per head, back through value mixing, softmax and the scores.
-        let mut dq = Matrix::zeros(cache.q.rows, d);
-        let mut dk = Matrix::zeros(cache.k.rows, d);
-        let mut dv = Matrix::zeros(cache.v.rows, d);
-        for h in 0..self.n_heads {
-            let a = &cache.attn[h];
-            let kh = col_block(&cache.k, h * dh, dh);
-            let qh = col_block(&cache.q, h * dh, dh);
-            let d_oh = col_block(&d_o, h * dh, dh);
-            let d_a = d_oh.matmul_t(&col_block(&cache.v, h * dh, dh));
-            let d_vh = a.t_matmul(&d_oh);
-            let mut d_s = softmax_rows_backward(a, &d_a);
+        let [mut dq, mut dk, mut dv] = [(); 3].map(|()| scratch.take(n, width));
+        let [mut qh, mut kh, mut vh, mut d_oh, mut d_qh, mut d_kh, mut d_vh] =
+            [(); 7].map(|()| scratch.take(n, dh));
+        let mut d_s = scratch.take(n, n);
+        for (h, a) in cache.attn.iter().enumerate() {
+            let c = h * dh;
+            col_block_into(&cache.q, c, &mut qh);
+            col_block_into(&cache.k, c, &mut kh);
+            col_block_into(&cache.v, c, &mut vh);
+            col_block_into(&d_o, c, &mut d_oh);
+            d_oh.matmul_t_into(&vh, &mut d_s);
+            a.t_matmul_into(&d_oh, &mut d_vh);
+            softmax_rows_backward_inplace(a, &mut d_s);
             d_s.scale(scale);
-            let d_qh = d_s.matmul(&kh);
-            let d_kh = d_s.t_matmul(&qh);
-            set_col_block(&mut dq, h * dh, &d_qh);
-            set_col_block(&mut dk, h * dh, &d_kh);
-            set_col_block(&mut dv, h * dh, &d_vh);
+            d_s.matmul_into(&kh, &mut d_qh, scratch.pack_buf());
+            d_s.t_matmul_into(&qh, &mut d_kh);
+            set_col_block(&mut dq, c, &d_qh);
+            set_col_block(&mut dk, c, &d_kh);
+            set_col_block(&mut dv, c, &d_vh);
         }
-        // Through the three projections; all read the same input `x`.
-        let (dx_q, d_wq) = self.wq.backward(&cache.x, &dq);
-        let (dx_k, d_wk) = self.wk.backward(&cache.x, &dk);
-        let (dx_v, d_wv) = self.wv.backward(&cache.x, &dv);
-        let mut dx = dx_self;
-        dx.add_assign(&dx_q);
-        dx.add_assign(&dx_k);
-        dx.add_assign(&dx_v);
-        (
-            dx,
-            AttnGrad {
-                d_wq,
-                d_wk,
-                d_wv,
-                d_wo,
-                d_w1,
-            },
-        )
+        for m in [qh, kh, vh, d_oh, d_qh, d_kh, d_vh, d_s, d_o] {
+            scratch.put(m);
+        }
+        // Through the three projections, which all read `x`: `dx` is the
+        // self path's input gradient plus theirs, added in that order.
+        let mut dx = scratch.take(n, x.cols);
+        self.w1.input_grad_into(&d, &mut dx);
+        scratch.put(d);
+        let mut path = scratch.take(n, x.cols);
+        for (l, dp) in [(&self.wq, &dq), (&self.wk, &dk), (&self.wv, &dv)] {
+            l.input_grad_into(dp, &mut path);
+            dx.add_assign(&path);
+        }
+        scratch.put(path);
+        let [d_wq, d_wk, d_wv] = [dq, dk, dv].map(|dp| {
+            let g = Linear::param_grad(x, &dp, scratch);
+            scratch.put(dp);
+            g
+        });
+        let grads = AttnGrad {
+            d_wq,
+            d_wk,
+            d_wv,
+            d_wo,
+            d_w1,
+        };
+        (dx, grads)
     }
 }
 
@@ -433,14 +444,19 @@ mod tests {
         let layer = AttnLayer::new(4, 2, &mut rng);
         let x = Matrix::from_fn(5, 4, |_, _| rng.range_f64(-1.0, 1.0) as f32);
         let adj = Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]);
-        let bias = attention_bias(&adj);
+        let bias = attention_bias(&adj, &mut Scratch::new());
         (layer, x, bias)
+    }
+
+    /// The layer's output, through a private arena.
+    fn forward(l: &AttnLayer, x: &Matrix, bias: &Matrix) -> Matrix {
+        l.forward(x, bias, &mut Scratch::new()).output().clone()
     }
 
     #[test]
     fn bias_is_zero_on_diagonal_and_edges() {
         let adj = Csr::from_edges(4, &[(0, 1), (2, 3)]);
-        let b = attention_bias(&adj);
+        let b = attention_bias(&adj, &mut Scratch::new());
         for i in 0..4 {
             assert_eq!(b.get(i, i), 0.0);
         }
@@ -454,10 +470,9 @@ mod tests {
     #[test]
     fn attention_rows_sum_to_one() {
         let (layer, x, bias) = setup();
-        let q = layer.wq.forward(&x);
-        let k = layer.wk.forward(&x);
-        let v = layer.wv.forward(&x);
-        let (_, attn) = attend(&q, &k, &v, &bias, layer.n_heads);
+        let mut scratch = Scratch::new();
+        let mut attn = Vec::new();
+        layer.pre_activation(&x, &bias, Some(&mut attn), &mut scratch);
         assert_eq!(attn.len(), 2);
         for a in &attn {
             for i in 0..a.rows {
@@ -471,7 +486,7 @@ mod tests {
     fn forward_shape_and_unit_rows() {
         let (mut layer, x, bias) = setup();
         layer.relu = false; // with ReLU an all-negative row collapses to zero
-        let (y, _) = layer.forward(&x, &bias);
+        let y = forward(&layer, &x, &bias);
         assert_eq!((y.rows, y.cols), (5, 4));
         for i in 0..y.rows {
             let n: f32 = y.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -480,25 +495,22 @@ mod tests {
     }
 
     #[test]
-    fn attend_eval_matches_attend_bitwise() {
+    fn keeping_the_attention_matrices_does_not_change_the_output() {
         let (layer, x, bias) = setup();
-        let q = layer.wq.forward(&x);
-        let k = layer.wk.forward(&x);
-        let v = layer.wv.forward(&x);
-        let (want, _) = attend(&q, &k, &v, &bias, layer.n_heads);
         let mut scratch = Scratch::new();
-        let got = attend_eval(&q, &k, &v, &bias, layer.n_heads, &mut scratch);
+        let mut attn = Vec::new();
+        let [.., want] = layer.pre_activation(&x, &bias, Some(&mut attn), &mut scratch);
+        let [.., got] = layer.pre_activation(&x, &bias, None, &mut scratch);
         assert_eq!(got, want);
         // Warm arena second pass: same buffers, same bits.
-        scratch.put(got);
-        let again = attend_eval(&q, &k, &v, &bias, layer.n_heads, &mut scratch);
+        let [.., again] = layer.pre_activation(&x, &bias, None, &mut scratch);
         assert_eq!(again, want);
     }
 
     #[test]
     fn forward_eval_matches_forward_bitwise() {
         let (layer, x, bias) = setup();
-        let (want, _) = layer.forward(&x, &bias);
+        let want = forward(&layer, &x, &bias);
         let mut scratch = Scratch::new();
         let got = layer.forward_eval(&x, &bias, &mut scratch);
         assert_eq!(got, want);
@@ -509,7 +521,7 @@ mod tests {
         // And without the ReLU.
         let mut no_relu = layer;
         no_relu.relu = false;
-        let (want2, _) = no_relu.forward(&x, &bias);
+        let want2 = forward(&no_relu, &x, &bias);
         assert_eq!(no_relu.forward_eval(&x, &bias, &mut scratch), want2);
     }
 
@@ -520,15 +532,16 @@ mod tests {
         let mut rng = Rng64::new(41);
         let coeff = Matrix::from_fn(5, 4, |_, _| rng.range_f64(-1.0, 1.0) as f32);
         let loss = |l: &AttnLayer, xx: &Matrix| -> f64 {
-            let (y, _) = l.forward(xx, &bias);
+            let y = forward(l, xx, &bias);
             y.data
                 .iter()
                 .zip(&coeff.data)
                 .map(|(&a, &c)| (a * c) as f64)
                 .sum()
         };
-        let (_, cache) = layer.forward(&x, &bias);
-        let (dx, g) = layer.backward(&cache, &coeff, &bias);
+        let mut scratch = Scratch::new();
+        let cache = layer.forward(&x, &bias, &mut scratch);
+        let (dx, g) = layer.backward(&x, &cache, coeff.clone(), &mut scratch);
 
         let h = 1e-3f32;
         // Spot-check one entry of every projection.
@@ -586,11 +599,11 @@ mod tests {
     #[test]
     fn grad_accumulation_api() {
         let (layer, x, bias) = setup();
-        let (_, cache) = layer.forward(&x, &bias);
+        let mut scratch = Scratch::new();
+        let cache = layer.forward(&x, &bias, &mut scratch);
         let dy = Matrix::from_fn(5, 4, |_, _| 1.0);
-        let (_, g1) = layer.backward(&cache, &dy, &bias);
-        let mut acc = AttnGrad::zeros_like(&layer);
-        acc.add_assign(&g1);
+        let (_, g1) = layer.backward(&x, &cache, dy, &mut scratch);
+        let mut acc = g1.clone();
         acc.add_assign(&g1);
         acc.scale(0.5);
         for (a, b) in acc.d_wq.dw.data.iter().zip(&g1.d_wq.dw.data) {
@@ -603,8 +616,6 @@ mod tests {
         let (layer, x, bias) = setup();
         let back = AttnLayer::from_value(&layer.to_value()).unwrap();
         assert_eq!(back, layer);
-        let (want, _) = layer.forward(&x, &bias);
-        let (got, _) = back.forward(&x, &bias);
-        assert_eq!(got, want);
+        assert_eq!(forward(&back, &x, &bias), forward(&layer, &x, &bias));
     }
 }

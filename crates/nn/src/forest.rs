@@ -1,6 +1,5 @@
 //! Bootstrap-aggregated random forest regression — the estimator class the
-//! nn-Meter official project uses for kernel latency (Appendix E). Trees
-//! are fitted in parallel with rayon.
+//! nn-Meter official project uses for kernel latency (Appendix E).
 
 use crate::tree::{RegressionTree, TreeConfig};
 use nnlqp_ir::Rng64;

@@ -27,7 +27,8 @@ impl Linear {
         serde_json::json!({ "w": self.w.to_value(), "b": self.b })
     }
 
-    /// Inverse of [`Linear::to_value`].
+    /// Inverse of [`Linear::to_value`]. A bias that is not one entry per
+    /// output column is an error.
     pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
         let w = Matrix::from_value(&v["w"])?;
         let b = v["b"]
@@ -38,6 +39,13 @@ impl Linear {
                     .collect::<Option<Vec<f32>>>()
             })
             .ok_or("linear bias missing")?;
+        if b.len() != w.cols {
+            return Err(format!(
+                "linear bias b has {} entries for {} output columns",
+                b.len(),
+                w.cols
+            ));
+        }
         Ok(Linear { w, b })
     }
 }
@@ -92,17 +100,11 @@ impl Linear {
         }
     }
 
-    /// Forward: `y = x W + b`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_vector(&self.b);
-        y
-    }
-
-    /// Fused inference entry point: `out = act(x W + b)` with no
-    /// intermediate matrices — the GEMM writes `out` in place (via `pack`
-    /// for panel reuse) and the bias + activation run as one epilogue
-    /// sweep. Arithmetic is bit-identical to `forward` followed by `relu`.
+    /// Forward, `out = act(x W + b)`, with no intermediate matrices: the
+    /// GEMM writes `out` in place (via `pack` for panel reuse) and the
+    /// bias + activation run as one epilogue sweep. Arithmetic is
+    /// bit-identical to a plain `x.matmul(W)`, `add_row_vector(b)`, then
+    /// `relu_inplace`.
     pub fn forward_into(&self, x: &Matrix, act: Activation, out: &mut Matrix, pack: &mut Vec<f32>) {
         x.matmul_into(&self.w, out, pack);
         out.bias_act(&self.b, act);
@@ -124,13 +126,6 @@ impl Linear {
     /// (nothing upstream to train) skips it.
     pub fn input_grad_into(&self, dy: &Matrix, dx: &mut Matrix) {
         dy.matmul_t_into(&self.w, dx);
-    }
-
-    /// Backward. `x` is the forward input, `dy` the upstream gradient.
-    /// Returns `(dx, grads)`, freshly allocated.
-    pub fn backward(&self, x: &Matrix, dy: &Matrix) -> (Matrix, LinearGrad) {
-        let dx = dy.matmul_t(&self.w);
-        (dx, Linear::param_grad(x, dy, &mut Scratch::new()))
     }
 }
 
@@ -201,19 +196,11 @@ pub fn l2_normalize_rows_backward_inplace(y: &Matrix, norms: &[f32], d: &mut Mat
     simd::l2_normalize_rows_backward(simd::kernel(), &y.data, norms, &mut d.data, y.cols);
 }
 
-/// Mean-squared-error loss over a column vector of predictions; returns
-/// `(loss, dpred)`.
-pub fn mse_loss(pred: &[f32], target: &[f32]) -> (f64, Vec<f32>) {
-    assert_eq!(pred.len(), target.len());
-    let n = pred.len().max(1) as f64;
-    let mut grad = vec![0.0f32; pred.len()];
-    let mut loss = 0.0f64;
-    for i in 0..pred.len() {
-        let e = (pred[i] - target[i]) as f64;
-        loss += e * e;
-        grad[i] = (2.0 * e / n) as f32;
-    }
-    (loss / n, grad)
+/// Mean-squared-error loss of one prediction (a head's scalar output);
+/// returns `(loss, dloss/dpred)`.
+pub fn mse_loss(pred: f32, target: f32) -> (f64, f32) {
+    let e = (pred - target) as f64;
+    (e * e, (2.0 * e) as f32)
 }
 
 #[cfg(test)]
@@ -237,6 +224,13 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| 1.0)
     }
 
+    /// `x W + b`, unfused: the reference the fused entry point matches.
+    fn forward(l: &Linear, x: &Matrix) -> Matrix {
+        let mut y = x.matmul(&l.w);
+        y.add_row_vector(&l.b);
+        y
+    }
+
     #[test]
     fn linear_forward_known() {
         let l = Linear {
@@ -244,7 +238,8 @@ mod tests {
             b: vec![0.5, -0.5],
         };
         let x = Matrix::from_rows(1, 2, vec![1.0, 1.0]);
-        let y = l.forward(&x);
+        let mut y = Matrix::zeros(1, 2);
+        l.forward_into(&x, Activation::Identity, &mut y, &mut Vec::new());
         assert_eq!(y.data, vec![4.5, 5.5]);
     }
 
@@ -254,14 +249,16 @@ mod tests {
         let l = Linear::new(4, 3, &mut rng);
         let x = rand_mat(5, 4, 11);
         let dy = ones(5, 3);
-        let (dx, g) = l.backward(&x, &dy);
+        let mut dx = Matrix::zeros(5, 4);
+        l.input_grad_into(&dy, &mut dx);
+        let g = Linear::param_grad(&x, &dy, &mut Scratch::new());
 
         // Weight gradient check at a few positions.
         for &(i, j) in &[(0usize, 0usize), (3, 2), (1, 1)] {
             let mut f = |w: f32| {
                 let mut l2 = l.clone();
                 l2.w.set(i, j, w);
-                l2.forward(&x).data.iter().map(|&v| v as f64).sum()
+                forward(&l2, &x).data.iter().map(|&v| v as f64).sum()
             };
             let num = numeric_grad(&mut f, l.w.get(i, j));
             assert!(
@@ -277,7 +274,7 @@ mod tests {
             let mut f = |v: f32| {
                 let mut x2 = x.clone();
                 x2.set(i, j, v);
-                l.forward(&x2).data.iter().map(|&v| v as f64).sum()
+                forward(&l, &x2).data.iter().map(|&v| v as f64).sum()
             };
             let num = numeric_grad(&mut f, x.get(i, j));
             assert!((num - dx.get(i, j) as f64).abs() < 1e-2);
@@ -289,14 +286,14 @@ mod tests {
         let mut rng = Rng64::new(17);
         let l = Linear::new(6, 5, &mut rng);
         let x = rand_mat(7, 6, 18);
-        let mut unfused = l.forward(&x);
+        let mut unfused = forward(&l, &x);
         relu_inplace(&mut unfused);
         let mut pack = Vec::new();
         let mut out = Matrix::zeros(7, 5);
         l.forward_into(&x, Activation::Relu, &mut out, &mut pack);
         assert_eq!(out, unfused);
         l.forward_into(&x, Activation::Identity, &mut out, &mut pack);
-        assert_eq!(out, l.forward(&x));
+        assert_eq!(out, forward(&l, &x));
     }
 
     /// Normalized copy of `x` and the norms the backward pass needs.
@@ -400,9 +397,8 @@ mod tests {
 
     #[test]
     fn mse_loss_and_grad() {
-        let (loss, grad) = mse_loss(&[2.0, 0.0], &[1.0, 0.0]);
-        assert!((loss - 0.5).abs() < 1e-9);
-        assert!((grad[0] - 1.0).abs() < 1e-6);
-        assert_eq!(grad[1], 0.0);
+        assert_eq!(mse_loss(2.0, 1.0), (1.0, 2.0));
+        assert_eq!(mse_loss(0.5, 2.0), (2.25, -3.0));
+        assert_eq!(mse_loss(0.0, 0.0), (0.0, 0.0));
     }
 }

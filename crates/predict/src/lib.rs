@@ -40,5 +40,5 @@ pub use metrics::{acc_at, kendall_tau, mape};
 pub use model::{Head, NnlpConfig, NnlpModel};
 pub use nnlqp_nn::Scratch;
 pub use predictor::{predictor_from_json, Predictor, PredictorKind};
-pub use train::{train, Dataset, Sample, TrainConfig, TrainReport};
-pub use transformer::{train_transformer, TransformerConfig, TransformerModel};
+pub use train::{train, Dataset, Sample, TrainConfig, TrainReport, Trainable};
+pub use transformer::{TransformerConfig, TransformerModel};

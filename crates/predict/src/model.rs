@@ -11,6 +11,7 @@
 
 use crate::features::{GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM};
 use crate::predictor::Predictor;
+use crate::train::{adam_linears, Gradient, Grads, Sample, Trainable};
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{
     layers::mse_loss, relu_backward_inplace, relu_inplace, sage::SageCache, Activation, Adam, Csr,
@@ -164,35 +165,44 @@ pub struct HeadGrad {
     pub d3: LinearGrad,
 }
 
-impl HeadGrad {
-    /// Zero gradients matching a head.
-    pub fn zeros_like(h: &Head) -> Self {
-        HeadGrad {
-            d1: LinearGrad::zeros_like(&h.l1),
-            d2: LinearGrad::zeros_like(&h.l2),
-            d3: LinearGrad::zeros_like(&h.l3),
-        }
-    }
-
-    /// Accumulate.
-    pub fn add_assign(&mut self, o: &HeadGrad) {
+impl Gradient for HeadGrad {
+    fn add_assign(&mut self, o: &HeadGrad) {
         self.d1.add_assign(&o.d1);
         self.d2.add_assign(&o.d2);
         self.d3.add_assign(&o.d3);
     }
 
-    /// Scale.
-    pub fn scale(&mut self, s: f32) {
+    fn scale(&mut self, s: f32) {
         self.d1.scale(s);
         self.d2.scale(s);
         self.d3.scale(s);
     }
 
-    /// Return every buffer to an arena.
-    pub fn recycle(self, scratch: &mut Scratch) {
+    fn recycle(self, scratch: &mut Scratch) {
         self.d1.recycle(scratch);
         self.d2.recycle(scratch);
         self.d3.recycle(scratch);
+    }
+}
+
+/// The SAGE backbone's gradient: one per layer.
+impl Gradient for Vec<SageGrad> {
+    fn add_assign(&mut self, other: &Self) {
+        for (a, g) in self.iter_mut().zip(other) {
+            a.add_assign(g);
+        }
+    }
+
+    fn scale(&mut self, s: f32) {
+        for g in self {
+            g.scale(s);
+        }
+    }
+
+    fn recycle(self, scratch: &mut Scratch) {
+        for g in self {
+            g.recycle(scratch);
+        }
     }
 }
 
@@ -274,6 +284,18 @@ impl Head {
         scratch.put(a1);
         scratch.put(a2);
         scratch.put(y);
+    }
+
+    /// Apply a gradient with Adam, as platform head `idx`. Heads own the
+    /// optimizer keys from 10,000 up, eight per head, clear of every
+    /// backbone's, so no two tensors ever share Adam state.
+    pub fn apply_grads(&mut self, idx: usize, g: &HeadGrad, opt: &mut Adam) {
+        let layers = [
+            (&mut self.l1, &g.d1),
+            (&mut self.l2, &g.d2),
+            (&mut self.l3, &g.d3),
+        ];
+        adam_linears(opt, 10_000 + (idx as u64) * 8, layers);
     }
 
     /// Backward from the loss gradient `d_pred`; returns the embedding
@@ -432,35 +454,6 @@ pub struct ForwardCache {
     head_idx: usize,
 }
 
-/// Per-sample gradients.
-pub struct NnlpGrads {
-    /// Backbone gradients, one per SAGE layer.
-    pub sage: Vec<SageGrad>,
-    /// Head gradient.
-    pub head: HeadGrad,
-    /// Which head the gradient belongs to.
-    pub head_idx: usize,
-}
-
-impl NnlpGrads {
-    /// Zero gradients for a model's backbone plus one head.
-    pub fn zeros_like(m: &NnlpModel, head_idx: usize) -> Self {
-        NnlpGrads {
-            sage: m.sage.iter().map(SageGrad::zeros_like).collect(),
-            head: HeadGrad::zeros_like(&m.heads[head_idx]),
-            head_idx,
-        }
-    }
-
-    /// Return every buffer to an arena.
-    pub fn recycle(self, scratch: &mut Scratch) {
-        for g in self.sage {
-            g.recycle(scratch);
-        }
-        self.head.recycle(scratch);
-    }
-}
-
 impl NnlpModel {
     /// Fresh model with `cfg.n_heads` heads.
     pub fn new(cfg: NnlpConfig, norm: Normalizer, rng: &mut Rng64) -> Self {
@@ -524,7 +517,7 @@ impl NnlpModel {
 
     /// Forward pass on *normalized* inputs. `rng` enables dropout
     /// (training mode). Returns the prediction in `ln(1+ms)` space.
-    /// [`NnlpModel::loss_and_grads`]'s forward over a private arena.
+    /// [`Trainable::loss_and_grads`]'s forward over a private arena.
     pub fn forward(
         &self,
         nodes: &Matrix,
@@ -581,8 +574,7 @@ impl NnlpModel {
 
     /// Backward pass; `d_pred` is the loss gradient wrt the scalar output,
     /// `nodes` and `adj` what the forward saw. The cache's buffers go back
-    /// to `scratch`; the gradients' come out of it
-    /// ([`NnlpGrads::recycle`]).
+    /// to `scratch`; the gradients' come out of it ([`Grads::recycle`]).
     pub fn backward(
         &self,
         cache: ForwardCache,
@@ -590,7 +582,7 @@ impl NnlpModel {
         nodes: &Matrix,
         adj: &Csr,
         scratch: &mut Scratch,
-    ) -> NnlpGrads {
+    ) -> Grads<Vec<SageGrad>> {
         let head_idx = cache.head_idx;
         let (d_emb, head_grad) =
             self.heads[head_idx].backward(&cache.head, d_pred, self.cfg.dropout, scratch);
@@ -630,8 +622,8 @@ impl NnlpModel {
             sage_grads.reverse();
         }
         scratch.put(d_emb);
-        NnlpGrads {
-            sage: sage_grads,
+        Grads {
+            backbone: sage_grads,
             head: head_grad,
             head_idx,
         }
@@ -729,49 +721,6 @@ impl NnlpModel {
         Predictor::predict_batch(self, std::slice::from_ref(feats), &heads).remove(0)
     }
 
-    /// One training loss evaluation (log-space MSE) with gradients: a
-    /// forward and a backward whose every intermediate comes out of
-    /// `scratch` and goes back into it; so do the returned gradients'
-    /// buffers, once the caller is done with them
-    /// ([`NnlpGrads::recycle`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn loss_and_grads(
-        &self,
-        nodes: &Matrix,
-        adj: &Csr,
-        stat: &[f32; STATIC_DIM],
-        target_log: f32,
-        head_idx: usize,
-        rng: &mut Rng64,
-        scratch: &mut Scratch,
-    ) -> (f64, NnlpGrads) {
-        let (pred, cache) = self.forward_in(nodes, adj, stat, head_idx, Some(rng), scratch);
-        let (loss, grad) = mse_loss(&[pred], &[target_log]);
-        let grads = self.backward(cache, grad[0], nodes, adj, scratch);
-        (loss, grads)
-    }
-
-    /// Apply accumulated gradients with Adam. Backbone tensors use keys
-    /// `< 10_000`; head `h` tensors use `10_000 + 8h ..`.
-    pub fn apply_grads(&mut self, grads: &NnlpGrads, opt: &mut Adam) {
-        for (i, (layer, g)) in self.sage.iter_mut().zip(&grads.sage).enumerate() {
-            let base = 100 + (i as u64) * 8;
-            opt.update(base, &mut layer.w1.w.data, &g.d_w1.dw.data);
-            opt.update(base + 1, &mut layer.w1.b, &g.d_w1.db);
-            opt.update(base + 2, &mut layer.w2.w.data, &g.d_w2.dw.data);
-            opt.update(base + 3, &mut layer.w2.b, &g.d_w2.db);
-        }
-        let h = grads.head_idx;
-        let head = &mut self.heads[h];
-        let base = 10_000 + (h as u64) * 8;
-        opt.update(base, &mut head.l1.w.data, &grads.head.d1.dw.data);
-        opt.update(base + 1, &mut head.l1.b, &grads.head.d1.db);
-        opt.update(base + 2, &mut head.l2.w.data, &grads.head.d2.dw.data);
-        opt.update(base + 3, &mut head.l2.b, &grads.head.d2.db);
-        opt.update(base + 4, &mut head.l3.w.data, &grads.head.d3.dw.data);
-        opt.update(base + 5, &mut head.l3.b, &grads.head.d3.db);
-    }
-
     /// Serialize to JSON (model checkpointing for transfer learning).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serializes")
@@ -783,10 +732,39 @@ impl NnlpModel {
     }
 }
 
+impl Trainable for NnlpModel {
+    type Backbone = Vec<SageGrad>;
+
+    fn loss_and_grads(
+        &self,
+        s: &Sample,
+        rng: &mut Rng64,
+        scratch: &mut Scratch,
+    ) -> (f64, Grads<Vec<SageGrad>>) {
+        let (pred, cache) = self.forward_in(&s.nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
+        let (loss, d_pred) = mse_loss(pred, s.target_log);
+        let grads = self.backward(cache, d_pred, &s.nodes, &s.adj, scratch);
+        (loss, grads)
+    }
+
+    /// Layer `i`'s keys start at `100 + 8i`.
+    fn apply_backbone(&mut self, grads: &Vec<SageGrad>, opt: &mut Adam) {
+        for (i, (layer, g)) in self.sage.iter_mut().zip(grads).enumerate() {
+            let layers = [(&mut layer.w1, &g.d_w1), (&mut layer.w2, &g.d_w2)];
+            adam_linears(opt, 100 + (i as u64) * 8, layers);
+        }
+    }
+
+    fn heads_mut(&mut self) -> &mut [Head] {
+        &mut self.heads
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::extract_features;
+    use crate::train::make_sample;
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -874,14 +852,14 @@ mod tests {
             NnlpConfig::brp_nas(),
         ] {
             let (m, feats) = make_model(cfg);
-            let nodes = m.norm.normalize_nodes(&feats.nodes);
-            let stat = m.norm.normalize_stat(&feats.stat);
+            let s = Sample {
+                target_log: 1.0,
+                ..make_sample(&feats, 0.0, 0, &m.norm)
+            };
             let mut rng = Rng64::new(81);
-            let mut scratch = Scratch::new();
-            let (loss, grads) =
-                m.loss_and_grads(&nodes, &feats.adj, &stat, 1.0, 0, &mut rng, &mut scratch);
+            let (loss, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
             assert!(loss.is_finite());
-            assert_eq!(grads.sage.len(), m.sage.len());
+            assert_eq!(grads.backbone.len(), m.sage.len());
         }
     }
 
@@ -891,20 +869,20 @@ mod tests {
             dropout: 0.0,
             ..Default::default()
         });
-        let nodes = m.norm.normalize_nodes(&feats.nodes);
-        let stat = m.norm.normalize_stat(&feats.stat);
-        let target = 2.5f32;
+        let s = Sample {
+            target_log: 2.5,
+            ..make_sample(&feats, 0.0, 0, &m.norm)
+        };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(82);
         let mut scratch = Scratch::new();
-        let mut step = |m: &NnlpModel| {
-            m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng, &mut scratch)
-        };
+        let mut step = |m: &NnlpModel| m.loss_and_grads(&s, &mut rng, &mut scratch);
         let (first, _) = step(&m);
         for _ in 0..100 {
             let (_, g) = step(&m);
             opt.begin_step();
-            m.apply_grads(&g, &mut opt);
+            m.apply_backbone(&g.backbone, &mut opt);
+            m.heads[0].apply_grads(0, &g.head, &mut opt);
         }
         let (last, _) = step(&m);
         assert!(last < first * 0.05, "loss {first} -> {last}");
@@ -920,35 +898,36 @@ mod tests {
             head_hidden: 8,
             ..Default::default()
         });
-        let nodes = m.norm.normalize_nodes(&feats.nodes);
-        let stat = m.norm.normalize_stat(&feats.stat);
         let target = 1.0f32;
+        let s = Sample {
+            target_log: target,
+            ..make_sample(&feats, 0.0, 0, &m.norm)
+        };
+        let (nodes, stat) = (&s.nodes, &s.stat);
         let mut rng = Rng64::new(83);
-        let mut scratch = Scratch::new();
-        let (_, grads) =
-            m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng, &mut scratch);
+        let (_, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
 
         // `backward` runs out of an arena and never computes the first
         // layer's input gradient. The parameter gradients must not notice:
         // walk the stack again with the full, allocating per-layer
         // backward and compare bit for bit.
-        let (pred, cache) = m.forward(&nodes, &feats.adj, &stat, 0, None);
-        let d_pred = mse_loss(&[pred], &[target]).1[0];
+        let (pred, cache) = m.forward(nodes, &feats.adj, stat, 0, None);
+        let d_pred = mse_loss(pred, target).1;
         let (d_emb, _) = m.heads[0].backward(&cache.head, d_pred, 0.0, &mut Scratch::new());
         let mut d_h = Matrix::from_fn(nodes.rows, m.cfg.hidden, |_, j| {
             d_emb.get(0, j) * SUM_POOL_SCALE
         });
         for (i, (layer, c)) in m.sage.iter().zip(&cache.sage).enumerate().rev() {
             let input = if i == 0 {
-                &nodes
+                nodes
             } else {
                 cache.sage[i - 1].output()
             };
             let (dx, full) = layer.backward(input, c, &d_h, &feats.adj);
             assert_eq!(dx.rows, nodes.rows);
             for (got, want) in [
-                (&grads.sage[i].d_w1, &full.d_w1),
-                (&grads.sage[i].d_w2, &full.d_w2),
+                (&grads.backbone[i].d_w1, &full.d_w1),
+                (&grads.backbone[i].d_w2, &full.d_w2),
             ] {
                 assert_eq!(got.dw, want.dw, "sage{i} dw");
                 assert_eq!(got.db, want.db, "sage{i} db");
@@ -958,7 +937,7 @@ mod tests {
 
         let h = 1e-2f32;
         let loss_of = |mm: &NnlpModel| {
-            let (p, _) = mm.forward(&nodes, &feats.adj, &stat, 0, None);
+            let (p, _) = mm.forward(nodes, &feats.adj, stat, 0, None);
             ((p - target) as f64).powi(2)
         };
         for &(i, j) in &[(0usize, 0usize), (3, 5)] {
@@ -968,7 +947,7 @@ mod tests {
             mp.sage[0].w1.w.set(i, j, base + h);
             mm2.sage[0].w1.w.set(i, j, base - h);
             let num = (loss_of(&mp) - loss_of(&mm2)) / (2.0 * h as f64);
-            let analytic = grads.sage[0].d_w1.dw.get(i, j) as f64;
+            let analytic = grads.backbone[0].d_w1.dw.get(i, j) as f64;
             assert!(
                 (num - analytic).abs() < 5e-2 * (1.0 + num.abs()),
                 "sage0.w1[{i},{j}] num {num} vs {analytic}"

@@ -314,4 +314,42 @@ mod tests {
             assert!(err.contains(kind), "{err}");
         }
     }
+
+    /// `predictor_from_json` refuses `doc`, naming `field`.
+    fn assert_refused(doc: &str, field: &str) {
+        let err = predictor_from_json(doc)
+            .err()
+            .expect("a hostile checkpoint loaded");
+        assert!(err.contains(field), "{err}");
+    }
+
+    /// A checkpoint of a default transformer (`d_model` 32, four attention
+    /// heads), altered by `edit` before it is written.
+    fn transformer_checkpoint(edit: impl FnOnce(&mut TransformerModel)) -> String {
+        let norm = Normalizer::fit(&[&tiny_feats()]);
+        let cfg = crate::TransformerConfig::default();
+        let mut m = TransformerModel::new(cfg, norm, &mut Rng64::new(72));
+        edit(&mut m);
+        Predictor::to_json(&m)
+    }
+
+    #[test]
+    fn a_checkpoint_with_zero_attention_heads_is_refused() {
+        let doc = transformer_checkpoint(|m| m.blocks[1].n_heads = 0);
+        assert_refused(&doc, "n_heads");
+    }
+
+    #[test]
+    fn a_checkpoint_whose_attention_heads_do_not_divide_the_width_is_refused() {
+        let doc = transformer_checkpoint(|m| m.blocks[0].n_heads = 3);
+        assert_refused(&doc, "n_heads");
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_bias_of_the_wrong_length_is_refused() {
+        let norm = Normalizer::fit(&[&tiny_feats()]);
+        let mut sage = NnlpModel::new(NnlpConfig::default(), norm, &mut Rng64::new(73));
+        sage.sage[1].w2.b.pop();
+        assert_refused(&Predictor::to_json(&sage), "bias");
+    }
 }

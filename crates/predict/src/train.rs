@@ -1,15 +1,16 @@
-//! Dataset assembly and the training loops (Algorithm 1).
+//! Dataset assembly and the training loop (Algorithm 1).
 //!
 //! Mini-batch training per §8.1: batch size 16, Adam at lr 1e-3, average
-//! batch loss backpropagated. Per-sample gradients are computed one after
-//! another on the calling thread (the model is borrowed immutably), each
-//! forward and backward out of one [`Scratch`] arena held for the whole
-//! call, summed in sample order, then applied in one optimizer step.
+//! batch loss backpropagated. One loop, [`train`], serves every encoder
+//! that implements [`Trainable`]. Per-sample gradients are computed one
+//! after another on the calling thread (the model is borrowed immutably),
+//! each forward and backward out of one [`Scratch`] arena held for the
+//! whole call, summed in sample order, then applied in one optimizer step.
 
 use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
-use crate::model::{HeadGrad, NnlpModel};
+use crate::model::{Head, HeadGrad, NnlpModel};
 use nnlqp_ir::{Graph, Rng64};
-use nnlqp_nn::{Adam, Csr, Matrix, SageGrad, Scratch};
+use nnlqp_nn::{Adam, Csr, Linear, LinearGrad, Matrix, Scratch};
 use rayon::prelude::*;
 
 /// One training/evaluation sample with pre-normalized features.
@@ -43,9 +44,6 @@ impl Dataset {
     /// fitted on exactly these graphs — fit on *training* data only, then
     /// use [`Dataset::extend_with`] for evaluation sets.
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
-        // Feature extraction is the serial front half of every retrain
-        // (including serve's background retrain loop) — run it, and the
-        // per-sample normalization, graph-parallel with rayon.
         let feats: Vec<GraphFeatures> = entries
             .par_iter()
             .map(|(g, _, _)| extract_features(g))
@@ -59,8 +57,7 @@ impl Dataset {
         Dataset { samples, norm }
     }
 
-    /// Featurize additional graphs with this dataset's normalizer
-    /// (graph-parallel, like [`Dataset::build`]).
+    /// Featurize additional graphs with this dataset's normalizer.
     pub fn extend_with(&self, entries: &[(&Graph, f64, usize)]) -> Vec<Sample> {
         entries
             .par_iter()
@@ -72,7 +69,7 @@ impl Dataset {
     }
 }
 
-fn make_sample(f: &GraphFeatures, ms: f64, head: usize, norm: &Normalizer) -> Sample {
+pub(crate) fn make_sample(f: &GraphFeatures, ms: f64, head: usize, norm: &Normalizer) -> Sample {
     Sample {
         nodes: norm.normalize_nodes(&f.nodes),
         adj: f.adj.clone(),
@@ -114,10 +111,78 @@ pub struct TrainReport {
     pub epoch_loss: Vec<f64>,
 }
 
+/// A gradient the training loop sums over a mini-batch, in sample order,
+/// and hands back to the arena once applied.
+pub trait Gradient {
+    /// Accumulate another sample's gradient.
+    fn add_assign(&mut self, other: &Self);
+    /// Scale (by 1/batch).
+    fn scale(&mut self, s: f32);
+    /// Return every buffer to an arena.
+    fn recycle(self, scratch: &mut Scratch);
+}
+
+/// One sample's gradients: the shared backbone's, and its platform head's.
+pub struct Grads<B> {
+    /// Backbone gradient.
+    pub backbone: B,
+    /// Head gradient.
+    pub head: HeadGrad,
+    /// Which head the gradient belongs to.
+    pub head_idx: usize,
+}
+
+impl<B: Gradient> Grads<B> {
+    /// Return every buffer to an arena.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        self.backbone.recycle(scratch);
+        self.head.recycle(scratch);
+    }
+}
+
+/// An encoder [`train`] can train: a shared backbone (`f(;alpha)` in the
+/// paper) under per-platform [`Head`]s (`g(;beta_P)`).
+pub trait Trainable {
+    /// The backbone's gradient.
+    type Backbone: Gradient;
+
+    /// One sample's log-space MSE loss and gradients: a forward and a
+    /// backward whose every intermediate comes out of `scratch` and goes
+    /// back into it, as do the gradients' buffers once the caller is done
+    /// with them ([`Grads::recycle`]). `rng` drives dropout.
+    fn loss_and_grads(
+        &self,
+        s: &Sample,
+        rng: &mut Rng64,
+        scratch: &mut Scratch,
+    ) -> (f64, Grads<Self::Backbone>);
+
+    /// Apply a backbone gradient with Adam, each tensor under its own key
+    /// below the heads' (see [`Head::apply_grads`]).
+    fn apply_backbone(&mut self, g: &Self::Backbone, opt: &mut Adam);
+
+    /// The per-platform heads.
+    fn heads_mut(&mut self) -> &mut [Head];
+}
+
+/// Adam over a run of linear layers keyed from `base`: layer `j`'s weight
+/// under `base + 2j`, its bias under `base + 2j + 1`. Every backbone and
+/// head lays its tensors out this way.
+pub(crate) fn adam_linears<'a>(
+    opt: &mut Adam,
+    base: u64,
+    layers: impl IntoIterator<Item = (&'a mut Linear, &'a LinearGrad)>,
+) {
+    for (key, (l, g)) in (base..).step_by(2).zip(layers) {
+        opt.update(key, &mut l.w.data, &g.dw.data);
+        opt.update(key + 1, &mut l.b, &g.db);
+    }
+}
+
 /// Train a model in place on `samples` (multi-platform capable: each
 /// sample routes its gradient to its own head while the backbone is shared
 /// — Algorithm 1 with mini-batching).
-pub fn train(model: &mut NnlpModel, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
+pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
     assert!(!samples.is_empty(), "empty training set");
     let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -128,63 +193,36 @@ pub fn train(model: &mut NnlpModel, samples: &[Sample], cfg: TrainConfig) -> Tra
     // allocates nothing. A parallel-for would hold one per worker; the
     // sums below are ordered by this loop, not by who computed a sample.
     let mut scratch = Scratch::new();
-    let mut head_acc: Vec<Option<HeadGrad>> = model.heads.iter().map(|_| None).collect();
+    let mut head_acc: Vec<Option<HeadGrad>> = model.heads_mut().iter().map(|_| None).collect();
 
     for epoch in 0..cfg.epochs {
         rng.shuffle(&mut order);
         let mut total = 0.0f64;
         for (bi, batch) in order.chunks(cfg.batch_size).enumerate() {
             // Accumulate in sample order: the shared backbone over the
-            // whole batch, heads per platform. The first gradient *is* the
-            // accumulator (`acc = g0; acc += g1; ..`).
-            let mut backbone: Option<Vec<SageGrad>> = None;
+            // whole batch, heads per platform.
+            let mut backbone: Option<M::Backbone> = None;
             for &si in batch {
-                let s = &samples[si];
                 let mut srng =
                     Rng64::new(cfg.seed ^ ((epoch as u64) << 40) ^ ((bi as u64) << 20) ^ si as u64);
-                let (loss, g) = model.loss_and_grads(
-                    &s.nodes,
-                    &s.adj,
-                    &s.stat,
-                    s.target_log,
-                    s.head,
-                    &mut srng,
-                    &mut scratch,
-                );
+                let (loss, g) = model.loss_and_grads(&samples[si], &mut srng, &mut scratch);
                 total += loss;
-                match &mut head_acc[g.head_idx] {
-                    Some(acc) => {
-                        acc.add_assign(&g.head);
-                        g.head.recycle(&mut scratch);
-                    }
-                    slot => *slot = Some(g.head),
-                }
-                match &mut backbone {
-                    None => backbone = Some(g.sage),
-                    Some(acc) => {
-                        for (sa, sg) in acc.iter_mut().zip(g.sage) {
-                            sa.add_assign(&sg);
-                            sg.recycle(&mut scratch);
-                        }
-                    }
-                }
+                accumulate(&mut head_acc[g.head_idx], g.head, &mut scratch);
+                accumulate(&mut backbone, g.backbone, &mut scratch);
             }
             let Some(mut backbone) = backbone else {
                 continue;
             };
             let inv = 1.0 / batch.len() as f32;
-            for sg in &mut backbone {
-                sg.scale(inv);
-            }
+            backbone.scale(inv);
             opt.begin_step();
-            apply_backbone(model, &backbone, &mut opt);
-            for sg in backbone {
-                sg.recycle(&mut scratch);
-            }
-            for (head_idx, slot) in head_acc.iter_mut().enumerate() {
+            model.apply_backbone(&backbone, &mut opt);
+            backbone.recycle(&mut scratch);
+            let heads = model.heads_mut().iter_mut().zip(&mut head_acc);
+            for (head_idx, (head, slot)) in heads.enumerate() {
                 if let Some(mut hg) = slot.take() {
                     hg.scale(inv);
-                    apply_head(model, head_idx, &hg, &mut opt);
+                    head.apply_grads(head_idx, &hg, &mut opt);
                     hg.recycle(&mut scratch);
                 }
             }
@@ -194,25 +232,16 @@ pub fn train(model: &mut NnlpModel, samples: &[Sample], cfg: TrainConfig) -> Tra
     TrainReport { epoch_loss }
 }
 
-fn apply_backbone(model: &mut NnlpModel, grads: &[SageGrad], opt: &mut Adam) {
-    for (i, (layer, g)) in model.sage.iter_mut().zip(grads).enumerate() {
-        let base = 100 + (i as u64) * 8;
-        opt.update(base, &mut layer.w1.w.data, &g.d_w1.dw.data);
-        opt.update(base + 1, &mut layer.w1.b, &g.d_w1.db);
-        opt.update(base + 2, &mut layer.w2.w.data, &g.d_w2.dw.data);
-        opt.update(base + 3, &mut layer.w2.b, &g.d_w2.db);
+/// Add `g` into `acc`; the first gradient *is* the accumulator
+/// (`acc = g0; acc += g1; ..`), every later one goes back to the arena.
+fn accumulate<G: Gradient>(acc: &mut Option<G>, g: G, scratch: &mut Scratch) {
+    match acc {
+        Some(acc) => {
+            acc.add_assign(&g);
+            g.recycle(scratch);
+        }
+        None => *acc = Some(g),
     }
-}
-
-fn apply_head(model: &mut NnlpModel, head_idx: usize, hg: &HeadGrad, opt: &mut Adam) {
-    let head = &mut model.heads[head_idx];
-    let base = 10_000 + (head_idx as u64) * 8;
-    opt.update(base, &mut head.l1.w.data, &hg.d1.dw.data);
-    opt.update(base + 1, &mut head.l1.b, &hg.d1.db);
-    opt.update(base + 2, &mut head.l2.w.data, &hg.d2.dw.data);
-    opt.update(base + 3, &mut head.l2.b, &hg.d2.db);
-    opt.update(base + 4, &mut head.l3.w.data, &hg.d3.dw.data);
-    opt.update(base + 5, &mut head.l3.b, &hg.d3.db);
 }
 
 /// Predict latencies (ms) for a slice of samples, on the inference

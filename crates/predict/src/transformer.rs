@@ -11,15 +11,17 @@
 //! which is exactly what the [`Predictor`] embed/head split promises.
 
 use crate::features::{GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM};
-use crate::model::{Head, HeadCache, HeadGrad, SUM_POOL_SCALE};
+use crate::model::{Head, HeadCache, SUM_POOL_SCALE};
 use crate::predictor::{Predictor, PredictorKind};
-use crate::train::{Sample, TrainConfig, TrainReport};
+use crate::train::{
+    adam_linears, train, Gradient, Grads, Sample, TrainConfig, TrainReport, Trainable,
+};
 use nnlqp_ir::Rng64;
+use nnlqp_nn::attention::AttnCache;
 use nnlqp_nn::layers::mse_loss;
 use nnlqp_nn::{
     attention_bias, Activation, Adam, AttnGrad, AttnLayer, Csr, Linear, LinearGrad, Matrix, Scratch,
 };
-use rayon::prelude::*;
 
 /// Transformer hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -110,26 +112,45 @@ pub struct TransformerModel {
     pub norm: Normalizer,
 }
 
-/// Per-sample caches for the backward pass.
+/// Per-sample caches for the backward pass, every buffer drawn from the
+/// arena.
 pub struct TfCache {
-    x0: Matrix,
-    bias: Matrix,
-    blocks: Vec<nnlqp_nn::attention::AttnCache>,
-    n_rows: usize,
+    /// The token embedding: the first block's input.
+    tokens: Matrix,
+    blocks: Vec<AttnCache>,
     head: HeadCache,
     head_idx: usize,
 }
 
-/// Per-sample gradients.
+/// Backbone gradients.
 pub struct TfGrads {
     /// Token-embedding gradient.
     pub embed_in: LinearGrad,
     /// Attention-block gradients, first block first.
     pub blocks: Vec<AttnGrad>,
-    /// Head gradient.
-    pub head: HeadGrad,
-    /// Which head the gradient belongs to.
-    pub head_idx: usize,
+}
+
+impl Gradient for TfGrads {
+    fn add_assign(&mut self, other: &TfGrads) {
+        self.embed_in.add_assign(&other.embed_in);
+        for (a, g) in self.blocks.iter_mut().zip(&other.blocks) {
+            a.add_assign(g);
+        }
+    }
+
+    fn scale(&mut self, s: f32) {
+        self.embed_in.scale(s);
+        for g in &mut self.blocks {
+            g.scale(s);
+        }
+    }
+
+    fn recycle(self, scratch: &mut Scratch) {
+        self.embed_in.recycle(scratch);
+        for g in self.blocks {
+            g.recycle(scratch);
+        }
+    }
 }
 
 impl TransformerModel {
@@ -151,8 +172,11 @@ impl TransformerModel {
         }
     }
 
-    /// Forward pass on *normalized* inputs. `rng` enables dropout
-    /// (training mode). Returns the prediction in `ln(1+target)` space.
+    /// Forward pass on *normalized* inputs, every intermediate and the
+    /// cache drawn from `scratch`. `rng` enables dropout (training mode).
+    /// Returns the prediction in `ln(1+target)` space. Block `i`'s input is
+    /// block `i - 1`'s cached output (or the token embedding), borrowed
+    /// rather than copied.
     pub fn forward(
         &self,
         nodes: &Matrix,
@@ -160,64 +184,85 @@ impl TransformerModel {
         stat: &[f32; STATIC_DIM],
         head_idx: usize,
         rng: Option<&mut Rng64>,
+        scratch: &mut Scratch,
     ) -> (f32, TfCache) {
-        let bias = attention_bias(adj);
-        let mut h = self.embed_in.forward(nodes);
-        let mut caches = Vec::with_capacity(self.blocks.len());
+        let bias = attention_bias(adj, scratch);
+        let mut tokens = scratch.take(nodes.rows, self.embed_in.w.cols);
+        self.embed_in
+            .forward_into(nodes, Activation::Identity, &mut tokens, scratch.pack_buf());
+        let mut blocks: Vec<AttnCache> = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            let (out, cache) = block.forward(&h, &bias);
-            caches.push(cache);
-            h = out;
+            let input = blocks.last().map_or(&tokens, AttnCache::output);
+            let cache = block.forward(input, &bias, scratch);
+            blocks.push(cache);
         }
-        let mut pooled = h.col_sums();
-        for v in &mut pooled {
+        scratch.put(bias);
+        let h = blocks.last().map_or(&tokens, AttnCache::output);
+        let mut x = scratch.take(1, h.cols + STATIC_DIM);
+        let (pooled, tail) = x.data.split_at_mut(h.cols);
+        h.col_sums_into(pooled);
+        for v in pooled {
             *v *= SUM_POOL_SCALE;
         }
-        let mut emb = pooled;
-        emb.extend_from_slice(stat);
-        let x = Matrix::from_rows(1, emb.len(), emb);
-        let (pred, head_cache) =
-            self.heads[head_idx].forward(x, self.cfg.dropout, rng, &mut Scratch::new());
-        (
-            pred,
-            TfCache {
-                x0: nodes.clone(),
-                bias,
-                blocks: caches,
-                n_rows: nodes.rows,
-                head: head_cache,
-                head_idx,
-            },
-        )
+        tail.copy_from_slice(stat);
+        let (pred, head) = self.heads[head_idx].forward(x, self.cfg.dropout, rng, scratch);
+        let cache = TfCache {
+            tokens,
+            blocks,
+            head,
+            head_idx,
+        };
+        (pred, cache)
     }
 
-    /// Backward pass; `d_pred` is the loss gradient wrt the scalar output.
-    pub fn backward(&self, cache: &TfCache, d_pred: f32) -> TfGrads {
-        // This encoder's training step allocates; only the head it shares
-        // with the SAGE predictor speaks arena.
-        let mut scratch = Scratch::new();
-        let (d_emb, head_grad) = self.heads[cache.head_idx].backward(
-            &cache.head,
-            d_pred,
-            self.cfg.dropout,
-            &mut scratch,
-        );
+    /// Backward pass; `d_pred` is the loss gradient wrt the scalar output,
+    /// `nodes` what the forward saw. The cache's buffers go back to
+    /// `scratch`; the gradients' come out of it ([`Grads::recycle`]).
+    pub fn backward(
+        &self,
+        cache: TfCache,
+        d_pred: f32,
+        nodes: &Matrix,
+        scratch: &mut Scratch,
+    ) -> Grads<TfGrads> {
+        let TfCache {
+            tokens,
+            mut blocks,
+            head,
+            head_idx,
+        } = cache;
+        let (d_emb, head_grad) =
+            self.heads[head_idx].backward(&head, d_pred, self.cfg.dropout, scratch);
+        head.recycle(scratch);
         // Un-pool: sum pooling broadcasts the gradient to every token; the
         // static tail has no parameters behind it.
-        let n = cache.n_rows;
-        let mut d_h = Matrix::from_fn(n, self.cfg.d_model, |_, j| d_emb.get(0, j) * SUM_POOL_SCALE);
-        let mut block_grads: Vec<AttnGrad> = Vec::with_capacity(self.blocks.len());
-        for (block, c) in self.blocks.iter().zip(&cache.blocks).rev() {
-            let (dx, g) = block.backward(c, &d_h, &cache.bias);
+        let mut d_h = scratch.take(tokens.rows, tokens.cols);
+        for i in 0..d_h.rows {
+            for (d, &e) in d_h.row_mut(i).iter_mut().zip(&d_emb.data) {
+                *d = e * SUM_POOL_SCALE;
+            }
+        }
+        scratch.put(d_emb);
+        // Walk the stack backwards, down to the token embedding's output.
+        let mut block_grads: Vec<AttnGrad> = Vec::with_capacity(blocks.len());
+        while let Some(c) = blocks.pop() {
+            let input = blocks.last().map_or(&tokens, AttnCache::output);
+            let (dx, g) = self.blocks[blocks.len()].backward(input, &c, d_h, scratch);
+            c.recycle(scratch);
             block_grads.push(g);
             d_h = dx;
         }
         block_grads.reverse();
-        TfGrads {
-            embed_in: Linear::param_grad(&cache.x0, &d_h, &mut scratch),
-            blocks: block_grads,
+        let embed_in = Linear::param_grad(nodes, &d_h, scratch);
+        scratch.put(d_h);
+        scratch.put(tokens);
+        Grads {
+            backbone: TfGrads {
+                embed_in,
+                blocks: block_grads,
+            },
             head: head_grad,
-            head_idx: cache.head_idx,
+            head_idx,
         }
     }
 
@@ -227,7 +272,7 @@ impl TransformerModel {
         let stat = self.norm.normalize_stat(&feats.stat);
         let mut nodes = scratch.take(feats.nodes.rows, feats.nodes.cols);
         self.norm.normalize_nodes_into(&feats.nodes, &mut nodes);
-        let bias = attention_bias(&feats.adj);
+        let bias = attention_bias(&feats.adj, scratch);
         let mut h = scratch.take(nodes.rows, self.embed_in.w.cols);
         self.embed_in
             .forward_into(&nodes, Activation::Identity, &mut h, scratch.pack_buf());
@@ -239,28 +284,13 @@ impl TransformerModel {
         }
         let mut pooled = h.col_sums();
         scratch.put(h);
+        scratch.put(bias);
         for v in &mut pooled {
             *v *= SUM_POOL_SCALE;
         }
         let mut emb = pooled;
         emb.extend_from_slice(&stat);
         emb
-    }
-
-    /// One training loss evaluation (log-space MSE) with gradients.
-    pub fn loss_and_grads(
-        &self,
-        nodes: &Matrix,
-        adj: &Csr,
-        stat: &[f32; STATIC_DIM],
-        target_log: f32,
-        head_idx: usize,
-        rng: &mut Rng64,
-    ) -> (f64, TfGrads) {
-        let (pred, cache) = self.forward(nodes, adj, stat, head_idx, Some(rng));
-        let (loss, grad) = mse_loss(&[pred], &[target_log]);
-        let grads = self.backward(&cache, grad[0]);
-        (loss, grads)
     }
 
     /// Serialize to JSON with the `"kind"` dispatch tag.
@@ -305,103 +335,41 @@ impl TransformerModel {
     }
 }
 
-/// Adam key layout: the token embedding at 50/51, block `i` at
-/// `200 + 16i` (five linears, weight+bias each), heads on the shared
-/// `10_000 + 8h` base — all disjoint from the SAGE layout so a future
-/// joint optimizer cannot alias state.
-fn apply_backbone(model: &mut TransformerModel, grads: &TfGrads, opt: &mut Adam) {
-    opt.update(50, &mut model.embed_in.w.data, &grads.embed_in.dw.data);
-    opt.update(51, &mut model.embed_in.b, &grads.embed_in.db);
-    for (i, (block, g)) in model.blocks.iter_mut().zip(&grads.blocks).enumerate() {
-        let base = 200 + (i as u64) * 16;
-        opt.update(base, &mut block.wq.w.data, &g.d_wq.dw.data);
-        opt.update(base + 1, &mut block.wq.b, &g.d_wq.db);
-        opt.update(base + 2, &mut block.wk.w.data, &g.d_wk.dw.data);
-        opt.update(base + 3, &mut block.wk.b, &g.d_wk.db);
-        opt.update(base + 4, &mut block.wv.w.data, &g.d_wv.dw.data);
-        opt.update(base + 5, &mut block.wv.b, &g.d_wv.db);
-        opt.update(base + 6, &mut block.wo.w.data, &g.d_wo.dw.data);
-        opt.update(base + 7, &mut block.wo.b, &g.d_wo.db);
-        opt.update(base + 8, &mut block.w1.w.data, &g.d_w1.dw.data);
-        opt.update(base + 9, &mut block.w1.b, &g.d_w1.db);
+impl Trainable for TransformerModel {
+    type Backbone = TfGrads;
+
+    fn loss_and_grads(
+        &self,
+        s: &Sample,
+        rng: &mut Rng64,
+        scratch: &mut Scratch,
+    ) -> (f64, Grads<TfGrads>) {
+        let (pred, cache) = self.forward(&s.nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
+        let (loss, d_pred) = mse_loss(pred, s.target_log);
+        let grads = self.backward(cache, d_pred, &s.nodes, scratch);
+        (loss, grads)
     }
-}
 
-fn apply_head(model: &mut TransformerModel, head_idx: usize, hg: &HeadGrad, opt: &mut Adam) {
-    let head = &mut model.heads[head_idx];
-    let base = 10_000 + (head_idx as u64) * 8;
-    opt.update(base, &mut head.l1.w.data, &hg.d1.dw.data);
-    opt.update(base + 1, &mut head.l1.b, &hg.d1.db);
-    opt.update(base + 2, &mut head.l2.w.data, &hg.d2.dw.data);
-    opt.update(base + 3, &mut head.l2.b, &hg.d2.db);
-    opt.update(base + 4, &mut head.l3.w.data, &hg.d3.dw.data);
-    opt.update(base + 5, &mut head.l3.b, &hg.d3.db);
-}
-
-/// Train a transformer in place — the same mini-batch Adam loop as the
-/// SAGE `train` (shuffled batches, rayon per-sample gradients, shared
-/// backbone averaged over the batch, heads routed per platform).
-pub fn train_transformer(
-    model: &mut TransformerModel,
-    samples: &[Sample],
-    cfg: TrainConfig,
-) -> TrainReport {
-    assert!(!samples.is_empty(), "empty training set");
-    let mut opt = Adam::new(cfg.lr);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    let mut rng = Rng64::new(cfg.seed);
-    let mut epoch_loss = Vec::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        rng.shuffle(&mut order);
-        let mut total = 0.0f64;
-        for (bi, batch) in order.chunks(cfg.batch_size).enumerate() {
-            let results: Vec<(f64, TfGrads)> = batch
-                .par_iter()
-                .map(|&si| {
-                    let s = &samples[si];
-                    let mut srng = Rng64::new(
-                        cfg.seed ^ ((epoch as u64) << 40) ^ ((bi as u64) << 20) ^ si as u64,
-                    );
-                    model.loss_and_grads(&s.nodes, &s.adj, &s.stat, s.target_log, s.head, &mut srng)
-                })
-                .collect();
-
-            let inv = 1.0 / batch.len() as f32;
-            let mut acc: Option<TfGrads> = None;
-            let mut head_acc: std::collections::HashMap<usize, HeadGrad> =
-                std::collections::HashMap::new();
-            for (loss, g) in results {
-                total += loss;
-                head_acc
-                    .entry(g.head_idx)
-                    .and_modify(|hg| hg.add_assign(&g.head))
-                    .or_insert_with(|| g.head.clone());
-                match &mut acc {
-                    None => acc = Some(g),
-                    Some(a) => {
-                        a.embed_in.add_assign(&g.embed_in);
-                        for (ba, bg) in a.blocks.iter_mut().zip(&g.blocks) {
-                            ba.add_assign(bg);
-                        }
-                    }
-                }
-            }
-            let Some(mut a) = acc else { continue };
-            a.embed_in.scale(inv);
-            for bg in &mut a.blocks {
-                bg.scale(inv);
-            }
-            opt.begin_step();
-            apply_backbone(model, &a, &mut opt);
-            for (head_idx, mut hg) in head_acc {
-                hg.scale(inv);
-                apply_head(model, head_idx, &hg, &mut opt);
-            }
+    /// The token embedding's keys are 50 and 51, block `i`'s (five
+    /// linears) start at `200 + 16i`: clear of the SAGE layout and of the
+    /// heads', so a joint optimizer could not alias state.
+    fn apply_backbone(&mut self, g: &TfGrads, opt: &mut Adam) {
+        adam_linears(opt, 50, [(&mut self.embed_in, &g.embed_in)]);
+        for (i, (block, g)) in self.blocks.iter_mut().zip(&g.blocks).enumerate() {
+            let layers = [
+                (&mut block.wq, &g.d_wq),
+                (&mut block.wk, &g.d_wk),
+                (&mut block.wv, &g.d_wv),
+                (&mut block.wo, &g.d_wo),
+                (&mut block.w1, &g.d_w1),
+            ];
+            adam_linears(opt, 200 + (i as u64) * 16, layers);
         }
-        epoch_loss.push(total / samples.len() as f64);
     }
-    TrainReport { epoch_loss }
+
+    fn heads_mut(&mut self) -> &mut [Head] {
+        &mut self.heads
+    }
 }
 
 impl Predictor for TransformerModel {
@@ -432,7 +400,7 @@ impl Predictor for TransformerModel {
     }
 
     fn train_in_place(&mut self, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
-        train_transformer(self, samples, cfg)
+        train(self, samples, cfg)
     }
 
     fn to_json(&self) -> String {
@@ -445,6 +413,7 @@ mod tests {
     use super::*;
     use crate::features::extract_features;
     use crate::predictor::predictor_from_json;
+    use crate::train::make_sample;
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -477,7 +446,7 @@ mod tests {
         // Slow path: the training-kernel forward.
         let nodes = m.norm.normalize_nodes(&feats.nodes);
         let stat = m.norm.normalize_stat(&feats.stat);
-        let (pred_log, _) = m.forward(&nodes, &feats.adj, &stat, 0, None);
+        let (pred_log, _) = m.forward(&nodes, &feats.adj, &stat, 0, None, &mut Scratch::new());
         let want = (pred_log as f64).exp_m1().max(1e-6);
         // Fast path: split embed + head_eval on fused kernels.
         let emb = Predictor::embed(&m, &feats);
@@ -517,14 +486,17 @@ mod tests {
             head_hidden: 8,
             ..Default::default()
         });
-        let nodes = m.norm.normalize_nodes(&feats.nodes);
-        let stat = m.norm.normalize_stat(&feats.stat);
         let target = 1.0f32;
+        let s = Sample {
+            target_log: target,
+            ..make_sample(&feats, 0.0, 0, &m.norm)
+        };
         let mut rng = Rng64::new(61);
-        let (_, grads) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let (_, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
+        let grads = grads.backbone;
         let h = 1e-2f32;
         let loss_of = |mm: &TransformerModel| {
-            let (p, _) = mm.forward(&nodes, &feats.adj, &stat, 0, None);
+            let (p, _) = mm.forward(&s.nodes, &s.adj, &s.stat, 0, None, &mut Scratch::new());
             ((p - target) as f64).powi(2)
         };
         // Token embedding and first-block query weights.
@@ -562,19 +534,21 @@ mod tests {
             dropout: 0.0,
             ..Default::default()
         });
-        let nodes = m.norm.normalize_nodes(&feats.nodes);
-        let stat = m.norm.normalize_stat(&feats.stat);
-        let target = 2.5f32;
+        let s = Sample {
+            target_log: 2.5,
+            ..make_sample(&feats, 0.0, 0, &m.norm)
+        };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(62);
-        let (first, _) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let mut scratch = Scratch::new();
+        let (first, _) = m.loss_and_grads(&s, &mut rng, &mut scratch);
         for _ in 0..100 {
-            let (_, g) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+            let (_, g) = m.loss_and_grads(&s, &mut rng, &mut scratch);
             opt.begin_step();
-            apply_backbone(&mut m, &g, &mut opt);
-            apply_head(&mut m, 0, &g.head, &mut opt);
+            m.apply_backbone(&g.backbone, &mut opt);
+            m.heads[0].apply_grads(0, &g.head, &mut opt);
         }
-        let (last, _) = m.loss_and_grads(&nodes, &feats.adj, &stat, target, 0, &mut rng);
+        let (last, _) = m.loss_and_grads(&s, &mut rng, &mut scratch);
         assert!(last < first * 0.05, "loss {first} -> {last}");
     }
 
