@@ -1,7 +1,7 @@
 //! Offline stub of `serde`: marker traits only. Derived impls carry no
 //! codec logic — generic JSON (de)serialization through `serde_json`
 //! returns `Err` at runtime. The workspace's durable format is the
-//! hand-written binary codec over `bytes`; JSON is inspection-only, and
+//! hand-written binary codec over `Vec<u8>`; JSON is inspection-only, and
 //! `serde_json::Value` overrides the hidden hook below so rendering a
 //! `Value` still works.
 

@@ -365,7 +365,7 @@ pub fn check_suspicious_attrs(g: &Graph) -> Vec<Diagnostic> {
 /// cache key than the one that went in, and every future lookup misses.
 pub fn check_cache_canonical(g: &Graph) -> Vec<Diagnostic> {
     let before = graph_hash(g);
-    match serialize::decode(serialize::encode(g)) {
+    match serialize::decode(&serialize::encode(g)) {
         Err(e) => vec![Diagnostic::new(
             Code::HashNotCanonical,
             Anchor::Graph,

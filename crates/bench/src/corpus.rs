@@ -3,7 +3,6 @@
 use nnlqp_ir::Graph;
 use nnlqp_models::{generate_family, ModelFamily};
 use nnlqp_sim::{measure, PlatformSpec};
-use rayon::prelude::*;
 
 /// One labelled, measured model.
 #[derive(Debug, Clone)]
@@ -31,7 +30,7 @@ pub fn measured_corpus(
             all.push((f, m.graph));
         }
     }
-    all.into_par_iter()
+    all.into_iter()
         .enumerate()
         .map(|(i, (family, graph))| {
             let m = measure(&graph, platform, reps, seed ^ (i as u64) << 8);

@@ -5,15 +5,14 @@ use nnlqp_db::{CompactorHandle, Database, DbMetrics, DurableOptions, PlatformId}
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::{cost, Graph, Rng64};
 use nnlqp_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, Recorder, SimClock, Span, TraceClock, Track,
-    STAGE_SECONDS_BOUNDS,
+    Counter, Gauge, Histogram, MetricsRegistry, Recorder, Recover, SimClock, Span, TraceClock,
+    Track, STAGE_SECONDS_BOUNDS,
 };
 use nnlqp_sim::{DeviceFarm, FarmError, Platform, PlatformSpec, QueryJob};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 /// Parameters of a query or prediction — the paper's
@@ -208,7 +207,7 @@ pub struct Nnlqp {
     /// strict mode analyzes each distinct graph once per platform, so a
     /// repeated (rejected or clean) query pays nothing.
     lint_cache: Mutex<HashMap<(u64, String), Arc<Report>>>,
-    pub(crate) predictor: parking_lot::RwLock<Option<crate::predictor::PredictorHandle>>,
+    pub(crate) predictor: RwLock<Option<crate::predictor::PredictorHandle>>,
     /// Generation counter for the installed predictor; bumped under the
     /// `predictor` write lock on every hot-swap so embed-cache keys from
     /// an older model can never resolve.
@@ -402,7 +401,7 @@ impl NnlqpBuilder {
             h_lookup_s,
             h_measure_s,
             lint_cache: Mutex::new(HashMap::new()),
-            predictor: parking_lot::RwLock::new(None),
+            predictor: RwLock::new(None),
             predictor_version: std::sync::atomic::AtomicU64::new(0),
             embed_cache: crate::embed_cache::EmbedCache::new(embed_capacity, EMBED_CACHE_SHARDS),
             default_arch: self.predictor_kind.unwrap_or_default(),
@@ -447,7 +446,7 @@ impl Nnlqp {
     /// shutdown before the final seal + compact, so the closing fold
     /// cannot race a background pass.
     pub fn stop_compactor(&self) {
-        drop(self.compactor.lock().take());
+        drop(self.compactor.lock().recover().take());
     }
 
     /// Traffic counters (queries, cache hits, farm measurements).
@@ -482,13 +481,13 @@ impl Nnlqp {
     pub fn analyze_admission(&self, graph: &Graph, hash: u64, spec: &PlatformSpec) -> Arc<Report> {
         const LINT_CACHE_CAP: usize = 1024;
         let key = (hash, spec.name.clone());
-        if let Some(cached) = self.lint_cache.lock().get(&key) {
+        if let Some(cached) = self.lint_cache.lock().recover().get(&key) {
             self.m_lint_cache_hits.inc();
             return Arc::clone(cached);
         }
         let report = Arc::new(nnlqp_analyze::analyze(graph, Some(spec)));
         self.m_lint_runs.inc();
-        let mut cache = self.lint_cache.lock();
+        let mut cache = self.lint_cache.lock().recover();
         if cache.len() >= LINT_CACHE_CAP {
             cache.clear(); // simple bound; reports are cheap to recompute
         }
@@ -557,7 +556,7 @@ impl Nnlqp {
         if let Some(hit) = self.db.lookup_latency(hash, platform_id, params.batch_size) {
             self.m_cache_hits.inc();
             let jitter = {
-                let mut s = self.seed.lock();
+                let mut s = self.seed.lock().recover();
                 s.uniform()
             };
             let cost_s = CACHE_HIT_COST_S * (0.9 + 0.2 * jitter);

@@ -12,9 +12,10 @@
 //! key once and allocates nothing.
 
 use nnlqp_hash::BuildWordHasher;
-use parking_lot::Mutex;
+use nnlqp_obs::Recover;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 const NIL: usize = usize::MAX;
 /// An unoccupied bucket of a shard's index.
@@ -233,13 +234,13 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// Look up and promote to most-recently-used.
     pub fn get(&self, key: &K) -> Option<V> {
         let (hash, shard) = self.shard_of(key);
-        shard.lock().get(hash, key)
+        shard.lock().recover().get(hash, key)
     }
 
     /// Insert or refresh; evicts the shard's LRU entry when full.
     pub fn insert(&self, key: K, value: V) {
         let (hash, shard) = self.shard_of(&key);
-        match shard.lock().insert(hash, key, value) {
+        match shard.lock().recover().insert(hash, key, value) {
             Inserted::Refreshed => {}
             Inserted::Added => {
                 self.len.fetch_add(1, Ordering::Relaxed);
@@ -270,7 +271,10 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// spreads a key set (a shard evicts once it holds its share of the
     /// capacity, however empty the others are).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().len()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.lock().recover().len())
+            .collect()
     }
 }
 

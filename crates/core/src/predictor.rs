@@ -13,7 +13,7 @@ use crate::embed_cache::EmbedKey;
 use crate::interface::{Nnlqp, QueryError, QueryParams};
 use nnlqp_hash::graph_fingerprint;
 use nnlqp_ir::Rng64;
-use nnlqp_obs::TraceClock;
+use nnlqp_obs::{Recover, TraceClock};
 use nnlqp_predict::train::{Dataset, TrainConfig};
 use nnlqp_predict::{
     extract_features, NnlpConfig, NnlpModel, Predictor, PredictorKind, TransformerConfig,
@@ -242,7 +242,7 @@ impl Nnlqp {
     /// by an older install (even of the very same handle) can never be
     /// served against the new heads.
     fn install_predictor(&self, mut handle: PredictorHandle) {
-        let mut guard = self.predictor.write();
+        let mut guard = self.predictor.write().recover();
         handle.stamp = self.next_stamp();
         *guard = Some(handle);
     }
@@ -264,7 +264,7 @@ impl Nnlqp {
     /// trained model between systems (e.g. into a cache-disabled baseline
     /// for benchmarking) via [`Nnlqp::set_predictor`].
     pub fn predictor_handle(&self) -> Option<PredictorHandle> {
-        self.predictor.read().clone()
+        self.predictor.read().recover().clone()
     }
 
     /// True when a trained predictor is installed and has a head for the
@@ -272,6 +272,7 @@ impl Nnlqp {
     pub fn has_predictor_for(&self, platform_name: &str) -> bool {
         self.predictor
             .read()
+            .recover()
             .as_ref()
             .is_some_and(|h| h.head_for(platform_name).is_ok())
     }
@@ -304,7 +305,7 @@ impl Nnlqp {
         graph: &nnlqp_ir::Graph,
         platform_name: &str,
     ) -> Result<PredictResult, QueryError> {
-        let guard = self.predictor.read();
+        let guard = self.predictor.read().recover();
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
@@ -336,7 +337,7 @@ impl Nnlqp {
         platform_name: &str,
         clock: &TraceClock,
     ) -> Result<(PredictResult, PredictTicks), QueryError> {
-        let guard = self.predictor.read();
+        let guard = self.predictor.read().recover();
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
@@ -413,7 +414,7 @@ impl Nnlqp {
         graphs: &[nnlqp_ir::Graph],
         platform_names: &[&str],
     ) -> Result<BatchPredictResult, QueryError> {
-        let guard = self.predictor.read();
+        let guard = self.predictor.read().recover();
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
@@ -675,7 +676,7 @@ mod tests {
         s.predict(&p).unwrap(); // populate the cache
                                 // Hot-swap the same handle back in: the re-stamp alone must
                                 // force the next prediction down the full-backbone path.
-        let handle = s.predictor.read().clone().unwrap();
+        let handle = s.predictor.read().recover().clone().unwrap();
         s.set_predictor(handle);
         assert_eq!(s.predictor_version(), v0 + 1);
         let after = s.predict(&p).unwrap();

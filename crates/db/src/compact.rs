@@ -18,10 +18,10 @@
 //! cleaned up on the next open), and the manifest itself is either the
 //! old or the new one, never a mix.
 
+use crate::codec::Reader;
 use crate::database::Database;
 use crate::wal;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -29,6 +29,10 @@ use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"NQMF";
 const VERSION: u8 = 1;
+/// Bytes before the payload: magic, version, payload checksum.
+const HEADER: usize = 13;
+/// The smallest shard entry: a WAL generation and an absent segment.
+const MIN_SHARD_BYTES: usize = 9;
 
 /// Per-shard bookkeeping inside the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,74 +74,55 @@ impl Manifest {
         }
     }
 
-    fn encode(&self) -> Bytes {
-        let mut payload: Vec<u8> = Vec::with_capacity(32 + self.shards.len() * 17);
-        payload.put_u32_le(self.n_shards as u32);
-        payload.put_u64_le(self.db_seq);
-        payload.put_u64_le(self.next_wal_seq);
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER + 20 + self.shards.len() * 17);
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        out.extend_from_slice(&[0; 8]); // the payload checksum, written once it is known
+        out.extend_from_slice(&(self.n_shards as u32).to_le_bytes());
+        out.extend_from_slice(&self.db_seq.to_le_bytes());
+        out.extend_from_slice(&self.next_wal_seq.to_le_bytes());
         for s in &self.shards {
-            payload.put_u64_le(s.wal_gen);
+            out.extend_from_slice(&s.wal_gen.to_le_bytes());
             match s.seg_gen {
                 Some(g) => {
-                    payload.put_u8(1);
-                    payload.put_u64_le(g);
+                    out.push(1);
+                    out.extend_from_slice(&g.to_le_bytes());
                 }
-                None => payload.put_u8(0),
+                None => out.push(0),
             }
         }
-        let mut out = BytesMut::with_capacity(13 + payload.len());
-        out.put_slice(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u64_le(wal::checksum(&payload));
-        out.put_slice(&payload);
-        out.freeze()
+        let cks = wal::checksum(&out[HEADER..]);
+        out[5..HEADER].copy_from_slice(&cks.to_le_bytes());
+        out
     }
 
     fn decode(raw: &[u8]) -> io::Result<Self> {
-        let bad =
-            |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {what}"));
-        if raw.len() < 13 {
-            return Err(bad("truncated header"));
+        let mut r = Reader::new(raw, "manifest");
+        r.header(MAGIC, VERSION)?;
+        let want = r.u64()?;
+        if wal::checksum(&raw[HEADER..]) != want {
+            return Err(r.bad("checksum mismatch"));
         }
-        if &raw[..4] != MAGIC {
-            return Err(bad("bad magic"));
+        let n_shards = r.u32()? as usize;
+        let db_seq = r.u64()?;
+        let next_wal_seq = r.u64()?;
+        // The checksum is no signature: refuse a count the payload cannot
+        // hold before reserving for it.
+        if n_shards > r.remaining() / MIN_SHARD_BYTES {
+            return Err(r.bad("more shards announced than the payload holds"));
         }
-        if raw[4] != VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let want = u64::from_le_bytes(raw[5..13].try_into().unwrap());
-        let payload = &raw[13..];
-        if wal::checksum(payload) != want {
-            return Err(bad("checksum mismatch"));
-        }
-        let mut buf = Bytes::from(payload.to_vec());
-        if buf.remaining() < 20 {
-            return Err(bad("truncated payload"));
-        }
-        let n_shards = buf.get_u32_le() as usize;
-        let db_seq = buf.get_u64_le();
-        let next_wal_seq = buf.get_u64_le();
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            if buf.remaining() < 9 {
-                return Err(bad("truncated shard entry"));
-            }
-            let wal_gen = buf.get_u64_le();
-            let seg_gen = match buf.get_u8() {
+            let wal_gen = r.u64()?;
+            let seg_gen = match r.u8()? {
                 0 => None,
-                1 => {
-                    if buf.remaining() < 8 {
-                        return Err(bad("truncated segment gen"));
-                    }
-                    Some(buf.get_u64_le())
-                }
-                _ => return Err(bad("bad segment flag")),
+                1 => Some(r.u64()?),
+                _ => return Err(r.bad("bad segment flag")),
             };
             shards.push(ShardMeta { wal_gen, seg_gen });
         }
-        if buf.remaining() > 0 {
-            return Err(bad("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Manifest {
             n_shards,
             db_seq,
@@ -162,18 +147,8 @@ impl Manifest {
 
     /// Atomically publish this manifest: temp file, fsync, rename.
     pub fn store(&self, root: &Path) -> io::Result<()> {
-        let path = Self::path(root);
         let tmp = root.join(format!(".MANIFEST.tmp-{}", std::process::id()));
-        let write = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_all()
-        })();
-        let result = write.and_then(|()| std::fs::rename(&tmp, &path));
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        crate::shard::write_atomic(&tmp, &Self::path(root), &self.encode())
     }
 }
 
@@ -312,7 +287,7 @@ mod tests {
     #[test]
     fn manifest_rejects_corruption() {
         let m = Manifest::fresh(4);
-        let good = m.encode().to_vec();
+        let good = m.encode();
         for cut in [0usize, 5, 12, good.len() - 1] {
             assert!(Manifest::decode(&good[..cut]).is_err(), "cut {cut}");
         }
@@ -320,6 +295,19 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 1;
         assert!(Manifest::decode(&flipped).is_err());
+    }
+
+    #[test]
+    fn a_hostile_shard_count_is_refused_before_reserving() {
+        // 33 bytes announcing u32::MAX shards under a correct checksum:
+        // reserving for them would abort the process in the allocator.
+        let mut raw = Manifest::fresh(0).encode();
+        raw[HEADER..HEADER + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cks = wal::checksum(&raw[HEADER..]);
+        raw[5..HEADER].copy_from_slice(&cks.to_le_bytes());
+        assert_eq!(raw.len(), 33);
+        let err = Manifest::decode(&raw).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

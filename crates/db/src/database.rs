@@ -1,17 +1,18 @@
 //! The concurrent, hash-indexed store.
 
 use crate::compact::CompactionStats;
-use crate::engine::{DbMetrics, DurabilityStats, DurableOptions, StorageEngine};
+use crate::engine::{DbMetrics, DurableOptions, StorageEngine};
 use crate::records::*;
-use crate::recover;
+use crate::recover::{self, corrupt};
 use crate::wal::WalOp;
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::{serialize, Graph};
-use parking_lot::RwLock;
+use nnlqp_obs::Recover;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::RwLock;
 
 /// Database errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +70,7 @@ pub(crate) struct Inner {
 /// becomes visible, while reads keep being served from memory.
 #[derive(Default)]
 pub struct Database {
-    inner: RwLock<Inner>,
+    pub(crate) inner: RwLock<Inner>,
     engine: Option<StorageEngine>,
 }
 
@@ -123,17 +124,6 @@ impl Database {
         self.engine.as_ref().map_or(0, StorageEngine::pending_bytes)
     }
 
-    /// Storage-engine statistics, `None` when in-memory.
-    pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.engine.as_ref().map(|e| DurabilityStats {
-            dir: e.root().to_path_buf(),
-            shards: e.n_shards(),
-            wal_bytes_pending: e.pending_bytes(),
-            wal_appends: e.metrics().wal_appends.get(),
-            compactions: e.metrics().compactions.get(),
-        })
-    }
-
     /// Fold the store into fresh snapshot segments and reset the WALs.
     /// A no-op returning zeroed stats for an in-memory database. Blocks
     /// writers for the duration (reads of the already-published state
@@ -141,7 +131,7 @@ impl Database {
     pub fn compact(&self) -> io::Result<CompactionStats> {
         match &self.engine {
             Some(e) => {
-                let inner = self.inner.write();
+                let inner = self.inner.write().recover();
                 e.compact_from(&inner)
             }
             None => Ok(CompactionStats::default()),
@@ -169,14 +159,14 @@ impl Database {
     /// a key no lookup of that graph will ever probe.
     pub fn insert_model_hashed(&self, g: &Graph, hash: u64) -> (ModelId, bool) {
         debug_assert_eq!(hash, graph_hash(g), "hash must be graph_hash(g)");
-        if let Some(&id) = self.inner.read().by_hash.get(&hash) {
+        if let Some(&id) = self.inner.read().recover().by_hash.get(&hash) {
             return (id, false);
         }
         // The graph walk runs with no lock held; a racing insert of the
         // same hash is caught by the second probe, under the write lock.
-        let graph_bytes = Vec::from(serialize::encode(g));
+        let graph_bytes = serialize::encode(g);
         let name = g.name.clone();
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().recover();
         if let Some(&id) = inner.by_hash.get(&hash) {
             return (id, false);
         }
@@ -201,7 +191,7 @@ impl Database {
 
     /// Look up a model by its graph hash.
     pub fn model_by_hash(&self, hash: u64) -> Option<ModelRecord> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().recover();
         inner
             .by_hash
             .get(&hash)
@@ -215,12 +205,13 @@ impl Database {
         let blob = self
             .inner
             .read()
+            .recover()
             .models
             .get(id.0 as usize)
             .ok_or(DbError::ForeignKey("model"))?
             .graph_bytes
             .clone();
-        serialize::decode(bytes::Bytes::from(blob)).map_err(|e| DbError::Corrupt(e.to_string()))
+        serialize::decode(&blob).map_err(|e| DbError::Corrupt(e.to_string()))
     }
 
     /// Get or create a platform row.
@@ -236,6 +227,7 @@ impl Database {
         let existing = self
             .inner
             .read()
+            .recover()
             .platforms
             .iter()
             .find(|p| p.hardware == hardware && p.software == software && p.data_type == data_type)
@@ -248,7 +240,7 @@ impl Database {
             software.to_string(),
             data_type.to_string(),
         );
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().recover();
         if let Some(&id) = inner.by_platform_key.get(&key) {
             return id;
         }
@@ -277,7 +269,7 @@ impl Database {
         host_mem: u64,
         device_mem: u64,
     ) -> Result<LatencyId, DbError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().recover();
         if model_id.0 as usize >= inner.models.len() {
             return Err(DbError::ForeignKey("model"));
         }
@@ -323,7 +315,7 @@ impl Database {
         host_mem: u64,
         device_mem: u64,
     ) -> Result<(LatencyRecord, bool), DbError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().recover();
         if model_id.0 as usize >= inner.models.len() {
             return Err(DbError::ForeignKey("model"));
         }
@@ -363,7 +355,7 @@ impl Database {
         platform_id: PlatformId,
         batch_size: u32,
     ) -> Option<LatencyRecord> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().recover();
         let model_id = *inner.by_hash.get(&hash)?;
         let lid = *inner.by_query.get(&(model_id, platform_id, batch_size))?;
         Some(inner.latencies[lid.0 as usize])
@@ -371,7 +363,7 @@ impl Database {
 
     /// All latency rows for a platform (training-set extraction).
     pub fn latencies_for_platform(&self, platform_id: PlatformId) -> Vec<LatencyRecord> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().recover();
         inner
             .latencies
             .iter()
@@ -382,12 +374,12 @@ impl Database {
 
     /// All platform rows.
     pub fn platforms(&self) -> Vec<PlatformRecord> {
-        self.inner.read().platforms.clone()
+        self.inner.read().recover().platforms.clone()
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> DbStats {
-        let inner = self.inner.read();
+        let inner = self.inner.read().recover();
         let model_bytes: usize = inner
             .models
             .iter()
@@ -403,12 +395,45 @@ impl Database {
         }
     }
 
-    pub(crate) fn read_inner(&self) -> parking_lot::RwLockReadGuard<'_, Inner> {
-        self.inner.read()
-    }
-
-    pub(crate) fn write_inner(&self) -> parking_lot::RwLockWriteGuard<'_, Inner> {
-        self.inner.write()
+    /// A database over rows whose ids are their positions, its indexes
+    /// rebuilt under the invariants the write path keeps: unique graph
+    /// hashes and platform keys, foreign keys that resolve. Rows in id
+    /// order make the last latency of a (model, platform, batch) key win,
+    /// as it does live. A violation is `InvalidData`.
+    pub(crate) fn from_rows(
+        models: Vec<ModelRecord>,
+        platforms: Vec<PlatformRecord>,
+        latencies: Vec<LatencyRecord>,
+        seq: u64,
+    ) -> io::Result<Database> {
+        let mut inner = Inner::default();
+        for m in &models {
+            if inner.by_hash.insert(m.graph_hash, m.id).is_some() {
+                return Err(corrupt(format!("duplicate graph hash {:#x}", m.graph_hash)));
+            }
+        }
+        for p in &platforms {
+            if inner.by_platform_key.insert(p.key(), p.id).is_some() {
+                return Err(corrupt(format!("duplicate platform key {:?}", p.key())));
+            }
+        }
+        for l in &latencies {
+            if l.model_id.0 as usize >= models.len() {
+                return Err(corrupt(format!("latency {} dangling model fk", l.id.0)));
+            }
+            if l.platform_id.0 as usize >= platforms.len() {
+                return Err(corrupt(format!("latency {} dangling platform fk", l.id.0)));
+            }
+            inner
+                .by_query
+                .insert((l.model_id, l.platform_id, l.batch_size), l.id);
+        }
+        (inner.models, inner.platforms, inner.latencies) = (models, platforms, latencies);
+        inner.seq = seq;
+        Ok(Database {
+            inner: RwLock::new(inner),
+            engine: None,
+        })
     }
 }
 

@@ -126,21 +126,6 @@ impl DurableOptions {
     }
 }
 
-/// Point-in-time description of a durable store (CLI `nnlqp db stats`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Store directory.
-    pub dir: PathBuf,
-    /// Shard count.
-    pub shards: usize,
-    /// WAL bytes appended since the last compaction.
-    pub wal_bytes_pending: u64,
-    /// Lifetime WAL appends through this handle.
-    pub wal_appends: u64,
-    /// Compactions run through this handle.
-    pub compactions: u64,
-}
-
 /// The per-database durable state: shard WAL writers, the manifest, and
 /// the global sequence allocator.
 pub(crate) struct StorageEngine {
@@ -243,10 +228,6 @@ impl StorageEngine {
     /// WAL bytes appended since the last compaction.
     pub(crate) fn pending_bytes(&self) -> u64 {
         self.pending_bytes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn metrics(&self) -> &DbMetrics {
-        &self.metrics
     }
 
     /// Which shard an op routes to.
@@ -399,7 +380,7 @@ mod tests {
                 }),
             );
         }
-        assert_eq!(engine.metrics().wal_appends.get(), 5);
+        assert_eq!(engine.metrics.wal_appends.get(), 5);
         assert!(engine.pending_bytes() > 0);
         drop(engine);
         let (engine, recovered) =
@@ -407,7 +388,7 @@ mod tests {
         let rec = recovered.unwrap();
         assert_eq!(rec.stats.wal_frames_replayed, 5);
         assert!(rec.stats.clean());
-        assert_eq!(engine.metrics().recovery_replayed_frames.get(), 5);
+        assert_eq!(engine.metrics.recovery_replayed_frames.get(), 5);
         assert_eq!(engine.next_wal_seq.load(Ordering::Relaxed), 5);
         std::fs::remove_dir_all(&dir).ok();
     }

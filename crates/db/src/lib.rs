@@ -11,8 +11,8 @@
 //! * **latency** — measurements with `model_id` and `platform_id` foreign
 //!   keys plus batch size, cost and memory columns.
 //!
-//! The store is safe for concurrent readers and writers
-//! (`parking_lot::RwLock`) and keeps per-record storage footprints in the
+//! The store is safe for concurrent readers and writers (one
+//! `std::sync::RwLock` over the tables) and keeps per-record storage footprints in the
 //! same regime the paper reports (8-byte hash key, 152-byte platform
 //! records, 52-byte latency records, hundreds of bytes per model).
 //!
@@ -30,6 +30,7 @@
 //! crash always yields exactly the committed prefix ([`recover`]). Open a
 //! durable store with [`Database::open_durable`].
 
+mod codec;
 pub mod compact;
 pub mod database;
 pub mod engine;
@@ -41,7 +42,7 @@ pub mod wal;
 
 pub use compact::{CompactionStats, CompactorHandle, Manifest};
 pub use database::{Database, DbError, DbStats};
-pub use engine::{db_metric_names, DbMetrics, DurabilityStats, DurableOptions, CRASH_AT_BYTE_ENV};
+pub use engine::{db_metric_names, DbMetrics, DurableOptions, CRASH_AT_BYTE_ENV};
 pub use records::{LatencyId, LatencyRecord, ModelId, ModelRecord, PlatformId, PlatformRecord};
 pub use recover::{open_read_only, verify_store, RecoveryStats, VerifyReport};
 pub use wal::FsyncPolicy;

@@ -3,178 +3,99 @@
 //! the byte/JSON oracle the durability tests compare stores with; the
 //! durable engine is the only way a store reaches disk.
 
+use crate::codec::{put_bytes, Reader};
 use crate::database::Database;
 use crate::records::*;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use nnlqp_obs::Recover;
 use std::io;
 
 const MAGIC: &[u8; 4] = b"NQDB";
 const VERSION: u8 = 1;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> io::Result<String> {
-    if buf.remaining() < 4 {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "string len"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "string body"));
-    }
-    String::from_utf8(buf.copy_to_bytes(n).to_vec())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "utf8"))
-}
-
 /// Serialize the whole database to a binary snapshot.
-pub fn to_bytes(db: &Database) -> Bytes {
-    let inner = db.read_inner();
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(inner.seq);
+pub fn to_bytes(db: &Database) -> Vec<u8> {
+    let inner = db.inner.read().recover();
+    let mut buf = Vec::with_capacity(1024);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&inner.seq.to_le_bytes());
 
-    buf.put_u32_le(inner.models.len() as u32);
+    buf.extend_from_slice(&(inner.models.len() as u32).to_le_bytes());
     for m in &inner.models {
-        buf.put_u64_le(m.graph_hash);
-        put_str(&mut buf, &m.name);
-        buf.put_u32_le(m.graph_bytes.len() as u32);
-        buf.put_slice(&m.graph_bytes);
-        buf.put_u64_le(m.created_seq);
+        buf.extend_from_slice(&m.graph_hash.to_le_bytes());
+        put_bytes(&mut buf, m.name.as_bytes());
+        put_bytes(&mut buf, &m.graph_bytes);
+        buf.extend_from_slice(&m.created_seq.to_le_bytes());
     }
 
-    buf.put_u32_le(inner.platforms.len() as u32);
+    buf.extend_from_slice(&(inner.platforms.len() as u32).to_le_bytes());
     for p in &inner.platforms {
-        put_str(&mut buf, &p.hardware);
-        put_str(&mut buf, &p.software);
-        put_str(&mut buf, &p.data_type);
+        put_bytes(&mut buf, p.hardware.as_bytes());
+        put_bytes(&mut buf, p.software.as_bytes());
+        put_bytes(&mut buf, p.data_type.as_bytes());
     }
 
-    buf.put_u32_le(inner.latencies.len() as u32);
+    buf.extend_from_slice(&(inner.latencies.len() as u32).to_le_bytes());
     for l in &inner.latencies {
-        buf.put_u32_le(l.model_id.0);
-        buf.put_u32_le(l.platform_id.0);
-        buf.put_u32_le(l.batch_size);
-        buf.put_f64_le(l.cost_ms);
-        buf.put_f64_le(l.mem_access);
-        buf.put_u64_le(l.host_mem);
-        buf.put_u64_le(l.device_mem);
-        buf.put_u64_le(l.created_seq);
+        buf.extend_from_slice(&l.model_id.0.to_le_bytes());
+        buf.extend_from_slice(&l.platform_id.0.to_le_bytes());
+        buf.extend_from_slice(&l.batch_size.to_le_bytes());
+        buf.extend_from_slice(&l.cost_ms.to_le_bytes());
+        buf.extend_from_slice(&l.mem_access.to_le_bytes());
+        buf.extend_from_slice(&l.host_mem.to_le_bytes());
+        buf.extend_from_slice(&l.device_mem.to_le_bytes());
+        buf.extend_from_slice(&l.created_seq.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Rebuild a database (and all its indices) from a snapshot.
-pub fn from_bytes(mut buf: Bytes) -> io::Result<Database> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    if buf.remaining() < 13 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    if buf.get_u8() != VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let seq = buf.get_u64_le();
+pub fn from_bytes(raw: &[u8]) -> io::Result<Database> {
+    let mut r = Reader::new(raw, "snapshot");
+    r.header(MAGIC, VERSION)?;
+    let seq = r.u64()?;
 
-    let db = Database::new();
-    {
-        let mut inner = db.write_inner();
-        inner.seq = seq;
-
-        let n_models = buf.get_u32_le() as usize;
-        for i in 0..n_models {
-            if buf.remaining() < 8 {
-                return Err(bad("truncated model"));
-            }
-            let graph_hash = buf.get_u64_le();
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(bad("truncated graph len"));
-            }
-            let blen = buf.get_u32_le() as usize;
-            if buf.remaining() < blen + 8 {
-                return Err(bad("truncated graph bytes"));
-            }
-            let graph_bytes = buf.copy_to_bytes(blen).to_vec();
-            let created_seq = buf.get_u64_le();
-            let id = ModelId(i as u32);
-            inner.by_hash.insert(graph_hash, id);
-            inner.models.push(ModelRecord {
-                id,
-                graph_hash,
-                name,
-                graph_bytes,
-                created_seq,
-            });
-        }
-
-        if buf.remaining() < 4 {
-            return Err(bad("truncated platform count"));
-        }
-        let n_platforms = buf.get_u32_le() as usize;
-        for i in 0..n_platforms {
-            let hardware = get_str(&mut buf)?;
-            let software = get_str(&mut buf)?;
-            let data_type = get_str(&mut buf)?;
-            let id = PlatformId(i as u32);
-            inner
-                .by_platform_key
-                .insert((hardware.clone(), software.clone(), data_type.clone()), id);
-            inner.platforms.push(PlatformRecord {
-                id,
-                hardware,
-                software,
-                data_type,
-            });
-        }
-
-        if buf.remaining() < 4 {
-            return Err(bad("truncated latency count"));
-        }
-        let n_lat = buf.get_u32_le() as usize;
-        for i in 0..n_lat {
-            if buf.remaining() < 4 * 3 + 8 * 5 {
-                return Err(bad("truncated latency row"));
-            }
-            let model_id = ModelId(buf.get_u32_le());
-            let platform_id = PlatformId(buf.get_u32_le());
-            let batch_size = buf.get_u32_le();
-            let rec = LatencyRecord {
-                id: LatencyId(i as u32),
-                model_id,
-                platform_id,
-                batch_size,
-                cost_ms: buf.get_f64_le(),
-                mem_access: buf.get_f64_le(),
-                host_mem: buf.get_u64_le(),
-                device_mem: buf.get_u64_le(),
-                created_seq: buf.get_u64_le(),
-            };
-            if model_id.0 as usize >= inner.models.len()
-                || platform_id.0 as usize >= inner.platforms.len()
-            {
-                return Err(bad("dangling foreign key"));
-            }
-            inner
-                .by_query
-                .insert((model_id, platform_id, batch_size), rec.id);
-            inner.latencies.push(rec);
-        }
+    let mut models = Vec::new();
+    for i in 0..r.u32()? {
+        models.push(ModelRecord {
+            id: ModelId(i),
+            graph_hash: r.u64()?,
+            name: r.string()?,
+            graph_bytes: r.bytes()?.to_vec(),
+            created_seq: r.u64()?,
+        });
     }
-    Ok(db)
+    let mut platforms = Vec::new();
+    for i in 0..r.u32()? {
+        platforms.push(PlatformRecord {
+            id: PlatformId(i),
+            hardware: r.string()?,
+            software: r.string()?,
+            data_type: r.string()?,
+        });
+    }
+    let mut latencies = Vec::new();
+    for i in 0..r.u32()? {
+        latencies.push(LatencyRecord {
+            id: LatencyId(i),
+            model_id: ModelId(r.u32()?),
+            platform_id: PlatformId(r.u32()?),
+            batch_size: r.u32()?,
+            cost_ms: r.f64()?,
+            mem_access: r.f64()?,
+            host_mem: r.u64()?,
+            device_mem: r.u64()?,
+            created_seq: r.u64()?,
+        });
+    }
+    Database::from_rows(models, platforms, latencies, seq)
 }
 
 /// Human-readable JSON export of the whole database (graphs decoded back
 /// to their JSON form). Intended for inspection and external tooling, not
 /// as the storage format.
 pub fn export_json(db: &Database) -> serde_json::Value {
-    let inner = db.read_inner();
+    let inner = db.inner.read().recover();
     serde_json::json!({
         "models": inner.models.iter().map(|m| serde_json::json!({
             "id": m.id.0,
@@ -228,7 +149,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let db = populated();
-        let db2 = from_bytes(to_bytes(&db)).unwrap();
+        let db2 = from_bytes(&to_bytes(&db)).unwrap();
         assert_eq!(db.stats(), db2.stats());
         // Indices rebuilt: cache hits still work.
         let hash = graph_hash(&graph(16));
@@ -242,16 +163,16 @@ mod tests {
     #[test]
     fn truncated_snapshots_rejected() {
         let raw = to_bytes(&populated());
-        for cut in [0usize, 4, 12, raw.len() / 3, raw.len() - 3] {
-            assert!(from_bytes(raw.slice(0..cut)).is_err(), "cut {cut}");
+        for cut in [0usize, 4, 12, 13, 14, 15, 16, raw.len() / 3, raw.len() - 3] {
+            assert!(from_bytes(&raw[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut raw = to_bytes(&populated()).to_vec();
+        let mut raw = to_bytes(&populated());
         raw[0] = b'Z';
-        assert!(from_bytes(Bytes::from(raw)).is_err());
+        assert!(from_bytes(&raw).is_err());
     }
 
     #[test]
@@ -267,7 +188,7 @@ mod tests {
     #[test]
     fn empty_database_roundtrips() {
         let db = Database::new();
-        let db2 = from_bytes(to_bytes(&db)).unwrap();
+        let db2 = from_bytes(&to_bytes(&db)).unwrap();
         assert_eq!(db2.stats().models, 0);
     }
 }

@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn model_storage_is_hundreds_of_bytes() {
         let g = nnlqp_models_sample();
-        let bytes = nnlqp_ir::serialize::encode(&g).to_vec();
+        let bytes = nnlqp_ir::serialize::encode(&g);
         let rec = ModelRecord {
             id: ModelId(1),
             graph_hash: 42,

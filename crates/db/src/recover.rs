@@ -21,7 +21,7 @@ use crate::wal::{self, WalOp};
 use std::io;
 use std::path::Path;
 
-fn corrupt(what: String) -> io::Error {
+pub(crate) fn corrupt(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
@@ -173,42 +173,12 @@ pub fn build_database(rec: &Recovered) -> io::Result<Database> {
             .map(|(i, r)| r.ok_or_else(|| corrupt(format!("missing {what} id {i}"))))
             .collect()
     }
-    let models = dense(models, "model")?;
-    let platforms = dense(platforms, "platform")?;
-    let latencies = dense(latencies, "latency")?;
-
-    let db = Database::new();
-    {
-        let mut inner = db.write_inner();
-        for m in &models {
-            if inner.by_hash.insert(m.graph_hash, m.id).is_some() {
-                return Err(corrupt(format!("duplicate graph hash {:#x}", m.graph_hash)));
-            }
-        }
-        for p in &platforms {
-            if inner.by_platform_key.insert(p.key(), p.id).is_some() {
-                return Err(corrupt(format!("duplicate platform key {:?}", p.key())));
-            }
-        }
-        for l in &latencies {
-            if l.model_id.0 as usize >= models.len() {
-                return Err(corrupt(format!("latency {} dangling model fk", l.id.0)));
-            }
-            if l.platform_id.0 as usize >= platforms.len() {
-                return Err(corrupt(format!("latency {} dangling platform fk", l.id.0)));
-            }
-            // Ids are insertion-ordered, so placing in id order makes the
-            // last writer win — the live `by_query` semantics.
-            inner
-                .by_query
-                .insert((l.model_id, l.platform_id, l.batch_size), l.id);
-        }
-        inner.models = models;
-        inner.platforms = platforms;
-        inner.latencies = latencies;
-        inner.seq = rec.db_seq;
-    }
-    Ok(db)
+    Database::from_rows(
+        dense(models, "model")?,
+        dense(platforms, "platform")?,
+        dense(latencies, "latency")?,
+        rec.db_seq,
+    )
 }
 
 /// Open a durable store read-only: replay it into a plain in-memory
@@ -310,7 +280,6 @@ pub fn verify_store(root: &Path) -> io::Result<VerifyReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::ShardMeta;
     use crate::records::{LatencyId, ModelId, PlatformId};
     use crate::shard::{shard_dir, shard_of};
     use crate::wal::{encode_frame, Frame, FsyncPolicy, WalWriter};
@@ -365,19 +334,7 @@ mod tests {
     /// Hand-build a 2-shard store: platform + model 0 on shard 0's WAL,
     /// model 1 on shard 1's WAL.
     fn write_store(dir: &std::path::Path, frames_by_shard: [&[Frame]; 2]) {
-        let manifest = Manifest {
-            n_shards: 2,
-            db_seq: 0,
-            next_wal_seq: 0,
-            shards: vec![
-                ShardMeta {
-                    wal_gen: 1,
-                    seg_gen: None
-                };
-                2
-            ],
-        };
-        manifest.store(dir).unwrap();
+        Manifest::fresh(2).store(dir).unwrap();
         for (i, frames) in frames_by_shard.iter().enumerate() {
             let mut w = WalWriter::open(wal_path(dir, i, 1), FsyncPolicy::Never).unwrap();
             for f in *frames {

@@ -9,11 +9,11 @@
 //! index so a point lookup decodes exactly one frame instead of scanning
 //! the log.
 
+use crate::codec::Reader;
 use crate::records::ModelRecord;
 use crate::wal::{self, Frame, WalOp};
-use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,6 +43,8 @@ pub fn seg_path(root: &Path, shard: usize, gen: u64) -> PathBuf {
 
 const MAGIC: &[u8; 4] = b"NQSG";
 const VERSION: u8 = 1;
+/// Bytes before the frames region: magic, version, frames length, count.
+const HEADER: usize = 17;
 
 fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("segment: {what}"))
@@ -58,47 +60,51 @@ fn bad(what: &str) -> io::Error {
 ///
 /// Offsets are relative to the frames region and point at model frames —
 /// the per-shard hash index that keeps point lookups O(1).
-pub fn encode_segment(frames: &[Frame]) -> Bytes {
-    let mut body: Vec<u8> = Vec::new();
+pub fn encode_segment(frames: &[Frame]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&[0; 8]); // the frames length, written once it is known
+    out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
     let mut index: Vec<(u64, u64)> = Vec::new();
     for f in frames {
         if let WalOp::Model(m) = &f.op {
-            index.push((m.graph_hash, body.len() as u64));
+            index.push((m.graph_hash, (out.len() - HEADER) as u64));
         }
-        body.put_slice(&wal::encode_frame(f));
+        out.extend_from_slice(&wal::encode_frame(f));
     }
-    let mut idx: Vec<u8> = Vec::with_capacity(4 + index.len() * 16);
-    idx.put_u32_le(index.len() as u32);
-    for (hash, off) in &index {
-        idx.put_u64_le(*hash);
-        idx.put_u64_le(*off);
+    let frames_len = (out.len() - HEADER) as u64;
+    out[5..13].copy_from_slice(&frames_len.to_le_bytes());
+    let idx_start = out.len();
+    out.extend_from_slice(&(index.len() as u32).to_le_bytes());
+    for &(hash, off) in &index {
+        out.extend_from_slice(&hash.to_le_bytes());
+        out.extend_from_slice(&off.to_le_bytes());
     }
-    let mut out = BytesMut::with_capacity(17 + body.len() + idx.len() + 8);
-    out.put_slice(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u64_le(body.len() as u64);
-    out.put_u32_le(frames.len() as u32);
-    out.put_slice(&body);
-    let cks = wal::checksum(&idx);
-    out.put_slice(&idx);
-    out.put_u64_le(cks);
-    out.freeze()
+    let cks = wal::checksum(&out[idx_start..]);
+    out.extend_from_slice(&cks.to_le_bytes());
+    out
 }
 
 /// Write a segment atomically: temp file in the same directory, flushed
 /// and fsynced, then renamed over `path` — a crash mid-write leaves no
 /// visible segment.
 pub fn write_segment(path: &Path, frames: &[Frame]) -> io::Result<()> {
-    let bytes = encode_segment(frames);
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
+    write_atomic(&tmp, path, &encode_segment(frames))
+}
+
+/// `bytes` into `tmp`, fsynced, then renamed over `path`; a failed write
+/// removes `tmp`. The store publishes every segment and manifest this way.
+pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let write = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        let mut f = std::fs::File::create(tmp)?;
+        f.write_all(bytes)?;
         f.sync_all()
     })();
-    let result = write.and_then(|()| std::fs::rename(&tmp, path));
+    let result = write.and_then(|()| std::fs::rename(tmp, path));
     if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+        let _ = std::fs::remove_file(tmp);
     }
     result
 }
@@ -111,7 +117,6 @@ pub fn write_segment(path: &Path, frames: &[Frame]) -> io::Result<()> {
 #[derive(Debug)]
 pub struct SnapshotSegment {
     raw: Vec<u8>,
-    frames_start: usize,
     frames_len: usize,
     n_frames: u32,
     index: HashMap<u64, u64>,
@@ -123,52 +128,36 @@ impl SnapshotSegment {
     /// only ever published by an atomic rename after fsync — any
     /// inconsistency is hard corruption, not a torn write, so it errors.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let mut raw = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut raw)?;
-        Self::from_bytes(raw)
+        Self::from_bytes(std::fs::read(path)?)
     }
 
     /// Validate an in-memory segment image.
     pub fn from_bytes(raw: Vec<u8>) -> io::Result<Self> {
-        if raw.len() < 17 {
-            return Err(bad("truncated header"));
+        let mut r = Reader::new(&raw, "segment");
+        r.header(MAGIC, VERSION)?;
+        let frames_len = r.u64()? as usize;
+        let n_frames = r.u32()?;
+        r.take(frames_len)?;
+        // The index, then its checksum in the last eight bytes.
+        let index_len = r
+            .remaining()
+            .checked_sub(8)
+            .ok_or_else(|| r.bad("truncated index"))?;
+        let index_raw = r.take(index_len)?;
+        if wal::checksum(index_raw) != r.u64()? {
+            return Err(r.bad("index checksum mismatch"));
         }
-        if &raw[..4] != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if raw[4] != VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let frames_len = u64::from_le_bytes(raw[5..13].try_into().unwrap()) as usize;
-        let n_frames = u32::from_le_bytes(raw[13..17].try_into().unwrap());
-        let frames_start = 17usize;
-        let idx_start = frames_start
-            .checked_add(frames_len)
-            .ok_or_else(|| bad("frames length overflow"))?;
-        if raw.len() < idx_start + 4 + 8 {
-            return Err(bad("truncated index"));
-        }
-        let n_index =
-            u32::from_le_bytes(raw[idx_start..idx_start + 4].try_into().unwrap()) as usize;
-        let idx_end = idx_start + 4 + n_index * 16;
-        if raw.len() != idx_end + 8 {
-            return Err(bad("index size mismatch"));
-        }
-        let want = u64::from_le_bytes(raw[idx_end..idx_end + 8].try_into().unwrap());
-        if wal::checksum(&raw[idx_start..idx_end]) != want {
-            return Err(bad("index checksum mismatch"));
+        let mut ix = Reader::new(index_raw, "segment index");
+        let n_index = ix.u32()? as usize;
+        if ix.remaining() != n_index * 16 {
+            return Err(ix.bad("size mismatch"));
         }
         let mut index = HashMap::with_capacity(n_index);
-        let mut at = idx_start + 4;
         for _ in 0..n_index {
-            let hash = u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
-            let off = u64::from_le_bytes(raw[at + 8..at + 16].try_into().unwrap());
-            index.insert(hash, off);
-            at += 16;
+            index.insert(ix.u64()?, ix.u64()?);
         }
         Ok(SnapshotSegment {
             raw,
-            frames_start,
             frames_len,
             n_frames,
             index,
@@ -198,22 +187,14 @@ impl SnapshotSegment {
     }
 
     fn decode_at(&self, off: u64) -> io::Result<Frame> {
-        let at = self.frames_start + off as usize;
-        let header = self
-            .raw
-            .get(at..at + 12)
-            .ok_or_else(|| bad("index offset out of range"))?;
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let want = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let payload = self
-            .raw
-            .get(at + 12..at + 12 + len)
-            .ok_or_else(|| bad("frame out of range"))?;
+        let at = HEADER.saturating_add(off as usize);
+        let (payload, want) =
+            wal::frame_at(&self.raw, at).ok_or_else(|| bad("frame out of range"))?;
         if wal::checksum(payload) != want {
             return Err(bad("frame checksum mismatch"));
         }
         self.decoded.fetch_add(1, Ordering::Relaxed);
-        wal::decode_payload(Bytes::from(payload.to_vec()))
+        wal::decode_payload(payload)
     }
 
     /// O(1) point lookup: hash → index probe → decode one frame.
@@ -229,7 +210,7 @@ impl SnapshotSegment {
 
     /// Decode every frame (recovery and verification).
     pub fn frames(&self) -> io::Result<Vec<Frame>> {
-        let body = &self.raw[self.frames_start..self.frames_start + self.frames_len];
+        let body = &self.raw[HEADER..HEADER + self.frames_len];
         let scan = wal::scan_frames(body);
         if scan.truncated_bytes != 0 || scan.frames.len() != self.n_frames as usize {
             return Err(bad("frame body does not match header"));
@@ -294,7 +275,7 @@ mod tests {
     #[test]
     fn segment_roundtrip_and_verify() {
         let frames: Vec<Frame> = (0..20).map(model_frame).collect();
-        let seg = SnapshotSegment::from_bytes(encode_segment(&frames).to_vec()).unwrap();
+        let seg = SnapshotSegment::from_bytes(encode_segment(&frames)).unwrap();
         assert_eq!(seg.len(), 20);
         assert_eq!(seg.indexed_models(), 20);
         assert_eq!(seg.frames().unwrap(), frames);
@@ -306,7 +287,7 @@ mod tests {
         // The shard-local index demonstration: lookups stay O(1) no
         // matter how many records the compacted segment holds.
         let frames: Vec<Frame> = (0..500).map(model_frame).collect();
-        let seg = SnapshotSegment::from_bytes(encode_segment(&frames).to_vec()).unwrap();
+        let seg = SnapshotSegment::from_bytes(encode_segment(&frames)).unwrap();
         for i in [0u32, 123, 250, 499] {
             let hash = 0xAB00 + u64::from(i) * 7;
             let hit = seg.lookup_model(hash).unwrap().unwrap();
@@ -325,7 +306,7 @@ mod tests {
     #[test]
     fn corrupt_segment_rejected() {
         let frames: Vec<Frame> = (0..4).map(model_frame).collect();
-        let good = encode_segment(&frames).to_vec();
+        let good = encode_segment(&frames);
         // Truncations and bit flips anywhere must be detected at load or
         // at frame access — segments are atomic, no torn-tail tolerance.
         assert!(SnapshotSegment::from_bytes(good[..good.len() - 3].to_vec()).is_err());

@@ -15,11 +15,11 @@
 //! frames until the first torn or corrupt one and reports how many bytes
 //! it refused, instead of failing the whole store.
 
+use crate::codec::{put_bytes, Reader};
 use crate::records::{LatencyId, LatencyRecord, ModelId, ModelRecord, PlatformId, PlatformRecord};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nnlqp_hash::StreamHasher;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a checksum of a byte slice: the length is folded in first so a
@@ -47,17 +47,6 @@ pub enum WalOp {
     Latency(LatencyRecord),
 }
 
-impl WalOp {
-    /// The table-local id carried by the op.
-    pub fn row_id(&self) -> u32 {
-        match self {
-            WalOp::Model(m) => m.id.0,
-            WalOp::Platform(p) => p.id.0,
-            WalOp::Latency(l) => l.id.0,
-        }
-    }
-}
-
 /// A decoded frame: the op plus its global sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -71,141 +60,110 @@ const TAG_MODEL: u8 = 1;
 const TAG_PLATFORM: u8 = 2;
 const TAG_LATENCY: u8 = 3;
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
+/// Bytes before a frame's payload: its length, then its checksum.
+pub(crate) const FRAME_HEADER: usize = 12;
 
-fn get_str(buf: &mut Bytes) -> io::Result<String> {
-    if buf.remaining() < 4 {
-        return Err(corrupt("string length"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(corrupt("string body"));
-    }
-    String::from_utf8(buf.copy_to_bytes(n).to_vec()).map_err(|_| corrupt("string utf8"))
-}
-
-fn corrupt(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt frame: {what}"))
+/// Payload bytes of `op`'s frame, exactly: a frame is one allocation.
+fn payload_len(op: &WalOp) -> usize {
+    8 + 1
+        + match op {
+            WalOp::Model(m) => 4 + 8 + 4 + m.name.len() + 4 + m.graph_bytes.len() + 8,
+            WalOp::Platform(p) => {
+                4 + 3 * 4 + p.hardware.len() + p.software.len() + p.data_type.len()
+            }
+            WalOp::Latency(_) => 4 * 4 + 8 * 5,
+        }
 }
 
 /// Encode one frame (length prefix + checksum + payload).
-pub fn encode_frame(frame: &Frame) -> Bytes {
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     encode_op(frame.wal_seq, &frame.op)
 }
 
 /// [`encode_frame`] over a borrowed op: the write path logs a record from
-/// where it lives instead of cloning it into a [`Frame`] first.
-pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Bytes {
-    let mut payload: Vec<u8> = Vec::with_capacity(64);
-    payload.put_u64_le(wal_seq);
+/// where it lives instead of cloning it into a [`Frame`] first. The
+/// payload is written after a zeroed header, which is filled in last.
+pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload_len(op));
+    out.resize(FRAME_HEADER, 0);
+    out.extend_from_slice(&wal_seq.to_le_bytes());
     match op {
         WalOp::Model(m) => {
-            payload.put_u8(TAG_MODEL);
-            payload.put_u32_le(m.id.0);
-            payload.put_u64_le(m.graph_hash);
-            put_str(&mut payload, &m.name);
-            payload.put_u32_le(m.graph_bytes.len() as u32);
-            payload.put_slice(&m.graph_bytes);
-            payload.put_u64_le(m.created_seq);
+            out.push(TAG_MODEL);
+            out.extend_from_slice(&m.id.0.to_le_bytes());
+            out.extend_from_slice(&m.graph_hash.to_le_bytes());
+            put_bytes(&mut out, m.name.as_bytes());
+            put_bytes(&mut out, &m.graph_bytes);
+            out.extend_from_slice(&m.created_seq.to_le_bytes());
         }
         WalOp::Platform(p) => {
-            payload.put_u8(TAG_PLATFORM);
-            payload.put_u32_le(p.id.0);
-            put_str(&mut payload, &p.hardware);
-            put_str(&mut payload, &p.software);
-            put_str(&mut payload, &p.data_type);
+            out.push(TAG_PLATFORM);
+            out.extend_from_slice(&p.id.0.to_le_bytes());
+            put_bytes(&mut out, p.hardware.as_bytes());
+            put_bytes(&mut out, p.software.as_bytes());
+            put_bytes(&mut out, p.data_type.as_bytes());
         }
         WalOp::Latency(l) => {
-            payload.put_u8(TAG_LATENCY);
-            payload.put_u32_le(l.id.0);
-            payload.put_u32_le(l.model_id.0);
-            payload.put_u32_le(l.platform_id.0);
-            payload.put_u32_le(l.batch_size);
-            payload.put_f64_le(l.cost_ms);
-            payload.put_f64_le(l.mem_access);
-            payload.put_u64_le(l.host_mem);
-            payload.put_u64_le(l.device_mem);
-            payload.put_u64_le(l.created_seq);
+            out.push(TAG_LATENCY);
+            out.extend_from_slice(&l.id.0.to_le_bytes());
+            out.extend_from_slice(&l.model_id.0.to_le_bytes());
+            out.extend_from_slice(&l.platform_id.0.to_le_bytes());
+            out.extend_from_slice(&l.batch_size.to_le_bytes());
+            out.extend_from_slice(&l.cost_ms.to_le_bytes());
+            out.extend_from_slice(&l.mem_access.to_le_bytes());
+            out.extend_from_slice(&l.host_mem.to_le_bytes());
+            out.extend_from_slice(&l.device_mem.to_le_bytes());
+            out.extend_from_slice(&l.created_seq.to_le_bytes());
         }
     }
-    let mut out = BytesMut::with_capacity(12 + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.put_u64_le(checksum(&payload));
-    out.put_slice(&payload);
-    out.freeze()
+    debug_assert_eq!(out.len(), FRAME_HEADER + payload_len(op));
+    let (header, payload) = out.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
+    out
+}
+
+/// The frame starting at `at`: its payload and the checksum its header
+/// records, `None` when the header or the payload runs past the end.
+pub(crate) fn frame_at(raw: &[u8], at: usize) -> Option<(&[u8], u64)> {
+    let mut r = Reader::new(raw.get(at..)?, "frame");
+    let len = r.u32().ok()? as usize;
+    let want = r.u64().ok()?;
+    Some((r.take(len).ok()?, want))
 }
 
 /// Decode one payload (the bytes after the length + checksum header).
-pub fn decode_payload(mut buf: Bytes) -> io::Result<Frame> {
-    if buf.remaining() < 9 {
-        return Err(corrupt("payload header"));
-    }
-    let wal_seq = buf.get_u64_le();
-    let tag = buf.get_u8();
-    let op = match tag {
-        TAG_MODEL => {
-            if buf.remaining() < 12 {
-                return Err(corrupt("model header"));
-            }
-            let id = ModelId(buf.get_u32_le());
-            let graph_hash = buf.get_u64_le();
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(corrupt("graph length"));
-            }
-            let blen = buf.get_u32_le() as usize;
-            if buf.remaining() < blen + 8 {
-                return Err(corrupt("graph bytes"));
-            }
-            let graph_bytes = buf.copy_to_bytes(blen).to_vec();
-            let created_seq = buf.get_u64_le();
-            WalOp::Model(ModelRecord {
-                id,
-                graph_hash,
-                name,
-                graph_bytes,
-                created_seq,
-            })
-        }
-        TAG_PLATFORM => {
-            if buf.remaining() < 4 {
-                return Err(corrupt("platform header"));
-            }
-            let id = PlatformId(buf.get_u32_le());
-            let hardware = get_str(&mut buf)?;
-            let software = get_str(&mut buf)?;
-            let data_type = get_str(&mut buf)?;
-            WalOp::Platform(PlatformRecord {
-                id,
-                hardware,
-                software,
-                data_type,
-            })
-        }
-        TAG_LATENCY => {
-            if buf.remaining() < 4 * 4 + 8 * 5 {
-                return Err(corrupt("latency body"));
-            }
-            WalOp::Latency(LatencyRecord {
-                id: LatencyId(buf.get_u32_le()),
-                model_id: ModelId(buf.get_u32_le()),
-                platform_id: PlatformId(buf.get_u32_le()),
-                batch_size: buf.get_u32_le(),
-                cost_ms: buf.get_f64_le(),
-                mem_access: buf.get_f64_le(),
-                host_mem: buf.get_u64_le(),
-                device_mem: buf.get_u64_le(),
-                created_seq: buf.get_u64_le(),
-            })
-        }
-        _ => return Err(corrupt("unknown op tag")),
+pub fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
+    let mut r = Reader::new(payload, "corrupt frame");
+    let wal_seq = r.u64()?;
+    let op = match r.u8()? {
+        TAG_MODEL => WalOp::Model(ModelRecord {
+            id: ModelId(r.u32()?),
+            graph_hash: r.u64()?,
+            name: r.string()?,
+            graph_bytes: r.bytes()?.to_vec(),
+            created_seq: r.u64()?,
+        }),
+        TAG_PLATFORM => WalOp::Platform(PlatformRecord {
+            id: PlatformId(r.u32()?),
+            hardware: r.string()?,
+            software: r.string()?,
+            data_type: r.string()?,
+        }),
+        TAG_LATENCY => WalOp::Latency(LatencyRecord {
+            id: LatencyId(r.u32()?),
+            model_id: ModelId(r.u32()?),
+            platform_id: PlatformId(r.u32()?),
+            batch_size: r.u32()?,
+            cost_ms: r.f64()?,
+            mem_access: r.f64()?,
+            host_mem: r.u64()?,
+            device_mem: r.u64()?,
+            created_seq: r.u64()?,
+        }),
+        _ => return Err(r.bad("unknown op tag")),
     };
-    if buf.remaining() > 0 {
-        return Err(corrupt("trailing payload bytes"));
-    }
+    r.finish()?;
     Ok(Frame { wal_seq, op })
 }
 
@@ -227,15 +185,11 @@ pub struct WalScan {
 /// "yield exactly the committed prefix", so a bad frame ends the replay
 /// and the remainder is reported as `truncated_bytes`.
 pub fn read_wal(path: &Path) -> io::Result<WalScan> {
-    let mut raw = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut raw)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalScan::default()),
-        Err(e) => return Err(e),
+    match std::fs::read(path) {
+        Ok(raw) => Ok(scan_frames(&raw)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalScan::default()),
+        Err(e) => Err(e),
     }
-    Ok(scan_frames(&raw))
 }
 
 /// Scan a raw byte buffer of concatenated frames (shared by WAL files and
@@ -244,22 +198,17 @@ pub fn scan_frames(raw: &[u8]) -> WalScan {
     let total = raw.len() as u64;
     let mut out = WalScan::default();
     let mut at = 0usize;
-    // A missing slice at any step means a torn tail (or clean EOF): stop
-    // and report everything beyond `at` as truncated.
-    while let Some(header) = raw.get(at..at + 12) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let want = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let Some(payload) = raw.get(at + 12..at + 12 + len) else {
-            break; // torn payload
-        };
+    // A frame cut short means a torn tail (or clean EOF): stop and report
+    // everything beyond `at` as truncated.
+    while let Some((payload, want)) = frame_at(raw, at) {
         if checksum(payload) != want {
             break; // corrupt frame: flipped bits or a mid-frame tear
         }
-        let Ok(frame) = decode_payload(Bytes::from(payload.to_vec())) else {
+        let Ok(frame) = decode_payload(payload) else {
             break; // checksum ok but undecodable: treat as corruption
         };
         out.frames.push(frame);
-        at += 12 + len;
+        at += FRAME_HEADER + payload.len();
     }
     out.valid_bytes = at as u64;
     out.truncated_bytes = total - at as u64;
@@ -394,10 +343,7 @@ mod tests {
     }
 
     fn encoded() -> Vec<u8> {
-        frames()
-            .iter()
-            .flat_map(|f| encode_frame(f).to_vec())
-            .collect()
+        frames().iter().flat_map(encode_frame).collect()
     }
 
     #[test]
@@ -407,6 +353,12 @@ mod tests {
             let scan = scan_frames(&enc);
             assert_eq!(scan.frames, vec![f]);
             assert_eq!(scan.truncated_bytes, 0);
+            // Every cut of the payload is an error, never a panic.
+            let payload = &enc[FRAME_HEADER..];
+            for cut in 0..payload.len() {
+                let err = decode_payload(&payload[..cut]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}");
+            }
         }
     }
 
@@ -418,11 +370,7 @@ mod tests {
         for cut in 0..raw.len() {
             let scan = scan_frames(&raw[..cut]);
             assert!(scan.frames.len() <= 4, "cut {cut}");
-            let rebuilt: Vec<u8> = scan
-                .frames
-                .iter()
-                .flat_map(|f| encode_frame(f).to_vec())
-                .collect();
+            let rebuilt: Vec<u8> = scan.frames.iter().flat_map(encode_frame).collect();
             assert_eq!(rebuilt, raw[..scan.valid_bytes as usize], "cut {cut}");
             assert_eq!(
                 scan.truncated_bytes,

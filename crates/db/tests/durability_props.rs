@@ -53,7 +53,7 @@ fn export(db: &Database) -> String {
 fn tear_one_wal(root: &std::path::Path, pick: u64, cut: u64) -> u64 {
     let manifest = Manifest::load(root).unwrap().expect("store has a manifest");
     let shard = (pick as usize) % manifest.n_shards;
-    let frame = encode_frame(&Frame {
+    let mut bytes = encode_frame(&Frame {
         wal_seq: u64::MAX / 2,
         op: WalOp::Platform(nnlqp_db::PlatformRecord {
             id: nnlqp_db::PlatformId(9999),
@@ -62,7 +62,6 @@ fn tear_one_wal(root: &std::path::Path, pick: u64, cut: u64) -> u64 {
             data_type: "torn".into(),
         }),
     });
-    let mut bytes = frame.as_ref().to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 1; // checksum can never match
     let keep = 1 + (cut as usize) % (bytes.len() - 1);
@@ -160,7 +159,7 @@ proptest! {
                 id: nnlqp_db::ModelId(rng.next_u64() as u32),
                 graph_hash: rng.next_u64(),
                 name: graph.name.clone(),
-                graph_bytes: nnlqp_ir::serialize::encode(&graph).as_ref().to_vec(),
+                graph_bytes: nnlqp_ir::serialize::encode(&graph),
                 created_seq: rng.next_u64(),
             }),
             WalOp::Platform(nnlqp_db::PlatformRecord {

@@ -11,7 +11,6 @@ use crate::graph::Graph;
 use crate::node::{Node, NodeId, NodeIds};
 use crate::op::OpType;
 use crate::shape::{Shape, MAX_RANK};
-use bytes::Bytes;
 
 const MAGIC: &[u8; 4] = b"NLQP";
 const VERSION: u8 = 1;
@@ -63,7 +62,7 @@ fn stage_fixed(rec: &mut [u8; STAGE_BYTES], n: &Node) {
 }
 
 /// Encode a graph to its compact binary form.
-pub fn encode(g: &Graph) -> Bytes {
+pub fn encode(g: &Graph) -> Vec<u8> {
     let name = g.name.as_bytes();
     let size = MAGIC.len()
         + 1
@@ -103,7 +102,7 @@ pub fn encode(g: &Graph) -> Bytes {
         buf.extend_from_slice(&rec[..at]);
     }
     debug_assert_eq!(buf.len(), size);
-    Bytes::from(buf)
+    buf
 }
 
 /// A cursor over an encoded graph: one bounds check per record, every
@@ -145,8 +144,8 @@ fn le_u32(raw: &[u8]) -> u32 {
 }
 
 /// Decode and validate a graph previously produced by [`encode`].
-pub fn decode(buf: Bytes) -> IrResult<Graph> {
-    let mut r = Reader(&buf);
+pub fn decode(buf: &[u8]) -> IrResult<Graph> {
+    let mut r = Reader(buf);
     let header = r.take(MAGIC.len() + 1, "header")?;
     if &header[..MAGIC.len()] != MAGIC {
         return Err(IrError::Decode("bad magic".into()));
@@ -409,8 +408,8 @@ mod tests {
     fn staged_records_are_the_field_by_field_bytes() {
         for g in [sample(), wide_concat()] {
             let staged = encode(&g);
-            assert_eq!(&staged[..], &encode_field_by_field(&g)[..], "{}", g.name);
-            assert_eq!(decode(staged).unwrap(), g, "{}", g.name);
+            assert_eq!(staged, encode_field_by_field(&g), "{}", g.name);
+            assert_eq!(decode(&staged).unwrap(), g, "{}", g.name);
         }
     }
 
@@ -419,17 +418,17 @@ mod tests {
         // A valid blob whose count says u32::MAX: reserving for it would
         // abort the process in the allocator.
         let g = sample();
-        let mut raw = encode(&g).to_vec();
+        let mut raw = encode(&g);
         let at = count_offset(&g);
         assert_eq!(le_u32(&raw[at..]) as usize, g.len());
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode(Bytes::from(raw)), Err(IrError::Decode(_))));
+        assert!(matches!(decode(&raw), Err(IrError::Decode(_))));
     }
 
     #[test]
     fn rank_200_shape_is_a_decode_error_naming_the_rank() {
         let g = sample();
-        let clean = encode(&g).to_vec();
+        let clean = encode(&g);
         // The graph input shape's rank byte, then the first node's.
         let input_rank_at = count_offset(&g) - shape_bytes(&g.input_shape);
         let node_rank_at = count_offset(&g) + 4 + NODE_FIXED_BYTES;
@@ -437,7 +436,7 @@ mod tests {
             assert_eq!(clean[at], 4);
             let mut raw = clean.clone();
             raw[at] = 200;
-            match decode(Bytes::from(raw)) {
+            match decode(&raw) {
                 Err(IrError::Decode(d)) => assert!(d.contains("rank 200"), "{d}"),
                 other => panic!("expected a decode error, got {other:?}"),
             }
@@ -452,18 +451,18 @@ mod tests {
     #[test]
     fn fan_in_255_node_is_a_decode_error() {
         let g = sample();
-        let mut raw = encode(&g).to_vec();
+        let mut raw = encode(&g);
         let at = count_offset(&g) + 4 + ATTR_BYTES;
         assert_eq!(raw[at], 0, "the first node reads the graph input");
         raw[at] = 255;
-        assert!(matches!(decode(Bytes::from(raw)), Err(IrError::Decode(_))));
+        assert!(matches!(decode(&raw), Err(IrError::Decode(_))));
     }
 
     #[test]
     fn binary_roundtrip_identity() {
         let g = sample();
         let bytes = encode(&g);
-        let g2 = decode(bytes).unwrap();
+        let g2 = decode(&bytes).unwrap();
         assert_eq!(g, g2);
     }
 
@@ -485,9 +484,9 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let g = sample();
-        let mut raw = encode(&g).to_vec();
+        let mut raw = encode(&g);
         raw[0] = b'X';
-        assert!(matches!(decode(Bytes::from(raw)), Err(IrError::Decode(_))));
+        assert!(matches!(decode(&raw), Err(IrError::Decode(_))));
     }
 
     #[test]
@@ -495,23 +494,22 @@ mod tests {
         let g = sample();
         let raw = encode(&g);
         for cut in [0, 3, 5, 10, raw.len() / 2, raw.len() - 1] {
-            let sliced = raw.slice(0..cut);
-            assert!(decode(sliced).is_err(), "cut at {cut} should fail");
+            assert!(decode(&raw[..cut]).is_err(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn corrupted_topology_fails_validation() {
         let g = sample();
-        let mut raw = encode(&g).to_vec();
+        let mut raw = encode(&g);
         // Flip a byte late in the stream until decode fails or validation
         // catches an inconsistency; decode must never panic.
         for i in (raw.len() - 20)..raw.len() {
             let mut r = raw.clone();
             r[i] ^= 0xFF;
-            let _ = decode(Bytes::from(r)); // must not panic
+            let _ = decode(&r); // must not panic
         }
         raw[6] ^= 0xFF;
-        let _ = decode(Bytes::from(raw));
+        let _ = decode(&raw);
     }
 }

@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn binary_roundtrip(seed in any::<u64>()) {
         let g = random_graph(seed);
-        let g2 = serialize::decode(serialize::encode(&g)).unwrap();
+        let g2 = serialize::decode(&serialize::encode(&g)).unwrap();
         prop_assert_eq!(g, g2);
     }
 

@@ -3,7 +3,6 @@
 
 use crate::tree::{RegressionTree, TreeConfig};
 use nnlqp_ir::Rng64;
-use rayon::prelude::*;
 
 /// Forest parameters.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +52,6 @@ impl RandomForest {
         let n = x.len();
         let take = ((n as f64) * cfg.sample_frac).round().max(1.0) as usize;
         let trees: Vec<RegressionTree> = (0..cfg.n_trees)
-            .into_par_iter()
             .map(|t| {
                 let mut rng = Rng64::new(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 // Bootstrap with replacement.
@@ -77,7 +75,7 @@ impl RandomForest {
 
     /// Predict a batch.
     pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.par_iter().map(|x| self.predict(x)).collect()
+        xs.iter().map(|x| self.predict(x)).collect()
     }
 
     /// Number of trees.

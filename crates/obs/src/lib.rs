@@ -29,6 +29,8 @@
 //! * **Events** ([`EventLog`]) — a bounded structured JSONL log of query
 //!   lifecycle, shadow-eval, drift and retrain events with a
 //!   deterministic total order.
+//! * **Locks** ([`Recover`]) — the recover-from-poisoning policy of the
+//!   std locks in `nnlqp`, `nnlqp-db` and `nnlqp-serve`, in one place.
 
 pub mod chrome;
 pub mod events;
@@ -37,6 +39,7 @@ pub mod flame;
 pub mod metrics;
 pub mod monitor;
 pub mod span;
+pub mod sync;
 pub mod trace;
 
 pub use chrome::to_chrome_json;
@@ -52,6 +55,7 @@ pub use monitor::{
     PlatformQuality, QualityMonitor, QualityReport, REL_ERR_PCT_BOUNDS,
 };
 pub use span::{Recorder, SimClock, Span, Timeline, Track};
+pub use sync::Recover;
 pub use trace::{
     tail_attribution, timeline_of, ExemplarReservoir, RequestTrace, StageShare, TraceClock,
     TraceContext, TraceStage, INLINE_MARKS,

@@ -11,7 +11,6 @@ use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
 use crate::model::{Head, HeadGrad, NnlpModel};
 use nnlqp_ir::{Graph, Rng64};
 use nnlqp_nn::{Adam, Csr, Linear, LinearGrad, Matrix, Scratch};
-use rayon::prelude::*;
 
 /// One training/evaluation sample with pre-normalized features.
 #[derive(Debug, Clone)]
@@ -45,12 +44,12 @@ impl Dataset {
     /// use [`Dataset::extend_with`] for evaluation sets.
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
         let feats: Vec<GraphFeatures> = entries
-            .par_iter()
+            .iter()
             .map(|(g, _, _)| extract_features(g))
             .collect();
         let norm = Normalizer::fit(&feats.iter().collect::<Vec<_>>());
         let samples = feats
-            .par_iter()
+            .iter()
             .zip(entries)
             .map(|(f, (_, ms, head))| make_sample(f, *ms, *head, &norm))
             .collect();
@@ -60,7 +59,7 @@ impl Dataset {
     /// Featurize additional graphs with this dataset's normalizer.
     pub fn extend_with(&self, entries: &[(&Graph, f64, usize)]) -> Vec<Sample> {
         entries
-            .par_iter()
+            .iter()
             .map(|(g, ms, head)| {
                 let f = extract_features(g);
                 make_sample(&f, *ms, *head, &self.norm)

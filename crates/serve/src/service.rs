@@ -74,15 +74,14 @@ use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
     to_prometheus, ErrorWindow, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry,
-    MonitorConfig, QualityMonitor, QualityReport, RequestTrace, TraceClock, TraceContext,
+    MonitorConfig, QualityMonitor, QualityReport, Recover, RequestTrace, TraceClock, TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform, PlatformSpec};
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -367,7 +366,7 @@ impl AbState {
 
     /// The promoted champion for `platform`, if any.
     fn route(&self, platform: &str) -> Option<PredictorHandle> {
-        self.routes.read().get(platform).cloned()
+        self.routes.read().recover().get(platform).cloned()
     }
 }
 
@@ -441,7 +440,7 @@ impl Shadow {
         measured_ms: f64,
     ) {
         {
-            let mut replay = self.replay.lock();
+            let mut replay = self.replay.lock().recover();
             let buf = replay.entry(platform.to_string()).or_default();
             if buf.len() == self.monitor.config().window {
                 buf.pop_front();
@@ -480,7 +479,7 @@ impl Shadow {
                 );
             }
             {
-                let mut st = retrain.state.lock();
+                let mut st = retrain.state.lock().recover();
                 st.drift = true;
             }
             retrain.wake.notify_one();
@@ -503,7 +502,7 @@ impl Shadow {
         measured_ms: f64,
     ) {
         let Some(ab) = &self.ab else { return };
-        let Some(challenger) = ab.challenger.read().clone() else {
+        let Some(challenger) = ab.challenger.read().recover().clone() else {
             return;
         };
         // An already promoted challenger IS the routed champion: scoring
@@ -519,7 +518,7 @@ impl Shadow {
         };
         let mcfg = self.monitor.config();
         let (chal_mape, chal_samples) = {
-            let mut windows = ab.windows.lock();
+            let mut windows = ab.windows.lock().recover();
             let w = windows
                 .entry(platform.to_string())
                 .or_insert_with(|| ErrorWindow::new(mcfg.window));
@@ -561,11 +560,13 @@ impl Shadow {
             .map_or("none", |k| k.as_str());
         ab.routes
             .write()
+            .recover()
             .insert(platform.to_string(), challenger.clone());
         ab.champions
             .lock()
+            .recover()
             .insert(platform.to_string(), arch.to_string());
-        ab.windows.lock().remove(platform);
+        ab.windows.lock().recover().remove(platform);
         let pairs: Vec<(f64, f64)> = self
             .replay_pairs(platform)
             .iter()
@@ -600,6 +601,7 @@ impl Shadow {
     fn replay_pairs(&self, platform: &str) -> Vec<(Arc<Graph>, f64)> {
         self.replay
             .lock()
+            .recover()
             .get(platform)
             .map(|buf| buf.iter().cloned().collect())
             .unwrap_or_default()
@@ -1030,7 +1032,7 @@ impl LatencyService {
                     });
                 }
                 let enqueued = {
-                    let tx = self.tx.lock();
+                    let tx = self.tx.lock().recover();
                     match tx.as_ref() {
                         None => Err(ServeError::ShuttingDown),
                         Some(tx) => tx
@@ -1131,7 +1133,7 @@ impl LatencyService {
     }
 
     fn resolve(&self, platform: &str) -> Result<Arc<PlatformBinding>, ServeError> {
-        if let Some(b) = self.platforms.read().get(platform) {
+        if let Some(b) = self.platforms.read().recover().get(platform) {
             return Ok(Arc::clone(b));
         }
         let unknown = || ServeError::UnknownPlatform(platform.to_string());
@@ -1151,13 +1153,14 @@ impl LatencyService {
         });
         self.platforms
             .write()
+            .recover()
             .insert(platform.to_string(), Arc::clone(&binding));
         Ok(binding)
     }
 
     /// Jobs waiting for a worker.
     pub fn backlog(&self) -> usize {
-        self.tx.lock().as_ref().map_or(0, Sender::len)
+        self.tx.lock().recover().as_ref().map_or(0, Sender::len)
     }
 
     /// Current metrics.
@@ -1182,7 +1185,7 @@ impl LatencyService {
     pub fn install_challenger(&self, handle: PredictorHandle) -> bool {
         match &self.ab {
             Some(ab) => {
-                *ab.challenger.write() = Some(handle);
+                *ab.challenger.write().recover() = Some(handle);
                 true
             }
             None => false,
@@ -1194,7 +1197,9 @@ impl LatencyService {
     /// serve the facade's installed predictor). `None` when A/B selection
     /// is disabled.
     pub fn champions(&self) -> Option<BTreeMap<String, String>> {
-        self.ab.as_ref().map(|ab| ab.champions.lock().clone())
+        self.ab
+            .as_ref()
+            .map(|ab| ab.champions.lock().recover().clone())
     }
 
     /// The structured event log (`None` when disabled).
@@ -1227,17 +1232,17 @@ impl LatencyService {
         }
         // Closing the sender lets workers drain remaining jobs, then exit
         // on disconnect — every open flight still completes.
-        self.tx.lock().take();
+        self.tx.lock().recover().take();
         {
-            let mut st = self.retrain.state.lock();
+            let mut st = self.retrain.state.lock().recover();
             st.stop = true;
         }
         self.retrain.wake.notify_all();
         if let Some(w) = &self.writer {
-            *w.stop.lock() = true;
+            *w.stop.lock().recover() = true;
             w.wake.notify_all();
         }
-        let threads: Vec<JoinHandle<()>> = self.threads.lock().drain(..).collect();
+        let threads: Vec<JoinHandle<()>> = self.threads.lock().recover().drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
@@ -1296,7 +1301,7 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
                     ctx.metrics.set_hot_cache_len(ctx.cache.len() as f64);
                     ctx.metrics.measured();
                     {
-                        let mut st = ctx.retrain.state.lock();
+                        let mut st = ctx.retrain.state.lock().recover();
                         st.fresh += 1;
                     }
                     ctx.retrain.wake.notify_one();
@@ -1359,7 +1364,7 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
             .iter()
             .map(|p| Platform::by_name(p).map_or_else(|| p.clone(), |h| h.name().to_string()))
             .collect();
-        let mut st = ctx.shared.state.lock();
+        let mut st = ctx.shared.state.lock().recover();
         loop {
             let drift = st.drift;
             let cadence = ctx.threshold > 0 && st.fresh >= ctx.threshold;
@@ -1401,7 +1406,7 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                         ..ab.cfg.train
                     };
                     if let Ok(Some((handle, _))) = ctx.system.train_predictor_handle(&names, cfg) {
-                        *ab.challenger.write() = Some(handle);
+                        *ab.challenger.write().recover() = Some(handle);
                     }
                 }
                 // Re-score the replay buffers under the new model so the
@@ -1444,13 +1449,14 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                         ],
                     );
                 }
-                st = ctx.shared.state.lock();
+                st = ctx.shared.state.lock().recover();
                 continue;
             }
             if st.stop {
                 break;
             }
-            ctx.shared.wake.wait_for(&mut st, Duration::from_millis(20));
+            let tick = Duration::from_millis(20);
+            st = ctx.shared.wake.wait_timeout(st, tick).recover().0;
         }
     }
 }
@@ -1462,9 +1468,9 @@ fn metrics_writer_loop(
     every: Duration,
 ) -> impl FnOnce() {
     move || {
-        let mut stop = shared.stop.lock();
+        let mut stop = shared.stop.lock().recover();
         while !*stop {
-            shared.wake.wait_for(&mut stop, every);
+            stop = shared.wake.wait_timeout(stop, every).recover().0;
             let text = to_prometheus(&registry.snapshot());
             let _ = write_atomic(&path, text.as_bytes());
         }

@@ -14,11 +14,11 @@
 //! result is already in the database and the hot cache, so it resolves as
 //! a hit without reaching this module.
 
-use parking_lot::{Condvar, Mutex};
+use nnlqp_obs::Recover;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// One in-flight computation; followers park here.
 pub struct Flight<V> {
@@ -36,17 +36,16 @@ impl<V: Clone> Flight<V> {
 
     /// Block until the leader's result is published, then share it.
     pub fn wait(&self) -> V {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(v) = slot.as_ref() {
-                return v.clone();
-            }
-            self.done.wait(&mut slot);
-        }
+        let slot = self
+            .done
+            .wait_while(self.slot.lock().recover(), |slot| slot.is_none())
+            .recover();
+        slot.clone()
+            .expect("wait_while returns once the slot is filled")
     }
 
     fn publish(&self, value: V) {
-        *self.slot.lock() = Some(value);
+        *self.slot.lock().recover() = Some(value);
         self.done.notify_all();
     }
 }
@@ -75,7 +74,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
     /// Join (or open) the flight for `key`.
     pub fn begin(&self, key: &K) -> Role<V> {
-        let mut flights = self.flights.lock();
+        let mut flights = self.flights.lock().recover();
         match flights.entry(key.clone()) {
             Entry::Occupied(e) => Role::Follower(Arc::clone(e.get())),
             Entry::Vacant(e) => Role::Leader(Arc::clone(e.insert(Arc::new(Flight::new())))),
@@ -85,7 +84,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     /// Publish the result, waking every waiter; the key is free again.
     /// Harmless when the key has no flight (already completed).
     pub fn complete(&self, key: &K, value: V) {
-        let flight = self.flights.lock().remove(key);
+        let flight = self.flights.lock().recover().remove(key);
         if let Some(f) = flight {
             f.publish(value);
         }
@@ -93,7 +92,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
     /// Keys currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.flights.lock().len()
+        self.flights.lock().recover().len()
     }
 }
 

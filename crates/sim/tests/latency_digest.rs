@@ -79,7 +79,7 @@ fn encoded_graphs_are_byte_identical_to_the_recorded_ones() {
         let blob = serialize::encode(&g);
         h.word(blob.len() as u64);
         h.bytes(&blob);
-        assert_eq!(serialize::decode(blob).unwrap(), g, "{}", g.name);
+        assert_eq!(serialize::decode(&blob).unwrap(), g, "{}", g.name);
     }
     assert_eq!(h.0, ENCODE_DIGEST, "encode digest {:#018x}", h.0);
 }

@@ -50,7 +50,7 @@ fn query_cache_persist_reload_cycle() {
     // Snapshot, reload into a second deployment, verify cache hits with
     // identical latencies.
     let bytes = persist::to_bytes(&s.db);
-    let db2 = persist::from_bytes(bytes).unwrap();
+    let db2 = persist::from_bytes(&bytes).unwrap();
     for m in &models {
         let hash = graph_hash(m);
         let spec = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();

@@ -8,6 +8,8 @@
 //! Before shapes and input lists went inline the passes below cost 214 /
 //! 424 / 211 / 107 / 7 / 3 / 424 / 464 allocations at 106 nodes.
 
+use nnlqp_db::wal::{encode_frame, Frame, WalOp};
+use nnlqp_db::{ModelId, ModelRecord};
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::{cost, serialize, validate, DType, Graph, GraphBuilder, NodeId, Shape};
 use nnlqp_models::ModelFamily;
@@ -40,6 +42,7 @@ struct Passes {
     graph_cost: u64,
     graph_hash: u64,
     encode: u64,
+    wal_frame: u64,
     decode: u64,
     measure: u64,
 }
@@ -47,6 +50,16 @@ struct Passes {
 fn passes(g: &Graph) -> Passes {
     let t4 = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
     let blob = serialize::encode(g);
+    let frame = Frame {
+        wal_seq: 7,
+        op: WalOp::Model(ModelRecord {
+            id: ModelId(3),
+            graph_hash: graph_hash(g),
+            name: g.name.clone(),
+            graph_bytes: blob.clone(),
+            created_seq: 5,
+        }),
+    };
     Passes {
         clone: allocations_of(|| g.clone()),
         rebatch: allocations_of(|| g.rebatch(8).unwrap()),
@@ -54,7 +67,8 @@ fn passes(g: &Graph) -> Passes {
         graph_cost: allocations_of(|| cost::graph_cost(g, DType::F32)),
         graph_hash: allocations_of(|| graph_hash(g)),
         encode: allocations_of(|| serialize::encode(g)),
-        decode: allocations_of(|| serialize::decode(blob.clone()).unwrap()),
+        wal_frame: allocations_of(|| encode_frame(&frame)),
+        decode: allocations_of(|| serialize::decode(&blob).unwrap()),
         measure: allocations_of(|| measure(g, &t4, 10, 42)),
     }
 }
@@ -108,8 +122,9 @@ fn every_pass_of_a_miss_allocates_the_same_for_a_small_graph_as_for_a_large_one(
             "{n} nodes: graph_hash made {}",
             p.graph_hash
         );
-        // The exactly-sized buffer and the shared handle around it.
-        assert!(p.encode <= 3, "{n} nodes: encode made {}", p.encode);
+        // The exactly-sized buffer, and the frame around the blob.
+        assert_eq!(p.encode, 1, "{n} nodes: encode made {}", p.encode);
+        assert_eq!(p.wal_frame, 1, "{n} nodes: wal_frame made {}", p.wal_frame);
         assert!(p.decode <= 4, "{n} nodes: decode made {}", p.decode);
         // Fusion, dependency and consumer buffers, the ready heap, the
         // per-stream clocks, the ten timed runs.
@@ -131,9 +146,10 @@ fn a_spilled_input_list_costs_one_allocation_where_it_is_copied() {
     assert_eq!(wide.decode, narrow.decode + 1);
     assert_eq!(wide.validate, 0);
     assert_eq!(wide.encode, narrow.encode);
+    assert_eq!(wide.wal_frame, narrow.wal_frame);
     assert_eq!(wide.graph_cost, narrow.graph_cost);
     // And the spilled graph is the graph: same answers through every pass.
-    assert_eq!(serialize::decode(serialize::encode(&g)).unwrap(), g);
+    assert_eq!(serialize::decode(&serialize::encode(&g)).unwrap(), g);
     assert_eq!(graph_hash(&g.clone()), graph_hash(&g));
     assert_eq!(g.rebatch(1).unwrap(), g);
 }
