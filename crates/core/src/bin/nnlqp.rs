@@ -494,7 +494,7 @@ fn main() {
                     })
                 })
                 .unwrap_or_default();
-            let system = Nnlqp::builder().reps(10).predictor(arch).build();
+            let system = Nnlqp::builder().reps(10).build();
             let platform = resolve_platform(&system, &flags);
             eprintln!("bootstrapping the database with {count} {family} variants...");
             let variants: Vec<_> = nnlqp_models::generate_family(family, count, 1)
@@ -513,6 +513,7 @@ fn main() {
                     &[platform.name()],
                     TrainPredictorConfig {
                         epochs,
+                        arch,
                         ..Default::default()
                     },
                 )

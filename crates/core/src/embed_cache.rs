@@ -12,9 +12,10 @@
 //! `set_predictor` hot-swaps draw a fresh one, so an embedding computed
 //! by a previous model can never be served — stale entries simply stop
 //! being addressable and age out of the LRU. The architecture id
-//! (`PredictorKind::id`) is part of the key too: an A/B swap between
-//! architectures (GraphSAGE ↔ transformer) can never resolve a stale
-//! cross-architecture embedding, even if stamps were ever to collide.
+//! (`PredictorKind::id`) is part of the key too: a `set_predictor` swap
+//! between architectures (GraphSAGE ↔ transformer) can never resolve a
+//! stale cross-architecture embedding, even if stamps were ever to
+//! collide.
 //!
 //! Storage is the workspace's generic [`ShardedLru`].
 
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn architecture_is_part_of_the_key() {
-        // Regression: an A/B hot-swap between architectures must never
+        // Regression: a `set_predictor` swap between architectures must never
         // serve a stale cross-architecture embedding, even when the
         // graph, batch and stamp all coincide.
         let cache = EmbedCache::new(8, 2);

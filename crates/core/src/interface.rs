@@ -213,9 +213,6 @@ pub struct Nnlqp {
     /// an older model can never resolve.
     pub(crate) predictor_version: std::sync::atomic::AtomicU64,
     pub(crate) embed_cache: crate::embed_cache::EmbedCache,
-    /// Architecture trained when [`crate::TrainPredictorConfig::arch`] is
-    /// `None` ([`NnlqpBuilder::predictor`]; GraphSAGE by default).
-    pub(crate) default_arch: nnlqp_predict::PredictorKind,
     pub(crate) m_embed_hits: Arc<Counter>,
     pub(crate) m_embed_misses: Arc<Counter>,
     pub(crate) g_embed_len: Arc<Gauge>,
@@ -252,7 +249,6 @@ pub struct NnlqpBuilder {
     registry: Option<Arc<MetricsRegistry>>,
     embed_cache_capacity: Option<usize>,
     durable: Option<DurableOptions>,
-    predictor_kind: Option<nnlqp_predict::PredictorKind>,
 }
 
 /// Background compaction triggers when this many WAL bytes are pending.
@@ -314,16 +310,6 @@ impl NnlqpBuilder {
     #[must_use]
     pub fn embed_cache(mut self, capacity: usize) -> Self {
         self.embed_cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Default predictor architecture for [`Nnlqp::train_predictor`] /
-    /// [`Nnlqp::train_predictor_handle`] calls whose config leaves
-    /// `arch` unset (out of the box: GraphSAGE). Per-call configs
-    /// override this knob.
-    #[must_use]
-    pub fn predictor(mut self, kind: nnlqp_predict::PredictorKind) -> Self {
-        self.predictor_kind = Some(kind);
         self
     }
 
@@ -404,7 +390,6 @@ impl NnlqpBuilder {
             predictor: RwLock::new(None),
             predictor_version: std::sync::atomic::AtomicU64::new(0),
             embed_cache: crate::embed_cache::EmbedCache::new(embed_capacity, EMBED_CACHE_SHARDS),
-            default_arch: self.predictor_kind.unwrap_or_default(),
             m_embed_hits,
             m_embed_misses,
             g_embed_len,

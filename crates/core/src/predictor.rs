@@ -67,11 +67,6 @@ impl PredictorHandle {
         self.model.kind()
     }
 
-    /// Generation stamp (0 until trained-by or installed-into a system).
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
     /// The head serving `platform_name` (canonical name or paper alias).
     /// Heads are keyed by canonical name, so the name is all that is
     /// resolved: no spec is constructed.
@@ -101,9 +96,8 @@ pub struct TrainPredictorConfig {
     pub hidden: usize,
     /// Backbone depth (SAGE layers / attention blocks).
     pub gnn_layers: usize,
-    /// Architecture to train; `None` uses the system default
-    /// ([`crate::NnlqpBuilder::predictor`], GraphSAGE out of the box).
-    pub arch: Option<PredictorKind>,
+    /// Architecture to train (GraphSAGE by default).
+    pub arch: PredictorKind,
 }
 
 impl Default for TrainPredictorConfig {
@@ -115,7 +109,7 @@ impl Default for TrainPredictorConfig {
             seed: 7,
             hidden: 48,
             gnn_layers: 3,
-            arch: None,
+            arch: PredictorKind::Sage,
         }
     }
 }
@@ -173,10 +167,10 @@ impl Nnlqp {
         Ok(samples)
     }
 
-    /// Train a predictor from the database *without* installing it — the
-    /// entry point A/B serving uses to prepare a challenger that is only
-    /// promoted once it beats the champion on live traffic. Returns
-    /// `None` when the database holds no samples for the platforms.
+    /// Train a predictor from the database *without* installing it — for
+    /// callers that score or compare a model before (or instead of)
+    /// [`Nnlqp::set_predictor`]. Returns `None` when the database holds
+    /// no samples for the platforms.
     pub fn train_predictor_handle(
         &self,
         platform_names: &[&str],
@@ -211,9 +205,8 @@ impl Nnlqp {
         let refs: Vec<(&nnlqp_ir::Graph, f64, usize)> =
             entries.iter().map(|(g, l, h)| (g, *l, *h)).collect();
         let ds = Dataset::build(&refs);
-        let arch = cfg.arch.unwrap_or(self.default_arch);
         let mut rng = Rng64::new(cfg.seed);
-        let mut model = fresh_model(arch, &cfg, platform_names.len(), ds.norm.clone(), &mut rng);
+        let mut model = fresh_model(&cfg, platform_names.len(), ds.norm.clone(), &mut rng);
         model.train_in_place(
             &ds.samples,
             TrainConfig {
@@ -267,16 +260,6 @@ impl Nnlqp {
         self.predictor.read().recover().clone()
     }
 
-    /// True when a trained predictor is installed and has a head for the
-    /// platform — i.e. the degrade-to-prediction path can serve it.
-    pub fn has_predictor_for(&self, platform_name: &str) -> bool {
-        self.predictor
-            .read()
-            .recover()
-            .as_ref()
-            .is_some_and(|h| h.head_for(platform_name).is_ok())
-    }
-
     /// The paper's `NNLQP.predict`: estimate latency without touching
     /// hardware. Requires a trained predictor covering the platform.
     pub fn predict(&self, params: &QueryParams) -> Result<PredictResult, QueryError> {
@@ -313,9 +296,10 @@ impl Nnlqp {
     }
 
     /// [`Nnlqp::predict_effective`] through an explicit handle instead of
-    /// the installed predictor — the A/B layer scores champion and
-    /// challenger through here, each with its own cache-key identity, so
-    /// both share the embed cache without ever sharing embeddings.
+    /// the installed predictor — e.g. one from
+    /// [`Nnlqp::train_predictor_handle`]. Each handle keeps its own
+    /// cache-key identity, so handles share the embed cache without ever
+    /// sharing embeddings.
     pub fn predict_effective_with(
         &self,
         handle: &PredictorHandle,
@@ -341,18 +325,6 @@ impl Nnlqp {
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
-        self.predict_effective_staged_with(handle, graph, platform_name, clock)
-    }
-
-    /// [`Nnlqp::predict_effective_staged`] through an explicit handle —
-    /// the staged twin of [`Nnlqp::predict_effective_with`].
-    pub fn predict_effective_staged_with(
-        &self,
-        handle: &PredictorHandle,
-        graph: &nnlqp_ir::Graph,
-        platform_name: &str,
-        clock: &TraceClock,
-    ) -> Result<(PredictResult, PredictTicks), QueryError> {
         self.predict_staged_inner(handle, graph, platform_name, Some(clock))
             .map(|(r, ticks)| (r, ticks.expect("ticks present when clock passed")))
     }
@@ -491,16 +463,15 @@ fn embed_key(graph: &nnlqp_ir::Graph, handle: &PredictorHandle) -> EmbedKey {
     }
 }
 
-/// Fresh, untrained model of the requested architecture, sized from the
+/// Fresh, untrained model of the configured architecture, sized from the
 /// facade-level training config.
 fn fresh_model(
-    arch: PredictorKind,
     cfg: &TrainPredictorConfig,
     n_heads: usize,
     norm: nnlqp_predict::Normalizer,
     rng: &mut Rng64,
 ) -> Box<dyn Predictor> {
-    match arch {
+    match cfg.arch {
         PredictorKind::Sage => Box::new(NnlpModel::new(
             NnlpConfig {
                 hidden: cfg.hidden,
@@ -703,7 +674,7 @@ mod tests {
                     epochs: 2,
                     hidden: 16,
                     gnn_layers: 2,
-                    arch: Some(PredictorKind::Transformer),
+                    arch: PredictorKind::Transformer,
                     ..Default::default()
                 },
             )
@@ -731,7 +702,7 @@ mod tests {
                     epochs: 2,
                     hidden: 16,
                     gnn_layers: 2,
-                    arch: Some(PredictorKind::Transformer),
+                    arch: PredictorKind::Transformer,
                     ..Default::default()
                 },
             )

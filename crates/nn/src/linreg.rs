@@ -95,11 +95,6 @@ impl LinearRegression {
         assert_eq!(x.len(), self.coef.len());
         self.intercept + self.coef.iter().zip(x).map(|(c, v)| c * v).sum::<f64>()
     }
-
-    /// Predict many samples.
-    pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -411,15 +411,6 @@ impl Matrix {
             simd::add_slice(kern, out, self.row(i));
         }
     }
-
-    /// Frobenius norm.
-    pub fn frob(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64).powi(2))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 #[cfg(test)]

@@ -51,8 +51,8 @@ pub use metrics::{
     STAGE_SECONDS_BOUNDS,
 };
 pub use monitor::{
-    acc_at, labelled, mape, monitor_metric_names, DriftAlert, ErrorWindow, MonitorConfig,
-    PlatformQuality, QualityMonitor, QualityReport, REL_ERR_PCT_BOUNDS,
+    acc_at, labelled, mape, monitor_metric_names, DriftAlert, MonitorConfig, PlatformQuality,
+    QualityMonitor, QualityReport, REL_ERR_PCT_BOUNDS,
 };
 pub use span::{Recorder, SimClock, Span, Timeline, Track};
 pub use sync::Recover;

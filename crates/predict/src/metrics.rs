@@ -2,7 +2,7 @@
 //!
 //! The MAPE / Acc(δ) formulas themselves live in `nnlqp-obs` and are
 //! re-exported here: the serving layer's online shadow evaluator
-//! (`nnlqp_obs::ErrorWindow`) and this crate's offline training/eval code
+//! (`nnlqp_obs::QualityMonitor`) and this crate's offline training/eval code
 //! must be the *same* functions so that online and offline quality
 //! numbers agree bitwise on the same pairs (pinned by
 //! `tests/quality_monitor.rs` and the parity test below).

@@ -13,9 +13,9 @@
 //!   answer never depends on the rows beside it. A batch therefore costs
 //!   one call per platform, and the one-embedding [`Predictor::head_eval`]
 //!   is the same path with B = 1;
-//! * [`Predictor::kind`] names the architecture for cache keying, so an
-//!   A/B hot-swap between architectures can never resolve a stale
-//!   cross-architecture embedding;
+//! * [`Predictor::kind`] names the architecture for cache keying, so a
+//!   `set_predictor` swap from one architecture to the other can never
+//!   resolve a stale cross-architecture embedding;
 //! * [`Predictor::train_in_place`] / [`Predictor::to_json`] are the
 //!   serializable train/eval entry points the retrain loop and model
 //!   checkpointing use.

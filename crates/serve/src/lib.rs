@@ -24,13 +24,12 @@
 //!   re-predicts a sample of measurement-backed answers, maintains
 //!   per-platform rolling MAPE / Acc(10%) / Acc(5%) windows, and raises
 //!   retrain-on-drift signals; plus a bounded JSONL event log and a
-//!   periodic Prometheus text-format metrics writer;
-//! - A/B champion selection ([`ServeConfig::ab`]) — the shadow evaluator
-//!   also scores a challenger predictor (typically the other
-//!   architecture); when the champion drifts and the challenger is
-//!   measurably better, the challenger is promoted to per-platform
-//!   champion (`predictor_promoted` event, `serve.predictor_promotions`
-//!   counter) and serves that platform's degrade path from then on.
+//!   periodic Prometheus text-format metrics writer.
+//!
+//! Every prediction the service serves or scores — degraded answer,
+//! shadow evaluation, post-retrain re-score — comes from the facade's one
+//! installed predictor through `Nnlqp::predict_effective`; the retrain
+//! loop trains the architecture [`ServeConfig::train`] names.
 //!
 //! A service in one screen — a miss is measured once, its repeat is
 //! served from memory, and the terminal counters always add up:
@@ -61,5 +60,5 @@ pub use cache::{CacheKey, ShardedLru};
 pub use metrics::{
     metric_names, wall_bounds_ms, MetricsSnapshot, ServeMetrics, HISTOGRAM_BOUNDS_MS, STAGE_NAMES,
 };
-pub use service::{AbConfig, LatencyService, ServeConfig, ServeError, Served, Source};
+pub use service::{LatencyService, ServeConfig, ServeError, Served, Source};
 pub use singleflight::{Flight, Role, SingleFlight};

@@ -79,8 +79,6 @@ pub mod metric_names {
     /// Counter: retrains triggered by a drift alert (subset of
     /// `serve.retrains`; the rest fired on the sample-count cadence).
     pub const DRIFT_RETRAINS: &str = "serve.drift_retrains";
-    /// Counter: A/B challenger promotions to per-platform champion.
-    pub const PREDICTOR_PROMOTIONS: &str = "serve.predictor_promotions";
     /// Counter: requests whose graph hash came from the identity memo —
     /// no rebatch, no Merkle pass (see `crate::resolve`).
     pub const RESOLVE_MEMO_HITS: &str = "serve.resolve_memo_hits";
@@ -88,12 +86,6 @@ pub mod metric_names {
     /// front door (including the ones that failed to). Hits over
     /// hits + misses is the share of requests that skipped O(graph) work.
     pub const RESOLVE_MEMO_MISSES: &str = "serve.resolve_memo_misses";
-    /// Gauge (per platform/arch label set): windowed MAPE of the A/B
-    /// challenger, percent (the champion's lives in the quality monitor).
-    pub const AB_CHALLENGER_MAPE: &str = "serve.ab_challenger_mape";
-    /// Gauge (per platform/arch label set): pairs in the challenger's
-    /// rolling window.
-    pub const AB_CHALLENGER_SAMPLES: &str = "serve.ab_challenger_samples";
     /// Histogram: served latencies in milliseconds.
     pub const LATENCY_MS: &str = "serve.latency_ms";
     /// Histogram (log buckets): end-to-end request wall time in
@@ -126,7 +118,6 @@ pub struct ServeMetrics {
     retrains: Arc<Counter>,
     retrain_samples: Arc<Counter>,
     drift_retrains: Arc<Counter>,
-    predictor_promotions: Arc<Counter>,
     resolve_memo_hits: Arc<Counter>,
     resolve_memo_misses: Arc<Counter>,
     latency: Arc<Histogram>,
@@ -173,7 +164,6 @@ impl ServeMetrics {
             retrains: registry.counter(metric_names::RETRAINS),
             retrain_samples: registry.counter(metric_names::RETRAIN_SAMPLES),
             drift_retrains: registry.counter(metric_names::DRIFT_RETRAINS),
-            predictor_promotions: registry.counter(metric_names::PREDICTOR_PROMOTIONS),
             resolve_memo_hits: registry.counter(metric_names::RESOLVE_MEMO_HITS),
             resolve_memo_misses: registry.counter(metric_names::RESOLVE_MEMO_MISSES),
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
@@ -216,7 +206,6 @@ impl ServeMetrics {
         lint_rejected,
         errors,
         drift_retrains,
-        predictor_promotions,
         resolve_memo_hits,
         resolve_memo_misses,
     );
@@ -263,7 +252,6 @@ impl ServeMetrics {
             errors: self.errors.get(),
             retrains: self.retrains.get(),
             retrain_samples: self.retrain_samples.get(),
-            predictor_promotions: self.predictor_promotions.get(),
             latency_histogram,
         }
     }
@@ -299,9 +287,6 @@ pub struct MetricsSnapshot {
     pub retrains: u64,
     /// Total training samples consumed across retrains.
     pub retrain_samples: u64,
-    /// A/B challenger promotions to per-platform champion (informational
-    /// overlay, like `retrains` — not a terminal request class).
-    pub predictor_promotions: u64,
     /// `(upper_bound_ms, count)` pairs; the last bound is `+inf`.
     pub latency_histogram: Vec<(f64, u64)>,
 }

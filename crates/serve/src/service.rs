@@ -14,13 +14,14 @@
 //! 4. strict-mode admission — the analyzer (memoized per graph hash +
 //!    platform in the facade) rejects error-severity graphs *here*,
 //!    before any farm measurement or database write;
-//! 5. degrade check — backlog over threshold and a predictor head exists:
-//!    serve an NNLP prediction tagged `approximate`;
+//! 5. degrade check — backlog over threshold: serve the facade's
+//!    `Nnlqp::predict_effective` answer tagged `approximate`, or fall
+//!    through when no predictor head covers the platform;
 //! 6. singleflight — join the key's flight, or lead it by enqueueing one
 //!    measurement on the bounded worker queue (`try_send`: a full queue
 //!    rejects instead of blocking the caller — backpressure, not pileup).
 //!
-//! Workers drain the queue, measure through `Nnlqp::query_measured`
+//! Workers drain the queue, measure through `Nnlqp::query_measured_traced`
 //! (key-seeded, so results are order-independent), fill db + cache, then
 //! publish to the flight. A background loop retrains the predictor, hot-
 //! swapping the heads through the facade's `RwLock`. Shutdown stops
@@ -43,41 +44,29 @@
 //! registry can be written periodically in Prometheus text format via
 //! [`ServeConfig::metrics_path`].
 //!
-//! # A/B champion selection
+//! # One predictor
 //!
-//! With [`ServeConfig::ab`] set, a *challenger* predictor (typically the
-//! other architecture — see `nnlqp::PredictorKind`) rides shotgun on the
-//! shadow evaluator: every sampled measurement-backed answer is scored by
-//! the champion *and* the challenger, each keeping its own rolling error
-//! window. When the champion degrades past the drift threshold while the
-//! challenger is measurably better, the challenger is **promoted** to
-//! per-platform champion: the degrade path and all shadow scoring for
-//! that platform hot-swap to the promoted handle (other platforms keep
-//! the installed predictor), a `predictor_promoted` event is emitted, the
-//! platform's quality window is re-scored under the new champion, and the
-//! `serve.predictor_promotions` counter ticks. Challengers are installed
-//! with [`LatencyService::install_challenger`] (and refreshed by the
-//! retrain loop when it runs); the per-platform outcome is reported by
-//! [`LatencyService::champions`].
+//! The degrade tier, the shadow evaluator and the retrain loop's re-score
+//! all predict through `Nnlqp::predict_effective{,_staged}`: the facade's
+//! one installed predictor, whose architecture the retrain loop takes from
+//! [`ServeConfig::train`]. A degraded answer is therefore bit for bit the
+//! answer the facade gives for the same graph and platform.
 
 use crate::cache::{CacheKey, ShardedLru};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::resolve::{effective_graph, ResolveMemo};
 use crate::singleflight::{Role, SingleFlight};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use nnlqp::{
-    Nnlqp, PredictResult, PredictTicks, PredictorHandle, PredictorKind, QueryError,
-    TrainPredictorConfig,
-};
+use nnlqp::{Nnlqp, QueryError, TrainPredictorConfig};
 use nnlqp_db::PlatformId;
 use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
-    to_prometheus, ErrorWindow, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry,
-    MonitorConfig, QualityMonitor, QualityReport, Recover, RequestTrace, TraceClock, TraceContext,
+    to_prometheus, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry, MonitorConfig,
+    QualityMonitor, QualityReport, Recover, RequestTrace, TraceClock, TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform, PlatformSpec};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,15 +101,12 @@ pub struct ServeConfig {
     pub retrain_after: usize,
     /// Platforms the retrained predictor covers.
     pub retrain_platforms: Vec<String>,
-    /// Training hyperparameters for each retrain.
+    /// Training hyperparameters for each retrain, the architecture
+    /// ([`TrainPredictorConfig::arch`]) included.
     pub train: TrainPredictorConfig,
     /// Shadow-evaluation and drift-detection tuning; `None` disables
-    /// quality monitoring entirely (unless [`ServeConfig::ab`] is set, in
-    /// which case a default monitor is created — A/B scoring needs one).
+    /// quality monitoring entirely.
     pub monitor: Option<MonitorConfig>,
-    /// Online A/B champion selection between predictor architectures;
-    /// `None` disables it.
-    pub ab: Option<AbConfig>,
     /// Structured event-log ring capacity (0 disables the log).
     pub event_log_capacity: usize,
     /// Where shutdown writes the event log, one JSON object per line.
@@ -147,7 +133,6 @@ impl Default for ServeConfig {
             retrain_platforms: Vec::new(),
             train: TrainPredictorConfig::default(),
             monitor: None,
-            ab: None,
             event_log_capacity: 4096,
             events_path: None,
             metrics_path: None,
@@ -315,92 +300,6 @@ struct RetrainShared {
     wake: Condvar,
 }
 
-/// Tuning of online A/B champion selection.
-#[derive(Debug, Clone)]
-pub struct AbConfig {
-    /// Architecture of the challenger the retrain loop trains (a manually
-    /// installed challenger — [`LatencyService::install_challenger`] —
-    /// may be of any architecture).
-    pub challenger: PredictorKind,
-    /// Training hyperparameters for retrain-loop challenger refreshes
-    /// (`arch` is overridden with [`AbConfig::challenger`]).
-    pub train: TrainPredictorConfig,
-}
-
-impl Default for AbConfig {
-    fn default() -> Self {
-        AbConfig {
-            challenger: PredictorKind::Transformer,
-            train: TrainPredictorConfig::default(),
-        }
-    }
-}
-
-/// Shared A/B state: the challenger slot, its per-platform error windows,
-/// and the promotion outcome (per-platform routed champions).
-struct AbState {
-    cfg: AbConfig,
-    /// The challenger under evaluation (one at a time, shared across
-    /// platforms — each platform keeps its own score window).
-    challenger: RwLock<Option<PredictorHandle>>,
-    /// Platform → promoted champion. Absent platforms use the facade's
-    /// installed predictor.
-    routes: RwLock<HashMap<String, PredictorHandle>>,
-    /// Platform → architecture name of the promoted champion (the
-    /// report [`LatencyService::champions`] serves).
-    champions: Mutex<BTreeMap<String, String>>,
-    /// Platform → rolling error window of the challenger.
-    windows: Mutex<HashMap<String, ErrorWindow>>,
-}
-
-impl AbState {
-    fn new(cfg: AbConfig) -> Self {
-        AbState {
-            cfg,
-            challenger: RwLock::new(None),
-            routes: RwLock::new(HashMap::new()),
-            champions: Mutex::new(BTreeMap::new()),
-            windows: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The promoted champion for `platform`, if any.
-    fn route(&self, platform: &str) -> Option<PredictorHandle> {
-        self.routes.read().recover().get(platform).cloned()
-    }
-}
-
-/// Predict through the platform's promoted champion when one exists,
-/// falling back to the facade's installed predictor — the single routing
-/// point the degrade tier, the shadow evaluator and the retrain loop's
-/// replay re-scoring all share.
-fn predict_routed(
-    system: &Nnlqp,
-    ab: Option<&AbState>,
-    graph: &Graph,
-    platform: &str,
-) -> Result<PredictResult, QueryError> {
-    if let Some(handle) = ab.and_then(|ab| ab.route(platform)) {
-        return system.predict_effective_with(&handle, graph, platform);
-    }
-    system.predict_effective(graph, platform)
-}
-
-/// [`predict_routed`] with wall-clock stage ticks — the degrade tier goes
-/// through here so its trace splits into embed-cache and head stages.
-fn predict_routed_staged(
-    system: &Nnlqp,
-    ab: Option<&AbState>,
-    graph: &Graph,
-    platform: &str,
-    clock: &TraceClock,
-) -> Result<(PredictResult, PredictTicks), QueryError> {
-    if let Some(handle) = ab.and_then(|ab| ab.route(platform)) {
-        return system.predict_effective_staged_with(&handle, graph, platform, clock);
-    }
-    system.predict_effective_staged(graph, platform, clock)
-}
-
 /// Bounded per-platform replay buffer of `(graph, measured_ms)` pairs.
 type ReplayBuffer = HashMap<String, VecDeque<(Arc<Graph>, f64)>>;
 
@@ -410,31 +309,24 @@ type ReplayBuffer = HashMap<String, VecDeque<(Arc<Graph>, f64)>>;
 struct Shadow {
     monitor: QualityMonitor,
     replay: Mutex<ReplayBuffer>,
-    registry: Arc<MetricsRegistry>,
-    ab: Option<Arc<AbState>>,
 }
 
 impl Shadow {
-    fn new(cfg: MonitorConfig, registry: Arc<MetricsRegistry>, ab: Option<Arc<AbState>>) -> Self {
+    fn new(cfg: MonitorConfig, registry: Arc<MetricsRegistry>) -> Self {
         Shadow {
-            monitor: QualityMonitor::new(cfg, Arc::clone(&registry)),
+            monitor: QualityMonitor::new(cfg, registry),
             replay: Mutex::new(HashMap::new()),
-            registry,
-            ab,
         }
     }
 
     /// Feed one measurement-backed answer through the shadow evaluator:
-    /// remember it for replay, and — on the sampling cadence — predict it
-    /// (champion and, when A/B is on, challenger), record the pairs,
-    /// raise the retrain-on-drift signal and run the promotion check.
-    #[allow(clippy::too_many_arguments)] // one call site per answer source
+    /// remember it for replay, and — on the sampling cadence — predict it,
+    /// record the pair and raise the retrain-on-drift signal.
     fn observe(
         &self,
         system: &Nnlqp,
         events: Option<&EventLog>,
         retrain: &RetrainShared,
-        metrics: &ServeMetrics,
         platform: &str,
         graph: &Arc<Graph>,
         measured_ms: f64,
@@ -451,7 +343,7 @@ impl Shadow {
             return;
         }
         // No predictor head yet (cold start) — nothing to shadow.
-        let Ok(pred) = predict_routed(system, self.ab.as_deref(), graph, platform) else {
+        let Ok(pred) = system.predict_effective(graph, platform) else {
             return;
         };
         let alert = self.monitor.record(platform, pred.latency_ms, measured_ms);
@@ -483,117 +375,6 @@ impl Shadow {
                 st.drift = true;
             }
             retrain.wake.notify_one();
-        }
-        self.score_challenger(system, events, metrics, platform, graph, measured_ms);
-    }
-
-    /// Score the A/B challenger on the same measurement-backed answer the
-    /// champion was just scored on, then check the promotion criterion:
-    /// the champion is past the drift threshold with a full window, the
-    /// challenger has a full window of its own, and the challenger's
-    /// windowed MAPE is strictly better.
-    fn score_challenger(
-        &self,
-        system: &Nnlqp,
-        events: Option<&EventLog>,
-        metrics: &ServeMetrics,
-        platform: &str,
-        graph: &Arc<Graph>,
-        measured_ms: f64,
-    ) {
-        let Some(ab) = &self.ab else { return };
-        let Some(challenger) = ab.challenger.read().recover().clone() else {
-            return;
-        };
-        // An already promoted challenger IS the routed champion: scoring
-        // it again would double-count the same model.
-        if ab
-            .route(platform)
-            .is_some_and(|h| h.stamp() == challenger.stamp())
-        {
-            return;
-        }
-        let Ok(pred) = system.predict_effective_with(&challenger, graph, platform) else {
-            return;
-        };
-        let mcfg = self.monitor.config();
-        let (chal_mape, chal_samples) = {
-            let mut windows = ab.windows.lock().recover();
-            let w = windows
-                .entry(platform.to_string())
-                .or_insert_with(|| ErrorWindow::new(mcfg.window));
-            w.push(pred.latency_ms, measured_ms);
-            (w.mape().expect("window non-empty"), w.len())
-        };
-        let arch = challenger.kind().as_str();
-        let ab_gauge = |name: &str| format!("{name}{{platform=\"{platform}\",arch=\"{arch}\"}}");
-        self.registry
-            .gauge(&ab_gauge(crate::metrics::metric_names::AB_CHALLENGER_MAPE))
-            .set(chal_mape);
-        self.registry
-            .gauge(&ab_gauge(
-                crate::metrics::metric_names::AB_CHALLENGER_SAMPLES,
-            ))
-            .set(chal_samples as f64);
-        // Promotion check.
-        let champ_mape = self.monitor.windowed_mape(platform);
-        let champ_samples = self
-            .monitor
-            .report()
-            .platforms
-            .get(platform)
-            .map_or(0, |q| q.samples);
-        let champion_degraded = champ_samples >= mcfg.min_samples
-            && champ_mape.is_some_and(|m| m > mcfg.mape_threshold_pct);
-        let challenger_better =
-            chal_samples >= mcfg.min_samples && champ_mape.is_some_and(|m| chal_mape < m);
-        if !(champion_degraded && challenger_better) {
-            return;
-        }
-        // Promote: route the platform to the challenger, re-score the
-        // replay buffer under it so the quality window (and drift latch)
-        // reflect the new champion immediately.
-        let from = ab
-            .route(platform)
-            .map(|h| h.kind())
-            .or_else(|| system.predictor_handle().map(|h| h.kind()))
-            .map_or("none", |k| k.as_str());
-        ab.routes
-            .write()
-            .recover()
-            .insert(platform.to_string(), challenger.clone());
-        ab.champions
-            .lock()
-            .recover()
-            .insert(platform.to_string(), arch.to_string());
-        ab.windows.lock().recover().remove(platform);
-        let pairs: Vec<(f64, f64)> = self
-            .replay_pairs(platform)
-            .iter()
-            .filter_map(|(g, measured)| {
-                system
-                    .predict_effective_with(&challenger, g, platform)
-                    .ok()
-                    .map(|p| (p.latency_ms, *measured))
-            })
-            .collect();
-        let after = self.monitor.reset_window(platform, &pairs);
-        metrics.predictor_promotions();
-        if let Some(ev) = events {
-            let mut fields = vec![
-                ("platform", platform.to_owned().into()),
-                ("from", from.into()),
-                ("to", arch.into()),
-                ("challenger_mape_pct", chal_mape.into()),
-                ("samples", chal_samples.into()),
-            ];
-            if let Some(m) = champ_mape {
-                fields.push(("champion_mape_pct", m.into()));
-            }
-            if let Some(m) = after {
-                fields.push(("windowed_mape_after_pct", m.into()));
-            }
-            ev.emit("predictor_promoted", fields);
         }
     }
 
@@ -645,7 +426,6 @@ pub struct LatencyService {
     tx: Mutex<Option<Sender<Job>>>,
     retrain: Arc<RetrainShared>,
     shadow: Option<Arc<Shadow>>,
-    ab: Option<Arc<AbState>>,
     events: Option<Arc<EventLog>>,
     writer: Option<Arc<WriterShared>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -665,14 +445,9 @@ impl LatencyService {
             state: Mutex::new(RetrainState::default()),
             wake: Condvar::new(),
         });
-        let ab = cfg.ab.as_ref().map(|a| Arc::new(AbState::new(a.clone())));
-        // A/B selection is scored by the shadow evaluator, so it implies
-        // a monitor (defaulted when not tuned explicitly).
-        let monitor_cfg = cfg
+        let shadow = cfg
             .monitor
-            .or_else(|| ab.as_ref().map(|_| MonitorConfig::default()));
-        let shadow = monitor_cfg
-            .map(|m| Arc::new(Shadow::new(m, Arc::clone(system.registry()), ab.clone())));
+            .map(|m| Arc::new(Shadow::new(m, Arc::clone(system.registry()))));
         let events =
             (cfg.event_log_capacity > 0).then(|| Arc::new(EventLog::new(cfg.event_log_capacity)));
         let clock = Arc::new(TraceClock::new());
@@ -710,7 +485,6 @@ impl LatencyService {
                         shared: Arc::clone(&retrain),
                         metrics: Arc::clone(&metrics),
                         shadow: shadow.clone(),
-                        ab: ab.clone(),
                         events: events.clone(),
                         threshold: cfg.retrain_after,
                         platforms: cfg.retrain_platforms.clone(),
@@ -750,7 +524,6 @@ impl LatencyService {
             tx: Mutex::new(Some(tx)),
             retrain,
             shadow,
-            ab,
             events,
             writer,
             threads: Mutex::new(threads),
@@ -936,7 +709,6 @@ impl LatencyService {
                     &self.system,
                     self.events.as_deref(),
                     &self.retrain,
-                    &self.metrics,
                     &binding.canonical,
                     &graph,
                     rec.cost_ms,
@@ -973,22 +745,14 @@ impl LatencyService {
             }
         }
 
-        // Tier 3: graceful degradation under measurement backlog. Served
-        // through the platform's promoted A/B champion when one exists.
-        let routed = self
-            .ab
-            .as_ref()
-            .is_some_and(|ab| ab.route(&binding.canonical).is_some());
-        if self.backlog() >= self.cfg.degrade_backlog
-            && (routed || self.system.has_predictor_for(&binding.canonical))
-        {
-            if let Ok((p, ticks)) = predict_routed_staged(
-                &self.system,
-                self.ab.as_deref(),
-                &graph,
-                &binding.canonical,
-                &self.clock,
-            ) {
+        // Tier 3: graceful degradation under measurement backlog. The
+        // facade errs when no predictor head covers the platform, and the
+        // request falls through to measurement.
+        if self.backlog() >= self.cfg.degrade_backlog {
+            if let Ok((p, ticks)) =
+                self.system
+                    .predict_effective_staged(&graph, &binding.canonical, &self.clock)
+            {
                 ctx.stage_at("embed_cache", ticks.embed_ns);
                 ctx.stage_at("predict_head", ticks.head_ns);
                 self.metrics.degraded();
@@ -1179,29 +943,6 @@ impl LatencyService {
         self.shadow.as_ref().map(|s| s.monitor.report())
     }
 
-    /// Install (or replace) the A/B challenger the shadow evaluator
-    /// scores against the champion. Returns false when A/B selection is
-    /// disabled ([`ServeConfig::ab`] unset) — the handle is dropped.
-    pub fn install_challenger(&self, handle: PredictorHandle) -> bool {
-        match &self.ab {
-            Some(ab) => {
-                *ab.challenger.write().recover() = Some(handle);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Per-platform promotion outcome: platform → architecture name of
-    /// the promoted champion. Platforms never promoted are absent (they
-    /// serve the facade's installed predictor). `None` when A/B selection
-    /// is disabled.
-    pub fn champions(&self) -> Option<BTreeMap<String, String>> {
-        self.ab
-            .as_ref()
-            .map(|ab| ab.champions.lock().recover().clone())
-    }
-
     /// The structured event log (`None` when disabled).
     pub fn events(&self) -> Option<&Arc<EventLog>> {
         self.events.as_ref()
@@ -1331,7 +1072,6 @@ fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
                     &ctx.system,
                     ctx.events.as_deref(),
                     &ctx.retrain,
-                    &ctx.metrics,
                     &job.key.platform,
                     &job.graph,
                     ms,
@@ -1346,7 +1086,6 @@ struct RetrainCtx {
     shared: Arc<RetrainShared>,
     metrics: Arc<ServeMetrics>,
     shadow: Option<Arc<Shadow>>,
-    ab: Option<Arc<AbState>>,
     events: Option<Arc<EventLog>>,
     /// Fresh-sample cadence; 0 means drift alerts are the only trigger.
     threshold: usize,
@@ -1397,18 +1136,6 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                     }
                     Err(_) => 0,
                 };
-                // A/B: refresh the challenger from the same (grown)
-                // database so the race restarts against the new champion
-                // with a model of the challenger architecture.
-                if let Some(ab) = &ctx.ab {
-                    let cfg = TrainPredictorConfig {
-                        arch: Some(ab.cfg.challenger),
-                        ..ab.cfg.train
-                    };
-                    if let Ok(Some((handle, _))) = ctx.system.train_predictor_handle(&names, cfg) {
-                        *ab.challenger.write().recover() = Some(handle);
-                    }
-                }
                 // Re-score the replay buffers under the new model so the
                 // windows (and gauges) reflect the predictor now serving,
                 // and record before/after quality per platform.
@@ -1419,7 +1146,8 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                             .replay_pairs(platform)
                             .iter()
                             .filter_map(|(g, measured)| {
-                                predict_routed(&ctx.system, ctx.ab.as_deref(), g, platform)
+                                ctx.system
+                                    .predict_effective(g, platform)
                                     .ok()
                                     .map(|p| (p.latency_ms, *measured))
                             })
@@ -1480,6 +1208,7 @@ fn metrics_writer_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnlqp::PredictorKind;
     use nnlqp_models::ModelFamily;
     use nnlqp_sim::{DeviceFarm, PlatformSpec};
 
@@ -1650,10 +1379,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retrain_loop_hot_swaps_predictor() {
+    /// Measure six fresh SqueezeNets with a retrain of `arch` every four
+    /// measurements, and wait (bounded) for the first hot-swap.
+    fn retrain_after_four(arch: PredictorKind) -> (Arc<Nnlqp>, LatencyService) {
         let system = quick_system();
-        assert!(!system.has_predictor_for(PLATFORM));
+        assert!(system.predictor_handle().is_none());
         let cfg = ServeConfig {
             retrain_after: 4,
             retrain_platforms: vec![PLATFORM.to_string()],
@@ -1661,6 +1391,7 @@ mod tests {
                 epochs: 2,
                 hidden: 16,
                 gnn_layers: 2,
+                arch,
                 ..Default::default()
             },
             ..small_cfg()
@@ -1674,11 +1405,30 @@ mod tests {
         while svc.metrics().retrains == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
+        (system, svc)
+    }
+
+    #[test]
+    fn retrain_loop_hot_swaps_predictor() {
+        let (system, svc) = retrain_after_four(PredictorKind::Sage);
         let m = svc.metrics();
         assert!(m.retrains >= 1, "retrain loop never fired: {m:?}");
         assert!(m.retrain_samples >= 4);
-        assert!(system.has_predictor_for(PLATFORM));
+        assert!(system
+            .predictor_handle()
+            .is_some_and(|h| h.head_of.contains_key(PLATFORM)));
         assert!(m.balanced());
+    }
+
+    #[test]
+    fn retrain_loop_trains_the_configured_architecture() {
+        let (system, svc) = retrain_after_four(PredictorKind::Transformer);
+        let m = svc.metrics();
+        assert!(m.retrains >= 1, "retrain loop never fired: {m:?}");
+        assert_eq!(
+            system.predictor_handle().map(|h| h.kind()),
+            Some(PredictorKind::Transformer)
+        );
     }
 
     #[test]
@@ -1932,110 +1682,5 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    #[test]
-    fn degraded_champion_promotes_challenger() {
-        // A degenerate (zero-epoch) GraphSAGE champion serves garbage; a
-        // properly trained transformer challenger is installed. Shadow
-        // evals on db hits run synchronously in the query path, so by the
-        // time the query loop finishes, the challenger must have been
-        // promoted to per-platform champion.
-        let system = quick_system();
-        let models: Vec<Graph> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 10, 3)
-            .into_iter()
-            .map(|m| m.graph)
-            .collect();
-        system
-            .warm_cache(&models, &Platform::by_name(PLATFORM).unwrap(), 1)
-            .unwrap();
-        system
-            .train_predictor(
-                &[PLATFORM],
-                TrainPredictorConfig {
-                    epochs: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        let monitor = MonitorConfig {
-            sample_every: 1,
-            min_samples: 4,
-            mape_threshold_pct: 50.0,
-            ..Default::default()
-        };
-        let cfg = ServeConfig {
-            monitor: Some(monitor),
-            ab: Some(AbConfig::default()),
-            // No retrain thread: promotion is the only recovery path.
-            retrain_platforms: Vec::new(),
-            ..small_cfg()
-        };
-        let svc = LatencyService::start(Arc::clone(&system), cfg);
-        let (challenger, _) = system
-            .train_predictor_handle(
-                &[PLATFORM],
-                TrainPredictorConfig {
-                    epochs: 40,
-                    hidden: 32,
-                    gnn_layers: 2,
-                    arch: Some(PredictorKind::Transformer),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(challenger.kind(), PredictorKind::Transformer);
-        assert!(svc.install_challenger(challenger));
-        for g in &models {
-            svc.query(&Arc::new(g.clone()), PLATFORM, 1).unwrap();
-        }
-        let champions = svc.champions().expect("A/B enabled");
-        assert_eq!(
-            champions.get(PLATFORM).map(String::as_str),
-            Some("transformer"),
-            "challenger never promoted: {:?} {:?}",
-            svc.quality(),
-            svc.metrics()
-        );
-        assert!(svc.metrics().predictor_promotions >= 1);
-        let events = svc.events().unwrap().snapshot();
-        let promo = events
-            .iter()
-            .find(|e| e.kind == "predictor_promoted")
-            .expect("predictor_promoted event");
-        match promo.field("to") {
-            Some(FieldValue::Str(s)) => assert_eq!(s, "transformer"),
-            other => panic!("missing `to` field: {other:?}"),
-        }
-        match promo.field("from") {
-            Some(FieldValue::Str(s)) => assert_eq!(s, "sage"),
-            other => panic!("missing `from` field: {other:?}"),
-        }
-        // The quality window was re-scored under the promoted champion:
-        // drift cleared, MAPE back under the threshold.
-        let q = svc.quality().unwrap();
-        let q = q.platforms.get(PLATFORM).expect("platform monitored");
-        assert!(
-            !q.drifting && q.windowed_mape_pct <= 50.0,
-            "window not recovered after promotion: {q:?}"
-        );
-        // Per-architecture challenger gauges were published while the
-        // race ran.
-        let snap = svc.system().registry().snapshot();
-        let key = format!(
-            "{}{{platform=\"{PLATFORM}\",arch=\"transformer\"}}",
-            crate::metrics::metric_names::AB_CHALLENGER_MAPE
-        );
-        assert!(
-            snap.gauges.contains_key(&key),
-            "gauges: {:?}",
-            snap.gauges.keys()
-        );
-        // Degraded answers for the promoted platform now come from the
-        // routed transformer champion, bit-identical to predicting
-        // through the handle directly.
-        let m = svc.metrics();
-        assert!(m.balanced());
     }
 }

@@ -203,6 +203,9 @@ fn degraded_path_splits_embed_and_head_stages() {
     assert!(trace.stage_ns("embed_cache").is_some());
     assert!(trace.stage_ns("predict_head").is_some());
     assert!(trace.stage_ns("queue_wait").is_none());
+    // A degraded answer is the facade's prediction, bit for bit.
+    let facade = sys.predict_effective(fresh, PLATFORM).unwrap();
+    assert_eq!(served.latency_ms.to_bits(), facade.latency_ms.to_bits());
 }
 
 #[test]
