@@ -2,10 +2,12 @@
 //! `serde` traits. No `syn`/`quote` — the only thing needed from the item
 //! is its type name, which is the identifier following `struct`/`enum`.
 //! Generic types are unsupported (none in this workspace derive serde).
+//! `#[serde(..)]` attributes are accepted and ignored, so a type can state
+//! how the real derive would treat it.
 
 use proc_macro::{TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let name = type_name(input);
     format!("impl ::serde::Serialize for {name} {{}}")
@@ -13,7 +15,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("valid impl tokens")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let name = type_name(input);
     format!("impl<'de> ::serde::Deserialize<'de> for {name} {{}}")

@@ -369,7 +369,7 @@ mod tests {
         // Tamper a chain into a 2-cycle; Depth then never stabilizes, and
         // the engine must stop at the cap instead of spinning.
         let mut g = diamond();
-        g.nodes[1].inputs = vec![NodeId(3)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(3)].into();
         let fix = solve(&g, &Depth);
         assert!(!fix.converged);
         assert_eq!(fix.sweeps, g.len() + 2);
@@ -416,7 +416,7 @@ mod tests {
         let g = Graph {
             name: "empty".into(),
             input_shape: Shape::nchw(1, 1, 1, 1),
-            nodes: Vec::new(),
+            nodes: Vec::new().into(),
         };
         let fix = solve(&g, &Depth);
         assert!(fix.converged);

@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn orphan_input_is_nnl001() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(99)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(99)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::OrphanInput));
     }
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn forward_edge_is_nnl002() {
         let mut g = chain();
-        g.nodes[0].inputs = vec![NodeId(1)].into();
+        g.nodes.make_mut()[0].inputs = vec![NodeId(1)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::NonCanonicalOrder));
     }
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn extra_input_is_nnl003() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(0), NodeId(0)].into();
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::ArityMismatch));
     }
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn tampered_shape_is_nnl004() {
         let mut g = chain();
-        g.nodes[1].out_shape = Shape::nchw(1, 99, 16, 16);
+        g.nodes.make_mut()[1].out_shape = Shape::nchw(1, 99, 16, 16);
         let out = check_structure(&g);
         assert!(out.iter().any(|d| d.code == Code::ShapeMismatch));
     }
@@ -450,8 +450,8 @@ mod tests {
     #[test]
     fn reports_every_violation_not_just_first() {
         let mut g = chain();
-        g.nodes[1].inputs = vec![NodeId(99)].into();
-        g.nodes[2].inputs = vec![NodeId(50)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(99)].into();
+        g.nodes.make_mut()[2].inputs = vec![NodeId(50)].into();
         let out = check_structure(&g);
         assert_eq!(
             out.iter().filter(|d| d.code == Code::OrphanInput).count(),
@@ -511,7 +511,7 @@ mod tests {
         let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
         b.relu6(c).unwrap();
         let mut g = b.finish().unwrap();
-        g.nodes[1].attrs.clip_min = 9.0;
+        g.nodes.make_mut()[1].attrs.clip_min = 9.0;
         let out = check_suspicious_attrs(&g);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].code, Code::SuspiciousAttrs);
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn group_mismatch_is_nnl008() {
         let mut g = chain();
-        g.nodes[0].attrs.groups = 3; // 3 does not divide 8
+        g.nodes.make_mut()[0].attrs.groups = 3; // 3 does not divide 8
         let out = check_suspicious_attrs(&g);
         assert!(out.iter().any(|d| d.code == Code::SuspiciousAttrs));
     }
@@ -544,7 +544,7 @@ mod tests {
     #[test]
     fn degenerate_node_is_detected() {
         let mut g = chain();
-        g.nodes[1].out_shape = Shape::nchw(1, 0, 16, 16);
+        g.nodes.make_mut()[1].out_shape = Shape::nchw(1, 0, 16, 16);
         let out = check_degenerate_shapes(&g);
         assert!(out.iter().any(|d| d.code == Code::DegenerateShape));
     }

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn structural_error_gates_downstream_passes() {
         let mut g = small();
-        g.nodes[1].inputs = vec![NodeId(77)].into(); // orphan input
+        g.nodes.make_mut()[1].inputs = vec![NodeId(77)].into(); // orphan input
         let p = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
         let r = Analyzer::full().analyze(&g, Some(&p));
         assert!(r.has_code(Code::OrphanInput));

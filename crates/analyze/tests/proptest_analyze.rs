@@ -54,7 +54,7 @@ proptest! {
         let victims: Vec<usize> =
             (0..g.len()).filter(|&i| !g.nodes[i].inputs.is_empty()).collect();
         let v = victims[r.below(victims.len())];
-        g.nodes[v].inputs[0] = NodeId(g.len() as u32 + 7);
+        g.nodes.make_mut()[v].inputs[0] = NodeId(g.len() as u32 + 7);
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::OrphanInput), "{}", report.render_text());
         prop_assert!(report.has_errors());
@@ -71,7 +71,7 @@ proptest! {
         let before = g.nodes.clone();
         loop {
             for i in (1..g.nodes.len()).rev() {
-                g.nodes.swap(i, r.below(i + 1));
+                g.nodes.make_mut().swap(i, r.below(i + 1));
             }
             if g.nodes != before {
                 break;
@@ -91,7 +91,7 @@ proptest! {
             .map(|(id, _)| id)
             .unwrap();
         let extra = g.nodes[v.index()].inputs[0];
-        g.nodes[v.index()].inputs.push(extra);
+        g.nodes.make_mut()[v.index()].inputs.push(extra);
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::ArityMismatch), "{}", report.render_text());
     }
@@ -102,7 +102,7 @@ proptest! {
         let mut g = family_graph(seed);
         let mut r = Rng64::new(seed);
         let v = r.below(g.len());
-        g.nodes[v].out_shape = Shape::nchw(3, 5, 7, 11);
+        g.nodes.make_mut()[v].out_shape = Shape::nchw(3, 5, 7, 11);
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::ShapeMismatch), "{}", report.render_text());
     }
@@ -113,7 +113,7 @@ proptest! {
         let mut g = family_graph(seed);
         let mut r = Rng64::new(seed);
         let v = r.below(g.len());
-        g.nodes[v].out_shape = Shape::from_dims(&vec![0; g.nodes[v].out_shape.rank()]).unwrap();
+        g.nodes.make_mut()[v].out_shape = Shape::from_dims(&vec![0; g.nodes[v].out_shape.rank()]).unwrap();
         let report = analyze(&g, None);
         prop_assert!(report.has_code(Code::DegenerateShape), "{}", report.render_text());
     }
@@ -128,17 +128,18 @@ fn dead_branch_triggers_nnl006() {
     let mid = NodeId((g.len() / 2) as u32);
     let head = NodeId((g.len() - 1) as u32);
     let dead_id = g.len() as u32;
-    g.nodes.push(nnlqp_ir::Node {
+    let (mid_shape, head_shape) = (g.node(mid).out_shape, g.node(head).out_shape);
+    g.nodes.make_mut().push(nnlqp_ir::Node {
         op: nnlqp_ir::OpType::Sigmoid,
         attrs: nnlqp_ir::Attrs::default(),
         inputs: vec![mid].into(),
-        out_shape: g.node(mid).out_shape,
+        out_shape: mid_shape,
     });
-    g.nodes.push(nnlqp_ir::Node {
+    g.nodes.make_mut().push(nnlqp_ir::Node {
         op: nnlqp_ir::OpType::Relu,
         attrs: nnlqp_ir::Attrs::default(),
         inputs: vec![head].into(),
-        out_shape: g.node(head).out_shape,
+        out_shape: head_shape,
     });
     let report = analyze(&g, None);
     let dead = report.with_code(Code::DeadNode);
@@ -158,7 +159,7 @@ fn duplicate_branch_triggers_nnl007() {
         .find(|(_, n)| n.op.arity().1 == 1 && !n.inputs.is_empty())
         .map(|(_, n)| n.clone())
         .unwrap();
-    g.nodes.push(twin);
+    g.nodes.make_mut().push(twin);
     let report = analyze(&g, None);
     assert!(
         report.has_code(Code::DuplicateSubgraph),
@@ -175,7 +176,7 @@ fn inverted_clip_triggers_nnl008() {
         .find(|(_, n)| n.op == nnlqp_ir::OpType::Clip)
         .map(|(id, _)| id)
         .unwrap();
-    let a = &mut g.nodes[clip.index()].attrs;
+    let a = &mut g.nodes.make_mut()[clip.index()].attrs;
     std::mem::swap(&mut a.clip_min, &mut a.clip_max);
     let report = analyze(&g, None);
     assert!(

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// Identity of a cached embedding.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EmbedKey {
-    /// `nnlqp_hash::graph_hash` of the effective (rebatched) graph.
+    /// `nnlqp_hash::graph_fingerprint` of the effective (rebatched) graph.
     pub graph_hash: u64,
     /// Batch size the graph was rebatched to (part of the hash already,
     /// but kept explicit so keys are self-describing in debug output).

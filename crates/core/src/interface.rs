@@ -946,7 +946,7 @@ mod tests {
         // Tamper a stored shape: validate() would also catch this, but the
         // analyzer reports it with a stable code instead of panicking the
         // farm pipeline — and nothing must be cached.
-        p.model.nodes[1].out_shape = nnlqp_ir::Shape::nchw(1, 999, 1, 1);
+        p.model.nodes.make_mut()[1].out_shape = nnlqp_ir::Shape::nchw(1, 999, 1, 1);
         let err = s.query(&p).unwrap_err();
         match err {
             QueryError::Lint(report) => assert!(report.contains("NNL004"), "{report}"),
@@ -963,7 +963,7 @@ mod tests {
             .strict(true)
             .build();
         let mut p = params("gpu-T4-trt7.1-fp32");
-        p.model.nodes[1].out_shape = nnlqp_ir::Shape::nchw(1, 999, 1, 1);
+        p.model.nodes.make_mut()[1].out_shape = nnlqp_ir::Shape::nchw(1, 999, 1, 1);
         assert!(matches!(s.query(&p), Err(QueryError::Lint(_))));
         // The repeat rejection is served from the lint cache.
         assert!(matches!(s.query(&p), Err(QueryError::Lint(_))));

@@ -395,7 +395,8 @@ impl Nnlqp {
             .map(|name| handle.head_for(name))
             .collect::<Result<Vec<usize>, _>>()?;
 
-        // Serial probe pass: hash each graph and consult the cache.
+        // Serial probe pass: fingerprint each graph (a memo read for a
+        // graph value seen before) and consult the cache.
         let keys: Vec<EmbedKey> = graphs.iter().map(|g| embed_key(g, handle)).collect();
         let mut embeddings: Vec<Option<crate::embed_cache::SharedEmbedding>> =
             keys.iter().map(|k| self.embed_cache.get(k)).collect();
@@ -446,14 +447,14 @@ impl Nnlqp {
 /// Cache key of a graph under a specific predictor handle: graph + batch
 /// + generation stamp + architecture id.
 ///
-/// Keyed with the four-lane [`nnlqp_hash::graph_fingerprint`] rather than
-/// the Merkle graph hash: the embed cache is in-process only (never
-/// persisted, so the database's hash contract doesn't apply) and the key
-/// is recomputed on every single prediction, where the fingerprint's
-/// packed multi-lane absorb is several times cheaper at the same 64-bit
-/// collision budget. The fingerprint is order-dependent, so isomorphic
-/// graphs built in different branch order may miss the cache — a spurious
-/// recompute, never a wrong hit.
+/// Keyed with [`nnlqp_hash::graph_fingerprint`] rather than the Merkle
+/// graph hash: the embed cache is in-process only (never persisted, so the
+/// database's hash contract doesn't apply) and the key is asked for on
+/// every single prediction, where the fingerprint is a digest memoised in
+/// the graph's node list — a graph value predicted before is not walked
+/// again. The fingerprint is order-dependent, so isomorphic graphs built
+/// in different branch order may miss the cache — a spurious recompute,
+/// never a wrong hit.
 fn embed_key(graph: &nnlqp_ir::Graph, handle: &PredictorHandle) -> EmbedKey {
     EmbedKey {
         graph_hash: graph_fingerprint(graph),

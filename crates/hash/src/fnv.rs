@@ -14,8 +14,7 @@ pub struct StreamHasher {
     state: u64,
 }
 
-/// The splitmix64 finalizer: `graph_fingerprint` avalanches its lanes with
-/// it, and `WordHasher` its state.
+/// The splitmix64 finalizer: `WordHasher` avalanches its state with it.
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

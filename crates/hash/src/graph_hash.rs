@@ -139,7 +139,7 @@ mod tests {
     fn attribute_change_changes_hash() {
         let a = diamond(false);
         let mut b = diamond(false);
-        b.nodes[1].attrs.stride = [2, 2];
+        b.nodes.make_mut()[1].attrs.stride = [2, 2];
         // (shape would change too in a rebuilt graph; mutate attrs only to
         // isolate the attribute contribution)
         assert_ne!(graph_hash(&a), graph_hash(&b));
@@ -196,7 +196,7 @@ mod tests {
     fn channel_change_changes_hash() {
         let a = diamond(false);
         let mut b = diamond(false);
-        b.nodes[2].attrs.out_channels = 16;
+        b.nodes.make_mut()[2].attrs.out_channels = 16;
         assert_ne!(graph_hash(&a), graph_hash(&b));
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests of the graph hash: collision behaviour and
-//! sensitivity over randomly generated model graphs.
+//! sensitivity over randomly generated model graphs; and of the memoised
+//! fingerprint, which an edit must never leave stale.
 
-use nnlqp_hash::graph_hash;
-use nnlqp_ir::{GraphBuilder, Rng64, Shape};
+use nnlqp_hash::{graph_fingerprint, graph_hash};
+use nnlqp_ir::{Graph, GraphBuilder, NodeId, Rng64, Shape};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -69,6 +70,32 @@ proptest! {
         b.relu(last).unwrap();
         let extended = b.finish().unwrap();
         prop_assert_ne!(graph_hash(&g), graph_hash(&extended));
+    }
+
+    /// Fingerprint a graph (memoising its node digest), make one random
+    /// edit through `make_mut`, fingerprint again: the answer is a fresh
+    /// copy's, never the memo of the nodes before the edit.
+    #[test]
+    fn an_edit_through_make_mut_never_leaves_a_stale_fingerprint(seed in any::<u64>()) {
+        let mut g = random_graph(seed);
+        let mut r = Rng64::new(seed ^ 0xED17);
+        let before = graph_fingerprint(&g);
+        let nodes = g.nodes.make_mut();
+        let v = r.below(nodes.len());
+        match r.below(5) {
+            0 => nodes[v].attrs.out_channels += 1,
+            1 => nodes[v].inputs = vec![NodeId(v as u32 + 1)].into(),
+            2 => nodes[v].out_shape = Shape::nc(1, 1000 + v),
+            3 => nodes.push(nodes[v].clone()),
+            _ => nodes.truncate(v),
+        }
+        let rebuilt = Graph {
+            name: g.name.clone(),
+            input_shape: g.input_shape,
+            nodes: g.nodes.to_vec().into(),
+        };
+        prop_assert_eq!(graph_fingerprint(&g), graph_fingerprint(&rebuilt));
+        prop_assert_ne!(graph_fingerprint(&g), before);
     }
 }
 

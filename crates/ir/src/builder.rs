@@ -209,7 +209,7 @@ impl GraphBuilder {
         let g = Graph {
             name: self.name.clone(),
             input_shape: self.input_shape,
-            nodes: self.nodes.clone(),
+            nodes: self.nodes.clone().into(),
         };
         crate::validate::validate(&g)?;
         Ok(g)

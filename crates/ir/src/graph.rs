@@ -3,6 +3,7 @@
 use crate::error::{IrError, IrResult};
 use crate::infer;
 use crate::node::{Node, NodeId};
+use crate::nodes::Nodes;
 use crate::shape::Shape;
 use serde::{Deserialize, Serialize};
 
@@ -18,8 +19,9 @@ pub struct Graph {
     pub name: String,
     /// Shape of the graph input tensor (NCHW).
     pub input_shape: Shape,
-    /// Operator nodes in topological order.
-    pub nodes: Vec<Node>,
+    /// Operator nodes in topological order; edited through
+    /// [`Nodes::make_mut`].
+    pub nodes: Nodes,
 }
 
 impl Graph {
@@ -122,7 +124,7 @@ impl Graph {
         Ok(Graph {
             name: self.name.clone(),
             input_shape,
-            nodes,
+            nodes: nodes.into(),
         })
     }
 

@@ -12,8 +12,9 @@
 //! * tensor [`Shape`]s (at most [`MAX_RANK`] dims, inline and `Copy`) and
 //!   [`DType`]s; a node's input list is a [`NodeIds`] (inline up to four
 //!   ids), so a pass over a graph allocates nothing per node,
-//! * the [`Graph`] container whose node vector is always a valid topological
-//!   order (enforced by [`GraphBuilder`] and [`validate::validate`]),
+//! * the [`Graph`] container whose node list ([`Nodes`]) is always a valid
+//!   topological order (enforced by [`GraphBuilder`] and
+//!   [`validate::validate`]) and memoises a digest of itself,
 //! * shape inference ([`infer`]), FLOPs / parameter / memory-access
 //!   accounting ([`cost`]),
 //! * compact binary serialization ([`serialize`]) used by the evolving
@@ -29,6 +30,7 @@ pub mod error;
 pub mod graph;
 pub mod infer;
 pub mod node;
+pub mod nodes;
 pub mod op;
 pub mod rng;
 pub mod serialize;
@@ -42,6 +44,7 @@ pub use cost::{GraphCost, NodeCost};
 pub use error::{IrError, IrResult};
 pub use graph::Graph;
 pub use node::{Node, NodeId, NodeIds};
+pub use nodes::{digests_computed, Nodes};
 pub use op::OpType;
 pub use rng::Rng64;
 pub use shape::{DType, Shape, MAX_RANK};

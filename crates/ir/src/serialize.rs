@@ -202,7 +202,7 @@ pub fn decode(buf: &[u8]) -> IrResult<Graph> {
     let g = Graph {
         name,
         input_shape,
-        nodes,
+        nodes: nodes.into(),
     };
     crate::validate::validate(&g)?;
     Ok(g)
@@ -303,7 +303,7 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
     Ok(Graph {
         name,
         input_shape,
-        nodes,
+        nodes: nodes.into(),
     })
 }
 

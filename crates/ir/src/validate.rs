@@ -86,7 +86,7 @@ mod tests {
         let g = Graph {
             name: "e".into(),
             input_shape: Shape::nchw(1, 3, 8, 8),
-            nodes: vec![],
+            nodes: Vec::new().into(),
         };
         assert_eq!(validate(&g), Err(IrError::Empty));
     }
@@ -94,28 +94,28 @@ mod tests {
     #[test]
     fn forward_edge_rejected() {
         let mut g = ok_graph();
-        g.nodes[0].inputs = vec![NodeId(1)].into();
+        g.nodes.make_mut()[0].inputs = vec![NodeId(1)].into();
         assert!(matches!(validate(&g), Err(IrError::BadTopology { .. })));
     }
 
     #[test]
     fn self_loop_rejected() {
         let mut g = ok_graph();
-        g.nodes[1].inputs = vec![NodeId(1)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(1)].into();
         assert!(matches!(validate(&g), Err(IrError::BadTopology { .. })));
     }
 
     #[test]
     fn tampered_shape_rejected() {
         let mut g = ok_graph();
-        g.nodes[1].out_shape = Shape::nchw(1, 99, 8, 8);
+        g.nodes.make_mut()[1].out_shape = Shape::nchw(1, 99, 8, 8);
         assert!(matches!(validate(&g), Err(IrError::ShapeMismatch { .. })));
     }
 
     #[test]
     fn bad_arity_rejected() {
         let mut g = ok_graph();
-        g.nodes.push(Node {
+        g.nodes.make_mut().push(Node {
             op: OpType::Add,
             attrs: Attrs::default(),
             inputs: vec![NodeId(1)].into(),
@@ -135,7 +135,8 @@ mod tests {
                 attrs: Attrs::default(),
                 inputs: NodeIds::new(),
                 out_shape: Shape::nchw(1, 3, 8, 8),
-            }],
+            }]
+            .into(),
         };
         assert!(validate(&g).is_ok());
     }
@@ -151,7 +152,8 @@ mod tests {
                 attrs: Attrs::default(),
                 inputs: NodeIds::new(),
                 out_shape: Shape::nchw(1, 3, 8, 8),
-            }],
+            }]
+            .into(),
         };
         assert!(matches!(
             validate(&g),
@@ -169,7 +171,7 @@ mod tests {
         assert!(validate(&ok_graph()).is_ok());
         let mut g = ok_graph();
         // Two inputs to a unary op is too many.
-        g.nodes[1].inputs = vec![NodeId(0), NodeId(0)].into();
+        g.nodes.make_mut()[1].inputs = vec![NodeId(0), NodeId(0)].into();
         assert!(matches!(validate(&g), Err(IrError::Arity { got: 2, .. })));
     }
 }

@@ -394,15 +394,8 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sums (bias gradient; also the sum-over-nodes pooling).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::col_sums`] written into `out`: zeroed, then the rows added
-    /// in order.
+    /// Column-wise sums (bias gradient; also the sum-over-nodes pooling)
+    /// written into `out`: zeroed, then the rows added in order.
     pub fn col_sums_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols);
         let kern = simd::kernel();
@@ -473,7 +466,9 @@ mod tests {
     fn bias_and_col_sums() {
         let mut a = Matrix::zeros(3, 2);
         a.add_row_vector(&[1.0, 2.0]);
-        assert_eq!(a.col_sums(), vec![3.0, 6.0]);
+        let mut sums = [7.0; 2];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, [3.0, 6.0]);
     }
 
     #[test]

@@ -640,9 +640,9 @@ impl NnlpModel {
         stat: &[f32; STATIC_DIM],
         scratch: &mut Scratch,
     ) -> Vec<f32> {
-        let mut emb: Vec<f32> = if !self.cfg.use_node_feats {
-            Vec::new()
-        } else {
+        // Sized once for the pooled part and the static features after it.
+        let mut emb = Vec::with_capacity(self.cfg.embedding_dim());
+        if self.cfg.use_node_feats {
             let mut h: Option<Matrix> = None;
             if self.cfg.use_gnn {
                 for layer in &self.sage {
@@ -653,16 +653,16 @@ impl NnlpModel {
                 }
             }
             let last = h.as_ref().unwrap_or(nodes);
-            let mut pooled = last.col_sums();
+            emb.resize(last.cols, 0.0);
+            last.col_sums_into(&mut emb);
             let inv = self.pool_scale(last.rows);
-            for v in &mut pooled {
+            for v in &mut emb {
                 *v *= inv;
             }
             if let Some(h) = h {
                 scratch.put(h);
             }
-            pooled
-        };
+        }
         if self.cfg.use_static {
             emb.extend_from_slice(stat);
         }

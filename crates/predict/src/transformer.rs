@@ -282,13 +282,15 @@ impl TransformerModel {
             scratch.put(h);
             h = next;
         }
-        let mut pooled = h.col_sums();
+        // Sized once for the pooled part and the static features after it.
+        let mut emb = Vec::with_capacity(self.cfg.embedding_dim());
+        emb.resize(h.cols, 0.0);
+        h.col_sums_into(&mut emb);
         scratch.put(h);
         scratch.put(bias);
-        for v in &mut pooled {
+        for v in &mut emb {
             *v *= SUM_POOL_SCALE;
         }
-        let mut emb = pooled;
         emb.extend_from_slice(&stat);
         emb
     }

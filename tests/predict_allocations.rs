@@ -1,27 +1,38 @@
 //! A cached prediction costs its lookup: a `predict_batch` whose embeddings
 //! are all cached stacks them once and runs each platform's head once over
-//! the stack, and a platform name resolves against a registry built once
-//! per process.
+//! the stack, a graph seen before keys its embedding without being walked
+//! again, and a platform name resolves against a registry built once per
+//! process.
 //!
 //! This file is its own test binary so that it can install a counting
-//! `#[global_allocator]`. The count is per thread (the harness runs tests
-//! side by side), exact and repeatable, so it is asserted, not timed.
-//! Measured, debug and release alike:
+//! `#[global_allocator]`. The counts are per thread (the harness runs tests
+//! side by side), exact and repeatable, so they are asserted, not timed.
+//! Allocations, measured debug and release alike:
 //!
-//! | call                                            | at `7593170` | now |
-//! |-------------------------------------------------|-------------:|----:|
-//! | cached `predict_batch`, 32 graphs × 4 platforms |          442 |  43 |
-//! | cached `predict_batch`, 32 graphs × 1 platform  |          142 |  42 |
-//! | `PlatformSpec::by_name`                         |          100 | 3–4 |
-//! | `PlatformSpec::canonical_name`                  |            — |   0 |
-//! | cached `predict_effective`                      |          105 |   5 |
+//! | call                                                  |    before |       now |
+//! |-------------------------------------------------------|----------:|----------:|
+//! | cached `predict_batch`, 32 graphs × 4 platforms       |       442 |        43 |
+//! | cached `predict_batch`, 32 graphs × 1 platform        |       142 |        42 |
+//! | `PlatformSpec::by_name`                               |       100 |       3–4 |
+//! | `PlatformSpec::canonical_name`                        |         — |         0 |
+//! | cached `predict_effective`                            |       105 |         5 |
+//! | cold `predict_batch`, 32 × 4, GraphSAGE / transformer | 306 / 318 | 274 / 286 |
 //!
-//! 33 of the batch's 43 are the `Vec<Vec<f64>>` it returns. At `7593170`
-//! a batch made one three-GEMM head evaluation per (graph, platform) pair
-//! and every `by_name` rebuilt the 19-row registry to find one row.
+//! "Before" is `7593170` for the first five rows and `e74246b` for the
+//! cold one. 33 of the cached batch's 43 are the `Vec<Vec<f64>>` it
+//! returns. At `7593170` a batch made one three-GEMM head evaluation per
+//! (graph, platform) pair and every `by_name` rebuilt the 19-row registry
+//! to find one row; at `e74246b` every embedding grew once when the static
+//! features were appended to its pooled part.
+//!
+//! Graph walks (`nnlqp_ir::digests_computed`, node digests computed for the
+//! embed-cache key): a cached 32 × 4 `predict_batch` over graph values seen
+//! before walks 0 graphs (32 at `e74246b`, where every key re-walked its
+//! graph); a graph built afresh walks once at first sight and 0 times after,
+//! at 38 nodes as at 158.
 
-use nnlqp::{Nnlqp, TrainPredictorConfig};
-use nnlqp_ir::Graph;
+use nnlqp::{Nnlqp, PredictorKind, TrainPredictorConfig};
+use nnlqp_ir::{digests_computed, Graph};
 use nnlqp_models::ModelFamily;
 use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 use std::hint::black_box;
@@ -55,9 +66,9 @@ fn allocations_of<T>(mut pass: impl FnMut() -> T) -> u64 {
     first
 }
 
-/// A system with a four-head predictor (default width) trained on a tiny
-/// corpus, and 32 graphs whose embeddings it has cached.
-fn warmed_system() -> (Nnlqp, Vec<Graph>) {
+/// A system with a four-head `arch` predictor (default width) trained on a
+/// tiny corpus, and 32 graphs whose embeddings it has cached.
+fn warmed_system(arch: PredictorKind) -> (Nnlqp, Vec<Graph>) {
     let s = Nnlqp::builder()
         .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
         .reps(3)
@@ -73,6 +84,7 @@ fn warmed_system() -> (Nnlqp, Vec<Graph>) {
     }
     let cfg = TrainPredictorConfig {
         epochs: 1,
+        arch,
         ..Default::default()
     };
     s.train_predictor(&PLATFORMS, cfg).unwrap();
@@ -81,9 +93,16 @@ fn warmed_system() -> (Nnlqp, Vec<Graph>) {
     (s, graphs)
 }
 
+/// Node digests (graph walks) `pass` computes on this thread.
+fn digests_of<T>(pass: impl FnOnce() -> T) -> u64 {
+    let before = digests_computed();
+    black_box(pass());
+    digests_computed() - before
+}
+
 #[test]
 fn a_cached_batch_allocates_for_its_answer_and_little_else() {
-    let (s, graphs) = warmed_system();
+    let (s, graphs) = warmed_system(PredictorKind::Sage);
     let cached = |platforms: &[&str]| {
         allocations_of(|| {
             let r = s.predict_batch(&graphs, platforms).unwrap();
@@ -114,9 +133,59 @@ fn a_platform_name_resolves_without_rebuilding_the_registry() {
 
 #[test]
 fn a_cached_single_prediction_makes_at_most_eight_allocations() {
-    let (s, graphs) = warmed_system();
+    let (s, graphs) = warmed_system(PredictorKind::Sage);
     for name in PLATFORMS {
         let hit = allocations_of(|| s.predict_effective(&graphs[7], name).unwrap());
         assert!(hit <= 8, "cached predict_effective on {name}: {hit}");
     }
+}
+
+#[test]
+fn a_cold_batch_allocates_each_embedding_once() {
+    for arch in [PredictorKind::Sage, PredictorKind::Transformer] {
+        let (s, graphs) = warmed_system(arch);
+        let handle = s.predictor_handle().expect("a trained predictor");
+        let cold = || {
+            // A fresh stamp makes every embedding miss, as in `predict-cold`.
+            s.set_predictor(handle.clone());
+            let before = allocations();
+            let r = black_box(s.predict_batch(&graphs, &PLATFORMS).unwrap());
+            let made = allocations() - before;
+            assert_eq!((r.embed_hits, r.embed_misses), (0, 32));
+            made
+        };
+        let made = cold();
+        assert_eq!(
+            cold(),
+            made,
+            "{arch}: an allocation count must repeat exactly"
+        );
+        // One embedding vector per graph, reserved at its final width: the
+        // static features no longer grow it (306 / 318 at `e74246b`).
+        let bound = match arch {
+            PredictorKind::Sage => 274,
+            _ => 286,
+        };
+        assert!(made <= bound, "{arch}: cold 32 × 4 batch made {made}");
+    }
+}
+
+#[test]
+fn a_graph_seen_before_is_not_walked_again() {
+    let (s, graphs) = warmed_system(PredictorKind::Sage);
+    let cached = digests_of(|| s.predict_batch(&graphs, &PLATFORMS).unwrap());
+    assert_eq!(cached, 0, "cached 32 × 4 batch over graphs seen before");
+    // 38 and 158 nodes, each built afresh: one walk at first sight, none
+    // after, whatever the size.
+    let counts: Vec<(u64, u64)> = [ModelFamily::Vgg, ModelFamily::MobileNetV3]
+        .into_iter()
+        .map(|family| {
+            let g = family.canonical().unwrap();
+            let one = std::slice::from_ref(&g);
+            let first = digests_of(|| s.predict_batch(one, &PLATFORMS).unwrap());
+            let again = digests_of(|| s.predict_batch(one, &PLATFORMS).unwrap());
+            (first, again)
+        })
+        .collect();
+    assert_eq!(counts, [(1, 0), (1, 0)]);
 }

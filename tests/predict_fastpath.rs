@@ -10,7 +10,7 @@ use nnlqp::{
     predictor_from_json, Nnlqp, PredictorHandle, QueryParams, TrainPredictorConfig,
     CACHED_PREDICT_COST_S, PREDICT_COST_S,
 };
-use nnlqp_ir::{Graph, Rng64};
+use nnlqp_ir::{Graph, OpType, Rng64};
 use nnlqp_models::ModelFamily;
 use nnlqp_predict::{
     train, Dataset, NnlpConfig, NnlpModel, Predictor, TrainConfig, TransformerConfig,
@@ -222,6 +222,37 @@ fn reinstalling_the_same_kind_never_serves_a_stale_embedding() {
     let second = s.predict(&p).unwrap();
     assert_eq!(second.cost_s, CACHED_PREDICT_COST_S);
     assert_eq!(second.latency_ms, first.latency_ms);
+}
+
+/// The embed-cache key is memoised in the graph's node list. An edit
+/// through `make_mut` drops the memo, so the edited graph misses the cache
+/// and answers exactly what a system that never saw the original answers.
+#[test]
+fn an_edited_graph_misses_the_embed_cache_and_answers_afresh() {
+    let s = trained_system(2048);
+    let mut graphs = probes(1);
+    let before = s.predict_batch(&graphs, &PLATFORMS).unwrap();
+    assert_eq!(s.predict_batch(&graphs, &PLATFORMS).unwrap().embed_hits, 1);
+
+    let relu = graphs[0].nodes.iter().position(|n| n.op == OpType::Relu);
+    graphs[0].nodes.make_mut()[relu.expect("SqueezeNet has a Relu")].op = OpType::Sigmoid;
+    let edited = s.predict_batch(&graphs, &PLATFORMS).unwrap();
+    assert_eq!(
+        (edited.embed_hits, edited.embed_misses),
+        (0, 1),
+        "stale embedding served"
+    );
+
+    let fresh = system(0);
+    fresh.set_predictor(s.predictor_handle().unwrap());
+    let rebuilt = Graph {
+        name: graphs[0].name.clone(),
+        input_shape: graphs[0].input_shape,
+        nodes: graphs[0].nodes.to_vec().into(),
+    };
+    let reference = fresh.predict_batch(&[rebuilt], &PLATFORMS).unwrap();
+    assert_eq!(edited.latencies_ms, reference.latencies_ms);
+    assert_ne!(edited.latencies_ms, before.latencies_ms);
 }
 
 /// FNV-1a digests of the checkpoint one epoch of `train` produces from a

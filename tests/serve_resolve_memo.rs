@@ -119,8 +119,8 @@ fn make_mut_on_a_queried_graph_is_a_new_key() {
     // The only strong reference mutates the graph it just queried: a 3x3
     // pad-1 conv becomes a 1x1 pad-0 one (same shapes, still valid).
     let edited = Arc::make_mut(&mut graph);
-    edited.nodes[0].attrs.kernel = [1, 1];
-    edited.nodes[0].attrs.pad = [0, 0];
+    edited.nodes.make_mut()[0].attrs.kernel = [1, 1];
+    edited.nodes.make_mut()[0].attrs.pad = [0, 0];
     let after = graph_hash(&graph);
     assert_ne!(after, before);
 
@@ -238,7 +238,7 @@ fn failures_are_never_memoised() {
     // Valid at its native batch, but a conv with zero groups cannot have
     // its shapes re-inferred at any other.
     let mut broken = conv_relu(8);
-    broken.nodes[0].attrs.groups = 0;
+    broken.nodes.make_mut()[0].attrs.groups = 0;
     let broken = Arc::new(broken);
 
     let zero: Vec<_> = (0..10).map(|_| svc.query(&fine, GPU, 0)).collect();
