@@ -31,6 +31,8 @@
 //!   deterministic total order.
 //! * **Locks** ([`Recover`]) — the recover-from-poisoning policy of the
 //!   std locks in `nnlqp`, `nnlqp-db` and `nnlqp-serve`, in one place.
+//! * **Queue** ([`Queue`]) — the bounded multi-consumer FIFO behind the
+//!   serve worker pool's job hand-off and the device farm's idle pool.
 
 pub mod chrome;
 pub mod events;
@@ -55,7 +57,7 @@ pub use monitor::{
     QualityMonitor, QualityReport, REL_ERR_PCT_BOUNDS,
 };
 pub use span::{Recorder, SimClock, Span, Timeline, Track};
-pub use sync::Recover;
+pub use sync::{PushError, Queue, Recover};
 pub use trace::{
     tail_attribution, timeline_of, ExemplarReservoir, RequestTrace, StageShare, TraceClock,
     TraceContext, TraceStage, INLINE_MARKS,

@@ -86,6 +86,9 @@ pub mod metric_names {
     /// front door (including the ones that failed to). Hits over
     /// hits + misses is the share of requests that skipped O(graph) work.
     pub const RESOLVE_MEMO_MISSES: &str = "serve.resolve_memo_misses";
+    /// Counter: measurement jobs that panicked on a worker. Each failed
+    /// its flight with a measurement error and the worker carried on.
+    pub const WORKER_PANICS: &str = "serve.worker_panics";
     /// Histogram: served latencies in milliseconds.
     pub const LATENCY_MS: &str = "serve.latency_ms";
     /// Histogram (log buckets): end-to-end request wall time in
@@ -120,6 +123,7 @@ pub struct ServeMetrics {
     drift_retrains: Arc<Counter>,
     resolve_memo_hits: Arc<Counter>,
     resolve_memo_misses: Arc<Counter>,
+    worker_panics: Arc<Counter>,
     latency: Arc<Histogram>,
     request_wall: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -166,6 +170,7 @@ impl ServeMetrics {
             drift_retrains: registry.counter(metric_names::DRIFT_RETRAINS),
             resolve_memo_hits: registry.counter(metric_names::RESOLVE_MEMO_HITS),
             resolve_memo_misses: registry.counter(metric_names::RESOLVE_MEMO_MISSES),
+            worker_panics: registry.counter(metric_names::WORKER_PANICS),
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
             request_wall: registry.histogram(metric_names::REQUEST_WALL_MS, &wall),
             queue_wait: registry.histogram(metric_names::QUEUE_WAIT_MS, &wall),
@@ -208,6 +213,7 @@ impl ServeMetrics {
         drift_retrains,
         resolve_memo_hits,
         resolve_memo_misses,
+        worker_panics,
     );
 
     pub(crate) fn retrained(&self, samples: u64) {

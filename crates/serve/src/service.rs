@@ -18,15 +18,17 @@
 //!    `Nnlqp::predict_effective` answer tagged `approximate`, or fall
 //!    through when no predictor head covers the platform;
 //! 6. singleflight — join the key's flight, or lead it by enqueueing one
-//!    measurement on the bounded worker queue (`try_send`: a full queue
+//!    measurement on the bounded worker queue (`try_push`: a full queue
 //!    rejects instead of blocking the caller — backpressure, not pileup).
 //!
 //! Workers drain the queue, measure through `Nnlqp::query_measured_traced`
 //! (key-seeded, so results are order-independent), fill db + cache, then
-//! publish to the flight. A background loop retrains the predictor, hot-
-//! swapping the heads through the facade's `RwLock`. Shutdown stops
-//! intake, drains the queue, joins every thread and, on a durable store,
-//! seals the WAL tail into segments.
+//! publish to the flight. A job that panics fails its flight with
+//! [`ServeError::Measurement`], counts one `serve.worker_panics`, and the
+//! worker takes the next job. A background loop retrains the predictor,
+//! hot-swapping the heads through the facade's `RwLock`. Shutdown closes
+//! the queue, lets the workers drain it, joins every thread and, on a
+//! durable store, seals the WAL tail into segments.
 //!
 //! # Quality monitoring
 //!
@@ -56,18 +58,19 @@ use crate::cache::{CacheKey, ShardedLru};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::resolve::{effective_graph, ResolveMemo};
 use crate::singleflight::{Role, SingleFlight};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use nnlqp::{Nnlqp, QueryError, TrainPredictorConfig};
 use nnlqp_db::PlatformId;
 use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
     to_prometheus, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry, MonitorConfig,
-    QualityMonitor, QualityReport, Recover, RequestTrace, TraceClock, TraceContext,
+    PushError, QualityMonitor, QualityReport, Queue, Recover, RequestTrace, TraceClock,
+    TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform, PlatformSpec};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -183,7 +186,6 @@ impl From<FarmError> for ServeError {
             FarmError::UnknownPlatform(p) | FarmError::AmbiguousPlatform(p) => {
                 ServeError::UnknownPlatform(p)
             }
-            FarmError::Closed(_) => ServeError::ShuttingDown,
             other => ServeError::Measurement(other.to_string()),
         }
     }
@@ -423,7 +425,7 @@ pub struct LatencyService {
     /// resolves are inserted, so the map holds a few dozen fixed strings
     /// and a keyed hasher would guard against nothing.
     platforms: RwLock<HashMap<String, Arc<PlatformBinding>, BuildWordHasher>>,
-    tx: Mutex<Option<Sender<Job>>>,
+    queue: Arc<Queue<Job>>,
     retrain: Arc<RetrainShared>,
     shadow: Option<Arc<Shadow>>,
     events: Option<Arc<EventLog>>,
@@ -452,7 +454,7 @@ impl LatencyService {
             (cfg.event_log_capacity > 0).then(|| Arc::new(EventLog::new(cfg.event_log_capacity)));
         let clock = Arc::new(TraceClock::new());
         let exemplars = Arc::new(ExemplarReservoir::new(EXEMPLARS_PER_CLASS));
-        let (tx, rx) = bounded::<Job>(cfg.queue_depth.max(1));
+        let queue = Arc::new(Queue::new(cfg.queue_depth.max(1)));
         let ctx = Arc::new(WorkerCtx {
             system: Arc::clone(&system),
             cache: Arc::clone(&cache),
@@ -469,11 +471,10 @@ impl LatencyService {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("nnlqp-serve-worker-{i}"))
-                    .spawn(worker_loop(rx.clone(), Arc::clone(&ctx)))
+                    .spawn(worker_loop(Arc::clone(&queue), Arc::clone(&ctx)))
                     .expect("spawn worker"),
             );
         }
-        drop(rx);
         // The retrain loop runs when there is any trigger for it: the
         // sample-count cadence, or drift alerts from the monitor.
         if (cfg.retrain_after > 0 || shadow.is_some()) && !cfg.retrain_platforms.is_empty() {
@@ -521,7 +522,7 @@ impl LatencyService {
             clock,
             exemplars,
             platforms: RwLock::new(HashMap::default()),
-            tx: Mutex::new(Some(tx)),
+            queue,
             retrain,
             shadow,
             events,
@@ -795,23 +796,18 @@ impl LatencyService {
                         coalesced: false,
                     });
                 }
-                let enqueued = {
-                    let tx = self.tx.lock().recover();
-                    match tx.as_ref() {
-                        None => Err(ServeError::ShuttingDown),
-                        Some(tx) => tx
-                            .try_send(Job {
-                                key: key.clone(),
-                                platform: binding.platform.clone(),
-                                graph,
-                                enqueued_ns: self.clock.now_ns(),
-                            })
-                            .map_err(|e| match e {
-                                TrySendError::Full(_) => ServeError::Overloaded,
-                                TrySendError::Disconnected(_) => ServeError::ShuttingDown,
-                            }),
-                    }
-                };
+                let enqueued = self
+                    .queue
+                    .try_push(Job {
+                        key: key.clone(),
+                        platform: binding.platform.clone(),
+                        graph,
+                        enqueued_ns: self.clock.now_ns(),
+                    })
+                    .map_err(|e| match e {
+                        PushError::Full(_) => ServeError::Overloaded,
+                        PushError::Closed(_) => ServeError::ShuttingDown,
+                    });
                 ctx.stage("enqueue", &self.clock);
                 if let Err(e) = enqueued {
                     // Publish the rejection so coalesced followers settle
@@ -924,7 +920,7 @@ impl LatencyService {
 
     /// Jobs waiting for a worker.
     pub fn backlog(&self) -> usize {
-        self.tx.lock().recover().as_ref().map_or(0, Sender::len)
+        self.queue.len()
     }
 
     /// Current metrics.
@@ -971,9 +967,9 @@ impl LatencyService {
         if self.stopped.swap(true, Ordering::SeqCst) {
             return Ok(());
         }
-        // Closing the sender lets workers drain remaining jobs, then exit
-        // on disconnect — every open flight still completes.
-        self.tx.lock().recover().take();
+        // Closing the queue lets workers drain remaining jobs, then exit —
+        // every open flight still completes.
+        self.queue.close();
         {
             let mut st = self.retrain.state.lock().recover();
             st.stop = true;
@@ -1022,62 +1018,86 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn worker_loop(rx: Receiver<Job>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
+fn worker_loop(queue: Arc<Queue<Job>>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
     move || {
-        while let Ok(job) = rx.recv() {
-            let dequeued_ns = ctx.clock.now_ns();
-            ctx.metrics
-                .observe_queue_wait(dequeued_ns.saturating_sub(job.enqueued_ns) as f64 / 1.0e6);
-            ctx.metrics.set_queue_depth(rx.len() as f64);
-            let outcome = match ctx.system.query_measured_traced(
-                &job.graph,
-                job.key.graph_hash,
-                &job.platform,
-                job.key.batch,
-                ctx.farm_wait,
-                &ctx.clock,
-            ) {
-                Ok((qr, mt)) => {
-                    ctx.cache.insert(job.key.clone(), qr.latency_ms);
-                    ctx.metrics.set_hot_cache_len(ctx.cache.len() as f64);
-                    ctx.metrics.measured();
-                    {
-                        let mut st = ctx.retrain.state.lock().recover();
-                        st.fresh += 1;
-                    }
-                    ctx.retrain.wake.notify_one();
-                    Ok(FlightOutcome {
-                        latency_ms: qr.latency_ms,
-                        ticks: Some(WorkerTicks {
-                            dequeued_ns,
-                            measured_ns: mt.measured_ns,
-                            db_write_ns: mt.db_write_ns,
-                            published_ns: ctx.clock.now_ns(),
-                        }),
-                    })
-                }
-                Err(e) => Err(e.into()),
-            };
-            let measured_ms = outcome.as_ref().ok().map(|o| o.latency_ms);
-            // Database and cache are filled before the flight publishes:
-            // anyone arriving after this resolves as a hit, so each key is
-            // measured at most once per flight.
-            ctx.flights.complete(&job.key, outcome);
-            // Fresh ground truth: shadow-evaluate it on the sampling
-            // cadence, after the flight published, so no caller waits on
-            // a prediction it did not ask for and a predictor panic cannot
-            // strand the flight.
-            if let (Some(shadow), Some(ms)) = (&ctx.shadow, measured_ms) {
-                shadow.observe(
-                    &ctx.system,
-                    ctx.events.as_deref(),
-                    &ctx.retrain,
-                    &job.key.platform,
-                    &job.graph,
-                    ms,
+        while let Some(job) = queue.pop(None) {
+            // Unwind safety: what a job shares with later jobs is the state
+            // behind `ctx`. Its locks either recover from poisoning, every
+            // update leaving their data whole, or `.expect`, so a later job
+            // panics in turn and is failed here too, never hung. The farm
+            // returns a leased device on unwind. What the unwind skips is
+            // publishing the flight, done here; after a shadow panic the
+            // flight has published and its key is stored, so no flight is
+            // open under it and `complete` finds nothing.
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| run_job(&ctx, &queue, &job))) {
+                ctx.metrics.worker_panics();
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                ctx.flights.complete(
+                    &job.key,
+                    Err(ServeError::Measurement(format!("worker panicked: {msg}"))),
                 );
             }
         }
+    }
+}
+
+/// Measure one job, store and publish it, then shadow-evaluate it.
+fn run_job(ctx: &WorkerCtx, queue: &Queue<Job>, job: &Job) {
+    let dequeued_ns = ctx.clock.now_ns();
+    ctx.metrics
+        .observe_queue_wait(dequeued_ns.saturating_sub(job.enqueued_ns) as f64 / 1.0e6);
+    ctx.metrics.set_queue_depth(queue.len() as f64);
+    let outcome = match ctx.system.query_measured_traced(
+        &job.graph,
+        job.key.graph_hash,
+        &job.platform,
+        job.key.batch,
+        ctx.farm_wait,
+        &ctx.clock,
+    ) {
+        Ok((qr, mt)) => {
+            ctx.cache.insert(job.key.clone(), qr.latency_ms);
+            ctx.metrics.set_hot_cache_len(ctx.cache.len() as f64);
+            ctx.metrics.measured();
+            {
+                let mut st = ctx.retrain.state.lock().recover();
+                st.fresh += 1;
+            }
+            ctx.retrain.wake.notify_one();
+            Ok(FlightOutcome {
+                latency_ms: qr.latency_ms,
+                ticks: Some(WorkerTicks {
+                    dequeued_ns,
+                    measured_ns: mt.measured_ns,
+                    db_write_ns: mt.db_write_ns,
+                    published_ns: ctx.clock.now_ns(),
+                }),
+            })
+        }
+        Err(e) => Err(e.into()),
+    };
+    let measured_ms = outcome.as_ref().ok().map(|o| o.latency_ms);
+    // Database and cache are filled before the flight publishes:
+    // anyone arriving after this resolves as a hit, so each key is
+    // measured at most once per flight.
+    ctx.flights.complete(&job.key, outcome);
+    // Fresh ground truth: shadow-evaluate it on the sampling
+    // cadence, after the flight published, so no caller waits on
+    // a prediction it did not ask for and a predictor panic cannot
+    // strand the flight.
+    if let (Some(shadow), Some(ms)) = (&ctx.shadow, measured_ms) {
+        shadow.observe(
+            &ctx.system,
+            ctx.events.as_deref(),
+            &ctx.retrain,
+            &job.key.platform,
+            &job.graph,
+            ms,
+        );
     }
 }
 

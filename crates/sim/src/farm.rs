@@ -4,8 +4,8 @@
 //!
 //! 1. *model transformation* — charged on the simulated clock per platform;
 //! 2. *device acquisition* — a bounded pool of device leases per platform,
-//!    handed out through a channel (the RPC stand-in); callers block until
-//!    a device is idle, exactly like the real farm;
+//!    handed out through a queue of idle device ids (the RPC stand-in);
+//!    callers block until a device is idle, exactly like the real farm;
 //! 3. *latency measurement* — the run itself plus release of the lease.
 //!
 //! Real threads contend for real leases; only the *deployment wall-clock*
@@ -14,13 +14,13 @@
 
 use crate::measure::{measure, Measurement};
 use crate::platform::PlatformSpec;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use nnlqp_ir::{Graph, Rng64};
+use nnlqp_obs::Queue;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A measurement request. The graph is shared, not owned: callers on the
 /// query hot path hand the farm the same `Arc` they hash and store, so a
@@ -99,11 +99,9 @@ pub enum FarmError {
     /// The requested platform abbreviation matches several platforms; the
     /// payload lists the candidates.
     AmbiguousPlatform(String),
-    /// All devices for the platform are leased and the caller declined to
-    /// wait (non-blocking/timeout acquisition).
+    /// All devices for the platform stayed leased past the caller's
+    /// acquisition timeout.
     Busy(String),
-    /// The pool's lease channel is closed — the farm is shutting down.
-    Closed(String),
 }
 
 impl fmt::Display for FarmError {
@@ -112,7 +110,6 @@ impl fmt::Display for FarmError {
             FarmError::UnknownPlatform(p) => write!(f, "unknown platform: {p}"),
             FarmError::AmbiguousPlatform(p) => write!(f, "ambiguous platform: {p}"),
             FarmError::Busy(p) => write!(f, "all devices busy for platform: {p}"),
-            FarmError::Closed(p) => write!(f, "device pool closed for platform: {p}"),
         }
     }
 }
@@ -121,9 +118,24 @@ impl std::error::Error for FarmError {}
 
 struct DevicePool {
     spec: PlatformSpec,
-    // Idle device ids; recv blocks while all devices are leased.
-    idle_rx: Receiver<usize>,
-    idle_tx: Sender<usize>,
+    /// Idle device ids; `pop` waits while all devices are leased. It has a
+    /// slot for every device and is never closed, so a device always has
+    /// a place to come back to.
+    idle: Queue<usize>,
+}
+
+/// A device taken from its pool; dropping it, on return or unwind, puts
+/// the device back.
+struct Lease<'a> {
+    pool: &'a DevicePool,
+    device_id: usize,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        // Cannot be refused: see `DevicePool::idle`.
+        let _ = self.pool.idle.try_push(self.device_id);
+    }
 }
 
 /// A farm of simulated devices grouped by platform.
@@ -141,16 +153,16 @@ impl DeviceFarm {
         let mut pools = HashMap::new();
         for spec in platforms {
             let n = devices_per_platform.max(1);
-            let (tx, rx) = bounded(n);
+            let idle = Queue::new(n);
             for id in 0..n {
-                tx.send(id).expect("fresh channel has capacity");
+                idle.try_push(id)
+                    .expect("fresh queue has a slot per device");
             }
             pools.insert(
                 spec.name.clone(),
                 Arc::new(DevicePool {
                     spec: spec.clone(),
-                    idle_rx: rx,
-                    idle_tx: tx,
+                    idle,
                 }),
             );
         }
@@ -174,7 +186,7 @@ impl DeviceFarm {
 
     /// Number of currently idle devices for a platform.
     pub fn idle_devices(&self, platform: &str) -> usize {
-        self.pools.get(platform).map_or(0, |p| p.idle_rx.len())
+        self.pools.get(platform).map_or(0, |p| p.idle.len())
     }
 
     /// Spec of a platform this farm serves, by canonical name. Unlike
@@ -205,55 +217,40 @@ impl DeviceFarm {
     /// Execute one query, blocking until a device for the platform is
     /// idle. This is the farm's RPC entry point.
     pub fn measure_blocking(&self, job: &QueryJob) -> Result<FarmResult, FarmError> {
-        let pool = self.resolve(&job.platform)?;
-        // Step 2: device acquisition (blocks while all boards are leased).
-        let device_id = pool
-            .idle_rx
-            .recv()
-            .map_err(|_| FarmError::Closed(pool.spec.name.clone()))?;
-        Ok(self.run_leased(&pool, job, device_id))
-    }
-
-    /// Non-blocking acquisition: measure only if a device is idle right
-    /// now, otherwise return [`FarmError::Busy`] without queueing.
-    pub fn try_measure(&self, job: &QueryJob) -> Result<FarmResult, FarmError> {
-        let pool = self.resolve(&job.platform)?;
-        let device_id = match pool.idle_rx.try_recv() {
-            Ok(id) => id,
-            Err(TryRecvError::Empty) => return Err(FarmError::Busy(pool.spec.name.clone())),
-            Err(TryRecvError::Disconnected) => {
-                return Err(FarmError::Closed(pool.spec.name.clone()))
-            }
-        };
-        Ok(self.run_leased(&pool, job, device_id))
+        self.measure_by(job, None)
     }
 
     /// Bounded-wait acquisition: block up to `timeout` for an idle device,
-    /// then return [`FarmError::Busy`].
+    /// then return [`FarmError::Busy`]. A zero `timeout` measures only if
+    /// a device is idle right now.
     pub fn measure_timeout(
         &self,
         job: &QueryJob,
         timeout: Duration,
     ) -> Result<FarmResult, FarmError> {
-        let pool = self.resolve(&job.platform)?;
-        let device_id = match pool.idle_rx.recv_timeout(timeout) {
-            Ok(id) => id,
-            Err(RecvTimeoutError::Timeout) => return Err(FarmError::Busy(pool.spec.name.clone())),
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(FarmError::Closed(pool.spec.name.clone()))
-            }
-        };
-        Ok(self.run_leased(&pool, job, device_id))
+        // A timeout past the end of the clock waits like no timeout.
+        self.measure_by(job, Instant::now().checked_add(timeout))
     }
 
-    fn run_leased(&self, pool: &DevicePool, job: &QueryJob, device_id: usize) -> FarmResult {
+    fn measure_by(
+        &self,
+        job: &QueryJob,
+        deadline: Option<Instant>,
+    ) -> Result<FarmResult, FarmError> {
+        let pool = self.resolve(&job.platform)?;
+        // Step 2: device acquisition. The pool is never closed, so it comes
+        // back empty only when the deadline passed.
+        let lease = Lease {
+            device_id: pool
+                .idle
+                .pop(deadline)
+                .ok_or_else(|| FarmError::Busy(pool.spec.name.clone()))?,
+            pool: &pool,
+        };
         // Steps 1 & 3 on the simulated clock.
-        let result = Self::run_on_device(&pool.spec, job, device_id);
+        let result = Self::run_on_device(&pool.spec, job, lease.device_id);
         self.measurements.fetch_add(1, Ordering::Relaxed);
-        // Release the lease; a closed channel means the farm is being torn
-        // down, in which case the lease is moot.
-        let _ = pool.idle_tx.send(device_id);
-        result
+        Ok(result)
     }
 
     fn run_on_device(spec: &PlatformSpec, job: &QueryJob, device_id: usize) -> FarmResult {
@@ -373,20 +370,34 @@ mod tests {
     }
 
     #[test]
-    fn try_measure_busy_when_all_leased() {
+    fn a_timeout_is_busy_while_all_devices_are_leased() {
         let farm = DeviceFarm::new(&PlatformSpec::table2_platforms(), 1);
         let pool = farm.resolve("gpu-T4-trt7.1-fp32").unwrap();
-        // Drain the only lease by hand, then try_measure must refuse.
-        let id = pool.idle_rx.try_recv().unwrap();
-        let err = farm.try_measure(&job("gpu-T4-trt7.1-fp32", 1)).unwrap_err();
-        assert_eq!(err, FarmError::Busy("gpu-T4-trt7.1-fp32".into()));
-        let err = farm
-            .measure_timeout(&job("gpu-T4-trt7.1-fp32", 1), Duration::from_millis(5))
-            .unwrap_err();
-        assert_eq!(err, FarmError::Busy("gpu-T4-trt7.1-fp32".into()));
-        // Return the lease: the non-blocking path now succeeds.
-        pool.idle_tx.send(id).unwrap();
-        assert!(farm.try_measure(&job("gpu-T4-trt7.1-fp32", 1)).is_ok());
+        // Take the only lease by hand: a zero and a short timeout refuse.
+        let id = pool.idle.pop(None).unwrap();
+        for wait in [Duration::ZERO, Duration::from_millis(5)] {
+            let err = farm
+                .measure_timeout(&job("gpu-T4-trt7.1-fp32", 1), wait)
+                .unwrap_err();
+            assert_eq!(err, FarmError::Busy("gpu-T4-trt7.1-fp32".into()));
+        }
+        // Return the lease: a zero timeout now measures.
+        pool.idle.try_push(id).unwrap();
+        assert!(farm
+            .measure_timeout(&job("gpu-T4-trt7.1-fp32", 1), Duration::ZERO)
+            .is_ok());
+    }
+
+    #[test]
+    fn a_lease_comes_back_when_its_measurement_unwinds() {
+        // A NaN launch cost makes the scheduler's time comparison panic.
+        let mut spec = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
+        spec.launch_us = f64::NAN;
+        let farm = DeviceFarm::new(&[spec], 1);
+        let run = std::panic::catch_unwind(|| farm.measure_blocking(&job("gpu-T4-trt7.1-fp32", 1)));
+        assert!(run.is_err());
+        assert_eq!(farm.idle_devices("gpu-T4-trt7.1-fp32"), 1);
+        assert_eq!(farm.measurements_performed(), 0);
     }
 
     #[test]
@@ -395,12 +406,13 @@ mod tests {
         assert_eq!(farm.measurements_performed(), 0);
         farm.measure_blocking(&job("gpu-T4-trt7.1-fp32", 1))
             .unwrap();
-        farm.try_measure(&job("cpu-openppl-fp32", 2)).unwrap();
+        farm.measure_timeout(&job("cpu-openppl-fp32", 2), Duration::ZERO)
+            .unwrap();
         farm.measure_timeout(&job("gpu-T4-trt7.1-fp32", 3), Duration::from_secs(1))
             .unwrap();
         assert_eq!(farm.measurements_performed(), 3);
         // Failed acquisitions don't count.
-        let _ = farm.try_measure(&job("tpu-v9", 4));
+        let _ = farm.measure_timeout(&job("tpu-v9", 4), Duration::ZERO);
         assert_eq!(farm.measurements_performed(), 3);
     }
 

@@ -7,7 +7,8 @@
 //! the degraded prediction tier. Plus the surrounding observability:
 //! monotone request ids, the exemplar reservoir, Chrome-trace export,
 //! and the wall-time histograms the traces feed. And the order a measured
-//! flight settles in: published first, shadow-evaluated after.
+//! flight settles in: published first, shadow-evaluated after, and a
+//! worker that outlives a panic in either.
 
 use nnlqp::{
     MonitorConfig, Nnlqp, Platform, Predictor, PredictorHandle, PredictorKind, TrainPredictorConfig,
@@ -16,7 +17,7 @@ use nnlqp_ir::Graph;
 use nnlqp_models::ModelFamily;
 use nnlqp_obs::{tail_attribution, timeline_of, to_chrome_json, RequestTrace};
 use nnlqp_predict::{GraphFeatures, Sample, Scratch, TrainConfig, TrainReport};
-use nnlqp_serve::{metric_names, LatencyService, ServeConfig, Source};
+use nnlqp_serve::{metric_names, LatencyService, ServeConfig, ServeError, Served, Source};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Barrier};
@@ -336,22 +337,74 @@ fn a_slow_shadow_prediction_does_not_delay_the_measured_answer() {
     assert_eq!(shadowed(), 1);
 }
 
+/// `svc.query` on a thread of its own, failing the test if the caller is
+/// still waiting after ten seconds.
+fn query_within_10s(
+    svc: &Arc<LatencyService>,
+    model: &Arc<Graph>,
+    platform: &'static str,
+) -> Result<Served, ServeError> {
+    let (tx, rx) = mpsc::channel();
+    let (client, model) = (Arc::clone(svc), Arc::clone(model));
+    std::thread::spawn(move || {
+        let _ = tx.send(client.query(&model, platform, 1));
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the caller is still waiting on its flight")
+}
+
 #[test]
 fn a_panicking_shadow_prediction_does_not_strand_the_caller() {
     let svc = Arc::new(monitored_service(Probe {
         on_embed: || panic!("shadow predictor failed"),
     }));
-    let (tx, rx) = mpsc::channel();
-    let client = Arc::clone(&svc);
-    let model = Arc::clone(&models(1, 43)[0]);
-    std::thread::spawn(move || {
-        let _ = tx.send(client.query(&model, PLATFORM, 1));
-    });
-    let served = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the caller is still waiting on its flight")
-        .unwrap();
+    for model in &models(2, 43) {
+        // The one worker survives the first panic and measures the second
+        // key, whose shadow panics too.
+        let served = query_within_10s(&svc, model, PLATFORM).unwrap();
+        assert_eq!(served.source, Source::Measured);
+    }
+    // Joining the worker waits out the second shadow, then counts both.
+    svc.shutdown().unwrap();
+    let registry = svc.system().registry().snapshot();
+    assert_eq!(registry.counter(metric_names::WORKER_PANICS), 2);
+}
+
+#[test]
+fn a_panicking_measurement_fails_its_flight_and_the_worker_carries_on() {
+    // A NaN launch cost makes the T4 pool's scheduler panic mid-measurement;
+    // the registry's T4 row, which admission and hashing see, stays sound.
+    let specs: Vec<PlatformSpec> = PlatformSpec::table2_platforms()
+        .into_iter()
+        .map(|mut spec| {
+            if spec.name == PLATFORM {
+                spec.launch_us = f64::NAN;
+            }
+            spec
+        })
+        .collect();
+    let sys = Nnlqp::builder()
+        .farm(DeviceFarm::new(&specs, 1))
+        .reps(3)
+        .seed(SEED)
+        .build();
+    let svc = Arc::new(LatencyService::start(
+        Arc::new(sys),
+        ServeConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    ));
+    let model = &models(1, 45)[0];
+    let failed = query_within_10s(&svc, model, PLATFORM);
+    assert!(
+        matches!(failed, Err(ServeError::Measurement(_))),
+        "{failed:?}"
+    );
+    let served = query_within_10s(&svc, model, "cpu-openppl-fp32").unwrap();
     assert_eq!(served.source, Source::Measured);
-    // The worker thread itself dies with the panic: catching that unwind
-    // is separate work, so nothing after this first flight is asserted.
+    let registry = svc.system().registry().snapshot();
+    assert_eq!(registry.counter(metric_names::WORKER_PANICS), 1);
+    assert!(svc.metrics().balanced(), "{:?}", svc.metrics());
+    assert_eq!(svc.system().farm().idle_devices(PLATFORM), 1);
 }
