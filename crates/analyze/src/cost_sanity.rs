@@ -19,14 +19,13 @@
 //!
 //! As in [`crate::schedule_checks`], the verifier takes the trace as a
 //! parameter so seeded-mutation tests can feed it tampered schedules;
-//! [`CostSanityPass`] wires it to a fresh `execute()` run.
+//! [`crate::analyze`] hands it the pipeline's one `execute()` trace.
 
 use crate::diagnostic::{Anchor, Code, Diagnostic};
 use crate::schedule_checks::EPS_MS;
-use crate::{AnalysisContext, Pass};
 use nnlqp_ir::{cost, DType, Graph};
-use nnlqp_sim::exec::{self, ExecutionTrace};
-use nnlqp_sim::fusion::{self, Kernel};
+use nnlqp_sim::exec::ExecutionTrace;
+use nnlqp_sim::fusion::Kernel;
 use nnlqp_sim::platform::PlatformSpec;
 
 /// The cost model's utilization clamp floor (see
@@ -126,35 +125,11 @@ pub fn verify_kernel_costs(
     out
 }
 
-/// The `cost-sanity` pass: fuses and executes the graph on the context
-/// platform, then cross-checks the schedule against the static bounds.
-pub struct CostSanityPass;
-
-impl Pass for CostSanityPass {
-    fn name(&self) -> &'static str {
-        "cost-sanity"
-    }
-
-    fn needs_sound_ir(&self) -> bool {
-        true
-    }
-
-    fn needs_platform(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let p = ctx.platform.expect("pass gated on platform presence");
-        let kernels = fusion::fuse(ctx.graph);
-        let trace = exec::execute(ctx.graph, p);
-        verify_kernel_costs(ctx.graph, &kernels, &trace, p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nnlqp_models::ModelFamily;
+    use nnlqp_sim::{exec, fusion};
 
     fn t4() -> PlatformSpec {
         PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap()
@@ -239,10 +214,7 @@ mod tests {
     fn pass_is_clean_on_a_real_model() {
         let p = t4();
         let g = ModelFamily::MobileNetV2.canonical().unwrap();
-        let ctx = AnalysisContext {
-            graph: &g,
-            platform: Some(&p),
-        };
-        assert!(CostSanityPass.run(&ctx).is_empty());
+        let trace = exec::execute(&g, &p);
+        assert!(verify_kernel_costs(&g, &fusion::fuse(&g), &trace, &p).is_empty());
     }
 }

@@ -317,7 +317,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// emitted); 2 = added `schema_version` itself and the `NNL3xx` codes.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
-/// The result of running an [`crate::Analyzer`] over one graph.
+/// The result of running [`crate::analyze`] over one graph.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
     /// Name of the analyzed graph.

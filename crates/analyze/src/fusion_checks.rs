@@ -8,30 +8,12 @@
 //!
 //! The check functions take the kernel list as a parameter (rather than
 //! calling `fuse` themselves) so that seeded-mutation tests can hand them
-//! deliberately illegal plans; [`FusionLegalityPass`] wires them to the
-//! real fusion output.
+//! deliberately illegal plans; [`crate::analyze`] hands them the real
+//! fusion output.
 
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use crate::{AnalysisContext, Pass};
 use nnlqp_ir::Graph;
 use nnlqp_sim::fusion::{self, Kernel, KernelDeps};
-
-/// The `fusion-legality` pass over the real `fuse()` output.
-pub struct FusionLegalityPass;
-
-impl Pass for FusionLegalityPass {
-    fn name(&self) -> &'static str {
-        "fusion-legality"
-    }
-
-    fn needs_sound_ir(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        verify_kernels(ctx.graph, &fusion::fuse(ctx.graph))
-    }
-}
 
 /// Run every fusion check against an arbitrary kernel plan. Dependency and
 /// convexity checks only run on a full partition — `kernel_deps` is

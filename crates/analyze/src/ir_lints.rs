@@ -1,139 +1,88 @@
 //! IR dataflow lints (`NNL001`–`NNL009`).
 //!
-//! These passes re-derive, diagnostically, everything
-//! [`nnlqp_ir::validate::validate`] enforces fatally — and go further:
-//! validation stops at the first violation, while the linter reports every
-//! finding with a stable code, then layers on dataflow facts validation
-//! does not track (reachability, value numbering, serialization round
-//! trips). The whole-graph facts come from the fixed-point engine in
-//! [`crate::dataflow`]: dead-region detection is a backward reachability
-//! analysis, duplicate-subgraph detection a forward value-numbering one.
+//! The structural rules are written once, in [`nnlqp_ir::validate`]:
+//! validation stops at the first violation, while [`check_structure`]
+//! words every one its [`walk`] reports with a stable code. The other
+//! lints layer on dataflow facts validation does not track (reachability,
+//! value numbering, serialization round trips). The whole-graph facts
+//! come from the fixed-point engine in [`crate::dataflow`]: dead-region
+//! detection is a backward reachability analysis, duplicate-subgraph
+//! detection a forward value-numbering one.
 
 use crate::dataflow::{self, DataflowAnalysis, Direction, ReachabilityAnalysis};
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use crate::{AnalysisContext, Pass};
 use nnlqp_hash::{graph_hash, StreamHasher};
-use nnlqp_ir::infer::infer_shape;
+use nnlqp_ir::validate::{walk, Rule, Violation};
 use nnlqp_ir::{serialize, Graph, NodeId, OpType};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
-/// The `ir-lints` pass: runs every check in this module.
-pub struct IrLintPass;
-
-impl Pass for IrLintPass {
-    fn name(&self) -> &'static str {
-        "ir-lints"
+/// Every IR lint over `g`, in report order, and whether its structure is
+/// sound (no `NNL001`–`NNL004`): only a sound graph can be walked by
+/// edge, fused or executed.
+pub fn check_ir(g: &Graph) -> (Vec<Diagnostic>, bool) {
+    let mut out = check_structure(g);
+    let sound = !out.iter().any(|d| {
+        matches!(
+            d.code,
+            Code::OrphanInput | Code::NonCanonicalOrder | Code::ArityMismatch | Code::ShapeMismatch
+        )
+    });
+    out.extend(check_degenerate_shapes(g));
+    if sound {
+        out.extend(check_dead_nodes(g));
+        out.extend(check_duplicate_subgraphs(g));
+        out.extend(check_cache_canonical(g));
     }
-
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let g = ctx.graph;
-        let mut out = check_structure(g);
-        let structurally_sound = !out.iter().any(|d| crate::is_structural(d.code));
-        out.extend(check_degenerate_shapes(g));
-        if structurally_sound {
-            // Liveness, value numbering and serialization all walk edges /
-            // round-trip the graph; only meaningful on a sound IR.
-            out.extend(check_dead_nodes(g));
-            out.extend(check_duplicate_subgraphs(g));
-            out.extend(check_cache_canonical(g));
-        }
-        out.extend(check_suspicious_attrs(g));
-        out
-    }
+    out.extend(check_suspicious_attrs(g));
+    (out, sound)
 }
 
 /// `NNL001`–`NNL004`: orphan inputs, non-canonical order, arity and shape
-/// violations. The diagnostic mirror of [`nnlqp_ir::validate::validate`],
-/// but exhaustive instead of fail-fast.
+/// violations, one diagnostic per [`Violation`] of the graph; an empty
+/// graph is one `NNL005` error.
 pub fn check_structure(g: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if g.nodes.is_empty() {
-        out.push(Diagnostic::error(
-            Code::DegenerateShape,
-            Anchor::Graph,
-            "graph has no nodes",
-        ));
-        return out;
-    }
-    for (i, n) in g.nodes.iter().enumerate() {
-        let id = i as u32;
-        let mut inputs_ok = true;
-        for &inp in &n.inputs {
-            if inp.index() >= g.len() {
-                inputs_ok = false;
-                out.push(Diagnostic::new(
-                    Code::OrphanInput,
-                    Anchor::Node(id),
-                    format!(
-                        "input n{} does not exist (graph has {} nodes)",
-                        inp.0,
-                        g.len()
-                    ),
-                ));
-            } else if inp.index() >= i {
-                inputs_ok = false;
-                out.push(Diagnostic::new(
-                    Code::NonCanonicalOrder,
-                    Anchor::Node(id),
-                    format!(
-                        "input n{} does not precede its consumer; the node vector is not a \
-                         topological order, so the graph hash is not a canonical cache key",
-                        inp.0
-                    ),
-                ));
+    let _ = walk(g, |Violation { node, rule }| {
+        let at = Anchor::Node(node);
+        out.push(match rule {
+            Rule::Empty => {
+                Diagnostic::error(Code::DegenerateShape, Anchor::Graph, "graph has no nodes")
             }
-        }
-        let (min, max) = n.op.arity();
-        let got = n.inputs.len();
-        // Zero inputs means the node reads the graph input, legal only for
-        // ops whose minimum arity is zero.
-        let arity_ok = if got == 0 {
-            min == 0
-        } else {
-            got >= min.max(1) && got <= max
-        };
-        if !arity_ok {
-            out.push(Diagnostic::new(
+            Rule::Orphan(input) => Diagnostic::new(
+                Code::OrphanInput,
+                at,
+                format!(
+                    "input n{input} does not exist (graph has {} nodes)",
+                    g.len()
+                ),
+            ),
+            Rule::NotEarlier(input) => Diagnostic::new(
+                Code::NonCanonicalOrder,
+                at,
+                format!(
+                    "input n{input} does not precede its consumer; the node vector is not a \
+                     topological order, so the graph hash is not a canonical cache key"
+                ),
+            ),
+            Rule::Arity { op, min, max, got } => Diagnostic::new(
                 Code::ArityMismatch,
-                Anchor::Node(id),
-                format!(
-                    "{} expects {}..={} inputs, got {}",
-                    n.op.name(),
-                    min,
-                    max,
-                    got
-                ),
-            ));
-            continue;
-        }
-        if !inputs_ok {
-            continue; // cannot infer shapes over broken edges
-        }
-        let inferred = infer_shape(
-            id,
-            n.op,
-            &n.attrs,
-            &n.inputs,
-            |x| g.nodes[x.index()].out_shape,
-            &g.input_shape,
-        );
-        match inferred {
-            Ok(expect) if expect == n.out_shape => {}
-            Ok(expect) => out.push(Diagnostic::new(
+                at,
+                format!("{} expects {min}..={max} inputs, got {got}", op.name()),
+            ),
+            Rule::Shape { stored, inferred } => Diagnostic::new(
                 Code::ShapeMismatch,
-                Anchor::Node(id),
-                format!(
-                    "stored shape {} but inference yields {}",
-                    n.out_shape, expect
-                ),
-            )),
-            Err(e) => out.push(Diagnostic::new(
+                at,
+                format!("stored shape {stored} but inference yields {inferred}"),
+            ),
+            Rule::Inference(e) => Diagnostic::new(
                 Code::ShapeMismatch,
-                Anchor::Node(id),
+                at,
                 format!("shape inference failed: {e}"),
-            )),
-        }
-    }
+            ),
+        });
+        ControlFlow::<()>::Continue(())
+    });
     out
 }
 
@@ -457,6 +406,29 @@ mod tests {
             out.iter().filter(|d| d.code == Code::OrphanInput).count(),
             2
         );
+
+        // One of each rule (NNL001–NNL004), pinned in walk order: per
+        // node its inputs (orphan, then not-earlier), then arity; shape
+        // only on a node whose inputs and arity are sound.
+        let mut g = chain();
+        let nodes = g.nodes.make_mut();
+        nodes[1].inputs = vec![NodeId(99), NodeId(3)].into(); // orphan, not earlier, 2 > 1
+        nodes[3].out_shape = Shape::nchw(1, 99, 1, 1); // tampered
+        nodes[4].inputs = vec![NodeId(4)].into(); // self loop
+        let found: Vec<_> = check_structure(&g)
+            .iter()
+            .map(|d| (d.code, d.anchor))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                (Code::OrphanInput, Anchor::Node(1)),
+                (Code::NonCanonicalOrder, Anchor::Node(1)),
+                (Code::ArityMismatch, Anchor::Node(1)),
+                (Code::ShapeMismatch, Anchor::Node(3)),
+                (Code::NonCanonicalOrder, Anchor::Node(4)),
+            ]
+        );
     }
 
     #[test]
@@ -551,13 +523,7 @@ mod tests {
 
     #[test]
     fn full_pass_on_builder_output_is_clean() {
-        let pass = IrLintPass;
-        let g = chain();
-        let ctx = AnalysisContext {
-            graph: &g,
-            platform: None,
-        };
-        assert!(pass.run(&ctx).is_empty());
+        assert_eq!(check_ir(&chain()), (Vec::new(), true));
     }
 
     #[test]

@@ -1,27 +1,27 @@
 //! # nnlqp-analyze
 //!
-//! Multi-pass static analysis for NNLQP graphs, fusion plans and execution
-//! schedules.
+//! Static analysis for NNLQP graphs, fusion plans and execution schedules.
 //!
 //! NNLQP's premise is that query results are trustworthy ground truth for
 //! the evolving database and the GNN predictor. A silently malformed graph,
 //! an illegal fusion, or a scheduler hazard poisons both the cache (keyed
-//! by graph hash) and the training set. This crate is the guard: a pass
-//! framework producing [`Diagnostic`]s with stable `NNLxxx` codes, rendered
-//! as text or JSON.
+//! by graph hash) and the training set. This crate is the guard: one fixed
+//! pipeline, [`analyze`], producing [`Diagnostic`]s with stable `NNLxxx`
+//! codes, rendered as text or JSON.
 //!
 //! Whole-graph facts (reachability, liveness, value numbers) come from a
 //! shared fixed-point engine ([`dataflow`]): analyses declare a lattice
 //! and a transfer function, the engine sweeps the topological node order
-//! to convergence. Five pass families sit on top:
+//! to convergence. The pipeline runs five checks, in this order:
 //!
 //! * **IR dataflow lints** ([`ir_lints`], `NNL0xx`) over [`nnlqp_ir::Graph`]:
-//!   orphan inputs, non-canonical node order (a graph-hash cache-miss
-//!   source), arity/shape violations, degenerate shapes, dead regions
-//!   (backward reachability), duplicate subgraphs (CSE candidates, via
-//!   forward value numbering), suspicious attributes, and database
-//!   cache-key canonicalization (serialize round trip preserves the graph
-//!   hash).
+//!   the structural rules of [`nnlqp_ir::validate`] worded as diagnostics
+//!   (orphan inputs, non-canonical node order — a graph-hash cache-miss
+//!   source — arity and shape violations), then degenerate shapes, dead
+//!   regions (backward reachability), duplicate subgraphs (CSE
+//!   candidates, via forward value numbering), suspicious attributes, and
+//!   database cache-key canonicalization (serialize round trip preserves
+//!   the graph hash).
 //! * **Memory feasibility** ([`memory`], `NNL3xx` low range): backward
 //!   tensor liveness over the execution order gives the peak activation
 //!   footprint; adding weights, the graph either fits the platform's
@@ -40,13 +40,13 @@
 //!   re-execution.
 //!
 //! ```
-//! use nnlqp_analyze::Analyzer;
+//! use nnlqp_analyze::analyze;
 //! use nnlqp_models::ModelFamily;
 //! use nnlqp_sim::platform::PlatformSpec;
 //!
 //! let g = ModelFamily::SqueezeNet.canonical().unwrap();
 //! let p = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
-//! let report = Analyzer::full().analyze(&g, Some(&p));
+//! let report = analyze(&g, Some(&p));
 //! assert!(!report.has_errors());
 //! ```
 
@@ -64,114 +64,55 @@ pub use diagnostic::{
 
 use nnlqp_ir::Graph;
 use nnlqp_sim::platform::PlatformSpec;
+use nnlqp_sim::{exec, fusion};
 
-/// Everything a pass may look at.
-pub struct AnalysisContext<'a> {
-    /// The graph under analysis.
-    pub graph: &'a Graph,
-    /// Target platform, when known. Passes that need one (the schedule
-    /// checker) are skipped without it.
-    pub platform: Option<&'a PlatformSpec>,
-}
-
-/// One analysis pass.
-pub trait Pass {
-    /// Stable pass name (shown in reports).
-    fn name(&self) -> &'static str;
-    /// True when the pass walks structures derived from the graph
-    /// (fusion, schedules) and therefore requires a structurally sound IR.
-    /// Such passes are skipped once a structural error is on record.
-    fn needs_sound_ir(&self) -> bool {
-        false
-    }
-    /// True when the pass needs a platform in the context.
-    fn needs_platform(&self) -> bool {
-        false
-    }
-    /// Run the pass, returning its findings.
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic>;
-}
-
-/// True for codes that make the graph unsafe to even feed into fusion or
-/// the simulator (out-of-range ids, broken topology, bad arity/shapes).
-pub fn is_structural(code: Code) -> bool {
-    matches!(
-        code,
-        Code::OrphanInput | Code::NonCanonicalOrder | Code::ArityMismatch | Code::ShapeMismatch
-    )
-}
-
-/// A configured pipeline of passes.
-pub struct Analyzer {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Analyzer {
-    /// The full pipeline: IR lints, memory feasibility, fusion legality,
-    /// cost sanity, schedule hazards.
-    pub fn full() -> Self {
-        Analyzer {
-            passes: vec![
-                Box::new(ir_lints::IrLintPass),
-                Box::new(memory::MemoryFeasibilityPass),
-                Box::new(fusion_checks::FusionLegalityPass),
-                Box::new(cost_sanity::CostSanityPass),
-                Box::new(schedule_checks::ScheduleHazardPass),
-            ],
-        }
-    }
-
-    /// IR lints only (no simulator involvement).
-    pub fn ir_only() -> Self {
-        Analyzer {
-            passes: vec![Box::new(ir_lints::IrLintPass)],
-        }
-    }
-
-    /// A custom pipeline.
-    pub fn with_passes(passes: Vec<Box<dyn Pass>>) -> Self {
-        Analyzer { passes }
-    }
-
-    /// Run every applicable pass over `g` and collect a [`Report`].
-    ///
-    /// Passes that require a sound IR are skipped (and recorded as skipped)
-    /// as soon as any structural error is found, so downstream passes never
-    /// index out of range on a malformed graph.
-    pub fn analyze(&self, g: &Graph, platform: Option<&PlatformSpec>) -> Report {
-        let ctx = AnalysisContext { graph: g, platform };
-        let mut report = Report {
-            graph_name: g.name.clone(),
-            ..Report::default()
-        };
-        for pass in &self.passes {
-            let structurally_broken = report
-                .diagnostics
-                .iter()
-                .any(|d| d.severity == Severity::Error && is_structural(d.code));
-            if (pass.needs_sound_ir() && structurally_broken)
-                || (pass.needs_platform() && ctx.platform.is_none())
-            {
-                report.passes_skipped.push(pass.name());
-                continue;
-            }
-            report.passes_run.push(pass.name());
-            report.diagnostics.extend(pass.run(&ctx));
-        }
-        report
-    }
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer::full()
-    }
-}
-
-/// Convenience: run the full pipeline (IR + fusion; memory, cost and
-/// schedule checks too when a platform is given).
+/// Run the five checks over `g` and collect a [`Report`]: IR lints,
+/// memory feasibility, fusion legality, cost sanity, schedule hazards.
+///
+/// The last four walk the graph's edges, fuse or execute it, so they are
+/// skipped (and recorded as skipped) when the IR lints find a structural
+/// error (`NNL001`–`NNL004`); the three that need a platform are skipped
+/// without one. The graph is fused once and executed twice: cost sanity
+/// reads the first trace, `NNL204` compares it with the second.
 pub fn analyze(g: &Graph, platform: Option<&PlatformSpec>) -> Report {
-    Analyzer::full().analyze(g, platform)
+    let mut report = Report {
+        graph_name: g.name.clone(),
+        ..Report::default()
+    };
+    let (lints, sound) = ir_lints::check_ir(g);
+    record(&mut report, "ir-lints", Some(lints));
+    let on_platform = platform.filter(|_| sound);
+    let kernels = if sound { fusion::fuse(g) } else { Vec::new() };
+    let traced = on_platform.map(|p| (p, exec::execute(g, p)));
+    let memory =
+        on_platform.map(|p| memory::check_memory_feasibility(g, p.dtype, p.mem_capacity_bytes));
+    record(&mut report, "memory-feasibility", memory);
+    let legality = sound.then(|| fusion_checks::verify_kernels(g, &kernels));
+    record(&mut report, "fusion-legality", legality);
+    let costs = traced
+        .as_ref()
+        .map(|(p, trace)| cost_sanity::verify_kernel_costs(g, &kernels, trace, p));
+    record(&mut report, "cost-sanity", costs);
+    let hazards = traced.map(|(p, first)| {
+        let deps = fusion::kernel_deps(g, &kernels);
+        let second = exec::execute(g, p);
+        let mut out = schedule_checks::verify_trace(&first, &deps, p.streams);
+        out.extend(schedule_checks::compare_traces(&first, &second));
+        out
+    });
+    record(&mut report, "schedule-hazards", hazards);
+    report
+}
+
+/// Append one check's findings under its pass name, or note it skipped.
+fn record(report: &mut Report, pass: &'static str, findings: Option<Vec<Diagnostic>>) {
+    match findings {
+        Some(found) => {
+            report.passes_run.push(pass);
+            report.diagnostics.extend(found);
+        }
+        None => report.passes_skipped.push(pass),
+    }
 }
 
 #[cfg(test)]
@@ -189,7 +130,7 @@ mod tests {
     #[test]
     fn clean_graph_runs_all_passes() {
         let p = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
-        let r = Analyzer::full().analyze(&small(), Some(&p));
+        let r = analyze(&small(), Some(&p));
         assert!(r.is_clean(), "{}", r.render_text());
         assert_eq!(r.passes_run.len(), 5);
         assert!(r.passes_skipped.is_empty());
@@ -197,7 +138,7 @@ mod tests {
 
     #[test]
     fn no_platform_skips_platform_passes() {
-        let r = Analyzer::full().analyze(&small(), None);
+        let r = analyze(&small(), None);
         assert!(r.is_clean());
         assert_eq!(r.passes_run.len(), 2);
         assert_eq!(
@@ -211,7 +152,7 @@ mod tests {
         let mut g = small();
         g.nodes.make_mut()[1].inputs = vec![NodeId(77)].into(); // orphan input
         let p = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
-        let r = Analyzer::full().analyze(&g, Some(&p));
+        let r = analyze(&g, Some(&p));
         assert!(r.has_code(Code::OrphanInput));
         assert_eq!(r.passes_run, vec!["ir-lints"]);
         assert_eq!(

@@ -13,7 +13,6 @@
 
 use crate::dataflow::{self, BitSet, DataflowAnalysis, DepStructure, Direction};
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use crate::{AnalysisContext, Pass};
 use nnlqp_ir::{cost, DType, Graph, NodeId};
 
 /// Footprint fraction of capacity above which `NNL302` warns that the
@@ -170,35 +169,10 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// The `memory-feasibility` pass: peak footprint vs. the platform's
-/// memory capacity. `NNL301` (error) when the graph cannot fit,
-/// `NNL302` (warning) when it leaves less than `1 - HIGH_WATERMARK`
-/// headroom.
-pub struct MemoryFeasibilityPass;
-
-impl Pass for MemoryFeasibilityPass {
-    fn name(&self) -> &'static str {
-        "memory-feasibility"
-    }
-
-    fn needs_sound_ir(&self) -> bool {
-        true
-    }
-
-    fn needs_platform(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let p = ctx.platform.expect("pass gated on platform presence");
-        check_memory_feasibility(ctx.graph, p.dtype, p.mem_capacity_bytes)
-    }
-}
-
-/// Compare the graph's static footprint at `dt` against a capacity in
-/// bytes. Public with explicit parameters (like the schedule verifiers)
-/// so tests can probe thresholds directly; a capacity of zero means
-/// "unknown" and disables the check.
+/// The `memory-feasibility` check: the graph's static footprint at `dt`
+/// against a capacity in bytes. `NNL301` (error) when the graph cannot
+/// fit, `NNL302` (warning) when it leaves less than `1 - HIGH_WATERMARK`
+/// headroom. A capacity of zero means "unknown" and disables the check.
 pub fn check_memory_feasibility(g: &Graph, dt: DType, capacity_bytes: u64) -> Vec<Diagnostic> {
     if capacity_bytes == 0 {
         return Vec::new();

@@ -11,44 +11,14 @@
 //! As in [`crate::fusion_checks`], the verifiers take the trace and
 //! dependency lists as parameters so seeded-mutation tests can feed them
 //! hazardous schedules the real scheduler never emits;
-//! [`ScheduleHazardPass`] wires them to two fresh `execute()` runs.
+//! [`crate::analyze`] hands them two `execute()` runs.
 
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use crate::{AnalysisContext, Pass};
-use nnlqp_sim::exec::{self, ExecutionTrace};
-use nnlqp_sim::fusion::{self, KernelDeps};
+use nnlqp_sim::exec::ExecutionTrace;
+use nnlqp_sim::fusion::KernelDeps;
 
 /// Tolerance for floating-point schedule arithmetic (milliseconds).
 pub const EPS_MS: f64 = 1e-9;
-
-/// The `schedule-hazards` pass: executes the graph twice on the context
-/// platform and verifies both the trace and its determinism.
-pub struct ScheduleHazardPass;
-
-impl Pass for ScheduleHazardPass {
-    fn name(&self) -> &'static str {
-        "schedule-hazards"
-    }
-
-    fn needs_sound_ir(&self) -> bool {
-        true
-    }
-
-    fn needs_platform(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let p = ctx.platform.expect("pass gated on platform presence");
-        let kernels = fusion::fuse(ctx.graph);
-        let deps = fusion::kernel_deps(ctx.graph, &kernels);
-        let first = exec::execute(ctx.graph, p);
-        let mut out = verify_trace(&first, &deps, p.streams);
-        let second = exec::execute(ctx.graph, p);
-        out.extend(compare_traces(&first, &second));
-        out
-    }
-}
 
 /// Verify one trace against the kernel dependency lists and the platform's
 /// stream count. Covers `NNL201`, `NNL202`, `NNL203` and `NNL205`.
@@ -206,6 +176,7 @@ mod tests {
     use super::*;
     use nnlqp_ir::Graph;
     use nnlqp_sim::platform::PlatformSpec;
+    use nnlqp_sim::{exec, fusion};
 
     fn t4() -> PlatformSpec {
         PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap()

@@ -331,12 +331,11 @@ fn main() {
                 }
             }
 
-            let analyzer = nnlqp_analyze::Analyzer::full();
             let mut any_errors = false;
             let mut any_warnings = false;
             let mut json_reports = Vec::new();
             for g in &graphs {
-                let report = analyzer.analyze(g, Some(&spec));
+                let report = nnlqp_analyze::analyze(g, Some(&spec));
                 any_errors |= report.has_errors();
                 any_warnings |= report.count(nnlqp_analyze::Severity::Warn) > 0;
                 if flags.contains_key("json") {

@@ -1,5 +1,6 @@
 //! `NNLQP.query` — the cached latency-query path (§5.2).
 
+use crate::lru::ShardedLru;
 use nnlqp_analyze::Report;
 use nnlqp_db::{CompactorHandle, Database, DbMetrics, DurableOptions, PlatformId};
 use nnlqp_hash::graph_hash;
@@ -10,9 +11,8 @@ use nnlqp_obs::{
 };
 use nnlqp_sim::{DeviceFarm, FarmError, Platform, PlatformSpec, QueryJob};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 /// Parameters of a query or prediction — the paper's
@@ -205,8 +205,9 @@ pub struct Nnlqp {
     h_measure_s: Arc<Histogram>,
     /// Memoized admission reports keyed by (graph hash, platform name):
     /// strict mode analyzes each distinct graph once per platform, so a
-    /// repeated (rejected or clean) query pays nothing.
-    lint_cache: Mutex<HashMap<(u64, String), Arc<Report>>>,
+    /// repeated (rejected or clean) query pays nothing. A full memo
+    /// evicts its least-recently-used report; it is built on first use.
+    lint_cache: OnceLock<ShardedLru<(u64, String), Arc<Report>>>,
     pub(crate) predictor: RwLock<Option<crate::predictor::PredictorHandle>>,
     /// Generation counter for the installed predictor; bumped under the
     /// `predictor` write lock on every hot-swap so embed-cache keys from
@@ -260,6 +261,11 @@ const DB_COMPACT_INTERVAL: Duration = Duration::from_millis(500);
 const DEFAULT_EMBED_CACHE_CAPACITY: usize = 2048;
 /// Shard count of the embed cache (rounded to a power of two inside).
 const EMBED_CACHE_SHARDS: usize = 8;
+
+/// Admission reports the strict-mode memo holds. One shard: an analysis
+/// costs far more than the probe's lock, and the memo evicts in exact
+/// least-recently-used order.
+const LINT_CACHE_CAP: usize = 1024;
 
 impl NnlqpBuilder {
     /// The device farm to measure on (default: the full platform
@@ -386,7 +392,7 @@ impl NnlqpBuilder {
             m_lint_cache_hits,
             h_lookup_s,
             h_measure_s,
-            lint_cache: Mutex::new(HashMap::new()),
+            lint_cache: OnceLock::new(),
             predictor: RwLock::new(None),
             predictor_version: std::sync::atomic::AtomicU64::new(0),
             embed_cache: crate::embed_cache::EmbedCache::new(embed_capacity, EMBED_CACHE_SHARDS),
@@ -464,19 +470,17 @@ impl Nnlqp {
     /// calls for an already-analyzed key return the cached report and
     /// bump `query.lint_cache_hits` instead of `query.lint_runs`.
     pub fn analyze_admission(&self, graph: &Graph, hash: u64, spec: &PlatformSpec) -> Arc<Report> {
-        const LINT_CACHE_CAP: usize = 1024;
         let key = (hash, spec.name.clone());
-        if let Some(cached) = self.lint_cache.lock().recover().get(&key) {
+        let lint_cache = self
+            .lint_cache
+            .get_or_init(|| ShardedLru::new(LINT_CACHE_CAP, 1));
+        if let Some(cached) = lint_cache.get(&key) {
             self.m_lint_cache_hits.inc();
-            return Arc::clone(cached);
+            return cached;
         }
         let report = Arc::new(nnlqp_analyze::analyze(graph, Some(spec)));
         self.m_lint_runs.inc();
-        let mut cache = self.lint_cache.lock().recover();
-        if cache.len() >= LINT_CACHE_CAP {
-            cache.clear(); // simple bound; reports are cheap to recompute
-        }
-        cache.insert(key, Arc::clone(&report));
+        lint_cache.insert(key, Arc::clone(&report));
         report
     }
 
@@ -978,6 +982,30 @@ mod tests {
         assert_eq!(s.farm_measurements(), 0);
         assert_eq!(s.stats().models, 0);
         assert_eq!(s.stats().latencies, 0);
+    }
+
+    #[test]
+    fn a_full_admission_memo_evicts_only_its_least_recently_used_report() {
+        let s = Nnlqp::builder()
+            .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
+            .strict(true)
+            .build();
+        let t4 = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
+        // Admits a one-conv graph with `c` channels; returns `lint_runs`.
+        let admit = |c: u32| {
+            let mut b = nnlqp_ir::GraphBuilder::new("g", nnlqp_ir::Shape::nchw(1, 3, 4, 4));
+            b.conv(None, c, 1, 1, 0, 1).unwrap();
+            let g = b.finish().unwrap();
+            s.analyze_admission(&g, graph_hash(&g), &t4);
+            s.registry().snapshot().counter(metric_names::LINT_RUNS)
+        };
+        let cap = LINT_CACHE_CAP as u32;
+        for c in 1..=cap + 1 {
+            admit(c);
+        }
+        // The 1,025th report evicted the first one, not the whole memo.
+        assert_eq!(admit(cap), u64::from(cap) + 1);
+        assert_eq!(admit(1), u64::from(cap) + 2);
     }
 
     #[test]

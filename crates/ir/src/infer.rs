@@ -9,7 +9,7 @@ use crate::shape::Shape;
 /// Spatial output size of a convolution/pooling window.
 #[inline]
 fn conv_out(dim: usize, kernel: u32, stride: u32, pad: u32, dilation: u32) -> IrResult<usize> {
-    let eff_k = (dilation as usize) * (kernel as usize - 1) + 1;
+    let eff_k = (dilation as usize) * (kernel as usize).saturating_sub(1) + 1;
     let padded = dim + 2 * pad as usize;
     if kernel == 0 || stride == 0 || padded < eff_k {
         return Err(IrError::Decode(format!(
@@ -298,6 +298,8 @@ mod tests {
         let a = Attrs::conv(8, 11, 1, 0, 1);
         let s = Shape::nchw(1, 3, 4, 4);
         assert!(infer(OpType::Conv, &a, &[&s]).is_err());
+        // A zero-sized window is refused too, not an underflow.
+        assert!(infer(OpType::Conv, &Attrs::conv(8, 0, 1, 0, 1), &[&s]).is_err());
     }
 
     #[test]

@@ -1,28 +1,93 @@
 //! Structural validation of deserialized or hand-built graphs.
+//!
+//! The one place a graph's structural rules are written: inputs precede
+//! their users, each op gets an input count it accepts, and every stored
+//! output shape is the inferred one. [`walk`] reports every breach in
+//! node order; [`validate`] stops at the first, and `nnlqp-analyze` words
+//! them all as its `NNL001`–`NNL004` diagnostics.
 
 use crate::error::{IrError, IrResult};
 use crate::graph::Graph;
 use crate::infer::infer_shape;
+use crate::node::NodeId;
+use crate::op::OpType;
+use crate::shape::Shape;
+use std::ops::ControlFlow;
 
-/// Check the graph invariants:
-///
-/// 1. non-empty,
-/// 2. the node vector is a topological order (all inputs precede users),
-/// 3. input arity matches the operator,
-/// 4. every stored output shape matches re-run shape inference.
-pub fn validate(g: &Graph) -> IrResult<()> {
+/// One breach of a structural rule: the node and the rule it breaks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// The offending node (0 for [`Rule::Empty`]).
+    pub node: u32,
+    /// The rule it breaks.
+    pub rule: Rule,
+}
+
+/// The rules a graph can break, each with what it takes to word it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Rule {
+    /// The graph has no nodes.
+    Empty,
+    /// The input names no node of the graph.
+    Orphan(u32),
+    /// The input names a node that does not precede this one.
+    NotEarlier(u32),
+    /// `got` inputs where `op` takes `min..=max`.
+    Arity {
+        op: OpType,
+        min: usize,
+        max: usize,
+        got: usize,
+    },
+    /// The stored output shape is not the inferred one.
+    Shape { stored: Shape, inferred: Shape },
+    /// Shape inference itself failed.
+    Inference(IrError),
+}
+
+impl From<Violation> for IrError {
+    fn from(Violation { node, rule }: Violation) -> IrError {
+        match rule {
+            Rule::Empty => IrError::Empty,
+            Rule::Orphan(input) | Rule::NotEarlier(input) => IrError::BadTopology { node, input },
+            Rule::Arity { op, got, .. } => IrError::Arity {
+                node,
+                op: op.name(),
+                expected: "per-op arity",
+                got,
+            },
+            Rule::Shape { stored, inferred } => IrError::ShapeMismatch {
+                node,
+                detail: format!("stored {stored} != inferred {inferred}"),
+            },
+            Rule::Inference(error) => error,
+        }
+    }
+}
+
+/// Hand every violation in `g` to `visit`, in order: an empty graph is
+/// one [`Rule::Empty`]; otherwise, per node, each bad input, then its
+/// arity, then its shape, which is not inferred over broken inputs or
+/// arity. Stops when `visit` breaks; allocates nothing on a valid graph.
+pub fn walk<B>(g: &Graph, mut visit: impl FnMut(Violation) -> ControlFlow<B>) -> ControlFlow<B> {
     if g.nodes.is_empty() {
-        return Err(IrError::Empty);
+        let rule = Rule::Empty;
+        return visit(Violation { node: 0, rule });
     }
     for (i, n) in g.nodes.iter().enumerate() {
-        let id = i as u32;
+        let node = i as u32;
+        let mut breach = |rule| visit(Violation { node, rule });
+        let mut inputs_ok = true;
         for &inp in &n.inputs {
-            if inp.index() >= i {
-                return Err(IrError::BadTopology {
-                    node: id,
-                    input: inp.0,
-                });
-            }
+            let rule = if inp.index() >= g.len() {
+                Rule::Orphan(inp.0)
+            } else if inp.index() >= i {
+                Rule::NotEarlier(inp.0)
+            } else {
+                continue;
+            };
+            inputs_ok = false;
+            breach(rule)?;
         }
         let (min, max) = n.op.arity();
         let got = n.inputs.len();
@@ -35,29 +100,34 @@ pub fn validate(g: &Graph) -> IrResult<()> {
             got >= min.max(1) && got <= max
         };
         if !arity_ok {
-            return Err(IrError::Arity {
-                node: id,
-                op: n.op.name(),
-                expected: "per-op arity",
-                got,
-            });
-        }
-        let expect = infer_shape(
-            id,
-            n.op,
-            &n.attrs,
-            &n.inputs,
-            |x| g.nodes[x.index()].out_shape,
-            &g.input_shape,
-        )?;
-        if expect != n.out_shape {
-            return Err(IrError::ShapeMismatch {
-                node: id,
-                detail: format!("stored {} != inferred {}", n.out_shape, expect),
-            });
+            let op = n.op;
+            breach(Rule::Arity { op, min, max, got })?;
+        } else if inputs_ok {
+            let shape_of = |x: NodeId| g.nodes[x.index()].out_shape;
+            match infer_shape(node, n.op, &n.attrs, &n.inputs, shape_of, &g.input_shape) {
+                Ok(inferred) if inferred == n.out_shape => {}
+                Ok(inferred) => breach(Rule::Shape {
+                    stored: n.out_shape,
+                    inferred,
+                })?,
+                Err(error) => breach(Rule::Inference(error))?,
+            }
         }
     }
-    Ok(())
+    ControlFlow::Continue(())
+}
+
+/// Check the graph invariants, failing at the first [`Violation`]:
+///
+/// 1. non-empty,
+/// 2. the node vector is a topological order (all inputs precede users),
+/// 3. input arity matches the operator,
+/// 4. every stored output shape matches re-run shape inference.
+pub fn validate(g: &Graph) -> IrResult<()> {
+    match walk(g, ControlFlow::Break) {
+        ControlFlow::Break(v) => Err(v.into()),
+        ControlFlow::Continue(()) => Ok(()),
+    }
 }
 
 #[cfg(test)]

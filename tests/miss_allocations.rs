@@ -153,3 +153,14 @@ fn a_spilled_input_list_costs_one_allocation_where_it_is_copied() {
     assert_eq!(graph_hash(&g.clone()), graph_hash(&g));
     assert_eq!(g.rebatch(1).unwrap(), g);
 }
+
+/// `train` decodes every stored row, and decoding validates: the one
+/// structural walk costs nothing on a well-formed graph of any family.
+#[test]
+fn validating_every_canonical_family_allocates_nothing() {
+    for f in nnlqp_models::family::CORPUS_FAMILIES {
+        let g = f.canonical().unwrap();
+        let made = allocations_of(|| validate::validate(&g).unwrap());
+        assert_eq!(made, 0, "{f} ({} nodes): validate allocated", g.len());
+    }
+}
