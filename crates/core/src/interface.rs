@@ -6,8 +6,8 @@ use nnlqp_db::{CompactorHandle, Database, DbMetrics, DurableOptions, PlatformId}
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::{cost, Graph, Rng64};
 use nnlqp_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, Recorder, Recover, SimClock, Span, TraceClock,
-    Track, STAGE_SECONDS_BOUNDS,
+    Counter, Gauge, Histogram, MetricsRegistry, Recorder, Recover, SimClock, Span, Track,
+    STAGE_SECONDS_BOUNDS,
 };
 use nnlqp_sim::{DeviceFarm, FarmError, Platform, PlatformSpec, QueryJob};
 use std::borrow::Cow;
@@ -64,18 +64,6 @@ pub struct QueryResult {
     pub cache_hit: bool,
     /// Wall-clock cost of answering, in (simulated) seconds.
     pub cost_s: f64,
-}
-
-/// Wall-clock stage boundaries of a traced miss
-/// ([`NNLQP::query_measured_traced`]): nanosecond ticks on the caller's
-/// [`TraceClock`], taken after the farm measurement and after the
-/// db/WAL write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeasureTicks {
-    /// Tick right after the farm returned the measurement.
-    pub measured_ns: u64,
-    /// Tick right after the result was recorded in the database.
-    pub db_write_ns: u64,
 }
 
 /// Query errors.
@@ -570,9 +558,8 @@ impl Nnlqp {
             None,
             rec,
             &mut clock,
-            None,
+            &mut |_| {},
         )
-        .map(|(qr, _)| qr)
     }
 
     /// The miss path as a standalone entry point: measure `graph` on the
@@ -596,18 +583,16 @@ impl Nnlqp {
             platform,
             batch_size,
             farm_wait,
-            None,
+            &mut |_| {},
         )
-        .map(|(qr, _)| qr)
     }
 
     /// [`Self::query_measured`] for the serving layer, which already
     /// holds `hash = graph_hash(graph)` from its front door (so the miss
-    /// path hashes once; checked in debug builds only), with wall-clock
-    /// stage boundaries: the returned [`MeasureTicks`] are nanosecond
-    /// ticks on `clock` taken right after the farm measurement and right
-    /// after the db/WAL write, so a serving-layer trace can tile the miss
-    /// path into `measure` / `db_write` stages exactly.
+    /// path hashes once; checked in debug builds only), marking its
+    /// stages as they end: `mark("measure")` right after the farm
+    /// measurement and `mark("db_write")` right after the db/WAL write, so
+    /// a serving-layer trace can tile the miss path exactly.
     pub fn query_measured_traced(
         &self,
         graph: &Arc<Graph>,
@@ -615,11 +600,10 @@ impl Nnlqp {
         platform: &Platform,
         batch_size: u32,
         farm_wait: Option<Duration>,
-        clock: &TraceClock,
-    ) -> Result<(QueryResult, MeasureTicks), QueryError> {
+        mark: &mut dyn FnMut(&'static str),
+    ) -> Result<QueryResult, QueryError> {
         debug_assert_eq!(hash, graph_hash(graph), "hash must be graph_hash(graph)");
-        self.measure_admitted(graph, hash, platform, batch_size, farm_wait, Some(clock))
-            .map(|(qr, ticks)| (qr, ticks.expect("ticks present when clock passed")))
+        self.measure_admitted(graph, hash, platform, batch_size, farm_wait, mark)
     }
 
     /// The shared body of the two `query_measured*` entry points: admit,
@@ -631,8 +615,8 @@ impl Nnlqp {
         platform: &Platform,
         batch_size: u32,
         farm_wait: Option<Duration>,
-        wall: Option<&TraceClock>,
-    ) -> Result<(QueryResult, Option<MeasureTicks>), QueryError> {
+        mark: &mut dyn FnMut(&'static str),
+    ) -> Result<QueryResult, QueryError> {
         let spec = platform.spec();
         self.admit(graph, hash, spec)?;
         let platform_id =
@@ -647,7 +631,7 @@ impl Nnlqp {
             farm_wait,
             &Recorder::disabled(),
             &mut SimClock::new(),
-            wall,
+            mark,
         )
     }
 
@@ -662,8 +646,8 @@ impl Nnlqp {
         farm_wait: Option<Duration>,
         rec: &Recorder,
         clock: &mut SimClock,
-        wall: Option<&TraceClock>,
-    ) -> Result<(QueryResult, Option<MeasureTicks>), QueryError> {
+        mark: &mut dyn FnMut(&'static str),
+    ) -> Result<QueryResult, QueryError> {
         let job = QueryJob {
             graph: Arc::clone(graph),
             platform: spec.name.clone(),
@@ -674,7 +658,7 @@ impl Nnlqp {
             None => self.farm.measure_blocking(&job)?,
             Some(d) => self.farm.measure_timeout(&job, d)?,
         };
-        let measured_ns = wall.map(TraceClock::now_ns);
+        mark("measure");
         self.m_measurements.inc();
         let lookup_s = CACHE_HIT_COST_S * 0.5; // miss still pays the lookup
         self.h_lookup_s.observe(lookup_s);
@@ -724,18 +708,12 @@ impl Nnlqp {
                 mem as u64,
             )
             .expect("fresh foreign keys are valid");
-        let ticks = wall.map(|c| MeasureTicks {
-            measured_ns: measured_ns.unwrap_or(0),
-            db_write_ns: c.now_ns(),
-        });
-        Ok((
-            QueryResult {
-                latency_ms: record.cost_ms,
-                cache_hit: false,
-                cost_s: result.pipeline_cost_s + lookup_s,
-            },
-            ticks,
-        ))
+        mark("db_write");
+        Ok(QueryResult {
+            latency_ms: record.cost_ms,
+            cache_hit: false,
+            cost_s: result.pipeline_cost_s + lookup_s,
+        })
     }
 
     /// Pre-populate the database (the "evolving" loop: every served query

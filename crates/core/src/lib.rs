@@ -33,8 +33,7 @@ pub mod predictor;
 
 pub use embed_cache::{EmbedCache, EmbedKey, SharedEmbedding};
 pub use interface::{
-    metric_names, CountersSnapshot, MeasureTicks, Nnlqp, NnlqpBuilder, QueryError, QueryParams,
-    QueryResult,
+    metric_names, CountersSnapshot, Nnlqp, NnlqpBuilder, QueryError, QueryParams, QueryResult,
 };
 pub use lru::ShardedLru;
 pub use nnlqp_obs::{
@@ -43,6 +42,6 @@ pub use nnlqp_obs::{
 pub use nnlqp_predict::{predictor_from_json, Predictor, PredictorKind};
 pub use nnlqp_sim::Platform;
 pub use predictor::{
-    BatchPredictResult, PredictResult, PredictTicks, PredictorHandle, TrainPredictorConfig,
+    BatchPredictResult, PredictResult, PredictorHandle, TrainPredictorConfig,
     CACHED_PREDICT_COST_S, PREDICT_COST_S,
 };

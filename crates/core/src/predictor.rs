@@ -13,7 +13,7 @@ use crate::embed_cache::EmbedKey;
 use crate::interface::{Nnlqp, QueryError, QueryParams};
 use nnlqp_hash::graph_fingerprint;
 use nnlqp_ir::Rng64;
-use nnlqp_obs::{Recover, TraceClock};
+use nnlqp_obs::Recover;
 use nnlqp_predict::train::{Dataset, TrainConfig};
 use nnlqp_predict::{
     extract_features, NnlpConfig, NnlpModel, Predictor, PredictorKind, TransformerConfig,
@@ -121,18 +121,6 @@ pub struct PredictResult {
     pub latency_ms: f64,
     /// Wall-clock cost of answering, in (simulated) seconds.
     pub cost_s: f64,
-}
-
-/// Wall-clock stage boundaries of a traced prediction
-/// ([`Nnlqp::predict_effective_staged`]): nanosecond ticks on the
-/// caller's `TraceClock`, taken after the embedding was resolved (cache
-/// hit or fresh backbone run) and after the platform head evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictTicks {
-    /// Tick once the embedding is in hand.
-    pub embed_ns: u64,
-    /// Tick once the head produced the latency estimate.
-    pub head_ns: u64,
 }
 
 /// Outcome of [`Nnlqp::predict_batch`].
@@ -306,27 +294,25 @@ impl Nnlqp {
         graph: &nnlqp_ir::Graph,
         platform_name: &str,
     ) -> Result<PredictResult, QueryError> {
-        self.predict_staged_inner(handle, graph, platform_name, None)
-            .map(|(r, _)| r)
+        self.predict_staged_inner(handle, graph, platform_name, &mut |_| {})
     }
 
-    /// [`Nnlqp::predict_effective`] with wall-clock stage boundaries on
-    /// `clock`: the returned [`PredictTicks`] split the prediction into
-    /// an embed-resolution stage (cache probe, plus feature extraction
-    /// and backbone on a miss) and a head-evaluation stage, so a serving
-    /// trace can tile the degraded path exactly.
+    /// [`Nnlqp::predict_effective`], marking its stages as they end:
+    /// `mark("embed_cache")` once the embedding is in hand (cache probe,
+    /// plus feature extraction and backbone on a miss) and
+    /// `mark("predict_head")` once the platform head has answered, so a
+    /// serving trace can tile the degraded path exactly.
     pub fn predict_effective_staged(
         &self,
         graph: &nnlqp_ir::Graph,
         platform_name: &str,
-        clock: &TraceClock,
-    ) -> Result<(PredictResult, PredictTicks), QueryError> {
+        mark: &mut dyn FnMut(&'static str),
+    ) -> Result<PredictResult, QueryError> {
         let guard = self.predictor.read().recover();
         let handle = guard
             .as_ref()
             .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
-        self.predict_staged_inner(handle, graph, platform_name, Some(clock))
-            .map(|(r, ticks)| (r, ticks.expect("ticks present when clock passed")))
+        self.predict_staged_inner(handle, graph, platform_name, mark)
     }
 
     fn predict_staged_inner(
@@ -334,44 +320,27 @@ impl Nnlqp {
         handle: &PredictorHandle,
         graph: &nnlqp_ir::Graph,
         platform_name: &str,
-        wall: Option<&TraceClock>,
-    ) -> Result<(PredictResult, Option<PredictTicks>), QueryError> {
+        mark: &mut dyn FnMut(&'static str),
+    ) -> Result<PredictResult, QueryError> {
         let head = handle.head_for(platform_name)?;
         let key = embed_key(graph, handle);
-        if let Some(emb) = self.embed_cache.get(&key) {
-            self.m_embed_hits.inc();
-            let embed_ns = wall.map(TraceClock::now_ns);
-            let latency_ms = handle.model.head_eval(&emb, head);
-            let ticks = wall.map(|c| PredictTicks {
-                embed_ns: embed_ns.unwrap_or(0),
-                head_ns: c.now_ns(),
-            });
-            return Ok((
-                PredictResult {
-                    latency_ms,
-                    cost_s: CACHED_PREDICT_COST_S,
-                },
-                ticks,
-            ));
-        }
-        self.m_embed_misses.inc();
-        let feats = extract_features(graph);
-        let emb = Arc::new(handle.model.embed(&feats));
-        self.embed_cache.insert(key, Arc::clone(&emb));
-        self.g_embed_len.set(self.embed_cache.len() as f64);
-        let embed_ns = wall.map(TraceClock::now_ns);
+        let (emb, cost_s) = match self.embed_cache.get(&key) {
+            Some(emb) => {
+                self.m_embed_hits.inc();
+                (emb, CACHED_PREDICT_COST_S)
+            }
+            None => {
+                self.m_embed_misses.inc();
+                let emb = Arc::new(handle.model.embed(&extract_features(graph)));
+                self.embed_cache.insert(key, Arc::clone(&emb));
+                self.g_embed_len.set(self.embed_cache.len() as f64);
+                (emb, PREDICT_COST_S)
+            }
+        };
+        mark("embed_cache");
         let latency_ms = handle.model.head_eval(&emb, head);
-        let ticks = wall.map(|c| PredictTicks {
-            embed_ns: embed_ns.unwrap_or(0),
-            head_ns: c.now_ns(),
-        });
-        Ok((
-            PredictResult {
-                latency_ms,
-                cost_s: PREDICT_COST_S,
-            },
-            ticks,
-        ))
+        mark("predict_head");
+        Ok(PredictResult { latency_ms, cost_s })
     }
 
     /// Batched multi-platform prediction: hash and cache-probe every

@@ -19,7 +19,10 @@
 //!   evaluator (see below), hot-swapping them atomically;
 //! - [`ServeMetrics`] — terminal-class counters (they partition the
 //!   request stream) plus a served-latency histogram and live gauges for
-//!   queue depth and hot-cache occupancy;
+//!   queue depth and hot-cache occupancy. A request is recorded at one
+//!   exit: one table names its class, its counter and its event fields,
+//!   and its counter, latency, trace, exemplar and `query` event are each
+//!   recorded once;
 //! - quality monitoring ([`ServeConfig::monitor`]) — a shadow evaluator
 //!   re-predicts a sample of measurement-backed answers, maintains
 //!   per-platform rolling MAPE / Acc(10%) / Acc(5%) windows, and raises
@@ -29,7 +32,10 @@
 //! Every prediction the service serves or scores — degraded answer,
 //! shadow evaluation, post-retrain re-score — comes from the facade's one
 //! installed predictor through `Nnlqp::predict_effective`; the retrain
-//! loop trains the architecture [`ServeConfig::train`] names.
+//! loop trains the architecture [`ServeConfig::train`] names. Where the
+//! facade does a traced request's work (a degraded prediction, a worker's
+//! measurement) it marks the stages it ends through a sink the service
+//! passes in, so the request's trace tiles without tick structs.
 //!
 //! A service in one screen — a miss is measured once, its repeat is
 //! served from memory, and the terminal counters always add up:

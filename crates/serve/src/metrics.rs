@@ -3,9 +3,10 @@
 //!
 //! Every request ends in exactly one terminal class — hot-cache hit,
 //! database hit, measured miss, degraded prediction, rejection, or
-//! validation error — so the counters balance against `requests` at any
-//! quiescent point. `coalesced`, `measured` and the retrain counters are
-//! informational overlays, not terminal classes.
+//! validation error — and bumps that class's `Terminal` counter once, at
+//! the service's one exit, so the counters balance against `requests` at
+//! any quiescent point. `coalesced`, `measured` and the retrain counters
+//! are informational overlays, not terminal classes.
 //!
 //! [`ServeMetrics`] holds pre-resolved handles into a registry — usually
 //! the facade's own ([`crate::LatencyService::start`] passes
@@ -59,7 +60,8 @@ pub mod metric_names {
     pub const DB_HITS: &str = "serve.db_hits";
     /// Counter: served by a farm measurement.
     pub const MISSES: &str = "serve.misses";
-    /// Counter: misses that joined an existing flight.
+    /// Counter: requests that joined an existing flight (an overlay:
+    /// each also counts its flight's terminal class).
     pub const COALESCED: &str = "serve.coalesced";
     /// Counter: farm measurements executed by the worker pool.
     pub const MEASURED: &str = "serve.measured";
@@ -106,18 +108,36 @@ pub mod metric_names {
     pub const HOT_CACHE_LEN: &str = "serve.hot_cache_len";
 }
 
+/// The terminal counters: every request bumps exactly one, once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Terminal {
+    HotHits,
+    DbHits,
+    Misses,
+    Degraded,
+    Rejected,
+    LintRejected,
+    Errors,
+}
+
+/// Registry name of each [`Terminal`] counter, in declaration order.
+const TERMINAL_NAMES: [&str; 7] = [
+    metric_names::HOT_HITS,
+    metric_names::DB_HITS,
+    metric_names::MISSES,
+    metric_names::DEGRADED,
+    metric_names::REJECTED,
+    metric_names::LINT_REJECTED,
+    metric_names::ERRORS,
+];
+
 /// Live handles to the service's counters; cheap to bump from any thread.
 pub struct ServeMetrics {
     requests: Arc<Counter>,
-    hot_hits: Arc<Counter>,
-    db_hits: Arc<Counter>,
-    misses: Arc<Counter>,
+    /// `terminal[t as usize]` is the counter of [`Terminal`] `t`.
+    terminal: [Arc<Counter>; TERMINAL_NAMES.len()],
     coalesced: Arc<Counter>,
     measured: Arc<Counter>,
-    degraded: Arc<Counter>,
-    rejected: Arc<Counter>,
-    lint_rejected: Arc<Counter>,
-    errors: Arc<Counter>,
     retrains: Arc<Counter>,
     retrain_samples: Arc<Counter>,
     drift_retrains: Arc<Counter>,
@@ -156,15 +176,9 @@ impl ServeMetrics {
         let wall = wall_bounds_ms();
         ServeMetrics {
             requests: registry.counter(metric_names::REQUESTS),
-            hot_hits: registry.counter(metric_names::HOT_HITS),
-            db_hits: registry.counter(metric_names::DB_HITS),
-            misses: registry.counter(metric_names::MISSES),
+            terminal: TERMINAL_NAMES.map(|name| registry.counter(name)),
             coalesced: registry.counter(metric_names::COALESCED),
             measured: registry.counter(metric_names::MEASURED),
-            degraded: registry.counter(metric_names::DEGRADED),
-            rejected: registry.counter(metric_names::REJECTED),
-            lint_rejected: registry.counter(metric_names::LINT_REJECTED),
-            errors: registry.counter(metric_names::ERRORS),
             retrains: registry.counter(metric_names::RETRAINS),
             retrain_samples: registry.counter(metric_names::RETRAIN_SAMPLES),
             drift_retrains: registry.counter(metric_names::DRIFT_RETRAINS),
@@ -199,17 +213,15 @@ impl ServeMetrics {
         self.queue_wait.observe(ms);
     }
 
+    /// Count one request's terminal class.
+    pub(crate) fn terminal(&self, t: Terminal) {
+        self.terminal[t as usize].inc();
+    }
+
     bump!(
         requests,
-        hot_hits,
-        db_hits,
-        misses,
         coalesced,
         measured,
-        degraded,
-        rejected,
-        lint_rejected,
-        errors,
         drift_retrains,
         resolve_memo_hits,
         resolve_memo_misses,
@@ -245,17 +257,18 @@ impl ServeMetrics {
                 (le, count)
             })
             .collect();
+        let terminal = |t: Terminal| self.terminal[t as usize].get();
         MetricsSnapshot {
             requests: self.requests.get(),
-            hot_hits: self.hot_hits.get(),
-            db_hits: self.db_hits.get(),
-            misses: self.misses.get(),
+            hot_hits: terminal(Terminal::HotHits),
+            db_hits: terminal(Terminal::DbHits),
+            misses: terminal(Terminal::Misses),
             coalesced: self.coalesced.get(),
             measured: self.measured.get(),
-            degraded: self.degraded.get(),
-            rejected: self.rejected.get(),
-            lint_rejected: self.lint_rejected.get(),
-            errors: self.errors.get(),
+            degraded: terminal(Terminal::Degraded),
+            rejected: terminal(Terminal::Rejected),
+            lint_rejected: terminal(Terminal::LintRejected),
+            errors: terminal(Terminal::Errors),
             retrains: self.retrains.get(),
             retrain_samples: self.retrain_samples.get(),
             latency_histogram,
@@ -274,8 +287,11 @@ pub struct MetricsSnapshot {
     pub db_hits: u64,
     /// Served by a farm measurement — fresh or shared through a flight.
     pub misses: u64,
-    /// Subset of `misses` that joined an existing flight instead of
-    /// enqueueing their own measurement.
+    /// Requests that joined an existing flight instead of enqueueing
+    /// their own measurement. Each also counts its flight's terminal
+    /// class: `misses` when the flight measured, `rejected` (or
+    /// `lint_rejected`) when it failed — so `coalesced` is not a subset of
+    /// `misses`.
     pub coalesced: u64,
     /// Farm measurements actually executed by the worker pool.
     pub measured: u64,
@@ -322,11 +338,15 @@ mod tests {
         for _ in 0..5 {
             m.requests();
         }
-        m.hot_hits();
-        m.db_hits();
-        m.misses();
-        m.degraded();
-        m.lint_rejected();
+        for t in [
+            Terminal::HotHits,
+            Terminal::DbHits,
+            Terminal::Misses,
+            Terminal::Degraded,
+            Terminal::LintRejected,
+        ] {
+            m.terminal(t);
+        }
         let s = m.snapshot();
         assert!(s.balanced());
         m.requests();
@@ -353,7 +373,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let m = ServeMetrics::new(&registry);
         m.requests();
-        m.hot_hits();
+        m.terminal(Terminal::HotHits);
         m.observe_latency(1.5);
         let snap = registry.snapshot();
         assert_eq!(snap.counter(metric_names::REQUESTS), 1);

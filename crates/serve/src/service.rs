@@ -4,9 +4,10 @@
 //!
 //! Request flow (fast to slow):
 //!
-//! 1. resolve the platform once (cached binding: canonical name + db id)
-//!    and the key's graph hash — from the identity memo when this very
-//!    `Arc<Graph>` was seen at this batch before (see `resolve.rs`),
+//! 1. resolve the platform once (cached binding: canonical name + db id;
+//!    a name the registry knows but the farm has no devices for errs
+//!    here) and the key's graph hash — from the identity memo when this
+//!    very `Arc<Graph>` was seen at this batch before (see `resolve.rs`),
 //!    otherwise by rebatching and hashing, once;
 //! 2. sharded-LRU hot cache — O(1), no db lock;
 //! 3. evolving database — hit fills the LRU; only past this point is the
@@ -23,12 +24,16 @@
 //!
 //! Workers drain the queue, measure through `Nnlqp::query_measured_traced`
 //! (key-seeded, so results are order-independent), fill db + cache, then
-//! publish to the flight. A job that panics fails its flight with
-//! [`ServeError::Measurement`], counts one `serve.worker_panics`, and the
-//! worker takes the next job. A background loop retrains the predictor,
-//! hot-swapping the heads through the facade's `RwLock`. Shutdown closes
-//! the queue, lets the workers drain it, joins every thread and, on a
-//! durable store, seals the WAL tail into segments.
+//! publish to the flight. The facade marks each stage it ends (`measure`,
+//! `db_write`) through the worker's stage sink; the worker ships its marks
+//! on the stack with the outcome, and the flight's leader splices them
+//! into its trace without knowing their names. A job that panics fails
+//! its flight with [`ServeError::Measurement`], counts one
+//! `serve.worker_panics`, and the worker takes the next job. A background
+//! loop retrains the predictor, hot-swapping the heads through the
+//! facade's `RwLock`. Shutdown closes the queue, lets the workers drain
+//! it, joins every thread and, on a durable store, seals the WAL tail
+//! into segments.
 //!
 //! # Quality monitoring
 //!
@@ -46,16 +51,29 @@
 //! registry can be written periodically in Prometheus text format via
 //! [`ServeConfig::metrics_path`].
 //!
+//! # One exit
+//!
+//! The tiers only answer and mark their stages. Every request leaves
+//! through `serve`, which looks its outcome up in one table (`outcome`:
+//! trace class, terminal counter, event `source` / `error`) and records
+//! it once: the terminal counter, the served latency, the trace
+//! histograms, the exemplar offer and the `query` event. Only the
+//! overlays are counted where they happen: `coalesced` at the join,
+//! `measured` and `worker_panics` on the worker, `resolve_memo_*` at the
+//! front door.
+//!
 //! # One predictor
 //!
 //! The degrade tier, the shadow evaluator and the retrain loop's re-score
-//! all predict through `Nnlqp::predict_effective{,_staged}`: the facade's
-//! one installed predictor, whose architecture the retrain loop takes from
+//! all predict through `Nnlqp::predict_effective` (the degrade tier through
+//! `predict_effective_staged`, whose sink marks `embed_cache` and
+//! `predict_head` on the request's trace): the facade's one installed
+//! predictor, whose architecture the retrain loop takes from
 //! [`ServeConfig::train`]. A degraded answer is therefore bit for bit the
 //! answer the facade gives for the same graph and platform.
 
 use crate::cache::{CacheKey, ShardedLru};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
+use crate::metrics::{MetricsSnapshot, ServeMetrics, Terminal};
 use crate::resolve::{effective_graph, ResolveMemo};
 use crate::singleflight::{Role, SingleFlight};
 use nnlqp::{Nnlqp, QueryError, TrainPredictorConfig};
@@ -149,7 +167,8 @@ impl Default for ServeConfig {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// Platform unknown to the registry.
+    /// Platform unknown to the registry, or one the farm has no devices
+    /// for.
     UnknownPlatform(String),
     /// The model cannot run at the requested batch.
     BadBatch(String),
@@ -216,23 +235,31 @@ pub enum Source {
     Predicted,
 }
 
-fn source_str(s: Source) -> &'static str {
-    match s {
-        Source::HotCache => "hot_cache",
-        Source::Database => "database",
-        Source::Measured => "measured",
-        Source::Predicted => "predicted",
-    }
-}
-
-fn error_str(e: &ServeError) -> &'static str {
-    match e {
-        ServeError::UnknownPlatform(_) => "unknown_platform",
-        ServeError::BadBatch(_) => "bad_batch",
-        ServeError::Overloaded => "overloaded",
-        ServeError::ShuttingDown => "shutting_down",
-        ServeError::LintRejected(_) => "lint_rejected",
-        ServeError::Measurement(_) => "measurement",
+/// The one table of terminal classes: a request's outcome → its class
+/// (the trace's class and the exemplar reservoir's key), the one terminal
+/// counter it bumps, and the `query` event's `source`. A failure's
+/// `source` is `"error"` and its event's `error` field is its class.
+fn outcome(res: &Result<Served, ServeError>) -> (&'static str, Terminal, &'static str) {
+    use Terminal::*;
+    match res {
+        Ok(s) if s.coalesced => ("coalesced", Misses, "measured"),
+        Ok(s) => match s.source {
+            Source::HotCache => ("hot_cache", HotHits, "hot_cache"),
+            Source::Database => ("db_hit", DbHits, "database"),
+            Source::Measured => ("measured", Misses, "measured"),
+            Source::Predicted => ("degraded", Degraded, "predicted"),
+        },
+        Err(e) => {
+            let (class, counter) = match e {
+                ServeError::UnknownPlatform(_) => ("unknown_platform", Errors),
+                ServeError::BadBatch(_) => ("bad_batch", Errors),
+                ServeError::Overloaded => ("overloaded", Rejected),
+                ServeError::ShuttingDown => ("shutting_down", Rejected),
+                ServeError::LintRejected(_) => ("lint_rejected", LintRejected),
+                ServeError::Measurement(_) => ("measurement", Rejected),
+            };
+            (class, counter, "error")
+        }
     }
 }
 
@@ -268,25 +295,19 @@ struct Job {
     enqueued_ns: u64,
 }
 
+/// Stage marks a worker makes per measurement: `queue_wait`, the
+/// facade's two, and `publish`.
+const WORKER_MARKS: usize = 4;
+
 /// What a flight publishes to its leader and every coalesced follower.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct FlightOutcome {
     latency_ms: f64,
-    /// Worker-side stage boundaries on the shared clock; `None` when the
-    /// flight was settled without a worker (leader double-check hit).
-    /// Only the *leader* splices these into its trace — a follower may
-    /// have joined after any of them.
-    ticks: Option<WorkerTicks>,
-}
-
-/// Worker-side stage boundaries of one measurement, as ticks on the
-/// service's [`TraceClock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkerTicks {
-    dequeued_ns: u64,
-    measured_ns: u64,
-    db_write_ns: u64,
-    published_ns: u64,
+    /// The worker's stage marks, `(name, tick on the shared clock)` in
+    /// order; all `None` when the flight was settled without a worker
+    /// (leader double-check hit). Only the *leader* splices these into
+    /// its trace — a follower may have joined after any of them.
+    marks: [Option<(&'static str, u64)>; WORKER_MARKS],
 }
 
 #[derive(Default)]
@@ -567,9 +588,10 @@ impl LatencyService {
         (res, ctx.finish(class))
     }
 
-    /// Answer one request into `ctx`, then record it: terminal-class
-    /// histograms, exemplar offer and `query` event. Returns the answer
-    /// and its terminal class.
+    /// Answer one request into `ctx`, then record it — the one exit
+    /// every request leaves by: its terminal counter, served-latency and
+    /// trace histograms, exemplar offer and `query` event, each once.
+    /// Returns the answer and its terminal class.
     fn serve(
         &self,
         model: &Arc<Graph>,
@@ -585,20 +607,14 @@ impl LatencyService {
             ),
             Err(e) => {
                 ctx.stage("resolve", &self.clock);
-                self.metrics.errors();
                 (Err(e), None)
             }
         };
-        let class = match &res {
-            Ok(s) if s.coalesced => "coalesced",
-            Ok(s) => match s.source {
-                Source::HotCache => "hot_cache",
-                Source::Database => "db_hit",
-                Source::Measured => "measured",
-                Source::Predicted => "degraded",
-            },
-            Err(e) => error_str(e),
-        };
+        let (class, counter, source) = outcome(&res);
+        self.metrics.terminal(counter);
+        if let Ok(s) = &res {
+            self.metrics.observe_latency(s.latency_ms);
+        }
         self.metrics.record_trace(ctx);
         self.exemplars.offer(ctx, class);
         if let Some(ev) = &self.events {
@@ -615,7 +631,7 @@ impl LatencyService {
                     [
                         ("platform", platform),
                         ("batch", u64::from(batch).into()),
-                        ("source", source_str(s.source).into()),
+                        ("source", source.into()),
                         ("latency_ms", s.latency_ms.into()),
                         ("approximate", s.approximate.into()),
                         ("coalesced", s.coalesced.into()),
@@ -623,13 +639,13 @@ impl LatencyService {
                         ("wall_ms", wall_ms.into()),
                     ],
                 ),
-                Err(e) => ev.emit(
+                Err(_) => ev.emit(
                     "query",
                     [
                         ("platform", platform),
                         ("batch", u64::from(batch).into()),
-                        ("source", "error".into()),
-                        ("error", error_str(e).into()),
+                        ("source", source.into()),
+                        ("error", class.into()),
                         ("request_id", ctx.request_id().into()),
                         ("wall_ms", wall_ms.into()),
                     ],
@@ -639,6 +655,8 @@ impl LatencyService {
         (res, class)
     }
 
+    /// The request's answer, its stages marked into `ctx`; [`Self::serve`]
+    /// records it.
     fn query_impl(
         &self,
         model: &Arc<Graph>,
@@ -664,7 +682,6 @@ impl LatencyService {
                     }
                     Err(e) => {
                         ctx.stage("resolve", &self.clock);
-                        self.metrics.errors();
                         return Err(e);
                     }
                 }
@@ -681,8 +698,6 @@ impl LatencyService {
         let hot = self.cache.get(&key);
         ctx.stage("hot_cache", &self.clock);
         if let Some(ms) = hot {
-            self.metrics.hot_hits();
-            self.metrics.observe_latency(ms);
             return Ok(Served {
                 latency_ms: ms,
                 source: Source::HotCache,
@@ -700,8 +715,6 @@ impl LatencyService {
         if let Some(rec) = db_rec {
             self.cache.insert(key, rec.cost_ms);
             self.metrics.set_hot_cache_len(self.cache.len() as f64);
-            self.metrics.db_hits();
-            self.metrics.observe_latency(rec.cost_ms);
             // Database answers are measurement-backed: shadow-evaluate
             // them on the sampling cadence.
             if let Some(shadow) = &self.shadow {
@@ -741,7 +754,6 @@ impl LatencyService {
                     .analyze_admission(&graph, key.graph_hash, binding.platform.spec());
             ctx.stage("admission", &self.clock);
             if report.has_errors() {
-                self.metrics.lint_rejected();
                 return Err(ServeError::LintRejected(report.render_text()));
             }
         }
@@ -750,14 +762,11 @@ impl LatencyService {
         // facade errs when no predictor head covers the platform, and the
         // request falls through to measurement.
         if self.backlog() >= self.cfg.degrade_backlog {
-            if let Ok((p, ticks)) =
+            let mut mark = |stage| ctx.stage(stage, &self.clock);
+            let predicted =
                 self.system
-                    .predict_effective_staged(&graph, &binding.canonical, &self.clock)
-            {
-                ctx.stage_at("embed_cache", ticks.embed_ns);
-                ctx.stage_at("predict_head", ticks.head_ns);
-                self.metrics.degraded();
-                self.metrics.observe_latency(p.latency_ms);
+                    .predict_effective_staged(&graph, &binding.canonical, &mut mark);
+            if let Ok(p) = predicted {
                 return Ok(Served {
                     latency_ms: p.latency_ms,
                     source: Source::Predicted,
@@ -783,12 +792,10 @@ impl LatencyService {
                         &key,
                         Ok(FlightOutcome {
                             latency_ms: ms,
-                            ticks: None,
+                            marks: [None; WORKER_MARKS],
                         }),
                     );
                     ctx.stage("hot_cache", &self.clock);
-                    self.metrics.hot_hits();
-                    self.metrics.observe_latency(ms);
                     return Ok(Served {
                         latency_ms: ms,
                         source: Source::HotCache,
@@ -813,7 +820,6 @@ impl LatencyService {
                     // Publish the rejection so coalesced followers settle
                     // the same way instead of hanging.
                     self.flights.complete(&key, Err(e.clone()));
-                    self.metrics.rejected();
                     return Err(e);
                 }
                 self.settle(flight.wait(), false, ctx)
@@ -847,49 +853,27 @@ impl LatencyService {
         ctx: &mut TraceContext,
     ) -> Result<Served, ServeError> {
         // A follower's whole wait is one undecomposable stage — the
-        // worker's boundaries may predate its join, so splicing them
-        // would mis-tile. The leader owns the flight end to end: its
-        // wait *is* queue-wait + measure + db-write + publish, spliced
-        // from the worker's ticks on the shared clock (clamped
-        // non-decreasing), with the wakeup remainder as `response`.
+        // worker's marks may predate its join, so splicing them would
+        // mis-tile. The leader owns the flight end to end: its wait *is*
+        // the worker's stages, spliced from their ticks on the shared
+        // clock (clamped non-decreasing), with the wakeup remainder as
+        // `response`.
         if coalesced {
             ctx.stage("coalesce_wait", &self.clock);
         } else {
             if let Ok(out) = &outcome {
-                if let Some(t) = out.ticks {
-                    ctx.stage_at("queue_wait", t.dequeued_ns);
-                    ctx.stage_at("measure", t.measured_ns);
-                    ctx.stage_at("db_write", t.db_write_ns);
-                    ctx.stage_at("publish", t.published_ns);
+                for (name, tick) in out.marks.into_iter().flatten() {
+                    ctx.stage_at(name, tick);
                 }
             }
             ctx.stage("response", &self.clock);
         }
-        match outcome {
-            Ok(out) => {
-                let ms = out.latency_ms;
-                self.metrics.misses();
-                self.metrics.observe_latency(ms);
-                Ok(Served {
-                    latency_ms: ms,
-                    source: Source::Measured,
-                    approximate: false,
-                    coalesced,
-                })
-            }
-            Err(e) => {
-                // Belt-and-braces: the pre-admission gate keeps lint
-                // rejections out of the measurement path, but a flight
-                // could still publish one (e.g. strict toggled mid-build
-                // in a future refactor) — count it in its own class.
-                if matches!(e, ServeError::LintRejected(_)) {
-                    self.metrics.lint_rejected();
-                } else {
-                    self.metrics.rejected();
-                }
-                Err(e)
-            }
-        }
+        outcome.map(|out| Served {
+            latency_ms: out.latency_ms,
+            source: Source::Measured,
+            approximate: false,
+            coalesced,
+        })
     }
 
     fn resolve(&self, platform: &str) -> Result<Arc<PlatformBinding>, ServeError> {
@@ -899,6 +883,10 @@ impl LatencyService {
         let unknown = || ServeError::UnknownPlatform(platform.to_string());
         let handle = Platform::by_name(platform).ok_or_else(unknown)?;
         let name = PlatformSpec::canonical_name(platform).ok_or_else(unknown)?;
+        // A registry platform the farm has no devices for could never be
+        // measured: refuse it here, before it takes a flight or a queue
+        // slot.
+        self.system.farm().spec_of(name).ok_or_else(unknown)?;
         let spec = handle.spec();
         let id = self.system.db.get_or_create_platform(
             &spec.hardware,
@@ -1051,15 +1039,27 @@ fn run_job(ctx: &WorkerCtx, queue: &Queue<Job>, job: &Job) {
     ctx.metrics
         .observe_queue_wait(dequeued_ns.saturating_sub(job.enqueued_ns) as f64 / 1.0e6);
     ctx.metrics.set_queue_depth(queue.len() as f64);
+    // The flight's stage marks, on the stack: a mark past the array's end
+    // is dropped, its time joining the next stage, so the trace still
+    // tiles.
+    let mut marks = [None; WORKER_MARKS];
+    marks[0] = Some(("queue_wait", dequeued_ns));
+    let mut len = 1;
+    let mut mark = |name| {
+        if let Some(slot) = marks.get_mut(len) {
+            *slot = Some((name, ctx.clock.now_ns()));
+            len += 1;
+        }
+    };
     let outcome = match ctx.system.query_measured_traced(
         &job.graph,
         job.key.graph_hash,
         &job.platform,
         job.key.batch,
         ctx.farm_wait,
-        &ctx.clock,
+        &mut mark,
     ) {
-        Ok((qr, mt)) => {
+        Ok(qr) => {
             ctx.cache.insert(job.key.clone(), qr.latency_ms);
             ctx.metrics.set_hot_cache_len(ctx.cache.len() as f64);
             ctx.metrics.measured();
@@ -1068,14 +1068,10 @@ fn run_job(ctx: &WorkerCtx, queue: &Queue<Job>, job: &Job) {
                 st.fresh += 1;
             }
             ctx.retrain.wake.notify_one();
+            mark("publish");
             Ok(FlightOutcome {
                 latency_ms: qr.latency_ms,
-                ticks: Some(WorkerTicks {
-                    dequeued_ns,
-                    measured_ns: mt.measured_ns,
-                    db_write_ns: mt.db_write_ns,
-                    published_ns: ctx.clock.now_ns(),
-                }),
+                marks,
             })
         }
         Err(e) => Err(e.into()),

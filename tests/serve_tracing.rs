@@ -13,9 +13,9 @@
 use nnlqp::{
     MonitorConfig, Nnlqp, Platform, Predictor, PredictorHandle, PredictorKind, TrainPredictorConfig,
 };
-use nnlqp_ir::Graph;
+use nnlqp_ir::{Graph, Rng64};
 use nnlqp_models::ModelFamily;
-use nnlqp_obs::{tail_attribution, timeline_of, to_chrome_json, RequestTrace};
+use nnlqp_obs::{tail_attribution, timeline_of, to_chrome_json, Event, FieldValue, RequestTrace};
 use nnlqp_predict::{GraphFeatures, Sample, Scratch, TrainConfig, TrainReport};
 use nnlqp_serve::{metric_names, LatencyService, ServeConfig, ServeError, Served, Source};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
@@ -407,4 +407,154 @@ fn a_panicking_measurement_fails_its_flight_and_the_worker_carries_on() {
     assert_eq!(registry.counter(metric_names::WORKER_PANICS), 1);
     assert!(svc.metrics().balanced(), "{:?}", svc.metrics());
     assert_eq!(svc.system().farm().idle_devices(PLATFORM), 1);
+}
+
+#[test]
+fn a_registry_platform_the_farm_does_not_serve_errs_at_resolve() {
+    // The registry knows `cpu-openppl-fp32`; this farm has only T4s.
+    let sys = Nnlqp::builder()
+        .farm(DeviceFarm::new(
+            &[PlatformSpec::by_name(PLATFORM).unwrap()],
+            1,
+        ))
+        .reps(3)
+        .build();
+    let svc = service_over(Arc::new(sys), usize::MAX);
+    let model = &models(1, 47)[0];
+    let (res, trace) = svc.query_traced(model, "cpu-openppl-fp32", 1);
+    assert!(
+        matches!(res, Err(ServeError::UnknownPlatform(_))),
+        "{res:?}"
+    );
+    assert_eq!(trace.class, "unknown_platform");
+    assert_eq!(stage_names(&trace), ["resolve"], "no flight, no queue slot");
+    let m = svc.metrics();
+    assert_eq!((m.requests, m.errors, m.rejected), (1, 1, 0), "{m:?}");
+    assert_eq!(svc.system().farm_measurements(), 0);
+    // The farm's own platform is still served.
+    assert_eq!(
+        svc.query(model, PLATFORM, 1).unwrap().source,
+        Source::Measured
+    );
+}
+
+/// The `query` event's `source` and `error` fields.
+fn source_and_error(e: &Event) -> (String, Option<String>) {
+    let text = |key| match e.field(key) {
+        Some(FieldValue::Str(s)) => Some(s.to_string()),
+        None => None,
+        other => panic!("{key} is not a string: {other:?}"),
+    };
+    (
+        text("source").expect("a query event has a source"),
+        text("error"),
+    )
+}
+
+#[test]
+fn counters_traces_and_events_agree_per_class() {
+    const OTHER: &str = "cpu-openppl-fp32";
+    const FARMLESS: &str = "rv1109-rknn-int8";
+    let sys = system();
+    // Stored graphs answer from the database first, the hot cache after;
+    // the predictor covers PLATFORM only, so with `degrade_backlog` 0 a
+    // fresh graph degrades there and is measured on OTHER.
+    let stored = models(6, 51);
+    let stored_graphs: Vec<Graph> = stored.iter().map(|g| g.as_ref().clone()).collect();
+    sys.warm_cache(&stored_graphs, &Platform::by_name(PLATFORM).unwrap(), 1)
+        .unwrap();
+    sys.train_predictor(
+        &[PLATFORM],
+        TrainPredictorConfig {
+            epochs: 2,
+            hidden: 16,
+            gnn_layers: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let fresh = models(6, 53);
+    let svc = service_over(Arc::clone(&sys), 0);
+
+    let before = svc.metrics();
+    let registry_before = sys.registry().snapshot();
+    let mut rng = Rng64::new(SEED);
+    let mut traces = Vec::new();
+    for _ in 0..96 {
+        let (model, platform, batch) = match rng.below(5) {
+            0 => (rng.choice(&stored), PLATFORM, 1),
+            1 => (rng.choice(&fresh), PLATFORM, 1),
+            2 => (rng.choice(&fresh), OTHER, 1),
+            3 => (rng.choice(&fresh), PLATFORM, 0),
+            _ => (
+                rng.choice(&stored),
+                *rng.choice(&["quantum-coprocessor", FARMLESS]),
+                1,
+            ),
+        };
+        traces.push(svc.query_traced(model, platform, batch).1);
+    }
+    let after = svc.metrics();
+
+    let count =
+        |classes: &[&str]| traces.iter().filter(|t| classes.contains(&t.class)).count() as u64;
+    for class in [
+        "hot_cache",
+        "db_hit",
+        "measured",
+        "degraded",
+        "bad_batch",
+        "unknown_platform",
+    ] {
+        assert!(count(&[class]) > 0, "the sequence never ended in {class}");
+    }
+    assert_eq!(count(&["coalesced"]), 0, "one client never coalesces");
+    assert_eq!(after.requests - before.requests, traces.len() as u64);
+    assert_eq!(after.hot_hits - before.hot_hits, count(&["hot_cache"]));
+    assert_eq!(after.db_hits - before.db_hits, count(&["db_hit"]));
+    assert_eq!(after.misses - before.misses, count(&["measured"]));
+    assert_eq!(after.degraded - before.degraded, count(&["degraded"]));
+    assert_eq!(
+        after.errors - before.errors,
+        count(&["bad_batch", "unknown_platform"])
+    );
+    assert_eq!(after.rejected, before.rejected);
+    assert_eq!(after.lint_rejected, before.lint_rejected);
+    assert!(after.balanced(), "{after:?}");
+
+    // Each request was observed once: its wall time always, its served
+    // latency when it was served.
+    let registry = sys.registry().snapshot();
+    let observed = |name: &str| {
+        registry.histograms[name].count
+            - registry_before.histograms.get(name).map_or(0, |h| h.count)
+    };
+    assert_eq!(observed(metric_names::REQUEST_WALL_MS), traces.len() as u64);
+    assert_eq!(
+        observed(metric_names::LATENCY_MS),
+        count(&["hot_cache", "db_hit", "measured", "degraded"])
+    );
+
+    // One `query` event per request, in order, naming the same outcome.
+    let events: Vec<(String, Option<String>)> = svc
+        .events()
+        .unwrap()
+        .snapshot()
+        .iter()
+        .filter(|e| e.kind == "query")
+        .map(source_and_error)
+        .collect();
+    assert_eq!(events.len(), traces.len());
+    for (trace, (source, error)) in traces.iter().zip(&events) {
+        let want = match trace.class {
+            "hot_cache" => "hot_cache",
+            "db_hit" => "database",
+            "measured" => "measured",
+            "degraded" => "predicted",
+            _ => "error",
+        };
+        assert_eq!(source, want, "{}", trace.class);
+        let want_error = (want == "error").then(|| trace.class.to_string());
+        assert_eq!(error, &want_error, "{}", trace.class);
+    }
 }
