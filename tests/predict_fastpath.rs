@@ -369,3 +369,50 @@ fn one_transformer_training_epoch_reproduces_the_recorded_checkpoint() {
     };
     assert_eq!(digest, want, "transformer numerics moved: {digest:#018x}");
 }
+
+/// FNV-1a digests of the checkpoint two epochs of
+/// [`Nnlqp::train_predictor_handle`] produce over a database whose graphs
+/// are stored once and measured on several platforms, on the FMA (SIMD)
+/// backends and on the scalar backend `NNLQP_SIMD=off` selects.
+const FACADE_DIGEST_SIMD: u64 = 0xdbf0_1a27_5256_7679;
+const FACADE_DIGEST_SCALAR: u64 = 0x3194_0f20_3cf1_3b00;
+
+/// The facade's retrain end to end: rows read back from the store, graphs
+/// decoded and rebatched, the dataset built and two epochs trained. Three
+/// platforms measure the same graphs at batch 1 and a fourth at batch 4,
+/// so one stored model feeds rows of several heads and of two batches.
+#[test]
+fn a_multi_platform_retrain_reproduces_the_recorded_checkpoint() {
+    const HEADS: [(&str, u32); 4] = [
+        ("gpu-T4-trt7.1-fp32", 1),
+        ("cpu-openppl-fp32", 1),
+        ("hi3559A-nnie11-int8", 1),
+        ("atlas300-acl-fp16", 4),
+    ];
+    let s = system(0);
+    let models: Vec<Graph> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 6, 3)
+        .into_iter()
+        .map(|m| m.graph)
+        .collect();
+    for (name, batch) in HEADS {
+        s.warm_cache(&models, &Platform::by_name(name).unwrap(), batch)
+            .unwrap();
+    }
+    let names = HEADS.map(|(name, _)| name);
+    let cfg = TrainPredictorConfig {
+        epochs: 2,
+        batch_size: 8,
+        hidden: 16,
+        gnn_layers: 2,
+        ..Default::default()
+    };
+    let (handle, rows) = s.train_predictor_handle(&names, cfg).unwrap().unwrap();
+    assert_eq!(rows, models.len() * HEADS.len());
+    let digest = checkpoint_digest(&handle.model.to_json());
+    let want = if nnlqp_nn::kernel() == nnlqp_nn::Kernel::Scalar {
+        FACADE_DIGEST_SCALAR
+    } else {
+        FACADE_DIGEST_SIMD
+    };
+    assert_eq!(digest, want, "retrain numerics moved: {digest:#018x}");
+}
