@@ -164,7 +164,11 @@ impl Nnlqp {
         platform_names: &[&str],
         cfg: TrainPredictorConfig,
     ) -> Result<Option<(PredictorHandle, usize)>, QueryError> {
-        let mut entries: Vec<(nnlqp_ir::Graph, f64, usize)> = Vec::new();
+        // Each stored `(model, batch)` is decoded once; its rows, one per
+        // platform that measured it, borrow that one graph.
+        let mut graphs: Vec<nnlqp_ir::Graph> = Vec::new();
+        let mut graph_of = HashMap::new();
+        let mut rows: Vec<(usize, f64, usize)> = Vec::new();
         let mut head_of = HashMap::new();
         for (head, name) in platform_names.iter().enumerate() {
             let spec = PlatformSpec::by_name(name)
@@ -174,25 +178,33 @@ impl Nnlqp {
                 self.db
                     .get_or_create_platform(&spec.hardware, &spec.software, spec.dtype.name());
             for rec in self.db.latencies_for_platform(pid) {
-                let g = self
-                    .db
-                    .load_graph(rec.model_id)
-                    .expect("stored graphs decode");
-                let g = if g.input_shape.batch() == rec.batch_size as usize {
-                    g
-                } else {
-                    g.rebatch(rec.batch_size as usize)
-                        .expect("stored batch is valid")
-                };
-                entries.push((g, rec.cost_ms, head));
+                let batch = rec.batch_size as usize;
+                let slot = *graph_of.entry((rec.model_id, batch)).or_insert_with(|| {
+                    let g = self
+                        .db
+                        .load_graph(rec.model_id)
+                        .expect("stored graphs decode");
+                    let g = if g.input_shape.batch() == batch {
+                        g
+                    } else {
+                        g.rebatch(batch).expect("stored batch is valid")
+                    };
+                    graphs.push(g);
+                    graphs.len() - 1
+                });
+                rows.push((slot, rec.cost_ms, head));
             }
         }
-        if entries.is_empty() {
+        if rows.is_empty() {
             return Ok(None);
         }
-        let refs: Vec<(&nnlqp_ir::Graph, f64, usize)> =
-            entries.iter().map(|(g, l, h)| (g, *l, *h)).collect();
-        let ds = Dataset::build(&refs);
+        let entries: Vec<(&nnlqp_ir::Graph, f64, usize)> = (rows.iter())
+            .map(|&(slot, ms, head)| (&graphs[slot], ms, head))
+            .collect();
+        let ds = Dataset::build(&entries);
+        // The samples hold what training reads: free the graphs first.
+        drop(entries);
+        drop(graphs);
         let mut rng = Rng64::new(cfg.seed);
         let mut model = fresh_model(&cfg, platform_names.len(), ds.norm.clone(), &mut rng);
         model.train_in_place(
@@ -209,7 +221,7 @@ impl Nnlqp {
             head_of,
             stamp: self.next_stamp(),
         };
-        Ok(Some((handle, entries.len())))
+        Ok(Some((handle, rows.len())))
     }
 
     /// Install an externally trained predictor.

@@ -52,17 +52,20 @@ impl Adam {
             .entry(key)
             .or_insert_with(|| (vec![0.0; param.len()], vec![0.0; param.len()]));
         assert_eq!(m.len(), param.len(), "tensor size changed under key {key}");
-        let b1 = self.beta1;
-        let b2 = self.beta2;
+        let (b1, b2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        for i in 0..param.len() {
-            let g = grad[i] as f64;
-            m[i] = b1 * m[i] + (1.0 - b1) * g;
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            param[i] -= (self.lr * m_hat / (v_hat.sqrt() + self.eps)) as f32;
+        // One zip over the four slices: no index is bounds-checked, so the
+        // loop vectorizes; each element sees the same operations in the
+        // same order as ever.
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((p, &g), (m, v)) in param.iter_mut().zip(grad).zip(moments) {
+            let g = g as f64;
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= (lr * m_hat / (v_hat.sqrt() + eps)) as f32;
         }
     }
 

@@ -208,8 +208,8 @@ impl Normalizer {
 
     /// Standardized node-feature matrix.
     pub fn normalize_nodes(&self, nodes: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(nodes.rows, nodes.cols);
-        self.normalize_nodes_into(nodes, &mut out);
+        let mut out = nodes.clone();
+        self.normalize_nodes_in_place(&mut out);
         out
     }
 
@@ -217,9 +217,17 @@ impl Normalizer {
     /// the same shape (the inference path hands in a scratch buffer).
     pub fn normalize_nodes_into(&self, nodes: &Matrix, out: &mut Matrix) {
         assert_eq!((out.rows, out.cols), (nodes.rows, nodes.cols));
+        out.data.copy_from_slice(&nodes.data);
+        self.normalize_nodes_in_place(out);
+    }
+
+    /// Standardize a raw node-feature matrix where it lies (training
+    /// keeps one matrix per structure, not a raw and a normalized copy).
+    pub fn normalize_nodes_in_place(&self, nodes: &mut Matrix) {
         for i in 0..nodes.rows {
-            for (j, (o, &v)) in out.row_mut(i).iter_mut().zip(nodes.row(i)).enumerate() {
-                *o = (v - self.node_mu[j]) / self.node_sd[j];
+            let row = nodes.row_mut(i).iter_mut();
+            for ((v, &mu), &sd) in row.zip(&self.node_mu).zip(&self.node_sd) {
+                *v = (*v - mu) / sd;
             }
         }
     }

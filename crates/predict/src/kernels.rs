@@ -6,9 +6,9 @@
 //! with a linear regression fitted against true model latencies (the
 //! correction is needed because additivity does not hold — Fig. 2).
 
-use crate::features::extract_kernel_features;
+use crate::features::{extract_kernel_features, GraphFeatures, Normalizer};
 use crate::model::{NnlpConfig, NnlpModel};
-use crate::train::{train, Sample, TrainConfig};
+use crate::train::{make_sample, train, Dataset, Structure, TrainConfig};
 use nnlqp_ir::{Graph, Rng64};
 use nnlqp_nn::{LinearRegression, RandomForest, RandomForestConfig};
 use nnlqp_sim::fusion::{self, Kernel, KernelDesc, KernelFamily};
@@ -152,6 +152,20 @@ impl NnMeter {
     }
 }
 
+/// Kernels as graphs, one head, under a normalizer fitted on them: the
+/// training set of both kernel-level GNNs.
+fn kernel_dataset(graphs: &[&Graph], kernel_data: &[KernelSample]) -> Dataset {
+    let feats: Vec<GraphFeatures> = kernel_data
+        .iter()
+        .map(|ks| extract_kernel_features(graphs[ks.graph_idx], &ks.kernel))
+        .collect();
+    let norm = Normalizer::fit(&feats.iter().collect::<Vec<_>>());
+    let samples = (feats.into_iter().zip(kernel_data))
+        .map(|(f, ks)| make_sample(&Structure::normalize(f, &norm), ks.latency_ms, 0))
+        .collect();
+    Dataset { samples, norm }
+}
+
 /// TPU baseline: a GraphSAGE model over *kernels* (each kernel is a tiny
 /// graph), summed and linearly corrected.
 pub struct TpuPredictor {
@@ -168,24 +182,7 @@ impl TpuPredictor {
         epochs: usize,
         seed: u64,
     ) -> TpuPredictor {
-        // Kernel-level dataset for the GNN.
-        let feats: Vec<crate::features::GraphFeatures> = kernel_data
-            .iter()
-            .map(|ks| extract_kernel_features(graphs[ks.graph_idx], &ks.kernel))
-            .collect();
-        let norm = crate::features::Normalizer::fit(&feats.iter().collect::<Vec<_>>());
-        let samples: Vec<Sample> = feats
-            .iter()
-            .zip(kernel_data)
-            .map(|(f, ks)| Sample {
-                nodes: norm.normalize_nodes(&f.nodes),
-                adj: f.adj.clone(),
-                stat: norm.normalize_stat(&f.stat),
-                target_ms: ks.latency_ms,
-                target_log: ks.latency_ms.ln_1p() as f32,
-                head: 0,
-            })
-            .collect();
+        let Dataset { samples, norm } = kernel_dataset(graphs, kernel_data);
         let mut rng = Rng64::new(seed);
         let mut model = NnlpModel::new(
             NnlpConfig {
@@ -264,23 +261,7 @@ impl NnlpKernelPredictor {
         epochs: usize,
         seed: u64,
     ) -> NnlpKernelPredictor {
-        let feats: Vec<crate::features::GraphFeatures> = kernel_data
-            .iter()
-            .map(|ks| extract_kernel_features(graphs[ks.graph_idx], &ks.kernel))
-            .collect();
-        let norm = crate::features::Normalizer::fit(&feats.iter().collect::<Vec<_>>());
-        let samples: Vec<Sample> = feats
-            .iter()
-            .zip(kernel_data)
-            .map(|(f, ks)| Sample {
-                nodes: norm.normalize_nodes(&f.nodes),
-                adj: f.adj.clone(),
-                stat: norm.normalize_stat(&f.stat),
-                target_ms: ks.latency_ms,
-                target_log: ks.latency_ms.ln_1p() as f32,
-                head: 0,
-            })
-            .collect();
+        let Dataset { samples, norm } = kernel_dataset(graphs, kernel_data);
         let mut rng = Rng64::new(seed ^ 0x7A617);
         let mut model = NnlpModel::new(
             NnlpConfig {

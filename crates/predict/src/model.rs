@@ -764,7 +764,7 @@ impl Trainable for NnlpModel {
 mod tests {
     use super::*;
     use crate::features::extract_features;
-    use crate::train::make_sample;
+    use crate::train::{make_sample, Structure};
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -854,7 +854,7 @@ mod tests {
             let (m, feats) = make_model(cfg);
             let s = Sample {
                 target_log: 1.0,
-                ..make_sample(&feats, 0.0, 0, &m.norm)
+                ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
             };
             let mut rng = Rng64::new(81);
             let (loss, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
@@ -871,7 +871,7 @@ mod tests {
         });
         let s = Sample {
             target_log: 2.5,
-            ..make_sample(&feats, 0.0, 0, &m.norm)
+            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
         };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(82);
@@ -901,7 +901,7 @@ mod tests {
         let target = 1.0f32;
         let s = Sample {
             target_log: target,
-            ..make_sample(&feats, 0.0, 0, &m.norm)
+            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
         };
         let (nodes, stat) = (&s.nodes, &s.stat);
         let mut rng = Rng64::new(83);

@@ -11,14 +11,21 @@ use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
 use crate::model::{Head, HeadGrad, NnlpModel};
 use nnlqp_ir::{Graph, Rng64};
 use nnlqp_nn::{Adam, Csr, Linear, LinearGrad, Matrix, Scratch};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One training/evaluation sample with pre-normalized features.
+///
+/// A sample is a label on a structure: samples of one structure (in a
+/// multi-platform dataset, one per head that measured it) share its node
+/// matrix and adjacency, and [`Dataset::build`] featurizes the same
+/// `&Graph` once.
 #[derive(Debug, Clone)]
 pub struct Sample {
-    /// Normalized node features.
-    pub nodes: Matrix,
-    /// Adjacency.
-    pub adj: Csr,
+    /// Normalized node features, shared by the structure's samples.
+    pub nodes: Arc<Matrix>,
+    /// Adjacency, shared by the structure's samples.
+    pub adj: Arc<Csr>,
     /// Normalized static features.
     pub stat: [f32; STATIC_DIM],
     /// Ground-truth latency in ms.
@@ -42,37 +49,74 @@ impl Dataset {
     /// Build from `(graph, latency_ms, head)` triples. The normalizer is
     /// fitted on exactly these graphs — fit on *training* data only, then
     /// use [`Dataset::extend_with`] for evaluation sets.
+    ///
+    /// Entries that borrow the same `&Graph` (the same address) are one
+    /// structure: it is featurized and normalized once, and its samples
+    /// share the result. The normalizer still sees every entry, in entry
+    /// order, so sharing moves no statistic and no sample bit.
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
-        let feats: Vec<GraphFeatures> = entries
+        let mut slot_of: HashMap<*const Graph, usize> = HashMap::new();
+        let mut feats: Vec<GraphFeatures> = Vec::new();
+        let slots: Vec<usize> = entries
             .iter()
-            .map(|(g, _, _)| extract_features(g))
+            .map(|&(g, _, _)| {
+                *slot_of.entry(std::ptr::from_ref(g)).or_insert_with(|| {
+                    feats.push(extract_features(g));
+                    feats.len() - 1
+                })
+            })
             .collect();
-        let norm = Normalizer::fit(&feats.iter().collect::<Vec<_>>());
-        let samples = feats
+        let norm = Normalizer::fit(&slots.iter().map(|&i| &feats[i]).collect::<Vec<_>>());
+        let structures: Vec<Structure> = feats
+            .into_iter()
+            .map(|f| Structure::normalize(f, &norm))
+            .collect();
+        let samples = slots
             .iter()
             .zip(entries)
-            .map(|(f, (_, ms, head))| make_sample(f, *ms, *head, &norm))
+            .map(|(&i, &(_, ms, head))| make_sample(&structures[i], ms, head))
             .collect();
         Dataset { samples, norm }
     }
 
-    /// Featurize additional graphs with this dataset's normalizer.
+    /// Featurize additional graphs with this dataset's normalizer, one
+    /// structure per entry.
     pub fn extend_with(&self, entries: &[(&Graph, f64, usize)]) -> Vec<Sample> {
         entries
             .iter()
-            .map(|(g, ms, head)| {
-                let f = extract_features(g);
-                make_sample(&f, *ms, *head, &self.norm)
+            .map(|&(g, ms, head)| {
+                let structure = Structure::normalize(extract_features(g), &self.norm);
+                make_sample(&structure, ms, head)
             })
             .collect()
     }
 }
 
-pub(crate) fn make_sample(f: &GraphFeatures, ms: f64, head: usize, norm: &Normalizer) -> Sample {
+/// A graph's features, normalized once for every sample of it to share.
+pub(crate) struct Structure {
+    nodes: Arc<Matrix>,
+    adj: Arc<Csr>,
+    stat: [f32; STATIC_DIM],
+}
+
+impl Structure {
+    /// Take over raw features, standardizing the node matrix in place.
+    pub(crate) fn normalize(mut f: GraphFeatures, norm: &Normalizer) -> Structure {
+        norm.normalize_nodes_in_place(&mut f.nodes);
+        Structure {
+            nodes: Arc::new(f.nodes),
+            adj: Arc::new(f.adj),
+            stat: norm.normalize_stat(&f.stat),
+        }
+    }
+}
+
+/// The one sample constructor: a latency on `head`, labelling a structure.
+pub(crate) fn make_sample(s: &Structure, ms: f64, head: usize) -> Sample {
     Sample {
-        nodes: norm.normalize_nodes(&f.nodes),
-        adj: f.adj.clone(),
-        stat: norm.normalize_stat(&f.stat),
+        nodes: Arc::clone(&s.nodes),
+        adj: Arc::clone(&s.adj),
+        stat: s.stat,
         target_ms: ms,
         target_log: (ms.max(0.0)).ln_1p() as f32,
         head,
@@ -376,6 +420,51 @@ mod tests {
         let (p1, _) = model.forward(&s0.nodes, &s0.adj, &s0.stat, 1, None);
         let r = (p1 as f64).exp_m1() / (p0 as f64).exp_m1();
         assert!(r > 1.8, "head ratio {r}, p0 {p0} p1 {p1}");
+    }
+
+    /// Every bit of a sample: shape, targets, head, node and static
+    /// features, and its adjacency.
+    fn bits(s: &Sample) -> (Vec<u64>, &Csr) {
+        let m = &s.nodes;
+        let ints = [m.rows, m.cols, s.head].map(|n| n as u64);
+        let targets = [s.target_ms.to_bits(), u64::from(s.target_log.to_bits())];
+        let floats = m.data.iter().chain(&s.stat).map(|v| u64::from(v.to_bits()));
+        let all = ints.into_iter().chain(targets).chain(floats).collect();
+        (all, &s.adj)
+    }
+
+    /// Every graph on four heads, and the first on a fifth as well: the
+    /// uneven count is what makes a normalizer fitted per structure
+    /// instead of per entry differ.
+    #[test]
+    fn samples_of_one_graph_share_its_structure_and_equal_per_row_samples() {
+        let data = corpus(2, 17);
+        let keys: Vec<(usize, usize)> = (0..4)
+            .flat_map(|head| (0..data.len()).map(move |i| (i, head)))
+            .chain([(0, 4)])
+            .collect();
+        let entries: Vec<(&Graph, f64, usize)> = (keys.iter())
+            .map(|&(i, head)| (&data[i].0, data[i].1 * (1.0 + head as f64), head))
+            .collect();
+        let ds = Dataset::build(&entries);
+
+        let per_row: Vec<GraphFeatures> = entries
+            .iter()
+            .map(|(g, _, _)| extract_features(g))
+            .collect();
+        let norm = Normalizer::fit(&per_row.iter().collect::<Vec<_>>());
+        assert_eq!(format!("{:?}", ds.norm), format!("{norm:?}"));
+
+        let alone = ds.extend_with(&entries);
+        assert_eq!(ds.samples.len(), alone.len());
+        for (a, (s, want)) in ds.samples.iter().zip(&alone).enumerate() {
+            assert_eq!(bits(s), bits(want), "sample {a}");
+            for (b, t) in ds.samples.iter().enumerate() {
+                let same = keys[a].0 == keys[b].0;
+                let shared = (Arc::ptr_eq(&s.nodes, &t.nodes), Arc::ptr_eq(&s.adj, &t.adj));
+                assert_eq!(shared, (same, same), "samples {a} and {b}");
+            }
+        }
     }
 
     #[test]

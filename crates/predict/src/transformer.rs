@@ -415,7 +415,7 @@ mod tests {
     use super::*;
     use crate::features::extract_features;
     use crate::predictor::predictor_from_json;
-    use crate::train::make_sample;
+    use crate::train::{make_sample, Structure};
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -491,7 +491,7 @@ mod tests {
         let target = 1.0f32;
         let s = Sample {
             target_log: target,
-            ..make_sample(&feats, 0.0, 0, &m.norm)
+            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
         };
         let mut rng = Rng64::new(61);
         let (_, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
@@ -538,7 +538,7 @@ mod tests {
         });
         let s = Sample {
             target_log: 2.5,
-            ..make_sample(&feats, 0.0, 0, &m.norm)
+            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
         };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(62);
