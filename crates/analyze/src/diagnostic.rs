@@ -42,9 +42,9 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes.
 ///
-/// Numbering scheme: `NNL0xx` are IR dataflow lints, `NNL1xx` are
+/// Numbering scheme: `NNL0xx` are IR lints, `NNL1xx` are
 /// fusion-legality violations, `NNL2xx` are schedule hazards, `NNL3xx`
-/// are fixed-point dataflow findings (memory feasibility, cost sanity).
+/// are platform resource findings (memory feasibility, cost sanity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// NNL001 — a node references an input id that is not a node.
@@ -90,7 +90,7 @@ pub enum Code {
     /// NNL205 — a kernel ran on a stream the platform does not have.
     StreamOutOfRange,
     /// NNL301 — the graph's static peak memory footprint (live
-    /// activations + weights, from the liveness fixpoint) exceeds the
+    /// activations + weights, from tensor lifetimes) exceeds the
     /// platform's memory capacity; it can never run there.
     MemoryInfeasible,
     /// NNL302 — the footprint fits but leaves less headroom than the

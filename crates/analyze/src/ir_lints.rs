@@ -1,19 +1,19 @@
-//! IR dataflow lints (`NNL001`–`NNL009`).
+//! IR lints (`NNL001`–`NNL009`).
 //!
 //! The structural rules are written once, in [`nnlqp_ir::validate`]:
 //! validation stops at the first violation, while [`check_structure`]
 //! words every one its [`walk`] reports with a stable code. The other
-//! lints layer on dataflow facts validation does not track (reachability,
-//! value numbering, serialization round trips). The whole-graph facts
-//! come from the fixed-point engine in [`crate::dataflow`]: dead-region
-//! detection is a backward reachability analysis, duplicate-subgraph
-//! detection a forward value-numbering one.
+//! lints layer on facts validation does not track (reachability, value
+//! numbers, serialization round trips). Those run only on a sound graph,
+//! whose node vector is a topological order, so each whole-graph fact is
+//! one pass over it: dead-region detection walks the nodes in reverse
+//! marking what the output reads, duplicate-subgraph detection numbers
+//! the values in node order.
 
-use crate::dataflow::{self, DataflowAnalysis, Direction, ReachabilityAnalysis};
 use crate::diagnostic::{Anchor, Code, Diagnostic};
 use nnlqp_hash::{graph_hash, StreamHasher};
 use nnlqp_ir::validate::{walk, Rule, Violation};
-use nnlqp_ir::{serialize, Graph, NodeId, OpType};
+use nnlqp_ir::{serialize, Graph, OpType};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
@@ -113,18 +113,27 @@ pub fn check_degenerate_shapes(g: &Graph) -> Vec<Diagnostic> {
     out
 }
 
-/// `NNL006`: nodes whose value never reaches the model output (the last
-/// sink, which is what [`Graph::output_shape`] reports and what the
-/// simulator's makespan is measured against). Liveness comes from the
-/// backward [`ReachabilityAnalysis`] fixpoint; dead nodes are then
-/// grouped into weakly connected dead *regions*, so a whole orphaned
-/// branch reads as one region rather than a scatter of unrelated nodes.
-pub fn check_dead_nodes(g: &Graph) -> Vec<Diagnostic> {
-    let Some(analysis) = ReachabilityAnalysis::new(g) else {
+/// `NNL006`: nodes of a sound graph whose value never reaches the model
+/// output (the last sink, which is what [`Graph::output_shape`] reports
+/// and what the simulator's makespan is measured against; in a
+/// topological node vector it is the last node). Walking the nodes in
+/// reverse sees every consumer before its inputs, so one pass marks all
+/// the output reads. Dead nodes are then grouped into weakly connected
+/// dead *regions*, so a whole orphaned branch reads as one region rather
+/// than a scatter of unrelated nodes.
+pub(crate) fn check_dead_nodes(g: &Graph) -> Vec<Diagnostic> {
+    let Some(output) = g.len().checked_sub(1) else {
         return Vec::new();
     };
-    let output = *g.sinks().last().expect("non-empty graph has a sink");
-    let live = dataflow::solve(g, &analysis).facts;
+    let mut live = vec![false; g.len()];
+    live[output] = true;
+    for (i, n) in g.nodes.iter().enumerate().rev() {
+        if live[i] {
+            for inp in &n.inputs {
+                live[inp.index()] = true;
+            }
+        }
+    }
     // Union-find over edges whose endpoints are both dead: connected
     // components of the dead subgraph are the dead regions.
     let mut parent: Vec<usize> = (0..g.len()).collect();
@@ -161,7 +170,7 @@ pub fn check_dead_nodes(g: &Graph) -> Vec<Diagnostic> {
                     "{} output never reaches the model output n{} \
                      (dead region of {} node(s) rooted at n{})",
                     g.nodes[i].op.name(),
-                    output.0,
+                    output,
                     region_size[&root],
                     root
                 ),
@@ -173,65 +182,41 @@ pub fn check_dead_nodes(g: &Graph) -> Vec<Diagnostic> {
 /// Sentinel value number for "reads the graph input".
 const GRAPH_INPUT: u64 = 0x6e6e_6c71_7069_6e00;
 
-/// Forward value numbering on the dataflow engine. The fact is a hash of
-/// op code, attributes and the input facts in argument order (sorted for
-/// commutative ops, so `add(a, b)` and `add(b, a)` match) — a positional
-/// analysis, so `transfer` consumes the dep slice directly instead of
-/// folding it through the join.
-struct ValueNumbering;
-
-impl DataflowAnalysis for ValueNumbering {
-    type Fact = u64;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn bottom(&self, _g: &Graph, _id: NodeId) -> u64 {
-        0
-    }
-
-    fn boundary(&self, _g: &Graph, _id: NodeId) -> u64 {
-        GRAPH_INPUT
-    }
-
-    /// Order-insensitive combine; only `joined` uses it, the transfer
-    /// below hashes dep facts positionally.
-    fn join(&self, acc: u64, dep: &u64) -> u64 {
-        acc ^ *dep
-    }
-
-    fn transfer(&self, g: &Graph, id: NodeId, deps: &[u64]) -> u64 {
-        let n = g.node(id);
+/// Value number of every node of a sound graph, in node order: a hash of
+/// op code, attributes and the input numbers in argument order (sorted
+/// for commutative ops, so `add(a, b)` and `add(b, a)` match), or the
+/// [`GRAPH_INPUT`] sentinel for a source. Every input precedes its
+/// consumer, so its number is already known. Two nodes with equal value
+/// numbers compute the same value from the same sources.
+fn value_numbers(g: &Graph) -> Vec<u64> {
+    let mut vn: Vec<u64> = Vec::with_capacity(g.len());
+    let mut ins: Vec<u64> = Vec::new();
+    for n in g.nodes.iter() {
         let mut h = StreamHasher::new();
         h.write_u64(n.op.code() as u64);
         for a in n.attrs.to_vec() {
             h.write_f32(a);
         }
-        let mut ins: Vec<u64> = if deps.is_empty() {
-            vec![self.boundary(g, id)]
+        ins.clear();
+        if n.inputs.is_empty() {
+            ins.push(GRAPH_INPUT);
         } else {
-            deps.to_vec()
-        };
+            ins.extend(n.inputs.iter().map(|i| vn[i.index()]));
+        }
         if matches!(n.op, OpType::Add | OpType::Mul) {
             ins.sort_unstable();
         }
         h.write_all(&ins);
-        h.finish()
+        vn.push(h.finish());
     }
-}
-
-/// Value number of every node, from the forward fixpoint. Two nodes with
-/// equal value numbers compute the same value from the same sources.
-fn value_numbers(g: &Graph) -> Vec<u64> {
-    dataflow::solve(g, &ValueNumbering).facts
+    vn
 }
 
 /// `NNL007`: duplicate subgraphs. A node whose value number collides with
 /// an earlier node recomputes an identical subgraph — a common
 /// subexpression elimination candidate (and a latency the database pays
-/// twice for).
-pub fn check_duplicate_subgraphs(g: &Graph) -> Vec<Diagnostic> {
+/// twice for). Needs a sound graph.
+pub(crate) fn check_duplicate_subgraphs(g: &Graph) -> Vec<Diagnostic> {
     let vn = value_numbers(g);
     let mut first: HashMap<u64, usize> = HashMap::new();
     let mut out = Vec::new();
@@ -312,7 +297,8 @@ pub fn check_suspicious_attrs(g: &Graph) -> Vec<Diagnostic> {
 /// graph. If a serialize → deserialize round trip changes the hash (or
 /// fails), the graph that comes back out of `nnlqp-db` is a different
 /// cache key than the one that went in, and every future lookup misses.
-pub fn check_cache_canonical(g: &Graph) -> Vec<Diagnostic> {
+/// Needs a sound graph: hashing walks the graph's edges.
+pub(crate) fn check_cache_canonical(g: &Graph) -> Vec<Diagnostic> {
     let before = graph_hash(g);
     match serialize::decode(&serialize::encode(g)) {
         Err(e) => vec![Diagnostic::new(

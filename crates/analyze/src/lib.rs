@@ -9,21 +9,23 @@
 //! pipeline, [`analyze`], producing [`Diagnostic`]s with stable `NNLxxx`
 //! codes, rendered as text or JSON.
 //!
-//! Whole-graph facts (reachability, liveness, value numbers) come from a
-//! shared fixed-point engine ([`dataflow`]): analyses declare a lattice
-//! and a transfer function, the engine sweeps the topological node order
-//! to convergence. The pipeline runs five checks, in this order:
+//! Whole-graph facts (reachability, value numbers, tensor lifetimes) are
+//! read only off graphs the structural lints found sound, whose node
+//! vector is a topological order; each is one pass over that vector, in
+//! reverse or in node order. The pipeline runs five checks, in this
+//! order:
 //!
-//! * **IR dataflow lints** ([`ir_lints`], `NNL0xx`) over [`nnlqp_ir::Graph`]:
+//! * **IR lints** ([`ir_lints`], `NNL0xx`) over [`nnlqp_ir::Graph`]:
 //!   the structural rules of [`nnlqp_ir::validate`] worded as diagnostics
 //!   (orphan inputs, non-canonical node order — a graph-hash cache-miss
 //!   source — arity and shape violations), then degenerate shapes, dead
-//!   regions (backward reachability), duplicate subgraphs (CSE
-//!   candidates, via forward value numbering), suspicious attributes, and
-//!   database cache-key canonicalization (serialize round trip preserves
-//!   the graph hash).
-//! * **Memory feasibility** ([`memory`], `NNL3xx` low range): backward
-//!   tensor liveness over the execution order gives the peak activation
+//!   regions (what the output reads, marked in reverse node order),
+//!   duplicate subgraphs (CSE candidates, by value numbers computed in
+//!   node order), suspicious attributes, and database cache-key
+//!   canonicalization (serialize round trip preserves the graph hash).
+//! * **Memory feasibility** ([`memory`], `NNL3xx` low range): each
+//!   tensor is resident from its definition through its last consumer,
+//!   so a running sum in node order gives the peak activation
 //!   footprint; adding weights, the graph either fits the platform's
 //!   memory capacity (`NNL301` error when it cannot, `NNL302` warning
 //!   near the high watermark) or is rejected before any measurement.
@@ -51,7 +53,6 @@
 //! ```
 
 pub mod cost_sanity;
-pub mod dataflow;
 pub mod diagnostic;
 pub mod fusion_checks;
 pub mod ir_lints;

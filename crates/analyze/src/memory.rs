@@ -1,97 +1,28 @@
 //! Tensor liveness and peak-activation-memory feasibility (`NNL301`,
 //! `NNL302`).
 //!
-//! The canonical node vector is the execution schedule, so tensor lifetime
-//! is a classic backward liveness problem over that straight-line program:
-//! a value is live from its definition until its last consumer (or until
-//! the end of the model, for the output). The peak resident set — live
+//! The canonical node vector is the execution schedule, and on a sound
+//! graph every consumer follows its inputs, so a tensor's lifetime is
+//! closed-form: a value is resident from its definition through its last
+//! consumer, the graph input through the last node that reads it. One
+//! pass finds the last uses and a running sum in node order gives the
+//! resident bytes at every execution point. The peak resident set — live
 //! activations plus the executing node's output, plus all weights — is a
 //! static lower bound on the memory a device needs to run the graph at
 //! all. A graph whose peak exceeds the platform's memory capacity can
 //! never produce a valid latency measurement, so strict-mode admission
 //! rejects it before the farm or database see it.
 
-use crate::dataflow::{self, BitSet, DataflowAnalysis, DepStructure, Direction};
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use nnlqp_ir::{cost, DType, Graph, NodeId};
+use nnlqp_ir::{cost, DType, Graph};
 
 /// Footprint fraction of capacity above which `NNL302` warns that the
 /// graph leaves too little headroom for the runtime's own allocations.
 pub const HIGH_WATERMARK: f64 = 0.80;
 
-/// Backward liveness over the execution order. The fact at node `i` is
-/// the set of values that must be resident immediately before `i`
-/// executes: bits `0..len` are node outputs, bit `len` is the graph input
-/// tensor.
-pub struct LivenessAnalysis {
-    len: usize,
-    output: usize,
-}
-
-impl LivenessAnalysis {
-    /// `None` on an empty graph.
-    pub fn new(g: &Graph) -> Option<Self> {
-        g.sinks().last().map(|out| LivenessAnalysis {
-            len: g.len(),
-            output: out.index(),
-        })
-    }
-
-    /// The bit representing the graph input tensor.
-    pub fn graph_input_bit(&self) -> usize {
-        self.len
-    }
-}
-
-impl DataflowAnalysis for LivenessAnalysis {
-    type Fact = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn structure(&self) -> DepStructure {
-        DepStructure::ExecutionOrder
-    }
-
-    fn bottom(&self, _g: &Graph, _id: NodeId) -> BitSet {
-        BitSet::with_capacity(self.len + 1)
-    }
-
-    /// Past the last node only the model output remains live.
-    fn boundary(&self, _g: &Graph, _id: NodeId) -> BitSet {
-        let mut b = BitSet::with_capacity(self.len + 1);
-        b.insert(self.output);
-        b
-    }
-
-    /// May-liveness: union.
-    fn join(&self, mut acc: BitSet, dep: &BitSet) -> BitSet {
-        acc.union_with(dep);
-        acc
-    }
-
-    /// `live_in(i) = (live_out(i) \ {i}) ∪ uses(i)` — the textbook
-    /// equation with `def(i) = {i}` (every node defines exactly its own
-    /// output tensor).
-    fn transfer(&self, g: &Graph, id: NodeId, deps: &[BitSet]) -> BitSet {
-        let mut live = self.joined(g, id, deps);
-        live.remove(id.index());
-        let node = g.node(id);
-        if node.inputs.is_empty() {
-            live.insert(self.graph_input_bit());
-        } else {
-            for inp in &node.inputs {
-                live.insert(inp.index());
-            }
-        }
-        live
-    }
-}
-
 /// Static memory requirement of a graph at a given precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryEstimate {
+pub(crate) struct MemoryEstimate {
     /// Peak resident activation bytes (live tensors plus the executing
     /// node's output; includes the graph input while it is live).
     pub peak_activation_bytes: u64,
@@ -101,9 +32,6 @@ pub struct MemoryEstimate {
     pub peak_node: u32,
     /// Tensors resident at the peak (including the output being written).
     pub live_at_peak: usize,
-    /// False only if the liveness solve hit its iteration cap (malformed
-    /// edges); the estimate is then a best effort.
-    pub converged: bool,
 }
 
 impl MemoryEstimate {
@@ -114,29 +42,58 @@ impl MemoryEstimate {
     }
 }
 
-/// Solve liveness and fold the facts into a peak-memory estimate.
-pub fn estimate_peak_memory(g: &Graph, dt: DType) -> Option<MemoryEstimate> {
-    let analysis = LivenessAnalysis::new(g)?;
-    let fix = dataflow::solve(g, &analysis);
-    let bytes_of = |bit: usize| -> u64 {
-        if bit == analysis.graph_input_bit() {
-            g.input_shape.bytes(dt) as u64
-        } else {
-            g.nodes[bit].out_shape.bytes(dt) as u64
+/// Activation bytes and tensor count resident while each node of a sound,
+/// non-empty graph executes, in node order. Node `j`'s output is resident
+/// from its definition through its last consumer (only while it is
+/// written, if nothing consumes it: the model output, the last node, and
+/// dead values); the graph input from the start through the last node
+/// that reads it. One pass finds the last uses, a second keeps the
+/// running sum.
+fn resident_per_node(g: &Graph, dt: DType) -> Vec<(u64, usize)> {
+    let n = g.len();
+    // `last_use[j] == j`: nothing consumes node j's output.
+    let mut last_use: Vec<usize> = (0..n).collect();
+    let mut last_source = 0;
+    for (k, node) in g.nodes.iter().enumerate() {
+        if node.inputs.is_empty() {
+            last_source = k;
         }
-    };
+        for inp in &node.inputs {
+            last_use[inp.index()] = k;
+        }
+    }
+    // Bytes and count of the tensors freed once each node has run.
+    let mut freed = vec![(0u64, 0usize); n];
+    freed[last_source] = (g.input_shape.bytes(dt) as u64, 1);
+    let (mut live, mut count) = freed[last_source];
+    let mut out = Vec::with_capacity(n);
+    for (i, node) in g.nodes.iter().enumerate() {
+        let own = node.out_shape.bytes(dt) as u64;
+        out.push((live + own, count + 1));
+        if last_use[i] > i {
+            live += own;
+            count += 1;
+            let f = &mut freed[last_use[i]];
+            f.0 += own;
+            f.1 += 1;
+        }
+        live -= freed[i].0;
+        count -= freed[i].1;
+    }
+    out
+}
+
+/// Fold the per-node resident sets into a peak-memory estimate: the first
+/// node at which the resident bytes reach their maximum. `None` on an
+/// empty graph.
+pub(crate) fn estimate_peak_memory(g: &Graph, dt: DType) -> Option<MemoryEstimate> {
+    if g.nodes.is_empty() {
+        return None;
+    }
     let mut peak = 0u64;
     let mut peak_node = 0u32;
     let mut live_at_peak = 0usize;
-    for (i, live_in) in fix.facts.iter().enumerate() {
-        // While node i executes, its inputs (and everything needed later)
-        // are resident *and* its output buffer is being written.
-        let mut resident = g.nodes[i].out_shape.bytes(dt) as u64;
-        let mut count = 1;
-        for bit in live_in.iter() {
-            resident += bytes_of(bit);
-            count += 1;
-        }
+    for (i, (resident, count)) in resident_per_node(g, dt).into_iter().enumerate() {
         if resident > peak {
             peak = resident;
             peak_node = i as u32;
@@ -152,7 +109,6 @@ pub fn estimate_peak_memory(g: &Graph, dt: DType) -> Option<MemoryEstimate> {
         weight_bytes: weight_bytes as u64,
         peak_node,
         live_at_peak,
-        converged: fix.converged,
     })
 }
 
@@ -173,7 +129,11 @@ fn fmt_bytes(b: u64) -> String {
 /// against a capacity in bytes. `NNL301` (error) when the graph cannot
 /// fit, `NNL302` (warning) when it leaves less than `1 - HIGH_WATERMARK`
 /// headroom. A capacity of zero means "unknown" and disables the check.
-pub fn check_memory_feasibility(g: &Graph, dt: DType, capacity_bytes: u64) -> Vec<Diagnostic> {
+pub(crate) fn check_memory_feasibility(
+    g: &Graph,
+    dt: DType,
+    capacity_bytes: u64,
+) -> Vec<Diagnostic> {
     if capacity_bytes == 0 {
         return Vec::new();
     }
@@ -225,30 +185,14 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn set(bits: &[usize]) -> BitSet {
-        let mut b = BitSet::with_capacity(8);
-        for &i in bits {
-            b.insert(i);
-        }
-        b
-    }
-
     #[test]
-    fn liveness_fixpoint_matches_hand_computation() {
-        // Backward over the schedule (output = n3, graph input = bit 4):
-        //   live_in(3) = ({3} \ {3}) ∪ {1,2}   = {1,2}
-        //   live_in(2) = ({1,2} \ {2}) ∪ {0}   = {0,1}
-        //   live_in(1) = ({0,1} \ {1}) ∪ {0}   = {0}
-        //   live_in(0) = ({0} \ {0}) ∪ {input} = {4}
+    fn resident_bytes_match_hand_computation() {
+        // f32 tensor bytes: input 16*4 = 64, every node output 32*4 = 128.
+        // n0 reads the input; n1 and n2 read n0, n3 reads n1 and n2.
         let g = diamond();
-        let a = LivenessAnalysis::new(&g).unwrap();
-        assert_eq!(a.graph_input_bit(), 4);
-        let fix = dataflow::solve(&g, &a);
-        assert!(fix.converged);
-        assert_eq!(fix.sweeps, 2);
         assert_eq!(
-            fix.facts,
-            vec![set(&[4]), set(&[0]), set(&[0, 1]), set(&[1, 2])]
+            resident_per_node(&g, DType::F32),
+            vec![(192, 2), (256, 2), (384, 3), (384, 3)]
         );
     }
 
@@ -262,7 +206,6 @@ mod tests {
         // params * 4 bytes = 16.
         let g = diamond();
         let est = estimate_peak_memory(&g, DType::F32).unwrap();
-        assert!(est.converged);
         assert_eq!(est.peak_activation_bytes, 384);
         assert_eq!(est.peak_node, 2);
         assert_eq!(est.live_at_peak, 3);
@@ -281,18 +224,42 @@ mod tests {
 
     #[test]
     fn dead_value_is_freed_after_definition() {
-        // A dead sigmoid's output is live only while it is computed, so it
-        // does not raise the peak of later nodes.
+        // A dead sigmoid's output is resident only while it is computed,
+        // so it does not raise the peak of later nodes: n2 and n3 each
+        // hold one live tensor (n0, then n2) plus their own output.
         let mut b = GraphBuilder::new("dead", Shape::nchw(1, 1, 4, 4));
         let c = b.conv(None, 2, 1, 1, 0, 1).unwrap();
         b.sigmoid(c).unwrap(); // dead
         let r = b.relu(c).unwrap();
         b.relu(r).unwrap();
         let g = b.finish().unwrap();
-        let a = LivenessAnalysis::new(&g).unwrap();
-        let fix = dataflow::solve(&g, &a);
-        // Before n2 executes, only n0 is needed: the dead n1 is gone.
-        assert_eq!(fix.facts[2], set(&[0]));
+        assert_eq!(
+            resident_per_node(&g, DType::F32),
+            vec![(192, 2), (256, 2), (256, 2), (256, 2)]
+        );
+    }
+
+    #[test]
+    fn graph_input_stays_resident_until_the_last_source_runs() {
+        // n0, n2 and n4 read the graph input (64 bytes), so it is resident
+        // through n4; every node output is 128 bytes.
+        //   n0: in + n0 = 192              n1: in + n0 + n1 = 320
+        //   n2: in + n1 + n2 = 320         n3: in + n1 + n2 + n3 = 448
+        //   n4: in + n3 + n4 = 320         n5: n3 + n4 + n5 = 384
+        let mut b = GraphBuilder::new("sources", Shape::nchw(1, 1, 4, 4));
+        let a = b.conv(None, 2, 1, 1, 0, 1).unwrap();
+        let r = b.relu(a).unwrap();
+        let c = b.conv(None, 2, 1, 1, 0, 1).unwrap();
+        let s = b.add(r, c).unwrap();
+        let d = b.conv(None, 2, 3, 1, 1, 1).unwrap();
+        b.add(s, d).unwrap();
+        let g = b.finish().unwrap();
+        assert_eq!(
+            resident_per_node(&g, DType::F32),
+            vec![(192, 2), (320, 3), (320, 3), (448, 4), (320, 3), (384, 3)]
+        );
+        let est = estimate_peak_memory(&g, DType::F32).unwrap();
+        assert_eq!((est.peak_node, est.live_at_peak), (3, 4));
     }
 
     #[test]
