@@ -1,12 +1,15 @@
 //! What a codec rewrite of the store must not move: every byte it writes.
 //! A stored graph over the canonical families, one WAL frame of each op
 //! kind, a snapshot segment over those frames, the manifest, and the
-//! snapshot of a fixed database.
+//! snapshot of a fixed database; and the JSON the tree writes of them: a
+//! model file per canonical family and the database's JSON export.
 //!
 //! The constants were computed at commit `bf8cecf`, before the store's
 //! encoders and decoders moved from the vendored `bytes` buffers to std
 //! ones. A digest that differs means a byte on disk changed, and every
-//! store written before it no longer opens.
+//! store written before it no longer opens. The JSON digest was computed
+//! at commit `fed2c6c`, before the JSON codec moved into `nnlqp-ir`: a
+//! model file or export written before then must read back unchanged.
 
 use nnlqp_db::compact::{Manifest, ShardMeta};
 use nnlqp_db::shard::encode_segment;
@@ -27,6 +30,8 @@ const WAL_FRAME_DIGESTS: [u64; 3] = [
 const SEGMENT_DIGEST: u64 = 0xcece_efa9_25a2_40f4;
 const MANIFEST_DIGEST: u64 = 0xc6a9_4ae9_f627_d4ce;
 const SNAPSHOT_DIGEST: u64 = 0xbf75_c438_5ee6_fbe7;
+/// Model files of the canonicals and Detection, then the database export.
+const JSON_DIGEST: u64 = 0x7d9a_18c0_9416_47ea;
 
 /// Byte-at-a-time FNV-1a of a length-prefixed blob, local so the pin
 /// shares no code with what it pins.
@@ -138,8 +143,8 @@ fn manifests_are_byte_identical_to_the_recorded_ones() {
     assert_eq!(got, MANIFEST_DIGEST, "manifest digest {got:#018x}");
 }
 
-#[test]
-fn snapshots_are_byte_identical_to_the_recorded_ones() {
+/// A database with two platforms, three models and six latency rows.
+fn populated() -> Database {
     let db = Database::new();
     let t4 = db.get_or_create_platform("T4", "trt7.1", "fp32");
     let cpu = db.get_or_create_platform("cpu", "openppl", "fp32");
@@ -158,6 +163,23 @@ fn snapshots_are_byte_identical_to_the_recorded_ones() {
         db.insert_latency(mid, cpu, 8, 9.5 * (x + 1.0), 3e5, 7, 9)
             .unwrap();
     }
-    let got = digest(&[&persist::to_bytes(&db)[..]]);
+    db
+}
+
+#[test]
+fn snapshots_are_byte_identical_to_the_recorded_ones() {
+    let got = digest(&[&persist::to_bytes(&populated())[..]]);
     assert_eq!(got, SNAPSHOT_DIGEST, "snapshot digest {got:#018x}");
+}
+
+#[test]
+fn json_artifacts_are_byte_identical_to_the_recorded_ones() {
+    let mut texts: Vec<String> = CORPUS_FAMILIES
+        .into_iter()
+        .chain([ModelFamily::Detection])
+        .map(|f| serialize::to_json(&f.canonical().unwrap()))
+        .collect();
+    texts.push(persist::export_json(&populated()).to_string());
+    let got = digest(&texts.iter().map(String::as_bytes).collect::<Vec<_>>());
+    assert_eq!(got, JSON_DIGEST, "json digest {got:#018x}");
 }
