@@ -5,6 +5,7 @@
 //! stable API: tools (and the seeded-mutation property tests) match on them,
 //! so a code is never renumbered or reused once released.
 
+use nnlqp_ir::json::escape_into;
 use std::fmt;
 
 /// How bad a finding is.
@@ -293,24 +294,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping (the diagnostic messages are ASCII, but
-/// graph names are user-controlled).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Version of the JSON report layout emitted by [`Report::render_json`].
 /// Bumped on any field addition, removal or reordering so downstream
 /// tooling can gate on it. History: 1 = initial layout (implicit, not
@@ -387,12 +370,14 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON rendering (hand-rolled: no serialization
-    /// dependency, stable field order).
+    /// Machine-readable JSON rendering, written by hand because a JSON
+    /// value sorts its keys and this layout leads with `schema_version`.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"schema_version\":{REPORT_SCHEMA_VERSION},"));
-        out.push_str(&format!("\"graph\":\"{}\",", json_escape(&self.graph_name)));
+        out.push_str("\"graph\":");
+        escape_into(&self.graph_name, &mut out);
+        out.push(',');
         out.push_str(&format!(
             "\"errors\":{},\"warnings\":{},\"lints\":{},",
             self.count(Severity::Error),
@@ -405,12 +390,11 @@ impl Report {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":\"{}\",\"message\":\"{}\"}}",
-                d.code,
-                d.severity,
-                d.anchor,
-                json_escape(&d.message)
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":\"{}\",\"message\":",
+                d.code, d.severity, d.anchor
             ));
+            escape_into(&d.message, &mut out);
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -508,10 +492,5 @@ mod tests {
         assert!(j.contains("\"errors\":1"));
         assert!(j.contains("NNL007"));
         assert!(j.contains("g\\\"x"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

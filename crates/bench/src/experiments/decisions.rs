@@ -93,7 +93,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "decisions",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "regnet_vs_resnet_p4int8": lr / lres,
             "resnet_p4_over_t4_int8": lp4 / lt4,
             "atlas_ms": la, "mlu_ms": lm,

@@ -147,7 +147,7 @@ pub fn run(opts: &Opts) {
         ]);
         json_archs.insert(
             arch.to_string(),
-            serde_json::json!({
+            nnlqp_ir::json!({
                 "latency": { "acc10_pct": lat_acc10, "mape_pct": lat_mape },
                 "nas_accuracy": {
                     "acc10_pct": acc.acc10_pct,
@@ -172,11 +172,11 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "encoders",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "platforms": platforms.iter().map(|p| p.name.clone()).collect::<Vec<_>>(),
             "models": graphs.len(),
             "epochs": opts.epochs,
-            "architectures": serde_json::Value::Object(json_archs),
+            "architectures": nnlqp_ir::json::Value::Object(json_archs),
         }),
     );
 }

@@ -59,7 +59,7 @@ pub fn run(opts: &Opts) {
             num(slope, 3),
             num(r2, 3),
         ]);
-        all_points.push(serde_json::json!({
+        all_points.push(nnlqp_ir::json!({
             "family": fam.name(),
             "points": points,
             "slope": slope,
@@ -81,7 +81,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "fig2",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "families": all_points,
             "points_above_line": total - violations,
             "points_total": total,

@@ -110,11 +110,11 @@ pub fn run(opts: &Opts) {
                 pct(acc_t),
                 pct(acc_t - acc_s),
             ]);
-            fam_json.push(serde_json::json!({
+            fam_json.push(nnlqp_ir::json!({
                 "samples": n, "scratch": acc_s, "pretrained": acc_t,
             }));
         }
-        json_out.push(serde_json::json!({"family": fam.name(), "curve": fam_json}));
+        json_out.push(nnlqp_ir::json!({"family": fam.name(), "curve": fam_json}));
     }
     print_table(
         &[
@@ -131,6 +131,6 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "fig6",
-        &serde_json::json!({"families": json_out}),
+        &nnlqp_ir::json!({"families": json_out}),
     );
 }

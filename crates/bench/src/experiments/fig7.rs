@@ -140,9 +140,9 @@ pub fn run(opts: &Opts) {
                 pct(acc_t),
                 pct(acc_t - acc_s),
             ]);
-            curve.push(serde_json::json!({"samples": n, "scratch": acc_s, "pretrained": acc_t}));
+            curve.push(nnlqp_ir::json!({"samples": n, "scratch": acc_s, "pretrained": acc_t}));
         }
-        json_out.push(serde_json::json!({"platform": target.name, "curve": curve}));
+        json_out.push(nnlqp_ir::json!({"platform": target.name, "curve": curve}));
     }
     for (ci, &n) in SAMPLE_COUNTS.iter().enumerate() {
         rows.push(vec![
@@ -168,6 +168,6 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "fig7",
-        &serde_json::json!({"platforms": json_out}),
+        &nnlqp_ir::json!({"platforms": json_out}),
     );
 }

@@ -110,7 +110,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "fig8",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "scratch_big": {"samples": big_n, "mape": m_big},
             "scratch_50": {"samples": 50, "mape": m_50},
             "pretrained_50": {"samples": 50, "mape": m_50p},

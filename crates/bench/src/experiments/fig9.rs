@@ -178,7 +178,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "fig9",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "tau_full": {"flops": tau_full[0], "lookup": tau_full[1], "predicted": tau_full[2]},
             "tau_band": {"flops": tau_band[0], "lookup": tau_band[1], "predicted": tau_band[2]},
             "band_size": band.len(),

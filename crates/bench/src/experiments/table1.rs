@@ -40,7 +40,7 @@ pub fn run(opts: &Opts) {
     crate::report::save_json(
         &opts.out_dir,
         "table1",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "platforms": reg.iter().map(|p| p.name.clone()).collect::<Vec<_>>(),
         }),
     );

@@ -86,7 +86,7 @@ pub fn run(opts: &Opts) {
         {
             *a += v / platforms.len() as f64;
         }
-        json_rows.push(serde_json::json!({
+        json_rows.push(nnlqp_ir::json!({
             "platform": p.name, "hit0_s": h0, "hit50_s": h50, "hit100_s": h100,
             "flops_mac_s": fm, "nnlp_s": nnlp,
             "speedup_hit50": s50, "speedup_hit100": s100,
@@ -124,6 +124,6 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table2",
-        &serde_json::json!({ "rows": json_rows }),
+        &nnlqp_ir::json!({ "rows": json_rows }),
     );
 }

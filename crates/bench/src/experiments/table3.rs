@@ -77,11 +77,11 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table3",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "methods": methods.iter().map(|m| m.name()).collect::<Vec<_>>(),
             "folds": results
                 .iter()
-                .map(|(fam, row)| serde_json::json!({
+                .map(|(fam, row)| nnlqp_ir::json!({
                     "family": fam.name(),
                     "mape": row.iter().map(|r| r.0).collect::<Vec<_>>(),
                     "acc10": row.iter().map(|r| r.1).collect::<Vec<_>>(),

@@ -42,7 +42,7 @@ pub fn run(opts: &Opts) {
             json_row.push(e);
         }
         rows.push(cells);
-        json_rows.push(serde_json::json!({"family": fam.name(), "mape": json_row}));
+        json_rows.push(nnlqp_ir::json!({"family": fam.name(), "mape": json_row}));
     }
     rows.push(
         std::iter::once("Average".to_string())
@@ -58,7 +58,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table4",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "methods": methods.iter().map(|m| m.name()).collect::<Vec<_>>(),
             "rows": json_rows,
             "average": avg,

@@ -112,7 +112,7 @@ pub fn run(opts: &Opts) {
             pct(m[1]),
             pct(m[2]),
         ]);
-        json_rows.push(serde_json::json!({
+        json_rows.push(nnlqp_ir::json!({
             "family": fam.name(), "nn_meter": m[0], "tpu": m[1], "nnlp": m[2],
             "test_kernels": truth.len(),
         }));
@@ -128,6 +128,6 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table5",
-        &serde_json::json!({"rows": json_rows, "average": sums}),
+        &nnlqp_ir::json!({"rows": json_rows, "average": sums}),
     );
 }

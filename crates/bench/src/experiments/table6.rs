@@ -119,7 +119,7 @@ pub fn run(opts: &Opts) {
         avg[0] += acc_multi / platforms.len() as f64;
         avg[1] += acc_single / platforms.len() as f64;
         rows.push(vec![p.name.clone(), pct(acc_multi), pct(acc_single)]);
-        json_rows.push(serde_json::json!({
+        json_rows.push(nnlqp_ir::json!({
             "platform": p.name, "multi_models": acc_multi, "single_model": acc_single,
         }));
     }
@@ -155,7 +155,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table6",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "rows": json_rows,
             "average": {"multi_models": avg[0], "single_model": avg[1]},
             "cost_s": {"multi_models": multi_cost, "single_model": single_cost},

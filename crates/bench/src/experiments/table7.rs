@@ -37,8 +37,8 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table7",
-        &serde_json::json!({
-            "rows": rows.iter().map(|r| serde_json::json!({
+        &nnlqp_ir::json!({
+            "rows": rows.iter().map(|r| nnlqp_ir::json!({
                 "label": r.label, "measured": r.measured, "predicted": r.predicted,
                 "test_models": r.test_models, "cost_t": r.cost_t, "speedup": r.speedup,
             })).collect::<Vec<_>>(),

@@ -28,7 +28,7 @@ pub fn run(opts: &Opts) {
             count.to_string(),
             pct(*count as f64 / total as f64 * 100.0),
         ]);
-        json_rows.push(serde_json::json!({"family": fam.name(), "count": count}));
+        json_rows.push(nnlqp_ir::json!({"family": fam.name(), "count": count}));
     }
     rows.push(vec!["All".into(), total.to_string(), pct(100.0)]);
     print_table(&["Kernel Family", "Number", "Percentage"], &rows);
@@ -39,7 +39,7 @@ pub fn run(opts: &Opts) {
     save_json(
         &opts.out_dir,
         "table8",
-        &serde_json::json!({
+        &nnlqp_ir::json!({
             "rows": json_rows, "total": total, "models": graphs.len(),
         }),
     );

@@ -30,22 +30,17 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 
 /// Write a JSON value under `<out_dir>/<name>.json` (no-op if out_dir is
 /// None).
-pub fn save_json(out_dir: &Option<std::path::PathBuf>, name: &str, value: &serde_json::Value) {
+pub fn save_json(out_dir: &Option<std::path::PathBuf>, name: &str, value: &nnlqp_ir::json::Value) {
     let Some(dir) = out_dir else { return };
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {dir:?}: {e}");
         return;
     }
     let path: std::path::PathBuf = Path::new(dir).join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: cannot write {path:?}: {e}");
-            } else {
-                eprintln!("(results saved to {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    if let Err(e) = std::fs::write(&path, value.to_string_pretty()) {
+        eprintln!("warning: cannot write {path:?}: {e}");
+    } else {
+        eprintln!("(results saved to {})", path.display());
     }
 }
 
@@ -71,13 +66,13 @@ mod tests {
 
     #[test]
     fn save_json_noop_without_dir() {
-        save_json(&None, "x", &serde_json::json!({"a": 1}));
+        save_json(&None, "x", &nnlqp_ir::json!({"a": 1}));
     }
 
     #[test]
     fn save_json_writes_file() {
         let dir = std::env::temp_dir().join("nnlqp-bench-test");
-        save_json(&Some(dir.clone()), "unit", &serde_json::json!({"ok": true}));
+        save_json(&Some(dir.clone()), "unit", &nnlqp_ir::json!({"ok": true}));
         let content = std::fs::read_to_string(dir.join("unit.json")).unwrap();
         assert!(content.contains("\"ok\": true"));
         std::fs::remove_dir_all(&dir).ok();

@@ -180,6 +180,19 @@ fn lint_unreadable_model_exits_three() {
 }
 
 #[test]
+fn lint_of_a_too_deeply_nested_file_exits_three() {
+    let path = std::env::temp_dir().join(format!("nnlqp-cli-nested-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let out = bin()
+        .args(["lint", "--model", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 128"));
+}
+
+#[test]
 fn lint_unknown_platform_fails() {
     let out = bin()
         .args(["lint", "--family", "ResNet", "--platform", "abacus"])

@@ -91,25 +91,25 @@ pub fn from_bytes(raw: &[u8]) -> io::Result<Database> {
     Database::from_rows(models, platforms, latencies, seq)
 }
 
-/// Human-readable JSON export of the whole database (graphs decoded back
-/// to their JSON form). Intended for inspection and external tooling, not
-/// as the storage format.
-pub fn export_json(db: &Database) -> serde_json::Value {
+/// Human-readable JSON export of the whole database: every row, a model
+/// by its hash, name and stored size (not its graph). Intended for
+/// inspection and external tooling, not as the storage format.
+pub fn export_json(db: &Database) -> nnlqp_ir::json::Value {
     let inner = db.inner.read().recover();
-    serde_json::json!({
-        "models": inner.models.iter().map(|m| serde_json::json!({
+    nnlqp_ir::json!({
+        "models": inner.models.iter().map(|m| nnlqp_ir::json!({
             "id": m.id.0,
             "graph_hash": format!("{:016x}", m.graph_hash),
             "name": m.name,
             "bytes": m.graph_bytes.len(),
         })).collect::<Vec<_>>(),
-        "platforms": inner.platforms.iter().map(|p| serde_json::json!({
+        "platforms": inner.platforms.iter().map(|p| nnlqp_ir::json!({
             "id": p.id.0,
             "hardware": p.hardware,
             "software": p.software,
             "data_type": p.data_type,
         })).collect::<Vec<_>>(),
-        "latencies": inner.latencies.iter().map(|l| serde_json::json!({
+        "latencies": inner.latencies.iter().map(|l| nnlqp_ir::json!({
             "id": l.id.0,
             "model_id": l.model_id.0,
             "platform_id": l.platform_id.0,

@@ -1,21 +1,19 @@
 //! Table row types, mirroring the ER diagram (Fig. 4).
 
-use serde::{Deserialize, Serialize};
-
 /// Primary key of the model table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId(pub u32);
 
 /// Primary key of the platform table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlatformId(pub u32);
 
 /// Primary key of the latency table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LatencyId(pub u32);
 
 /// One stored model: the weight-free graph plus its hash key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelRecord {
     /// Primary key.
     pub id: ModelId,
@@ -38,7 +36,7 @@ impl ModelRecord {
 }
 
 /// One platform row: hardware + software + data type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlatformRecord {
     /// Primary key.
     pub id: PlatformId,
@@ -67,7 +65,7 @@ impl PlatformRecord {
 }
 
 /// One latency measurement row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyRecord {
     /// Primary key.
     pub id: LatencyId,

@@ -5,10 +5,8 @@
 //! paper's predictor consumes attributes: `F_v^attr` is a fixed-length
 //! numeric vector regardless of operator type (Eq. 3).
 
-use serde::{Deserialize, Serialize};
-
 /// Flat attribute record attached to every node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attrs {
     /// Kernel size `[kh, kw]` (Conv, MaxPool, AveragePool).
     pub kernel: [u32; 2],

@@ -13,10 +13,9 @@ use crate::graph::Graph;
 use crate::node::NodeId;
 use crate::op::OpType;
 use crate::shape::{DType, Shape};
-use serde::{Deserialize, Serialize};
 
 /// Static cost of a single node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeCost {
     /// Floating-point operations (MAC = 2).
     pub flops: f64,
@@ -44,7 +43,7 @@ impl NodeCost {
 }
 
 /// Aggregate cost of a whole graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphCost {
     /// Total FLOPs.
     pub flops: f64,

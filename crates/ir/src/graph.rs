@@ -5,7 +5,6 @@ use crate::infer;
 use crate::node::{Node, NodeId};
 use crate::nodes::Nodes;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A neural network model, as the paper treats ONNX files: a directed
 /// acyclic graph of operator nodes plus the shape of the single graph input.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Invariant: `nodes` is a topological order — every node's inputs have
 /// smaller indices. [`crate::GraphBuilder`] maintains this by construction
 /// and [`crate::validate::validate`] checks it for deserialized graphs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// Human-readable model name (e.g. `"resnet18-v0042"`).
     pub name: String,

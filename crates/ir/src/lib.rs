@@ -18,7 +18,9 @@
 //! * shape inference ([`infer`]), FLOPs / parameter / memory-access
 //!   accounting ([`cost`]),
 //! * compact binary serialization ([`serialize`]) used by the evolving
-//!   database, and
+//!   database, and the JSON model files that stand in for ONNX,
+//! * the JSON codec ([`json`](mod@json) and the [`json!`] macro) behind
+//!   those model files, the predictor checkpoints and the reports, and
 //! * a small deterministic RNG ([`rng`]) shared by the generators and the
 //!   simulator so every experiment is reproducible from a seed.
 
@@ -29,6 +31,7 @@ pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod infer;
+pub mod json;
 pub mod node;
 pub mod nodes;
 pub mod op;

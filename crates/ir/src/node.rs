@@ -3,7 +3,6 @@
 use crate::attrs::Attrs;
 use crate::op::OpType;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -11,7 +10,7 @@ use std::ops::{Deref, DerefMut};
 ///
 /// Because graphs keep their nodes in topological order, `NodeId` ordering
 /// is also a (one of possibly many) topological ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -37,7 +36,7 @@ const INLINE_IDS: usize = 4;
 /// inline up to four entries, so cloning or building a typical
 /// graph allocates nothing per node. Longer lists (a wide `Concat`) spill
 /// to a `Vec`. Reads go through `Deref<Target = [NodeId]>`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct NodeIds(Repr);
 
 #[derive(Clone)]
@@ -156,7 +155,7 @@ impl fmt::Debug for NodeIds {
 }
 
 /// One operator node of a model DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Operator type.
     pub op: OpType,

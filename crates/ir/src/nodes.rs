@@ -7,7 +7,6 @@
 
 use crate::node::Node;
 use crate::rng::mix64;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
@@ -22,11 +21,9 @@ use std::sync::OnceLock;
 /// vector, and only [`Nodes::digest`] sets it, from the nodes themselves. A
 /// clone carries the digest; equality, `Debug` and the codecs see the nodes
 /// alone.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone)]
 pub struct Nodes {
     list: Vec<Node>,
-    #[serde(skip)]
     digest: OnceLock<u64>,
 }
 

@@ -8,11 +8,10 @@
 //! convolution, as deployment toolchains (TensorRT et al.) do before
 //! measurement.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ONNX-style operator type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum OpType {
     /// 2-D convolution (grouped / depthwise via `groups`).

@@ -213,15 +213,15 @@ pub fn storage_bytes(g: &Graph) -> usize {
     encode(g).len()
 }
 
-/// JSON export (pretty). The field layout matches what a serde derive
-/// would emit: shapes as plain arrays, ops by canonical name.
+/// JSON export (pretty, keys sorted): shapes as plain arrays, ops by
+/// canonical name.
 pub fn to_json(g: &Graph) -> String {
-    let nodes: Vec<serde_json::Value> = g
+    let nodes: Vec<crate::json::Value> = g
         .nodes
         .iter()
         .map(|n| {
             let inputs: Vec<u32> = n.inputs.iter().map(|i| i.0).collect();
-            serde_json::json!({
+            crate::json!({
                 "op": n.op.name(),
                 "attrs": {
                     "kernel": n.attrs.kernel,
@@ -239,12 +239,12 @@ pub fn to_json(g: &Graph) -> String {
             })
         })
         .collect();
-    let v = serde_json::json!({
+    let v = crate::json!({
         "name": g.name,
         "input_shape": g.input_shape.dims(),
         "nodes": nodes,
     });
-    serde_json::to_string_pretty(&v).expect("value serializes")
+    v.to_string_pretty()
 }
 
 /// JSON import with validation.
@@ -257,8 +257,9 @@ pub fn from_json(s: &str) -> IrResult<Graph> {
 /// JSON import without validation — for diagnostic tools (`nnlqp lint`)
 /// that report on malformed graphs rather than refusing to open them.
 pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
-    let v: serde_json::Value =
-        serde_json::from_str(s).map_err(|e| IrError::Decode(e.to_string()))?;
+    let v = s
+        .parse::<crate::json::Value>()
+        .map_err(|e| IrError::Decode(e.to_string()))?;
     let bad = |what: &str| IrError::Decode(format!("missing or malformed {what}"));
 
     let name = v["name"].as_str().ok_or_else(|| bad("name"))?.to_string();
@@ -307,7 +308,7 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
     })
 }
 
-fn json_shape(v: &serde_json::Value, what: &str) -> IrResult<Shape> {
+fn json_shape(v: &crate::json::Value, what: &str) -> IrResult<Shape> {
     let dims: Vec<usize> = v
         .as_array()
         .and_then(|a| a.iter().map(|d| d.as_u64().map(|d| d as usize)).collect())
@@ -315,11 +316,11 @@ fn json_shape(v: &serde_json::Value, what: &str) -> IrResult<Shape> {
     Shape::from_dims(&dims)
 }
 
-fn u32_field(v: &serde_json::Value) -> Option<u32> {
+fn u32_field(v: &crate::json::Value) -> Option<u32> {
     v.as_u64().map(|x| x as u32)
 }
 
-fn u32_pair(v: &serde_json::Value) -> Option<[u32; 2]> {
+fn u32_pair(v: &crate::json::Value) -> Option<[u32; 2]> {
     let a = v.as_array()?;
     match a.as_slice() {
         [x, y] => Some([u32_field(x)?, u32_field(y)?]),

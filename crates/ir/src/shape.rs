@@ -1,14 +1,13 @@
 //! Tensor shapes and data types.
 
 use crate::error::{IrError, IrResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Numeric precision a platform executes a model in.
 ///
 /// Mirrors Table 1 of the paper: GPUs run fp32/fp16/int8, the CPU runs fp32,
 /// and the ASIC families run int16/int8 or fp16/int8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     F32,
     F16,
@@ -65,7 +64,7 @@ pub const MAX_RANK: usize = 4;
 /// Stored inline (no heap), so a shape is `Copy` and a graph walk never
 /// allocates for one. Invariant: `dims[rank..]` is all zero, which is what
 /// lets the derived `PartialEq`/`Hash` compare whole arrays.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
     rank: u8,

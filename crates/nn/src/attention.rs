@@ -251,8 +251,8 @@ fn check_heads(d_model: usize, n_heads: usize) -> Result<(), String> {
 
 impl AttnLayer {
     /// JSON value form (checkpointing).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
+    pub fn to_value(&self) -> nnlqp_ir::json::Value {
+        nnlqp_ir::json!({
             "wq": self.wq.to_value(),
             "wk": self.wk.to_value(),
             "wv": self.wv.to_value(),
@@ -265,7 +265,7 @@ impl AttnLayer {
 
     /// Inverse of [`AttnLayer::to_value`]. A head count that
     /// [`AttnLayer::new`] refuses is an error here.
-    pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    pub fn from_value(v: &nnlqp_ir::json::Value) -> Result<Self, String> {
         let layer = AttnLayer {
             wq: Linear::from_value(&v["wq"])?,
             wk: Linear::from_value(&v["wk"])?,

@@ -10,10 +10,9 @@
 use crate::simd;
 use crate::tensor::{Activation, Matrix, Scratch};
 use nnlqp_ir::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// Fully-connected layer `y = x W + b` with `W: [in, out]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     /// Weight matrix, `[in_features, out_features]`.
     pub w: Matrix,
@@ -23,13 +22,13 @@ pub struct Linear {
 
 impl Linear {
     /// JSON value form (checkpointing).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({ "w": self.w.to_value(), "b": self.b })
+    pub fn to_value(&self) -> nnlqp_ir::json::Value {
+        nnlqp_ir::json!({ "w": self.w.to_value(), "b": self.b })
     }
 
     /// Inverse of [`Linear::to_value`]. A bias that is not one entry per
     /// output column is an error.
-    pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    pub fn from_value(v: &nnlqp_ir::json::Value) -> Result<Self, String> {
         let w = Matrix::from_value(&v["w"])?;
         let b = v["b"]
             .as_array()

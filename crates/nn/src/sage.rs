@@ -11,13 +11,12 @@ use crate::layers::{
 };
 use crate::tensor::{Activation, Matrix, Scratch};
 use nnlqp_ir::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// One SAGEConv layer: self weight `w1`, neighbor weight `w2`. When
 /// `relu` is set, the ReLU nonlinearity of GraphSAGE is applied between
 /// the linear combination and the L2 normalization (Eq. 4 cites GraphSAGE,
 /// whose layers are `norm(sigma(...))`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SageLayer {
     /// Transform of the node's own features.
     pub w1: Linear,
@@ -29,8 +28,8 @@ pub struct SageLayer {
 
 impl SageLayer {
     /// JSON value form (checkpointing).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
+    pub fn to_value(&self) -> nnlqp_ir::json::Value {
+        nnlqp_ir::json!({
             "w1": self.w1.to_value(),
             "w2": self.w2.to_value(),
             "relu": self.relu,
@@ -38,7 +37,7 @@ impl SageLayer {
     }
 
     /// Inverse of [`SageLayer::to_value`].
-    pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    pub fn from_value(v: &nnlqp_ir::json::Value) -> Result<Self, String> {
         Ok(SageLayer {
             w1: Linear::from_value(&v["w1"])?,
             w2: Linear::from_value(&v["w2"])?,

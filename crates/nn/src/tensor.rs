@@ -20,28 +20,6 @@ pub struct Matrix {
     pub data: Vec<f32>,
 }
 
-// Hand-written JSON codec (checkpointing trained heads): a flat object of
-// dims plus the row-major payload.
-impl serde::Serialize for Matrix {
-    fn __stub_to_json(&self) -> Option<String> {
-        Some(self.to_value().to_string())
-    }
-
-    fn __stub_to_json_pretty(&self) -> Option<String> {
-        serde_json::to_string_pretty(&self.to_value()).ok()
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Matrix {
-    fn __stub_from_json(s: &str) -> Option<Result<Self, String>> {
-        let v: serde_json::Value = match serde_json::from_str(s) {
-            Ok(v) => v,
-            Err(e) => return Some(Err(e.to_string())),
-        };
-        Some(Matrix::from_value(&v))
-    }
-}
-
 /// Column-panel width of the packed-B matmul kernel. Panels keep the B
 /// operand cache-resident across the k-loop once outputs grow wider than
 /// one panel.
@@ -117,9 +95,10 @@ impl Scratch {
 }
 
 impl Matrix {
-    /// JSON value form (checkpointing).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
+    /// JSON value form (checkpointing trained heads): a flat object of
+    /// dims plus the row-major payload.
+    pub fn to_value(&self) -> nnlqp_ir::json::Value {
+        nnlqp_ir::json!({
             "rows": self.rows,
             "cols": self.cols,
             "data": self.data,
@@ -127,7 +106,7 @@ impl Matrix {
     }
 
     /// Inverse of [`Matrix::to_value`].
-    pub fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    pub fn from_value(v: &nnlqp_ir::json::Value) -> Result<Self, String> {
         let dims = (v["rows"].as_u64(), v["cols"].as_u64());
         let (Some(rows), Some(cols)) = dims else {
             return Err("matrix dims missing".to_string());
@@ -547,10 +526,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let m = mat(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let s = serde_json::to_string(&m).unwrap();
-        let m2: Matrix = serde_json::from_str(&s).unwrap();
-        assert_eq!(m, m2);
+        let v: nnlqp_ir::json::Value = m.to_value().to_string().parse().unwrap();
+        assert_eq!(Matrix::from_value(&v).unwrap(), m);
     }
 }

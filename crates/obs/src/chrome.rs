@@ -10,27 +10,9 @@
 //! crate dependency-free and the output byte-deterministic, which the
 //! golden trace tests rely on.
 
+use crate::events::push_json_str;
 use crate::span::{Span, Timeline};
 use std::fmt::Write as _;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format a simulated-ms value as microseconds (Chrome-trace's unit).
 fn us(ms: f64) -> String {
@@ -45,8 +27,9 @@ fn push_meta(out: &mut String, name: &str, pid: usize, tid: Option<u32>, label: 
     if let Some(tid) = tid {
         let _ = write!(out, "\"tid\": {tid}, ");
     }
-    let _ = write!(out, "\"args\": {{\"name\": \"{}\"}}}},", escape(label));
-    out.push('\n');
+    out.push_str("\"args\": {\"name\": ");
+    push_json_str(out, label);
+    out.push_str("}},\n");
 }
 
 /// Render a timeline as a Chrome-trace JSON document.
@@ -97,12 +80,13 @@ pub fn to_chrome_json(timeline: &Timeline) -> String {
 }
 
 fn push_event(out: &mut String, s: &Span, pid: usize) {
+    out.push_str("{\"name\": ");
+    push_json_str(out, &s.name);
+    out.push_str(", \"cat\": ");
+    push_json_str(out, &s.cat);
     let _ = write!(
         out,
-        "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \
-         \"ts\": {}, \"dur\": {}",
-        escape(&s.name),
-        escape(&s.cat),
+        ", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"ts\": {}, \"dur\": {}",
         s.track.lane,
         us(s.start_ms),
         us(s.dur_ms),
@@ -113,12 +97,14 @@ fn push_event(out: &mut String, s: &Span, pid: usize) {
             if i > 0 {
                 out.push_str(", ");
             }
+            push_json_str(out, k);
+            out.push_str(": ");
             // Numeric-looking values stay numbers so Perfetto can plot
             // them; everything else is a string.
             if v.parse::<f64>().is_ok() {
-                let _ = write!(out, "\"{}\": {v}", escape(k));
+                out.push_str(v);
             } else {
-                let _ = write!(out, "\"{}\": \"{}\"", escape(k), escape(v));
+                push_json_str(out, v);
             }
         }
         out.push('}');
@@ -172,6 +158,11 @@ mod tests {
 
     #[test]
     fn escaping_control_characters() {
+        let escape = |s: &str| {
+            let mut out = String::new();
+            push_json_str(&mut out, s);
+            out[1..out.len() - 1].to_string()
+        };
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
     }

@@ -111,7 +111,10 @@ impl Event {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string: `"` and `\` escaped, newline,
+/// carriage return and tab by letter, other control characters as
+/// `\u00XX`. The crate's one escaper: the Chrome trace writes with it too.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

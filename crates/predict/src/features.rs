@@ -12,7 +12,6 @@ use nnlqp_ir::op::NUM_OP_TYPES;
 use nnlqp_ir::{cost, DType, Graph};
 use nnlqp_nn::{Csr, Matrix};
 use nnlqp_sim::fusion::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// Shape block width: log-scaled (batch, channels, height, width).
 pub const SHAPE_DIM: usize = 4;
@@ -109,7 +108,7 @@ pub fn extract_kernel_features(g: &Graph, k: &Kernel) -> GraphFeatures {
 }
 
 /// Standardization statistics fitted on a training corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Normalizer {
     node_mu: Vec<f32>,
     node_sd: Vec<f32>,
@@ -119,8 +118,8 @@ pub struct Normalizer {
 
 impl Normalizer {
     /// JSON value form (checkpointing).
-    pub(crate) fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
+    pub(crate) fn to_value(&self) -> nnlqp_ir::json::Value {
+        nnlqp_ir::json!({
             "node_mu": self.node_mu,
             "node_sd": self.node_sd,
             "stat_mu": self.stat_mu,
@@ -129,8 +128,8 @@ impl Normalizer {
     }
 
     /// Inverse of [`Normalizer::to_value`].
-    pub(crate) fn from_value(v: &serde_json::Value) -> Result<Self, String> {
-        fn f32s(v: &serde_json::Value, what: &str) -> Result<Vec<f32>, String> {
+    pub(crate) fn from_value(v: &nnlqp_ir::json::Value) -> Result<Self, String> {
+        fn f32s(v: &nnlqp_ir::json::Value, what: &str) -> Result<Vec<f32>, String> {
             v.as_array()
                 .and_then(|a| {
                     a.iter()
@@ -139,7 +138,7 @@ impl Normalizer {
                 })
                 .ok_or_else(|| format!("normalizer {what} missing"))
         }
-        fn stat(v: &serde_json::Value, what: &str) -> Result<[f32; STATIC_DIM], String> {
+        fn stat(v: &nnlqp_ir::json::Value, what: &str) -> Result<[f32; STATIC_DIM], String> {
             f32s(v, what)?
                 .try_into()
                 .map_err(|_| format!("normalizer {what} has wrong length"))

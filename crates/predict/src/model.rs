@@ -12,12 +12,12 @@
 use crate::features::{GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM};
 use crate::predictor::Predictor;
 use crate::train::{adam_linears, Gradient, Grads, Sample, Trainable};
+use nnlqp_ir::json::Value;
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{
     layers::mse_loss, relu_backward_inplace, relu_inplace, sage::SageCache, Activation, Adam, Csr,
     Dropout, Linear, LinearGrad, Matrix, SageGrad, SageLayer, Scratch,
 };
-use serde::{Deserialize, Serialize};
 
 /// Conditioning factor applied to the sum-pooled graph embedding; see the
 /// comment at the pooling site. Shared with the transformer encoder so
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const SUM_POOL_SCALE: f32 = 1.0 / 32.0;
 
 /// Model hyper-parameters and ablation switches.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NnlpConfig {
     /// Node feature width (normally [`NODE_FEAT_DIM`]).
     pub node_feat_dim: usize,
@@ -124,7 +124,7 @@ pub(crate) fn log_to_units(pred: f32) -> f64 {
 /// One platform head: FC -> ReLU -> Dropout -> FC -> ReLU -> FC(1)
 /// ("the prediction head is composed of Fully Connected (FC) layers, Relu
 /// layers, and Dropout layers", §6.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Head {
     /// First FC.
     pub l1: Linear,
@@ -344,8 +344,8 @@ pub struct NnlpModel {
 }
 
 impl NnlpConfig {
-    fn to_value(self) -> serde_json::Value {
-        serde_json::json!({
+    fn to_value(self) -> Value {
+        nnlqp_ir::json!({
             "node_feat_dim": self.node_feat_dim,
             "hidden": self.hidden,
             "gnn_layers": self.gnn_layers,
@@ -359,7 +359,7 @@ impl NnlpConfig {
         })
     }
 
-    fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    fn from_value(v: &Value) -> Result<Self, String> {
         let dim = |key: &str| {
             v[key]
                 .as_u64()
@@ -387,15 +387,15 @@ impl NnlpConfig {
 }
 
 impl Head {
-    pub(crate) fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
+    pub(crate) fn to_value(&self) -> Value {
+        nnlqp_ir::json!({
             "l1": self.l1.to_value(),
             "l2": self.l2.to_value(),
             "l3": self.l3.to_value(),
         })
     }
 
-    pub(crate) fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
         Ok(Head {
             l1: Linear::from_value(&v["l1"])?,
             l2: Linear::from_value(&v["l2"])?,
@@ -404,46 +404,38 @@ impl Head {
     }
 }
 
-impl Serialize for NnlpModel {
-    fn __stub_to_json(&self) -> Option<String> {
-        let sage: Vec<serde_json::Value> = self.sage.iter().map(SageLayer::to_value).collect();
-        let heads: Vec<serde_json::Value> = self.heads.iter().map(Head::to_value).collect();
-        let v = serde_json::json!({
+impl NnlpModel {
+    /// JSON value form (checkpointing).
+    pub fn to_value(&self) -> Value {
+        let sage: Vec<Value> = self.sage.iter().map(SageLayer::to_value).collect();
+        let heads: Vec<Value> = self.heads.iter().map(Head::to_value).collect();
+        nnlqp_ir::json!({
             "cfg": self.cfg.to_value(),
             "sage": sage,
             "heads": heads,
             "norm": self.norm.to_value(),
-        });
-        Some(v.to_string())
+        })
     }
-}
 
-impl<'de> Deserialize<'de> for NnlpModel {
-    fn __stub_from_json(s: &str) -> Option<Result<Self, String>> {
-        let v: serde_json::Value = match serde_json::from_str(s) {
-            Ok(v) => v,
-            Err(e) => return Some(Err(e.to_string())),
+    /// Inverse of [`NnlpModel::to_value`].
+    pub fn from_value(v: &Value) -> Result<Self, String> {
+        let seq = |key: &str| {
+            v[key]
+                .as_array()
+                .ok_or_else(|| format!("model {key} missing"))
         };
-        let parse = || -> Result<NnlpModel, String> {
-            let seq = |key: &str| {
-                v[key]
-                    .as_array()
-                    .ok_or_else(|| format!("model {key} missing"))
-            };
-            Ok(NnlpModel {
-                cfg: NnlpConfig::from_value(&v["cfg"])?,
-                sage: seq("sage")?
-                    .iter()
-                    .map(SageLayer::from_value)
-                    .collect::<Result<_, _>>()?,
-                heads: seq("heads")?
-                    .iter()
-                    .map(Head::from_value)
-                    .collect::<Result<_, _>>()?,
-                norm: Normalizer::from_value(&v["norm"])?,
-            })
-        };
-        Some(parse())
+        Ok(NnlpModel {
+            cfg: NnlpConfig::from_value(&v["cfg"])?,
+            sage: seq("sage")?
+                .iter()
+                .map(SageLayer::from_value)
+                .collect::<Result<_, _>>()?,
+            heads: seq("heads")?
+                .iter()
+                .map(Head::from_value)
+                .collect::<Result<_, _>>()?,
+            norm: Normalizer::from_value(&v["norm"])?,
+        })
     }
 }
 
@@ -723,12 +715,12 @@ impl NnlpModel {
 
     /// Serialize to JSON (model checkpointing for transfer learning).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serializes")
+        self.to_value().to_string()
     }
 
     /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    pub fn from_json(s: &str) -> Result<Self, String> {
+        Self::from_value(&s.parse::<Value>().map_err(|e| e.to_string())?)
     }
 }
 

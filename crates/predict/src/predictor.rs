@@ -223,13 +223,13 @@ impl Predictor for NnlpModel {
 /// legacy GraphSAGE format, kept readable for existing checkpoints. Any
 /// other tag is an error naming it.
 pub fn predictor_from_json(s: &str) -> Result<Box<dyn Predictor>, String> {
-    let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+    let v = s
+        .parse::<nnlqp_ir::json::Value>()
+        .map_err(|e| e.to_string())?;
     match v["kind"].as_str() {
-        Some("transformer") => Ok(Box::new(TransformerModel::from_json(s)?)),
+        Some("transformer") => Ok(Box::new(TransformerModel::from_value(&v)?)),
         Some(other) => Err(format!("unknown predictor kind '{other}'")),
-        None => NnlpModel::from_json(s)
-            .map(|m| Box::new(m) as Box<dyn Predictor>)
-            .map_err(|e| e.to_string()),
+        None => Ok(Box::new(NnlpModel::from_value(&v)?)),
     }
 }
 

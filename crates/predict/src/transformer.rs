@@ -16,6 +16,7 @@ use crate::predictor::{Predictor, PredictorKind};
 use crate::train::{
     adam_linears, train, Gradient, Grads, Sample, TrainConfig, TrainReport, Trainable,
 };
+use nnlqp_ir::json::Value;
 use nnlqp_ir::Rng64;
 use nnlqp_nn::attention::AttnCache;
 use nnlqp_nn::layers::mse_loss;
@@ -63,8 +64,8 @@ impl TransformerConfig {
         self.d_model + STATIC_DIM
     }
 
-    fn to_value(self) -> serde_json::Value {
-        serde_json::json!({
+    fn to_value(self) -> Value {
+        nnlqp_ir::json!({
             "node_feat_dim": self.node_feat_dim,
             "d_model": self.d_model,
             "layers": self.layers,
@@ -75,7 +76,7 @@ impl TransformerConfig {
         })
     }
 
-    fn from_value(v: &serde_json::Value) -> Result<Self, String> {
+    fn from_value(v: &Value) -> Result<Self, String> {
         let dim = |key: &str| {
             v[key]
                 .as_u64()
@@ -297,9 +298,9 @@ impl TransformerModel {
 
     /// Serialize to JSON with the `"kind"` dispatch tag.
     pub fn to_json(&self) -> String {
-        let blocks: Vec<serde_json::Value> = self.blocks.iter().map(AttnLayer::to_value).collect();
-        let heads: Vec<serde_json::Value> = self.heads.iter().map(Head::to_value).collect();
-        serde_json::json!({
+        let blocks: Vec<Value> = self.blocks.iter().map(AttnLayer::to_value).collect();
+        let heads: Vec<Value> = self.heads.iter().map(Head::to_value).collect();
+        nnlqp_ir::json!({
             "kind": "transformer",
             "cfg": self.cfg.to_value(),
             "embed_in": self.embed_in.to_value(),
@@ -310,9 +311,9 @@ impl TransformerModel {
         .to_string()
     }
 
-    /// Inverse of [`TransformerModel::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+    /// Inverse of [`TransformerModel::to_json`], from the parsed value;
+    /// [`crate::predictor_from_json`] reads a checkpoint of either kind.
+    pub fn from_value(v: &Value) -> Result<Self, String> {
         if v["kind"].as_str() != Some("transformer") {
             return Err("not a transformer checkpoint".to_string());
         }

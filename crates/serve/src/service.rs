@@ -1606,7 +1606,7 @@ mod tests {
         let jsonl = std::fs::read_to_string(&events_path).unwrap();
         assert!(!jsonl.trim().is_empty());
         for line in jsonl.lines() {
-            line.parse::<serde_json::Value>()
+            line.parse::<nnlqp_ir::json::Value>()
                 .expect("event line parses as JSON");
         }
         std::fs::remove_dir_all(&dir).unwrap();

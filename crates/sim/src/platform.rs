@@ -10,7 +10,6 @@
 
 use crate::farm::{DeviceFarm, FarmError};
 use nnlqp_ir::{DType, OpType};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -27,7 +26,7 @@ pub fn dtype_group_penalty(dt: DType) -> f64 {
 }
 
 /// Broad hardware category (Table 1's "Type" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HardwareClass {
     Gpu,
     Cpu,
@@ -37,7 +36,7 @@ pub enum HardwareClass {
 /// Simulated wall-clock costs of the deployment pipeline stages (§5.1),
 /// in seconds. These drive Table 2; the measurement itself adds
 /// `reps * model_latency` on top.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeployCosts {
     /// Step 1: ONNX -> platform graph conversion.
     pub transform_s: f64,
@@ -57,7 +56,7 @@ impl DeployCosts {
 }
 
 /// A target platform: hardware + inference software + data type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Canonical identifier, e.g. `"gpu-T4-trt7.1-fp32"`.
     pub name: String,

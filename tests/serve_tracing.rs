@@ -233,7 +233,7 @@ fn exemplar_reservoir_retains_slowest_and_exports_chrome_json() {
     let slowest = svc.exemplars().slowest_class().unwrap();
     assert_eq!(slowest, "measured", "measuring dwarfs cache hits");
     let json = to_chrome_json(&timeline_of(&snap[slowest]));
-    let doc: serde_json::Value = json.parse().expect("chrome trace is valid JSON");
+    let doc: nnlqp_ir::json::Value = json.parse().expect("chrome trace is valid JSON");
     let events = doc["traceEvents"].as_array().expect("trace events");
     assert!(events.iter().any(|e| e["name"].as_str() == Some("request")));
     assert!(events.iter().any(|e| e["name"].as_str() == Some("measure")));

@@ -62,7 +62,7 @@ fn chrome_export_matches_golden() {
 
     // The export must be well-formed JSON with one complete event per
     // span (the rest are track-naming metadata).
-    let v: serde_json::Value = json.parse().expect("chrome trace parses as JSON");
+    let v: nnlqp_ir::json::Value = json.parse().expect("chrome trace parses as JSON");
     let events = v["traceEvents"].as_array().expect("traceEvents array");
     let complete = events
         .iter()
