@@ -416,3 +416,110 @@ fn a_multi_platform_retrain_reproduces_the_recorded_checkpoint() {
     };
     assert_eq!(digest, want, "retrain numerics moved: {digest:#018x}");
 }
+
+/// FNV-1a digests of what a cold prediction computes: every bit of
+/// `extract_features` over the canonicals, Detection and a seeded corpus,
+/// then the `f64` bits of a cold four-platform `predict_batch` of both
+/// encoders, on the FMA (SIMD) backends and on the scalar backend
+/// `NNLQP_SIMD=off` selects. Recorded at commit `fa77a2a`, before feature
+/// extraction and the row kernels were rewritten for speed.
+const COLD_PREDICTION_DIGEST_SIMD: u64 = 0xb3b4_c0f7_8e47_b2f7;
+const COLD_PREDICTION_DIGEST_SCALAR: u64 = 0x3c25_bc09_5f5d_9e78;
+
+/// FNV-1a, folding `bytes` into `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The corpus the cold digest featurizes and predicts: the ten canonical
+/// families, Detection, the canonicals again at batch 64, and two seeded
+/// samples of every family.
+fn cold_corpus() -> Vec<Graph> {
+    use nnlqp_models::family::CORPUS_FAMILIES;
+    let canonicals: Vec<Graph> = CORPUS_FAMILIES
+        .into_iter()
+        .chain([ModelFamily::Detection])
+        .map(|f| f.canonical().unwrap())
+        .collect();
+    let rebatched: Vec<Graph> = canonicals.iter().map(|g| g.rebatch(64).unwrap()).collect();
+    let sampled = CORPUS_FAMILIES
+        .into_iter()
+        .flat_map(|f| nnlqp_models::generate_family(f, 2, 43))
+        .map(|m| m.graph);
+    canonicals
+        .into_iter()
+        .chain(rebatched)
+        .chain(sampled)
+        .collect()
+}
+
+/// The guard that a cold prediction did not move: the raw features
+/// (node rows, CSR and static features) of every graph of
+/// [`cold_corpus`], then a cold `predict_batch` of it on the four
+/// platforms of the retrain digest, for a GraphSAGE and a transformer
+/// predictor at the default width.
+#[test]
+fn cold_predictions_reproduce_the_recorded_digest() {
+    const HEADS: [(&str, u32); 4] = [
+        ("gpu-T4-trt7.1-fp32", 1),
+        ("cpu-openppl-fp32", 1),
+        ("hi3559A-nnie11-int8", 1),
+        ("atlas300-acl-fp16", 4),
+    ];
+    let graphs = cold_corpus();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for g in &graphs {
+        let f = nnlqp_predict::extract_features(g);
+        for v in &f.nodes.data {
+            h = fnv(h, &v.to_bits().to_le_bytes());
+        }
+        for &i in f.adj.row_ptr.iter().chain(&f.adj.col_idx) {
+            h = fnv(h, &i.to_le_bytes());
+        }
+        for v in f.stat {
+            h = fnv(h, &v.to_bits().to_le_bytes());
+        }
+    }
+
+    let trainer = system(0);
+    let models: Vec<Graph> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 6, 3)
+        .into_iter()
+        .map(|m| m.graph)
+        .collect();
+    for (name, batch) in HEADS {
+        trainer
+            .warm_cache(&models, &Platform::by_name(name).unwrap(), batch)
+            .unwrap();
+    }
+    let names = HEADS.map(|(name, _)| name);
+    for arch in [
+        nnlqp::PredictorKind::Sage,
+        nnlqp::PredictorKind::Transformer,
+    ] {
+        let cfg = TrainPredictorConfig {
+            epochs: 2,
+            batch_size: 8,
+            arch,
+            ..Default::default()
+        };
+        let (handle, _) = trainer
+            .train_predictor_handle(&names, cfg)
+            .unwrap()
+            .unwrap();
+        let cold = system(0); // cache off: every embedding is computed
+        cold.set_predictor(handle);
+        let batch = cold.predict_batch(&graphs, &names).unwrap();
+        assert_eq!(batch.embed_misses, graphs.len() as u64);
+        for v in batch.latencies_ms.iter().flatten() {
+            h = fnv(h, &v.to_bits().to_le_bytes());
+        }
+    }
+    let want = if nnlqp_nn::kernel() == nnlqp_nn::Kernel::Scalar {
+        COLD_PREDICTION_DIGEST_SCALAR
+    } else {
+        COLD_PREDICTION_DIGEST_SIMD
+    };
+    assert_eq!(h, want, "cold prediction moved: {h:#018x}");
+}
