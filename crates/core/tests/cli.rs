@@ -192,6 +192,60 @@ fn lint_of_a_too_deeply_nested_file_exits_three() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 128"));
 }
 
+/// A small conv → relu model file, compactly rendered, with `edits`
+/// (`from`, `to`) applied once each; lint's exit code and stderr.
+fn lint_edited_model(tag: &str, edits: &[(&str, &str)]) -> (Option<i32>, String) {
+    let mut b = nnlqp_ir::GraphBuilder::new("edited", nnlqp_ir::Shape::nchw(1, 3, 8, 8));
+    let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
+    b.relu(c).unwrap();
+    let g = b.finish().unwrap();
+    let mut text = nnlqp_ir::serialize::to_json(&g)
+        .parse::<nnlqp_ir::json::Value>()
+        .unwrap()
+        .to_string();
+    for (from, to) in edits {
+        assert!(text.contains(from), "{from} not in {text}");
+        text = text.replacen(from, to, 1);
+    }
+    let path = std::env::temp_dir().join(format!("nnlqp-cli-{tag}-{}.json", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let out = bin()
+        .args(["lint", "--model", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn lint_of_a_file_with_out_of_range_integers_exits_three() {
+    assert_eq!(lint_edited_model("in-range", &[]).0, Some(0));
+    let edits = [
+        ("\"kernel\":[3,3]", "\"kernel\":[4294967299,3]"),
+        ("\"inputs\":[0]", "\"inputs\":[4294967296]"),
+    ];
+    for edit in edits {
+        let (code, stderr) = lint_edited_model("out-of-range", &[edit]);
+        assert_eq!(code, Some(3), "{edit:?}: {stderr}");
+    }
+}
+
+#[test]
+fn lint_of_a_file_json_forbids_exits_three() {
+    let cases = [
+        ("\"input_shape\":[1,", "\"input_shape\":[01.,"),
+        ("\"input_shape\":[1,", "\"input_shape\":[1.,"),
+        ("\"name\":\"edited\"", "\"name\":\"\tedited\""),
+    ];
+    for edit in cases {
+        let (code, stderr) = lint_edited_model("forbidden", &[edit]);
+        assert_eq!(code, Some(3), "{edit:?}: {stderr}");
+    }
+}
+
 #[test]
 fn lint_unknown_platform_fails() {
     let out = bin()

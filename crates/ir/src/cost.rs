@@ -132,18 +132,26 @@ pub fn node_cost(g: &Graph, id: NodeId, dt: DType) -> NodeCost {
     }
 }
 
+/// Every field of `costs` summed in order, from zero.
+fn sum(costs: impl Iterator<Item = NodeCost>) -> NodeCost {
+    costs.fold(NodeCost::ZERO, |t, c| NodeCost {
+        flops: t.flops + c.flops,
+        params: t.params + c.params,
+        read_bytes: t.read_bytes + c.read_bytes,
+        write_bytes: t.write_bytes + c.write_bytes,
+    })
+}
+
+/// The totals of [`graph_cost`] without its per-node breakdown, summed in
+/// the same order (feature extraction reads nothing else, per prediction).
+pub fn graph_totals(g: &Graph, dt: DType) -> NodeCost {
+    sum(g.iter().map(|(id, _)| node_cost(g, id, dt)))
+}
+
 /// Cost of every node plus totals.
 pub fn graph_cost(g: &Graph, dt: DType) -> GraphCost {
-    let mut per_node = Vec::with_capacity(g.len());
-    let mut total = NodeCost::ZERO;
-    for (id, _) in g.iter() {
-        let c = node_cost(g, id, dt);
-        total.flops += c.flops;
-        total.params += c.params;
-        total.read_bytes += c.read_bytes;
-        total.write_bytes += c.write_bytes;
-        per_node.push(c);
-    }
+    let per_node: Vec<NodeCost> = g.iter().map(|(id, _)| node_cost(g, id, dt)).collect();
+    let total = sum(per_node.iter().copied());
     GraphCost {
         flops: total.flops,
         params: total.params,

@@ -252,37 +252,72 @@ impl Parser<'_> {
         }
     }
 
+    /// A number as JSON spells one, `-?(0|[1-9][0-9]*)(\.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`, then read by Rust's `f64` parser (which alone
+    /// would also take `01`, `1.` and `1.e5`).
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        let bad = || Error {
+            msg: format!("invalid number at byte {start}"),
+        };
+        if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        match self.digits() {
+            0 => return Err(bad()),
+            n if n > 1 && self.src.as_bytes()[self.pos - n] == b'0' => return Err(bad()),
+            _ => {}
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
         }
         self.src[start..self.pos]
             .parse::<f64>()
             .map(Value::Number)
-            .map_err(|_| Error {
-                msg: format!("invalid number at byte {start}"),
-            })
+            .map_err(|_| bad())
+    }
+
+    /// Skip a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn string(&mut self) -> Result<String, Error> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash whole: both
-            // are ASCII, so the run ends on a character boundary.
+            // Copy the run up to the next quote, backslash or control
+            // character whole: all are ASCII, so the run ends on a
+            // character boundary.
             let run = self.src.as_bytes()[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .ok_or_else(|| self.err("unterminated string"))?;
             out.push_str(&self.src[self.pos..self.pos + run]);
             self.pos += run;
-            if self.peek() == Some(b'"') {
-                self.pos += 1;
-                return Ok(out);
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {}
+                _ => return Err(self.err("control character in string")),
             }
             self.pos += 1;
             let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
@@ -324,6 +359,7 @@ impl Parser<'_> {
         let cp = self
             .src
             .get(self.pos..self.pos + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|hex| u32::from_str_radix(hex, 16).ok())
             .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
@@ -653,5 +689,40 @@ mod tests {
     fn far_too_deep_input_is_an_error_not_a_stack_overflow() {
         assert!("[".repeat(100_000).parse::<Value>().is_err());
         assert!("{\"a\":".repeat(100_000).parse::<Value>().is_err());
+    }
+
+    #[test]
+    fn numbers_are_refused_unless_json_spells_them() {
+        for (text, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12.5", -12.5),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("2.5e-3", 2.5e-3),
+            ("0.0e0", 0.0),
+        ] {
+            let v: Value = text.parse().unwrap();
+            assert_eq!(v.as_f64().map(f64::to_bits), Some(want.to_bits()), "{text}");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", "-", "-.5", "1e", "1e+", "1.5e", "+1", "[01]", "[1.]",
+        ] {
+            assert!(bad.parse::<Value>().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        for c in ['\t', '\n', '\r', '\u{0}', '\u{1f}'] {
+            let text = format!("\"a{c}b\"");
+            assert!(text.parse::<Value>().is_err(), "{:?}", c);
+        }
+        // Escaped, each is fine.
+        let v: Value = r#""a\tb\u001fc""#.parse().unwrap();
+        assert_eq!(v.as_str(), Some("a\tb\u{1f}c"));
+        // And a `\u` escape takes four hex digits, no sign.
+        assert!(r#""\u+041""#.parse::<Value>().is_err());
     }
 }

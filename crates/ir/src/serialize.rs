@@ -289,7 +289,7 @@ pub fn from_json_unchecked(s: &str) -> IrResult<Graph> {
             .as_array()
             .ok_or_else(|| bad(&format!("nodes[{i}].inputs")))?
             .iter()
-            .map(|x| x.as_u64().map(|id| NodeId(id as u32)))
+            .map(|x| u32_field(x).map(NodeId))
             .collect::<Option<Vec<NodeId>>>()
             .ok_or_else(|| bad(&format!("nodes[{i}].inputs")))?
             .into();
@@ -316,8 +316,10 @@ fn json_shape(v: &crate::json::Value, what: &str) -> IrResult<Shape> {
     Shape::from_dims(&dims)
 }
 
+/// A whole number that fits a `u32`; a larger one is refused, not
+/// wrapped into another graph's value.
 fn u32_field(v: &crate::json::Value) -> Option<u32> {
-    v.as_u64().map(|x| x as u32)
+    v.as_u64().and_then(|x| u32::try_from(x).ok())
 }
 
 fn u32_pair(v: &crate::json::Value) -> Option<[u32; 2]> {
@@ -403,6 +405,27 @@ mod tests {
     /// Offset of the `u32` node count in `g`'s encoding.
     fn count_offset(g: &Graph) -> usize {
         MAGIC.len() + 1 + 2 + g.name.len() + shape_bytes(&g.input_shape)
+    }
+
+    #[test]
+    fn out_of_range_integers_are_refused_not_wrapped() {
+        let compact = to_json(&sample())
+            .parse::<crate::json::Value>()
+            .unwrap()
+            .to_string();
+        for (from, to) in [
+            ("\"kernel\":[3,3]", "\"kernel\":[4294967299,3]"),
+            ("\"groups\":1", "\"groups\":4294967297"),
+            ("\"inputs\":[0]", "\"inputs\":[4294967296]"),
+        ] {
+            assert!(compact.contains(from), "{from}");
+            let edited = compact.replacen(from, to, 1);
+            assert!(from_json_unchecked(&edited).is_err(), "{to} loaded");
+        }
+        // The largest `u32` still reads back as itself.
+        let edited = compact.replacen("\"groups\":1", "\"groups\":4294967295", 1);
+        let g = from_json_unchecked(&edited).unwrap();
+        assert!(g.nodes.iter().any(|n| n.attrs.groups == u32::MAX));
     }
 
     #[test]

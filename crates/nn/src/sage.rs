@@ -120,20 +120,25 @@ impl SageLayer {
         }
     }
 
-    /// The linear half both forwards share, on the fused GEMM+bias
-    /// kernels: `(agg, pre)` with `agg = mean_agg(x)` and
-    /// `pre = (x W1 + b1) + (agg W2 + b2)` — the two paths computed
-    /// separately, then summed, in that association.
-    fn pre_activation(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> (Matrix, Matrix) {
-        let mut agg = scratch.take(x.rows, x.cols);
+    /// The linear half both forwards share: `(agg, pre)` with
+    /// `agg = mean_agg(x)` and `pre = act((x W1 + b1) + (agg W2 + b2))` —
+    /// the two paths computed separately, then summed, in that
+    /// association, with both biases, the sum and the activation in one
+    /// sweep after the two GEMMs.
+    fn pre_activation(
+        &self,
+        x: &Matrix,
+        adj: &Csr,
+        act: Activation,
+        scratch: &mut Scratch,
+    ) -> (Matrix, Matrix) {
+        let mut agg = scratch.take_overwritten(x.rows, x.cols);
         adj.mean_agg_into(x, &mut agg);
-        let mut pre = scratch.take(x.rows, self.w1.w.cols);
-        self.w1
-            .forward_into(x, Activation::Identity, &mut pre, scratch.pack_buf());
-        let mut y2 = scratch.take(x.rows, self.w2.w.cols);
-        self.w2
-            .forward_into(&agg, Activation::Identity, &mut y2, scratch.pack_buf());
-        pre.add_assign(&y2);
+        let mut pre = scratch.take_overwritten(x.rows, self.w1.w.cols);
+        x.matmul_into(&self.w1.w, &mut pre, scratch.pack_buf());
+        let mut y2 = scratch.take_overwritten(x.rows, self.w2.w.cols);
+        agg.matmul_into(&self.w2.w, &mut y2, scratch.pack_buf());
+        pre.add_biased(&self.w1.b, &y2, &self.w2.b, act);
         scratch.put(y2);
         (agg, pre)
     }
@@ -142,7 +147,7 @@ impl SageLayer {
     /// ([`SageCache::output`]), every intermediate drawn from `scratch`
     /// and kept in the cache until [`SageCache::recycle`].
     pub fn forward(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> SageCache {
-        let (agg, pre_act) = self.pre_activation(x, adj, scratch);
+        let (agg, pre_act) = self.pre_activation(x, adj, Activation::Identity, scratch);
         let mut y_norm = scratch.take(pre_act.rows, pre_act.cols);
         y_norm.data.copy_from_slice(&pre_act.data);
         if self.relu {
@@ -161,11 +166,13 @@ impl SageLayer {
     /// Inference-only forward: [`SageLayer::forward`]'s arithmetic, bit for
     /// bit, without the backward cache.
     pub fn forward_eval(&self, x: &Matrix, adj: &Csr, scratch: &mut Scratch) -> Matrix {
-        let (agg, mut out) = self.pre_activation(x, adj, scratch);
+        let act = if self.relu {
+            Activation::Relu
+        } else {
+            Activation::Identity
+        };
+        let (agg, mut out) = self.pre_activation(x, adj, act, scratch);
         scratch.put(agg);
-        if self.relu {
-            relu_inplace(&mut out);
-        }
         l2_normalize_rows_inplace(&mut out, None);
         out
     }
@@ -186,11 +193,14 @@ impl SageLayer {
         if self.relu {
             relu_backward_inplace(&cache.pre_act, &mut d);
         }
-        let grads = SageGrad {
-            d_w1: Linear::param_grad(x, &d, scratch),
-            d_w2: Linear::param_grad(&cache.agg, &d, scratch),
-        };
-        (d, grads)
+        // Both paths add the same bias gradient, `col_sums(d)`: sum once.
+        let d_w1 = Linear::param_grad(x, &d, scratch);
+        let mut dw = scratch.take(cache.agg.cols, d.cols);
+        cache.agg.t_matmul_into(&d, &mut dw);
+        let mut db = scratch.take_vec(d.cols);
+        db.copy_from_slice(&d_w1.db);
+        let d_w2 = LinearGrad { dw, db };
+        (d, SageGrad { d_w1, d_w2 })
     }
 
     /// The input half of the backward pass: `d_pre` back through the two

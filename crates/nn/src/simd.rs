@@ -6,9 +6,10 @@
 //!   always-available reference implementation (separate multiply and
 //!   add, bit-identical to every release before the SIMD work landed);
 //! * [`Kernel::Avx2Fma`] — 8-lane `std::arch` AVX2/FMA kernels;
-//! * [`Kernel::Avx512`] — the GEMM register tile, and `matmul_t` from 16
-//!   rows up, on 16-lane AVX-512 registers; every other kernel keeps its
-//!   256-bit body (see below).
+//! * [`Kernel::Avx512`] — the GEMM register tile, `matmul_t` from 16
+//!   rows up and the row kernels on 16-lane AVX-512 registers; the
+//!   element-wise sweeps and the softmax keep their 256-bit bodies (see
+//!   below).
 //!
 //! The SIMD backends sit behind `is_x86_feature_detected!`, so the binary
 //! still runs (and non-x86 targets still build) without the features.
@@ -21,12 +22,14 @@
 //! `gemm` — `matmul` and `t_matmul` — runs a 3x3 ymm register tile on
 //! `Avx2Fma` and a 4x4 zmm tile on `Avx512`. `matmul_t` computes four
 //! output columns per pass on ymm registers, or, on `Avx512` with enough
-//! rows to pay for transposing B, sixteen per zmm register. Everything
-//! else (softmax exp/sum, row max, the element-wise sweeps)
-//! has one 256-bit body that both SIMD backends run, and the row kernels
-//! of the training step (`relu_backward`, `l2_normalize_rows` and its
-//! backward, `mean_agg` and its backward) are one safe loop each, compiled
-//! for the baseline target and again for AVX2.
+//! rows to pay for transposing B, sixteen per zmm register. The softmax
+//! exp/sum, the row max and the element-wise sweeps have one 256-bit body
+//! that both SIMD backends run. The row kernels — one dispatch per matrix:
+//! `relu_backward`, `l2_normalize_rows` and its backward, `mean_agg` and
+//! its backward, `bias_act`, `add_biased` and `col_sums` — are one safe
+//! loop each, compiled for the baseline target, for AVX2 and for
+//! AVX-512F; `Avx512` runs the `l2_normalize_rows` forward on a body of
+//! its own that puts sixteen rows in the lanes of a register.
 //!
 //! # Numerical contract
 //!
@@ -65,7 +68,8 @@ pub enum Kernel {
     Scalar = 1,
     /// 8-lane AVX2 + FMA kernels (x86-64 with runtime feature detection).
     Avx2Fma = 2,
-    /// [`Kernel::Avx2Fma`] with the GEMM tile on 16-lane AVX-512 registers.
+    /// [`Kernel::Avx2Fma`] with the GEMM tile, `matmul_t` and the row
+    /// kernels on 16-lane AVX-512 registers.
     Avx512 = 3,
 }
 
@@ -89,7 +93,8 @@ impl Kernel {
 }
 
 /// The widest backend this CPU (and target) can run. `Avx512` implies
-/// `Avx2Fma`, whose bodies it borrows for everything but the GEMM tile.
+/// `Avx2Fma`, whose bodies it borrows for the element-wise sweeps and the
+/// softmax.
 fn widest() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
@@ -336,10 +341,11 @@ pub(crate) fn matmul_t(
 // ---------------------------------------------------------------------------
 // Whole-matrix row kernels: one dispatch per matrix. Each is a safe loop
 // (`mod rows`) that the scalar backend runs as the baseline build compiles
-// it and the SIMD backends run compiled for AVX2 — the same operations on
-// every element in the same order, eight lanes at a time where lanes map to
-// columns, so all backends agree bit for bit. No FMA is enabled for them:
-// a multiply followed by an add stays two roundings.
+// it and the SIMD backends run compiled for AVX2 or AVX-512F — the same
+// operations on every element in the same order, eight or sixteen lanes at
+// a time where lanes map to columns, so all backends agree bit for bit.
+// Nothing fuses: Rust never contracts a multiply and an add into an FMA, so
+// a multiply followed by an add stays two roundings whatever the target.
 // ---------------------------------------------------------------------------
 
 /// Run `rows::$f` on the backend `$kern` names.
@@ -349,7 +355,15 @@ macro_rules! rows_call {
         assert!(kern.is_available(), "{kern:?} kernel on a CPU without it");
         match kern {
             Kernel::Scalar => rows::$f($($arg),*),
-            Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!($f($($arg),*)),
+            Kernel::Avx2Fma => avx2_call!($f($($arg),*)),
+            Kernel::Avx512 => {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `is_available` just confirmed AVX-512F.
+                let out = unsafe { avx512::$f($($arg),*) };
+                #[cfg(not(target_arch = "x86_64"))]
+                let out = unreachable!("AVX-512 kernel selected on non-x86_64");
+                out
+            }
         }
     }};
 }
@@ -372,6 +386,14 @@ pub fn l2_normalize_rows(kern: Kernel, data: &mut [f32], cols: usize, norms: Opt
             norms.len().checked_mul(cols),
             "l2_normalize_rows shape mismatch"
         );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if kern == Kernel::Avx512 && cols > 0 {
+        assert!(kern.is_available(), "{kern:?} kernel on a CPU without it");
+        // SAFETY: `is_available` confirmed AVX-512F, and `norms` holds one
+        // slot per whole row (asserted above).
+        unsafe { avx512::l2_normalize_rows_in_lanes(data, cols, norms) };
+        return;
     }
     rows_call!(kern, l2_normalize_rows(data, cols, norms));
 }
@@ -437,10 +459,45 @@ pub fn mean_agg_backward(
     rows_call!(kern, mean_agg_backward(row_ptr, col_idx, d_out, cols, dx));
 }
 
-/// The row kernels' one source, inlined into a baseline and an AVX2 caller.
+/// Bias and activation over a row-major `[rows, bias.len()]` matrix in
+/// place: `x = x + bias[j]`, then, with `relu`, `0.0` where that sum is
+/// `< 0.0` (a `-0.0` sum survives). Elements past the last whole row are
+/// left alone: a head's one-row calls skip a shape check's division.
+pub fn bias_act(kern: Kernel, data: &mut [f32], bias: &[f32], relu: bool) {
+    rows_call!(kern, bias_act(data, bias, relu));
+}
+
+/// Two biased matrices summed into the first, then the activation:
+/// `a = (a + a_bias[j]) + (b + b_bias[j])`, then, with `relu`, `0.0` where
+/// that is `< 0.0` — [`bias_act`] on each, an element-wise add and a ReLU,
+/// in one sweep with the same roundings.
+pub fn add_biased(
+    kern: Kernel,
+    (a, a_bias): (&mut [f32], &[f32]),
+    (b, b_bias): (&[f32], &[f32]),
+    relu: bool,
+) {
+    assert_eq!(a.len(), b.len(), "add_biased shape mismatch");
+    assert_eq!(a_bias.len(), b_bias.len(), "add_biased bias mismatch");
+    assert_eq!(a.len() % a_bias.len().max(1), 0, "add_biased row width");
+    rows_call!(kern, add_biased(a, a_bias, b, b_bias, relu));
+}
+
+/// Column sums of a row-major `[rows, cols]` matrix into `out`: each is
+/// `+0.0` plus the column's values in ascending row order.
+pub fn col_sums(kern: Kernel, data: &[f32], cols: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), cols, "col_sums out width");
+    assert_eq!(data.len() % cols.max(1), 0, "col_sums shape mismatch");
+    rows_call!(kern, col_sums(data, cols, out));
+}
+
+/// Lower clamp of a row norm in [`l2_normalize_rows`].
+const L2_EPS: f32 = 1e-8;
+
+/// The row kernels' one source, inlined into a baseline, an AVX2 and an
+/// AVX-512F caller.
 mod rows {
-    /// Lower clamp of a row norm in [`l2_normalize_rows`].
-    const L2_EPS: f32 = 1e-8;
+    use super::L2_EPS;
 
     #[inline(always)]
     pub fn relu_backward(x: &[f32], d: &mut [f32]) {
@@ -569,8 +626,60 @@ mod rows {
         &col_idx[row_ptr[i] as usize..row_ptr[i + 1] as usize]
     }
 
-    /// Columns a [`mean_agg`] row accumulates in registers at a time.
-    const AGG_BLOCK: usize = 16;
+    /// `out[c..c + W] = scale * sum` over the rows `rows` lists, each
+    /// column's sum zero plus the rows' values in list order (never
+    /// started from the first row: `0.0 + -0.0` is `+0.0`), in registers.
+    #[inline(always)]
+    fn sum_block<const W: usize>(
+        (x, cols): (&[f32], usize),
+        c: usize,
+        rows: impl Iterator<Item = usize>,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let mut acc = [0.0f32; W];
+        for j in rows {
+            let src = &x[j * cols + c..][..W];
+            for (a, &v) in acc.iter_mut().zip(src) {
+                *a += v;
+            }
+        }
+        for (o, a) in out[c..][..W].iter_mut().zip(acc) {
+            *o = a * scale;
+        }
+    }
+
+    /// [`sum_block`] over every column of `out`: blocks of 16, then one of
+    /// 8 and one of 4, then one column at a time.
+    #[inline(always)]
+    fn sum_rows(
+        x: (&[f32], usize),
+        rows: impl Iterator<Item = usize> + Clone,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let mut c = 0;
+        while c + 32 <= out.len() {
+            sum_block::<32>(x, c, rows.clone(), scale, out);
+            c += 32;
+        }
+        if c + 16 <= out.len() {
+            sum_block::<16>(x, c, rows.clone(), scale, out);
+            c += 16;
+        }
+        if c + 8 <= out.len() {
+            sum_block::<8>(x, c, rows.clone(), scale, out);
+            c += 8;
+        }
+        if c + 4 <= out.len() {
+            sum_block::<4>(x, c, rows.clone(), scale, out);
+            c += 4;
+        }
+        while c < out.len() {
+            sum_block::<1>(x, c, rows.clone(), scale, out);
+            c += 1;
+        }
+    }
 
     #[inline(always)]
     pub fn mean_agg(row_ptr: &[u32], col_idx: &[u32], x: &[f32], cols: usize, out: &mut [f32]) {
@@ -584,29 +693,43 @@ mod rows {
                 continue;
             }
             let inv = 1.0 / nb.len() as f32;
-            // Zero, then add every neighbor (never start from the first
-            // one: `0.0 + -0.0` is `+0.0`), then scale.
-            let mut blocks = out_row.chunks_exact_mut(AGG_BLOCK);
-            let mut c = 0;
-            for block in &mut blocks {
-                let mut acc = [0.0f32; AGG_BLOCK];
-                for &j in nb {
-                    let src = &x[j as usize * cols + c..][..AGG_BLOCK];
-                    for (a, &v) in acc.iter_mut().zip(src) {
-                        *a += v;
-                    }
-                }
-                for (o, a) in block.iter_mut().zip(acc) {
-                    *o = a * inv;
-                }
-                c += AGG_BLOCK;
+            sum_rows((x, cols), nb.iter().map(|&j| j as usize), inv, out_row);
+        }
+    }
+
+    /// Column sums: [`sum_rows`] over every row, scaled by `1.0` (exact).
+    #[inline(always)]
+    pub fn col_sums(data: &[f32], cols: usize, out: &mut [f32]) {
+        if cols == 0 {
+            return;
+        }
+        sum_rows((data, cols), 0..data.len() / cols, 1.0, out);
+    }
+
+    #[inline(always)]
+    pub fn add_biased(a: &mut [f32], a_bias: &[f32], b: &[f32], b_bias: &[f32], relu: bool) {
+        let cols = a_bias.len();
+        if cols == 0 {
+            return;
+        }
+        for (ra, rb) in a.chunks_exact_mut(cols).zip(b.chunks_exact(cols)) {
+            let biases = a_bias.iter().zip(b_bias);
+            for ((x, &y), (&ab, &bb)) in ra.iter_mut().zip(rb).zip(biases) {
+                let v = (*x + ab) + (y + bb);
+                *x = if relu && v < 0.0 { 0.0 } else { v };
             }
-            for (o, c) in blocks.into_remainder().iter_mut().zip(c..) {
-                let mut acc = 0.0f32;
-                for &j in nb {
-                    acc += x[j as usize * cols + c];
-                }
-                *o = acc * inv;
+        }
+    }
+
+    #[inline(always)]
+    pub fn bias_act(data: &mut [f32], bias: &[f32], relu: bool) {
+        if bias.is_empty() {
+            return;
+        }
+        for row in data.chunks_exact_mut(bias.len()) {
+            for (a, &b) in row.iter_mut().zip(bias) {
+                let v = *a + b;
+                *a = if relu && v < 0.0 { 0.0 } else { v };
             }
         }
     }
@@ -678,22 +801,6 @@ pub(crate) fn scale_add_slice(kern: Kernel, dst: &mut [f32], s: f32, src: &[f32]
             }
         }
         Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!(scale_add_slice(dst, s, src)),
-    }
-}
-
-/// Fused bias + optional ReLU over one row: `r = act(r + bias)`. The ReLU
-/// masks with a `v < 0.0` compare so `-0.0` survives, exactly like the
-/// scalar branch (exact on both backends).
-#[inline]
-pub(crate) fn bias_act_row(kern: Kernel, row: &mut [f32], bias: &[f32], relu: bool) {
-    match kern {
-        Kernel::Scalar => {
-            for (a, &b) in row.iter_mut().zip(bias) {
-                let v = *a + b;
-                *a = if relu && v < 0.0 { 0.0 } else { v };
-            }
-        }
-        Kernel::Avx2Fma | Kernel::Avx512 => avx2_call!(bias_act_row(row, bias, relu)),
     }
 }
 
@@ -1002,6 +1109,33 @@ mod tile {
     }
 }
 
+/// The `rows` loops compiled with `$feature` enabled, one entry point each
+/// in the SIMD backends' modules (the AVX2 build enables no FMA; nothing
+/// fuses either way).
+#[cfg(target_arch = "x86_64")]
+macro_rules! row_kernels {
+    ($feature:literal) => {
+        row_kernels! { $feature:
+            relu_backward(x: &[f32], d: &mut [f32]);
+            l2_normalize_rows(data: &mut [f32], cols: usize, norms: Option<&mut [f32]>);
+            l2_normalize_rows_backward(y: &[f32], norms: &[f32], d: &mut [f32], cols: usize);
+            mean_agg(row_ptr: &[u32], col_idx: &[u32], x: &[f32], cols: usize, out: &mut [f32]);
+            mean_agg_backward(row_ptr: &[u32], col_idx: &[u32], d_out: &[f32], cols: usize, dx: &mut [f32]);
+            col_sums(data: &[f32], cols: usize, out: &mut [f32]);
+            bias_act(data: &mut [f32], bias: &[f32], relu: bool);
+            add_biased(a: &mut [f32], a_bias: &[f32], b: &[f32], b_bias: &[f32], relu: bool);
+        }
+    };
+    ($feature:literal: $($f:ident ( $($arg:ident : $ty:ty),* );)*) => {$(
+        /// # Safety
+        #[doc = concat!("`", $feature, "` on the running CPU.")]
+        #[target_feature(enable = $feature)]
+        pub unsafe fn $f($($arg: $ty),*) {
+            super::rows::$f($($arg),*);
+        }
+    )*};
+}
+
 /// The AVX2/FMA bodies. Everything here is `unsafe fn` with
 /// `#[target_feature]`: callers must have verified the CPU features
 /// (enforced by the dispatch invariant above).
@@ -1202,25 +1336,7 @@ mod avx2 {
         }
     }
 
-    /// The `rows` loops compiled for AVX2 (and not FMA: nothing may fuse).
-    macro_rules! rows_avx2 {
-        ($($f:ident ( $($arg:ident : $ty:ty),* );)*) => {$(
-            /// # Safety
-            /// AVX2 on the running CPU.
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $f($($arg: $ty),*) {
-                super::rows::$f($($arg),*);
-            }
-        )*};
-    }
-
-    rows_avx2! {
-        relu_backward(x: &[f32], d: &mut [f32]);
-        l2_normalize_rows(data: &mut [f32], cols: usize, norms: Option<&mut [f32]>);
-        l2_normalize_rows_backward(y: &[f32], norms: &[f32], d: &mut [f32], cols: usize);
-        mean_agg(row_ptr: &[u32], col_idx: &[u32], x: &[f32], cols: usize, out: &mut [f32]);
-        mean_agg_backward(row_ptr: &[u32], col_idx: &[u32], d_out: &[f32], cols: usize, dx: &mut [f32]);
-    }
+    row_kernels!("avx2");
 
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn add_slice(dst: &mut [f32], src: &[f32]) {
@@ -1303,27 +1419,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn bias_act_row(row: &mut [f32], bias: &[f32], relu: bool) {
-        let n = row.len();
-        let rp = row.as_mut_ptr();
-        let bp = bias.as_ptr();
-        let mut j = 0;
-        while j + LANES <= n {
-            let mut v = _mm256_add_ps(_mm256_loadu_ps(rp.add(j)), _mm256_loadu_ps(bp.add(j)));
-            if relu {
-                v = relu_vec(v);
-            }
-            _mm256_storeu_ps(rp.add(j), v);
-            j += LANES;
-        }
-        while j < n {
-            let v = *rp.add(j) + *bp.add(j);
-            *rp.add(j) = if relu && v < 0.0 { 0.0 } else { v };
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn max_slice(xs: &[f32]) -> f32 {
         let n = xs.len();
         let p = xs.as_ptr();
@@ -1350,8 +1445,10 @@ mod avx2 {
     }
 }
 
-/// `matmul_t` with one output *column* per lane: what AVX-512's 32
-/// registers buy a kernel that may not widen its reduction.
+/// `matmul_t` with one output *column* per lane (what AVX-512's 32
+/// registers buy a kernel that may not widen its reduction), the row
+/// kernels compiled for AVX-512F, and `l2_normalize_rows` with one *row*
+/// per lane.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
@@ -1410,6 +1507,117 @@ mod avx512 {
             let lanes = if c + 1 == C { tail } else { LANES };
             let mask = ((1u32 << lanes) - 1) as __mmask16;
             _mm512_mask_storeu_ps(out.add(LANES * c), mask, r);
+        }
+    }
+
+    row_kernels!("avx512f");
+
+    /// Columns `j .. j + width` (`1 <= width <= 16`) of the first `lanes`
+    /// rows of a row-major block with row stride `cols`, transposed:
+    /// vector `c` holds column `j + c`, row `r` in lane `r`; lanes of
+    /// absent rows and vectors of absent columns are `+0.0`. Four rounds
+    /// of sixteen shuffles: 32-bit pairs of two rows, 64-bit pairs of
+    /// those, then 128-bit quarters twice.
+    ///
+    /// # Safety
+    /// AVX-512F; row `r < lanes` of the block valid for reads at columns
+    /// `j .. j + width`.
+    #[inline(always)]
+    unsafe fn transpose16(
+        block: *const f32,
+        cols: usize,
+        lanes: usize,
+        (j, width): (usize, usize),
+    ) -> [__m512; LANES] {
+        let m = ((1u32 << width) - 1) as __mmask16;
+        let mut r = [_mm512_setzero_ps(); LANES];
+        for (i, v) in r.iter_mut().enumerate().take(lanes) {
+            *v = _mm512_maskz_loadu_ps(m, block.add(i * cols + j));
+        }
+        let pd = _mm512_castps_pd;
+        let ps = _mm512_castpd_ps;
+        // q[g][c], 128-bit lane l: rows 4g..4g+4 at column 4l + c.
+        let mut q = [[_mm512_setzero_ps(); 4]; 4];
+        for (g, q) in q.iter_mut().enumerate() {
+            let (a, b, c, d) = (r[4 * g], r[4 * g + 1], r[4 * g + 2], r[4 * g + 3]);
+            let (ab_lo, ab_hi) = (_mm512_unpacklo_ps(a, b), _mm512_unpackhi_ps(a, b));
+            let (cd_lo, cd_hi) = (_mm512_unpacklo_ps(c, d), _mm512_unpackhi_ps(c, d));
+            q[0] = ps(_mm512_unpacklo_pd(pd(ab_lo), pd(cd_lo)));
+            q[1] = ps(_mm512_unpackhi_pd(pd(ab_lo), pd(cd_lo)));
+            q[2] = ps(_mm512_unpacklo_pd(pd(ab_hi), pd(cd_hi)));
+            q[3] = ps(_mm512_unpackhi_pd(pd(ab_hi), pd(cd_hi)));
+        }
+        let mut t = [_mm512_setzero_ps(); LANES];
+        for c in 0..4 {
+            // Quarters of rows 0..8 (`lo`) and 8..16 (`hi`): columns
+            // (c, c + 8) and (c + 4, c + 12), then one column each.
+            let lo_even = _mm512_shuffle_f32x4::<0x88>(q[0][c], q[1][c]);
+            let lo_odd = _mm512_shuffle_f32x4::<0xdd>(q[0][c], q[1][c]);
+            let hi_even = _mm512_shuffle_f32x4::<0x88>(q[2][c], q[3][c]);
+            let hi_odd = _mm512_shuffle_f32x4::<0xdd>(q[2][c], q[3][c]);
+            t[c] = _mm512_shuffle_f32x4::<0x88>(lo_even, hi_even);
+            t[c + 8] = _mm512_shuffle_f32x4::<0xdd>(lo_even, hi_even);
+            t[c + 4] = _mm512_shuffle_f32x4::<0x88>(lo_odd, hi_odd);
+            t[c + 12] = _mm512_shuffle_f32x4::<0xdd>(lo_odd, hi_odd);
+        }
+        t
+    }
+
+    /// Row-wise L2 normalization with sixteen rows in the lanes of one
+    /// register. Each block of rows is transposed sixteen columns at a
+    /// time ([`transpose16`]), and lane `r` runs the steps of
+    /// `rows::l2_normalize_rows` on its row: from `-0.0`, a multiply then
+    /// an add per column in ascending order, then `sqrt` and
+    /// `max(n, 1e-8)` (like `f32::max`, `max_ps` returns its second
+    /// operand, the floor, for a NaN norm). Each row is then divided by its
+    /// norm, sixteen columns per division. A last block of fewer rows
+    /// leaves its other lanes at zero and discards them, so every row runs
+    /// the same steps.
+    ///
+    /// # Safety
+    /// AVX-512F on the running CPU; `cols > 0`, and `norms`, when given,
+    /// has a slot for each of the `data.len() / cols` whole rows (elements
+    /// past the last whole row are left alone).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn l2_normalize_rows_in_lanes(
+        data: &mut [f32],
+        cols: usize,
+        mut norms: Option<&mut [f32]>,
+    ) {
+        let rows = data.len() / cols;
+        let p = data.as_mut_ptr();
+        let col_tail = cols % LANES;
+        for i0 in (0..rows).step_by(LANES) {
+            let lanes = (rows - i0).min(LANES);
+            let block = p.add(i0 * cols);
+            let mut sum = _mm512_set1_ps(-0.0);
+            for j in (0..cols).step_by(LANES) {
+                let width = (cols - j).min(LANES);
+                let t = transpose16(block, cols, lanes, (j, width));
+                for v in &t[..width] {
+                    sum = _mm512_add_ps(sum, _mm512_mul_ps(*v, *v));
+                }
+            }
+            let n = _mm512_max_ps(_mm512_sqrt_ps(sum), _mm512_set1_ps(super::L2_EPS));
+            let mut ns = [0.0f32; LANES];
+            _mm512_storeu_ps(ns.as_mut_ptr(), n);
+            for (r, &n) in ns.iter().enumerate().take(lanes) {
+                let row = block.add(r * cols);
+                let vn = _mm512_set1_ps(n);
+                let mut j = 0;
+                while j + LANES <= cols {
+                    _mm512_storeu_ps(row.add(j), _mm512_div_ps(_mm512_loadu_ps(row.add(j)), vn));
+                    j += LANES;
+                }
+                if col_tail > 0 {
+                    let m = ((1u32 << col_tail) - 1) as __mmask16;
+                    let v = _mm512_maskz_loadu_ps(m, row.add(j));
+                    _mm512_mask_storeu_ps(row.add(j), m, _mm512_div_ps(v, vn));
+                }
+            }
+            if let Some(norms) = norms.as_deref_mut() {
+                norms[i0..i0 + lanes].copy_from_slice(&ns[..lanes]);
+            }
         }
     }
 
@@ -1484,8 +1692,8 @@ mod tests {
                 assert_eq!(a, b, "scale_add n={n}");
                 for relu in [false, true] {
                     let (mut a, mut b) = (base.clone(), base.clone());
-                    bias_act_row(Kernel::Scalar, &mut a, &bias, relu);
-                    bias_act_row(kern, &mut b, &bias, relu);
+                    bias_act(Kernel::Scalar, &mut a, &bias, relu);
+                    bias_act(kern, &mut b, &bias, relu);
                     assert_eq!(a, b, "bias_act relu={relu} n={n}");
                 }
                 let (mut a, mut b) = (base.clone(), base.clone());

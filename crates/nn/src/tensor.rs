@@ -65,6 +65,15 @@ impl Scratch {
         Matrix { rows, cols, data }
     }
 
+    /// A `rows x cols` matrix for an output its producer writes whole (a
+    /// GEMM, an aggregation): [`Scratch::take`] without the zeroing, so
+    /// its elements hold whatever the reused buffer held.
+    pub(crate) fn take_overwritten(&mut self, rows: usize, cols: usize) -> Matrix {
+        let mut data = self.free.pop().unwrap_or_default();
+        data.resize(rows * cols, 0.0);
+        Matrix { rows, cols, data }
+    }
+
     /// Return a matrix's allocation to the arena (the shape is forgotten;
     /// only the buffer is kept).
     pub fn put(&mut self, m: Matrix) {
@@ -350,11 +359,7 @@ impl Matrix {
 
     /// Add a row vector to every row (bias).
     pub fn add_row_vector(&mut self, v: &[f32]) {
-        assert_eq!(v.len(), self.cols);
-        let kern = simd::kernel();
-        for i in 0..self.rows {
-            simd::bias_act_row(kern, self.row_mut(i), v, false);
-        }
+        self.bias_act(v, Activation::Identity);
     }
 
     /// Fused bias + activation epilogue:
@@ -367,21 +372,36 @@ impl Matrix {
     /// [`Matrix::bias_act`] on an explicit kernel backend.
     pub fn bias_act_with(&mut self, kern: Kernel, bias: &[f32], act: Activation) {
         assert_eq!(bias.len(), self.cols);
+        self.assert_dense("bias_act");
+        simd::bias_act(kern, &mut self.data, bias, act == Activation::Relu);
+    }
+
+    /// `self = act((self + bias[j]) + (other + other_bias[j]))` in one
+    /// sweep, bit-identical to [`Matrix::bias_act`] on each (Identity),
+    /// [`Matrix::add_assign`], then the activation: the epilogue of a SAGE
+    /// layer's two GEMMs.
+    pub(crate) fn add_biased(
+        &mut self,
+        bias: &[f32],
+        other: &Matrix,
+        other_bias: &[f32],
+        act: Activation,
+    ) {
+        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
+        assert_eq!(bias.len(), self.cols);
+        self.assert_dense("add_biased");
         let relu = act == Activation::Relu;
-        for i in 0..self.rows {
-            simd::bias_act_row(kern, self.row_mut(i), bias, relu);
-        }
+        let a = (&mut self.data[..], bias);
+        simd::add_biased(simd::kernel(), a, (&other.data, other_bias), relu);
     }
 
     /// Column-wise sums (bias gradient; also the sum-over-nodes pooling)
-    /// written into `out`: zeroed, then the rows added in order.
+    /// written into `out`: each is zero plus the column's values in row
+    /// order.
     pub fn col_sums_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols);
-        let kern = simd::kernel();
-        out.fill(0.0);
-        for i in 0..self.rows {
-            simd::add_slice(kern, out, self.row(i));
-        }
+        self.assert_dense("col_sums");
+        simd::col_sums(simd::kernel(), &self.data, self.cols, out);
     }
 }
 

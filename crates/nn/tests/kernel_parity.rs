@@ -11,8 +11,10 @@
 //!   scalar backend must equal the plain multiply-then-add loop, and the
 //!   two families agree within the 1e-5 the GEMM suite uses.
 //! * `relu_backward`, `l2_normalize_rows` forward and backward, `mean_agg`
-//!   forward and backward — one safe loop each, compiled for the baseline
-//!   target and for AVX2. Every backend must equal the loop the repository
+//!   forward and backward, `bias_act`, `col_sums` — one safe loop each,
+//!   compiled for the baseline target, for AVX2 and for AVX-512F (whose
+//!   `l2` forward runs sixteen rows in a register's lanes instead). Every
+//!   backend must equal the loop the repository
 //!   ran before them (kept below as the references) bit for bit, on ragged
 //!   shapes, isolated nodes, all-zero rows (the norm clamp) and `NaN` /
 //!   `±inf` / `-0.0` / subnormal inputs.
@@ -22,7 +24,7 @@
 //! order, which the compiler may commute, and nothing downstream reads it.
 
 use nnlqp_ir::Rng64;
-use nnlqp_nn::{simd, Csr, Kernel, Matrix};
+use nnlqp_nn::{simd, Activation, Csr, Kernel, Matrix};
 use proptest::prelude::*;
 
 fn kernels() -> impl Iterator<Item = Kernel> {
@@ -333,6 +335,87 @@ fn mean_agg_of_negative_zeros_is_positive_zero() {
         let graph = (&adj.row_ptr[..], &adj.col_idx[..]);
         simd::mean_agg(kern, graph, &x.data, 20, &mut out.data);
         assert_same_bits(&out.data, &[0.0; 60], &format!("{kern:?}"));
+    }
+}
+
+fn bias_act_reference(x: &Matrix, bias: &[f32], relu: bool) -> Matrix {
+    let mut y = x.clone();
+    for i in 0..y.rows {
+        for (a, &b) in y.row_mut(i).iter_mut().zip(bias) {
+            let v = *a + b;
+            *a = if relu && v < 0.0 { 0.0 } else { v };
+        }
+    }
+    y
+}
+
+fn col_sums_reference(x: &Matrix) -> Vec<f32> {
+    let mut out = vec![0.0f32; x.cols];
+    for i in 0..x.rows {
+        for (o, &v) in out.iter_mut().zip(x.row(i)) {
+            *o += v;
+        }
+    }
+    out
+}
+
+/// The kernels whose bodies change at a row or column block edge (the
+/// 16-row lanes of the `Avx512` `l2`, the 16/8/4-column register blocks
+/// of `mean_agg` and the column sums, whole-matrix bias + activation), on
+/// every backend against the loops they replaced, specials included.
+fn check_block_edges(rows: usize, cols: usize, seed: u64) {
+    let mut rng = Rng64::new(seed);
+    let mut x = rand_matrix(rows, cols, &mut rng);
+    for i in (0..rows).step_by(5) {
+        let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+        x.row_mut(i).fill(zero);
+    }
+    inject_specials(&mut x, &mut rng);
+    let mut bias = rand_matrix(1, cols, &mut rng);
+    inject_specials(&mut bias, &mut rng);
+    let adj = ragged_graph(rows, &mut rng);
+    let graph = (&adj.row_ptr[..], &adj.col_idx[..]);
+
+    let (y_want, norms_want) = l2_normalize_rows_reference(&x);
+    let agg_want = mean_agg_reference(&adj, &x);
+    let sums_want = col_sums_reference(&x);
+    for kern in kernels() {
+        let what = |name: &str| format!("{name} {kern:?} {rows}x{cols}");
+
+        let mut y = x.clone();
+        let mut norms = vec![f32::NAN; rows];
+        simd::l2_normalize_rows(kern, &mut y.data, cols, Some(&mut norms));
+        assert_same_bits(&y.data, &y_want.data, &what("l2"));
+        assert_same_bits(&norms, &norms_want, &what("l2 norms"));
+        let mut y = x.clone();
+        simd::l2_normalize_rows(kern, &mut y.data, cols, None);
+        assert_same_bits(&y.data, &y_want.data, &what("l2 without norms"));
+
+        let mut got = Matrix::from_fn(rows, cols, |_, _| f32::NAN);
+        simd::mean_agg(kern, graph, &x.data, cols, &mut got.data);
+        assert_same_bits(&got.data, &agg_want.data, &what("mean_agg"));
+
+        for (act, relu) in [(Activation::Identity, false), (Activation::Relu, true)] {
+            let want = bias_act_reference(&x, &bias.data, relu);
+            let mut got = x.clone();
+            got.bias_act_with(kern, &bias.data, act);
+            assert_same_bits(&got.data, &want.data, &what(&format!("bias_act {act:?}")));
+        }
+
+        let mut got = vec![f32::NAN; cols];
+        simd::col_sums(kern, &x.data, cols, &mut got);
+        assert_same_bits(&got, &sums_want, &what("col_sums"));
+    }
+}
+
+#[test]
+fn row_kernels_match_their_loops_at_every_block_edge() {
+    let mut seed = 5000;
+    for rows in [15, 16, 17, 31, 32, 33, 106] {
+        for cols in 1..=64 {
+            check_block_edges(rows, cols, seed);
+            seed += 1;
+        }
     }
 }
 

@@ -12,6 +12,7 @@ use nnlqp_ir::op::NUM_OP_TYPES;
 use nnlqp_ir::{cost, DType, Graph};
 use nnlqp_nn::{Csr, Matrix};
 use nnlqp_sim::fusion::Kernel;
+use std::sync::LazyLock;
 
 /// Shape block width: log-scaled (batch, channels, height, width).
 pub const SHAPE_DIM: usize = 4;
@@ -37,35 +38,56 @@ fn log1p(x: f64) -> f32 {
     (x.max(0.0)).ln_1p() as f32
 }
 
-fn node_row(out: &mut Vec<f32>, node: &nnlqp_ir::Node) {
-    // One-hot operator code.
-    for i in 0..NUM_OP_TYPES {
-        out.push(if i == node.op.code() { 1.0 } else { 0.0 });
+/// Shape dimensions below this take their [`log1p`] from a table.
+const LOG1P_TABLE_LEN: usize = 4096;
+
+/// [`log1p`] of a shape dimension: a table lookup below
+/// [`LOG1P_TABLE_LEN`] (filled by the same expression), the call above.
+/// The table lives in the static itself, not on the heap: the allocation
+/// tests count a process's first featurization too.
+fn log1p_dim(v: usize) -> f32 {
+    static TABLE: LazyLock<[f32; LOG1P_TABLE_LEN]> =
+        LazyLock::new(|| std::array::from_fn(|v| log1p(v as f64)));
+    match TABLE.get(v) {
+        Some(&y) => y,
+        None => log1p(v as f64),
     }
-    // Attribute vector (raw; normalized later).
-    out.extend_from_slice(&node.attrs.to_vec());
-    // Output shape, log-scaled.
-    out.push(log1p(node.out_shape.batch() as f64));
-    out.push(log1p(node.out_shape.channels() as f64));
-    out.push(log1p(node.out_shape.height() as f64));
-    out.push(log1p(node.out_shape.width() as f64));
+}
+
+/// Write one node's features into its zeroed row: the one-hot operator
+/// code, the raw attribute vector (normalized later) and the log-scaled
+/// output shape.
+fn node_row(row: &mut [f32], node: &nnlqp_ir::Node) {
+    row[node.op.code()] = 1.0;
+    let (attrs, shape) = row[NUM_OP_TYPES..].split_at_mut(ATTR_VEC_LEN);
+    attrs.copy_from_slice(&node.attrs.to_vec());
+    let s = &node.out_shape;
+    let dims = [s.batch(), s.channels(), s.height(), s.width()];
+    for (y, d) in shape.iter_mut().zip(dims) {
+        *y = log1p_dim(d);
+    }
+}
+
+/// The node-feature matrix of `nodes`, one row each.
+fn node_rows<'a>(len: usize, nodes: impl Iterator<Item = &'a nnlqp_ir::Node>) -> Matrix {
+    let mut m = Matrix::zeros(len, NODE_FEAT_DIM);
+    for (row, node) in m.data.chunks_exact_mut(NODE_FEAT_DIM).zip(nodes) {
+        node_row(row, node);
+    }
+    m
 }
 
 /// Extract features for a whole model.
 pub fn extract_features(g: &Graph) -> GraphFeatures {
-    let mut data = Vec::with_capacity(g.len() * NODE_FEAT_DIM);
-    for (_, node) in g.iter() {
-        node_row(&mut data, node);
-    }
-    let gc = cost::graph_cost(g, DType::F32);
+    let total = cost::graph_totals(g, DType::F32);
     GraphFeatures {
-        nodes: Matrix::from_rows(g.len(), NODE_FEAT_DIM, data),
+        nodes: node_rows(g.len(), g.nodes.iter()),
         adj: Csr::from_graph(g),
         stat: [
             g.input_shape.batch() as f64,
-            gc.flops,
-            gc.params,
-            gc.mem_bytes,
+            total.flops,
+            total.params,
+            total.mem_bytes(),
         ],
     }
 }
@@ -74,12 +96,10 @@ pub fn extract_features(g: &Graph) -> GraphFeatures {
 /// a miniature graph (NNLP "can be applied to different levels of neural
 /// networks, such as ops, sub-graphs and whole networks", §8.5).
 pub fn extract_kernel_features(g: &Graph, k: &Kernel) -> GraphFeatures {
-    let mut data = Vec::with_capacity(k.nodes.len() * NODE_FEAT_DIM);
     let mut flops = 0.0;
     let mut params = 0.0;
     let mut mem = 0.0;
     for &id in &k.nodes {
-        node_row(&mut data, g.node(id));
         let c = cost::node_cost(g, id, DType::F32);
         flops += c.flops;
         params += c.params;
@@ -101,7 +121,7 @@ pub fn extract_kernel_features(g: &Graph, k: &Kernel) -> GraphFeatures {
         }
     }
     GraphFeatures {
-        nodes: Matrix::from_rows(k.nodes.len(), NODE_FEAT_DIM, data),
+        nodes: node_rows(k.nodes.len(), k.nodes.iter().map(|&id| g.node(id))),
         adj: Csr::from_edges(k.nodes.len(), &edges),
         stat: [g.input_shape.batch() as f64, flops, params, mem],
     }
@@ -213,19 +233,28 @@ impl Normalizer {
     }
 
     /// [`Normalizer::normalize_nodes`] into a caller-provided matrix of
-    /// the same shape (the inference path hands in a scratch buffer).
+    /// the same shape (the inference path hands in a scratch buffer), in
+    /// one pass.
     pub fn normalize_nodes_into(&self, nodes: &Matrix, out: &mut Matrix) {
         assert_eq!((out.rows, out.cols), (nodes.rows, nodes.cols));
-        out.data.copy_from_slice(&nodes.data);
-        self.normalize_nodes_in_place(out);
+        let rows = out.data.chunks_exact_mut(out.cols.max(1));
+        for (out, raw) in rows.zip(nodes.data.chunks_exact(nodes.cols.max(1))) {
+            for (((o, &v), &mu), &sd) in out
+                .iter_mut()
+                .zip(raw)
+                .zip(&self.node_mu)
+                .zip(&self.node_sd)
+            {
+                *o = (v - mu) / sd;
+            }
+        }
     }
 
     /// Standardize a raw node-feature matrix where it lies (training
     /// keeps one matrix per structure, not a raw and a normalized copy).
     pub fn normalize_nodes_in_place(&self, nodes: &mut Matrix) {
-        for i in 0..nodes.rows {
-            let row = nodes.row_mut(i).iter_mut();
-            for ((v, &mu), &sd) in row.zip(&self.node_mu).zip(&self.node_sd) {
+        for row in nodes.data.chunks_exact_mut(nodes.cols.max(1)) {
+            for ((v, &mu), &sd) in row.iter_mut().zip(&self.node_mu).zip(&self.node_sd) {
                 *v = (*v - mu) / sd;
             }
         }
@@ -264,6 +293,14 @@ mod tests {
         assert_eq!(f.nodes.rows, g.len());
         assert_eq!(f.nodes.cols, NODE_FEAT_DIM);
         assert_eq!(f.adj.n(), g.len());
+    }
+
+    #[test]
+    fn shape_log1p_table_is_the_call_bit_for_bit() {
+        let edges = [LOG1P_TABLE_LEN - 1, LOG1P_TABLE_LEN, usize::MAX];
+        for v in (0..LOG1P_TABLE_LEN + 64).chain(edges) {
+            assert_eq!(log1p_dim(v).to_bits(), log1p(v as f64).to_bits(), "{v}");
+        }
     }
 
     #[test]
