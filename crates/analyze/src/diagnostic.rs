@@ -43,9 +43,10 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes.
 ///
-/// Numbering scheme: `NNL0xx` are IR lints, `NNL1xx` are
-/// fusion-legality violations, `NNL2xx` are schedule hazards, `NNL3xx`
-/// are platform resource findings (memory feasibility, cost sanity).
+/// Numbering scheme: `NNL0xx` are IR lints, `NNL3xx` are platform
+/// resource findings (memory feasibility). `NNL101`–`NNL103`,
+/// `NNL201`–`NNL205`, `NNL303` and `NNL304` checked the simulator's own
+/// fusion, schedule and costs; they are retired and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// NNL001 — a node references an input id that is not a node.
@@ -71,25 +72,6 @@ pub enum Code {
     /// trip with its hash intact, so the database cache key is not
     /// canonical.
     HashNotCanonical,
-    /// NNL101 — fusion did not cover a node by exactly one kernel.
-    KernelCoverage,
-    /// NNL102 — the kernel dependency graph has a cycle.
-    KernelCycle,
-    /// NNL103 — a kernel is not convex: a data path leaves the kernel and
-    /// re-enters it, so no legal launch order exists for its members.
-    KernelNotConvex,
-    /// NNL201 — happens-before violation: a kernel starts before one of its
-    /// producers finishes.
-    HazardHappensBefore,
-    /// NNL202 — two kernels overlap in time on the same stream.
-    HazardStreamOverlap,
-    /// NNL203 — the trace's reported latency is not the max finish time.
-    LatencyMismatch,
-    /// NNL204 — two executions of the same graph produced different
-    /// schedules (nondeterminism poisons the evolving database).
-    NonDeterministic,
-    /// NNL205 — a kernel ran on a stream the platform does not have.
-    StreamOutOfRange,
     /// NNL301 — the graph's static peak memory footprint (live
     /// activations + weights, from tensor lifetimes) exceeds the
     /// platform's memory capacity; it can never run there.
@@ -97,18 +79,10 @@ pub enum Code {
     /// NNL302 — the footprint fits but leaves less headroom than the
     /// high watermark allows; the runtime's own allocations may tip it.
     MemoryHighWater,
-    /// NNL303 — a scheduled kernel interval beats the static roofline
-    /// floor (`max(flops/peak, output_bytes/bw)`): physically impossible
-    /// throughput, so the latency is untrustworthy as ground truth.
-    CostUnderRoofline,
-    /// NNL304 — a scheduled kernel interval exceeds the worst-case
-    /// ceiling even at minimum utilization: a stalled or mis-accounted
-    /// schedule.
-    CostOverRoofline,
 }
 
 /// All codes, in numbering order (for documentation and exhaustive tests).
-pub const ALL_CODES: [Code; 21] = [
+pub const ALL_CODES: [Code; 11] = [
     Code::OrphanInput,
     Code::NonCanonicalOrder,
     Code::ArityMismatch,
@@ -118,18 +92,8 @@ pub const ALL_CODES: [Code; 21] = [
     Code::DuplicateSubgraph,
     Code::SuspiciousAttrs,
     Code::HashNotCanonical,
-    Code::KernelCoverage,
-    Code::KernelCycle,
-    Code::KernelNotConvex,
-    Code::HazardHappensBefore,
-    Code::HazardStreamOverlap,
-    Code::LatencyMismatch,
-    Code::NonDeterministic,
-    Code::StreamOutOfRange,
     Code::MemoryInfeasible,
     Code::MemoryHighWater,
-    Code::CostUnderRoofline,
-    Code::CostOverRoofline,
 ];
 
 impl Code {
@@ -145,18 +109,8 @@ impl Code {
             Code::DuplicateSubgraph => "NNL007",
             Code::SuspiciousAttrs => "NNL008",
             Code::HashNotCanonical => "NNL009",
-            Code::KernelCoverage => "NNL101",
-            Code::KernelCycle => "NNL102",
-            Code::KernelNotConvex => "NNL103",
-            Code::HazardHappensBefore => "NNL201",
-            Code::HazardStreamOverlap => "NNL202",
-            Code::LatencyMismatch => "NNL203",
-            Code::NonDeterministic => "NNL204",
-            Code::StreamOutOfRange => "NNL205",
             Code::MemoryInfeasible => "NNL301",
             Code::MemoryHighWater => "NNL302",
-            Code::CostUnderRoofline => "NNL303",
-            Code::CostOverRoofline => "NNL304",
         }
     }
 
@@ -168,21 +122,11 @@ impl Code {
             | Code::ArityMismatch
             | Code::ShapeMismatch
             | Code::HashNotCanonical
-            | Code::KernelCoverage
-            | Code::KernelCycle
-            | Code::KernelNotConvex
-            | Code::HazardHappensBefore
-            | Code::HazardStreamOverlap
-            | Code::LatencyMismatch
-            | Code::NonDeterministic
-            | Code::MemoryInfeasible
-            | Code::CostUnderRoofline => Severity::Error,
+            | Code::MemoryInfeasible => Severity::Error,
             Code::DegenerateShape
             | Code::DeadNode
             | Code::SuspiciousAttrs
-            | Code::StreamOutOfRange
-            | Code::MemoryHighWater
-            | Code::CostOverRoofline => Severity::Warn,
+            | Code::MemoryHighWater => Severity::Warn,
             Code::DuplicateSubgraph => Severity::Lint,
         }
     }
@@ -199,18 +143,8 @@ impl Code {
             Code::DuplicateSubgraph => "duplicate subgraph (CSE candidate)",
             Code::SuspiciousAttrs => "suspicious operator attributes",
             Code::HashNotCanonical => "graph hash not stable across serialization",
-            Code::KernelCoverage => "node not covered by exactly one kernel",
-            Code::KernelCycle => "kernel dependency graph has a cycle",
-            Code::KernelNotConvex => "kernel node set is not convex",
-            Code::HazardHappensBefore => "kernel starts before a producer finishes",
-            Code::HazardStreamOverlap => "kernels overlap on one stream",
-            Code::LatencyMismatch => "reported latency is not the max finish time",
-            Code::NonDeterministic => "re-execution produced a different schedule",
-            Code::StreamOutOfRange => "kernel ran on a nonexistent stream",
             Code::MemoryInfeasible => "peak memory footprint exceeds platform capacity",
             Code::MemoryHighWater => "peak memory footprint near platform capacity",
-            Code::CostUnderRoofline => "kernel interval beats the static roofline floor",
-            Code::CostOverRoofline => "kernel interval exceeds the worst-case ceiling",
         }
     }
 }
@@ -228,10 +162,6 @@ pub enum Anchor {
     Graph,
     /// A node, by id.
     Node(u32),
-    /// A fused kernel, by index in the fusion output.
-    Kernel(usize),
-    /// An execution stream, by index.
-    Stream(usize),
 }
 
 impl fmt::Display for Anchor {
@@ -239,8 +169,6 @@ impl fmt::Display for Anchor {
         match self {
             Anchor::Graph => write!(f, "graph"),
             Anchor::Node(n) => write!(f, "n{n}"),
-            Anchor::Kernel(k) => write!(f, "k{k}"),
-            Anchor::Stream(s) => write!(f, "s{s}"),
         }
     }
 }
@@ -309,7 +237,8 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Passes that ran, in order.
     pub passes_run: Vec<&'static str>,
-    /// Passes skipped because an earlier pass reported errors.
+    /// Passes skipped, because a structural error left nothing sound to
+    /// read or because they need a platform and none was given.
     pub passes_skipped: Vec<&'static str>,
 }
 
@@ -363,7 +292,7 @@ impl Report {
         }
         if !self.passes_skipped.is_empty() {
             out.push_str(&format!(
-                "  note: skipped passes after errors: {}\n",
+                "  note: skipped passes: {}\n",
                 self.passes_skipped.join(", ")
             ));
         }
@@ -407,9 +336,15 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_stable() {
-        let mut seen = std::collections::HashSet::new();
+        // Retired: they checked the simulator, which now checks itself in
+        // tests. A retired code is never given a new meaning.
+        let mut seen: std::collections::HashSet<&str> = [
+            "NNL101", "NNL102", "NNL103", "NNL201", "NNL202", "NNL203", "NNL204", "NNL205",
+            "NNL303", "NNL304",
+        ]
+        .into();
         for c in ALL_CODES {
-            assert!(seen.insert(c.as_str()), "duplicate code {c}");
+            assert!(seen.insert(c.as_str()), "duplicate or retired code {c}");
             assert!(c.as_str().starts_with("NNL"));
             assert_eq!(c.as_str().len(), 6);
         }
@@ -429,18 +364,8 @@ mod tests {
             Code::DuplicateSubgraph => 6,
             Code::SuspiciousAttrs => 7,
             Code::HashNotCanonical => 8,
-            Code::KernelCoverage => 9,
-            Code::KernelCycle => 10,
-            Code::KernelNotConvex => 11,
-            Code::HazardHappensBefore => 12,
-            Code::HazardStreamOverlap => 13,
-            Code::LatencyMismatch => 14,
-            Code::NonDeterministic => 15,
-            Code::StreamOutOfRange => 16,
-            Code::MemoryInfeasible => 17,
-            Code::MemoryHighWater => 18,
-            Code::CostUnderRoofline => 19,
-            Code::CostOverRoofline => 20,
+            Code::MemoryInfeasible => 9,
+            Code::MemoryHighWater => 10,
         }
     }
 

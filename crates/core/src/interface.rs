@@ -80,6 +80,9 @@ pub enum QueryError {
     /// The farm could not serve the measurement (busy past the caller's
     /// deadline, or shutting down).
     Farm(FarmError),
+    /// No predictor is installed yet: nothing has been trained since the
+    /// system started.
+    NoPredictor,
 }
 
 impl fmt::Display for QueryError {
@@ -89,6 +92,7 @@ impl fmt::Display for QueryError {
             QueryError::BadBatch(d) => write!(f, "bad batch size: {d}"),
             QueryError::Lint(r) => write!(f, "model rejected by static analysis:\n{r}"),
             QueryError::Farm(e) => write!(f, "farm error: {e}"),
+            QueryError::NoPredictor => write!(f, "no predictor trained"),
         }
     }
 }
@@ -450,7 +454,9 @@ impl Nnlqp {
     }
 
     /// Run the admission analysis pipeline over `graph` (assumed to hash
-    /// to `hash`), memoized per (graph hash, platform name).
+    /// to `hash`), memoized per (graph hash, platform name): the IR lints
+    /// and memory feasibility on `spec`. It fuses and executes nothing;
+    /// the simulator's own invariants are tests, not admission checks.
     ///
     /// This is what strict mode consults before any farm measurement or
     /// database write; serving layers can call it directly to pre-screen

@@ -289,9 +289,7 @@ impl Nnlqp {
         platform_name: &str,
     ) -> Result<PredictResult, QueryError> {
         let guard = self.predictor.read().recover();
-        let handle = guard
-            .as_ref()
-            .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
+        let handle = guard.as_ref().ok_or(QueryError::NoPredictor)?;
         self.predict_effective_with(handle, graph, platform_name)
     }
 
@@ -321,9 +319,7 @@ impl Nnlqp {
         mark: &mut dyn FnMut(&'static str),
     ) -> Result<PredictResult, QueryError> {
         let guard = self.predictor.read().recover();
-        let handle = guard
-            .as_ref()
-            .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
+        let handle = guard.as_ref().ok_or(QueryError::NoPredictor)?;
         self.predict_staged_inner(handle, graph, platform_name, mark)
     }
 
@@ -368,9 +364,7 @@ impl Nnlqp {
         platform_names: &[&str],
     ) -> Result<BatchPredictResult, QueryError> {
         let guard = self.predictor.read().recover();
-        let handle = guard
-            .as_ref()
-            .ok_or_else(|| QueryError::UnknownPlatform("no predictor trained".into()))?;
+        let handle = guard.as_ref().ok_or(QueryError::NoPredictor)?;
         let heads = platform_names
             .iter()
             .map(|name| handle.head_for(name))
@@ -549,7 +543,21 @@ mod tests {
             "gpu-T4-trt7.1-fp32",
         )
         .unwrap();
-        assert!(s.predict(&p).is_err());
+        let g = &p.model;
+        let name = "gpu-T4-trt7.1-fp32";
+        assert!(matches!(s.predict(&p), Err(QueryError::NoPredictor)));
+        assert!(matches!(
+            s.predict_effective(g, name),
+            Err(QueryError::NoPredictor)
+        ));
+        assert!(matches!(
+            s.predict_effective_staged(g, name, &mut |_| {}),
+            Err(QueryError::NoPredictor)
+        ));
+        assert!(matches!(
+            s.predict_batch(std::slice::from_ref(g), &[name]),
+            Err(QueryError::NoPredictor)
+        ));
     }
 
     #[test]

@@ -742,10 +742,12 @@ impl LatencyService {
         let graph = self.materialise(built, model, batch, ctx);
 
         // Strict-mode admission gate: serving this request means touching
-        // the farm (or the predictor). Run the analyzer first — through the
-        // facade's memoized per-(graph hash, platform) report cache, so repeat
-        // queries of a rejected graph pay nothing — and turn error-severity
-        // findings away before any measurement or database write. Cached
+        // the farm (or the predictor). Run the analyzer first — IR lints and
+        // memory feasibility, no fusion or execution — through the facade's
+        // memoized per-(graph hash, platform) report cache, so repeat
+        // queries of a rejected graph pay nothing, and turn error-severity
+        // findings (a malformed graph, or one that cannot fit the device)
+        // away before any measurement or database write. Cached
         // entries can never cover a rejected graph: strict is fixed at
         // build time, so everything measured was admitted.
         if self.system.strict() {

@@ -318,7 +318,7 @@ impl std::ops::Index<usize> for KernelDeps {
     }
 }
 
-/// Lists taken as given (a verifier's hand-built, possibly cyclic plan).
+/// Lists taken as given (a test's hand-built, possibly cyclic plan).
 impl<L: AsRef<[usize]>> FromIterator<L> for KernelDeps {
     fn from_iter<I: IntoIterator<Item = L>>(lists: I) -> Self {
         let mut deps = KernelDeps {
