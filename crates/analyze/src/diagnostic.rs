@@ -68,9 +68,9 @@ pub enum Code {
     DuplicateSubgraph,
     /// NNL008 — suspicious attribute combination for the operator.
     SuspiciousAttrs,
-    /// NNL009 — the graph does not survive a serialize/deserialize round
-    /// trip with its hash intact, so the database cache key is not
-    /// canonical.
+    /// NNL009 — a field is too wide for the store's binary record
+    /// (`nnlqp_ir::serialize::check_fits`): the store refuses the graph,
+    /// since a truncated copy would come back under a different hash.
     HashNotCanonical,
     /// NNL301 — the graph's static peak memory footprint (live
     /// activations + weights, from tensor lifetimes) exceeds the

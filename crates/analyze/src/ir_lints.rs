@@ -3,15 +3,16 @@
 //! The structural rules are written once, in [`nnlqp_ir::validate`]:
 //! validation stops at the first violation, while [`check_structure`]
 //! words every one its [`walk`] reports with a stable code. The other
-//! lints layer on facts validation does not track (reachability, value
-//! numbers, serialization round trips). Those run only on a sound graph,
-//! whose node vector is a topological order, so each whole-graph fact is
-//! one pass over it: dead-region detection walks the nodes in reverse
-//! marking what the output reads, duplicate-subgraph detection numbers
-//! the values in node order.
+//! lints layer on facts validation does not track. Reachability and value
+//! numbers run only on a sound graph, whose node vector is a topological
+//! order, so each whole-graph fact is one pass over it: dead-region
+//! detection walks the nodes in reverse marking what the output reads,
+//! duplicate-subgraph detection numbers the values in node order.
+//! Whether the store can hold the graph (`NNL009`) is the codec's own
+//! [`serialize::check_fits`], a field-width check that needs no edges.
 
 use crate::diagnostic::{Anchor, Code, Diagnostic};
-use nnlqp_hash::{graph_hash, StreamHasher};
+use nnlqp_hash::StreamHasher;
 use nnlqp_ir::validate::{walk, Rule, Violation};
 use nnlqp_ir::{serialize, Graph, OpType};
 use std::collections::HashMap;
@@ -32,8 +33,8 @@ pub fn check_ir(g: &Graph) -> (Vec<Diagnostic>, bool) {
     if sound {
         out.extend(check_dead_nodes(g));
         out.extend(check_duplicate_subgraphs(g));
-        out.extend(check_cache_canonical(g));
     }
+    out.extend(check_cache_canonical(g));
     out.extend(check_suspicious_attrs(g));
     (out, sound)
 }
@@ -293,35 +294,15 @@ pub fn check_suspicious_attrs(g: &Graph) -> Vec<Diagnostic> {
     out
 }
 
-/// `NNL009`: the database cache key is the graph hash of the *stored*
-/// graph. If a serialize → deserialize round trip changes the hash (or
-/// fails), the graph that comes back out of `nnlqp-db` is a different
-/// cache key than the one that went in, and every future lookup misses.
-/// Needs a sound graph: hashing walks the graph's edges.
+/// `NNL009`: the store refuses a graph with a field too wide for its
+/// record ([`serialize::check_fits`]), since a truncated copy would come
+/// back out of `nnlqp-db` as another graph under another key.
 pub(crate) fn check_cache_canonical(g: &Graph) -> Vec<Diagnostic> {
-    let before = graph_hash(g);
-    match serialize::decode(&serialize::encode(g)) {
-        Err(e) => vec![Diagnostic::new(
-            Code::HashNotCanonical,
-            Anchor::Graph,
-            format!("graph does not survive serialization: {e}"),
-        )],
-        Ok(back) => {
-            let after = graph_hash(&back);
-            if after == before {
-                Vec::new()
-            } else {
-                vec![Diagnostic::new(
-                    Code::HashNotCanonical,
-                    Anchor::Graph,
-                    format!(
-                        "graph hash {before:#018x} becomes {after:#018x} after a \
-                         serialize round trip; the database would never hit on this key"
-                    ),
-                )]
-            }
-        }
-    }
+    let Err(e) = serialize::check_fits(g) else {
+        return Vec::new();
+    };
+    let msg = format!("the store cannot hold this graph: {e}");
+    vec![Diagnostic::new(Code::HashNotCanonical, Anchor::Graph, msg)]
 }
 
 #[cfg(test)]

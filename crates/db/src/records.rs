@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn model_storage_is_hundreds_of_bytes() {
         let g = nnlqp_models_sample();
-        let bytes = nnlqp_ir::serialize::encode(&g);
+        let bytes = nnlqp_ir::serialize::encode(&g).unwrap();
         let rec = ModelRecord {
             id: ModelId(1),
             graph_hash: 42,

@@ -159,7 +159,7 @@ proptest! {
                 id: nnlqp_db::ModelId(rng.next_u64() as u32),
                 graph_hash: rng.next_u64(),
                 name: graph.name.clone(),
-                graph_bytes: nnlqp_ir::serialize::encode(&graph),
+                graph_bytes: nnlqp_ir::serialize::encode(&graph).unwrap(),
                 created_seq: rng.next_u64(),
             }),
             WalOp::Platform(nnlqp_db::PlatformRecord {

@@ -23,6 +23,15 @@ pub enum IrError {
     Empty,
     /// Binary decoding failed.
     Decode(String),
+    /// A value too wide for its field in the store's binary record
+    /// ([`crate::serialize::check_fits`]); `node` is `None` for the
+    /// graph's own fields.
+    DoesNotFit {
+        node: Option<u32>,
+        field: &'static str,
+        value: u64,
+        width: &'static str,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -50,6 +59,17 @@ impl fmt::Display for IrError {
             }
             IrError::Empty => write!(f, "graph has no nodes"),
             IrError::Decode(d) => write!(f, "decode error: {d}"),
+            IrError::DoesNotFit {
+                node,
+                field,
+                value,
+                width,
+            } => {
+                if let Some(n) = node {
+                    write!(f, "node {n}: ")?;
+                }
+                write!(f, "{field} {value} overflows the stored {width}")
+            }
         }
     }
 }

@@ -717,7 +717,7 @@ mod tests {
     fn raw_control_characters_in_strings_are_refused() {
         for c in ['\t', '\n', '\r', '\u{0}', '\u{1f}'] {
             let text = format!("\"a{c}b\"");
-            assert!(text.parse::<Value>().is_err(), "{:?}", c);
+            assert!(text.parse::<Value>().is_err(), "{c:?}");
         }
         // Escaped, each is fine.
         let v: Value = r#""a\tb\u001fc""#.parse().unwrap();

@@ -32,59 +32,64 @@ fn shape_bytes(s: &Shape) -> usize {
     1 + 4 * s.rank()
 }
 
+/// `value` at its field's width on the wire, or the error that refuses it.
+fn narrow<T: TryFrom<u64>>(node: Option<u32>, field: &'static str, value: u64) -> IrResult<T> {
+    T::try_from(value).map_err(|_| IrError::DoesNotFit {
+        node,
+        field,
+        value,
+        width: std::any::type_name::<T>(),
+    })
+}
+
 /// Write a shape at the start of `dst`; returns the bytes written.
-fn stage_shape(dst: &mut [u8], s: &Shape) -> usize {
-    dst[0] = s.rank() as u8;
+fn stage_shape(dst: &mut [u8], node: Option<u32>, s: &Shape) -> IrResult<usize> {
+    dst[0] = narrow(node, "rank", s.rank() as u64)?;
     for (slot, &d) in dst[1..].chunks_exact_mut(4).zip(s.dims()) {
-        slot.copy_from_slice(&(d as u32).to_le_bytes());
+        slot.copy_from_slice(&narrow::<u32>(node, "dim", d as u64)?.to_le_bytes());
     }
-    shape_bytes(s)
+    Ok(shape_bytes(s))
 }
 
 /// Write a node's attribute body and fan-in byte.
-fn stage_fixed(rec: &mut [u8; STAGE_BYTES], n: &Node) {
+fn stage_fixed(rec: &mut [u8; STAGE_BYTES], node: Option<u32>, n: &Node) -> IrResult<()> {
     let a = &n.attrs;
-    rec[0] = n.op.code() as u8;
-    rec[1..3].copy_from_slice(&(a.kernel[0] as u16).to_le_bytes());
-    rec[3..5].copy_from_slice(&(a.kernel[1] as u16).to_le_bytes());
-    rec[5] = a.stride[0] as u8;
-    rec[6] = a.stride[1] as u8;
-    rec[7] = a.pad[0] as u8;
-    rec[8] = a.pad[1] as u8;
-    rec[9] = a.dilation[0] as u8;
-    rec[10] = a.dilation[1] as u8;
-    rec[11..13].copy_from_slice(&(a.groups as u16).to_le_bytes());
-    rec[13..15].copy_from_slice(&(a.out_channels as u16).to_le_bytes());
-    rec[15] = a.axis as u8;
+    let byte = |field, v: u32| narrow::<u8>(node, field, v.into());
+    let u16_le = |field, v: u32| narrow::<u16>(node, field, v.into()).map(u16::to_le_bytes);
+    rec[0] = narrow(node, "op code", n.op.code() as u64)?;
+    rec[1..3].copy_from_slice(&u16_le("kernel", a.kernel[0])?);
+    rec[3..5].copy_from_slice(&u16_le("kernel", a.kernel[1])?);
+    rec[5] = byte("stride", a.stride[0])?;
+    rec[6] = byte("stride", a.stride[1])?;
+    rec[7] = byte("pad", a.pad[0])?;
+    rec[8] = byte("pad", a.pad[1])?;
+    rec[9] = byte("dilation", a.dilation[0])?;
+    rec[10] = byte("dilation", a.dilation[1])?;
+    rec[11..13].copy_from_slice(&u16_le("groups", a.groups)?);
+    rec[13..15].copy_from_slice(&u16_le("out_channels", a.out_channels)?);
+    rec[15] = byte("axis", a.axis)?;
     rec[16..20].copy_from_slice(&a.clip_min.to_le_bytes());
     rec[20..24].copy_from_slice(&a.clip_max.to_le_bytes());
-    rec[ATTR_BYTES] = n.inputs.len() as u8;
+    rec[ATTR_BYTES] = narrow(node, "fan-in", n.inputs.len() as u64)?;
+    Ok(())
 }
 
-/// Encode a graph to its compact binary form.
-pub fn encode(g: &Graph) -> Vec<u8> {
+/// Stage `g`'s records in order and hand each to `out`, stopping at the
+/// first field too wide for the wire.
+fn write(g: &Graph, out: &mut impl FnMut(&[u8])) -> IrResult<()> {
     let name = g.name.as_bytes();
-    let size = MAGIC.len()
-        + 1
-        + 2
-        + name.len()
-        + shape_bytes(&g.input_shape)
-        + 4
-        + g.nodes
-            .iter()
-            .map(|n| NODE_FIXED_BYTES + 4 * n.inputs.len() + shape_bytes(&n.out_shape))
-            .sum::<usize>();
-    let mut buf: Vec<u8> = Vec::with_capacity(size);
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
-    buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    buf.extend_from_slice(name);
+    out(MAGIC);
+    out(&[VERSION]);
+    out(&narrow::<u16>(None, "name length", name.len() as u64)?.to_le_bytes());
+    out(name);
     let mut rec = [0u8; STAGE_BYTES];
-    let at = stage_shape(&mut rec, &g.input_shape);
-    rec[at..at + 4].copy_from_slice(&(g.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&rec[..at + 4]);
-    for n in &g.nodes {
-        stage_fixed(&mut rec, n);
+    let at = stage_shape(&mut rec, None, &g.input_shape)?;
+    let count = narrow::<u32>(None, "node count", g.len() as u64)?;
+    rec[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    out(&rec[..at + 4]);
+    for (id, n) in g.nodes.iter().enumerate() {
+        let node = u32::try_from(id).ok();
+        stage_fixed(&mut rec, node, n)?;
         let mut at = NODE_FIXED_BYTES;
         if n.inputs.len() <= STAGED_INPUTS {
             for &i in &n.inputs {
@@ -92,17 +97,43 @@ pub fn encode(g: &Graph) -> Vec<u8> {
                 at += 4;
             }
         } else {
-            buf.extend_from_slice(&rec[..at]);
+            out(&rec[..at]);
             for &i in &n.inputs {
-                buf.extend_from_slice(&i.0.to_le_bytes());
+                out(&i.0.to_le_bytes());
             }
             at = 0;
         }
-        at += stage_shape(&mut rec[at..], &n.out_shape);
-        buf.extend_from_slice(&rec[..at]);
+        at += stage_shape(&mut rec[at..], node, &n.out_shape)?;
+        out(&rec[..at]);
     }
+    Ok(())
+}
+
+/// Check, allocating nothing, that every field of `g` fits the store's
+/// record: kernel, groups, out_channels and the name's byte length a
+/// `u16`; stride, pad, dilation, axis and fan-in a `u8`; every dim a
+/// `u32`. It is [`encode`]'s own walk with the bytes discarded.
+pub fn check_fits(g: &Graph) -> IrResult<()> {
+    write(g, &mut |_| {})
+}
+
+/// Encode a graph to its compact binary form, or return the
+/// [`check_fits`] error: `encode` never truncates.
+pub fn encode(g: &Graph) -> IrResult<Vec<u8>> {
+    let size = MAGIC.len()
+        + 1
+        + 2
+        + g.name.len()
+        + shape_bytes(&g.input_shape)
+        + 4
+        + g.nodes
+            .iter()
+            .map(|n| NODE_FIXED_BYTES + 4 * n.inputs.len() + shape_bytes(&n.out_shape))
+            .sum::<usize>();
+    let mut buf: Vec<u8> = Vec::with_capacity(size);
+    write(g, &mut |b| buf.extend_from_slice(b))?;
     debug_assert_eq!(buf.len(), size);
-    buf
+    Ok(buf)
 }
 
 /// A cursor over an encoded graph: one bounds check per record, every
@@ -206,11 +237,6 @@ pub fn decode(buf: &[u8]) -> IrResult<Graph> {
     };
     crate::validate::validate(&g)?;
     Ok(g)
-}
-
-/// Encoded size in bytes — what a database model record costs.
-pub fn storage_bytes(g: &Graph) -> usize {
-    encode(g).len()
 }
 
 /// JSON export (pretty, keys sorted): shapes as plain arrays, ops by
@@ -364,36 +390,42 @@ mod tests {
     }
 
     /// The format, one field at a time: what `encode` wrote before it
-    /// staged records, kept as the oracle for the staged writer.
+    /// staged records, kept as the oracle for the staged writer (for
+    /// graphs that fit; the narrowing conversions panic on one that does
+    /// not).
     fn encode_field_by_field(g: &Graph) -> Vec<u8> {
+        fn narrow<T: TryFrom<u64>>(v: impl TryInto<u64>) -> T {
+            let v = v.try_into().ok().expect("a u64 holds every field");
+            T::try_from(v).ok().expect("the test graphs fit")
+        }
         fn put_shape(buf: &mut Vec<u8>, s: &Shape) {
-            buf.push(s.rank() as u8);
+            buf.push(narrow(s.rank()));
             for &d in s.dims() {
-                buf.extend_from_slice(&(d as u32).to_le_bytes());
+                buf.extend_from_slice(&narrow::<u32>(d).to_le_bytes());
             }
         }
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.push(VERSION);
-        buf.extend_from_slice(&(g.name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(&narrow::<u16>(g.name.len()).to_le_bytes());
         buf.extend_from_slice(g.name.as_bytes());
         put_shape(&mut buf, &g.input_shape);
-        buf.extend_from_slice(&(g.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&narrow::<u32>(g.len()).to_le_bytes());
         for n in &g.nodes {
             let a = &n.attrs;
-            buf.push(n.op.code() as u8);
+            buf.push(narrow(n.op.code()));
             for v in a.kernel {
-                buf.extend_from_slice(&(v as u16).to_le_bytes());
+                buf.extend_from_slice(&narrow::<u16>(v).to_le_bytes());
             }
             for v in [a.stride, a.pad, a.dilation].concat() {
-                buf.push(v as u8);
+                buf.push(narrow(v));
             }
-            buf.extend_from_slice(&(a.groups as u16).to_le_bytes());
-            buf.extend_from_slice(&(a.out_channels as u16).to_le_bytes());
-            buf.push(a.axis as u8);
+            buf.extend_from_slice(&narrow::<u16>(a.groups).to_le_bytes());
+            buf.extend_from_slice(&narrow::<u16>(a.out_channels).to_le_bytes());
+            buf.push(narrow(a.axis));
             buf.extend_from_slice(&a.clip_min.to_le_bytes());
             buf.extend_from_slice(&a.clip_max.to_le_bytes());
-            buf.push(n.inputs.len() as u8);
+            buf.push(narrow(n.inputs.len()));
             for &i in &n.inputs {
                 buf.extend_from_slice(&i.0.to_le_bytes());
             }
@@ -431,10 +463,50 @@ mod tests {
     #[test]
     fn staged_records_are_the_field_by_field_bytes() {
         for g in [sample(), wide_concat()] {
-            let staged = encode(&g);
+            let staged = encode(&g).unwrap();
             assert_eq!(staged, encode_field_by_field(&g), "{}", g.name);
             assert_eq!(decode(&staged).unwrap(), g, "{}", g.name);
         }
+    }
+
+    #[test]
+    fn a_field_past_its_width_is_refused_not_wrapped() {
+        let g = sample();
+        assert_eq!(check_fits(&g), Ok(()));
+        for (field, max) in [("stride", 255), ("kernel", 65_535), ("groups", 65_535)] {
+            for v in [max, max + 1] {
+                let mut edited = g.clone();
+                let a = &mut edited.nodes.make_mut()[0].attrs;
+                match field {
+                    "stride" => a.stride[1] = v,
+                    "kernel" => a.kernel[0] = v,
+                    _ => a.groups = v,
+                }
+                let fits = check_fits(&edited);
+                assert_eq!(fits.is_ok(), v == max, "{field} {v}");
+                assert_eq!(encode(&edited).map(|_| ()), fits);
+                if let Err(e) = fits {
+                    assert_eq!(
+                        e.to_string(),
+                        format!(
+                            "node 0: {field} {v} overflows the stored u{}",
+                            if max == 255 { 8 } else { 16 }
+                        )
+                    );
+                }
+            }
+        }
+        let mut long = g;
+        long.name = "x".repeat(65_536);
+        assert!(matches!(
+            encode(&long),
+            Err(IrError::DoesNotFit {
+                node: None,
+                field: "name length",
+                value: 65_536,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -442,7 +514,7 @@ mod tests {
         // A valid blob whose count says u32::MAX: reserving for it would
         // abort the process in the allocator.
         let g = sample();
-        let mut raw = encode(&g);
+        let mut raw = encode(&g).unwrap();
         let at = count_offset(&g);
         assert_eq!(le_u32(&raw[at..]) as usize, g.len());
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -452,7 +524,7 @@ mod tests {
     #[test]
     fn rank_200_shape_is_a_decode_error_naming_the_rank() {
         let g = sample();
-        let clean = encode(&g);
+        let clean = encode(&g).unwrap();
         // The graph input shape's rank byte, then the first node's.
         let input_rank_at = count_offset(&g) - shape_bytes(&g.input_shape);
         let node_rank_at = count_offset(&g) + 4 + NODE_FIXED_BYTES;
@@ -475,7 +547,7 @@ mod tests {
     #[test]
     fn fan_in_255_node_is_a_decode_error() {
         let g = sample();
-        let mut raw = encode(&g);
+        let mut raw = encode(&g).unwrap();
         let at = count_offset(&g) + 4 + ATTR_BYTES;
         assert_eq!(raw[at], 0, "the first node reads the graph input");
         raw[at] = 255;
@@ -485,7 +557,7 @@ mod tests {
     #[test]
     fn binary_roundtrip_identity() {
         let g = sample();
-        let bytes = encode(&g);
+        let bytes = encode(&g).unwrap();
         let g2 = decode(&bytes).unwrap();
         assert_eq!(g, g2);
     }
@@ -500,7 +572,7 @@ mod tests {
     #[test]
     fn storage_is_hundreds_of_bytes() {
         let g = sample();
-        let n = storage_bytes(&g);
+        let n = encode(&g).unwrap().len();
         // The paper: "Each model record uses the storage of hundreds of bytes".
         assert!(n > 100 && n < 2000, "storage {n} bytes");
     }
@@ -508,7 +580,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let g = sample();
-        let mut raw = encode(&g);
+        let mut raw = encode(&g).unwrap();
         raw[0] = b'X';
         assert!(matches!(decode(&raw), Err(IrError::Decode(_))));
     }
@@ -516,7 +588,7 @@ mod tests {
     #[test]
     fn truncation_rejected_not_panic() {
         let g = sample();
-        let raw = encode(&g);
+        let raw = encode(&g).unwrap();
         for cut in [0, 3, 5, 10, raw.len() / 2, raw.len() - 1] {
             assert!(decode(&raw[..cut]).is_err(), "cut at {cut} should fail");
         }
@@ -525,7 +597,7 @@ mod tests {
     #[test]
     fn corrupted_topology_fails_validation() {
         let g = sample();
-        let mut raw = encode(&g);
+        let mut raw = encode(&g).unwrap();
         // Flip a byte late in the stream until decode fails or validation
         // catches an inconsistency; decode must never panic.
         for i in (raw.len() - 20)..raw.len() {

@@ -76,7 +76,7 @@ fn simulated_latencies_are_bit_identical_to_the_recorded_ones() {
 fn encoded_graphs_are_byte_identical_to_the_recorded_ones() {
     let mut h = Fnv::new();
     for g in graphs() {
-        let blob = serialize::encode(&g);
+        let blob = serialize::encode(&g).unwrap();
         h.word(blob.len() as u64);
         h.bytes(&blob);
         assert_eq!(serialize::decode(&blob).unwrap(), g, "{}", g.name);

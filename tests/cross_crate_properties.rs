@@ -219,7 +219,7 @@ proptest! {
     #[test]
     fn hash_stable_across_serialization(g in arbitrary_corpus_model()) {
         let h1 = graph_hash(&g);
-        let g2 = serialize::decode(&serialize::encode(&g)).unwrap();
+        let g2 = serialize::decode(&serialize::encode(&g).unwrap()).unwrap();
         prop_assert_eq!(h1, graph_hash(&g2));
     }
 
@@ -396,7 +396,7 @@ proptest! {
         let (mid, _) = db.insert_model(&g);
         let pid = db.get_or_create_platform("T4", "trt7.1", "fp32");
         db.insert_latency(mid, pid, 1, 2.5, 0.0, 0, 0).unwrap();
-        let g2 = serialize::decode(&serialize::encode(&g)).unwrap();
+        let g2 = serialize::decode(&serialize::encode(&g).unwrap()).unwrap();
         let hit = db.lookup_latency(graph_hash(&g2), pid, 1);
         prop_assert!(hit.is_some());
     }

@@ -49,7 +49,7 @@ struct Passes {
 
 fn passes(g: &Graph) -> Passes {
     let t4 = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
-    let blob = serialize::encode(g);
+    let blob = serialize::encode(g).unwrap();
     let frame = Frame {
         wal_seq: 7,
         op: WalOp::Model(ModelRecord {
@@ -66,7 +66,7 @@ fn passes(g: &Graph) -> Passes {
         validate: allocations_of(|| validate::validate(g).unwrap()),
         graph_cost: allocations_of(|| cost::graph_cost(g, DType::F32)),
         graph_hash: allocations_of(|| graph_hash(g)),
-        encode: allocations_of(|| serialize::encode(g)),
+        encode: allocations_of(|| serialize::encode(g).unwrap()),
         wal_frame: allocations_of(|| encode_frame(&frame)),
         decode: allocations_of(|| serialize::decode(&blob).unwrap()),
         measure: allocations_of(|| measure(g, &t4, 10, 42)),
@@ -149,7 +149,10 @@ fn a_spilled_input_list_costs_one_allocation_where_it_is_copied() {
     assert_eq!(wide.wal_frame, narrow.wal_frame);
     assert_eq!(wide.graph_cost, narrow.graph_cost);
     // And the spilled graph is the graph: same answers through every pass.
-    assert_eq!(serialize::decode(&serialize::encode(&g)).unwrap(), g);
+    assert_eq!(
+        serialize::decode(&serialize::encode(&g).unwrap()).unwrap(),
+        g
+    );
     assert_eq!(graph_hash(&g.clone()), graph_hash(&g));
     assert_eq!(g.rebatch(1).unwrap(), g);
 }

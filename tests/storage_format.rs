@@ -69,7 +69,7 @@ fn frames() -> [Frame; 3] {
                 id: ModelId(0),
                 graph_hash: nnlqp_hash::graph_hash(&g),
                 name: g.name.clone(),
-                graph_bytes: serialize::encode(&g).to_vec(),
+                graph_bytes: serialize::encode(&g).unwrap(),
                 created_seq: 0,
             }),
         },
@@ -94,7 +94,7 @@ fn frames() -> [Frame; 3] {
 fn stored_graphs_are_byte_identical_to_the_recorded_ones() {
     let blobs: Vec<Vec<u8>> = CORPUS_FAMILIES
         .iter()
-        .map(|f| serialize::encode(&f.canonical().unwrap()).to_vec())
+        .map(|f| serialize::encode(&f.canonical().unwrap()).unwrap())
         .collect();
     let got = digest(&blobs.iter().map(Vec::as_slice).collect::<Vec<_>>());
     assert_eq!(got, ENCODE_DIGEST, "encode digest {got:#018x}");

@@ -1,8 +1,10 @@
 //! Strict-mode admission gating, end to end: a graph whose static memory
 //! footprint cannot fit the target platform is rejected by the analyzer
 //! BEFORE any farm measurement or database write, the rejection is its
-//! own terminal metrics class, and the admission report is memoized per
-//! (graph hash, platform) so the repeat query pays nothing.
+//! own terminal metrics class, and the analyzer runs exactly once per
+//! miss (`query.lint_runs`): never on a hit, again on a repeated
+//! rejection, and once, not twice, for a miss served through
+//! `LatencyService` (its worker does not re-admit).
 
 use nnlqp::{metric_names, Nnlqp, QueryError, QueryParams};
 use nnlqp_ir::{Graph, GraphBuilder, Shape};
@@ -31,6 +33,13 @@ fn small() -> Graph {
     let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
     b.relu(c).unwrap();
     b.finish().unwrap()
+}
+
+fn lint_runs(system: &Nnlqp) -> u64 {
+    system
+        .registry()
+        .snapshot()
+        .counter(metric_names::LINT_RUNS)
 }
 
 fn strict_system() -> Arc<Nnlqp> {
@@ -62,14 +71,18 @@ fn facade_rejects_infeasible_graph_before_measurement() {
     assert_eq!(system.farm_measurements(), 0);
     assert_eq!(system.stats().models, 0);
     assert_eq!(system.stats().latencies, 0);
-    // The repeat rejection is served from the memoized report.
+    // The repeat rejection runs the analyzer again.
+    assert_eq!(lint_runs(&system), 1);
     assert!(matches!(system.query(&params), Err(QueryError::Lint(_))));
-    let snap = system.registry().snapshot();
-    assert_eq!(snap.counter(metric_names::LINT_RUNS), 1);
-    assert_eq!(snap.counter(metric_names::LINT_CACHE_HITS), 1);
-    // The same graph is admissible where the memory exists.
+    assert_eq!(lint_runs(&system), 2);
+    // The same graph is admissible where the memory exists: the miss
+    // admits once, the hit after it not at all.
     let on_gpu = QueryParams::by_name(oversized(), 1, GPU).unwrap();
-    assert!(system.query(&on_gpu).unwrap().latency_ms > 0.0);
+    let miss = system.query(&on_gpu).unwrap();
+    assert!(!miss.cache_hit && miss.latency_ms > 0.0);
+    assert_eq!(lint_runs(&system), 3);
+    assert!(system.query(&on_gpu).unwrap().cache_hit);
+    assert_eq!(lint_runs(&system), 3);
 }
 
 #[test]
@@ -99,20 +112,24 @@ fn serve_counts_lint_rejections_as_their_own_terminal_class() {
     assert_eq!(m.measured, 0);
     assert!(m.balanced(), "{m:?}");
 
-    // The repeat query is rejected from the memoized admission report.
+    // The repeat query is rejected by a second analysis.
     assert!(matches!(
         svc.query(&hog, EDGE, 1),
         Err(ServeError::LintRejected(_))
     ));
     let snap = system.registry().snapshot();
-    assert_eq!(snap.counter(metric_names::LINT_RUNS), 1);
-    assert_eq!(snap.counter(metric_names::LINT_CACHE_HITS), 1);
+    assert_eq!(snap.counter(metric_names::LINT_RUNS), 2);
     assert_eq!(snap.counter(serve_metric_names::LINT_REJECTED), 2);
 
-    // Clean traffic still serves, on both platforms.
+    // Clean traffic still serves, on both platforms: each miss is
+    // admitted once, at the front door, and each hit not at all.
     let ok = Arc::new(small());
     assert_eq!(svc.query(&ok, EDGE, 1).unwrap().source, Source::Measured);
+    assert_eq!(lint_runs(&system), 3);
     assert_eq!(svc.query(&ok, GPU, 1).unwrap().source, Source::Measured);
+    assert_eq!(lint_runs(&system), 4);
+    assert_eq!(svc.query(&ok, GPU, 1).unwrap().source, Source::HotCache);
+    assert_eq!(lint_runs(&system), 4);
     let m = svc.metrics();
     assert_eq!(m.misses, 2);
     assert_eq!(m.lint_rejected, 2);
@@ -148,18 +165,16 @@ fn non_strict_serve_does_not_gate() {
 #[test]
 fn admission_report_is_queryable_without_a_query() {
     // Serving layers can pre-screen: the public analyze_admission entry
-    // returns the full report (and primes the cache the query path uses).
+    // returns the full report.
     let system = strict_system();
     let g = oversized();
-    let hash = nnlqp_hash::graph_hash(&g);
     let spec = Platform::by_name(EDGE).unwrap();
-    let report = system.analyze_admission(&g, hash, spec.spec());
+    let report = system.analyze_admission(&g, spec.spec());
     assert!(report.has_errors());
     assert!(report.has_code(nnlqp_analyze::Code::MemoryInfeasible));
-    // The strict query path reuses the primed entry.
+    assert_eq!(lint_runs(&system), 1);
+    // Nothing is memoised: the strict query path analyzes afresh.
     let params = QueryParams::by_name(g, 1, EDGE).unwrap();
     assert!(matches!(system.query(&params), Err(QueryError::Lint(_))));
-    let snap = system.registry().snapshot();
-    assert_eq!(snap.counter(metric_names::LINT_RUNS), 1);
-    assert_eq!(snap.counter(metric_names::LINT_CACHE_HITS), 1);
+    assert_eq!(lint_runs(&system), 2);
 }
