@@ -1,10 +1,12 @@
 //! Integration: the full NNLQ query path across ir, hash, db, sim and
 //! core — measure, cache, persist, reload, re-hit.
 
-use nnlqp::{Nnlqp, QueryParams};
-use nnlqp_db::persist;
+use nnlqp::{Nnlqp, QueryError, QueryParams, TrainPredictorConfig};
+use nnlqp_db::{persist, ModelId};
 use nnlqp_hash::graph_hash;
+use nnlqp_ir::{GraphBuilder, Shape};
 use nnlqp_models::ModelFamily;
+use nnlqp_serve::{LatencyService, ServeConfig, ServeError};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
 
 /// Every model a test feeds into the system must be clean under the
@@ -143,4 +145,72 @@ fn batch_size_is_part_of_the_key_and_scales_latency() {
     let l8 = lat(8);
     assert!(l8 > l1, "batch 8 {l8} should exceed batch 1 {l1}");
     assert!(l8 < 8.0 * l1, "batch scaling should be sublinear");
+}
+
+/// Query `g` on T4 in the default (non-strict) mode and check that the
+/// store kept nothing it cannot read back.
+fn query_unstorable(g: nnlqp_ir::Graph) -> (Nnlqp, Result<nnlqp::QueryResult, QueryError>) {
+    let s = system();
+    let res = s.query(&QueryParams::by_name(g, 1, "gpu-T4-trt7.1-fp32").unwrap());
+    (s, res)
+}
+
+#[test]
+fn a_stride_the_store_cannot_hold_is_refused_before_the_farm() {
+    // The wire keeps a stride in one byte: 256 used to be written as 0,
+    // stored, and panic the next retrain when its row failed to decode.
+    let mut b = GraphBuilder::new("stride-256", Shape::nchw(1, 3, 512, 512));
+    let c = b.conv(None, 8, 1, 256, 0, 1).unwrap();
+    b.relu(c).unwrap();
+    let (s, res) = query_unstorable(b.finish().unwrap());
+    let cfg = TrainPredictorConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    assert_eq!(s.train_predictor(&["gpu-T4-trt7.1-fp32"], cfg).unwrap(), 0);
+    match res {
+        Err(QueryError::BadGraph(e)) => assert!(e.contains("stride"), "{e}"),
+        other => panic!("expected BadGraph, got {other:?}"),
+    }
+    assert_eq!(s.farm_measurements(), 0);
+    assert_eq!(s.stats().models, 0);
+}
+
+#[test]
+fn the_service_answers_a_graph_the_store_cannot_hold_as_bad_graph() {
+    let system = std::sync::Arc::new(system());
+    let svc = LatencyService::start(std::sync::Arc::clone(&system), ServeConfig::default());
+    let mut b = GraphBuilder::new("stride-256", Shape::nchw(1, 3, 512, 512));
+    let c = b.conv(None, 8, 1, 256, 0, 1).unwrap();
+    b.relu(c).unwrap();
+    let g = std::sync::Arc::new(b.finish().unwrap());
+    match svc.query(&g, "gpu-T4-trt7.1-fp32", 1) {
+        Err(ServeError::BadGraph(e)) => assert!(e.contains("stride"), "{e}"),
+        other => panic!("expected BadGraph, got {other:?}"),
+    }
+    let m = svc.metrics();
+    assert_eq!((m.errors, m.measured, m.misses), (1, 0, 0), "{m:?}");
+    assert!(m.balanced(), "{m:?}");
+    assert_eq!(system.farm_measurements(), 0);
+    assert_eq!(system.stats().models, 0);
+    svc.shutdown().unwrap();
+}
+
+#[test]
+fn a_name_longer_than_the_store_holds_is_refused_before_the_farm() {
+    // The wire keeps a name's length in two bytes: 65,537 used to wrap to
+    // 1 and leave the rest of the name where the input shape belongs.
+    let mut b = GraphBuilder::new("x".repeat(65_537), Shape::nchw(1, 3, 16, 16));
+    let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
+    b.relu(c).unwrap();
+    let (s, res) = query_unstorable(b.finish().unwrap());
+    for id in 0..s.stats().models {
+        s.db.load_graph(ModelId(id as u32)).unwrap();
+    }
+    match res {
+        Err(QueryError::BadGraph(e)) => assert!(e.contains("name"), "{e}"),
+        other => panic!("expected BadGraph, got {other:?}"),
+    }
+    assert_eq!(s.farm_measurements(), 0);
+    assert_eq!(s.stats().models, 0);
 }

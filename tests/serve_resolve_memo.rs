@@ -262,8 +262,11 @@ fn insert_model_and_its_hashed_sibling_dedupe_against_each_other() {
     let (a, b) = (conv_relu(8), conv_relu(16));
     let (id_a, fresh) = db.insert_model(&a);
     assert!(fresh);
-    assert_eq!(db.insert_model_hashed(&a, graph_hash(&a)), (id_a, false));
-    let (id_b, fresh) = db.insert_model_hashed(&b, graph_hash(&b));
+    assert_eq!(
+        db.insert_model_hashed(&a, graph_hash(&a)),
+        Ok((id_a, false))
+    );
+    let (id_b, fresh) = db.insert_model_hashed(&b, graph_hash(&b)).unwrap();
     assert!(fresh);
     assert_eq!(db.insert_model(&b), (id_b, false));
     assert_eq!(db.stats().models, 2);
