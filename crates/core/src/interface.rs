@@ -154,6 +154,9 @@ pub mod metric_names {
     pub const EMBED_MISSES: &str = "predict.embed_cache_misses";
     /// Gauge: graph embeddings currently cached.
     pub const EMBED_LEN: &str = "predict.embed_cache_len";
+    /// Counter: stored latency rows a retrain left out because their graph
+    /// would not decode or rebatch. Registered on the first skip.
+    pub const RETRAIN_ROWS_SKIPPED: &str = "predict.retrain_rows_skipped";
     /// Counter: WAL frames appended by the storage engine.
     pub const DB_WAL_APPENDS: &str = nnlqp_db::db_metric_names::WAL_APPENDS;
     /// Counter: WAL bytes appended by the storage engine.
@@ -617,9 +620,15 @@ impl Nnlqp {
         clock: &mut SimClock,
         mark: &mut dyn FnMut(&'static str),
     ) -> Result<QueryResult, QueryError> {
-        // A graph the store cannot hold is refused before any device
-        // sees it.
-        serialize::check_fits(graph).map_err(|e| QueryError::BadGraph(e.to_string()))?;
+        // Only a structure the store does not hold yet is encoded, once,
+        // before any device sees it: a graph the store cannot hold is
+        // refused here, and the bytes wait for the measurement. `Ok` is the
+        // stored row, `Err` the record still to store.
+        debug_assert_eq!(hash, graph_hash(graph), "hash must be graph_hash(graph)");
+        let stored = match self.db.model_id(hash) {
+            Some(id) => Ok(id),
+            None => Err(serialize::encode(graph).map_err(|e| QueryError::BadGraph(e.to_string()))?),
+        };
         let job = QueryJob {
             graph: Arc::clone(graph),
             platform: spec.name.clone(),
@@ -663,10 +672,10 @@ impl Nnlqp {
                 at += stage_ms;
             }
         }
-        let (model_id, _) = self
-            .db
-            .insert_model_hashed(graph, hash)
-            .map_err(|e| QueryError::BadGraph(e.to_string()))?;
+        let model_id = stored.unwrap_or_else(|graph_bytes| {
+            let name = graph.name.clone();
+            self.db.insert_model_encoded(name, hash, graph_bytes).0
+        });
         let mem = cost::graph_cost(graph, spec.dtype).mem_bytes;
         // Atomic check-then-insert: when two threads miss on the same key
         // concurrently, both return the first writer's measurement — the

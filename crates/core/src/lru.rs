@@ -149,6 +149,17 @@ impl<K: Eq, V: Clone> Shard<K, V> {
         Some(self.slab[i].value.clone())
     }
 
+    /// [`Shard::get`] that reads the value through `read` instead of
+    /// cloning it. `get` keeps its own body: routed through this closure
+    /// it cost `predict-cached` 2–3 % (EXPERIMENTS.md, "What a hit pays
+    /// for its bookkeeping").
+    fn get_with<R>(&mut self, hash: u64, key: &K, read: impl FnOnce(&V) -> R) -> Option<R> {
+        let i = self.index[self.find(hash, key).ok()?] as usize;
+        self.detach(i);
+        self.push_front(i);
+        Some(read(&self.slab[i].value))
+    }
+
     fn insert(&mut self, hash: u64, key: K, value: V) -> Inserted {
         let mut bucket = match self.find(hash, &key) {
             Ok(b) => {
@@ -235,6 +246,14 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     pub fn get(&self, key: &K) -> Option<V> {
         let (hash, shard) = self.shard_of(key);
         shard.lock().recover().get(hash, key)
+    }
+
+    /// [`ShardedLru::get`] that reads the value through `read` under the
+    /// shard's lock, for a caller that needs a part of a value whose
+    /// clone is not free (one holding a `Weak`, say).
+    pub fn get_with<R>(&self, key: &K, read: impl FnOnce(&V) -> R) -> Option<R> {
+        let (hash, shard) = self.shard_of(key);
+        shard.lock().recover().get_with(hash, key, read)
     }
 
     /// Insert or refresh; evicts the shard's LRU entry when full.

@@ -10,7 +10,7 @@
 //! can never serve a stale embedding.
 
 use crate::embed_cache::EmbedKey;
-use crate::interface::{Nnlqp, QueryError, QueryParams};
+use crate::interface::{metric_names, Nnlqp, QueryError, QueryParams};
 use nnlqp_hash::graph_fingerprint;
 use nnlqp_ir::Rng64;
 use nnlqp_obs::Recover;
@@ -165,7 +165,10 @@ impl Nnlqp {
         cfg: TrainPredictorConfig,
     ) -> Result<Option<(PredictorHandle, usize)>, QueryError> {
         // Each stored `(model, batch)` is decoded once; its rows, one per
-        // platform that measured it, borrow that one graph.
+        // platform that measured it, borrow that one graph. A row whose
+        // graph does not decode or rebatch (one stored before the store
+        // checked what it was given) is skipped and counted: it must not
+        // stop the evolving database from learning from the rest.
         let mut graphs: Vec<nnlqp_ir::Graph> = Vec::new();
         let mut graph_of = HashMap::new();
         let mut rows: Vec<(usize, f64, usize)> = Vec::new();
@@ -179,19 +182,21 @@ impl Nnlqp {
                     .get_or_create_platform(&spec.hardware, &spec.software, spec.dtype.name());
             for rec in self.db.latencies_for_platform(pid) {
                 let batch = rec.batch_size as usize;
-                let slot = *graph_of.entry((rec.model_id, batch)).or_insert_with(|| {
-                    let g = self
-                        .db
-                        .load_graph(rec.model_id)
-                        .expect("stored graphs decode");
-                    let g = if g.input_shape.batch() == batch {
-                        g
-                    } else {
-                        g.rebatch(batch).expect("stored batch is valid")
-                    };
-                    graphs.push(g);
-                    graphs.len() - 1
-                });
+                let key = (rec.model_id, batch);
+                let slot = match graph_of.get(&key) {
+                    Some(&slot) => slot,
+                    None => {
+                        let Some(g) = self.stored_graph(rec.model_id, batch) else {
+                            self.registry()
+                                .counter(metric_names::RETRAIN_ROWS_SKIPPED)
+                                .inc();
+                            continue;
+                        };
+                        graphs.push(g);
+                        graph_of.insert(key, graphs.len() - 1);
+                        graphs.len() - 1
+                    }
+                };
                 rows.push((slot, rec.cost_ms, head));
             }
         }
@@ -222,6 +227,17 @@ impl Nnlqp {
             stamp: self.next_stamp(),
         };
         Ok(Some((handle, rows.len())))
+    }
+
+    /// Stored model `id` at batch `batch`, or `None` when its bytes do not
+    /// decode or it does not rebatch.
+    fn stored_graph(&self, id: nnlqp_db::ModelId, batch: usize) -> Option<nnlqp_ir::Graph> {
+        let g = self.db.load_graph(id).ok()?;
+        if g.input_shape.batch() == batch {
+            Some(g)
+        } else {
+            g.rebatch(batch).ok()
+        }
     }
 
     /// Install an externally trained predictor.

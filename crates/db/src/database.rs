@@ -5,7 +5,7 @@ use crate::engine::{DbMetrics, DurableOptions, StorageEngine};
 use crate::records::*;
 use crate::recover::{self, corrupt};
 use crate::wal::WalOp;
-use nnlqp_hash::graph_hash;
+use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::{serialize, Graph, IrResult};
 use nnlqp_obs::Recover;
 use std::collections::HashMap;
@@ -48,17 +48,20 @@ pub struct DbStats {
     pub total_bytes: usize,
 }
 
+/// The indexes hash with the workspace's [`BuildWordHasher`]: their keys
+/// are server-computed graph hashes, row ids and registry names, which a
+/// keyed hasher would not protect any further (see `nnlqp_hash::word`).
 #[derive(Default)]
 pub(crate) struct Inner {
     pub(crate) models: Vec<ModelRecord>,
     pub(crate) platforms: Vec<PlatformRecord>,
     pub(crate) latencies: Vec<LatencyRecord>,
     /// Unique hash index over models.
-    pub(crate) by_hash: HashMap<u64, ModelId>,
+    pub(crate) by_hash: HashMap<u64, ModelId, BuildWordHasher>,
     /// Unique (hardware, software, dtype) index over platforms.
-    pub(crate) by_platform_key: HashMap<(String, String, String), PlatformId>,
+    pub(crate) by_platform_key: HashMap<(String, String, String), PlatformId, BuildWordHasher>,
     /// Secondary index (model, platform, batch) -> latest latency row.
-    pub(crate) by_query: HashMap<(ModelId, PlatformId, u32), LatencyId>,
+    pub(crate) by_query: HashMap<(ModelId, PlatformId, u32), LatencyId, BuildWordHasher>,
     pub(crate) seq: u64,
 }
 
@@ -168,16 +171,36 @@ impl Database {
     /// [`serialize::check_fits`] error and writes nothing.
     pub fn insert_model_hashed(&self, g: &Graph, hash: u64) -> IrResult<(ModelId, bool)> {
         debug_assert_eq!(hash, graph_hash(g), "hash must be graph_hash(g)");
-        if let Some(&id) = self.inner.read().recover().by_hash.get(&hash) {
+        if let Some(id) = self.model_id(hash) {
             return Ok((id, false));
         }
         // The graph walk runs with no lock held; a racing insert of the
         // same hash is caught by the second probe, under the write lock.
         let graph_bytes = serialize::encode(g)?;
-        let name = g.name.clone();
+        Ok(self.insert_model_encoded(g.name.clone(), hash, graph_bytes))
+    }
+
+    /// The id of the model stored under graph hash `hash`, if any: the
+    /// probe that tells a miss whether its structure still needs encoding.
+    pub fn model_id(&self, hash: u64) -> Option<ModelId> {
+        self.inner.read().recover().by_hash.get(&hash).copied()
+    }
+
+    /// Store a model the caller has already encoded: `graph_bytes` is
+    /// `serialize::encode(g)`, `hash` is `graph_hash(g)` and `name` is
+    /// `g.name`. Deduplicated by hash like [`Database::insert_model`], so
+    /// a structure another caller stored in the meantime keeps its row.
+    /// The query miss path encodes before the farm measures and hands the
+    /// bytes over here, so the record is walked once.
+    pub fn insert_model_encoded(
+        &self,
+        name: String,
+        hash: u64,
+        graph_bytes: Vec<u8>,
+    ) -> (ModelId, bool) {
         let mut inner = self.inner.write().recover();
         if let Some(&id) = inner.by_hash.get(&hash) {
-            return Ok((id, false));
+            return (id, false);
         }
         let id = ModelId(inner.models.len() as u32);
         let seq = inner.seq;
@@ -195,7 +218,7 @@ impl Database {
         };
         inner.models.push(rec);
         inner.by_hash.insert(hash, id);
-        Ok((id, true))
+        (id, true)
     }
 
     /// Look up a model by its graph hash.

@@ -5,15 +5,135 @@
 //! [`MetricsRegistry`]; the service and the CLI snapshot it to report
 //! where requests went *and* how long each stage took — replacing the
 //! per-crate private counter structs. Handles are `Arc`s: register once,
-//! bump lock-free forever.
+//! then update without a lock.
+//!
+//! # Writer slots
+//!
+//! A [`Counter`] or [`Histogram`] keeps one cache-line-aligned set of
+//! cells per *writer slot*. A thread claims one of the process's
+//! `WRITER_SLOTS` (16) slots on its first update and gives it back when it
+//! exits; while it holds the slot it is the only writer of that slot's
+//! cells in every metric, so an update is a relaxed load and a store — no
+//! locked read-modify-write, and no cache line bounced between threads.
+//! A thread that finds every slot taken (or updates a metric while its
+//! thread-locals are being torn down) writes the shared overflow set with
+//! atomic read-modify-writes instead. A read sums the sets: counts are
+//! exact at any quiescent point, and a histogram's sum is folded into
+//! `+0.0` in slot order, so a series with one writer keeps the bits of
+//! the sequential fold.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A monotonically increasing counter.
+/// Writer slots per process. A constant, not a knob: it covers a service's
+/// workers, its retrain and metrics-writer threads and a few client
+/// threads; threads beyond it share the overflow set and stay exact.
+pub(crate) const WRITER_SLOTS: usize = 16;
+
+/// Cell sets per metric: one per writer slot, then the overflow set.
+const CELL_SETS: usize = WRITER_SLOTS + 1;
+
+/// The overflow set's index, shared by every thread without a slot.
+const OVERFLOW: usize = WRITER_SLOTS;
+
+/// `SLOT`'s value before the thread's first update.
+const UNCLAIMED: usize = usize::MAX;
+
+/// `CLAIMED[s]` is true while a live thread owns slot `s`.
+static CLAIMED: [AtomicBool; WRITER_SLOTS] = [const { AtomicBool::new(false) }; WRITER_SLOTS];
+
+thread_local! {
+    /// The cell set this thread writes; `UNCLAIMED` until its first update.
+    static SLOT: Cell<usize> = const { Cell::new(UNCLAIMED) };
+    /// Owns the claimed slot and gives it back when the thread exits.
+    static GUARD: SlotGuard = SlotGuard::claim();
+}
+
+struct SlotGuard(usize);
+
+impl SlotGuard {
+    fn claim() -> SlotGuard {
+        // Acquire pairs with the previous owner's release in `drop`: its
+        // last stores to the slot's cells are visible to the loads of
+        // this thread's first updates.
+        let free = |c: &AtomicBool| {
+            c.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        };
+        SlotGuard(CLAIMED.iter().position(free).unwrap_or(OVERFLOW))
+    }
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        // Any update later in this thread's teardown goes to the overflow
+        // set, never to a slot another thread may own by then.
+        let _ = SLOT.try_with(|s| s.set(OVERFLOW));
+        if let Some(claimed) = CLAIMED.get(self.0) {
+            claimed.store(false, Ordering::Release);
+        }
+    }
+}
+
+/// The cell set the calling thread writes: its own slot, claimed on first
+/// use, or [`OVERFLOW`].
+#[inline]
+fn writer_set() -> usize {
+    let slot = SLOT.with(Cell::get);
+    if slot != UNCLAIMED {
+        return slot;
+    }
+    let slot = GUARD.try_with(|g| g.0).unwrap_or(OVERFLOW);
+    SLOT.with(|s| s.set(slot));
+    slot
+}
+
+/// Add `n` to `cell` of cell set `set`. A slot's cells have one writer,
+/// its owner, so a relaxed load and store lose nothing; the overflow set
+/// is shared and pays for an atomic add.
+#[inline]
+fn add_u64(cell: &AtomicU64, set: usize, n: u64) {
+    if set < OVERFLOW {
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    } else {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// [`add_u64`] for a cell holding `f64` bits; the overflow set pays for a
+/// compare-and-swap loop.
+#[inline]
+fn add_f64(cell: &AtomicU64, set: usize, x: f64) {
+    let add = |bits| (f64::from_bits(bits) + x).to_bits();
+    if set < OVERFLOW {
+        cell.store(add(cell.load(Ordering::Relaxed)), Ordering::Relaxed);
+    } else {
+        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| Some(add(bits)));
+    }
+}
+
+/// Eight cells on a cache line of their own, so two slots' cells never
+/// share one.
+#[repr(align(64))]
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+struct Line([AtomicU64; 8]);
+
+/// A monotonically increasing counter.
+#[derive(Debug)]
+pub struct Counter {
+    /// `sets[s].0[0]` is cell set `s`'s count.
+    sets: [Line; CELL_SETS],
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter {
+            sets: std::array::from_fn(|_| Line::default()),
+        }
+    }
+}
 
 /// A gauge: a value that can move both ways (queue depth, cache
 /// occupancy, a windowed error rate). Stored as `f64` bits in an atomic,
@@ -56,36 +176,58 @@ impl Counter {
 
     /// Increment by `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        let set = writer_set();
+        add_u64(&self.sets[set].0[0], set, n);
     }
 
-    /// Current value.
+    /// Current value: the sum over every cell set.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.sets
+            .iter()
+            .map(|line| line.0[0].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// What threads without a writer slot have added.
+    #[cfg(test)]
+    fn overflow(&self) -> u64 {
+        self.sets[OVERFLOW].0[0].load(Ordering::Relaxed)
     }
 }
 
 /// A histogram over fixed upper bucket bounds plus an overflow bucket,
 /// with a running sum for means. Unit-agnostic: the name carries the unit
-/// by convention (`"...:ms"`, `"...:s"`).
+/// by convention (`"...:ms"`, `"...:s"`). Its count is the sum of its
+/// buckets.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Box<[f64]>,
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    /// Sum of observed values, stored as f64 bits and updated by CAS.
-    sum_bits: AtomicU64,
+    /// Cells per set, rounded up to whole lines: the sum's `f64` bits at
+    /// 0, then one count per bucket.
+    stride: usize,
+    /// `CELL_SETS` sets of `stride` cells, set after set.
+    lines: Box<[Line]>,
 }
 
 impl Histogram {
     fn new(bounds: &[f64]) -> Self {
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        let stride = (bounds.len() + 2).div_ceil(8) * 8;
+        let lines = (0..CELL_SETS * stride / 8)
+            .map(|_| Line::default())
+            .collect();
+        // `+0.0` is all zero bits, so a fresh sum cell already holds it.
         Histogram {
             bounds: bounds.into(),
-            buckets,
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
+            stride,
+            lines,
         }
+    }
+
+    /// Cell `i` of cell set `set`.
+    #[inline]
+    fn cell(&self, set: usize, i: usize) -> &AtomicU64 {
+        let at = set * self.stride + i;
+        &self.lines[at / 8].0[at % 8]
     }
 
     /// Record one observation.
@@ -95,26 +237,22 @@ impl Histogram {
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .sum_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + value).to_bits())
-            });
+        let set = writer_set();
+        add_u64(self.cell(set, 1 + idx), set, 1);
+        add_f64(self.cell(set, 0), set, value);
     }
 
     /// Point-in-time copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let load = |set, i| self.cell(set, i).load(Ordering::Relaxed);
+        let buckets: Vec<u64> = (1..=self.bounds.len() + 1)
+            .map(|i| (0..CELL_SETS).map(|set| load(set, i)).sum())
+            .collect();
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+            count: buckets.iter().sum(),
+            buckets,
+            sum: (0..CELL_SETS).fold(0.0, |acc, set| acc + f64::from_bits(load(set, 0))),
         }
     }
 }
@@ -312,6 +450,7 @@ impl RegistrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Recover;
 
     #[test]
     fn counters_are_shared_by_name() {
@@ -435,26 +574,78 @@ mod tests {
         assert_eq!(b.snapshot().bounds, vec![1.0]);
     }
 
+    /// Serialises the tests that spawn metric-writing threads: slots are
+    /// process-wide, and `short_lived_threads_hand_their_slots_on` needs
+    /// one free at every claim.
+    static THREADS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn concurrent_bumps_are_lossless() {
-        let reg = Arc::new(MetricsRegistry::new());
+        // More writers than slots, released together: some share the
+        // overflow set, and every owned slot has a writer racing beside it.
+        const WRITERS: usize = WRITER_SLOTS + 4;
+        const OPS: u32 = 10_000;
+        let _serial = THREADS.lock().recover();
+        let reg = MetricsRegistry::new();
         let c = reg.counter("n");
-        let h = reg.histogram("v", &STAGE_SECONDS_BOUNDS);
+        let bounds = log_bounds(1.0, 2.0, 12);
+        let h = reg.histogram("v", &bounds);
+        let start = std::sync::Barrier::new(WRITERS);
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = Arc::clone(&c);
-                let h = Arc::clone(&h);
-                s.spawn(move || {
-                    for i in 0..1000 {
+            for _ in 0..WRITERS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..OPS {
                         c.inc();
-                        h.observe(f64::from(i % 100));
+                        h.observe(f64::from(i));
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 8000);
-        let s = h.snapshot();
-        assert_eq!(s.count, 8000);
-        assert!((s.sum - 8.0 * 1000.0 * 49.5).abs() < 1e-6);
+        let writers = WRITERS as u64;
+        assert_eq!(c.get(), writers * u64::from(OPS));
+        let mut want = vec![0u64; bounds.len() + 1];
+        for i in 0..OPS {
+            let v = f64::from(i);
+            want[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += writers;
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.buckets, want);
+        assert_eq!(snap.count, writers * u64::from(OPS));
+        // Integer-valued terms below 2^53: every partial sum is exact.
+        let per_writer = f64::from(OPS) * f64::from(OPS - 1) / 2.0;
+        assert_eq!(snap.sum, writers as f64 * per_writer);
+    }
+
+    #[test]
+    fn short_lived_threads_hand_their_slots_on() {
+        let _serial = THREADS.lock().recover();
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("n");
+        for i in 0..3 * WRITER_SLOTS as u64 {
+            // `join`, not a scope's end, waits for the thread's
+            // thread-locals, and so its slot, to be given back.
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.add(i + 1))
+                .join()
+                .expect("writer thread");
+        }
+        let n = 3 * WRITER_SLOTS as u64;
+        assert_eq!(c.get(), n * (n + 1) / 2);
+        assert_eq!(c.overflow(), 0, "a thread found every slot taken");
+    }
+
+    #[test]
+    fn one_writer_keeps_the_sequential_sum_bits() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("bits", &STAGE_SECONDS_BOUNDS);
+        let values: Vec<f64> = (1..=1000)
+            .map(|i| 1.0 / f64::from(i) + f64::from(i % 7) * 1.0e7 - 0.3)
+            .collect();
+        for &v in &values {
+            h.observe(v);
+        }
+        let fold = values.iter().fold(0.0, |acc, v| acc + v);
+        assert_eq!(h.snapshot().sum.to_bits(), fold.to_bits());
     }
 }

@@ -26,7 +26,7 @@
 use crate::span::{Recorder, Span, Timeline, Track};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Global monotone request-id source; ids order requests across every
@@ -225,6 +225,23 @@ pub struct ExemplarReservoir {
     /// Class → traces sorted ascending by total (fastest first, so the
     /// eviction candidate is index 0).
     classes: Mutex<BTreeMap<&'static str, Vec<RequestTrace>>>,
+    /// Each class's retention floor, readable without the lock; claimed
+    /// in order, under it, by the first [`FLOOR_CLASSES`] classes to fill.
+    floors: [Floor; FLOOR_CLASSES],
+}
+
+/// Classes whose floor an offer reads without the lock. Serve has 12
+/// terminal classes; a class past these always takes the lock.
+const FLOOR_CLASSES: usize = 16;
+
+#[derive(Debug, Default)]
+struct Floor {
+    class: OnceLock<&'static str>,
+    /// The least total a trace of `class` needs to be retained: one more
+    /// than the fastest retained total once the class holds `k` traces.
+    /// Written under the reservoir's lock, and it only ever rises, since a
+    /// full class only trades its fastest trace for a slower one.
+    ns: AtomicU64,
 }
 
 impl ExemplarReservoir {
@@ -233,20 +250,29 @@ impl ExemplarReservoir {
         ExemplarReservoir {
             k,
             classes: Mutex::new(BTreeMap::new()),
+            floors: Default::default(),
         }
     }
 
     /// Offer a trace that ended in terminal class `class`; it is retained
     /// only while it is among the `k` slowest of its class, as what
-    /// [`TraceContext::finish`] would make of it. That form is written
-    /// only when the trace is retained, over the trace it displaces and
-    /// into its `stages` buffer, so an offer that is not kept allocates
-    /// nothing and one that is kept rarely does.
+    /// [`TraceContext::finish`] would make of it. A trace under its full
+    /// class's floor returns without taking the lock. A kept trace is
+    /// written over the trace it displaces and into its `stages` buffer,
+    /// so an offer that is not kept allocates nothing and one that is kept
+    /// rarely does.
     pub fn offer(&self, ctx: &TraceContext, class: &'static str) {
         if self.k == 0 {
             return;
         }
         let total_ns = ctx.total_ns();
+        // A floor read here may be stale, never ahead of the lock's view:
+        // a trace under it is one the locked path would turn away too.
+        if let Some(floor) = self.floor(class) {
+            if total_ns < floor.load(Ordering::Relaxed) {
+                return;
+            }
+        }
         let mut classes = self.classes.lock().expect("reservoir lock");
         let bucket = classes
             .entry(class)
@@ -272,6 +298,27 @@ impl ExemplarReservoir {
         slot.stages.extend(ctx.stages());
         let at = bucket.partition_point(|t| t.total_ns < total_ns);
         bucket.insert(at, slot);
+        if bucket.len() == self.k {
+            let floor = bucket[0].total_ns.saturating_add(1);
+            // Under the lock, so the first class to fill claims the first
+            // free floor and no two classes claim one.
+            let mine = |f: &&Floor| *f.class.get_or_init(|| class) == class;
+            if let Some(f) = self.floors.iter().find(mine) {
+                f.ns.store(floor, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// `class`'s floor, once the class has filled.
+    fn floor(&self, class: &'static str) -> Option<&AtomicU64> {
+        for f in &self.floors {
+            match f.class.get() {
+                Some(&c) if c == class => return Some(&f.ns),
+                Some(_) => {}
+                None => return None,
+            }
+        }
+        None
     }
 
     /// Everything retained, slowest-first within each class.
@@ -515,6 +562,93 @@ mod tests {
             want.sort_by_key(|t| std::cmp::Reverse(t.total_ns));
             want.truncate(3);
             assert_eq!(snap[class], want, "{class}");
+        }
+    }
+
+    /// Seeded offers over four classes: each class offers every total in
+    /// `0..24` once, shuffled, so the totals of a class are distinct and
+    /// dense — a full class is often offered its floor itself.
+    fn offer_stream(seed: u64) -> Vec<(&'static str, TraceContext)> {
+        const CLASSES: [&str; 4] = ["hot_cache", "db_hit", "measured", "coalesced"];
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 1
+        };
+        let mut offers: Vec<(&'static str, u64)> = (CLASSES.iter())
+            .flat_map(|&c| (0..24).map(move |ns| (c, ns)))
+            .collect();
+        for i in (1..offers.len()).rev() {
+            offers.swap(i, next() as usize % (i + 1));
+        }
+        (offers.into_iter())
+            .map(|(class, ns)| (class, context(&[("s", ns)])))
+            .collect()
+    }
+
+    /// The `k` slowest `(request_id, total_ns)` of each class, slowest
+    /// first, picked by sorting every offer: no floor, no early-out.
+    fn k_slowest(
+        offers: &[(&'static str, TraceContext)],
+        k: usize,
+    ) -> BTreeMap<&'static str, Vec<(u64, u64)>> {
+        let mut all: BTreeMap<&'static str, Vec<(u64, u64)>> = BTreeMap::new();
+        for (class, ctx) in offers {
+            all.entry(class)
+                .or_default()
+                .push((ctx.request_id(), ctx.total_ns()));
+        }
+        for kept in all.values_mut() {
+            kept.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+            kept.truncate(k);
+        }
+        all
+    }
+
+    fn retained(res: &ExemplarReservoir) -> BTreeMap<&'static str, Vec<(u64, u64)>> {
+        (res.snapshot().into_iter())
+            .map(|(class, traces)| {
+                assert!(traces.iter().all(RequestTrace::tiles_exactly));
+                (
+                    class,
+                    traces.iter().map(|t| (t.request_id, t.total_ns)).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_floor_keeps_exactly_the_k_slowest_of_each_class() {
+        for seed in 0..64 {
+            let offers = offer_stream(seed);
+            let res = ExemplarReservoir::new(3);
+            for (class, ctx) in &offers {
+                res.offer(ctx, class);
+            }
+            assert_eq!(retained(&res), k_slowest(&offers, 3), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_floor_keeps_exactly_the_k_slowest_under_four_threads() {
+        const THREADS: usize = 4;
+        for seed in 0..16 {
+            let offers = offer_stream(seed);
+            let res = ExemplarReservoir::new(3);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (res, offers, start) = (&res, &offers, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for (class, ctx) in offers.iter().skip(t).step_by(THREADS) {
+                            res.offer(ctx, class);
+                        }
+                    });
+                }
+            });
+            assert_eq!(retained(&res), k_slowest(&offers, 3), "seed {seed}");
         }
     }
 

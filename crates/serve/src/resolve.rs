@@ -63,7 +63,8 @@ impl ResolveMemo {
     /// The hash of `model` rebatched to `batch`, if this very `Arc` was
     /// resolved at this batch before.
     pub(crate) fn get(&self, model: &Arc<Graph>, batch: u32) -> Option<u64> {
-        self.0.get(&Self::key(model, batch)).map(|m| m.hash)
+        // The hash alone: cloning the entry would touch its `Weak`'s count.
+        self.0.get_with(&Self::key(model, batch), |m| m.hash)
     }
 
     /// Remember `hash` as the effective-graph hash of `(model, batch)`.

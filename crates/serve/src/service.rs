@@ -4,9 +4,9 @@
 //!
 //! Request flow (fast to slow):
 //!
-//! 1. resolve the platform once (cached binding: canonical name + db id;
-//!    a name the registry knows but the farm has no devices for errs
-//!    here) and the key's graph hash — from the identity memo when this
+//! 1. resolve the platform in the table `start` built (canonical name +
+//!    db id; a name the registry knows but the farm has no devices for
+//!    errs here) and the key's graph hash — from the identity memo when this
 //!    very `Arc<Graph>` was seen at this batch before (see `resolve.rs`),
 //!    otherwise by rebatching and hashing, once;
 //! 2. sharded-LRU hot cache — O(1), no db lock;
@@ -92,7 +92,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -290,7 +290,36 @@ struct PlatformBinding {
     /// The same name, borrowed from the registry: what the `query` event
     /// records, without a copy, when the caller passed it.
     name: &'static str,
-    id: PlatformId,
+    /// The platform's db row, created on its first request, so rows, ids
+    /// and WAL bytes come in request order.
+    id: OnceLock<PlatformId>,
+}
+
+/// Every registry name and paper alias the farm serves → its binding (an
+/// alias shares its canonical name's). Names come from the program, never
+/// from a request, so a keyed hasher would guard against nothing.
+type PlatformTable = HashMap<&'static str, Arc<PlatformBinding>, BuildWordHasher>;
+
+fn platform_table(system: &Nnlqp) -> PlatformTable {
+    let mut table = PlatformTable::default();
+    for (name, spec) in PlatformSpec::names() {
+        let canonical = spec.name.as_str();
+        let binding = match table.get(canonical) {
+            Some(b) => Arc::clone(b),
+            // A registry platform the farm has no devices for could never
+            // be measured: it stays out, and a request for it errs at
+            // `resolve`, before it takes a flight or a queue slot.
+            None if system.farm().spec_of(canonical).is_none() => continue,
+            None => Arc::new(PlatformBinding {
+                platform: Platform::from(spec.clone()),
+                canonical: Arc::from(canonical),
+                name: canonical,
+                id: OnceLock::new(),
+            }),
+        };
+        table.insert(name, binding);
+    }
+    table
 }
 
 struct Job {
@@ -449,10 +478,8 @@ pub struct LatencyService {
     metrics: Arc<ServeMetrics>,
     clock: Arc<TraceClock>,
     exemplars: Arc<ExemplarReservoir>,
-    /// Caller's platform string → its binding. Only names the registry
-    /// resolves are inserted, so the map holds a few dozen fixed strings
-    /// and a keyed hasher would guard against nothing.
-    platforms: RwLock<HashMap<String, Arc<PlatformBinding>, BuildWordHasher>>,
+    /// Built once at start and only read after: `resolve` takes no lock.
+    platforms: PlatformTable,
     queue: Arc<Queue<Job>>,
     retrain: Arc<RetrainShared>,
     shadow: Option<Arc<Shadow>>,
@@ -482,6 +509,7 @@ impl LatencyService {
             (cfg.event_log_capacity > 0).then(|| Arc::new(EventLog::new(cfg.event_log_capacity)));
         let clock = Arc::new(TraceClock::new());
         let exemplars = Arc::new(ExemplarReservoir::new(EXEMPLARS_PER_CLASS));
+        let platforms = platform_table(&system);
         let queue = Arc::new(Queue::new(cfg.queue_depth.max(1)));
         let ctx = Arc::new(WorkerCtx {
             system: Arc::clone(&system),
@@ -549,7 +577,7 @@ impl LatencyService {
             metrics,
             clock,
             exemplars,
-            platforms: RwLock::new(HashMap::default()),
+            platforms,
             queue,
             retrain,
             shadow,
@@ -608,8 +636,8 @@ impl LatencyService {
     ) -> (Result<Served, ServeError>, &'static str) {
         self.metrics.requests();
         let (res, name) = match self.resolve(platform) {
-            Ok(binding) => (
-                self.query_impl(model, &binding, batch, ctx),
+            Ok((binding, id)) => (
+                self.query_impl(model, binding, id, batch, ctx),
                 Some(binding.name),
             ),
             Err(e) => {
@@ -668,6 +696,7 @@ impl LatencyService {
         &self,
         model: &Arc<Graph>,
         binding: &PlatformBinding,
+        platform_id: PlatformId,
         batch: u32,
         ctx: &mut TraceContext,
     ) -> Result<Served, ServeError> {
@@ -717,7 +746,7 @@ impl LatencyService {
         let db_rec = self
             .system
             .db
-            .lookup_latency(key.graph_hash, binding.id, batch);
+            .lookup_latency(key.graph_hash, platform_id, batch);
         ctx.stage("db_lookup", &self.clock);
         if let Some(rec) = db_rec {
             self.cache.insert(key, rec.cost_ms);
@@ -885,34 +914,18 @@ impl LatencyService {
         })
     }
 
-    fn resolve(&self, platform: &str) -> Result<Arc<PlatformBinding>, ServeError> {
-        if let Some(b) = self.platforms.read().recover().get(platform) {
-            return Ok(Arc::clone(b));
-        }
-        let unknown = || ServeError::UnknownPlatform(platform.to_string());
-        let handle = Platform::by_name(platform).ok_or_else(unknown)?;
-        let name = PlatformSpec::canonical_name(platform).ok_or_else(unknown)?;
-        // A registry platform the farm has no devices for could never be
-        // measured: refuse it here, before it takes a flight or a queue
-        // slot.
-        self.system.farm().spec_of(name).ok_or_else(unknown)?;
-        let spec = handle.spec();
-        let id = self.system.db.get_or_create_platform(
-            &spec.hardware,
-            &spec.software,
-            spec.dtype.name(),
-        );
-        let binding = Arc::new(PlatformBinding {
-            canonical: Arc::from(name),
-            name,
-            platform: handle,
-            id,
+    /// The binding of `platform` and its db row, which the platform's
+    /// first request creates.
+    fn resolve(&self, platform: &str) -> Result<(&PlatformBinding, PlatformId), ServeError> {
+        let Some(binding) = self.platforms.get(platform) else {
+            return Err(ServeError::UnknownPlatform(platform.to_string()));
+        };
+        let id = *binding.id.get_or_init(|| {
+            let spec = binding.platform.spec();
+            let db = &self.system.db;
+            db.get_or_create_platform(&spec.hardware, &spec.software, spec.dtype.name())
         });
-        self.platforms
-            .write()
-            .recover()
-            .insert(platform.to_string(), Arc::clone(&binding));
-        Ok(binding)
+        Ok((binding, id))
     }
 
     /// Jobs waiting for a worker.

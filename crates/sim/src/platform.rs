@@ -272,13 +272,19 @@ impl PlatformSpec {
 
     /// The registry row a canonical name or paper alias names.
     fn find(name: &str) -> Option<&'static PlatformSpec> {
-        // Accept the paper's occasional aliases.
-        let canonical = match name {
-            "cpu-ppl2-fp32" => "cpu-openppl-fp32",
-            "mul270-neuware-int8" => "mlu270-neuware-int8",
-            other => other,
-        };
+        let canonical = (PAPER_ALIASES.iter())
+            .find(|&&(alias, _)| alias == name)
+            .map_or(name, |&(_, canonical)| canonical);
         Self::table().iter().find(|p| p.name == canonical)
+    }
+
+    /// Every name [`PlatformSpec::by_name`] accepts, with the registry row
+    /// it resolves to: each registry name, then each of [`PAPER_ALIASES`].
+    pub fn names() -> impl Iterator<Item = (&'static str, &'static PlatformSpec)> {
+        let rows = Self::table().iter().map(|p| (p.name.as_str(), p));
+        let aliases = (PAPER_ALIASES.iter())
+            .filter_map(|&(alias, canonical)| Some((alias, Self::find(canonical)?)));
+        rows.chain(aliases)
     }
 
     /// Look up a platform by its canonical name or paper alias.
@@ -311,6 +317,12 @@ impl PlatformSpec {
         .collect()
     }
 }
+
+/// The paper's occasional aliases, `(alias, canonical registry name)`.
+pub const PAPER_ALIASES: [(&str, &str); 2] = [
+    ("cpu-ppl2-fp32", "cpu-openppl-fp32"),
+    ("mul270-neuware-int8", "mlu270-neuware-int8"),
+];
 
 /// A validated platform handle: proof that a requested name resolved to a
 /// spec some farm (or the registry) actually serves. APIs that previously
@@ -485,6 +497,12 @@ mod tests {
         }
         assert_eq!(PlatformSpec::by_name("tpu-v4-bf16"), None);
         assert_eq!(PlatformSpec::canonical_name("tpu-v4-bf16"), None);
+        // `names` lists exactly what the lookups accept.
+        let names: Vec<_> = PlatformSpec::names().collect();
+        assert_eq!(names.len(), reg.len() + PAPER_ALIASES.len());
+        for (name, row) in names {
+            assert_eq!(PlatformSpec::by_name(name).as_ref(), Some(row));
+        }
     }
 
     #[test]

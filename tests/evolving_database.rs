@@ -2,10 +2,101 @@
 //! retraining the predictor on the grown database improves accuracy on
 //! unseen models (the feedback loop of Fig. 1's thin black arrows).
 
-use nnlqp::{Nnlqp, Platform, QueryParams, TrainPredictorConfig};
+use nnlqp::{metric_names, Nnlqp, Platform, QueryParams, TrainPredictorConfig};
+use nnlqp_ir::{Graph, GraphBuilder, NodeId, NodeIds, Shape};
 use nnlqp_models::ModelFamily;
 use nnlqp_predict::mape;
+use nnlqp_serve::{LatencyService, ServeConfig};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
+use std::sync::Arc;
+
+const T4: &str = "gpu-T4-trt7.1-fp32";
+
+fn quick_system() -> Nnlqp {
+    Nnlqp::builder()
+        .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
+        .reps(3)
+        .build()
+}
+
+fn quick_train() -> TrainPredictorConfig {
+    TrainPredictorConfig {
+        epochs: 2,
+        hidden: 16,
+        gnn_layers: 2,
+        ..Default::default()
+    }
+}
+
+/// conv(8) → relu on 1×3×16×16, edited by `edit` after the builder
+/// checked it.
+fn conv_relu(name: &str, edit: impl FnOnce(&mut Vec<nnlqp_ir::Node>)) -> Graph {
+    let mut b = GraphBuilder::new(name, Shape::nchw(1, 3, 16, 16));
+    let conv = b.conv(None, 8, 3, 1, 1, 1).unwrap();
+    b.relu(conv).unwrap();
+    let mut g = b.finish().unwrap();
+    edit(g.nodes.make_mut());
+    g
+}
+
+/// The default mode measures and stores a graph whose relu claims a
+/// 1×9×16×16 output (inference says 1×8×16×16); its row then does not
+/// decode. A retrain leaves that row out, counts it, and trains on the
+/// rest instead of panicking.
+#[test]
+fn a_retrain_skips_a_stored_row_that_does_not_decode() {
+    let system = quick_system();
+    let t4 = Platform::by_name(T4).unwrap();
+    let misshapen = conv_relu("misshapen", |nodes| {
+        nodes[1].out_shape = Shape::nchw(1, 9, 16, 16);
+    });
+    system
+        .query(&QueryParams::new(misshapen, 1, t4.clone()))
+        .unwrap();
+    let good: Vec<Graph> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 4, 5)
+        .into_iter()
+        .map(|m| m.graph)
+        .collect();
+    for g in &good {
+        system
+            .query(&QueryParams::new(g.clone(), 1, t4.clone()))
+            .unwrap();
+    }
+    assert_eq!(system.db.stats().models, good.len() + 1);
+    let samples = system.train_predictor(&[T4], quick_train()).unwrap();
+    assert_eq!(samples, good.len(), "trained over the good rows only");
+    let skipped = system.registry().snapshot();
+    assert_eq!(skipped.counter(metric_names::RETRAIN_ROWS_SKIPPED), 1);
+}
+
+/// A two-node cycle is measured and stored in the default mode. The
+/// service's background retrain must outlive its row: after it and 12
+/// fresh keys on a two-measurement cadence, the loop has retrained.
+#[test]
+fn a_stored_cycle_does_not_stop_the_retrain_loop() {
+    let cycle = conv_relu("cycle", |nodes| {
+        nodes[0].inputs = NodeIds::from(&[NodeId(1)][..]);
+        nodes[1].inputs = NodeIds::from(&[NodeId(0)][..]);
+    });
+    let svc = LatencyService::start(
+        Arc::new(quick_system()),
+        ServeConfig {
+            workers: 1,
+            retrain_after: 2,
+            retrain_platforms: vec![T4.to_string()],
+            train: quick_train(),
+            ..Default::default()
+        },
+    );
+    svc.query(&Arc::new(cycle), T4, 1).unwrap();
+    for m in nnlqp_models::generate_family(ModelFamily::SqueezeNet, 12, 7) {
+        svc.query(&Arc::new(m.graph), T4, 1).unwrap();
+    }
+    // Shutdown joins the retrain loop, which runs a due retrain first.
+    svc.shutdown().unwrap();
+    let m = svc.metrics();
+    assert!(m.retrains >= 1, "the retrain loop died: {m:?}");
+}
 
 #[test]
 fn predictor_improves_as_database_grows() {
