@@ -18,9 +18,9 @@
 //! cleaned up on the next open), and the manifest itself is either the
 //! old or the new one, never a mix.
 
-use crate::codec::Reader;
 use crate::database::Database;
 use crate::wal;
+use nnlqp_ir::codec::Reader;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,23 +102,20 @@ impl Manifest {
         r.header(MAGIC, VERSION)?;
         let want = r.u64()?;
         if wal::checksum(&raw[HEADER..]) != want {
-            return Err(r.bad("checksum mismatch"));
+            return Err(r.bad("checksum mismatch").into());
         }
-        let n_shards = r.u32()? as usize;
+        // The checksum is no signature: the count is refused before
+        // anything reserves for it.
+        let n_shards = r.count(MIN_SHARD_BYTES)?;
         let db_seq = r.u64()?;
         let next_wal_seq = r.u64()?;
-        // The checksum is no signature: refuse a count the payload cannot
-        // hold before reserving for it.
-        if n_shards > r.remaining() / MIN_SHARD_BYTES {
-            return Err(r.bad("more shards announced than the payload holds"));
-        }
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let wal_gen = r.u64()?;
             let seg_gen = match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
-                _ => return Err(r.bad("bad segment flag")),
+                _ => return Err(r.bad("bad segment flag").into()),
             };
             shards.push(ShardMeta { wal_gen, seg_gen });
         }
@@ -260,9 +257,8 @@ impl Drop for CompactorHandle {
 mod tests {
     use super::*;
 
-    #[test]
-    fn manifest_roundtrip() {
-        let m = Manifest {
+    fn three_shards() -> Manifest {
+        Manifest {
             n_shards: 3,
             db_seq: 42,
             next_wal_seq: 17,
@@ -280,21 +276,31 @@ mod tests {
                     seg_gen: Some(4),
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_roundtrip() {
+        let m = three_shards();
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
     }
 
     #[test]
     fn manifest_rejects_corruption() {
-        let m = Manifest::fresh(4);
-        let good = m.encode();
-        for cut in [0usize, 5, 12, good.len() - 1] {
-            assert!(Manifest::decode(&good[..cut]).is_err(), "cut {cut}");
+        for good in [Manifest::fresh(4).encode(), three_shards().encode()] {
+            for cut in 0..good.len() {
+                assert!(Manifest::decode(&good[..cut]).is_err(), "cut {cut}");
+            }
+            let mut flipped = good.clone();
+            for at in 0..good.len() {
+                for mask in (0..8).map(|b| 1u8 << b).chain([0xFF]) {
+                    flipped[at] ^= mask;
+                    let err = Manifest::decode(&flipped).unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}");
+                    flipped[at] ^= mask;
+                }
+            }
         }
-        let mut flipped = good;
-        let last = flipped.len() - 1;
-        flipped[last] ^= 1;
-        assert!(Manifest::decode(&flipped).is_err());
     }
 
     #[test]
@@ -308,6 +314,7 @@ mod tests {
         assert_eq!(raw.len(), 33);
         let err = Manifest::decode(&raw).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("announced"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::records::*;
 use crate::recover::{self, corrupt};
 use crate::wal::WalOp;
 use nnlqp_hash::{graph_hash, BuildWordHasher};
-use nnlqp_ir::{serialize, Graph, IrResult};
+use nnlqp_ir::{serialize, Graph};
 use nnlqp_obs::Recover;
 use std::collections::HashMap;
 use std::fmt;
@@ -75,6 +75,19 @@ pub(crate) struct Inner {
 pub struct Database {
     pub(crate) inner: RwLock<Inner>,
     engine: Option<StorageEngine>,
+}
+
+/// Two stores are equal when their tables and sequence are: the indexes
+/// are derived from the rows, and where the rows live is not compared.
+impl PartialEq for Database {
+    fn eq(&self, other: &Self) -> bool {
+        // A store equals itself without taking its lock twice.
+        std::ptr::eq(self, other) || {
+            let (a, b) = (self.inner.read().recover(), other.inner.read().recover());
+            (&a.models, &a.platforms, &a.latencies, a.seq)
+                == (&b.models, &b.platforms, &b.latencies, b.seq)
+        }
+    }
 }
 
 impl Database {
@@ -155,29 +168,18 @@ impl Database {
     /// # Panics
     ///
     /// When `g` does not fit the stored record ([`serialize::check_fits`]).
-    /// A caller holding a graph it has not checked uses
-    /// [`Database::insert_model_hashed`], which returns that error.
+    /// A caller holding a graph it has not checked encodes it itself and
+    /// stores the bytes with [`Database::insert_model_encoded`], as the
+    /// query miss path does.
     pub fn insert_model(&self, g: &Graph) -> (ModelId, bool) {
-        self.insert_model_hashed(g, graph_hash(g))
-            .unwrap_or_else(|e| panic!("insert_model: {e}"))
-    }
-
-    /// [`Database::insert_model`] for a caller that already holds
-    /// `hash = graph_hash(g)` (the query miss path hashed the graph at
-    /// its front door): same row, same dedup, one Merkle pass fewer.
-    /// Checked in debug builds only — a wrong hash files the model under
-    /// a key no lookup of that graph will ever probe. A graph with a
-    /// field too wide for the record is refused with the
-    /// [`serialize::check_fits`] error and writes nothing.
-    pub fn insert_model_hashed(&self, g: &Graph, hash: u64) -> IrResult<(ModelId, bool)> {
-        debug_assert_eq!(hash, graph_hash(g), "hash must be graph_hash(g)");
+        let hash = graph_hash(g);
         if let Some(id) = self.model_id(hash) {
-            return Ok((id, false));
+            return (id, false);
         }
         // The graph walk runs with no lock held; a racing insert of the
         // same hash is caught by the second probe, under the write lock.
-        let graph_bytes = serialize::encode(g)?;
-        Ok(self.insert_model_encoded(g.name.clone(), hash, graph_bytes))
+        let graph_bytes = serialize::encode(g).unwrap_or_else(|e| panic!("insert_model: {e}"));
+        self.insert_model_encoded(g.name.clone(), hash, graph_bytes)
     }
 
     /// The id of the model stored under graph hash `hash`, if any: the

@@ -244,10 +244,12 @@ impl StorageEngine {
 
     /// Append one op to its shard's WAL. Called with the database write
     /// lock held (appends are serialized by construction). Panics if the
-    /// bytes cannot reach the disk — see the module docs.
+    /// bytes cannot reach the disk — see the module docs — or a field of
+    /// `op` is longer than its length prefix holds.
     pub(crate) fn append(&self, shard: usize, op: &WalOp) {
         let wal_seq = self.next_wal_seq.fetch_add(1, Ordering::Relaxed);
-        let encoded = wal::encode_op(wal_seq, op);
+        let encoded = wal::encode_op(wal_seq, op)
+            .unwrap_or_else(|e| panic!("nnlqp-db: cannot frame a record for shard {shard}: {e}"));
         let crash_after = self
             .crash_at
             .map(|limit| limit.saturating_sub(self.appended_bytes.load(Ordering::Relaxed)));

@@ -19,18 +19,18 @@
 //! ## Durability
 //!
 //! A store reaches disk one way, the sharded log-structured storage
-//! engine ([`persist`] is only the byte/JSON codec tests compare stores
-//! with): records hash-partition into N shards by graph hash, every
-//! mutation is appended to the owning shard's checksummed write-ahead log
-//! before it becomes visible ([`wal`]), and a compactor folds the logs
-//! into immutable indexed snapshot segments under an atomically-swapped
-//! manifest ([`shard`], [`compact`]).
-//! Recovery replays segments then the WAL tails, truncating at the first
+//! engine ([`persist`] only exports it as JSON): records hash-partition
+//! into N shards by graph hash, every mutation is appended to the owning
+//! shard's checksummed write-ahead log before it becomes visible
+//! ([`wal`]), and a compactor folds the logs into immutable indexed
+//! snapshot segments under an atomically-swapped manifest ([`shard`],
+//! [`compact`]). Recovery replays segments then the WAL tails, truncating at the first
 //! torn frame and discarding past the first global-sequence gap, so a
 //! crash always yields exactly the committed prefix ([`recover`]). Open a
-//! durable store with [`Database::open_durable`].
+//! durable store with [`Database::open_durable`]. Every stored byte is
+//! written and read through `nnlqp_ir::codec`, the one checked codec that
+//! graph blobs use too.
 
-mod codec;
 pub mod compact;
 pub mod database;
 pub mod engine;

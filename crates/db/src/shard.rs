@@ -9,9 +9,9 @@
 //! index so a point lookup decodes exactly one frame instead of scanning
 //! the log.
 
-use crate::codec::Reader;
 use crate::records::ModelRecord;
 use crate::wal::{self, Frame, WalOp};
+use nnlqp_ir::codec::Reader;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -139,18 +139,14 @@ impl SnapshotSegment {
         let n_frames = r.u32()?;
         r.take(frames_len)?;
         // The index, then its checksum in the last eight bytes.
-        let index_len = r
-            .remaining()
-            .checked_sub(8)
-            .ok_or_else(|| r.bad("truncated index"))?;
-        let index_raw = r.take(index_len)?;
+        let index_raw = r.take(r.remaining().saturating_sub(8))?;
         if wal::checksum(index_raw) != r.u64()? {
-            return Err(r.bad("index checksum mismatch"));
+            return Err(r.bad("index checksum mismatch").into());
         }
         let mut ix = Reader::new(index_raw, "segment index");
         let n_index = ix.u32()? as usize;
         if ix.remaining() != n_index * 16 {
-            return Err(ix.bad("size mismatch"));
+            return Err(ix.bad("size mismatch").into());
         }
         let mut index = HashMap::with_capacity(n_index);
         for _ in 0..n_index {
@@ -307,19 +303,22 @@ mod tests {
     fn corrupt_segment_rejected() {
         let frames: Vec<Frame> = (0..4).map(model_frame).collect();
         let good = encode_segment(&frames);
-        // Truncations and bit flips anywhere must be detected at load or
-        // at frame access — segments are atomic, no torn-tail tolerance.
-        assert!(SnapshotSegment::from_bytes(good[..good.len() - 3].to_vec()).is_err());
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        match SnapshotSegment::from_bytes(flipped) {
-            Err(_) => {}
-            Ok(seg) => assert!(seg.verify().is_err()),
+        // Every truncation and every single-byte flip is detected at load
+        // or at frame access: segments are atomic, no torn-tail tolerance.
+        let refused =
+            |raw: &[u8]| SnapshotSegment::from_bytes(raw.to_vec()).and_then(|s| s.verify());
+        refused(&good).unwrap();
+        for cut in 0..good.len() {
+            assert!(refused(&good[..cut]).is_err(), "cut {cut}");
         }
-        let mut bad_magic = good;
-        bad_magic[0] = b'Z';
-        assert!(SnapshotSegment::from_bytes(bad_magic).is_err());
+        let mut flipped = good.clone();
+        for at in 0..good.len() {
+            for mask in (0..8).map(|b| 1u8 << b).chain([0xFF]) {
+                flipped[at] ^= mask;
+                assert!(refused(&flipped).is_err(), "byte {at} ^ {mask:#04x}");
+                flipped[at] ^= mask;
+            }
+        }
     }
 
     #[test]

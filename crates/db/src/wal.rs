@@ -15,9 +15,10 @@
 //! frames until the first torn or corrupt one and reports how many bytes
 //! it refused, instead of failing the whole store.
 
-use crate::codec::{put_bytes, Reader};
 use crate::records::{LatencyId, LatencyRecord, ModelId, ModelRecord, PlatformId, PlatformRecord};
 use nnlqp_hash::StreamHasher;
+use nnlqp_ir::codec::{narrow, put_bytes, Reader};
+use nnlqp_ir::IrResult;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -75,15 +76,18 @@ fn payload_len(op: &WalOp) -> usize {
         }
 }
 
-/// Encode one frame (length prefix + checksum + payload).
+/// Encode one frame (length prefix + checksum + payload). Panics when a
+/// string or blob is longer than its `u32` length prefix holds, which no
+/// record a store keeps is: the store frames each record before keeping it.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_op(frame.wal_seq, &frame.op)
+    encode_op(frame.wal_seq, &frame.op).unwrap_or_else(|e| panic!("encode_frame: {e}"))
 }
 
 /// [`encode_frame`] over a borrowed op: the write path logs a record from
 /// where it lives instead of cloning it into a [`Frame`] first. The
-/// payload is written after a zeroed header, which is filled in last.
-pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Vec<u8> {
+/// payload is written after a zeroed header, which is filled in last. A
+/// field longer than its length prefix is the codec's `DoesNotFit`.
+pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> IrResult<Vec<u8>> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload_len(op));
     out.resize(FRAME_HEADER, 0);
     out.extend_from_slice(&wal_seq.to_le_bytes());
@@ -92,16 +96,16 @@ pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Vec<u8> {
             out.push(TAG_MODEL);
             out.extend_from_slice(&m.id.0.to_le_bytes());
             out.extend_from_slice(&m.graph_hash.to_le_bytes());
-            put_bytes(&mut out, m.name.as_bytes());
-            put_bytes(&mut out, &m.graph_bytes);
+            put_bytes(&mut out, "model name", m.name.as_bytes())?;
+            put_bytes(&mut out, "graph bytes", &m.graph_bytes)?;
             out.extend_from_slice(&m.created_seq.to_le_bytes());
         }
         WalOp::Platform(p) => {
             out.push(TAG_PLATFORM);
             out.extend_from_slice(&p.id.0.to_le_bytes());
-            put_bytes(&mut out, p.hardware.as_bytes());
-            put_bytes(&mut out, p.software.as_bytes());
-            put_bytes(&mut out, p.data_type.as_bytes());
+            put_bytes(&mut out, "hardware", p.hardware.as_bytes())?;
+            put_bytes(&mut out, "software", p.software.as_bytes())?;
+            put_bytes(&mut out, "data type", p.data_type.as_bytes())?;
         }
         WalOp::Latency(l) => {
             out.push(TAG_LATENCY);
@@ -118,9 +122,10 @@ pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> Vec<u8> {
     }
     debug_assert_eq!(out.len(), FRAME_HEADER + payload_len(op));
     let (header, payload) = out.split_at_mut(FRAME_HEADER);
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let len: u32 = narrow(None, "frame payload", payload.len() as u64)?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// The frame starting at `at`: its payload and the checksum its header
@@ -161,7 +166,7 @@ pub fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
             device_mem: r.u64()?,
             created_seq: r.u64()?,
         }),
-        _ => return Err(r.bad("unknown op tag")),
+        _ => return Err(r.bad("unknown op tag").into()),
     };
     r.finish()?;
     Ok(Frame { wal_seq, op })

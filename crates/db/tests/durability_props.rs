@@ -147,7 +147,8 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every op kind round-trips through the frame codec bit-exactly.
+    /// Every op kind round-trips through the frame codec bit-exactly, and
+    /// a damaged frame never replays.
     #[test]
     fn frames_roundtrip_for_arbitrary_ops(seed in any::<u64>(), wal_seq in any::<u64>()) {
         let mut rng = Rng64::new(seed);
@@ -187,6 +188,21 @@ proptest! {
             prop_assert_eq!(scan.truncated_bytes, 0);
             prop_assert_eq!(scan.frames.len(), 1);
             prop_assert_eq!(&scan.frames[0], &frame);
+            // Every truncation and every single-byte flip stops the scan
+            // before the frame: replay never yields a frame it was not given.
+            for cut in 0..encoded.len() {
+                let scan = nnlqp_db::wal::scan_frames(&encoded[..cut]);
+                prop_assert!(scan.frames.is_empty(), "cut {cut}");
+                prop_assert_eq!(scan.truncated_bytes, cut as u64);
+            }
+            let mut flipped = encoded.clone();
+            for at in 0..encoded.len() {
+                let mask = 1 + (rng.next_u64() % 255) as u8;
+                flipped[at] ^= mask;
+                let scan = nnlqp_db::wal::scan_frames(&flipped);
+                prop_assert!(scan.frames.is_empty(), "byte {at} ^ {mask:#04x}");
+                flipped[at] ^= mask;
+            }
         }
     }
 }

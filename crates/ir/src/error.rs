@@ -23,9 +23,9 @@ pub enum IrError {
     Empty,
     /// Binary decoding failed.
     Decode(String),
-    /// A value too wide for its field in the store's binary record
-    /// ([`crate::serialize::check_fits`]); `node` is `None` for the
-    /// graph's own fields.
+    /// A value too wide for its field in a stored record
+    /// ([`crate::codec::narrow`]); `node` is `None` for fields that are
+    /// not a node's.
     DoesNotFit {
         node: Option<u32>,
         field: &'static str,
@@ -75,6 +75,18 @@ impl fmt::Display for IrError {
 }
 
 impl std::error::Error for IrError {}
+
+/// A store reader's error as I/O: `InvalidData`, worded as the codec
+/// worded it, so the store's decoders keep `?`.
+impl From<IrError> for std::io::Error {
+    fn from(e: IrError) -> Self {
+        let msg = match e {
+            IrError::Decode(d) => d,
+            e => e.to_string(),
+        };
+        std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+    }
+}
 
 /// Convenience alias used across the crate.
 pub type IrResult<T> = Result<T, IrError>;

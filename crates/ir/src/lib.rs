@@ -19,6 +19,8 @@
 //!   accounting ([`cost`]),
 //! * compact binary serialization ([`serialize`]) used by the evolving
 //!   database, and the JSON model files that stand in for ONNX,
+//! * the one checked little-endian codec ([`codec`]) that graph blobs and
+//!   every record of the durable store are written and read through,
 //! * the JSON codec ([`json`](mod@json) and the [`json!`] macro) behind
 //!   those model files, the predictor checkpoints and the reports, and
 //! * a small deterministic RNG ([`rng`]) shared by the generators and the
@@ -26,6 +28,7 @@
 
 pub mod attrs;
 pub mod builder;
+pub mod codec;
 pub mod cost;
 pub mod dot;
 pub mod error;

@@ -6,6 +6,7 @@
 //! helpers for human-readable export.
 
 use crate::attrs::Attrs;
+use crate::codec::{narrow, Reader};
 use crate::error::{IrError, IrResult};
 use crate::graph::Graph;
 use crate::node::{Node, NodeId, NodeIds};
@@ -30,16 +31,6 @@ const STAGE_BYTES: usize = NODE_FIXED_BYTES + 4 * STAGED_INPUTS + MAX_SHAPE_BYTE
 
 fn shape_bytes(s: &Shape) -> usize {
     1 + 4 * s.rank()
-}
-
-/// `value` at its field's width on the wire, or the error that refuses it.
-fn narrow<T: TryFrom<u64>>(node: Option<u32>, field: &'static str, value: u64) -> IrResult<T> {
-    T::try_from(value).map_err(|_| IrError::DoesNotFit {
-        node,
-        field,
-        value,
-        width: std::any::type_name::<T>(),
-    })
 }
 
 /// Write a shape at the start of `dst`; returns the bytes written.
@@ -136,93 +127,46 @@ pub fn encode(g: &Graph) -> IrResult<Vec<u8>> {
     Ok(buf)
 }
 
-/// A cursor over an encoded graph: one bounds check per record, every
-/// failure an [`IrError::Decode`].
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> IrResult<&'a [u8]> {
-        if self.0.len() < n {
-            return Err(IrError::Decode(format!("truncated {what}")));
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
+/// A shape as [`stage_shape`] wrote it.
+fn read_shape(r: &mut Reader) -> IrResult<Shape> {
+    let rank = usize::from(r.u8()?);
+    // Refuse the rank before believing it: a rank-200 shape must not
+    // read as 800 bytes of dims.
+    Shape::check_rank(rank)?;
+    let mut dims = [0usize; MAX_RANK];
+    for d in &mut dims[..rank] {
+        *d = r.u32()? as usize;
     }
-
-    fn shape(&mut self) -> IrResult<Shape> {
-        let rank = self.take(1, "shape rank")?[0] as usize;
-        // Refuse the rank before believing it: a rank-200 shape must not
-        // read as 800 bytes of dims.
-        Shape::check_rank(rank)?;
-        let mut dims = [0usize; MAX_RANK];
-        for (d, raw) in dims
-            .iter_mut()
-            .zip(self.take(4 * rank, "shape dims")?.chunks_exact(4))
-        {
-            *d = le_u32(raw) as usize;
-        }
-        Shape::from_dims(&dims[..rank])
-    }
-}
-
-fn le_u16(raw: &[u8]) -> u32 {
-    u16::from_le_bytes([raw[0], raw[1]]) as u32
-}
-
-fn le_u32(raw: &[u8]) -> u32 {
-    u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]])
+    Shape::from_dims(&dims[..rank])
 }
 
 /// Decode and validate a graph previously produced by [`encode`].
 pub fn decode(buf: &[u8]) -> IrResult<Graph> {
-    let mut r = Reader(buf);
-    let header = r.take(MAGIC.len() + 1, "header")?;
-    if &header[..MAGIC.len()] != MAGIC {
-        return Err(IrError::Decode("bad magic".into()));
-    }
-    let version = header[MAGIC.len()];
-    if version != VERSION {
-        return Err(IrError::Decode(format!("unsupported version {version}")));
-    }
-    let name_len = le_u16(r.take(2, "name len")?) as usize;
-    let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
-        .map_err(|_| IrError::Decode("name not utf-8".into()))?;
-    let input_shape = r.shape()?;
-    let count = le_u32(r.take(4, "node count")?) as usize;
-    // The count is as untrusted as the rest: reserve for it only once the
-    // remaining bytes could hold that many nodes.
-    if count > r.0.len() / MIN_NODE_BYTES {
-        return Err(IrError::Decode(format!(
-            "truncated nodes: {count} announced, {} bytes left",
-            r.0.len()
-        )));
-    }
+    let mut r = Reader::new(buf, "graph");
+    r.header(MAGIC, VERSION)?;
+    let name_len = r.u16()?.into();
+    let name = r.take(name_len).and_then(|raw| r.utf8(raw))?;
+    let input_shape = read_shape(&mut r)?;
+    let count = r.count(MIN_NODE_BYTES)?;
     let mut nodes = Vec::with_capacity(count);
     for _ in 0..count {
-        let body: &[u8; NODE_FIXED_BYTES] = r
-            .take(NODE_FIXED_BYTES, "node body")?
-            .try_into()
-            .expect("took exactly the fixed node bytes");
-        let op =
-            OpType::from_code(body[0]).ok_or_else(|| IrError::Decode("unknown op code".into()))?;
+        let op = OpType::from_code(r.u8()?).ok_or_else(|| r.bad("unknown op code"))?;
         let attrs = Attrs {
-            kernel: [le_u16(&body[1..3]), le_u16(&body[3..5])],
-            stride: [body[5] as u32, body[6] as u32],
-            pad: [body[7] as u32, body[8] as u32],
-            dilation: [body[9] as u32, body[10] as u32],
-            groups: le_u16(&body[11..13]),
-            out_channels: le_u16(&body[13..15]),
-            axis: body[15] as u32,
-            clip_min: f32::from_le_bytes([body[16], body[17], body[18], body[19]]),
-            clip_max: f32::from_le_bytes([body[20], body[21], body[22], body[23]]),
+            kernel: [r.u16()?.into(), r.u16()?.into()],
+            stride: [r.u8()?.into(), r.u8()?.into()],
+            pad: [r.u8()?.into(), r.u8()?.into()],
+            dilation: [r.u8()?.into(), r.u8()?.into()],
+            groups: r.u16()?.into(),
+            out_channels: r.u16()?.into(),
+            axis: r.u8()?.into(),
+            clip_min: r.f32()?,
+            clip_max: r.f32()?,
         };
-        let n_in = body[ATTR_BYTES] as usize;
         let mut inputs = NodeIds::new();
-        for raw in r.take(4 * n_in, "node inputs")?.chunks_exact(4) {
-            inputs.push(NodeId(le_u32(raw)));
+        for _ in 0..r.u8()? {
+            inputs.push(NodeId(r.u32()?));
         }
-        let out_shape = r.shape()?;
+        let out_shape = read_shape(&mut r)?;
         nodes.push(Node {
             op,
             attrs,
@@ -230,6 +174,7 @@ pub fn decode(buf: &[u8]) -> IrResult<Graph> {
             out_shape,
         });
     }
+    r.finish()?;
     let g = Graph {
         name,
         input_shape,
@@ -516,7 +461,7 @@ mod tests {
         let g = sample();
         let mut raw = encode(&g).unwrap();
         let at = count_offset(&g);
-        assert_eq!(le_u32(&raw[at..]) as usize, g.len());
+        assert_eq!(raw[at..at + 4], (g.len() as u32).to_le_bytes());
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode(&raw), Err(IrError::Decode(_))));
     }

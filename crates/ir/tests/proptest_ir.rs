@@ -3,7 +3,7 @@
 mod common;
 
 use common::random_graph;
-use nnlqp_ir::{cost, serialize, validate, DType};
+use nnlqp_ir::{cost, serialize, validate, DType, IrError};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,10 +16,31 @@ proptest! {
     }
 
     #[test]
-    fn binary_roundtrip(seed in any::<u64>()) {
+    fn binary_roundtrip(seed in any::<u64>(), name_bytes in 65_400usize..65_700) {
         let g = random_graph(seed);
-        let g2 = serialize::decode(&serialize::encode(&g).unwrap()).unwrap();
-        prop_assert_eq!(g, g2);
+        let bytes = serialize::encode(&g).unwrap();
+        prop_assert_eq!(&serialize::decode(&bytes).unwrap(), &g);
+        // A name about as long as the record's `u16` length holds, in
+        // two-byte characters: whenever `encode` takes it, it reads back.
+        let mut named = g.clone();
+        named.name = "é".repeat(name_bytes / 2) + &"x".repeat(name_bytes % 2);
+        match serialize::encode(&named) {
+            Ok(b) => prop_assert_eq!(serialize::decode(&b).unwrap(), named),
+            Err(e) => prop_assert!(
+                name_bytes > 65_535
+                    && matches!(e, IrError::DoesNotFit { field: "name length", .. }),
+                "{name_bytes}: {e}"
+            ),
+        }
+        // Every truncation is refused. One that leaves the announced nodes
+        // fewer bytes than the smallest node record (26) each is refused
+        // at the count, before anything is reserved for them.
+        let count_at = 4 + 1 + 2 + g.name.len() + 1 + 4 * g.input_shape.rank();
+        for cut in 0..bytes.len() {
+            let err = serialize::decode(&bytes[..cut]).unwrap_err().to_string();
+            let starved = cut >= count_at + 4 && g.len() > (cut - count_at - 4) / 26;
+            prop_assert!(err.contains("announced") == starved, "cut {cut}: {err}");
+        }
     }
 
     #[test]

@@ -91,6 +91,11 @@ pub mod metric_names {
     /// Counter: measurement jobs that panicked on a worker. Each failed
     /// its flight with a measurement error and the worker carried on.
     pub const WORKER_PANICS: &str = "serve.worker_panics";
+    /// Counter: retrains that panicked. Each was logged as a
+    /// `retrain_panic` event and the loop waited for its next trigger.
+    /// Registered on the first panic, so a run without one exports no
+    /// such series.
+    pub const RETRAIN_PANICS: &str = "serve.retrain_panics";
     /// Histogram: served latencies in milliseconds.
     pub const LATENCY_MS: &str = "serve.latency_ms";
     /// Histogram (log buckets): end-to-end request wall time in

@@ -32,9 +32,11 @@
 //! its flight with [`ServeError::Measurement`], counts one
 //! `serve.worker_panics`, and the worker takes the next job. A background
 //! loop retrains the predictor, hot-swapping the heads through the
-//! facade's `RwLock`. Shutdown closes the queue, lets the workers drain
-//! it, joins every thread and, on a durable store, seals the WAL tail
-//! into segments.
+//! facade's `RwLock`; a retrain that panics counts `serve.retrain_panics`,
+//! logs a `retrain_panic` event, and the loop waits for its next trigger.
+//! Shutdown closes the queue, lets the workers drain it, joins every
+//! thread and, on a durable store, seals the WAL tail into segments; a
+//! thread that died is its error.
 //!
 //! # Quality monitoring
 //!
@@ -74,7 +76,7 @@
 //! answer the facade gives for the same graph and platform.
 
 use crate::cache::{CacheKey, ShardedLru};
-use crate::metrics::{MetricsSnapshot, ServeMetrics, Terminal};
+use crate::metrics::{metric_names, MetricsSnapshot, ServeMetrics, Terminal};
 use crate::resolve::{effective_graph, ResolveMemo};
 use crate::singleflight::{Role, SingleFlight};
 use nnlqp::{Nnlqp, QueryError, TrainPredictorConfig};
@@ -972,7 +974,9 @@ impl LatencyService {
 
     /// Stop intake, drain the queue, join every background thread and
     /// write the final metrics / event-log files when configured. Durable
-    /// stores also get a final WAL seal + compaction. Idempotent.
+    /// stores also get a final WAL seal + compaction. Then a thread that
+    /// ended in a panic is an error naming it. Idempotent: a second call
+    /// returns `Ok(())`.
     pub fn shutdown(&self) -> std::io::Result<()> {
         if self.stopped.swap(true, Ordering::SeqCst) {
             return Ok(());
@@ -990,8 +994,12 @@ impl LatencyService {
             w.wake.notify_all();
         }
         let threads: Vec<JoinHandle<()>> = self.threads.lock().recover().drain(..).collect();
+        let mut died = Vec::new();
         for t in threads {
-            let _ = t.join();
+            let name = t.thread().name().unwrap_or("unnamed").to_string();
+            if t.join().is_err() {
+                died.push(name);
+            }
         }
         // Final observability snapshots, after every thread has drained —
         // these see the complete run.
@@ -1010,7 +1018,13 @@ impl LatencyService {
             self.system.stop_compactor();
             self.system.db.compact()?;
         }
-        Ok(())
+        match died.as_slice() {
+            [] => Ok(()),
+            _ => Err(std::io::Error::other(format!(
+                "background threads died: {}",
+                died.join(", ")
+            ))),
+        }
     }
 }
 
@@ -1041,11 +1055,7 @@ fn worker_loop(queue: Arc<Queue<Job>>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
             // open under it and `complete` finds nothing.
             if let Err(panic) = catch_unwind(AssertUnwindSafe(|| run_job(&ctx, &queue, &job))) {
                 ctx.metrics.worker_panics();
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("non-string payload");
+                let msg = panic_message(&*panic);
                 ctx.flights.complete(
                     &job.key,
                     Err(ServeError::Measurement(format!("worker panicked: {msg}"))),
@@ -1053,6 +1063,15 @@ fn worker_loop(queue: Arc<Queue<Job>>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
             }
         }
     }
+}
+
+/// What a caught panic said, when it said it with a string.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
 }
 
 /// Measure one job, store and publish it, then shadow-evaluate it.
@@ -1160,60 +1179,22 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
                         ],
                     );
                 }
-                // Training runs outside the lock; the trained heads are
-                // hot-swapped atomically inside the facade.
-                let trained = match ctx.system.train_predictor(&names, ctx.train) {
-                    Ok(n) => {
-                        if n > 0 {
-                            ctx.metrics.retrained(n as u64);
-                            if drift {
-                                ctx.metrics.drift_retrains();
-                            }
-                        }
-                        n
+                // The worker's job-boundary policy: a retrain that panics
+                // is counted and logged, and the loop waits for its next
+                // trigger. The retrain holds none of the loop's locks and
+                // the facade's predictor lock recovers from poisoning, so
+                // the predictor installed last keeps serving.
+                let run = || retrain(&ctx, &names, &canonical, drift, trigger);
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(run)) {
+                    let registry = ctx.system.registry();
+                    registry.counter(metric_names::RETRAIN_PANICS).inc();
+                    if let Some(ev) = &ctx.events {
+                        let msg = panic_message(&*panic).to_string();
+                        ev.emit(
+                            "retrain_panic",
+                            [("trigger", trigger.into()), ("panic", msg.into())],
+                        );
                     }
-                    Err(_) => 0,
-                };
-                // Re-score the replay buffers under the new model so the
-                // windows (and gauges) reflect the predictor now serving,
-                // and record before/after quality per platform.
-                if let Some(shadow) = &ctx.shadow {
-                    for platform in &canonical {
-                        let before = shadow.monitor.windowed_mape(platform);
-                        let pairs: Vec<(f64, f64)> = shadow
-                            .replay_pairs(platform)
-                            .iter()
-                            .filter_map(|(g, measured)| {
-                                ctx.system
-                                    .predict_effective(g, platform)
-                                    .ok()
-                                    .map(|p| (p.latency_ms, *measured))
-                            })
-                            .collect();
-                        let after = shadow.monitor.reset_window(platform, &pairs);
-                        if let Some(ev) = &ctx.events {
-                            let mut fields = vec![
-                                ("platform", platform.clone().into()),
-                                ("trigger", trigger.into()),
-                                ("samples", (trained as u64).into()),
-                            ];
-                            if let Some(m) = before {
-                                fields.push(("windowed_mape_before_pct", m.into()));
-                            }
-                            if let Some(m) = after {
-                                fields.push(("windowed_mape_after_pct", m.into()));
-                            }
-                            ev.emit("retrain_finish", fields);
-                        }
-                    }
-                } else if let Some(ev) = &ctx.events {
-                    ev.emit(
-                        "retrain_finish",
-                        [
-                            ("trigger", trigger.into()),
-                            ("samples", (trained as u64).into()),
-                        ],
-                    );
                 }
                 st = ctx.shared.state.lock().recover();
                 continue;
@@ -1224,6 +1205,72 @@ fn retrain_loop(ctx: RetrainCtx) -> impl FnOnce() {
             let tick = Duration::from_millis(20);
             st = ctx.shared.wake.wait_timeout(st, tick).recover().0;
         }
+    }
+}
+
+/// One retrain: train and hot-swap the heads, then re-score the shadow
+/// replay buffers under them.
+fn retrain(
+    ctx: &RetrainCtx,
+    names: &[&str],
+    canonical: &[String],
+    drift: bool,
+    trigger: &'static str,
+) {
+    // Training runs outside the lock; the trained heads are
+    // hot-swapped atomically inside the facade.
+    let trained = match ctx.system.train_predictor(names, ctx.train) {
+        Ok(n) => {
+            if n > 0 {
+                ctx.metrics.retrained(n as u64);
+                if drift {
+                    ctx.metrics.drift_retrains();
+                }
+            }
+            n
+        }
+        Err(_) => 0,
+    };
+    // Re-score the replay buffers under the new model so the
+    // windows (and gauges) reflect the predictor now serving,
+    // and record before/after quality per platform.
+    if let Some(shadow) = &ctx.shadow {
+        for platform in canonical {
+            let before = shadow.monitor.windowed_mape(platform);
+            let pairs: Vec<(f64, f64)> = shadow
+                .replay_pairs(platform)
+                .iter()
+                .filter_map(|(g, measured)| {
+                    ctx.system
+                        .predict_effective(g, platform)
+                        .ok()
+                        .map(|p| (p.latency_ms, *measured))
+                })
+                .collect();
+            let after = shadow.monitor.reset_window(platform, &pairs);
+            if let Some(ev) = &ctx.events {
+                let mut fields = vec![
+                    ("platform", platform.clone().into()),
+                    ("trigger", trigger.into()),
+                    ("samples", (trained as u64).into()),
+                ];
+                if let Some(m) = before {
+                    fields.push(("windowed_mape_before_pct", m.into()));
+                }
+                if let Some(m) = after {
+                    fields.push(("windowed_mape_after_pct", m.into()));
+                }
+                ev.emit("retrain_finish", fields);
+            }
+        }
+    } else if let Some(ev) = &ctx.events {
+        ev.emit(
+            "retrain_finish",
+            [
+                ("trigger", trigger.into()),
+                ("samples", (trained as u64).into()),
+            ],
+        );
     }
 }
 
@@ -1362,6 +1409,32 @@ mod tests {
             Err(ServeError::ShuttingDown)
         ));
         assert_eq!(svc.system().db.stats().latencies, 1);
+    }
+
+    #[test]
+    fn shutdown_finishes_its_work_then_names_a_thread_that_died() {
+        let dir = std::env::temp_dir().join(format!("nnlqp-serve-died-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (metrics_path, events_path) = (dir.join("metrics.prom"), dir.join("events.jsonl"));
+        let cfg = ServeConfig {
+            metrics_path: Some(metrics_path.clone()),
+            events_path: Some(events_path.clone()),
+            ..small_cfg()
+        };
+        let svc = LatencyService::start(quick_system(), cfg);
+        let doomed = std::thread::Builder::new()
+            .name("nnlqp-serve-doomed".into())
+            .spawn(|| panic!("a background thread panics"))
+            .unwrap();
+        svc.threads.lock().recover().push(doomed);
+        let err = svc.shutdown().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "background threads died: nnlqp-serve-doomed"
+        );
+        assert!(metrics_path.exists() && events_path.exists());
+        svc.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

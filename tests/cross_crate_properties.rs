@@ -214,13 +214,15 @@ fn traced(family: ModelFamily) -> (Graph, Vec<Kernel>, KernelDeps, ExecutionTrac
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serialization must preserve the graph hash — otherwise the database
-    /// cache would miss after a round trip through storage.
+    /// Serialization must give back the graph, and so its hash —
+    /// otherwise the database cache would miss after a round trip
+    /// through storage.
     #[test]
     fn hash_stable_across_serialization(g in arbitrary_corpus_model()) {
         let h1 = graph_hash(&g);
         let g2 = serialize::decode(&serialize::encode(&g).unwrap()).unwrap();
         prop_assert_eq!(h1, graph_hash(&g2));
+        prop_assert_eq!(g2, g);
     }
 
     /// Fusion partitions every generator output into convex kernels with

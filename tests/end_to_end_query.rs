@@ -1,8 +1,8 @@
 //! Integration: the full NNLQ query path across ir, hash, db, sim and
-//! core — measure, cache, persist, reload, re-hit.
+//! core — measure, cache, persist, reopen, re-hit.
 
 use nnlqp::{Nnlqp, QueryError, QueryParams, TrainPredictorConfig};
-use nnlqp_db::{persist, ModelId};
+use nnlqp_db::{open_read_only, DurableOptions, ModelId};
 use nnlqp_hash::graph_hash;
 use nnlqp_ir::{GraphBuilder, Shape};
 use nnlqp_models::ModelFamily;
@@ -31,7 +31,14 @@ fn system() -> Nnlqp {
 
 #[test]
 fn query_cache_persist_reload_cycle() {
-    let s = system();
+    let dir = std::env::temp_dir().join(format!("nnlqp-e2e-reload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = Nnlqp::builder()
+        .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 2))
+        .reps(5)
+        .durable(DurableOptions::new(&dir))
+        .try_build()
+        .expect("open durable store");
     let models: Vec<_> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 5, 1)
         .into_iter()
         .map(|m| m.graph)
@@ -49,10 +56,11 @@ fn query_cache_persist_reload_cycle() {
     assert_eq!(s.stats().models, 5);
     assert_eq!(s.stats().latencies, 10);
 
-    // Snapshot, reload into a second deployment, verify cache hits with
-    // identical latencies.
-    let bytes = persist::to_bytes(&s.db);
-    let db2 = persist::from_bytes(&bytes).unwrap();
+    // Reopen the store as a second deployment would: the same rows, and
+    // cache hits with the latencies the first one measured.
+    let (db2, rec) = open_read_only(&dir).expect("store reopens");
+    assert!(rec.clean(), "{rec:?}");
+    assert!(db2 == *s.db, "the reopened store differs from the live one");
     for m in &models {
         let hash = graph_hash(m);
         let spec = PlatformSpec::by_name("gpu-T4-trt7.1-fp32").unwrap();
@@ -62,6 +70,8 @@ fn query_cache_persist_reload_cycle() {
             .expect("reloaded cache hit");
         assert!(hit.cost_ms > 0.0);
     }
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

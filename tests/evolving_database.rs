@@ -9,6 +9,7 @@ use nnlqp_predict::mape;
 use nnlqp_serve::{LatencyService, ServeConfig};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const T4: &str = "gpu-T4-trt7.1-fp32";
 
@@ -96,6 +97,52 @@ fn a_stored_cycle_does_not_stop_the_retrain_loop() {
     svc.shutdown().unwrap();
     let m = svc.metrics();
     assert!(m.retrains >= 1, "the retrain loop died: {m:?}");
+}
+
+/// A retrain that panics (a zero batch size: `chunks(0)` in the training
+/// loop) is counted and logged, and the loop lives on to run the next
+/// cadence; no thread died, so shutdown has nothing to report.
+#[test]
+fn a_panicking_retrain_is_counted_and_the_loop_carries_on() {
+    let svc = LatencyService::start(
+        Arc::new(quick_system()),
+        ServeConfig {
+            workers: 1,
+            retrain_after: 2,
+            retrain_platforms: vec![T4.to_string()],
+            train: TrainPredictorConfig {
+                batch_size: 0,
+                ..quick_train()
+            },
+            ..Default::default()
+        },
+    );
+    let count = |kind: &str| {
+        let events = svc.events().expect("event log on").snapshot();
+        events.iter().filter(|e| e.kind == kind).count()
+    };
+    let models = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 4, 11);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for (i, m) in models.into_iter().enumerate() {
+        svc.query(&Arc::new(m.graph), T4, 1).unwrap();
+        // The first cadence falls due after two fresh keys: let it start
+        // before the next two make the second one due.
+        while i == 1 && count("retrain_start") == 0 {
+            assert!(Instant::now() < deadline, "the first retrain never ran");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    // Shutdown joins the retrain loop, which runs a due retrain first.
+    svc.shutdown().unwrap();
+    assert_eq!(
+        count("retrain_start"),
+        2,
+        "the loop died at its first panic"
+    );
+    assert_eq!(count("retrain_panic"), 2);
+    let panics = svc.system().registry().snapshot();
+    assert_eq!(panics.counter(nnlqp_serve::metric_names::RETRAIN_PANICS), 2);
+    assert_eq!(svc.metrics().retrains, 0);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use nnlqp::Nnlqp;
 use nnlqp_db::Database;
 use nnlqp_hash::graph_hash;
-use nnlqp_ir::{Graph, GraphBuilder, Rng64, Shape};
+use nnlqp_ir::{serialize, Graph, GraphBuilder, Rng64, Shape};
 use nnlqp_serve::{metric_names, LatencyService, ServeConfig, ServeError, Served, Source};
 use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 use std::sync::Arc;
@@ -200,11 +200,10 @@ fn shared_and_fresh_arcs_are_served_identically() {
         .any(|r| matches!(r, Err(ServeError::LintRejected(_)))));
     assert_eq!(shared_svc.metrics(), fresh_svc.metrics());
     assert!(shared_svc.metrics().balanced());
-    // ... and the same evolving database, byte for byte.
-    assert_eq!(
-        nnlqp_db::persist::to_bytes(&shared_sys.db),
-        nnlqp_db::persist::to_bytes(&fresh_sys.db)
-    );
+    // ... and the same evolving database: every row of every table (a
+    // model's hash, name, bytes and sequence, each platform, every latency
+    // column) and the sequence counter.
+    assert!(shared_sys.db == fresh_sys.db, "the two stores differ");
 
     // The shared run resolved each distinct (graph, batch) once; the
     // fresh run never saw an `Arc` twice.
@@ -257,18 +256,19 @@ fn failures_are_never_memoised() {
 }
 
 #[test]
-fn insert_model_and_its_hashed_sibling_dedupe_against_each_other() {
+fn insert_model_and_insert_model_encoded_dedupe_against_each_other() {
     let db = Database::new();
     let (a, b) = (conv_relu(8), conv_relu(16));
+    let encoded = |g: &Graph| (g.name.clone(), graph_hash(g), serialize::encode(g).unwrap());
     let (id_a, fresh) = db.insert_model(&a);
     assert!(fresh);
-    assert_eq!(
-        db.insert_model_hashed(&a, graph_hash(&a)),
-        Ok((id_a, false))
-    );
-    let (id_b, fresh) = db.insert_model_hashed(&b, graph_hash(&b)).unwrap();
+    let (name, hash, bytes) = encoded(&a);
+    assert_eq!(db.insert_model_encoded(name, hash, bytes), (id_a, false));
+    let (name, hash, bytes) = encoded(&b);
+    let (id_b, fresh) = db.insert_model_encoded(name, hash, bytes);
     assert!(fresh);
     assert_eq!(db.insert_model(&b), (id_b, false));
     assert_eq!(db.stats().models, 2);
     assert_eq!(db.model_by_hash(graph_hash(&b)).unwrap().id, id_b);
+    assert_eq!(db.load_graph(id_b).unwrap(), b);
 }
