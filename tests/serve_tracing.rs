@@ -558,3 +558,72 @@ fn counters_traces_and_events_agree_per_class() {
         assert_eq!(error, &want_error, "{}", trace.class);
     }
 }
+
+/// FNV-1a digest of the `query` events [`event_log_digest`] renders.
+const EVENT_LOG_DIGEST: u64 = 0xa20b_988f_1838_95ff;
+
+/// FNV-1a over the event log's JSONL after one client's fixed request
+/// sequence: a measured miss, a hot hit, a database hit, an alias
+/// platform (measured, then hot), an unknown platform and batch 0. The
+/// request ids are renumbered from 0 in log order and every `wall_ms` reads
+/// 0, so what is left is what the log records, not when or beside whom.
+fn event_log_digest() -> (u64, String) {
+    const ALIAS: &str = "cpu-ppl2-fp32";
+    let svc = LatencyService::start(
+        system(),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 1,
+            cache_shards: 1,
+            degrade_backlog: usize::MAX,
+            ..Default::default()
+        },
+    );
+    let (a, b) = {
+        let m = models(2, 5);
+        (Arc::clone(&m[0]), Arc::clone(&m[1]))
+    };
+    let sequence: [(&Arc<Graph>, &str, u32, &str); 8] = [
+        (&a, PLATFORM, 1, "measured"),
+        (&a, PLATFORM, 1, "hot_cache"),
+        (&b, PLATFORM, 1, "measured"),
+        (&a, PLATFORM, 1, "db_hit"),
+        (&a, ALIAS, 1, "measured"),
+        (&a, ALIAS, 1, "hot_cache"),
+        (&a, "quantum-coprocessor", 1, "unknown_platform"),
+        (&a, PLATFORM, 0, "bad_batch"),
+    ];
+    for (model, platform, batch, class) in sequence {
+        assert_eq!(svc.query_traced(model, platform, batch).1.class, class);
+    }
+    let jsonl = svc.events().unwrap().to_jsonl();
+    // `"key": value` with the value up to the next `,` or `}` replaced.
+    let replace = |line: &str, key: &str, value: &str| -> String {
+        let at = line.find(key).expect("every query event has the key") + key.len();
+        let end = at + line[at..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &line[..at], &line[end..])
+    };
+    let ids: Vec<u64> = (svc.events().unwrap().snapshot().iter())
+        .map(|e| match e.field("request_id") {
+            Some(&FieldValue::U64(id)) => id,
+            other => panic!("request_id is not a u64: {other:?}"),
+        })
+        .collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    let mut rendered = String::new();
+    for (i, line) in jsonl.lines().enumerate() {
+        let line = replace(line, "\"request_id\": ", &i.to_string());
+        rendered.push_str(&replace(&line, "\"wall_ms\": ", "0"));
+        rendered.push('\n');
+    }
+    let digest = rendered.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (digest, rendered)
+}
+
+#[test]
+fn the_event_log_of_a_fixed_request_sequence_reproduces_the_recorded_digest() {
+    let (digest, rendered) = event_log_digest();
+    assert_eq!(digest, EVENT_LOG_DIGEST, "{digest:#x}\n{rendered}");
+}
