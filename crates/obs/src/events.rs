@@ -10,10 +10,13 @@
 //! clock a fixed single-threaded workload reproduces the log byte for
 //! byte.
 //!
-//! The ring reuses its slots: kinds and field keys are `&'static str`, a
-//! string value borrows when it can, and a full log clears the oldest
-//! event's field buffer and refills it in place, so a steady stream of
-//! events of one shape appends without the allocator.
+//! The serving layer's per-request `query` event is a fixed-size
+//! [`QueryEvent`] record in the ring, a few words where a field list is a
+//! heap buffer of eight tagged values, and renders to the same [`Event`]
+//! (same fields, same order, same JSONL bytes). Every other kind is a field
+//! list: kinds and field keys are `&'static str`, a string value borrows
+//! when it can, and a full log refills the oldest list's buffer in place,
+//! so a steady stream of events appends without the allocator.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -111,6 +114,77 @@ impl Event {
     }
 }
 
+/// One request's `query` event: the caller's platform, the batch, the
+/// tier that answered and what the request came to. Rendered as the
+/// [`Event`] with fields `platform`, `batch`, `source`, then `latency_ms`,
+/// `approximate`, `coalesced` (served) or `error` (failed), then
+/// `request_id` and `wall_ms`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryEvent {
+    /// The platform as the caller named it: borrowed when it is a
+    /// registry name, copied otherwise.
+    pub platform: Cow<'static, str>,
+    /// Requested batch size.
+    pub batch: u32,
+    /// Which tier answered (`"hot_cache"`, `"database"`, ...), or
+    /// `"error"`.
+    pub source: &'static str,
+    /// The answer, or the error class.
+    pub outcome: QueryOutcome,
+    /// The request's trace id.
+    pub request_id: u64,
+    /// The request's end-to-end wall time, milliseconds.
+    pub wall_ms: f64,
+}
+
+/// What a [`QueryEvent`]'s request came to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryOutcome {
+    /// An answer.
+    Served {
+        /// The served latency, milliseconds.
+        latency_ms: f64,
+        /// A prediction, not ground truth.
+        approximate: bool,
+        /// Shared another request's measurement.
+        coalesced: bool,
+    },
+    /// An error, by class (`"unknown_platform"`, `"bad_batch"`, ...).
+    Failed {
+        /// The error class.
+        error: &'static str,
+    },
+}
+
+impl QueryEvent {
+    /// The event this record stands for, with sequence number `seq`.
+    fn to_event(&self, seq: u64) -> Event {
+        let mut fields = Vec::with_capacity(8);
+        fields.push(("platform", FieldValue::Str(self.platform.clone())));
+        fields.push(("batch", u64::from(self.batch).into()));
+        fields.push(("source", self.source.into()));
+        match self.outcome {
+            QueryOutcome::Served {
+                latency_ms,
+                approximate,
+                coalesced,
+            } => fields.extend([
+                ("latency_ms", latency_ms.into()),
+                ("approximate", approximate.into()),
+                ("coalesced", coalesced.into()),
+            ]),
+            QueryOutcome::Failed { error } => fields.push(("error", error.into())),
+        }
+        fields.push(("request_id", self.request_id.into()));
+        fields.push(("wall_ms", self.wall_ms.into()));
+        Event {
+            seq,
+            kind: "query",
+            fields,
+        }
+    }
+}
+
 /// Append `s` as a quoted JSON string: `"` and `\` escaped, newline,
 /// carriage return and tab by letter, other control characters as
 /// `\u00XX`. The crate's one escaper: the Chrome trace writes with it too.
@@ -132,10 +206,19 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// A retained event as the ring holds it.
+enum Record {
+    Query(QueryEvent),
+    Fields {
+        kind: &'static str,
+        fields: Vec<(&'static str, FieldValue)>,
+    },
+}
+
 struct LogInner {
     next_seq: u64,
     dropped: u64,
-    events: VecDeque<Event>,
+    events: VecDeque<(u64, Record)>,
 }
 
 /// The bounded event log. Share with `Arc`; `emit` from any thread.
@@ -158,30 +241,43 @@ impl EventLog {
     }
 
     /// Append one event; returns its sequence number. When full, the
-    /// oldest event is dropped (and counted) and its slot refilled.
+    /// oldest event is dropped (and counted), and its field buffer, if it
+    /// had one, refilled.
     pub fn emit(
         &self,
         kind: &'static str,
         fields: impl IntoIterator<Item = (&'static str, FieldValue)>,
     ) -> u64 {
+        self.append(|oldest| {
+            let mut buf = match oldest {
+                Some(Record::Fields { fields, .. }) => fields,
+                _ => Vec::new(),
+            };
+            buf.clear();
+            buf.extend(fields);
+            Record::Fields { kind, fields: buf }
+        })
+    }
+
+    /// Append one `query` event; returns its sequence number. When full,
+    /// the oldest event is dropped (and counted).
+    pub fn query(&self, event: QueryEvent) -> u64 {
+        self.append(|_| Record::Query(event))
+    }
+
+    /// Append the record `make` builds from the event it displaces, if the
+    /// log is full.
+    fn append(&self, make: impl FnOnce(Option<Record>) -> Record) -> u64 {
         let mut inner = self.inner.lock().expect("event log lock");
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.events.len() == self.cap {
-            let mut slot = inner.events.pop_front().expect("a full log holds events");
+        let oldest = if inner.events.len() == self.cap {
             inner.dropped += 1;
-            slot.seq = seq;
-            slot.kind = kind;
-            slot.fields.clear();
-            slot.fields.extend(fields);
-            inner.events.push_back(slot);
+            inner.events.pop_front().map(|(_, record)| record)
         } else {
-            inner.events.push_back(Event {
-                seq,
-                kind,
-                fields: fields.into_iter().collect(),
-            });
-        }
+            None
+        };
+        inner.events.push_back((seq, make(oldest)));
         seq
     }
 
@@ -202,12 +298,16 @@ impl EventLog {
 
     /// Copy of the retained events, in sequence order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner
-            .lock()
-            .expect("event log lock")
-            .events
-            .iter()
-            .cloned()
+        let inner = self.inner.lock().expect("event log lock");
+        (inner.events.iter())
+            .map(|(seq, record)| match record {
+                Record::Query(q) => q.to_event(*seq),
+                Record::Fields { kind, fields } => Event {
+                    seq: *seq,
+                    kind,
+                    fields: fields.clone(),
+                },
+            })
             .collect()
     }
 

@@ -35,6 +35,7 @@
 //!   serve worker pool's job hand-off and the device farm's idle pool.
 
 pub mod chrome;
+mod cycles;
 pub mod events;
 pub mod expose;
 pub mod flame;
@@ -45,7 +46,7 @@ pub mod sync;
 pub mod trace;
 
 pub use chrome::to_chrome_json;
-pub use events::{Event, EventLog, FieldValue};
+pub use events::{Event, EventLog, FieldValue, QueryEvent, QueryOutcome};
 pub use expose::{parse_prometheus, to_prometheus, PromSample};
 pub use flame::{render as render_flamegraph, top_spans};
 pub use metrics::{

@@ -29,10 +29,11 @@ impl<G> Recover<G> for LockResult<G> {
 /// pop from, blocking until an item, a deadline or [`Queue::close`].
 ///
 /// Pushes never wait: a full queue hands the item back. So the only
-/// waiters are poppers, and one `Condvar` serves them all. The slots are
-/// reserved up front, so a push never allocates. No user code runs under
-/// the lock and every update leaves the deque whole, so a poisoned lock is
-/// recovered.
+/// waiters are poppers, and one `Condvar` serves them all. A push wakes
+/// one only when a popper is counted waiting: waking a condvar nobody
+/// waits on is still a syscall. The slots are reserved up front, so a push
+/// never allocates. No user code runs under the lock and every update
+/// leaves the deque whole, so a poisoned lock is recovered.
 pub struct Queue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
@@ -42,6 +43,8 @@ struct QueueState<T> {
     items: VecDeque<T>,
     cap: usize,
     closed: bool,
+    /// Poppers blocked on `ready`, counted under the lock.
+    waiting: usize,
 }
 
 /// Why [`Queue::try_push`] refused an item; both hand it back.
@@ -62,12 +65,14 @@ impl<T> Queue<T> {
                 items: VecDeque::with_capacity(cap),
                 cap,
                 closed: false,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Append `item` and wake one waiting popper, or hand it back.
+    /// Append `item` and wake one waiting popper, if any waits, or hand
+    /// the item back.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut st = self.state.lock().recover();
         if st.closed {
@@ -77,8 +82,11 @@ impl<T> Queue<T> {
             return Err(PushError::Full(item));
         }
         st.items.push_back(item);
+        let wake = st.waiting > 0;
         drop(st);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
@@ -94,13 +102,16 @@ impl<T> Queue<T> {
             if st.closed {
                 return None;
             }
-            st = match deadline {
-                None => self.ready.wait(st).recover(),
-                Some(at) => {
-                    let left = at.checked_duration_since(Instant::now())?;
-                    self.ready.wait_timeout(st, left).recover().0
-                }
+            let left = match deadline {
+                None => None,
+                Some(at) => Some(at.checked_duration_since(Instant::now())?),
             };
+            st.waiting += 1;
+            st = match left {
+                None => self.ready.wait(st).recover(),
+                Some(left) => self.ready.wait_timeout(st, left).recover().0,
+            };
+            st.waiting -= 1;
         }
     }
 
@@ -195,6 +206,24 @@ mod tests {
             (q.pop(None), q.pop(None), q.pop(None)),
             (Some(1), Some(2), None)
         );
+    }
+
+    #[test]
+    fn a_pop_blocked_before_the_push_is_woken_by_it() {
+        for deadline in [None, Some(Instant::now() + Duration::from_secs(60))] {
+            let q = Queue::new(1);
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| q.pop(deadline));
+                // The count rises under the lock the wait releases, so once
+                // it reads 1 the popper is parked on the condvar.
+                while q.state.lock().recover().waiting == 0 {
+                    std::thread::yield_now();
+                }
+                q.try_push(9).unwrap();
+                assert_eq!(waiter.join().unwrap(), Some(9));
+            });
+            assert_eq!(q.state.lock().recover().waiting, 0);
+        }
     }
 
     #[test]

@@ -13,6 +13,19 @@
 //! reservoir directly, and becomes a [`RequestTrace`] only when a caller
 //! asks for one.
 //!
+//! The clock has two readers. [`TraceClock::now_ns`] is the ordered OS
+//! clock: it is what brackets work from outside a request (a load
+//! generator's stopwatch, a queue wait measured across threads, the
+//! metrics writer's cadence), and it costs tens of nanoseconds a read.
+//! [`TraceClock::tick_ns`] marks a request's own boundaries: where the CPU
+//! has an invariant cycle counter that the kernel keeps time with, it is
+//! one unordered counter read turned into the same nanoseconds through a
+//! per-thread anchor, and the OS clock everywhere else. A hot-cache hit
+//! is three boundaries and a few hundred nanoseconds, so three ordered
+//! reads would be a quarter of it. A tick stays within a microsecond of
+//! `now_ns`, and [`TraceContext::stage_at`] clamps every boundary to be
+//! non-decreasing, so traces tile exactly on either reader.
+//!
 //! On top of the per-request traces:
 //!
 //! * [`ExemplarReservoir`] — a bounded reservoir retaining the K slowest
@@ -23,6 +36,7 @@
 //!   durations of every request at or above a latency quantile and report
 //!   each stage's share of the tail's total time.
 
+use crate::cycles;
 use crate::span::{Recorder, Span, Timeline, Track};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +53,9 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone)]
 pub struct TraceClock {
     origin: Instant,
+    /// `origin` in nanoseconds after the cycle counter's base, when ticks
+    /// read the counter; `None` when they read the OS clock.
+    counter_offset_ns: Option<u64>,
 }
 
 impl Default for TraceClock {
@@ -50,16 +67,43 @@ impl Default for TraceClock {
 impl TraceClock {
     /// A clock with its origin now.
     pub fn new() -> Self {
+        if !cycles::usable() {
+            return Self::os_ticks();
+        }
+        let base = cycles::base();
+        let origin = Instant::now();
         TraceClock {
-            origin: Instant::now(),
+            origin,
+            counter_offset_ns: Some(origin.duration_since(base).as_nanos() as u64),
         }
     }
 
-    /// Nanoseconds since the clock's origin.
+    /// A clock whose ticks read the OS clock, whatever the CPU offers.
+    pub(crate) fn os_ticks() -> Self {
+        TraceClock {
+            origin: Instant::now(),
+            counter_offset_ns: None,
+        }
+    }
+
+    /// Nanoseconds since the clock's origin: an ordered OS-clock read.
     pub fn now_ns(&self) -> u64 {
         // A u64 of nanoseconds holds ~584 years; the cast cannot wrap in
         // any real process lifetime.
         self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// Nanoseconds since the clock's origin, as a request marks its
+    /// boundaries: a cycle-counter read where the counter keeps the OS
+    /// clock's time (see the module docs), [`TraceClock::now_ns`]
+    /// elsewhere. Within a microsecond of `now_ns`, but not ordered with
+    /// the reads around it, and two ticks may step back by as much.
+    #[inline]
+    pub fn tick_ns(&self) -> u64 {
+        match self.counter_offset_ns {
+            Some(offset) => cycles::since_base_ns().saturating_sub(offset),
+            None => self.now_ns(),
+        }
     }
 }
 
@@ -136,11 +180,11 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// Open a trace: assign the next request id and take the first
-    /// boundary now.
+    /// boundary now, on [`TraceClock::tick_ns`].
     pub fn begin(clock: &TraceClock) -> Self {
         TraceContext {
             request_id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
-            start_ns: clock.now_ns(),
+            start_ns: clock.tick_ns(),
             inline: [("", 0); INLINE_MARKS],
             len: 0,
             spill: Vec::new(),
@@ -167,10 +211,10 @@ impl TraceContext {
         self.last_ns() - self.start_ns
     }
 
-    /// End the current stage now: everything since the previous boundary
-    /// is attributed to `name`.
+    /// End the current stage now, on [`TraceClock::tick_ns`]: everything
+    /// since the previous boundary is attributed to `name`.
     pub fn stage(&mut self, name: &'static str, clock: &TraceClock) {
-        self.stage_at(name, clock.now_ns());
+        self.stage_at(name, clock.tick_ns());
     }
 
     /// End the current stage at an explicit tick — how worker-side
@@ -498,6 +542,90 @@ mod tests {
         let t = ctx.finish("live");
         assert!(t.tiles_exactly());
         assert!(t.stage_ns("two").unwrap() >= 1_000_000);
+    }
+
+    /// A tick read between two `now_ns` reads lies within a microsecond
+    /// of them.
+    fn tick_beside_now(clock: &TraceClock) -> u64 {
+        let before = clock.now_ns();
+        let tick = clock.tick_ns();
+        let after = clock.now_ns();
+        assert!(
+            before <= tick + 1_000 && tick <= after + 1_000,
+            "tick {tick} outside [{before}, {after}] ± 1 µs"
+        );
+        tick
+    }
+
+    #[test]
+    fn two_clocks_of_different_origins_tick_on_one_thread() {
+        let early = TraceClock::new();
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        let late = TraceClock::new();
+        for round in 0..2_000 {
+            let (clock, other) = if round % 2 == 0 {
+                (&early, &late)
+            } else {
+                (&late, &early)
+            };
+            let mut ctx = TraceContext::begin(clock);
+            tick_beside_now(other);
+            ctx.stage("a", clock);
+            tick_beside_now(clock);
+            ctx.stage("b", clock);
+            let t = ctx.finish("x");
+            assert!(t.tiles_exactly());
+        }
+        assert!(early.tick_ns() > late.tick_ns() + 2_000_000);
+    }
+
+    #[test]
+    fn ticks_stay_beside_the_os_clock_across_anchor_refreshes() {
+        let threads: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let clock = TraceClock::new();
+                        let mut anchors = std::collections::BTreeSet::new();
+                        let mut last = 0;
+                        while last < 200_000_000 {
+                            last = tick_beside_now(&clock);
+                            anchors.insert(cycles::anchor_count());
+                        }
+                        anchors.len()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        if cycles::usable() {
+            // About one anchor a millisecond over 200 ms.
+            for anchors in threads {
+                assert!(anchors >= 100, "{anchors} anchors in 200 ms");
+            }
+        }
+    }
+
+    #[test]
+    fn the_os_clock_path_tiles_like_the_counter_path() {
+        for clock in [TraceClock::new(), TraceClock::os_ticks()] {
+            let mut ctx = TraceContext::begin(&clock);
+            for name in ["resolve", "hot_cache", "db_lookup"] {
+                ctx.stage(name, &clock);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            ctx.stage("measure", &clock);
+            for _ in 0..INLINE_MARKS {
+                ctx.stage("response", &clock);
+            }
+            let total = ctx.total_ns();
+            let t = ctx.finish("measured");
+            assert!(t.tiles_exactly());
+            assert_eq!(t.total_ns, total);
+            assert_eq!(t.stages.len(), 4 + INLINE_MARKS);
+            assert!(t.stage_ns("measure").unwrap() >= 1_999_000);
+        }
+        assert_eq!(TraceClock::os_ticks().counter_offset_ns, None);
     }
 
     #[test]

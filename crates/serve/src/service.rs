@@ -84,11 +84,12 @@ use nnlqp_db::PlatformId;
 use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
-    to_prometheus, EventLog, ExemplarReservoir, FieldValue, MetricsRegistry, MonitorConfig,
-    PushError, QualityMonitor, QualityReport, Queue, Recover, RequestTrace, TraceClock,
-    TraceContext,
+    to_prometheus, EventLog, ExemplarReservoir, MetricsRegistry, MonitorConfig, PushError,
+    QualityMonitor, QualityReport, QueryEvent, QueryOutcome, Queue, Recover, RequestTrace,
+    TraceClock, TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform, PlatformSpec};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -357,8 +358,21 @@ struct RetrainState {
 }
 
 struct RetrainShared {
+    /// A retrain loop was spawned: without one, nothing reads `state`.
+    runs: bool,
     state: Mutex<RetrainState>,
     wake: Condvar,
+}
+
+impl RetrainShared {
+    /// Record a trigger in `state` and wake the loop; nothing when no loop
+    /// runs.
+    fn nudge(&self, trigger: impl FnOnce(&mut RetrainState)) {
+        if self.runs {
+            trigger(&mut self.state.lock().recover());
+            self.wake.notify_one();
+        }
+    }
 }
 
 /// Bounded per-platform replay buffer of `(graph, measured_ms)` pairs.
@@ -431,11 +445,7 @@ impl Shadow {
                     ],
                 );
             }
-            {
-                let mut st = retrain.state.lock().recover();
-                st.drift = true;
-            }
-            retrain.wake.notify_one();
+            retrain.nudge(|st| st.drift = true);
         }
     }
 
@@ -500,13 +510,18 @@ impl LatencyService {
         // Serve-tier series live next to the facade's query-stage metrics
         // in the system's registry, so one snapshot covers the stack.
         let metrics = Arc::new(ServeMetrics::new(system.registry()));
-        let retrain = Arc::new(RetrainShared {
-            state: Mutex::new(RetrainState::default()),
-            wake: Condvar::new(),
-        });
         let shadow = cfg
             .monitor
             .map(|m| Arc::new(Shadow::new(m, Arc::clone(system.registry()))));
+        // The retrain loop runs when there is any trigger for it: the
+        // sample-count cadence, or drift alerts from the monitor.
+        let retrains =
+            (cfg.retrain_after > 0 || shadow.is_some()) && !cfg.retrain_platforms.is_empty();
+        let retrain = Arc::new(RetrainShared {
+            runs: retrains,
+            state: Mutex::new(RetrainState::default()),
+            wake: Condvar::new(),
+        });
         let events =
             (cfg.event_log_capacity > 0).then(|| Arc::new(EventLog::new(cfg.event_log_capacity)));
         let clock = Arc::new(TraceClock::new());
@@ -533,9 +548,7 @@ impl LatencyService {
                     .expect("spawn worker"),
             );
         }
-        // The retrain loop runs when there is any trigger for it: the
-        // sample-count cadence, or drift alerts from the monitor.
-        if (cfg.retrain_after > 0 || shadow.is_some()) && !cfg.retrain_platforms.is_empty() {
+        if retrains {
             threads.push(
                 std::thread::Builder::new()
                     .name("nnlqp-serve-retrain".to_string())
@@ -657,37 +670,26 @@ impl LatencyService {
         if let Some(ev) = &self.events {
             // The caller's string, borrowed from the registry when it is
             // the canonical name; an alias or unknown name is copied.
-            let platform: FieldValue = match name {
-                Some(name) if name == platform => name.into(),
-                _ => platform.to_owned().into(),
+            let platform = match name {
+                Some(name) if name == platform => Cow::Borrowed(name),
+                _ => Cow::Owned(platform.to_owned()),
             };
-            let wall_ms = ctx.total_ns() as f64 / 1.0e6;
-            match &res {
-                Ok(s) => ev.emit(
-                    "query",
-                    [
-                        ("platform", platform),
-                        ("batch", u64::from(batch).into()),
-                        ("source", source.into()),
-                        ("latency_ms", s.latency_ms.into()),
-                        ("approximate", s.approximate.into()),
-                        ("coalesced", s.coalesced.into()),
-                        ("request_id", ctx.request_id().into()),
-                        ("wall_ms", wall_ms.into()),
-                    ],
-                ),
-                Err(_) => ev.emit(
-                    "query",
-                    [
-                        ("platform", platform),
-                        ("batch", u64::from(batch).into()),
-                        ("source", source.into()),
-                        ("error", class.into()),
-                        ("request_id", ctx.request_id().into()),
-                        ("wall_ms", wall_ms.into()),
-                    ],
-                ),
+            let outcome = match &res {
+                Ok(s) => QueryOutcome::Served {
+                    latency_ms: s.latency_ms,
+                    approximate: s.approximate,
+                    coalesced: s.coalesced,
+                },
+                Err(_) => QueryOutcome::Failed { error: class },
             };
+            ev.query(QueryEvent {
+                platform,
+                batch,
+                source,
+                outcome,
+                request_id: ctx.request_id(),
+                wall_ms: ctx.total_ns() as f64 / 1.0e6,
+            });
         }
         (res, class)
     }
@@ -1104,11 +1106,7 @@ fn run_job(ctx: &WorkerCtx, queue: &Queue<Job>, job: &Job) {
             ctx.cache.insert(job.key.clone(), qr.latency_ms);
             ctx.metrics.set_hot_cache_len(ctx.cache.len() as f64);
             ctx.metrics.measured();
-            {
-                let mut st = ctx.retrain.state.lock().recover();
-                st.fresh += 1;
-            }
-            ctx.retrain.wake.notify_one();
+            ctx.retrain.nudge(|st| st.fresh += 1);
             mark("publish");
             Ok(FlightOutcome {
                 latency_ms: qr.latency_ms,
@@ -1295,6 +1293,7 @@ mod tests {
     use super::*;
     use nnlqp::PredictorKind;
     use nnlqp_models::ModelFamily;
+    use nnlqp_obs::FieldValue;
     use nnlqp_sim::{DeviceFarm, PlatformSpec};
 
     const PLATFORM: &str = "gpu-T4-trt7.1-fp32";
