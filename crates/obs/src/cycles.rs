@@ -119,17 +119,16 @@ fn reanchor() -> u64 {
         return ns;
     }
     let &(first_ns, first_count) = FIRST.get_or_init(|| (ns, at));
-    let (since_ns, since_count) = (ns.saturating_sub(first_ns), at.wrapping_sub(first_count));
-    if since_ns >= RATE_AFTER_NS && since_count > 0 && since_count < u64::MAX / 2 {
+    let since_ns = ns.saturating_sub(first_ns);
+    let since_count = at.saturating_sub(first_count);
+    if since_ns >= RATE_AFTER_NS && since_count > 0 {
         let ns_per_count = ((u128::from(since_ns) << 32) / u128::from(since_count)) as u64;
-        if ns_per_count > 0 {
-            ANCHOR.set(Anchor {
-                ns,
-                count: at,
-                ns_per_count,
-                span: (REFRESH_NS << 32) / ns_per_count,
-            });
-        }
+        ANCHOR.set(Anchor {
+            ns,
+            count: at,
+            ns_per_count,
+            span: (REFRESH_NS << 32) / ns_per_count.max(1),
+        });
     }
     ns
 }

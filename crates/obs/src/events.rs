@@ -417,6 +417,77 @@ mod tests {
         (kind, fields)
     }
 
+    /// Query event `i`, as a record and as the field list it stands for:
+    /// served or failed, with a borrowed or an owned platform.
+    fn nth_query(i: u64) -> (QueryEvent, Vec<(&'static str, FieldValue)>) {
+        let platform: Cow<'static, str> = match i % 3 {
+            0 => Cow::Borrowed("gpu-T4-trt7.1-fp32"),
+            _ => Cow::Owned(format!("alias-{i}")),
+        };
+        let (source, outcome) = if i % 4 == 3 {
+            ("error", QueryOutcome::Failed { error: "bad_batch" })
+        } else {
+            let served = QueryOutcome::Served {
+                latency_ms: i as f64 / 3.0,
+                approximate: i.is_multiple_of(2),
+                coalesced: i.is_multiple_of(5),
+            };
+            ("hot_cache", served)
+        };
+        let mut fields = vec![
+            ("platform", FieldValue::Str(platform.clone())),
+            ("batch", (i % 7).into()),
+            ("source", source.into()),
+        ];
+        match outcome {
+            QueryOutcome::Served {
+                latency_ms,
+                approximate,
+                coalesced,
+            } => fields.extend([
+                ("latency_ms", latency_ms.into()),
+                ("approximate", approximate.into()),
+                ("coalesced", coalesced.into()),
+            ]),
+            QueryOutcome::Failed { error } => fields.push(("error", error.into())),
+        }
+        fields.extend([
+            ("request_id", (i * 11).into()),
+            ("wall_ms", (i as f64 * 1e-4).into()),
+        ]);
+        let event = QueryEvent {
+            platform,
+            batch: (i % 7) as u32,
+            source,
+            outcome,
+            request_id: i * 11,
+            wall_ms: i as f64 * 1e-4,
+        };
+        (event, fields)
+    }
+
+    #[test]
+    fn a_query_record_renders_as_the_field_list_it_stands_for() {
+        // Three times around a ring of 5, query records and field lists
+        // interleaved so each kind of slot is refilled with the other.
+        const CAP: u64 = 5;
+        let (records, lists) = (EventLog::new(CAP as usize), EventLog::new(CAP as usize));
+        for i in 0..3 * CAP {
+            if i % 3 == 1 {
+                let (kind, fields) = nth_event(i);
+                records.emit(kind, fields.clone());
+                lists.emit(kind, fields);
+            } else {
+                let (event, fields) = nth_query(i);
+                records.query(event);
+                lists.emit("query", fields);
+            }
+        }
+        assert_eq!(records.snapshot(), lists.snapshot());
+        assert_eq!(records.to_jsonl(), lists.to_jsonl());
+        assert_eq!(records.dropped(), 2 * CAP);
+    }
+
     #[test]
     fn a_reused_slot_renders_exactly_its_new_event() {
         // Three times around a ring of 7 with 0–9 fields per event: every
