@@ -417,8 +417,10 @@ impl Nnlqp {
     /// when in-memory or already stopped). Serving layers call this at
     /// shutdown before the final seal + compact, so the closing fold
     /// cannot race a background pass.
-    pub fn stop_compactor(&self) {
-        drop(self.compactor.lock().recover().take());
+    /// `Err` holds the panic of a compactor thread that died.
+    pub fn stop_compactor(&self) -> std::thread::Result<()> {
+        let compactor = self.compactor.lock().recover().take();
+        compactor.map_or(Ok(()), |mut c| c.stop())
     }
 
     /// Traffic counters (queries, cache hits, farm measurements).

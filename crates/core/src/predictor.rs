@@ -16,8 +16,8 @@ use nnlqp_ir::Rng64;
 use nnlqp_obs::Recover;
 use nnlqp_predict::train::{Dataset, TrainConfig};
 use nnlqp_predict::{
-    extract_features, NnlpConfig, NnlpModel, Predictor, PredictorKind, TransformerConfig,
-    TransformerModel,
+    extract_features, GraphFeatures, NnlpConfig, NnlpModel, Predictor, PredictorKind,
+    TransformerConfig, TransformerModel,
 };
 use nnlqp_sim::PlatformSpec;
 use std::collections::HashMap;
@@ -164,13 +164,14 @@ impl Nnlqp {
         platform_names: &[&str],
         cfg: TrainPredictorConfig,
     ) -> Result<Option<(PredictorHandle, usize)>, QueryError> {
-        // Each stored `(model, batch)` is decoded once; its rows, one per
-        // platform that measured it, borrow that one graph. A row whose
-        // graph does not decode or rebatch (one stored before the store
-        // checked what it was given) is skipped and counted: it must not
-        // stop the evolving database from learning from the rest.
-        let mut graphs: Vec<nnlqp_ir::Graph> = Vec::new();
-        let mut graph_of = HashMap::new();
+        // Each stored `(model, batch)` is decoded once and featurized on
+        // the spot; the graph is dropped before the next decode, and its
+        // rows, one per platform that measured it, index its features. A
+        // row whose graph does not decode or rebatch (one stored before
+        // the store checked what it was given) is skipped and counted: it
+        // must not stop the evolving database from learning from the rest.
+        let mut feats: Vec<GraphFeatures> = Vec::new();
+        let mut structure_of = HashMap::new();
         let mut rows: Vec<(usize, f64, usize)> = Vec::new();
         let mut head_of = HashMap::new();
         for (head, name) in platform_names.iter().enumerate() {
@@ -183,7 +184,7 @@ impl Nnlqp {
             for rec in self.db.latencies_for_platform(pid) {
                 let batch = rec.batch_size as usize;
                 let key = (rec.model_id, batch);
-                let slot = match graph_of.get(&key) {
+                let slot = match structure_of.get(&key) {
                     Some(&slot) => slot,
                     None => {
                         let Some(g) = self.stored_graph(rec.model_id, batch) else {
@@ -192,9 +193,9 @@ impl Nnlqp {
                                 .inc();
                             continue;
                         };
-                        graphs.push(g);
-                        graph_of.insert(key, graphs.len() - 1);
-                        graphs.len() - 1
+                        feats.push(extract_features(&g));
+                        structure_of.insert(key, feats.len() - 1);
+                        feats.len() - 1
                     }
                 };
                 rows.push((slot, rec.cost_ms, head));
@@ -203,13 +204,7 @@ impl Nnlqp {
         if rows.is_empty() {
             return Ok(None);
         }
-        let entries: Vec<(&nnlqp_ir::Graph, f64, usize)> = (rows.iter())
-            .map(|&(slot, ms, head)| (&graphs[slot], ms, head))
-            .collect();
-        let ds = Dataset::build(&entries);
-        // The samples hold what training reads: free the graphs first.
-        drop(entries);
-        drop(graphs);
+        let ds = Dataset::from_features(feats, &rows);
         let mut rng = Rng64::new(cfg.seed);
         let mut model = fresh_model(&cfg, platform_names.len(), ds.norm.clone(), &mut rng);
         model.train_in_place(

@@ -21,7 +21,9 @@
 use crate::database::Database;
 use crate::wal;
 use nnlqp_ir::codec::Reader;
-use std::io;
+use nnlqp_obs::Recover;
+use std::io::{self, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -145,7 +147,9 @@ impl Manifest {
     /// Atomically publish this manifest: temp file, fsync, rename.
     pub fn store(&self, root: &Path) -> io::Result<()> {
         let tmp = root.join(format!(".MANIFEST.tmp-{}", std::process::id()));
-        crate::shard::write_atomic(&tmp, &Self::path(root), &self.encode())
+        crate::shard::write_atomic(&tmp, &Self::path(root), |sink| {
+            sink.write_all(&self.encode())
+        })
     }
 }
 
@@ -192,7 +196,10 @@ pub struct CompactionStats {
 /// Handle to the background compactor thread. The thread wakes every
 /// `interval`, checks the engine's pending-WAL-bytes high-water mark
 /// against `threshold_bytes`, and runs [`Database::compact`] when the log
-/// has grown past it. Dropping the handle stops and joins the thread.
+/// has grown past it. A pass that returns an error or panics is counted in
+/// `db.compaction_failures` and the loop carries on: the WAL still holds
+/// everything, so the next tick retries. Dropping the handle stops and
+/// joins the thread.
 pub struct CompactorHandle {
     shared: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<JoinHandle<()>>,
@@ -204,29 +211,33 @@ impl std::fmt::Debug for CompactorHandle {
     }
 }
 
+/// One background pass over a database.
+type Pass = fn(&Database) -> io::Result<CompactionStats>;
+
 impl CompactorHandle {
     /// Spawn the compactor over a shared database.
     pub fn spawn(db: Arc<Database>, threshold_bytes: u64, interval: Duration) -> Self {
+        Self::start(db, threshold_bytes, interval, Database::compact)
+    }
+
+    /// [`CompactorHandle::spawn`] running `pass` for each due compaction;
+    /// private, so that only this module's tests pass anything but
+    /// [`Database::compact`].
+    fn start(db: Arc<Database>, threshold_bytes: u64, interval: Duration, pass: Pass) -> Self {
         let shared = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("nnlqp-db-compactor".into())
             .spawn(move || {
                 let (stop, cv) = &*thread_shared;
-                let mut guard = stop.lock().expect("compactor lock");
+                let mut guard = stop.lock().recover();
                 loop {
-                    let (g, _) = cv.wait_timeout(guard, interval).expect("compactor condvar");
-                    guard = g;
+                    guard = cv.wait_timeout(guard, interval).recover().0;
                     if *guard {
                         return;
                     }
                     if db.wal_bytes_pending() >= threshold_bytes {
-                        // A failed background pass must not kill the
-                        // writer: the WAL still holds everything; the
-                        // next pass (or shutdown compaction) retries.
-                        if let Err(e) = db.compact() {
-                            eprintln!("nnlqp-db: background compaction failed: {e}");
-                        }
+                        background_pass(&db, pass);
                     }
                 }
             })
@@ -237,25 +248,48 @@ impl CompactorHandle {
         }
     }
 
-    /// Stop and join the thread. Idempotent.
-    pub fn stop(&mut self) {
-        *self.shared.0.lock().expect("compactor lock") = true;
+    /// Stop and join the thread. `Err` holds the panic of a thread that
+    /// died. Idempotent: a second call returns `Ok(())`.
+    pub fn stop(&mut self) -> std::thread::Result<()> {
+        *self.shared.0.lock().recover() = true;
         self.shared.1.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.thread.take().map_or(Ok(()), JoinHandle::join)
     }
+}
+
+/// Run one background pass. A failed pass must not kill the writer or the
+/// loop: the WAL still holds everything, so it is counted and reported,
+/// and the next tick retries. Unwind safety: the tables' lock recovers from
+/// poisoning, and a pass that stops before its manifest swap has published
+/// nothing, so the store stays as the last good pass left it.
+fn background_pass(db: &Database, pass: Pass) {
+    let failure = match catch_unwind(AssertUnwindSafe(|| pass(db))) {
+        Ok(Ok(_)) => return,
+        Ok(Err(e)) => e.to_string(),
+        Err(panic) => {
+            let msg = (panic.downcast_ref::<&str>().copied())
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            format!("panicked: {msg}")
+        }
+    };
+    db.compaction_failed();
+    eprintln!("nnlqp-db: background compaction failed: {failure}");
 }
 
 impl Drop for CompactorHandle {
     fn drop(&mut self) {
-        self.stop();
+        let _ = self.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::db_metric_names::{COMPACTIONS, COMPACTION_FAILURES};
+    use crate::{DbMetrics, DurableOptions, FsyncPolicy};
+    use nnlqp_obs::MetricsRegistry;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn three_shards() -> Manifest {
         Manifest {
@@ -337,5 +371,90 @@ mod tests {
             .collect();
         assert!(litter.is_empty(), "{litter:?}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A durable two-shard store holding a platform and a model, its
+    /// counters on `registry`, with a compactor due at every tick.
+    fn due_store(tag: &str, registry: &Arc<MetricsRegistry>) -> (PathBuf, Arc<Database>) {
+        let dir =
+            std::env::temp_dir().join(format!("nnlqp-compactor-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurableOptions::new(&dir)
+            .shards(2)
+            .fsync(FsyncPolicy::Never);
+        let db =
+            Database::open_durable_with_metrics(opts, DbMetrics::registered(registry)).unwrap();
+        db.get_or_create_platform("T4", "trt7.1", "fp32");
+        db.insert_model_encoded("m".into(), 7, vec![1; 16]);
+        (dir, Arc::new(db))
+    }
+
+    /// Poll `registry`'s counter `name` until it reaches `at_least`.
+    fn wait_for(registry: &MetricsRegistry, name: &str, at_least: u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while registry.snapshot().counter(name) < at_least {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{name} never reached {at_least}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn a_failed_background_pass_is_counted_and_the_next_one_runs() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let (dir, db) = due_store("failed", &registry);
+        // A shard directory gone from under the store: the pass cannot
+        // write that shard's segment.
+        let shard = crate::shard::shard_dir(&dir, 1);
+        std::fs::remove_dir_all(&shard).unwrap();
+        let mut compactor = CompactorHandle::spawn(Arc::clone(&db), 1, Duration::from_millis(2));
+        wait_for(&registry, COMPACTION_FAILURES, 1);
+        assert_eq!(registry.snapshot().counter(COMPACTIONS), 0);
+        std::fs::create_dir_all(&shard).unwrap();
+        wait_for(&registry, COMPACTIONS, 1);
+        compactor.stop().unwrap();
+        let failures = registry.snapshot().counter(COMPACTION_FAILURES);
+        drop(db);
+        let reopened = Database::open_durable(DurableOptions::new(&dir)).unwrap();
+        assert_eq!(reopened.stats().models, 1);
+        assert_eq!(reopened.stats().platforms, 1);
+        assert!(failures >= 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panicking_background_pass_is_counted_and_the_loop_carries_on() {
+        static PANICKED: AtomicBool = AtomicBool::new(false);
+        fn panics_once(db: &Database) -> io::Result<CompactionStats> {
+            if !PANICKED.swap(true, Ordering::SeqCst) {
+                panic!("a compaction pass panics");
+            }
+            db.compact()
+        }
+        let registry = Arc::new(MetricsRegistry::new());
+        let (dir, db) = due_store("panic", &registry);
+        assert!(!registry
+            .snapshot()
+            .counters
+            .contains_key(COMPACTION_FAILURES));
+        let mut compactor =
+            CompactorHandle::start(Arc::clone(&db), 1, Duration::from_millis(2), panics_once);
+        wait_for(&registry, COMPACTIONS, 1);
+        assert_eq!(registry.snapshot().counter(COMPACTION_FAILURES), 1);
+        assert!(compactor.stop().is_ok());
+        assert!(compactor.stop().is_ok(), "a second stop is a no-op");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stop_returns_the_panic_of_a_thread_that_died() {
+        let mut handle = CompactorHandle {
+            shared: Arc::new((Mutex::new(false), Condvar::new())),
+            thread: Some(std::thread::spawn(|| panic!("the compactor thread dies"))),
+        };
+        assert!(handle.stop().is_err());
+        assert!(handle.stop().is_ok(), "a second stop is a no-op");
     }
 }

@@ -112,15 +112,16 @@ impl Database {
         metrics: DbMetrics,
     ) -> io::Result<Database> {
         let (engine, recovered) = StorageEngine::open_with_metrics(&opts, metrics)?;
-        let mut db = match &recovered {
-            Some(rec) => recover::build_database(rec)?,
-            None => Database::new(),
+        let (mut db, clean) = match recovered {
+            Some(rec) => {
+                let clean = rec.stats.clean();
+                (recover::build_database(rec.ops, rec.db_seq)?, clean)
+            }
+            None => (Database::new(), true),
         };
         db.engine = Some(engine);
-        if let Some(rec) = &recovered {
-            if !rec.stats.clean() {
-                db.compact()?;
-            }
+        if !clean {
+            db.compact()?;
         }
         Ok(db)
     }
@@ -151,6 +152,14 @@ impl Database {
                 e.compact_from(&inner)
             }
             None => Ok(CompactionStats::default()),
+        }
+    }
+
+    /// Count a background compaction pass that failed (an error or a
+    /// panic) in `db.compaction_failures`. A no-op when in-memory.
+    pub(crate) fn compaction_failed(&self) {
+        if let Some(e) = &self.engine {
+            e.metrics().compaction_failed();
         }
     }
 

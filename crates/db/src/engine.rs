@@ -18,7 +18,7 @@ use crate::compact::{sweep_unreferenced, CompactionStats, Manifest};
 use crate::database::Inner;
 use crate::recover::{self, Recovered};
 use crate::shard::{seg_path, shard_dir, shard_of, wal_path, write_segment, META_SHARD};
-use crate::wal::{self, Frame, FsyncPolicy, WalOp, WalWriter};
+use crate::wal::{self, FsyncPolicy, OpRef, WalOp, WalWriter};
 use nnlqp_obs::{Counter, MetricsRegistry};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,6 +42,9 @@ pub mod db_metric_names {
     pub const RECOVERY_REPLAYED_FRAMES: &str = "db.recovery_replayed_frames";
     /// Torn/corrupt WAL tail bytes refused during recovery.
     pub const RECOVERY_TRUNCATED_BYTES: &str = "db.recovery_truncated_bytes";
+    /// Background compaction passes that returned an error or panicked.
+    /// Registered on the first failure, so a healthy store never exports it.
+    pub const COMPACTION_FAILURES: &str = "db.compaction_failures";
 }
 
 /// The engine's counters, shared with the workspace metrics registry.
@@ -57,29 +60,35 @@ pub struct DbMetrics {
     pub recovery_replayed_frames: Arc<Counter>,
     /// `db.recovery_truncated_bytes`.
     pub recovery_truncated_bytes: Arc<Counter>,
+    /// Where the counters live, and `db.compaction_failures` once a
+    /// background pass has failed.
+    registry: Arc<MetricsRegistry>,
 }
 
 impl DbMetrics {
-    /// Free-standing counters, not attached to any registry.
+    /// Counters on a registry of their own, attached to no other.
     pub fn standalone() -> Self {
-        DbMetrics {
-            wal_appends: Arc::new(Counter::default()),
-            wal_bytes: Arc::new(Counter::default()),
-            compactions: Arc::new(Counter::default()),
-            recovery_replayed_frames: Arc::new(Counter::default()),
-            recovery_truncated_bytes: Arc::new(Counter::default()),
-        }
+        Self::registered(&Arc::new(MetricsRegistry::new()))
     }
 
     /// Counters registered under the `db.*` names in `registry`.
-    pub fn registered(registry: &MetricsRegistry) -> Self {
+    pub fn registered(registry: &Arc<MetricsRegistry>) -> Self {
         DbMetrics {
             wal_appends: registry.counter(db_metric_names::WAL_APPENDS),
             wal_bytes: registry.counter(db_metric_names::WAL_BYTES),
             compactions: registry.counter(db_metric_names::COMPACTIONS),
             recovery_replayed_frames: registry.counter(db_metric_names::RECOVERY_REPLAYED_FRAMES),
             recovery_truncated_bytes: registry.counter(db_metric_names::RECOVERY_TRUNCATED_BYTES),
+            registry: Arc::clone(registry),
         }
+    }
+
+    /// Count a failed background compaction pass, registering
+    /// `db.compaction_failures` on the first.
+    pub(crate) fn compaction_failed(&self) {
+        (self.registry)
+            .counter(db_metric_names::COMPACTION_FAILURES)
+            .inc();
     }
 }
 
@@ -221,6 +230,10 @@ impl StorageEngine {
         &self.root
     }
 
+    pub(crate) fn metrics(&self) -> &DbMetrics {
+        &self.metrics
+    }
+
     pub(crate) fn n_shards(&self) -> usize {
         self.writers.len()
     }
@@ -232,14 +245,7 @@ impl StorageEngine {
 
     /// Which shard an op routes to.
     pub(crate) fn route(&self, op: &WalOp, inner: &Inner) -> usize {
-        match op {
-            WalOp::Platform(_) => META_SHARD,
-            WalOp::Model(m) => shard_of(m.graph_hash, self.n_shards()),
-            WalOp::Latency(l) => {
-                let hash = inner.models[l.model_id.0 as usize].graph_hash;
-                shard_of(hash, self.n_shards())
-            }
-        }
+        owner(inner, op.view(), self.n_shards())
     }
 
     /// Append one op to its shard's WAL. Called with the database write
@@ -248,7 +254,7 @@ impl StorageEngine {
     /// `op` is longer than its length prefix holds.
     pub(crate) fn append(&self, shard: usize, op: &WalOp) {
         let wal_seq = self.next_wal_seq.fetch_add(1, Ordering::Relaxed);
-        let encoded = wal::encode_op(wal_seq, op)
+        let encoded = wal::encode_op(wal_seq, op.view())
             .unwrap_or_else(|e| panic!("nnlqp-db: cannot frame a record for shard {shard}: {e}"));
         let crash_after = self
             .crash_at
@@ -271,37 +277,22 @@ impl StorageEngine {
     /// Fold the full store into fresh snapshot segments and reset the
     /// WALs. Called with the database write lock held, so the table
     /// snapshot is consistent and no append races the generation bump.
+    ///
+    /// Each shard's segment is streamed from the rows where they live
+    /// ([`shard_frames`]): a frame is encoded from its record into one
+    /// reused buffer and written through a buffered temp file, so the pass
+    /// holds a frame, the buffer and the shard's model index, never a
+    /// copy of the store.
     pub(crate) fn compact_from(&self, inner: &Inner) -> io::Result<CompactionStats> {
         for w in &self.writers {
             w.lock().expect("wal writer lock").seal()?;
         }
         let n = self.n_shards();
-        let mut per_shard: Vec<Vec<Frame>> = vec![Vec::new(); n];
-        let mut seq = 0u64;
-        let mut push = |shard: usize, op: WalOp, per_shard: &mut Vec<Vec<Frame>>| {
-            per_shard[shard].push(Frame { wal_seq: seq, op });
-            seq += 1;
-        };
-        for p in &inner.platforms {
-            push(META_SHARD, WalOp::Platform(p.clone()), &mut per_shard);
-        }
-        for m in &inner.models {
-            push(
-                shard_of(m.graph_hash, n),
-                WalOp::Model(m.clone()),
-                &mut per_shard,
-            );
-        }
-        for l in &inner.latencies {
-            let hash = inner.models[l.model_id.0 as usize].graph_hash;
-            push(shard_of(hash, n), WalOp::Latency(*l), &mut per_shard);
-        }
-        let frames_total = seq as usize;
-
+        let frames_total = inner.platforms.len() + inner.models.len() + inner.latencies.len();
         let mut manifest = self.manifest.lock().expect("manifest lock").clone();
-        for (i, frames) in per_shard.iter().enumerate() {
+        for i in 0..n {
             let gen = manifest.shards[i].wal_gen;
-            write_segment(&seg_path(&self.root, i, gen), frames)?;
+            write_segment(&seg_path(&self.root, i, gen), || shard_frames(inner, n, i))?;
             manifest.shards[i].seg_gen = Some(gen);
             manifest.shards[i].wal_gen = gen + 1;
         }
@@ -327,6 +318,28 @@ impl StorageEngine {
             files_removed: removed,
         })
     }
+}
+
+/// The shard of `n` that holds `op`: platforms live on the meta shard,
+/// models and their latencies on their graph hash's.
+fn owner(inner: &Inner, op: OpRef<'_>, n: usize) -> usize {
+    match op {
+        OpRef::Platform(_) => META_SHARD,
+        OpRef::Model(m) => shard_of(m.graph_hash, n),
+        OpRef::Latency(l) => shard_of(inner.models[l.model_id.0 as usize].graph_hash, n),
+    }
+}
+
+/// The frames a compaction folds into shard `shard` of `n`, borrowed from
+/// the tables: every row the shard holds, as `(wal_seq, op)`, numbered by
+/// its place in the store-wide order platforms, models, latencies.
+fn shard_frames(inner: &Inner, n: usize, shard: usize) -> impl Iterator<Item = (u64, OpRef<'_>)> {
+    let platforms = inner.platforms.iter().map(OpRef::Platform);
+    let models = inner.models.iter().map(OpRef::Model);
+    let latencies = inner.latencies.iter().map(OpRef::Latency);
+    (0u64..)
+        .zip(platforms.chain(models).chain(latencies))
+        .filter(move |&(_, op)| owner(inner, op, n) == shard)
 }
 
 #[cfg(test)]

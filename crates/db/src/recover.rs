@@ -144,22 +144,27 @@ fn track_created(op: &WalOp, max: &mut Option<u64>) {
 /// invariants the live write path enforces: dense primary keys, unique
 /// hash/platform indexes, valid foreign keys. A violation means the store
 /// files contradict each other and is reported as corruption.
-pub fn build_database(rec: &Recovered) -> io::Result<Database> {
+///
+/// The ops are moved into the tables, graph blobs and all: a reopen holds
+/// the store once, not the recovered list beside a copy of it. Callers
+/// take `ops` and `db_seq` out of a [`Recovered`] and keep its manifest
+/// and stats.
+pub fn build_database(ops: Vec<WalOp>, db_seq: u64) -> io::Result<Database> {
     let mut models: Vec<Option<ModelRecord>> = Vec::new();
     let mut platforms: Vec<Option<PlatformRecord>> = Vec::new();
     let mut latencies: Vec<Option<LatencyRecord>> = Vec::new();
-    fn place<T: Clone>(table: &mut Vec<Option<T>>, id: u32, rec: &T, what: &str) -> io::Result<()> {
+    fn place<T>(table: &mut Vec<Option<T>>, id: u32, rec: T, what: &str) -> io::Result<()> {
         let at = id as usize;
         if table.len() <= at {
-            table.resize(at + 1, None);
+            table.resize_with(at + 1, || None);
         }
         if table[at].is_some() {
             return Err(corrupt(format!("duplicate {what} id {id}")));
         }
-        table[at] = Some(rec.clone());
+        table[at] = Some(rec);
         Ok(())
     }
-    for op in &rec.ops {
+    for op in ops {
         match op {
             WalOp::Model(m) => place(&mut models, m.id.0, m, "model")?,
             WalOp::Platform(p) => place(&mut platforms, p.id.0, p, "platform")?,
@@ -177,7 +182,7 @@ pub fn build_database(rec: &Recovered) -> io::Result<Database> {
         dense(models, "model")?,
         dense(platforms, "platform")?,
         dense(latencies, "latency")?,
-        rec.db_seq,
+        db_seq,
     )
 }
 
@@ -186,10 +191,7 @@ pub fn build_database(rec: &Recovered) -> io::Result<Database> {
 /// Used by `nnlqp db stats` and inspection tooling.
 pub fn open_read_only(root: &Path) -> io::Result<(Database, RecoveryStats)> {
     match recover(root)? {
-        Some(rec) => {
-            let db = build_database(&rec)?;
-            Ok((db, rec.stats))
-        }
+        Some(rec) => Ok((build_database(rec.ops, rec.db_seq)?, rec.stats)),
         None => Err(io::Error::new(
             io::ErrorKind::NotFound,
             format!("no durable store at {}", root.display()),
@@ -261,7 +263,7 @@ pub fn verify_store(root: &Path) -> io::Result<VerifyReport> {
         Ok(Some(rec)) => {
             report.wal_frames = rec.stats.wal_frames_replayed;
             report.wal_frames_discarded = rec.stats.wal_frames_discarded;
-            match build_database(&rec) {
+            match build_database(rec.ops, rec.db_seq) {
                 Ok(db) => {
                     let s = db.stats();
                     report.models = s.models;
@@ -371,7 +373,7 @@ mod tests {
         assert_eq!(rec.stats.wal_frames_replayed, 1);
         assert_eq!(rec.stats.wal_frames_discarded, 1);
         assert_eq!(rec.next_wal_seq, 1);
-        let db = build_database(&rec).unwrap();
+        let db = build_database(rec.ops, rec.db_seq).unwrap();
         assert_eq!(db.stats().platforms, 1);
         assert_eq!(db.stats().models, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -410,7 +412,7 @@ mod tests {
         assert_eq!(rec.stats.wal_frames_replayed, 5);
         assert_eq!(rec.db_seq, 4);
         assert_eq!(rec.next_wal_seq, 5);
-        let db = build_database(&rec).unwrap();
+        let db = build_database(rec.ops, rec.db_seq).unwrap();
         assert_eq!(db.stats().models, 2);
         assert_eq!(db.stats().latencies, 2);
         // Hash index rebuilt.
@@ -436,7 +438,7 @@ mod tests {
         ];
         write_store(&dir, [&frames, &[]]);
         let rec = recover(&dir).unwrap().unwrap();
-        assert!(build_database(&rec).is_err());
+        assert!(build_database(rec.ops, rec.db_seq).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

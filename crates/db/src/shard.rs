@@ -10,10 +10,11 @@
 //! the log.
 
 use crate::records::ModelRecord;
-use crate::wal::{self, Frame, WalOp};
+use crate::wal::{self, Frame, OpRef, WalOp, FRAME_HEADER};
 use nnlqp_ir::codec::Reader;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,16 +42,19 @@ pub fn seg_path(root: &Path, shard: usize, gen: u64) -> PathBuf {
     shard_dir(root, shard).join(format!("seg-{gen:06}.snap"))
 }
 
-const MAGIC: &[u8; 4] = b"NQSG";
+const SEGMENT_MAGIC: &[u8; 4] = b"NQSG";
 const VERSION: u8 = 1;
 /// Bytes before the frames region: magic, version, frames length, count.
 const HEADER: usize = 17;
+/// Bytes of the buffer a segment or manifest file is written through.
+const WRITE_BUFFER: usize = 64 * 1024;
 
 fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("segment: {what}"))
 }
 
-/// Serialize `frames` into the segment byte format:
+/// The segment encoder: write the frames `frames()` yields, as
+/// `(wal_seq, op)`, into `sink` in the segment byte format:
 ///
 /// ```text
 /// [NQSG][u8 ver][u64 frames_len][u32 n_frames]
@@ -60,49 +64,84 @@ fn bad(what: &str) -> io::Error {
 ///
 /// Offsets are relative to the frames region and point at model frames —
 /// the per-shard hash index that keeps point lookups O(1).
+///
+/// `frames` is walked twice: once to size the header (each frame is
+/// `FRAME_HEADER` plus its payload length), once to encode. Each frame is
+/// encoded into one reused buffer and written on, so the encoder holds one
+/// frame and the index, never the segment.
+pub(crate) fn encode_segment_into<'a, I>(
+    sink: &mut impl Write,
+    frames: impl Fn() -> I,
+) -> io::Result<()>
+where
+    I: Iterator<Item = (u64, OpRef<'a>)>,
+{
+    let (mut n_frames, mut frames_len) = (0u32, 0u64);
+    for (_, op) in frames() {
+        n_frames += 1;
+        frames_len += (FRAME_HEADER + wal::payload_len(op)) as u64;
+    }
+    sink.write_all(SEGMENT_MAGIC)?;
+    sink.write_all(&[VERSION])?;
+    sink.write_all(&frames_len.to_le_bytes())?;
+    sink.write_all(&n_frames.to_le_bytes())?;
+    // The index section, its count filled in once the frames are out.
+    let mut index = vec![0u8; 4];
+    let mut frame = Vec::new();
+    let mut at = 0u64;
+    for (wal_seq, op) in frames() {
+        if let OpRef::Model(m) = op {
+            index.extend_from_slice(&m.graph_hash.to_le_bytes());
+            index.extend_from_slice(&at.to_le_bytes());
+        }
+        wal::encode_op_into(&mut frame, wal_seq, op)?;
+        sink.write_all(&frame)?;
+        at += frame.len() as u64;
+    }
+    debug_assert_eq!(at, frames_len, "the frames changed between the passes");
+    let n_index = ((index.len() - 4) / 16) as u32;
+    index[..4].copy_from_slice(&n_index.to_le_bytes());
+    sink.write_all(&index)?;
+    sink.write_all(&wal::checksum(&index).to_le_bytes())
+}
+
+/// Serialize `frames` into the segment byte format: [`encode_segment_into`]
+/// writing into a `Vec`.
 pub fn encode_segment(frames: &[Frame]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&[0; 8]); // the frames length, written once it is known
-    out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-    let mut index: Vec<(u64, u64)> = Vec::new();
-    for f in frames {
-        if let WalOp::Model(m) = &f.op {
-            index.push((m.graph_hash, (out.len() - HEADER) as u64));
-        }
-        out.extend_from_slice(&wal::encode_frame(f));
-    }
-    let frames_len = (out.len() - HEADER) as u64;
-    out[5..13].copy_from_slice(&frames_len.to_le_bytes());
-    let idx_start = out.len();
-    out.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    for &(hash, off) in &index {
-        out.extend_from_slice(&hash.to_le_bytes());
-        out.extend_from_slice(&off.to_le_bytes());
-    }
-    let cks = wal::checksum(&out[idx_start..]);
-    out.extend_from_slice(&cks.to_le_bytes());
+    encode_segment_into(&mut out, || frames.iter().map(|f| (f.wal_seq, f.op.view())))
+        .unwrap_or_else(|e| panic!("encode_segment: {e}"));
     out
 }
 
-/// Write a segment atomically: temp file in the same directory, flushed
-/// and fsynced, then renamed over `path` — a crash mid-write leaves no
-/// visible segment.
-pub fn write_segment(path: &Path, frames: &[Frame]) -> io::Result<()> {
+/// Write a segment of the frames `frames()` yields atomically: streamed
+/// through a buffered temp file in the same directory, flushed and
+/// fsynced, then renamed over `path` — a crash mid-write leaves no
+/// visible segment. A compaction passes the rows where they live.
+pub fn write_segment<'a, I>(path: &Path, frames: impl Fn() -> I) -> io::Result<()>
+where
+    I: Iterator<Item = (u64, OpRef<'a>)>,
+{
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    write_atomic(&tmp, path, &encode_segment(frames))
+    write_atomic(&tmp, path, |sink| encode_segment_into(sink, frames))
 }
 
-/// `bytes` into `tmp`, fsynced, then renamed over `path`; a failed write
-/// removes `tmp`. The store publishes every segment and manifest this way.
-pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let write = (|| {
-        let mut f = std::fs::File::create(tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+/// What `write` writes, through a buffer into `tmp`, fsynced, then renamed
+/// over `path`; a failed write removes `tmp`. The store publishes every
+/// segment and manifest this way.
+pub(crate) fn write_atomic(
+    tmp: &Path,
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let written = (|| {
+        let mut sink = BufWriter::with_capacity(WRITE_BUFFER, File::create(tmp)?);
+        write(&mut sink)?;
+        sink.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()
     })();
-    let result = write.and_then(|()| std::fs::rename(tmp, path));
+    let result = written.and_then(|()| std::fs::rename(tmp, path));
     if result.is_err() {
         let _ = std::fs::remove_file(tmp);
     }
@@ -134,7 +173,7 @@ impl SnapshotSegment {
     /// Validate an in-memory segment image.
     pub fn from_bytes(raw: Vec<u8>) -> io::Result<Self> {
         let mut r = Reader::new(&raw, "segment");
-        r.header(MAGIC, VERSION)?;
+        r.header(SEGMENT_MAGIC, VERSION)?;
         let frames_len = r.u64()? as usize;
         let n_frames = r.u32()?;
         r.take(frames_len)?;
@@ -327,9 +366,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("seg-000001.snap");
         let frames: Vec<Frame> = (0..8).map(model_frame).collect();
-        write_segment(&path, &frames).unwrap();
+        let borrowed = || frames.iter().map(|f| (f.wal_seq, f.op.view()));
+        write_segment(&path, borrowed).unwrap();
         // Overwrite is also atomic and leaves no temp litter.
-        write_segment(&path, &frames).unwrap();
+        write_segment(&path, borrowed).unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(Result::ok)

@@ -57,6 +57,30 @@ pub struct Frame {
     pub op: WalOp,
 }
 
+/// A [`WalOp`] borrowed from where its record lives: the write path logs
+/// a row, and a compaction folds the tables, without cloning a record
+/// (graph blob included) into an owned op first.
+#[derive(Debug, Clone, Copy)]
+pub enum OpRef<'a> {
+    /// A model row.
+    Model(&'a ModelRecord),
+    /// A platform row.
+    Platform(&'a PlatformRecord),
+    /// A latency row.
+    Latency(&'a LatencyRecord),
+}
+
+impl WalOp {
+    /// This op, borrowed.
+    pub fn view(&self) -> OpRef<'_> {
+        match self {
+            WalOp::Model(m) => OpRef::Model(m),
+            WalOp::Platform(p) => OpRef::Platform(p),
+            WalOp::Latency(l) => OpRef::Latency(l),
+        }
+    }
+}
+
 const TAG_MODEL: u8 = 1;
 const TAG_PLATFORM: u8 = 2;
 const TAG_LATENCY: u8 = 3;
@@ -64,15 +88,16 @@ const TAG_LATENCY: u8 = 3;
 /// Bytes before a frame's payload: its length, then its checksum.
 pub(crate) const FRAME_HEADER: usize = 12;
 
-/// Payload bytes of `op`'s frame, exactly: a frame is one allocation.
-fn payload_len(op: &WalOp) -> usize {
+/// Payload bytes of `op`'s frame, exactly: a frame is one allocation, and
+/// a segment's header knows its frames' length before it writes one.
+pub(crate) fn payload_len(op: OpRef<'_>) -> usize {
     8 + 1
         + match op {
-            WalOp::Model(m) => 4 + 8 + 4 + m.name.len() + 4 + m.graph_bytes.len() + 8,
-            WalOp::Platform(p) => {
+            OpRef::Model(m) => 4 + 8 + 4 + m.name.len() + 4 + m.graph_bytes.len() + 8,
+            OpRef::Platform(p) => {
                 4 + 3 * 4 + p.hardware.len() + p.software.len() + p.data_type.len()
             }
-            WalOp::Latency(_) => 4 * 4 + 8 * 5,
+            OpRef::Latency(_) => 4 * 4 + 8 * 5,
         }
 }
 
@@ -80,34 +105,42 @@ fn payload_len(op: &WalOp) -> usize {
 /// string or blob is longer than its `u32` length prefix holds, which no
 /// record a store keeps is: the store frames each record before keeping it.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    encode_op(frame.wal_seq, &frame.op).unwrap_or_else(|e| panic!("encode_frame: {e}"))
+    encode_op(frame.wal_seq, frame.op.view()).unwrap_or_else(|e| panic!("encode_frame: {e}"))
 }
 
-/// [`encode_frame`] over a borrowed op: the write path logs a record from
-/// where it lives instead of cloning it into a [`Frame`] first. The
-/// payload is written after a zeroed header, which is filled in last. A
-/// field longer than its length prefix is the codec's `DoesNotFit`.
-pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> IrResult<Vec<u8>> {
+/// [`encode_frame`] over a borrowed op, into a buffer of its exact size.
+/// A field longer than its length prefix is the codec's `DoesNotFit`.
+pub(crate) fn encode_op(wal_seq: u64, op: OpRef<'_>) -> IrResult<Vec<u8>> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload_len(op));
+    encode_op_into(&mut out, wal_seq, op)?;
+    Ok(out)
+}
+
+/// Encode `op`'s frame into `out`, replacing what it held: a segment
+/// writer reuses one buffer for all its frames. The payload is written
+/// after a zeroed header, which is filled in last.
+pub(crate) fn encode_op_into(out: &mut Vec<u8>, wal_seq: u64, op: OpRef<'_>) -> IrResult<()> {
+    out.clear();
+    out.reserve(FRAME_HEADER + payload_len(op));
     out.resize(FRAME_HEADER, 0);
     out.extend_from_slice(&wal_seq.to_le_bytes());
     match op {
-        WalOp::Model(m) => {
+        OpRef::Model(m) => {
             out.push(TAG_MODEL);
             out.extend_from_slice(&m.id.0.to_le_bytes());
             out.extend_from_slice(&m.graph_hash.to_le_bytes());
-            put_bytes(&mut out, "model name", m.name.as_bytes())?;
-            put_bytes(&mut out, "graph bytes", &m.graph_bytes)?;
+            put_bytes(out, "model name", m.name.as_bytes())?;
+            put_bytes(out, "graph bytes", &m.graph_bytes)?;
             out.extend_from_slice(&m.created_seq.to_le_bytes());
         }
-        WalOp::Platform(p) => {
+        OpRef::Platform(p) => {
             out.push(TAG_PLATFORM);
             out.extend_from_slice(&p.id.0.to_le_bytes());
-            put_bytes(&mut out, "hardware", p.hardware.as_bytes())?;
-            put_bytes(&mut out, "software", p.software.as_bytes())?;
-            put_bytes(&mut out, "data type", p.data_type.as_bytes())?;
+            put_bytes(out, "hardware", p.hardware.as_bytes())?;
+            put_bytes(out, "software", p.software.as_bytes())?;
+            put_bytes(out, "data type", p.data_type.as_bytes())?;
         }
-        WalOp::Latency(l) => {
+        OpRef::Latency(l) => {
             out.push(TAG_LATENCY);
             out.extend_from_slice(&l.id.0.to_le_bytes());
             out.extend_from_slice(&l.model_id.0.to_le_bytes());
@@ -125,7 +158,7 @@ pub(crate) fn encode_op(wal_seq: u64, op: &WalOp) -> IrResult<Vec<u8>> {
     let len: u32 = narrow(None, "frame payload", payload.len() as u64)?;
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-    Ok(out)
+    Ok(())
 }
 
 /// The frame starting at `at`: its payload and the checksum its header

@@ -18,8 +18,8 @@ use std::sync::Arc;
 ///
 /// A sample is a label on a structure: samples of one structure (in a
 /// multi-platform dataset, one per head that measured it) share its node
-/// matrix and adjacency, and [`Dataset::build`] featurizes the same
-/// `&Graph` once.
+/// matrix and adjacency, and [`Dataset::from_features`] normalizes each
+/// structure once.
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Normalized node features, shared by the structure's samples.
@@ -51,30 +51,39 @@ impl Dataset {
     /// use [`Dataset::extend_with`] for evaluation sets.
     ///
     /// Entries that borrow the same `&Graph` (the same address) are one
-    /// structure: it is featurized and normalized once, and its samples
-    /// share the result. The normalizer still sees every entry, in entry
-    /// order, so sharing moves no statistic and no sample bit.
+    /// structure: it is featurized once, and the dataset is
+    /// [`Dataset::from_features`] over those structures.
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
         let mut slot_of: HashMap<*const Graph, usize> = HashMap::new();
         let mut feats: Vec<GraphFeatures> = Vec::new();
-        let slots: Vec<usize> = entries
+        let rows: Vec<(usize, f64, usize)> = entries
             .iter()
-            .map(|&(g, _, _)| {
-                *slot_of.entry(std::ptr::from_ref(g)).or_insert_with(|| {
+            .map(|&(g, ms, head)| {
+                let slot = *slot_of.entry(std::ptr::from_ref(g)).or_insert_with(|| {
                     feats.push(extract_features(g));
                     feats.len() - 1
-                })
+                });
+                (slot, ms, head)
             })
             .collect();
-        let norm = Normalizer::fit(&slots.iter().map(|&i| &feats[i]).collect::<Vec<_>>());
+        Dataset::from_features(feats, &rows)
+    }
+
+    /// Build from each structure's raw features and `(structure,
+    /// latency_ms, head)` rows, where `structure` indexes `feats`. The
+    /// normalizer sees every row's structure, in row order; each structure
+    /// is then normalized once, in place, and its rows share the result.
+    /// A caller that featurizes each graph as it decodes it holds the
+    /// features, never the graphs.
+    pub fn from_features(feats: Vec<GraphFeatures>, rows: &[(usize, f64, usize)]) -> Dataset {
+        let norm = Normalizer::fit(&rows.iter().map(|&(i, _, _)| &feats[i]).collect::<Vec<_>>());
         let structures: Vec<Structure> = feats
             .into_iter()
             .map(|f| Structure::normalize(f, &norm))
             .collect();
-        let samples = slots
+        let samples = rows
             .iter()
-            .zip(entries)
-            .map(|(&i, &(_, ms, head))| make_sample(&structures[i], ms, head))
+            .map(|&(i, ms, head)| make_sample(&structures[i], ms, head))
             .collect();
         Dataset { samples, norm }
     }

@@ -1017,7 +1017,9 @@ impl LatencyService {
         // WAL tail into segments. Reopening afterwards replays segments
         // only — no WAL tail to scan.
         if self.system.db.is_durable() {
-            self.system.stop_compactor();
+            if self.system.stop_compactor().is_err() {
+                died.push("nnlqp-db-compactor".to_string());
+            }
             self.system.db.compact()?;
         }
         match died.as_slice() {

@@ -45,8 +45,18 @@ use counting_alloc::{allocations, high_water_bytes, live_bytes, reset_high_water
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// High-water bytes of [`retrain_high_water`]'s call.
+/// High-water bytes of a four-platform retrain of 32 structures.
 const RETRAIN_HIGH_WATER: i64 = 2_293_558;
+/// High-water bytes of a two-platform retrain of 385 structures, with no
+/// epoch and with one.
+const WIDE_RETRAIN_HIGH_WATER: [i64; 2] = [4_000_000, 5_800_000];
+
+const FOUR_HEADS: [&str; 4] = [
+    "gpu-T4-trt7.1-fp32",
+    "cpu-openppl-fp32",
+    "hi3559A-nnie11-int8",
+    "atlas300-acl-fp16",
+];
 
 /// The 12-graph, two-head corpus of `tests/predict_fastpath.rs`'s epoch
 /// digests: graphs of 39 to 74 nodes, so buffers are reused across sizes.
@@ -227,37 +237,39 @@ fn a_nan_seeded_arena_reproduces_every_loss_and_gradient() {
     check::<TransformerModel>(&ds);
 }
 
-/// Bytes a four-platform retrain holds at its peak, over what it held
-/// before the call.
-fn retrain_high_water() -> i64 {
-    const HEADS: [&str; 4] = [
-        "gpu-T4-trt7.1-fp32",
-        "cpu-openppl-fp32",
-        "hi3559A-nnie11-int8",
-        "atlas300-acl-fp16",
-    ];
+/// Bytes a retrain over the distinct structures of `per_family` models of
+/// each of two families, measured on every platform of `heads`, holds at
+/// its peak over what it held before the call.
+fn retrain_high_water(heads: &[&str], per_family: usize, epochs: usize) -> i64 {
     let system = Nnlqp::builder()
         .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
         .reps(3)
         .build();
+    let mut seen = std::collections::HashSet::new();
     let models: Vec<Graph> = [ModelFamily::SqueezeNet, ModelFamily::ResNet]
         .into_iter()
-        .flat_map(|f| nnlqp_models::generate_family(f, 16, 5))
+        .flat_map(|f| nnlqp_models::generate_family(f, per_family, 5))
         .map(|m| m.graph)
+        .filter(|g| seen.insert(nnlqp_hash::graph_hash(g)))
         .collect();
-    for name in HEADS {
+    assert!(
+        models.len() >= per_family * 2 * 49 / 50,
+        "{} structures",
+        models.len()
+    );
+    for name in heads {
         system
             .warm_cache(&models, &Platform::by_name(name).unwrap(), 1)
             .unwrap();
     }
     let cfg = TrainPredictorConfig {
-        epochs: 1,
+        epochs,
         ..Default::default()
     };
     reset_high_water();
     let before = live_bytes();
-    let (_, rows) = system.train_predictor_handle(&HEADS, cfg).unwrap().unwrap();
-    assert_eq!(rows, models.len() * HEADS.len());
+    let (_, rows) = system.train_predictor_handle(heads, cfg).unwrap().unwrap();
+    assert_eq!(rows, models.len() * heads.len());
     high_water_bytes() - before
 }
 
@@ -266,8 +278,25 @@ fn retrain_high_water() -> i64 {
 /// matrix and adjacency that the structure's rows share.
 #[test]
 fn a_four_platform_retrain_holds_each_structure_once() {
-    let peak = retrain_high_water();
+    let retrain = || retrain_high_water(&FOUR_HEADS, 16, 1);
+    let peak = retrain();
     println!("{peak} bytes at the high water of a four-platform retrain");
-    assert_eq!(peak, retrain_high_water(), "the peak is not repeatable");
+    assert_eq!(peak, retrain(), "the peak is not repeatable");
     assert!(peak <= RETRAIN_HIGH_WATER, "{peak} bytes at the high water");
+}
+
+/// A retrain featurizes each structure as it decodes it and drops the
+/// graph before the next decode: at 385 structures its peak is the
+/// features and, with an epoch, training's arena and model, never every
+/// decoded graph beside every feature matrix.
+#[test]
+fn a_wide_retrain_holds_features_not_graphs() {
+    for (epochs, bound) in WIDE_RETRAIN_HIGH_WATER.into_iter().enumerate() {
+        let peak = retrain_high_water(&FOUR_HEADS[..2], 193, epochs);
+        println!("{peak} bytes at the high water of a 385-structure retrain, {epochs} epochs");
+        assert!(
+            peak <= bound,
+            "{epochs} epochs: {peak} bytes at the high water"
+        );
+    }
 }
