@@ -8,7 +8,8 @@
 //!
 //! 1. seals every shard's WAL (flush + fsync),
 //! 2. writes a fresh segment per shard holding *all* of the shard's
-//!    records (fsynced, renamed into place),
+//!    records, streamed from the live rows one frame at a time (fsynced,
+//!    renamed into place),
 //! 3. swaps the manifest to point at the new segments and the next WAL
 //!    generation,
 //! 4. deletes the folded WAL files and superseded segments.

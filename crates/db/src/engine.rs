@@ -298,20 +298,27 @@ impl StorageEngine {
         }
         manifest.db_seq = inner.seq;
         manifest.next_wal_seq = self.next_wal_seq.load(Ordering::Relaxed);
+        // Open the next WAL generation before the swap: once the manifest
+        // names it, appends must go there, so nothing may fail between the
+        // two. A pass that fails here has published nothing.
+        let fresh = (0..n)
+            .map(|i| {
+                WalWriter::open(
+                    wal_path(&self.root, i, manifest.shards[i].wal_gen),
+                    self.fsync,
+                )
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         manifest.store(&self.root)?;
         // The swap is the commit point: from here the segments are the
         // store and the old WAL generations are garbage.
-        for (i, w) in self.writers.iter().enumerate() {
-            let fresh = WalWriter::open(
-                wal_path(&self.root, i, manifest.shards[i].wal_gen),
-                self.fsync,
-            )?;
+        for (w, fresh) in self.writers.iter().zip(fresh) {
             *w.lock().expect("wal writer lock") = fresh;
         }
         let folded = self.pending_bytes.swap(0, Ordering::Relaxed);
-        let removed = sweep_unreferenced(&self.root, &manifest)?;
-        *self.manifest.lock().expect("manifest lock") = manifest;
+        *self.manifest.lock().expect("manifest lock") = manifest.clone();
         self.metrics.compactions.inc();
+        let removed = sweep_unreferenced(&self.root, &manifest)?;
         Ok(CompactionStats {
             frames: frames_total,
             wal_bytes_folded: folded,
@@ -405,6 +412,36 @@ mod tests {
         assert!(rec.stats.clean());
         assert_eq!(engine.metrics.recovery_replayed_frames.get(), 5);
         assert_eq!(engine.next_wal_seq.load(Ordering::Relaxed), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pass_that_cannot_open_the_next_wal_loses_no_row() {
+        use crate::Database;
+        let dir = temp_dir("next-wal");
+        let opts = DurableOptions::new(&dir)
+            .shards(2)
+            .fsync(FsyncPolicy::Never);
+        let db = Database::open_durable(opts).unwrap();
+        let p = db.get_or_create_platform("T4", "trt7.1", "fp32");
+        let on = |shard| (1u64..).find(|&h| shard_of(h, 2) == shard).unwrap();
+        let (m1, _) = db.insert_model_encoded("m1".into(), on(1), vec![1; 8]);
+        // Shard 1's next WAL generation cannot be opened: a directory
+        // stands where its file would go.
+        std::fs::create_dir_all(wal_path(&dir, 1, 2)).unwrap();
+        assert!(db.compact().is_err());
+        // Rows written after the failed pass still reach a WAL the store
+        // reads back.
+        db.insert_latency(m1, p, 1, 1.5, 0.0, 0, 0).unwrap();
+        db.insert_model_encoded("m0".into(), on(0), vec![2; 8]);
+        drop(db);
+        std::fs::remove_dir_all(wal_path(&dir, 1, 2)).unwrap();
+        let (reopened, stats) = crate::open_read_only(&dir).unwrap();
+        assert_eq!(
+            (reopened.stats().models, reopened.stats().latencies),
+            (2, 1)
+        );
+        assert!(stats.clean(), "{stats:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,16 +9,20 @@
 //! sizes on two platforms (8 latency rows), on four shards. High water
 //! over what the thread held before the call:
 //!
-//! | pass                      | 64 models | 1,024 models         |
-//! |---------------------------|-----------|----------------------|
-//! | `compact`, records cloned | 555,384 B | 8,880,978 B          |
-//! | `compact`, streamed       |  77,361 B |   173,369 B          |
-//! | reopen, ops cloned        |           | 2.04 × the live store |
-//! | reopen, ops moved         |           | 1.31 ×               |
+//! | pass                      | 64 models | 1,024 models                   |
+//! |---------------------------|-----------|--------------------------------|
+//! | `compact`, records cloned | 557,189 B | 8,909,183 B                    |
+//! | `compact`, streamed       |  75,886 B |    81,652 B                    |
+//! | reopen, ops cloned        |           | 12,502,004 B, 2.04 × 6,132,637 |
+//! | reopen, ops moved         |           |  8,009,183 B, 1.31 ×           |
 //!
 //! A cloning compaction holds every record twice (its frames, then the
 //! segment image it builds from them); a streaming one holds a write
-//! buffer, one encoded frame and the shard's model index.
+//! buffer, one encoded frame and the shard's model index. A cloning reopen
+//! holds the recovered ops beside the tables built from them; a moving one
+//! holds the store once, plus one segment's bytes and the op list. The
+//! reopen figures move by a few hundred bytes with the length of the
+//! store's path.
 
 use nnlqp_db::{Database, DurableOptions, FsyncPolicy, ModelId, PlatformId};
 use std::path::PathBuf;

@@ -20,13 +20,24 @@
 //! one attention-matrix list per transformer block and the dropout mask,
 //! plus arena buffers still growing to the corpus's largest graph.
 //!
-//! The counter also keeps the bytes the thread holds live. A one-epoch
-//! retrain through `Nnlqp::train_predictor_handle` on four platforms that
-//! measured the same 32 graphs (128 rows) peaks 4,094,206 bytes above
-//! where it started when every row decodes, featurizes and normalizes a
-//! graph of its own (beside a raw copy of every feature matrix), and
-//! 2,293,558 bytes when each stored structure is held once and its rows
-//! share it. The figure is the same on every kernel backend.
+//! The counter also keeps the bytes the thread holds live. High water of
+//! a retrain through `Nnlqp::train_predictor_handle`, over where it
+//! started, the same on every kernel backend:
+//!
+//! | retrain                          | own graph per row | each structure once | featurized as decoded |
+//! |----------------------------------|-------------------|---------------------|-----------------------|
+//! | 32 structures × 4 heads, 1 epoch | 4,094,206 B       | 2,293,558 B         | 2,293,558 B           |
+//! | 385 × 2, no epoch                |                   | 6,234,374 B         | 3,213,314 B           |
+//! | 385 × 2, 1 epoch                 |                   | 6,234,374 B         | 4,585,082 B           |
+//!
+//! "Own graph per row": every row decodes, featurizes and normalizes a
+//! graph of its own, beside a raw copy of every feature matrix. "Each
+//! structure once": each stored structure is decoded once and its rows
+//! share it, but every decoded graph is held until the dataset is built.
+//! "Featurized as decoded": each graph is featurized right after its
+//! decode and dropped before the next, so the retrain holds features,
+//! never graphs. At 32 structures training sets the peak, so the last
+//! step leaves it where it was.
 
 use nnlqp::{Nnlqp, TrainPredictorConfig};
 use nnlqp_ir::{Graph, Rng64};
