@@ -22,7 +22,7 @@
 use crate::database::Database;
 use crate::wal;
 use nnlqp_ir::codec::Reader;
-use nnlqp_obs::Recover;
+use nnlqp_obs::{panic_message, Recover};
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -267,12 +267,7 @@ fn background_pass(db: &Database, pass: Pass) {
     let failure = match catch_unwind(AssertUnwindSafe(|| pass(db))) {
         Ok(Ok(_)) => return,
         Ok(Err(e)) => e.to_string(),
-        Err(panic) => {
-            let msg = (panic.downcast_ref::<&str>().copied())
-                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("non-string payload");
-            format!("panicked: {msg}")
-        }
+        Err(panic) => format!("panicked: {}", panic_message(&*panic)),
     };
     db.compaction_failed();
     eprintln!("nnlqp-db: background compaction failed: {failure}");

@@ -58,7 +58,7 @@ pub use monitor::{
     QualityMonitor, QualityReport, REL_ERR_PCT_BOUNDS,
 };
 pub use span::{Recorder, SimClock, Span, Timeline, Track};
-pub use sync::{PushError, Queue, Recover};
+pub use sync::{panic_message, PushError, Queue, Recover};
 pub use trace::{
     tail_attribution, timeline_of, ExemplarReservoir, RequestTrace, StageShare, TraceClock,
     TraceContext, TraceStage, INLINE_MARKS,

@@ -1,5 +1,6 @@
-//! The recover policy for a poisoned lock, written once, and the one
-//! bounded queue the workspace hands work across threads with.
+//! The recover policy for a poisoned lock, written once, what a caught
+//! panic said, and the one bounded queue the workspace hands work across
+//! threads with.
 //!
 //! A std lock is poisoned when a thread panics while holding it, and every
 //! later `lock`, `read`, `write` or `Condvar` wait returns the guard inside
@@ -23,6 +24,16 @@ impl<G> Recover<G> for LockResult<G> {
     fn recover(self) -> G {
         self.unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// What a panic caught at a thread's job boundary said, when it said it
+/// with a string.
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
 }
 
 /// A bounded FIFO that any number of threads push to without blocking and

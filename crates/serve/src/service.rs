@@ -84,9 +84,9 @@ use nnlqp_db::PlatformId;
 use nnlqp_hash::{graph_hash, BuildWordHasher};
 use nnlqp_ir::Graph;
 use nnlqp_obs::{
-    to_prometheus, EventLog, ExemplarReservoir, MetricsRegistry, MonitorConfig, PushError,
-    QualityMonitor, QualityReport, QueryEvent, QueryOutcome, Queue, Recover, RequestTrace,
-    TraceClock, TraceContext,
+    panic_message, to_prometheus, EventLog, ExemplarReservoir, MetricsRegistry, MonitorConfig,
+    PushError, QualityMonitor, QualityReport, QueryEvent, QueryOutcome, Queue, Recover,
+    RequestTrace, TraceClock, TraceContext,
 };
 use nnlqp_sim::{FarmError, Platform, PlatformSpec};
 use std::borrow::Cow;
@@ -1067,15 +1067,6 @@ fn worker_loop(queue: Arc<Queue<Job>>, ctx: Arc<WorkerCtx>) -> impl FnOnce() {
             }
         }
     }
-}
-
-/// What a caught panic said, when it said it with a string.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    panic
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string payload")
 }
 
 /// Measure one job, store and publish it, then shadow-evaluate it.
