@@ -16,8 +16,8 @@ use nnlqp_ir::Rng64;
 use nnlqp_obs::Recover;
 use nnlqp_predict::train::{Dataset, TrainConfig};
 use nnlqp_predict::{
-    extract_features, GraphFeatures, NnlpConfig, NnlpModel, Predictor, PredictorKind,
-    TransformerConfig, TransformerModel,
+    extract_compact_features, extract_features, CompactFeatures, NnlpConfig, NnlpModel, Predictor,
+    PredictorKind, TransformerConfig, TransformerModel,
 };
 use nnlqp_sim::PlatformSpec;
 use std::collections::HashMap;
@@ -170,7 +170,7 @@ impl Nnlqp {
         // row whose graph does not decode or rebatch (one stored before
         // the store checked what it was given) is skipped and counted: it
         // must not stop the evolving database from learning from the rest.
-        let mut feats: Vec<GraphFeatures> = Vec::new();
+        let mut feats: Vec<CompactFeatures> = Vec::new();
         let mut structure_of = HashMap::new();
         let mut rows: Vec<(usize, f64, usize)> = Vec::new();
         let mut head_of = HashMap::new();
@@ -193,7 +193,7 @@ impl Nnlqp {
                                 .inc();
                             continue;
                         };
-                        feats.push(extract_features(&g));
+                        feats.push(extract_compact_features(&g));
                         structure_of.insert(key, feats.len() - 1);
                         feats.len() - 1
                     }

@@ -44,8 +44,15 @@ pub enum Activation {
 /// them back when done, so a batched forward — or an epoch of backprop —
 /// touches the allocator only while warming up. One extra buffer backs the
 /// matmul panel packing.
+///
+/// A request gets the smallest idle buffer that holds it. When none does,
+/// the largest idle buffer grows to exactly the request, and a new buffer
+/// is allocated only when none is idle. So the arena holds as many buffers
+/// as were ever checked out at once, and each stays near the size of the
+/// requests it serves rather than drifting up to the largest graph's.
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// Idle buffers, in ascending order of capacity.
     free: Vec<Vec<f32>>,
     pack: Vec<f32>,
 }
@@ -56,20 +63,36 @@ impl Scratch {
         Self::default()
     }
 
+    /// An idle buffer with room for `len` elements (its contents are
+    /// whatever it last held), or a new one if none is idle.
+    fn buffer(&mut self, len: usize) -> Vec<f32> {
+        let Some(last) = self.free.len().checked_sub(1) else {
+            return Vec::with_capacity(len);
+        };
+        let fits = self.free.partition_point(|b| b.capacity() < len);
+        let mut data = self.free.remove(fits.min(last));
+        if data.capacity() < len {
+            data.clear();
+            data.reserve_exact(len);
+        }
+        data
+    }
+
     /// A zeroed `rows x cols` matrix, reusing a returned buffer when one
     /// is available.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut data = self.free.pop().unwrap_or_default();
+        let mut data = self.buffer(rows * cols);
         data.clear();
         data.resize(rows * cols, 0.0);
         Matrix { rows, cols, data }
     }
 
     /// A `rows x cols` matrix for an output its producer writes whole (a
-    /// GEMM, an aggregation): [`Scratch::take`] without the zeroing, so
-    /// its elements hold whatever the reused buffer held.
-    pub(crate) fn take_overwritten(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut data = self.free.pop().unwrap_or_default();
+    /// GEMM, an aggregation, a densified feature matrix):
+    /// [`Scratch::take`] without the zeroing, so its elements hold
+    /// whatever the reused buffer held.
+    pub fn take_overwritten(&mut self, rows: usize, cols: usize) -> Matrix {
+        let mut data = self.buffer(rows * cols);
         data.resize(rows * cols, 0.0);
         Matrix { rows, cols, data }
     }
@@ -77,7 +100,7 @@ impl Scratch {
     /// Return a matrix's allocation to the arena (the shape is forgotten;
     /// only the buffer is kept).
     pub fn put(&mut self, m: Matrix) {
-        self.free.push(m.data);
+        self.put_vec(m.data);
     }
 
     /// [`Scratch::take`] for a plain vector (bias gradients, row norms).
@@ -87,7 +110,8 @@ impl Scratch {
 
     /// [`Scratch::put`] for a plain vector.
     pub fn put_vec(&mut self, v: Vec<f32>) {
-        self.free.push(v);
+        let at = self.free.partition_point(|b| b.capacity() < v.capacity());
+        self.free.insert(at, v);
     }
 
     /// Buffers at rest in the arena. A forward pass that `put`s back
@@ -95,6 +119,13 @@ impl Scratch {
     /// on — the property that lets one arena serve a whole batch.
     pub fn idle_buffers(&self) -> usize {
         self.free.len()
+    }
+
+    /// Bytes the arena holds at rest: every idle buffer's capacity and the
+    /// packing buffer's.
+    pub fn idle_bytes(&self) -> usize {
+        let floats: usize = self.free.iter().map(Vec::capacity).sum();
+        (floats + self.pack.capacity()) * std::mem::size_of::<f32>()
     }
 
     /// The panel-packing buffer for [`Matrix::matmul_into`].
@@ -550,5 +581,37 @@ mod tests {
         let m = mat(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let v: nnlqp_ir::json::Value = m.to_value().to_string().parse().unwrap();
         assert_eq!(Matrix::from_value(&v).unwrap(), m);
+    }
+
+    /// The arena hands out the smallest idle buffer that fits, grows the
+    /// largest one exactly when none fits, and allocates only when empty.
+    #[test]
+    fn scratch_picks_the_smallest_fitting_buffer_and_grows_exactly() {
+        let mut scratch = Scratch::new();
+        let (small, large) = (scratch.take(1, 10), scratch.take(1, 100));
+        let (small_ptr, large_ptr) = (small.data.as_ptr(), large.data.as_ptr());
+        scratch.put(large);
+        scratch.put(small);
+        assert_eq!(scratch.idle_bytes(), 110 * 4);
+
+        let fits_small = scratch.take(2, 4);
+        assert_eq!(fits_small.data.as_ptr(), small_ptr);
+        let fits_large = scratch.take(1, 11);
+        assert_eq!(fits_large.data.as_ptr(), large_ptr);
+        scratch.put(fits_small);
+        scratch.put(fits_large);
+
+        let grown = scratch.take_overwritten(1, 150);
+        assert_eq!(grown.data.capacity(), 150, "grown exactly");
+        assert_eq!(scratch.idle_buffers(), 1, "the largest buffer grew");
+        let fresh = scratch.take_vec(3);
+        assert_eq!(fresh.as_ptr(), small_ptr);
+        let new = scratch.take(1, 7);
+        assert_eq!(new.data.capacity(), 7, "allocated only once none is idle");
+        scratch.put(grown);
+        scratch.put_vec(fresh);
+        scratch.put(new);
+        assert_eq!(scratch.idle_buffers(), 3);
+        assert_eq!(scratch.idle_bytes(), (150 + 10 + 7) * 4);
     }
 }

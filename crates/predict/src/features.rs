@@ -9,29 +9,97 @@
 
 use nnlqp_ir::attrs::ATTR_VEC_LEN;
 use nnlqp_ir::op::NUM_OP_TYPES;
-use nnlqp_ir::{cost, DType, Graph};
-use nnlqp_nn::{Csr, Matrix};
+use nnlqp_ir::{cost, DType, Graph, Node, OpType};
+use nnlqp_nn::{Csr, Matrix, Scratch};
 use nnlqp_sim::fusion::Kernel;
 use std::sync::LazyLock;
 
 /// Shape block width: log-scaled (batch, channels, height, width).
 pub const SHAPE_DIM: usize = 4;
 
+/// Width of a node row's attribute and shape columns: the row less its
+/// one-hot block, and all of it that a [`Normalizer`] fits.
+pub const DENSE_DIM: usize = ATTR_VEC_LEN + SHAPE_DIM;
+
 /// Full node feature width.
-pub const NODE_FEAT_DIM: usize = NUM_OP_TYPES + ATTR_VEC_LEN + SHAPE_DIM;
+pub const NODE_FEAT_DIM: usize = NUM_OP_TYPES + DENSE_DIM;
 
 /// Static graph-feature width: batch, FLOPs, params, memory access.
 pub const STATIC_DIM: usize = 4;
 
-/// Raw (un-normalized) features of one graph.
+/// Raw (un-normalized) features of one graph, its node rows in form `N`.
 #[derive(Debug, Clone)]
-pub struct GraphFeatures {
-    /// Node features, `[n, NODE_FEAT_DIM]`.
-    pub nodes: Matrix,
+pub struct Features<N> {
+    /// Node features, one row per node.
+    pub nodes: N,
     /// Undirected adjacency.
     pub adj: Csr,
     /// Static features (raw scale).
     pub stat: [f64; STATIC_DIM],
+}
+
+/// A graph's features with dense node rows, `[n, NODE_FEAT_DIM]`: the
+/// per-query form the encoders read.
+pub type GraphFeatures = Features<Matrix>;
+
+/// A graph's features with [`NodeRows`]: the form a training set holds.
+pub type CompactFeatures = Features<NodeRows>;
+
+/// A form of a graph's node rows: built from the nodes themselves, and
+/// read by [`Normalizer::fit`] through each row's attribute and shape
+/// columns (the one-hot block is never fitted).
+pub trait NodeRowForm {
+    /// One raw row per node of `nodes`, which yields `len` of them.
+    fn from_nodes<'a>(len: usize, nodes: impl Iterator<Item = &'a Node>) -> Self;
+
+    /// Each row's [`DENSE_DIM`] attribute and shape columns, in row order.
+    fn dense_rows(&self) -> impl Iterator<Item = &[f32]>;
+}
+
+/// Node rows held compactly: each node's operator and its [`DENSE_DIM`]
+/// attribute and shape columns, 65 bytes a node where a dense row takes
+/// 116. The one-hot block of Eq. 3 says only which operator a node is;
+/// [`NodeRows::densify`] writes it out when an encoder reads the rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeRows {
+    /// Number of nodes.
+    pub rows: usize,
+    ops: Vec<OpType>,
+    dense: Vec<f32>,
+}
+
+impl NodeRows {
+    /// The dense `[rows, NODE_FEAT_DIM]` form, written whole into `out`:
+    /// per row the operator's one-hot block, then the stored columns.
+    /// Normalized rows densify to exactly what
+    /// [`Normalizer::normalize_nodes_into`] makes of the dense raw rows,
+    /// because the one-hot block's fitted mean is 0 and its deviation 1.
+    pub fn densify_into(&self, out: &mut Matrix) {
+        assert_eq!((out.rows, out.cols), (self.rows, NODE_FEAT_DIM));
+        let dense = self.dense.chunks_exact(DENSE_DIM);
+        let rows = out.data.chunks_exact_mut(NODE_FEAT_DIM).zip(&self.ops);
+        for ((row, op), cols) in rows.zip(dense) {
+            let (one_hot, rest) = row.split_at_mut(NUM_OP_TYPES);
+            one_hot.fill(0.0);
+            one_hot[op.code()] = 1.0;
+            rest.copy_from_slice(cols);
+        }
+    }
+
+    /// [`NodeRows::densify_into`] a matrix drawn from `scratch`; the
+    /// caller puts it back.
+    pub fn densify(&self, scratch: &mut Scratch) -> Matrix {
+        let mut out = scratch.take_overwritten(self.rows, NODE_FEAT_DIM);
+        self.densify_into(&mut out);
+        out
+    }
+
+    /// [`NodeRows::densify_into`] a matrix of its own.
+    pub fn to_matrix(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, NODE_FEAT_DIM);
+        self.densify_into(&mut out);
+        out
+    }
 }
 
 fn log1p(x: f64) -> f32 {
@@ -54,12 +122,10 @@ fn log1p_dim(v: usize) -> f32 {
     }
 }
 
-/// Write one node's features into its zeroed row: the one-hot operator
-/// code, the raw attribute vector (normalized later) and the log-scaled
-/// output shape.
-fn node_row(row: &mut [f32], node: &nnlqp_ir::Node) {
-    row[node.op.code()] = 1.0;
-    let (attrs, shape) = row[NUM_OP_TYPES..].split_at_mut(ATTR_VEC_LEN);
+/// Write one node's attribute and shape columns: the raw attribute vector
+/// (normalized later) and the log-scaled output shape.
+fn dense_cols(cols: &mut [f32], node: &Node) {
+    let (attrs, shape) = cols.split_at_mut(ATTR_VEC_LEN);
     attrs.copy_from_slice(&node.attrs.to_vec());
     let s = &node.out_shape;
     let dims = [s.batch(), s.channels(), s.height(), s.width()];
@@ -68,20 +134,46 @@ fn node_row(row: &mut [f32], node: &nnlqp_ir::Node) {
     }
 }
 
-/// The node-feature matrix of `nodes`, one row each.
-fn node_rows<'a>(len: usize, nodes: impl Iterator<Item = &'a nnlqp_ir::Node>) -> Matrix {
-    let mut m = Matrix::zeros(len, NODE_FEAT_DIM);
-    for (row, node) in m.data.chunks_exact_mut(NODE_FEAT_DIM).zip(nodes) {
-        node_row(row, node);
+impl NodeRowForm for Matrix {
+    fn from_nodes<'a>(len: usize, nodes: impl Iterator<Item = &'a Node>) -> Matrix {
+        let mut m = Matrix::zeros(len, NODE_FEAT_DIM);
+        for (row, node) in m.data.chunks_exact_mut(NODE_FEAT_DIM).zip(nodes) {
+            row[node.op.code()] = 1.0;
+            dense_cols(&mut row[NUM_OP_TYPES..], node);
+        }
+        m
     }
-    m
+
+    fn dense_rows(&self) -> impl Iterator<Item = &[f32]> {
+        (self.data.chunks_exact(NODE_FEAT_DIM)).map(|row| &row[NUM_OP_TYPES..])
+    }
 }
 
-/// Extract features for a whole model.
-pub fn extract_features(g: &Graph) -> GraphFeatures {
+impl NodeRowForm for NodeRows {
+    fn from_nodes<'a>(len: usize, nodes: impl Iterator<Item = &'a Node>) -> NodeRows {
+        let mut ops = Vec::with_capacity(len);
+        let mut dense = vec![0.0; len * DENSE_DIM];
+        for (cols, node) in dense.chunks_exact_mut(DENSE_DIM).zip(nodes) {
+            ops.push(node.op);
+            dense_cols(cols, node);
+        }
+        NodeRows {
+            rows: len,
+            ops,
+            dense,
+        }
+    }
+
+    fn dense_rows(&self) -> impl Iterator<Item = &[f32]> {
+        self.dense.chunks_exact(DENSE_DIM)
+    }
+}
+
+/// The features of a whole model, node rows in form `N`.
+fn graph_features<N: NodeRowForm>(g: &Graph) -> Features<N> {
     let total = cost::graph_totals(g, DType::F32);
-    GraphFeatures {
-        nodes: node_rows(g.len(), g.nodes.iter()),
+    Features {
+        nodes: N::from_nodes(g.len(), g.nodes.iter()),
         adj: Csr::from_graph(g),
         stat: [
             g.input_shape.batch() as f64,
@@ -92,10 +184,30 @@ pub fn extract_features(g: &Graph) -> GraphFeatures {
     }
 }
 
+/// Extract features for a whole model.
+pub fn extract_features(g: &Graph) -> GraphFeatures {
+    graph_features(g)
+}
+
+/// [`extract_features`] with compact node rows, built from the nodes.
+pub fn extract_compact_features(g: &Graph) -> CompactFeatures {
+    graph_features(g)
+}
+
 /// Extract features for one fused kernel of a graph: the member nodes form
 /// a miniature graph (NNLP "can be applied to different levels of neural
 /// networks, such as ops, sub-graphs and whole networks", §8.5).
 pub fn extract_kernel_features(g: &Graph, k: &Kernel) -> GraphFeatures {
+    kernel_features(g, k)
+}
+
+/// [`extract_kernel_features`] with compact node rows, for a training set
+/// of kernels.
+pub(crate) fn extract_compact_kernel_features(g: &Graph, k: &Kernel) -> CompactFeatures {
+    kernel_features(g, k)
+}
+
+fn kernel_features<N: NodeRowForm>(g: &Graph, k: &Kernel) -> Features<N> {
     let mut flops = 0.0;
     let mut params = 0.0;
     let mut mem = 0.0;
@@ -120,8 +232,8 @@ pub fn extract_kernel_features(g: &Graph, k: &Kernel) -> GraphFeatures {
             }
         }
     }
-    GraphFeatures {
-        nodes: node_rows(k.nodes.len(), k.nodes.iter().map(|&id| g.node(id))),
+    Features {
+        nodes: N::from_nodes(k.nodes.len(), k.nodes.iter().map(|&id| g.node(id))),
         adj: Csr::from_edges(k.nodes.len(), &edges),
         stat: [g.input_shape.batch() as f64, flops, params, mem],
     }
@@ -171,33 +283,31 @@ impl Normalizer {
         })
     }
 
-    /// Fit per-dimension mean/std over all nodes of all training graphs
-    /// (the one-hot block is left untouched) and over the log-scaled
-    /// static features.
-    pub fn fit(feats: &[&GraphFeatures]) -> Normalizer {
+    /// Fit per-dimension mean/std over all nodes of all training graphs,
+    /// in either row form, and over the log-scaled static features. Only
+    /// the attribute and shape columns are fitted: the one-hot block keeps
+    /// mean 0 and deviation 1, so standardizing leaves it as it is.
+    pub fn fit<N: NodeRowForm>(feats: &[&Features<N>]) -> Normalizer {
         assert!(!feats.is_empty(), "cannot fit normalizer on empty corpus");
-        let d = NODE_FEAT_DIM;
-        let mut mu = vec![0.0f64; d];
-        let mut sq = vec![0.0f64; d];
+        let mut mu = [0.0f64; DENSE_DIM];
+        let mut sq = [0.0f64; DENSE_DIM];
         let mut count = 0.0f64;
         for f in feats {
-            for i in 0..f.nodes.rows {
-                for (j, &v) in f.nodes.row(i).iter().enumerate() {
+            for row in f.nodes.dense_rows() {
+                for (j, &v) in row.iter().enumerate() {
                     mu[j] += v as f64;
                     sq[j] += (v as f64) * (v as f64);
                 }
                 count += 1.0;
             }
         }
-        let mut node_mu = vec![0.0f32; d];
-        let mut node_sd = vec![1.0f32; d];
-        for j in 0..d {
+        let mut node_mu = vec![0.0f32; NODE_FEAT_DIM];
+        let mut node_sd = vec![1.0f32; NODE_FEAT_DIM];
+        for j in 0..DENSE_DIM {
             let m = mu[j] / count;
             let var = (sq[j] / count - m * m).max(0.0);
-            if j >= NUM_OP_TYPES {
-                node_mu[j] = m as f32;
-                node_sd[j] = (var.sqrt() as f32).max(1e-4);
-            }
+            node_mu[NUM_OP_TYPES + j] = m as f32;
+            node_sd[NUM_OP_TYPES + j] = (var.sqrt() as f32).max(1e-4);
         }
         let mut smu = [0.0f64; STATIC_DIM];
         let mut ssq = [0.0f64; STATIC_DIM];
@@ -228,7 +338,7 @@ impl Normalizer {
     /// Standardized node-feature matrix.
     pub fn normalize_nodes(&self, nodes: &Matrix) -> Matrix {
         let mut out = nodes.clone();
-        self.normalize_nodes_in_place(&mut out);
+        self.normalize_nodes_into(nodes, &mut out);
         out
     }
 
@@ -250,11 +360,13 @@ impl Normalizer {
         }
     }
 
-    /// Standardize a raw node-feature matrix where it lies (training
-    /// keeps one matrix per structure, not a raw and a normalized copy).
-    pub fn normalize_nodes_in_place(&self, nodes: &mut Matrix) {
-        for row in nodes.data.chunks_exact_mut(nodes.cols.max(1)) {
-            for ((v, &mu), &sd) in row.iter_mut().zip(&self.node_mu).zip(&self.node_sd) {
+    /// Standardize compact node rows where they lie (training keeps one
+    /// set of rows per structure, not a raw and a normalized copy).
+    pub fn normalize_rows_in_place(&self, nodes: &mut NodeRows) {
+        let mu = &self.node_mu[NUM_OP_TYPES..];
+        let sd = &self.node_sd[NUM_OP_TYPES..];
+        for row in nodes.dense.chunks_exact_mut(DENSE_DIM) {
+            for ((v, &mu), &sd) in row.iter_mut().zip(mu).zip(sd) {
                 *v = (*v - mu) / sd;
             }
         }
@@ -383,5 +495,41 @@ mod tests {
         let single = kernels.iter().find(|k| k.nodes.len() == 1).unwrap();
         let f = extract_kernel_features(&g, single);
         assert_eq!(f.adj.neighbors(0), &[] as &[u32]);
+    }
+
+    /// Compact rows are the dense rows less their one-hot block: over the
+    /// generated corpus both forms fit the same normalizer, and a
+    /// normalized compact row densifies to `normalize_nodes_into` of the
+    /// dense row, bit for bit.
+    #[test]
+    fn densified_compact_rows_are_the_normalized_dense_rows_bit_for_bit() {
+        let spec = nnlqp_models::DatasetSpec {
+            per_family: 3,
+            seed: 5,
+        };
+        let graphs: Vec<Graph> = (nnlqp_models::generate_dataset(&spec).into_iter())
+            .map(|m| m.graph)
+            .collect();
+        let dense: Vec<GraphFeatures> = graphs.iter().map(extract_features).collect();
+        let compact: Vec<CompactFeatures> = graphs.iter().map(extract_compact_features).collect();
+        let norm = Normalizer::fit(&compact.iter().collect::<Vec<_>>());
+        let dense_norm = Normalizer::fit(&dense.iter().collect::<Vec<_>>());
+        assert_eq!(format!("{norm:?}"), format!("{dense_norm:?}"));
+
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, (d, mut c)) in dense.iter().zip(compact).enumerate() {
+            assert_eq!(bits(&c.nodes.to_matrix()), bits(&d.nodes), "graph {i}, raw");
+            let mut want = Matrix::zeros(d.nodes.rows, NODE_FEAT_DIM);
+            norm.normalize_nodes_into(&d.nodes, &mut want);
+            norm.normalize_rows_in_place(&mut c.nodes);
+            // Densified into a buffer that held NaNs: every element is written.
+            let mut scratch = Scratch::new();
+            let mut dirty = scratch.take(want.rows, want.cols);
+            dirty.data.fill(f32::NAN);
+            scratch.put(dirty);
+            let got = c.nodes.densify(&mut scratch);
+            assert_eq!((got.rows, got.cols), (want.rows, want.cols));
+            assert_eq!(bits(&got), bits(&want), "graph {i}, normalized");
+        }
     }
 }

@@ -6,9 +6,9 @@
 //! with a linear regression fitted against true model latencies (the
 //! correction is needed because additivity does not hold — Fig. 2).
 
-use crate::features::{extract_kernel_features, GraphFeatures, Normalizer};
+use crate::features::{extract_compact_kernel_features, extract_kernel_features, CompactFeatures};
 use crate::model::{NnlpConfig, NnlpModel};
-use crate::train::{make_sample, train, Dataset, Structure, TrainConfig};
+use crate::train::{train, Dataset, TrainConfig};
 use nnlqp_ir::{Graph, Rng64};
 use nnlqp_nn::{LinearRegression, RandomForest, RandomForestConfig};
 use nnlqp_sim::fusion::{self, Kernel, KernelDesc, KernelFamily};
@@ -155,15 +155,14 @@ impl NnMeter {
 /// Kernels as graphs, one head, under a normalizer fitted on them: the
 /// training set of both kernel-level GNNs.
 fn kernel_dataset(graphs: &[&Graph], kernel_data: &[KernelSample]) -> Dataset {
-    let feats: Vec<GraphFeatures> = kernel_data
+    let feats: Vec<CompactFeatures> = kernel_data
         .iter()
-        .map(|ks| extract_kernel_features(graphs[ks.graph_idx], &ks.kernel))
+        .map(|ks| extract_compact_kernel_features(graphs[ks.graph_idx], &ks.kernel))
         .collect();
-    let norm = Normalizer::fit(&feats.iter().collect::<Vec<_>>());
-    let samples = (feats.into_iter().zip(kernel_data))
-        .map(|(f, ks)| make_sample(&Structure::normalize(f, &norm), ks.latency_ms, 0))
+    let rows: Vec<(usize, f64, usize)> = (kernel_data.iter().enumerate())
+        .map(|(i, ks)| (i, ks.latency_ms, 0))
         .collect();
-    Dataset { samples, norm }
+    Dataset::from_features(feats, &rows)
 }
 
 /// TPU baseline: a GraphSAGE model over *kernels* (each kernel is a tiny

@@ -34,11 +34,12 @@ pub mod transfer;
 pub mod transformer;
 
 pub use features::{
-    extract_features, extract_kernel_features, GraphFeatures, Normalizer, NODE_FEAT_DIM, STATIC_DIM,
+    extract_compact_features, extract_features, extract_kernel_features, CompactFeatures,
+    GraphFeatures, NodeRows, Normalizer, NODE_FEAT_DIM, STATIC_DIM,
 };
 pub use metrics::{acc_at, kendall_tau, mape};
 pub use model::{Head, NnlpConfig, NnlpModel};
 pub use nnlqp_nn::Scratch;
 pub use predictor::{predictor_from_json, Predictor, PredictorKind};
-pub use train::{train, Dataset, Sample, TrainConfig, TrainReport, Trainable};
+pub use train::{train, train_in, Dataset, Sample, TrainConfig, TrainReport, Trainable};
 pub use transformer::{TransformerConfig, TransformerModel};

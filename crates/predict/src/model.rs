@@ -733,9 +733,11 @@ impl Trainable for NnlpModel {
         rng: &mut Rng64,
         scratch: &mut Scratch,
     ) -> (f64, Grads<Vec<SageGrad>>) {
-        let (pred, cache) = self.forward_in(&s.nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
+        let nodes = s.nodes.densify(scratch);
+        let (pred, cache) = self.forward_in(&nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
         let (loss, d_pred) = mse_loss(pred, s.target_log);
-        let grads = self.backward(cache, d_pred, &s.nodes, &s.adj, scratch);
+        let grads = self.backward(cache, d_pred, &nodes, &s.adj, scratch);
+        scratch.put(nodes);
         (loss, grads)
     }
 
@@ -755,18 +757,27 @@ impl Trainable for NnlpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::extract_features;
+    use crate::features::{extract_compact_features, extract_features};
     use crate::train::{make_sample, Structure};
-    use nnlqp_ir::{GraphBuilder, Shape};
+    use nnlqp_ir::{Graph, GraphBuilder, Shape};
 
-    fn tiny_feats() -> GraphFeatures {
+    fn tiny_graph() -> Graph {
         let mut b = GraphBuilder::new("t", Shape::nchw(1, 3, 16, 16));
         let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
         let r = b.relu(c).unwrap();
         let g = b.global_avgpool(r).unwrap();
         let f = b.flatten(g).unwrap();
         b.gemm(f, 10).unwrap();
-        extract_features(&b.finish().unwrap())
+        b.finish().unwrap()
+    }
+
+    fn tiny_feats() -> GraphFeatures {
+        extract_features(&tiny_graph())
+    }
+
+    /// The tiny graph as a training structure, normalized by `norm`.
+    fn tiny_structure(norm: &Normalizer) -> Structure {
+        Structure::normalize(extract_compact_features(&tiny_graph()), norm)
     }
 
     fn make_model(cfg: NnlpConfig) -> (NnlpModel, GraphFeatures) {
@@ -843,10 +854,10 @@ mod tests {
             NnlpConfig::without_static(),
             NnlpConfig::brp_nas(),
         ] {
-            let (m, feats) = make_model(cfg);
+            let (m, _) = make_model(cfg);
             let s = Sample {
                 target_log: 1.0,
-                ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
+                ..make_sample(&tiny_structure(&m.norm), 0.0, 0)
             };
             let mut rng = Rng64::new(81);
             let (loss, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
@@ -857,13 +868,13 @@ mod tests {
 
     #[test]
     fn training_single_sample_reduces_loss() {
-        let (mut m, feats) = make_model(NnlpConfig {
+        let (mut m, _) = make_model(NnlpConfig {
             dropout: 0.0,
             ..Default::default()
         });
         let s = Sample {
             target_log: 2.5,
-            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
+            ..make_sample(&tiny_structure(&m.norm), 0.0, 0)
         };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(82);
@@ -893,9 +904,9 @@ mod tests {
         let target = 1.0f32;
         let s = Sample {
             target_log: target,
-            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
+            ..make_sample(&tiny_structure(&m.norm), 0.0, 0)
         };
-        let (nodes, stat) = (&s.nodes, &s.stat);
+        let (nodes, stat) = (&s.nodes.to_matrix(), &s.stat);
         let mut rng = Rng64::new(83);
         let (_, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
 

@@ -7,10 +7,12 @@
 //! each forward and backward out of one [`Scratch`] arena held for the
 //! whole call, summed in sample order, then applied in one optimizer step.
 
-use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
+use crate::features::{
+    extract_compact_features, CompactFeatures, NodeRows, Normalizer, STATIC_DIM,
+};
 use crate::model::{Head, HeadGrad, NnlpModel};
 use nnlqp_ir::{Graph, Rng64};
-use nnlqp_nn::{Adam, Csr, Linear, LinearGrad, Matrix, Scratch};
+use nnlqp_nn::{Adam, Csr, Linear, LinearGrad, Scratch};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -18,12 +20,14 @@ use std::sync::Arc;
 ///
 /// A sample is a label on a structure: samples of one structure (in a
 /// multi-platform dataset, one per head that measured it) share its node
-/// matrix and adjacency, and [`Dataset::from_features`] normalizes each
-/// structure once.
+/// rows and adjacency, and [`Dataset::from_features`] normalizes each
+/// structure once. The rows are compact; a training step or
+/// [`predict_samples`] densifies them into its arena, one sample at a
+/// time.
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Normalized node features, shared by the structure's samples.
-    pub nodes: Arc<Matrix>,
+    pub nodes: Arc<NodeRows>,
     /// Adjacency, shared by the structure's samples.
     pub adj: Arc<Csr>,
     /// Normalized static features.
@@ -55,12 +59,12 @@ impl Dataset {
     /// [`Dataset::from_features`] over those structures.
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
         let mut slot_of: HashMap<*const Graph, usize> = HashMap::new();
-        let mut feats: Vec<GraphFeatures> = Vec::new();
+        let mut feats: Vec<CompactFeatures> = Vec::new();
         let rows: Vec<(usize, f64, usize)> = entries
             .iter()
             .map(|&(g, ms, head)| {
                 let slot = *slot_of.entry(std::ptr::from_ref(g)).or_insert_with(|| {
-                    feats.push(extract_features(g));
+                    feats.push(extract_compact_features(g));
                     feats.len() - 1
                 });
                 (slot, ms, head)
@@ -75,7 +79,7 @@ impl Dataset {
     /// is then normalized once, in place, and its rows share the result.
     /// A caller that featurizes each graph as it decodes it holds the
     /// features, never the graphs.
-    pub fn from_features(feats: Vec<GraphFeatures>, rows: &[(usize, f64, usize)]) -> Dataset {
+    pub fn from_features(feats: Vec<CompactFeatures>, rows: &[(usize, f64, usize)]) -> Dataset {
         let norm = Normalizer::fit(&rows.iter().map(|&(i, _, _)| &feats[i]).collect::<Vec<_>>());
         let structures: Vec<Structure> = feats
             .into_iter()
@@ -94,7 +98,7 @@ impl Dataset {
         entries
             .iter()
             .map(|&(g, ms, head)| {
-                let structure = Structure::normalize(extract_features(g), &self.norm);
+                let structure = Structure::normalize(extract_compact_features(g), &self.norm);
                 make_sample(&structure, ms, head)
             })
             .collect()
@@ -103,15 +107,15 @@ impl Dataset {
 
 /// A graph's features, normalized once for every sample of it to share.
 pub(crate) struct Structure {
-    nodes: Arc<Matrix>,
+    nodes: Arc<NodeRows>,
     adj: Arc<Csr>,
     stat: [f32; STATIC_DIM],
 }
 
 impl Structure {
-    /// Take over raw features, standardizing the node matrix in place.
-    pub(crate) fn normalize(mut f: GraphFeatures, norm: &Normalizer) -> Structure {
-        norm.normalize_nodes_in_place(&mut f.nodes);
+    /// Take over raw features, standardizing the node rows in place.
+    pub(crate) fn normalize(mut f: CompactFeatures, norm: &Normalizer) -> Structure {
+        norm.normalize_rows_in_place(&mut f.nodes);
         Structure {
             nodes: Arc::new(f.nodes),
             adj: Arc::new(f.adj),
@@ -235,6 +239,17 @@ pub(crate) fn adam_linears<'a>(
 /// sample routes its gradient to its own head while the backbone is shared
 /// — Algorithm 1 with mini-batching).
 pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
+    train_in(model, samples, cfg, &mut Scratch::new())
+}
+
+/// [`train`] out of a caller's arena, which holds every buffer the run
+/// drew when it returns.
+pub fn train_in<M: Trainable>(
+    model: &mut M,
+    samples: &[Sample],
+    cfg: TrainConfig,
+    scratch: &mut Scratch,
+) -> TrainReport {
     assert!(!samples.is_empty(), "empty training set");
     let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -244,7 +259,6 @@ pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: TrainConfig) 
     // One arena for the whole call: after the first few samples a step
     // allocates nothing. A parallel-for would hold one per worker; the
     // sums below are ordered by this loop, not by who computed a sample.
-    let mut scratch = Scratch::new();
     let mut head_acc: Vec<Option<HeadGrad>> = model.heads_mut().iter().map(|_| None).collect();
 
     for epoch in 0..cfg.epochs {
@@ -257,10 +271,10 @@ pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: TrainConfig) 
             for &si in batch {
                 let mut srng =
                     Rng64::new(cfg.seed ^ ((epoch as u64) << 40) ^ ((bi as u64) << 20) ^ si as u64);
-                let (loss, g) = model.loss_and_grads(&samples[si], &mut srng, &mut scratch);
+                let (loss, g) = model.loss_and_grads(&samples[si], &mut srng, scratch);
                 total += loss;
-                accumulate(&mut head_acc[g.head_idx], g.head, &mut scratch);
-                accumulate(&mut backbone, g.backbone, &mut scratch);
+                accumulate(&mut head_acc[g.head_idx], g.head, scratch);
+                accumulate(&mut backbone, g.backbone, scratch);
             }
             let Some(mut backbone) = backbone else {
                 continue;
@@ -269,13 +283,13 @@ pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: TrainConfig) 
             backbone.scale(inv);
             opt.begin_step();
             model.apply_backbone(&backbone, &mut opt);
-            backbone.recycle(&mut scratch);
+            backbone.recycle(scratch);
             let heads = model.heads_mut().iter_mut().zip(&mut head_acc);
             for (head_idx, (head, slot)) in heads.enumerate() {
                 if let Some(mut hg) = slot.take() {
                     hg.scale(inv);
                     head.apply_grads(head_idx, &hg, &mut opt);
-                    hg.recycle(&mut scratch);
+                    hg.recycle(scratch);
                 }
             }
         }
@@ -302,7 +316,12 @@ pub fn predict_samples(model: &NnlpModel, samples: &[Sample]) -> Vec<f64> {
     let mut scratch = Scratch::new();
     samples
         .iter()
-        .map(|s| model.predict_normalized_ms(&s.nodes, &s.adj, &s.stat, s.head, &mut scratch))
+        .map(|s| {
+            let nodes = s.nodes.densify(&mut scratch);
+            let ms = model.predict_normalized_ms(&nodes, &s.adj, &s.stat, s.head, &mut scratch);
+            scratch.put(nodes);
+            ms
+        })
         .collect()
 }
 
@@ -314,6 +333,7 @@ pub fn truths(samples: &[Sample]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::{extract_features, GraphFeatures};
     use crate::metrics::mape;
     use crate::model::NnlpConfig;
     use nnlqp_models::ModelFamily;
@@ -425,8 +445,9 @@ mod tests {
         );
         // The two heads must diverge: same graph, ~3x ratio.
         let s0 = &ds.samples[0];
-        let (p0, _) = model.forward(&s0.nodes, &s0.adj, &s0.stat, 0, None);
-        let (p1, _) = model.forward(&s0.nodes, &s0.adj, &s0.stat, 1, None);
+        let nodes = s0.nodes.to_matrix();
+        let (p0, _) = model.forward(&nodes, &s0.adj, &s0.stat, 0, None);
+        let (p1, _) = model.forward(&nodes, &s0.adj, &s0.stat, 1, None);
         let r = (p1 as f64).exp_m1() / (p0 as f64).exp_m1();
         assert!(r > 1.8, "head ratio {r}, p0 {p0} p1 {p1}");
     }
@@ -434,7 +455,7 @@ mod tests {
     /// Every bit of a sample: shape, targets, head, node and static
     /// features, and its adjacency.
     fn bits(s: &Sample) -> (Vec<u64>, &Csr) {
-        let m = &s.nodes;
+        let m = s.nodes.to_matrix();
         let ints = [m.rows, m.cols, s.head].map(|n| n as u64);
         let targets = [s.target_ms.to_bits(), u64::from(s.target_log.to_bits())];
         let floats = m.data.iter().chain(&s.stat).map(|v| u64::from(v.to_bits()));

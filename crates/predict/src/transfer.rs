@@ -194,8 +194,9 @@ mod tests {
         assert_eq!(tuned.heads.len(), 2);
         // The original head is untouched by construction of the routing.
         let s = &ds.samples[0];
-        let (p_orig, _) = base.forward(&s.nodes, &s.adj, &s.stat, 0, None);
-        let (p_kept, _) = tuned.forward(&s.nodes, &s.adj, &s.stat, 0, None);
+        let nodes = s.nodes.to_matrix();
+        let (p_orig, _) = base.forward(&nodes, &s.adj, &s.stat, 0, None);
+        let (p_kept, _) = tuned.forward(&nodes, &s.adj, &s.stat, 0, None);
         // Backbone changed, so predictions may drift, but must stay finite.
         assert!(p_orig.is_finite() && p_kept.is_finite());
     }

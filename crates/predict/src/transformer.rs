@@ -347,9 +347,11 @@ impl Trainable for TransformerModel {
         rng: &mut Rng64,
         scratch: &mut Scratch,
     ) -> (f64, Grads<TfGrads>) {
-        let (pred, cache) = self.forward(&s.nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
+        let nodes = s.nodes.densify(scratch);
+        let (pred, cache) = self.forward(&nodes, &s.adj, &s.stat, s.head, Some(rng), scratch);
         let (loss, d_pred) = mse_loss(pred, s.target_log);
-        let grads = self.backward(cache, d_pred, &s.nodes, scratch);
+        let grads = self.backward(cache, d_pred, &nodes, scratch);
+        scratch.put(nodes);
         (loss, grads)
     }
 
@@ -414,19 +416,28 @@ impl Predictor for TransformerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::extract_features;
+    use crate::features::{extract_compact_features, extract_features};
     use crate::predictor::predictor_from_json;
     use crate::train::{make_sample, Structure};
-    use nnlqp_ir::{GraphBuilder, Shape};
+    use nnlqp_ir::{Graph, GraphBuilder, Shape};
 
-    fn tiny_feats() -> GraphFeatures {
+    fn tiny_graph() -> Graph {
         let mut b = GraphBuilder::new("t", Shape::nchw(1, 3, 16, 16));
         let c = b.conv(None, 8, 3, 1, 1, 1).unwrap();
         let r = b.relu(c).unwrap();
         let g = b.global_avgpool(r).unwrap();
         let f = b.flatten(g).unwrap();
         b.gemm(f, 10).unwrap();
-        extract_features(&b.finish().unwrap())
+        b.finish().unwrap()
+    }
+
+    fn tiny_feats() -> GraphFeatures {
+        extract_features(&tiny_graph())
+    }
+
+    /// The tiny graph as a training structure, normalized by `norm`.
+    fn tiny_structure(norm: &Normalizer) -> Structure {
+        Structure::normalize(extract_compact_features(&tiny_graph()), norm)
     }
 
     fn make_model(cfg: TransformerConfig) -> (TransformerModel, GraphFeatures) {
@@ -481,7 +492,7 @@ mod tests {
     #[test]
     fn end_to_end_gradcheck_backbone() {
         // Finite-difference check through the whole model (no dropout).
-        let (m, feats) = make_model(TransformerConfig {
+        let (m, _) = make_model(TransformerConfig {
             dropout: 0.0,
             d_model: 8,
             layers: 2,
@@ -492,14 +503,15 @@ mod tests {
         let target = 1.0f32;
         let s = Sample {
             target_log: target,
-            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
+            ..make_sample(&tiny_structure(&m.norm), 0.0, 0)
         };
         let mut rng = Rng64::new(61);
         let (_, grads) = m.loss_and_grads(&s, &mut rng, &mut Scratch::new());
         let grads = grads.backbone;
         let h = 1e-2f32;
+        let nodes = s.nodes.to_matrix();
         let loss_of = |mm: &TransformerModel| {
-            let (p, _) = mm.forward(&s.nodes, &s.adj, &s.stat, 0, None, &mut Scratch::new());
+            let (p, _) = mm.forward(&nodes, &s.adj, &s.stat, 0, None, &mut Scratch::new());
             ((p - target) as f64).powi(2)
         };
         // Token embedding and first-block query weights.
@@ -533,13 +545,13 @@ mod tests {
 
     #[test]
     fn training_single_sample_reduces_loss() {
-        let (mut m, feats) = make_model(TransformerConfig {
+        let (mut m, _) = make_model(TransformerConfig {
             dropout: 0.0,
             ..Default::default()
         });
         let s = Sample {
             target_log: 2.5,
-            ..make_sample(&Structure::normalize(feats.clone(), &m.norm), 0.0, 0)
+            ..make_sample(&tiny_structure(&m.norm), 0.0, 0)
         };
         let mut opt = Adam::new(0.01);
         let mut rng = Rng64::new(62);

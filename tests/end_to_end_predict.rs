@@ -164,8 +164,9 @@ fn multi_platform_heads_specialize() {
     assert!(ma < 35.0, "asic head MAPE {ma}%");
     // The ASIC is dramatically slower; heads must reflect that.
     let s = &gpu_samples[0];
-    let (pg, _) = model.forward(&s.nodes, &s.adj, &s.stat, 0, None);
-    let (pa, _) = model.forward(&s.nodes, &s.adj, &s.stat, 1, None);
+    let nodes = s.nodes.to_matrix();
+    let (pg, _) = model.forward(&nodes, &s.adj, &s.stat, 0, None);
+    let (pa, _) = model.forward(&nodes, &s.adj, &s.stat, 1, None);
     assert!(
         (pa - pg) > 0.5,
         "asic log-latency {pa} should clearly exceed gpu {pg}"
