@@ -282,7 +282,7 @@ impl Drop for CompactorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::db_metric_names::{COMPACTIONS, COMPACTION_FAILURES};
+    use crate::engine::db_metric_names::{COMPACTIONS, COMPACTION_FAILURES, SWEEP_FAILURES};
     use crate::{DbMetrics, DurableOptions, FsyncPolicy};
     use nnlqp_obs::MetricsRegistry;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -417,6 +417,62 @@ mod tests {
         assert_eq!(reopened.stats().models, 1);
         assert_eq!(reopened.stats().platforms, 1);
         assert!(failures >= 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every `wal-`/`seg-` file under `dir` that `manifest` does not name.
+    fn retired_files(dir: &Path, manifest: &Manifest) -> Vec<PathBuf> {
+        let mut stale = Vec::new();
+        for (i, meta) in manifest.shards.iter().enumerate() {
+            let keep = [
+                Some(crate::shard::wal_path(dir, i, meta.wal_gen)),
+                meta.seg_gen.map(|g| crate::shard::seg_path(dir, i, g)),
+            ];
+            for entry in std::fs::read_dir(crate::shard::shard_dir(dir, i)).unwrap() {
+                let p = entry.unwrap().path();
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                let retired = name.starts_with("wal-") || name.starts_with("seg-");
+                if retired && !keep.contains(&Some(p.clone())) {
+                    stale.push(p);
+                }
+            }
+        }
+        stale
+    }
+
+    #[test]
+    fn a_committed_pass_whose_sweep_fails_is_a_compaction_not_a_failure() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let (dir, db) = due_store("sweep", &registry);
+        // A directory where the sweep expects a retired WAL file: it cannot
+        // be removed as a file, so every sweep fails after its commit.
+        let probe = crate::shard::shard_dir(&dir, 0).join("wal-000099.log");
+        std::fs::create_dir_all(&probe).unwrap();
+        let stats = db.compact().expect("a committed pass succeeds");
+        assert_eq!(stats.files_removed, 0);
+        let counter = |name| registry.snapshot().counter(name);
+        assert_eq!((counter(COMPACTIONS), counter(SWEEP_FAILURES)), (1, 1));
+
+        // The background loop counts the same pass once, as a compaction.
+        db.insert_model_encoded("m2".into(), 8, vec![2; 16]);
+        let mut compactor = CompactorHandle::spawn(Arc::clone(&db), 1, Duration::from_millis(2));
+        wait_for(&registry, SWEEP_FAILURES, 2);
+        compactor.stop().unwrap();
+        assert!(counter(COMPACTIONS) >= 2);
+        let snapshot = registry.snapshot();
+        assert!(
+            !snapshot.counters.contains_key(COMPACTION_FAILURES),
+            "a committed pass counted as a failure"
+        );
+
+        // Once the obstacle is gone, the next pass's sweep retries.
+        std::fs::remove_dir(&probe).unwrap();
+        db.compact().unwrap();
+        let manifest = Manifest::load(&dir).unwrap().unwrap();
+        assert_eq!(retired_files(&dir, &manifest), Vec::<PathBuf>::new());
+        drop(db);
+        let reopened = Database::open_durable(DurableOptions::new(&dir)).unwrap();
+        assert_eq!(reopened.stats().models, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,6 +45,9 @@ pub mod db_metric_names {
     /// Background compaction passes that returned an error or panicked.
     /// Registered on the first failure, so a healthy store never exports it.
     pub const COMPACTION_FAILURES: &str = "db.compaction_failures";
+    /// Committed compaction passes whose sweep of retired files failed;
+    /// the next pass's sweep retries. Registered on the first failure.
+    pub const SWEEP_FAILURES: &str = "db.sweep_failures";
 }
 
 /// The engine's counters, shared with the workspace metrics registry.
@@ -60,8 +63,8 @@ pub struct DbMetrics {
     pub recovery_replayed_frames: Arc<Counter>,
     /// `db.recovery_truncated_bytes`.
     pub recovery_truncated_bytes: Arc<Counter>,
-    /// Where the counters live, and `db.compaction_failures` once a
-    /// background pass has failed.
+    /// Where the counters live, and `db.compaction_failures` and
+    /// `db.sweep_failures` once a pass has failed to do either.
     registry: Arc<MetricsRegistry>,
 }
 
@@ -88,6 +91,14 @@ impl DbMetrics {
     pub(crate) fn compaction_failed(&self) {
         (self.registry)
             .counter(db_metric_names::COMPACTION_FAILURES)
+            .inc();
+    }
+
+    /// Count a committed pass whose sweep failed, registering
+    /// `db.sweep_failures` on the first.
+    fn sweep_failed(&self) {
+        (self.registry)
+            .counter(db_metric_names::SWEEP_FAILURES)
             .inc();
     }
 }
@@ -318,11 +329,17 @@ impl StorageEngine {
         let folded = self.pending_bytes.swap(0, Ordering::Relaxed);
         *self.manifest.lock().expect("manifest lock") = manifest.clone();
         self.metrics.compactions.inc();
-        let removed = sweep_unreferenced(&self.root, &manifest)?;
+        // The pass has committed, so it succeeded whatever the sweep does:
+        // a file it could not remove is garbage the next pass's sweep
+        // retries, not a fault of this pass.
+        let files_removed = sweep_unreferenced(&self.root, &manifest).unwrap_or_else(|_| {
+            self.metrics.sweep_failed();
+            0
+        });
         Ok(CompactionStats {
             frames: frames_total,
             wal_bytes_folded: folded,
-            files_removed: removed,
+            files_removed,
         })
     }
 }
