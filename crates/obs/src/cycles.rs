@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How long an anchor extrapolates before the next OS-clock reading.
-const REFRESH_NS: u64 = 1_000_000;
+pub(crate) const REFRESH_NS: u64 = 1_000_000;
 
 /// The shortest stretch of the OS clock the rate is taken over.
 const RATE_AFTER_NS: u64 = 1_000_000;
@@ -153,8 +153,10 @@ fn bracketed() -> (u64, u64, u64) {
     best
 }
 
-/// The count this thread's anchor was taken at.
+/// Nanoseconds after [`base`] at which this thread's anchor was taken,
+/// once there is one with a rate.
 #[cfg(test)]
-pub(crate) fn anchor_count() -> u64 {
-    ANCHOR.get().count
+pub(crate) fn anchor_ns() -> Option<u64> {
+    let a = ANCHOR.get();
+    (a.span > 0).then_some(a.ns)
 }

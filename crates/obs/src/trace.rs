@@ -579,29 +579,42 @@ mod tests {
         assert!(early.tick_ns() > late.tick_ns() + 2_000_000);
     }
 
+    /// What an anchor promises is that it is fresh, not that there are
+    /// many: every tick that reads the counter reads an anchor taken in
+    /// the `REFRESH_NS` before it. How many anchors a thread takes follows
+    /// from how much of the 200 ms it was scheduled, so it is not counted.
     #[test]
     fn ticks_stay_beside_the_os_clock_across_anchor_refreshes() {
-        let threads: Vec<usize> = std::thread::scope(|s| {
+        let threads: Vec<(usize, Vec<(u64, u64)>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
                         let clock = TraceClock::new();
+                        let offset = clock.counter_offset_ns.unwrap_or(0);
                         let mut anchors = std::collections::BTreeSet::new();
+                        let mut stale = Vec::new();
                         let mut last = 0;
                         while last < 200_000_000 {
                             last = tick_beside_now(&clock);
-                            anchors.insert(cycles::anchor_count());
+                            // The anchor the tick read, or took.
+                            let Some(anchor) = cycles::anchor_ns() else {
+                                continue;
+                            };
+                            anchors.insert(anchor);
+                            if last + offset >= anchor + cycles::REFRESH_NS {
+                                stale.push((last + offset, anchor));
+                            }
                         }
-                        anchors.len()
+                        (anchors.len(), stale)
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         if cycles::usable() {
-            // About one anchor a millisecond over 200 ms.
-            for anchors in threads {
-                assert!(anchors >= 100, "{anchors} anchors in 200 ms");
+            for (anchors, stale) in threads {
+                assert!(anchors >= 2, "{anchors} anchors: none was refreshed");
+                assert_eq!(stale, [], "(tick, anchor) pairs a refresh apart");
             }
         }
     }

@@ -20,7 +20,7 @@ use nnlqp_predict::{GraphFeatures, Sample, Scratch, TrainConfig, TrainReport};
 use nnlqp_serve::{metric_names, LatencyService, ServeConfig, ServeError, Served, Source};
 use nnlqp_sim::{DeviceFarm, PlatformSpec};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 const PLATFORM: &str = "gpu-T4-trt7.1-fp32";
@@ -209,15 +209,43 @@ fn degraded_path_splits_embed_and_head_stages() {
     assert_eq!(served.latency_ms.to_bits(), facade.latency_ms.to_bits());
 }
 
+/// Held by the exemplar test while its hot hits run; each shadow
+/// evaluation of a [`gated`] service waits for it.
+static GATE: Mutex<()> = Mutex::new(());
+
+/// A monitored service whose one worker, after publishing a measurement,
+/// shadow-evaluates it once [`GATE`] is free.
+fn gated() -> LatencyService {
+    monitored_service(Probe {
+        on_embed: || drop(GATE.lock()),
+    })
+}
+
 #[test]
 fn exemplar_reservoir_retains_slowest_and_exports_chrome_json() {
-    let svc = service_over(system(), usize::MAX);
-    let ms = models(3, 31);
-    let mut traces = Vec::new();
-    for m in &ms {
-        traces.push(svc.query_traced(m, PLATFORM, 1).1); // measured
-        traces.push(svc.query_traced(m, PLATFORM, 1).1); // hot hit
+    // A measurement requested before the hot hits and queued behind a
+    // shadow evaluation that waits for them to end spans every hit: the
+    // measured class is the slowest by construction, however long the
+    // host holds up a hit.
+    let svc = Arc::new(gated());
+    let ms = models(2, 31);
+    let gate = GATE.lock().unwrap();
+    let mut traces = vec![svc.query_traced(&ms[0], PLATFORM, 1).1]; // measured
+    let queued = {
+        let (svc, model) = (Arc::clone(&svc), Arc::clone(&ms[1]));
+        std::thread::spawn(move || svc.query_traced(&model, PLATFORM, 1).1)
+    };
+    // `requests` counts a request after its trace began.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.metrics().requests < 2 {
+        assert!(Instant::now() < deadline, "the second request never came");
+        std::thread::yield_now();
     }
+    for _ in 0..3 {
+        traces.push(svc.query_traced(&ms[0], PLATFORM, 1).1); // hot hit
+    }
+    drop(gate);
+    traces.push(queued.join().unwrap()); // measured, after every hit
     let snap = svc.exemplars().snapshot();
     assert!(snap.contains_key("measured"));
     assert!(snap.contains_key("hot_cache"));
