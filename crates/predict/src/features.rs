@@ -69,13 +69,14 @@ pub struct NodeRows {
 }
 
 impl NodeRows {
-    /// The dense `[rows, NODE_FEAT_DIM]` form, written whole into `out`:
-    /// per row the operator's one-hot block, then the stored columns.
-    /// Normalized rows densify to exactly what
-    /// [`Normalizer::normalize_nodes_into`] makes of the dense raw rows,
-    /// because the one-hot block's fitted mean is 0 and its deviation 1.
-    pub fn densify_into(&self, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, NODE_FEAT_DIM));
+    /// The dense `[rows, NODE_FEAT_DIM]` form, in a matrix drawn from
+    /// `scratch` and written whole (the caller puts it back): per row the
+    /// operator's one-hot block, then the stored columns. Normalized rows
+    /// densify to exactly what [`Normalizer::normalize_nodes_into`] makes
+    /// of the dense raw rows, because the one-hot block's fitted mean is 0
+    /// and its deviation 1.
+    pub fn densify(&self, scratch: &mut Scratch) -> Matrix {
+        let mut out = scratch.take_overwritten(self.rows, NODE_FEAT_DIM);
         let dense = self.dense.chunks_exact(DENSE_DIM);
         let rows = out.data.chunks_exact_mut(NODE_FEAT_DIM).zip(&self.ops);
         for ((row, op), cols) in rows.zip(dense) {
@@ -84,21 +85,12 @@ impl NodeRows {
             one_hot[op.code()] = 1.0;
             rest.copy_from_slice(cols);
         }
-    }
-
-    /// [`NodeRows::densify_into`] a matrix drawn from `scratch`; the
-    /// caller puts it back.
-    pub fn densify(&self, scratch: &mut Scratch) -> Matrix {
-        let mut out = scratch.take_overwritten(self.rows, NODE_FEAT_DIM);
-        self.densify_into(&mut out);
         out
     }
 
-    /// [`NodeRows::densify_into`] a matrix of its own.
+    /// [`NodeRows::densify`] into a matrix of its own.
     pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, NODE_FEAT_DIM);
-        self.densify_into(&mut out);
-        out
+        self.densify(&mut Scratch::new())
     }
 }
 
